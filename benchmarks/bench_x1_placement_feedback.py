@@ -10,6 +10,7 @@ legal moves — alongside the routing-only two-pass alternative.
 import random
 
 from repro.core.feedback import adjust_placement
+from repro.core.negotiate import two_pass
 from repro.core.router import GlobalRouter
 from repro.layout.generators import LayoutSpec, grid_layout, random_netlist
 from repro.analysis.tables import format_table
@@ -40,7 +41,7 @@ def bench_x1_placement_feedback(benchmark):
     rows = []
     for (gap, seed), result in zip(cases, results):
         layout = tight_floorplan(gap, seed)
-        two_pass = GlobalRouter(layout)._two_pass(penalty_weight=4.0, passes=4)
+        repassed = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=4)
         outcome = (
             "converged"
             if result.converged
@@ -52,7 +53,7 @@ def bench_x1_placement_feedback(benchmark):
                 " -> ".join(str(v) for v in result.overflow_history),
                 len(result.moves),
                 outcome,
-                two_pass.congestion_after.total_overflow,
+                repassed.congestion_after.total_overflow,
             ]
         )
     table = format_table(

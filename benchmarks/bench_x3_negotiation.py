@@ -14,7 +14,7 @@ only pay the pool overhead).
 
 import time
 
-from repro.core.negotiate import NegotiatedRouter, NegotiationConfig
+from repro.core.negotiate import NegotiatedRouter, NegotiationConfig, two_pass
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.analysis.tables import format_table
 
@@ -26,7 +26,7 @@ def bench_x3_negotiation(benchmark):
     rows = []
     for n_nets in (12, 16, 20, 24):
         layout = congested_layout(n_nets=n_nets, seed=5, gap=3)
-        two_pass = GlobalRouter(layout)._two_pass(penalty_weight=4.0, passes=2)
+        repassed = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=2)
         result = NegotiatedRouter(
             layout, negotiation=NegotiationConfig(max_iterations=30)
         ).run()
@@ -34,7 +34,7 @@ def bench_x3_negotiation(benchmark):
             [
                 n_nets,
                 result.congestion_before.total_overflow,
-                two_pass.congestion_after.total_overflow,
+                repassed.congestion_after.total_overflow,
                 result.congestion_after.total_overflow,
                 result.iteration_count,
                 "yes" if result.converged else "no",

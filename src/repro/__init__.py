@@ -76,7 +76,6 @@ from repro.core import (
     TimingConfig,
     TimingDrivenCost,
     TimingDrivenRouter,
-    TimingResult,
     WirelengthCost,
     analyze_route_timing,
     find_path,
@@ -206,7 +205,6 @@ __all__ = [
     "TimingConfig",
     "TimingDrivenCost",
     "TimingDrivenRouter",
-    "TimingResult",
     "UnroutableError",
     "ValidationError",
     "WirelengthCost",

@@ -9,8 +9,8 @@ summary, and (when requested) the detailed-routing outcome.
 Results round-trip through JSON.  Two runtime-only conveniences ride
 along without being serialized: the live
 :class:`~repro.detail.detailed.DetailedResult` object (its summary is
-what travels) and nothing else — everything the old ``TwoPassResult``
-and ``NegotiationResult`` shapes reported is representable here.
+what travels) and nothing else — everything the wave loop's
+``NegotiationResult`` reports is representable here.
 """
 
 from __future__ import annotations

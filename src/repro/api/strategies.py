@@ -32,7 +32,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.congestion import find_passages, measure_congestion
-from repro.core.negotiate import NegotiatedRouter, NegotiationConfig
+from repro.core.negotiate import (
+    NegotiatedRouter,
+    NegotiationConfig,
+    NegotiationResult,
+    two_pass,
+)
 from repro.core.timing import TimingConfig, TimingDrivenRouter
 from repro.incremental.engine import (
     IncrementalOutcome,
@@ -63,6 +68,21 @@ def _adapt_incremental(outcome: IncrementalOutcome) -> StrategyOutcome:
         rerouted_nets=outcome.rerouted_nets,
         converged=outcome.converged,
         search_stats=outcome.search_stats,
+    )
+
+
+def _adapt_waves(result: NegotiationResult) -> StrategyOutcome:
+    """Convert a wave-loop result to the pipeline's shape."""
+    return StrategyOutcome(
+        route=result.final,
+        first=result.first,
+        congestion_before=result.congestion_before,
+        congestion_after=result.congestion_after,
+        iterations=tuple(result.iterations),
+        rerouted_nets=tuple(result.rerouted_nets),
+        converged=result.converged,
+        search_stats=result.search_stats,
+        timing=result.timing,
     )
 
 
@@ -168,20 +188,14 @@ class TwoPassStrategy:
 
     def run(self, router: "GlobalRouter", request: "RouteRequest") -> StrategyOutcome:
         """Route, measure, penalize, reroute the affected nets."""
-        result = router._two_pass(
-            penalty_weight=self.penalty_weight,
-            passes=self.passes,
-            max_gap=self.max_gap,
-            on_unroutable=request.on_unroutable,
-        )
-        return StrategyOutcome(
-            route=result.final,
-            first=result.first,
-            congestion_before=result.congestion_before,
-            congestion_after=result.congestion_after,
-            rerouted_nets=tuple(result.rerouted_nets),
-            converged=result.congestion_after.total_overflow == 0,
-            search_stats=result.search_stats,
+        return _adapt_waves(
+            two_pass(
+                router,
+                penalty_weight=self.penalty_weight,
+                passes=self.passes,
+                max_gap=self.max_gap,
+                on_unroutable=request.on_unroutable,
+            )
         )
 
 
@@ -191,26 +205,18 @@ class NegotiatedStrategy:
 
     Parameters are the :class:`~repro.core.negotiate.NegotiationConfig`
     knobs (``max_iterations``, ``present_weight``, ``history_weight``,
-    ``history_gain``, ``max_gap``); unknown names are rejected.
+    ``history_gain``, ``max_gap``); the registry rejects unknown names.
     """
 
     def __init__(self, **params):
-        self.negotiation = NegotiationConfig.from_params(params)
+        self.negotiation = NegotiationConfig(**params)
 
     def run(self, router: "GlobalRouter", request: "RouteRequest") -> StrategyOutcome:
         """Iterate rip-up-and-reroute until legal or out of budget."""
-        result = NegotiatedRouter.from_router(router, negotiation=self.negotiation).run(
-            on_unroutable=request.on_unroutable
-        )
-        return StrategyOutcome(
-            route=result.final,
-            first=result.first,
-            congestion_before=result.congestion_before,
-            congestion_after=result.congestion_after,
-            iterations=tuple(result.iterations),
-            rerouted_nets=tuple(result.rerouted_nets),
-            converged=result.converged,
-            search_stats=result.search_stats,
+        return _adapt_waves(
+            NegotiatedRouter.from_router(router, negotiation=self.negotiation).run(
+                on_unroutable=request.on_unroutable
+            )
         )
 
     def run_incremental(
@@ -233,7 +239,7 @@ class TimingDrivenStrategy:
 
     Parameters are the :class:`~repro.core.timing.TimingConfig` knobs
     — the negotiated set plus ``delay_weight``, ``load_factor``, and
-    ``target_delay``; unknown names are rejected.
+    ``target_delay``; the registry rejects unknown names.
 
     Deliberately *not* incremental (like ``two-pass``): criticalities
     derive from whole-netlist delays, which a warm start would carry
@@ -241,23 +247,14 @@ class TimingDrivenStrategy:
     """
 
     def __init__(self, **params):
-        self.timing = TimingConfig.from_params(params)
+        self.timing = TimingConfig(**params)
 
     def run(self, router: "GlobalRouter", request: "RouteRequest") -> StrategyOutcome:
         """Iterate criticality-ordered rip-up-and-reroute."""
-        result = TimingDrivenRouter.from_router(router, timing=self.timing).run(
-            on_unroutable=request.on_unroutable
-        )
-        return StrategyOutcome(
-            route=result.final,
-            first=result.first,
-            congestion_before=result.congestion_before,
-            congestion_after=result.congestion_after,
-            iterations=tuple(result.iterations),
-            rerouted_nets=tuple(result.rerouted_nets),
-            converged=result.converged,
-            search_stats=result.search_stats,
-            timing=result.timing,
+        return _adapt_waves(
+            TimingDrivenRouter.from_router(router, timing=self.timing).run(
+                on_unroutable=request.on_unroutable
+            )
         )
 
 

@@ -7,15 +7,17 @@ Public surface:
 * :func:`~repro.core.steiner.route_net` — a whole multi-terminal /
   multi-pin net as an approximate Steiner tree.
 * :class:`~repro.core.router.GlobalRouter` — all nets of a layout,
-  independently routed (optionally fanned out over worker processes),
-  with the optional congestion-driven second pass from the paper's
-  Conclusions.
+  independently routed (optionally fanned out over worker processes).
+* :func:`~repro.core.negotiate.negotiate` — the one rip-up-and-reroute
+  wave loop behind the congestion-driven second pass from the paper's
+  Conclusions (:func:`~repro.core.negotiate.two_pass`) and its
+  generalizations below.
 * :class:`~repro.core.negotiate.NegotiatedRouter` — the PathFinder-
   style generalization of that sketch: iterated rip-up-and-reroute
   under present-usage × accumulated-history congestion costs.
 * :class:`~repro.core.timing.TimingDrivenRouter` — the negotiated
-  loop with a tree-walk delay model on top: per-net criticality blends
-  a delay term into the congestion cost and orders each wave
+  policy with a tree-walk delay model on top: per-net criticality
+  blends a delay term into the congestion cost and orders each wave
   most-critical-first (:mod:`repro.core.timing`).
 * Cost models (:mod:`repro.core.costs`) — the "generalized cost
   function concept": wirelength, inverted-corner epsilon, bend/via
@@ -48,13 +50,12 @@ from repro.core.negotiate import (
     NegotiationConfig,
     NegotiationResult,
 )
-from repro.core.router import GlobalRouter, RouterConfig, TwoPassResult
+from repro.core.router import GlobalRouter, RouterConfig
 from repro.core.timing import (
     NetTiming,
     TimingAnalysis,
     TimingConfig,
     TimingDrivenRouter,
-    TimingResult,
     analyze_route_timing,
     net_delay,
 )
@@ -96,8 +97,6 @@ __all__ = [
     "TimingConfig",
     "TimingDrivenCost",
     "TimingDrivenRouter",
-    "TimingResult",
-    "TwoPassResult",
     "WirelengthCost",
     "analyze_route_timing",
     "escape_moves",

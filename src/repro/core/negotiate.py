@@ -1,13 +1,13 @@
-"""Negotiated-congestion rip-up-and-reroute — the iterated generalization.
+"""Rip-up-and-reroute: the one wave loop behind every congestion strategy.
 
 The paper's Conclusions sketch exactly one feedback round: "A first-pass
 route of all nets would reveal congested areas. ... A second route of
 the affected nets could penalize those paths which chose the congested
-area."  The ``two-pass`` strategy reproduces that sketch; this
-module grows it into the scheme the field converged on a few years
-later (McMurchie & Ebeling's PathFinder, used by both cgra_pnr
-reference routers): iterate rip-up-and-reroute under a cost that
-combines *present* passage utilization with a monotonically
+area."  The ``two-pass`` strategy reproduces that sketch; the
+``negotiated`` strategy grows it into the scheme the field converged on
+a few years later (McMurchie & Ebeling's PathFinder, used by both
+cgra_pnr reference routers): iterate rip-up-and-reroute under a cost
+that combines *present* passage utilization with a monotonically
 *accumulating history* of overflow, until every passage fits or an
 iteration budget runs out.
 
@@ -20,19 +20,32 @@ the set of nets willing to pay for it shrinks until the passage fits.
 Dense, over-subscribed layouts that the two-pass mode leaves illegal
 are legalized this way (see ``benchmarks/bench_x3_negotiation.py``).
 
-Parallelism rides along for free: within one iteration the negotiated
-cost model is frozen, so the paper's E7 order-invariance applies to
-every pass, and both the first pass and each reroute wave fan out over
+One loop, four strategies.  :func:`negotiate` owns everything the
+strategies share: the first pass (or a warm start in its place), the
+worker pool, per-wave :class:`IterationStats`, the stop rule (no
+overflow left, or the wave budget spent), the prune-aware choice of
+affected nets, the call to :meth:`GlobalRouter.reroute_pass`, and
+best-route tracking.  A *policy* — :class:`NegotiatedRouter` or a
+subclass — supplies the rest: each wave's cost model, the net order and
+any per-net model, the key that picks the best route, and an optional
+analysis after each pass.  ``negotiated`` is the default policy,
+:class:`~repro.core.timing.TimingDrivenRouter` overrides three hooks,
+:func:`two_pass` is a private policy, and the incremental re-router
+(:func:`~repro.incremental.engine.incremental_negotiated`) passes a
+warm-start *seed*.
+
+Parallelism rides along for free: within one wave the cost model is
+frozen, so the paper's E7 order-invariance applies to every pass, and
+both the first pass and each reroute wave fan out over
 ``RouterConfig.workers`` (see :mod:`repro.core.parallel`) with results
-identical to a serial run.
+identical to a serial run.  Waves with a model per net route serially.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro.errors import RoutingError
 from repro.core.congestion import (
@@ -41,11 +54,15 @@ from repro.core.congestion import (
     find_passages,
     measure_congestion,
 )
-from repro.core.costs import CostModel, NegotiatedCongestionCost
+from repro.core.costs import CongestionPenaltyCost, CostModel, NegotiatedCongestionCost
 from repro.core.route import GlobalRoute
-from repro.core.router import GlobalRouter, RouterConfig
+from repro.core.router import GlobalRouter, RouterConfig, check_on_unroutable
 from repro.layout.layout import Layout
 from repro.search.stats import SearchStats
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.timing import TimingAnalysis
+    from repro.incremental.engine import WarmStart
 
 
 @dataclass(frozen=True)
@@ -85,22 +102,6 @@ class NegotiationConfig:
             if value < 0:
                 raise RoutingError(f"negotiation {knob} must be >= 0, got {value}")
 
-    @classmethod
-    def from_params(cls, params: dict) -> "NegotiationConfig":
-        """Build a config from a plain keyword dict (pipeline strategy params).
-
-        Unknown keys raise :class:`RoutingError` naming the offender,
-        so a typo in a JSON ``strategy_params`` block fails loudly
-        instead of silently routing with defaults.
-        """
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise RoutingError(
-                f"unknown negotiation parameter(s) {unknown}; known: {sorted(known)}"
-            )
-        return cls(**params)
-
 
 @dataclass(frozen=True)
 class IterationStats:
@@ -118,6 +119,35 @@ class IterationStats:
     wirelength_delta: int
     rerouted: int
     elapsed_seconds: float
+
+    @classmethod
+    def measure(
+        cls,
+        iteration: int,
+        route: GlobalRoute,
+        congestion: CongestionMap,
+        *,
+        started: float,
+        rerouted: int = 0,
+        previous: Optional[GlobalRoute] = None,
+    ) -> "IterationStats":
+        """Stats of the pass that produced *route*, begun at *started*.
+
+        ``wirelength_delta`` is measured against *previous* (0 for a
+        first pass or warm start).
+        """
+        return cls(
+            iteration=iteration,
+            overflowed_passages=congestion.overflow_count,
+            total_overflow=congestion.total_overflow,
+            max_overflow=congestion.max_overflow,
+            wirelength=route.total_length,
+            wirelength_delta=(
+                0 if previous is None else route.total_length - previous.total_length
+            ),
+            rerouted=rerouted,
+            elapsed_seconds=time.perf_counter() - started,
+        )
 
     def as_dict(self) -> dict:
         """JSON-ready representation (used by :mod:`repro.api.result`)."""
@@ -149,13 +179,15 @@ class IterationStats:
 
 @dataclass
 class NegotiationResult:
-    """Outcome of negotiated rip-up-and-reroute.
+    """Outcome of any run of the wave loop.
 
     ``search_stats`` totals the search effort of the *whole* run —
     every pass of every iteration — unlike ``final.stats``, which only
     accumulates up to the best iteration (the returned route).  Perf
     telemetry (expansions/sec, ray-cache hit rate) must read the
     run-wide numbers or it silently drops the waves after the best.
+    ``timing`` is the final route's delay analysis when the policy
+    computes one (timing-driven does).
     """
 
     first: GlobalRoute
@@ -166,6 +198,7 @@ class NegotiationResult:
     rerouted_nets: list[str] = field(default_factory=list)
     converged: bool = False
     search_stats: SearchStats = field(default_factory=SearchStats)
+    timing: Optional["TimingAnalysis"] = None
 
     @property
     def iteration_count(self) -> int:
@@ -177,7 +210,8 @@ class NegotiatedRouter:
     """Iterated negotiated-congestion routing of one layout.
 
     Parameters mirror :class:`~repro.core.router.GlobalRouter`, plus a
-    :class:`NegotiationConfig`.  The loop:
+    :class:`NegotiationConfig`.  :meth:`run` hands this object to
+    :func:`negotiate` as the wave policy:
 
     1. Route all nets independently (parallel when
        ``config.workers > 1``) and measure passage congestion.
@@ -189,6 +223,10 @@ class NegotiatedRouter:
        frozen negotiated model (again fanning out over workers).
     3. Return the best route seen — least total overflow, then least
        wirelength — with per-iteration convergence stats.
+
+    Subclasses change the strategy by overriding the policy hooks
+    (:meth:`wave_cost`, :meth:`wave_plan`, :meth:`key`,
+    :meth:`analyze`, :attr:`prune`).
     """
 
     def __init__(
@@ -232,103 +270,218 @@ class NegotiatedRouter:
             net that fails *during a reroute wave* keeps its previous
             tree, so the route never loses a net it once had.
         """
-        if on_unroutable not in ("raise", "skip"):
-            raise RoutingError(f"on_unroutable must be 'raise' or 'skip', not {on_unroutable!r}")
-        # One pool for the whole run: the first pass and every reroute
-        # wave reuse the same workers instead of paying spawn +
-        # layout-pickle costs per iteration.
-        pool = self.router.open_pool()
-        try:
-            return self._run(on_unroutable, pool)
-        finally:
-            if pool is not None:
-                pool.close()
+        return negotiate(self, on_unroutable=on_unroutable)
 
-    def _run(self, on_unroutable: str, pool) -> NegotiationResult:
-        """The negotiation loop proper (*pool* is shared by all passes)."""
-        knobs = self.negotiation
-        passages = find_passages(self.layout, max_gap=knobs.max_gap)
-        history = CongestionHistory(gain=knobs.history_gain)
+    # ------------------------------------------------------------------
+    # Policy hooks (called by negotiate)
+    # ------------------------------------------------------------------
+    @property
+    def prune(self) -> bool:
+        """Reroute only nets through overflowed passages.
 
+        Standard PathFinder pruning: nets whose current path has zero
+        present-congestion overlap keep their trees untouched.
+        ``RouterConfig.prune_clean_nets=False`` opts out, ripping up
+        the whole netlist every wave (the original PathFinder
+        formulation; useful as a quality baseline).
+        """
+        return self.router.config.prune_clean_nets
+
+    def analyze(self, route: GlobalRoute) -> Any:
+        """Analysis of a finished pass, handed to :meth:`wave_plan` and :meth:`key`."""
+        return None
+
+    def wave_cost(
+        self, history: CongestionHistory, congestion: CongestionMap
+    ) -> Optional[CostModel]:
+        """The frozen cost model of the next wave, given *congestion* now.
+
+        Folds the overflow into *history* first.  ``None`` (the plain
+        base cost) when no passage is full or carries history — only
+        a warm start can see that, since any overflow is a term.
+        """
+        history.update(congestion)
+        terms = history.penalty_terms(congestion)
+        if not terms:
+            return None
+        return NegotiatedCongestionCost(
+            terms,
+            present_weight=self.negotiation.present_weight,
+            history_weight=self.negotiation.history_weight,
+            base=self.router.cost_model,
+        )
+
+    def wave_plan(
+        self, nets: list[str], cost: Optional[CostModel], analysis: Any
+    ) -> tuple[list[str], Union[Optional[CostModel], Mapping[str, CostModel]]]:
+        """The wave's net order and cost (one model, or one per net)."""
+        return nets, cost
+
+    def key(self, route: GlobalRoute, congestion: CongestionMap, analysis: Any) -> tuple:
+        """Sort key of a pass's result; the least one is returned."""
+        return (congestion.total_overflow, route.total_length)
+
+
+class _TwoPass(NegotiatedRouter):
+    """The Conclusions' scheme as a wave policy (one run per instance).
+
+    Each wave adds the overflowed passages' fixed penalty regions to
+    those of earlier waves; no history is kept and only affected nets
+    are rerouted, whatever ``prune_clean_nets`` says.
+    """
+
+    prune = True
+
+    def __init__(
+        self,
+        router: GlobalRouter,
+        *,
+        penalty_weight: float,
+        passes: int,
+        max_gap: Optional[int],
+    ):
+        super().__init__(
+            router=router,
+            negotiation=NegotiationConfig(max_iterations=passes - 1, max_gap=max_gap),
+        )
+        self.penalty_weight = penalty_weight
+        self._regions: list[tuple] = []
+
+    def wave_cost(
+        self, history: CongestionHistory, congestion: CongestionMap
+    ) -> CostModel:
+        self._regions = self._regions + congestion.penalty_regions(
+            weight=self.penalty_weight
+        )
+        return CongestionPenaltyCost(self._regions, base=self.router.cost_model)
+
+
+def two_pass(
+    router: GlobalRouter,
+    *,
+    penalty_weight: float = 2.0,
+    max_gap: Optional[int] = None,
+    on_unroutable: str = "raise",
+    passes: int = 2,
+) -> NegotiationResult:
+    """First pass, congestion measurement, penalized repasses.
+
+    Only nets through overflowed passages are rerouted; everything
+    else keeps its earlier tree (the paper: "a second route of the
+    *affected* nets").  ``passes=2`` is the paper's scheme; larger
+    values iterate with accumulated penalties (each round adds the
+    currently-overflowed regions on top of the previous penalties)
+    and the best route seen — by total overflow, then wirelength —
+    is returned as ``final``.
+    """
+    if passes < 2:
+        raise RoutingError(f"two-pass routing needs passes >= 2, got {passes}")
+    policy = _TwoPass(router, penalty_weight=penalty_weight, passes=passes, max_gap=max_gap)
+    return negotiate(policy, on_unroutable=on_unroutable)
+
+
+def negotiate(
+    policy: NegotiatedRouter,
+    *,
+    on_unroutable: str = "raise",
+    seed: Optional["WarmStart"] = None,
+) -> NegotiationResult:
+    """The wave loop: first pass, then penalized reroute waves.
+
+    *policy* supplies the per-wave decisions (see
+    :class:`NegotiatedRouter`).  Without a *seed* the loop begins with
+    an independent pass of every net.  A *seed* (the incremental
+    planner's :class:`~repro.incremental.engine.WarmStart`) replaces
+    it: the kept routes pre-charge the history
+    (:meth:`CongestionHistory.seed`) and wave 0 routes only the dirty
+    nets under that cost.  Waves then run while any passage overflows
+    and ``max_iterations`` allows.
+
+    In skip mode a net whose reroute fails keeps its earlier tree
+    (first-pass failures stay recorded in ``failed_nets``).  One
+    worker pool serves every pass.
+    """
+    check_on_unroutable(on_unroutable)
+    router = policy.router
+    knobs = policy.negotiation
+    passages = find_passages(router.layout, max_gap=knobs.max_gap)
+    history = CongestionHistory(gain=knobs.history_gain)
+    rerouted: set[str] = set()
+    # One pool for the whole run: the first pass and every reroute
+    # wave reuse the same workers instead of paying spawn +
+    # layout-pickle costs per iteration.
+    pool = router.open_pool()
+    try:
         started = time.perf_counter()
-        first = self.router.route_all(on_unroutable=on_unroutable, pool=pool)
-        before = measure_congestion(passages, first)
-        iterations = [
-            IterationStats(
-                iteration=0,
-                overflowed_passages=before.overflow_count,
-                total_overflow=before.total_overflow,
-                max_overflow=before.max_overflow,
-                wirelength=first.total_length,
-                wirelength_delta=0,
-                rerouted=0,
-                elapsed_seconds=time.perf_counter() - started,
+        if seed is None:
+            first = router.route_all(on_unroutable=on_unroutable, pool=pool)
+            moved = 0
+        else:
+            first = GlobalRoute(
+                trees=dict(seed.kept.trees),
+                stats=seed.kept.stats,
+                failed_nets=list(seed.kept.failed_nets),
             )
-        ]
+            kept_map = measure_congestion(passages, first)
+            history.seed(kept_map)
+            outcomes = router.route_each(
+                list(seed.dirty),
+                cost_model=policy.wave_cost(history, kept_map),
+                pool=pool,
+                fail_fast=on_unroutable == "raise",
+            )
+            moved = router.merge_outcomes(
+                first, outcomes, on_unroutable=on_unroutable, rerouted=rerouted
+            )
+        before = measure_congestion(passages, first)
+        current = best = (first, before, policy.analyze(first))
+        iterations = [IterationStats.measure(0, first, before, started=started, rerouted=moved)]
 
-        current, current_map = first, before
-        best, best_map = first, before
-        rerouted: set[str] = set()
-        # Standard PathFinder pruning: at the start of each iteration,
-        # skip nets whose current path has zero present-congestion
-        # overlap — affected_nets() is exactly the nets flowing through
-        # a presently-overflowed passage, so everything else keeps its
-        # tree untouched.  RouterConfig.prune_clean_nets opts out,
-        # ripping up the whole netlist every wave (the original
-        # PathFinder formulation; useful as a quality baseline).
-        prune = self.router.config.prune_clean_nets
         for iteration in range(1, knobs.max_iterations + 1):
-            if current_map.total_overflow == 0:
+            route, congestion, analysis = current
+            if congestion.total_overflow == 0:
                 break
             wave_started = time.perf_counter()
-            history.update(current_map)
-            model = NegotiatedCongestionCost(
-                history.penalty_terms(current_map),
-                present_weight=knobs.present_weight,
-                history_weight=knobs.history_weight,
-                base=self.router.cost_model,
-            )
-            if prune:
-                affected = sorted(current_map.affected_nets())
-            else:
-                affected = sorted(current.trees)
-            candidate, candidate_map, moved = self.router.reroute_pass(
-                current,
-                affected,
-                model,
+            cost = policy.wave_cost(history, congestion)
+            nets = sorted(congestion.affected_nets() if policy.prune else route.trees)
+            order, cost = policy.wave_plan(nets, cost, analysis)
+            candidate, candidate_map, moved = router.reroute_pass(
+                route,
+                order,
+                cost,
                 passages=passages,
                 pool=pool,
                 on_unroutable=on_unroutable,
                 rerouted=rerouted,
             )
+            current = (candidate, candidate_map, policy.analyze(candidate))
             iterations.append(
-                IterationStats(
-                    iteration=iteration,
-                    overflowed_passages=candidate_map.overflow_count,
-                    total_overflow=candidate_map.total_overflow,
-                    max_overflow=candidate_map.max_overflow,
-                    wirelength=candidate.total_length,
-                    wirelength_delta=candidate.total_length - current.total_length,
+                IterationStats.measure(
+                    iteration,
+                    candidate,
+                    candidate_map,
+                    started=wave_started,
                     rerouted=moved,
-                    elapsed_seconds=time.perf_counter() - wave_started,
+                    previous=route,
                 )
             )
-            current, current_map = candidate, candidate_map
-            if (candidate_map.total_overflow, candidate.total_length) < (
-                best_map.total_overflow,
-                best.total_length,
-            ):
-                best, best_map = candidate, candidate_map
+            if policy.key(*current) < policy.key(*best):
+                best = current
+    finally:
+        if pool is not None:
+            pool.close()
 
-        return NegotiationResult(
-            first=first,
-            final=best,
-            congestion_before=before,
-            congestion_after=best_map,
-            iterations=iterations,
-            rerouted_nets=sorted(rerouted),
-            converged=best_map.total_overflow == 0,
-            # `current` is the last candidate, whose stats accumulated
-            # through every wave — the run-wide totals.
-            search_stats=current.stats,
-        )
+    final, after, analysis = best
+    return NegotiationResult(
+        first=first,
+        final=final,
+        congestion_before=before,
+        congestion_after=after,
+        iterations=iterations,
+        rerouted_nets=sorted(rerouted),
+        converged=after.total_overflow == 0,
+        # The last pass's stats accumulated through every wave — the
+        # run-wide totals.
+        search_stats=current[0].stats,
+        timing=analysis,
+    )

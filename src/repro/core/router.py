@@ -7,9 +7,9 @@ routing also eliminates the problem of net ordering."
 In its base mode :class:`GlobalRouter` routes every net of a layout
 against the cells alone — there the cells are the only obstacles, and
 nets can be routed in any order with identical results (experiment E7
-checks that order-invariance).  The congestion modes qualify both
-statements: the two-pass scheme from the Conclusions and the
-negotiated rip-up-and-reroute loop (:mod:`repro.core.negotiate`) add
+checks that order-invariance).  The congestion strategies qualify
+both statements: two-pass, negotiated and timing-driven routing, all
+run by the one wave loop in :mod:`repro.core.negotiate`, add
 usage-dependent penalty regions on top of the cells, so route costs
 there depend on where other nets went in *earlier* passes.  Within any
 single pass the cost model is frozen, so E7 order-invariance — and
@@ -21,14 +21,13 @@ iteration a net is ripped up in) matters.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Union
 
 from repro.errors import LayoutError, RoutingError, UnroutableError
-from repro.core.congestion import CongestionMap, find_passages, measure_congestion
+from repro.core.congestion import CongestionMap, measure_congestion
 from repro.core.costs import (
     BendPenaltyCost,
-    CongestionPenaltyCost,
     CostModel,
     InvertedCornerCost,
     WirelengthCost,
@@ -39,7 +38,6 @@ from repro.core.steiner import route_net
 from repro.layout.layout import Layout
 from repro.layout.net import Net
 from repro.search.engine import Order
-from repro.search.stats import SearchStats
 
 
 @dataclass(frozen=True)
@@ -146,21 +144,10 @@ class RouterConfig:
             )
 
 
-@dataclass
-class TwoPassResult:
-    """Outcome of congestion-driven two-pass routing.
-
-    ``search_stats`` totals the whole run's search effort (every
-    pass), whereas ``final.stats`` stops accumulating at the best pass
-    — perf telemetry reads the run-wide numbers.
-    """
-
-    first: GlobalRoute
-    final: GlobalRoute
-    congestion_before: CongestionMap
-    congestion_after: CongestionMap
-    rerouted_nets: list[str] = field(default_factory=list)
-    search_stats: "SearchStats" = field(default_factory=lambda: SearchStats())
+def check_on_unroutable(on_unroutable: str) -> None:
+    """Reject anything but the ``"raise"``/``"skip"`` failure policies."""
+    if on_unroutable not in ("raise", "skip"):
+        raise RoutingError(f"on_unroutable must be 'raise' or 'skip', not {on_unroutable!r}")
 
 
 class GlobalRouter:
@@ -239,9 +226,9 @@ class GlobalRouter:
     def open_pool(self) -> Optional["NetRoutingPool"]:  # noqa: F821
         """A reusable worker pool per the config, or ``None`` if serial.
 
-        Multi-pass loops (two-pass, negotiation) call this once and
-        pass the result through :meth:`route_all`/:meth:`route_each`
-        so every pass reuses the same workers instead of paying spawn
+        The wave loop (:func:`repro.core.negotiate.negotiate`) calls
+        this once and passes the result through every pass, so each
+        pass reuses the same workers instead of paying spawn
         and layout-pickle costs per pass.  The caller owns the pool
         and must ``close()`` it (or use it as a context manager).
         """
@@ -262,7 +249,7 @@ class GlobalRouter:
         """Route the named layout nets under one frozen cost model.
 
         The pass primitive shared by :meth:`route_all` and the
-        congestion loops.  Returns ``(name, tree_or_None,
+        wave loop.  Returns ``(name, tree_or_None,
         error_or_None)`` outcomes in input order, the error slot
         carrying the original :class:`UnroutableError` (``partial``
         diagnostic intact, even across process boundaries);
@@ -345,19 +332,22 @@ class GlobalRouter:
         self,
         current: GlobalRoute,
         affected: Iterable[str],
-        cost_model: CostModel,
+        cost_model: Union[Optional[CostModel], Mapping[str, CostModel]],
         *,
         passages: list,
         pool: Optional["NetRoutingPool"] = None,  # noqa: F821
         on_unroutable: str = "raise",
         rerouted: Optional[set] = None,
     ) -> tuple[GlobalRoute, CongestionMap, int]:
-        """One penalized repass: the shared skeleton of the congestion loops.
+        """One penalized repass: the pass primitive of the wave loop.
 
         Copies *current* (trees, stats, failed nets), reroutes the
-        *affected* nets under the frozen *cost_model* (a net whose
-        reroute fails keeps its previous tree), and re-measures the
-        *passages*.  Returns ``(candidate, congestion_map,
+        *affected* nets (a net whose reroute fails keeps its previous
+        tree), and re-measures the *passages*.  *cost_model* is either
+        one frozen model for the whole pass, which may fan out over
+        *pool*, or a mapping giving every affected net its own model;
+        those nets are routed serially in *affected* order, whatever
+        ``workers`` says.  Returns ``(candidate, congestion_map,
         nets_moved)``.
         """
         candidate = GlobalRoute(
@@ -365,12 +355,19 @@ class GlobalRouter:
             stats=current.stats,
             failed_nets=list(current.failed_nets),
         )
-        outcomes = self.route_each(
-            affected,
-            cost_model=cost_model,
-            pool=pool,
-            fail_fast=on_unroutable == "raise",
-        )
+        fail_fast = on_unroutable == "raise"
+        if isinstance(cost_model, Mapping):
+            outcomes = [
+                outcome
+                for name in affected
+                for outcome in self.route_each(
+                    [name], cost_model=cost_model[name], fail_fast=fail_fast
+                )
+            ]
+        else:
+            outcomes = self.route_each(
+                affected, cost_model=cost_model, pool=pool, fail_fast=fail_fast
+            )
         moved = self.merge_outcomes(
             candidate,
             outcomes,
@@ -410,8 +407,7 @@ class GlobalRouter:
         pass serial (workers address nets by name, so a mixed list
         cannot be partitioned without reordering outcomes).
         """
-        if on_unroutable not in ("raise", "skip"):
-            raise RoutingError(f"on_unroutable must be 'raise' or 'skip', not {on_unroutable!r}")
+        check_on_unroutable(on_unroutable)
         net_list = list(nets) if nets is not None else list(self.layout.nets)
         route = GlobalRoute()
         started = time.perf_counter()
@@ -440,81 +436,3 @@ class GlobalRouter:
             return self.layout.net(net.name) is net
         except LayoutError:
             return False
-
-    # ------------------------------------------------------------------
-    # Two-pass congestion routing (Conclusions)
-    # ------------------------------------------------------------------
-    def _two_pass(
-        self,
-        *,
-        penalty_weight: float = 2.0,
-        max_gap: Optional[int] = None,
-        on_unroutable: str = "raise",
-        passes: int = 2,
-    ) -> TwoPassResult:
-        """First pass, congestion measurement, penalized repasses.
-
-        Only nets through overflowed passages are rerouted; everything
-        else keeps its earlier tree (the paper: "a second route of the
-        *affected* nets").  ``passes=2`` is the paper's scheme; larger
-        values iterate with accumulated penalties (each round adds the
-        currently-overflowed regions on top of the previous penalties)
-        and the best route seen — by total overflow, then wirelength —
-        is returned as ``final``.
-
-        In skip mode a net whose *reroute* fails under the penalties
-        keeps its earlier tree (first-pass failures stay recorded in
-        ``failed_nets``); with ``workers > 1`` all passes share one
-        worker pool.
-        """
-        if passes < 2:
-            raise RoutingError(f"two-pass routing needs passes >= 2, got {passes}")
-        passages = find_passages(self.layout, max_gap=max_gap)
-        pool = self.open_pool()
-        try:
-            first = self.route_all(on_unroutable=on_unroutable, pool=pool)
-            before = measure_congestion(passages, first)
-
-            best = first
-            best_map = before
-            current = first
-            current_map = before
-            rerouted: set[str] = set()
-            regions: list[tuple] = []
-            for _round in range(passes - 1):
-                affected = sorted(current_map.affected_nets())
-                if not affected:
-                    break
-                regions = regions + current_map.penalty_regions(weight=penalty_weight)
-                penalized = CongestionPenaltyCost(regions, base=self._cost_model)
-                candidate, candidate_map, _moved = self.reroute_pass(
-                    current,
-                    affected,
-                    penalized,
-                    passages=passages,
-                    pool=pool,
-                    on_unroutable=on_unroutable,
-                    rerouted=rerouted,
-                )
-                current, current_map = candidate, candidate_map
-                if (candidate_map.total_overflow, candidate.total_length) < (
-                    best_map.total_overflow,
-                    best.total_length,
-                ):
-                    best, best_map = candidate, candidate_map
-        finally:
-            if pool is not None:
-                pool.close()
-        return TwoPassResult(
-            first,
-            best,
-            before,
-            best_map,
-            rerouted_nets=sorted(rerouted),
-            search_stats=current.stats,
-        )
-
-    # The long-deprecated route_two_pass / route_negotiated delegates
-    # were removed; build a repro.api.RouteRequest with
-    # strategy="two-pass" / "negotiated" instead (or use
-    # repro.core.negotiate.NegotiatedRouter directly).

@@ -1,4 +1,4 @@
-"""Delay analysis and timing-driven negotiated routing.
+"""Delay analysis and the timing-driven negotiation policy.
 
 The negotiated loop (:mod:`repro.core.negotiate`) optimizes overflow
 then wirelength, which happily trades a long detour on a chip-spanning
@@ -6,9 +6,10 @@ net for a short one on a local net.  For timing that trade is exactly
 backwards: the chip-spanning net is the critical path.  This module
 adds the standard fix (cgra_pnr's timing-driven router is the direct
 reference): a cheap delay model over the routed trees, a per-net
-*criticality* in ``[0, 1]``, and a negotiation loop that re-prices and
-re-orders every wave so critical nets stay short while non-critical
-nets absorb the detours.
+*criticality* in ``[0, 1]``, and a policy for the shared wave loop
+(:class:`TimingDrivenRouter`) that re-prices and re-orders every wave
+so critical nets stay short while non-critical nets absorb the
+detours.
 
 The delay model is deliberately simple — Elmore-flavoured, not Elmore:
 a net's delay is its longest source→sink path length *along the routed
@@ -19,36 +20,28 @@ net may detour" a principled choice without modelling RC at all.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import RoutingError
-from repro.core.congestion import (
-    CongestionHistory,
-    CongestionMap,
-    find_passages,
-    measure_congestion,
-)
-from repro.core.costs import CostModel, TimingDrivenCost
-from repro.core.negotiate import IterationStats
+from repro.core.congestion import CongestionMap
+from repro.core.costs import CostModel, NegotiatedCongestionCost, TimingDrivenCost
+from repro.core.negotiate import NegotiatedRouter, NegotiationConfig
 from repro.core.route import GlobalRoute, RouteTree
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.layout.layout import Layout
 from repro.layout.net import Net
-from repro.search.stats import SearchStats
 
 
 @dataclass(frozen=True)
-class TimingConfig:
+class TimingConfig(NegotiationConfig):
     """Knobs of the timing-driven negotiation loop.
 
-    The congestion knobs (``max_iterations`` .. ``max_gap``) mean
-    exactly what they mean in
-    :class:`~repro.core.negotiate.NegotiationConfig`; the last three
-    are timing-specific.
+    The congestion knobs (``max_iterations`` .. ``max_gap``) are
+    inherited from :class:`~repro.core.negotiate.NegotiationConfig`
+    and mean exactly what they mean there; the last three are
+    timing-specific.
 
     Attributes
     ----------
@@ -66,27 +59,13 @@ class TimingConfig:
         exactly zero slack.
     """
 
-    max_iterations: int = 20
-    present_weight: float = 1.0
-    history_weight: float = 2.0
-    history_gain: float = 2.0
-    max_gap: Optional[int] = None
     delay_weight: float = 0.5
     load_factor: float = 0.0
     target_delay: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise RoutingError(
-                f"timing negotiation needs max_iterations >= 1, got {self.max_iterations}"
-            )
-        for knob in (
-            "present_weight",
-            "history_weight",
-            "history_gain",
-            "delay_weight",
-            "load_factor",
-        ):
+        super().__post_init__()
+        for knob in ("delay_weight", "load_factor"):
             value = getattr(self, knob)
             if value < 0:
                 raise RoutingError(f"timing {knob} must be >= 0, got {value}")
@@ -94,17 +73,6 @@ class TimingConfig:
             raise RoutingError(
                 f"timing target_delay must be >= 0, got {self.target_delay}"
             )
-
-    @classmethod
-    def from_params(cls, params: dict) -> "TimingConfig":
-        """Build a config from a plain keyword dict, rejecting unknown keys."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise RoutingError(
-                f"unknown timing parameter(s) {unknown}; known: {sorted(known)}"
-            )
-        return cls(**params)
 
 
 @dataclass(frozen=True)
@@ -305,37 +273,11 @@ def analyze_route_timing(
     return TimingAnalysis(nets=nets, worst_delay=worst, target=target)
 
 
-@dataclass
-class TimingResult:
-    """Outcome of timing-driven negotiation.
-
-    Same shape as :class:`~repro.core.negotiate.NegotiationResult`
-    plus the final route's :class:`TimingAnalysis`; ``search_stats``
-    again totals the whole run (every wave, not just up to the best
-    iteration).
-    """
-
-    first: GlobalRoute
-    final: GlobalRoute
-    congestion_before: CongestionMap
-    congestion_after: CongestionMap
-    timing: TimingAnalysis = field(default_factory=TimingAnalysis)
-    iterations: list[IterationStats] = field(default_factory=list)
-    rerouted_nets: list[str] = field(default_factory=list)
-    converged: bool = False
-    search_stats: SearchStats = field(default_factory=SearchStats)
-
-    @property
-    def iteration_count(self) -> int:
-        """Reroute waves actually run (excludes the first pass)."""
-        return max(0, len(self.iterations) - 1)
-
-
-class TimingDrivenRouter:
+class TimingDrivenRouter(NegotiatedRouter):
     """Criticality-aware negotiated routing of one layout.
 
-    The loop mirrors :class:`~repro.core.negotiate.NegotiatedRouter`
-    with three timing twists, all recomputed per wave:
+    A :class:`~repro.core.negotiate.NegotiatedRouter` policy with
+    three timing hooks, all recomputed per wave:
 
     1. After every pass the routed trees are re-analyzed
        (:func:`analyze_route_timing`) — criticalities always reflect
@@ -345,7 +287,8 @@ class TimingDrivenRouter:
        :class:`~repro.core.costs.TimingDrivenCost` carrying that net's
        criticality.  (Congestion terms stay frozen for the wave, so
        the ordering only matters across waves, like the negotiated
-       loop.)
+       loop.)  Per-net models make the waves serial for any
+       ``workers``; only the first pass fans out.
     3. The best route is the lexicographically least
        ``(total_overflow, worst_delay, wirelength)`` — delay outranks
        wirelength, which is the whole point.
@@ -360,14 +303,13 @@ class TimingDrivenRouter:
         timing: Optional[TimingConfig] = None,
         router: Optional[GlobalRouter] = None,
     ):
-        if (layout is None) == (router is None):
-            raise RoutingError("provide exactly one of layout or router")
-        self.router = (
-            router
-            if router is not None
-            else GlobalRouter(layout, config, cost_model=cost_model)
+        super().__init__(
+            layout,
+            config,
+            cost_model=cost_model,
+            negotiation=timing if timing is not None else TimingConfig(),
+            router=router,
         )
-        self.timing = timing if timing is not None else TimingConfig()
 
     @classmethod
     def from_router(
@@ -377,9 +319,9 @@ class TimingDrivenRouter:
         return cls(router=router, timing=timing)
 
     @property
-    def layout(self) -> Layout:
-        """The layout being routed."""
-        return self.router.layout
+    def timing(self) -> TimingConfig:
+        """The loop's knobs."""
+        return self.negotiation
 
     def analyze(self, route: GlobalRoute) -> TimingAnalysis:
         """:func:`analyze_route_timing` under this loop's knobs."""
@@ -390,124 +332,26 @@ class TimingDrivenRouter:
             target_delay=self.timing.target_delay,
         )
 
-    def run(self, *, on_unroutable: str = "raise") -> TimingResult:
-        """Negotiate until congestion-free or out of budget."""
-        if on_unroutable not in ("raise", "skip"):
-            raise RoutingError(
-                f"on_unroutable must be 'raise' or 'skip', not {on_unroutable!r}"
-            )
-        # The first (unpenalized) pass can fan out over a pool; the
-        # waves route net-by-net (each net has its own cost model) and
-        # stay serial regardless of workers, so results never depend
-        # on the worker count.
-        pool = self.router.open_pool()
-        try:
-            return self._run(on_unroutable, pool)
-        finally:
-            if pool is not None:
-                pool.close()
-
-    def _run(self, on_unroutable: str, pool) -> TimingResult:
-        """The timing negotiation loop proper."""
+    def wave_plan(
+        self, nets: list[str], cost: NegotiatedCongestionCost, analysis: TimingAnalysis
+    ) -> tuple[list[str], dict[str, TimingDrivenCost]]:
+        """Most-critical-first, each net priced under its own criticality."""
         knobs = self.timing
-        passages = find_passages(self.layout, max_gap=knobs.max_gap)
-        history = CongestionHistory(gain=knobs.history_gain)
+        order = analysis.order_by_criticality(nets)
+        return order, {
+            name: TimingDrivenCost(
+                cost.terms,
+                criticality=analysis.criticality(name),
+                delay_weight=knobs.delay_weight,
+                present_weight=knobs.present_weight,
+                history_weight=knobs.history_weight,
+                base=self.router.cost_model,
+            )
+            for name in order
+        }
 
-        started = time.perf_counter()
-        first = self.router.route_all(on_unroutable=on_unroutable, pool=pool)
-        before = measure_congestion(passages, first)
-        analysis = self.analyze(first)
-        iterations = [
-            IterationStats(
-                iteration=0,
-                overflowed_passages=before.overflow_count,
-                total_overflow=before.total_overflow,
-                max_overflow=before.max_overflow,
-                wirelength=first.total_length,
-                wirelength_delta=0,
-                rerouted=0,
-                elapsed_seconds=time.perf_counter() - started,
-            )
-        ]
-
-        current, current_map = first, before
-        best, best_map, best_analysis = first, before, analysis
-        rerouted: set[str] = set()
-        prune = self.router.config.prune_clean_nets
-        fail_fast = on_unroutable == "raise"
-        for iteration in range(1, knobs.max_iterations + 1):
-            if current_map.total_overflow == 0:
-                break
-            wave_started = time.perf_counter()
-            history.update(current_map)
-            terms = history.penalty_terms(current_map)
-            if prune:
-                affected = sorted(current_map.affected_nets())
-            else:
-                affected = sorted(current.trees)
-            candidate = GlobalRoute(
-                trees=dict(current.trees),
-                stats=current.stats,
-                failed_nets=list(current.failed_nets),
-            )
-            moved = 0
-            for name in analysis.order_by_criticality(affected):
-                model = TimingDrivenCost(
-                    terms,
-                    criticality=analysis.criticality(name),
-                    delay_weight=knobs.delay_weight,
-                    present_weight=knobs.present_weight,
-                    history_weight=knobs.history_weight,
-                    base=self.router.cost_model,
-                )
-                outcomes = self.router.route_each(
-                    [name], cost_model=model, fail_fast=fail_fast
-                )
-                moved += self.router.merge_outcomes(
-                    candidate,
-                    outcomes,
-                    on_unroutable=on_unroutable,
-                    keep_previous=True,
-                    rerouted=rerouted,
-                )
-            candidate_map = measure_congestion(passages, candidate)
-            candidate_analysis = self.analyze(candidate)
-            iterations.append(
-                IterationStats(
-                    iteration=iteration,
-                    overflowed_passages=candidate_map.overflow_count,
-                    total_overflow=candidate_map.total_overflow,
-                    max_overflow=candidate_map.max_overflow,
-                    wirelength=candidate.total_length,
-                    wirelength_delta=candidate.total_length - current.total_length,
-                    rerouted=moved,
-                    elapsed_seconds=time.perf_counter() - wave_started,
-                )
-            )
-            current, current_map, analysis = (
-                candidate,
-                candidate_map,
-                candidate_analysis,
-            )
-            if (
-                candidate_map.total_overflow,
-                candidate_analysis.worst_delay,
-                candidate.total_length,
-            ) < (best_map.total_overflow, best_analysis.worst_delay, best.total_length):
-                best, best_map, best_analysis = (
-                    candidate,
-                    candidate_map,
-                    candidate_analysis,
-                )
-
-        return TimingResult(
-            first=first,
-            final=best,
-            congestion_before=before,
-            congestion_after=best_map,
-            timing=best_analysis,
-            iterations=iterations,
-            rerouted_nets=sorted(rerouted),
-            converged=best_map.total_overflow == 0,
-            search_stats=current.stats,
-        )
+    def key(
+        self, route: GlobalRoute, congestion: CongestionMap, analysis: TimingAnalysis
+    ) -> tuple:
+        """Overflow, then worst delay, then wirelength."""
+        return (congestion.total_overflow, analysis.worst_delay, route.total_length)

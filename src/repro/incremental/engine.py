@@ -11,12 +11,14 @@ engines then finish the job:
   the cells alone, the result is *identical* to a from-scratch run
   whenever the delta leaves the cell geometry untouched (net-only
   deltas) — the differential equivalence suite pins this.
-* :func:`incremental_negotiated` — the PathFinder-style mode: seed the
-  congestion history from the kept routes' measured congestion, route
-  the dirty nets under that pre-charged cost, then run the standard
-  negotiation waves (:mod:`repro.core.negotiate`) until legal or out
-  of budget.  Kept nets participate in later waves only if congestion
-  actually pulls them in (``prune_clean_nets`` semantics unchanged).
+* :func:`incremental_negotiated` — the PathFinder-style mode: the warm
+  start is a *seed* for the shared wave loop
+  (:func:`repro.core.negotiate.negotiate`), which pre-charges the
+  congestion history from the kept routes' measured congestion, routes
+  the dirty nets under that cost as wave 0, then runs the standard
+  negotiation waves until legal or out of budget.  Kept nets
+  participate in later waves only if congestion actually pulls them in
+  (``prune_clean_nets`` semantics unchanged).
 
 An *empty* dirty set short-circuits both engines: the kept routes are
 returned untouched, which makes the empty-delta reroute fingerprint-
@@ -35,16 +37,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.congestion import (
-    CongestionHistory,
-    CongestionMap,
-    find_passages,
-    measure_congestion,
+from repro.core.congestion import CongestionMap, find_passages, measure_congestion
+from repro.core.negotiate import (
+    IterationStats,
+    NegotiatedRouter,
+    NegotiationConfig,
+    negotiate,
 )
-from repro.core.costs import NegotiatedCongestionCost
-from repro.core.negotiate import IterationStats, NegotiationConfig
 from repro.core.route import GlobalRoute
-from repro.core.router import GlobalRouter
+from repro.core.router import GlobalRouter, check_on_unroutable
 from repro.layout.layout import Layout
 from repro.search.stats import SearchStats
 from repro.incremental.delta import LayoutDelta, apply_delta
@@ -127,6 +128,7 @@ def incremental_single(
     tree equals what a from-scratch run would produce (independent
     routing sees only the cells).
     """
+    check_on_unroutable(on_unroutable)
     started = time.perf_counter()
     route = _working_copy(warm.kept)
     rerouted: set[str] = set()
@@ -177,141 +179,39 @@ def incremental_negotiated(
     exactly when congestion warrants it.  With an empty dirty set the
     kept routes are returned untouched (the empty-delta identity).
     """
+    check_on_unroutable(on_unroutable)
     knobs = negotiation if negotiation is not None else NegotiationConfig()
-    passages = find_passages(router.layout, max_gap=knobs.max_gap)
-    kept = _working_copy(warm.kept)
-    kept_map = measure_congestion(passages, kept)
-
-    started = time.perf_counter()
     if not warm.dirty:
-        stats = IterationStats(
-            iteration=0,
-            overflowed_passages=kept_map.overflow_count,
-            total_overflow=kept_map.total_overflow,
-            max_overflow=kept_map.max_overflow,
-            wirelength=kept.total_length,
-            wirelength_delta=0,
-            rerouted=0,
-            elapsed_seconds=time.perf_counter() - started,
+        started = time.perf_counter()
+        kept = _working_copy(warm.kept)
+        kept_map = measure_congestion(
+            find_passages(router.layout, max_gap=knobs.max_gap), kept
         )
         return IncrementalOutcome(
             route=kept,
             first=kept,
             congestion_before=kept_map,
             congestion_after=kept_map,
-            iterations=[stats],
+            iterations=[IterationStats.measure(0, kept, kept_map, started=started)],
             converged=kept_map.total_overflow == 0,
             search_stats=kept.stats,
             dirty=warm.classification,
         )
 
-    pool = router.open_pool()
-    try:
-        history = CongestionHistory(gain=knobs.history_gain)
-        history.seed(kept_map)
-        if kept_map.total_overflow:
-            history.update(kept_map)
-        terms = history.penalty_terms(kept_map)
-        # With no congestion among the kept routes (nothing full,
-        # nothing overflowed) the wave-0 model is the plain base cost —
-        # on an uncongested layout a dirty net routes exactly as a
-        # from-scratch first pass would route it.
-        model = (
-            NegotiatedCongestionCost(
-                terms,
-                present_weight=knobs.present_weight,
-                history_weight=knobs.history_weight,
-                base=router.cost_model,
-            )
-            if terms
-            else None
-        )
-        current = _working_copy(kept)
-        rerouted: set[str] = set()
-        outcomes = router.route_each(
-            list(warm.dirty),
-            cost_model=model,
-            pool=pool,
-            fail_fast=on_unroutable == "raise",
-        )
-        moved = router.merge_outcomes(
-            current, outcomes, on_unroutable=on_unroutable, rerouted=rerouted
-        )
-        first = current
-        current_map = measure_congestion(passages, current)
-        iterations = [
-            IterationStats(
-                iteration=0,
-                overflowed_passages=current_map.overflow_count,
-                total_overflow=current_map.total_overflow,
-                max_overflow=current_map.max_overflow,
-                wirelength=current.total_length,
-                wirelength_delta=0,
-                rerouted=moved,
-                elapsed_seconds=time.perf_counter() - started,
-            )
-        ]
-        before = current_map
-
-        best, best_map = current, current_map
-        prune = router.config.prune_clean_nets
-        for iteration in range(1, knobs.max_iterations + 1):
-            if current_map.total_overflow == 0:
-                break
-            wave_started = time.perf_counter()
-            history.update(current_map)
-            wave_model = NegotiatedCongestionCost(
-                history.penalty_terms(current_map),
-                present_weight=knobs.present_weight,
-                history_weight=knobs.history_weight,
-                base=router.cost_model,
-            )
-            if prune:
-                affected = sorted(current_map.affected_nets())
-            else:
-                affected = sorted(current.trees)
-            candidate, candidate_map, moved = router.reroute_pass(
-                current,
-                affected,
-                wave_model,
-                passages=passages,
-                pool=pool,
-                on_unroutable=on_unroutable,
-                rerouted=rerouted,
-            )
-            iterations.append(
-                IterationStats(
-                    iteration=iteration,
-                    overflowed_passages=candidate_map.overflow_count,
-                    total_overflow=candidate_map.total_overflow,
-                    max_overflow=candidate_map.max_overflow,
-                    wirelength=candidate.total_length,
-                    wirelength_delta=candidate.total_length - current.total_length,
-                    rerouted=moved,
-                    elapsed_seconds=time.perf_counter() - wave_started,
-                )
-            )
-            current, current_map = candidate, candidate_map
-            if (candidate_map.total_overflow, candidate.total_length) < (
-                best_map.total_overflow,
-                best.total_length,
-            ):
-                best, best_map = candidate, candidate_map
-    finally:
-        if pool is not None:
-            pool.close()
-
+    result = negotiate(
+        NegotiatedRouter.from_router(router, negotiation=knobs),
+        on_unroutable=on_unroutable,
+        seed=warm,
+    )
     return IncrementalOutcome(
-        route=best,
-        first=first,
-        congestion_before=before,
-        congestion_after=best_map,
-        iterations=iterations,
-        rerouted_nets=tuple(sorted(rerouted)),
-        converged=best_map.total_overflow == 0,
-        # `current` is the last candidate; its stats accumulated through
-        # every wave on top of the warm start's fresh counters, so this
-        # totals the incremental work only.
-        search_stats=current.stats,
+        route=result.final,
+        first=result.first,
+        congestion_before=result.congestion_before,
+        congestion_after=result.congestion_after,
+        iterations=result.iterations,
+        rerouted_nets=tuple(result.rerouted_nets),
+        converged=result.converged,
+        # The seed's fresh stats make these totals incremental work only.
+        search_stats=result.search_stats,
         dirty=warm.classification,
     )

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import RoutingError, UnroutableError
 from repro.api import RouteRequest, RouteResult, RoutingPipeline
-from repro.core.negotiate import NegotiatedRouter, NegotiationConfig
+from repro.core.negotiate import NegotiatedRouter, NegotiationConfig, two_pass
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -41,7 +41,7 @@ class TestStrategies:
 
     def test_two_pass_matches_internal_impl(self):
         layout = congested_layout()
-        direct = GlobalRouter(layout)._two_pass(penalty_weight=4.0, passes=3)
+        direct = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=3)
         result = RoutingPipeline().run(
             RouteRequest(
                 layout=layout,
@@ -209,7 +209,7 @@ class TestDeprecatedDelegates:
                 strategy_params={"penalty_weight": 4.0, "passes": 3},
             )
         )
-        direct = GlobalRouter(layout)._two_pass(penalty_weight=4.0, passes=3)
+        direct = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=3)
         assert trees_of(via_api.route) == trees_of(direct.final)
         assert list(via_api.rerouted_nets) == direct.rerouted_nets
 
@@ -264,6 +264,20 @@ class TestNonConvergenceWarning:
         assert warning["iterations"] == 1
         assert warning["total_overflow"] == result.congestion_after.total_overflow
         assert warning["total_overflow"] > 0
+
+    def test_capped_two_pass_run_counts_its_repasses(self):
+        passes = 3
+        result = RoutingPipeline().run(
+            RouteRequest(
+                layout=congested_layout(),
+                strategy="two-pass",
+                strategy_params={"passes": passes},
+            )
+        )
+        assert result.converged is False
+        assert len(result.iterations) == passes
+        assert result.warnings[0]["kind"] == "non-convergence"
+        assert result.warnings[0]["iterations"] == passes - 1
 
     def test_converged_run_has_no_warning(self, small_layout):
         result = RoutingPipeline().run(

@@ -21,7 +21,7 @@ from repro.core.congestion import (
     measure_congestion,
 )
 from repro.core.costs import NegotiatedCongestionCost, WirelengthCost
-from repro.core.negotiate import NegotiatedRouter, NegotiationConfig
+from repro.core.negotiate import NegotiatedRouter, NegotiationConfig, two_pass
 from repro.core.parallel import NetRoutingPool, route_each_parallel
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.geometry.point import Axis
@@ -48,8 +48,8 @@ def trees_of(route):
 class TestConvergence:
     def test_legalizes_what_two_pass_cannot(self):
         layout = oversubscribed_layout()
-        two_pass = GlobalRouter(layout)._two_pass(penalty_weight=4.0, passes=2)
-        assert two_pass.congestion_after.total_overflow > 0
+        repassed = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=2)
+        assert repassed.congestion_after.total_overflow > 0
 
         result = NegotiatedRouter(layout).run()
         assert result.converged
@@ -199,9 +199,9 @@ class TestParallelParity:
 
     def test_two_pass_uses_workers(self):
         layout = oversubscribed_layout()
-        serial = GlobalRouter(layout)._two_pass(penalty_weight=4.0, passes=3)
-        parallel = GlobalRouter(layout, RouterConfig(workers=2))._two_pass(
-            penalty_weight=4.0, passes=3
+        serial = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=3)
+        parallel = two_pass(
+            GlobalRouter(layout, RouterConfig(workers=2)), penalty_weight=4.0, passes=3
         )
         assert serial.rerouted_nets == parallel.rerouted_nets
         assert trees_of(serial.final) == trees_of(parallel.final)
@@ -229,8 +229,8 @@ class TestParallelParity:
 
     def test_two_pass_skip_never_contradicts(self):
         layout = oversubscribed_layout()
-        result = GlobalRouter(layout)._two_pass(
-            penalty_weight=4.0, passes=3, on_unroutable="skip"
+        result = two_pass(
+            GlobalRouter(layout), penalty_weight=4.0, passes=3, on_unroutable="skip"
         )
         assert not (set(result.final.failed_nets) & set(result.final.trees))
 
@@ -249,8 +249,8 @@ class TestParallelParity:
         ):
             layout.add_cell(cell)
         layout.add_net(Net.two_point("walled", Point(4, 4), Point(60, 60)))
-        result = GlobalRouter(layout)._two_pass(
-            penalty_weight=4.0, passes=3, on_unroutable="skip"
+        result = two_pass(
+            GlobalRouter(layout), penalty_weight=4.0, passes=3, on_unroutable="skip"
         )
         assert "walled" in result.first.failed_nets
         assert "walled" in result.final.failed_nets

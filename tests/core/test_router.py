@@ -7,6 +7,7 @@ import pytest
 from repro.errors import RoutingError, UnroutableError
 from repro.core.costs import InvertedCornerCost, WirelengthCost
 from repro.core.escape import EscapeMode
+from repro.core.negotiate import two_pass
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -151,30 +152,30 @@ class TestTwoPass:
 
     def test_reduces_overflow(self):
         layout = self.congested_layout()
-        result = GlobalRouter(layout)._two_pass(penalty_weight=4.0)
+        result = two_pass(GlobalRouter(layout), penalty_weight=4.0)
         assert result.congestion_after.total_overflow <= result.congestion_before.total_overflow
         assert result.rerouted_nets
 
     def test_more_passes_never_worse(self):
         layout = self.congested_layout()
-        two = GlobalRouter(layout)._two_pass(penalty_weight=4.0, passes=2)
-        four = GlobalRouter(layout)._two_pass(penalty_weight=4.0, passes=4)
+        two = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=2)
+        four = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=4)
         assert four.congestion_after.total_overflow <= two.congestion_after.total_overflow
 
     def test_final_routes_remain_valid(self):
         layout = self.congested_layout()
-        result = GlobalRouter(layout)._two_pass(penalty_weight=4.0, passes=3)
+        result = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=3)
         assert verify_global_route(result.final, layout) == {}
 
     def test_uncongested_layout_short_circuits(self, small_layout):
-        result = GlobalRouter(small_layout)._two_pass()
+        result = two_pass(GlobalRouter(small_layout))
         if result.congestion_before.total_overflow == 0:
             assert result.final is result.first
             assert result.rerouted_nets == []
 
     def test_invalid_passes_rejected(self, small_layout):
         with pytest.raises(RoutingError):
-            GlobalRouter(small_layout)._two_pass(passes=1)
+            two_pass(GlobalRouter(small_layout), passes=1)
 
 
 class TestDeterminism:

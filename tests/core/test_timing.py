@@ -231,15 +231,6 @@ class TestTimingConfig:
         with pytest.raises(RoutingError):
             TimingConfig(target_delay=-3.0)
 
-    def test_from_params_rejects_unknown_keys(self):
-        with pytest.raises(RoutingError, match="unknown timing parameter"):
-            TimingConfig.from_params({"delay_wieght": 1.0})
-        config = TimingConfig.from_params(
-            {"max_iterations": 4, "delay_weight": 0.25}
-        )
-        assert config.max_iterations == 4
-        assert config.delay_weight == 0.25
-
 
 def critical_scene(seed=79, **overrides):
     return FAMILIES["long-critical-nets"].build(seed, **overrides)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.congestion import CongestionHistory, find_passages, measure_congestion
 from repro.core.negotiate import NegotiationConfig
 from repro.core.router import GlobalRouter, RouterConfig
-from repro.errors import UnroutableError
+from repro.errors import RoutingError, UnroutableError
 from repro.incremental.engine import (
     incremental_negotiated,
     incremental_single,
@@ -99,6 +99,16 @@ def test_negotiated_incremental_work_is_incremental_only(routed):
     scratch = GlobalRouter(mutated, RouterConfig()).route_all(on_unroutable="skip")
     # Routing one net must expand far fewer nodes than routing them all.
     assert outcome.search_stats.nodes_expanded < scratch.stats.nodes_expanded
+
+
+@pytest.mark.parametrize("engine", [incremental_single, incremental_negotiated])
+@pytest.mark.parametrize("dirty", [False, True])
+def test_bad_on_unroutable_rejected(routed, engine, dirty):
+    layout, route = routed
+    delta = replace_nets_delta(layout, 1) if dirty else empty_delta()
+    mutated, warm = plan_reroute(route, layout, delta)
+    with pytest.raises(RoutingError, match="on_unroutable"):
+        engine(GlobalRouter(mutated, RouterConfig()), warm, on_unroutable="ignore")
 
 
 def test_single_raises_on_unroutable_dirty_net(routed):

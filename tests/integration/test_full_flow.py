@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.core.escape import EscapeMode
+from repro.core.negotiate import two_pass
 from repro.detail.detailed import DetailedRouter
 from repro.layout.generators import LayoutSpec, random_layout
 from repro.layout.io import layout_from_json, layout_to_json
@@ -73,7 +74,7 @@ def test_two_pass_then_detail_reduces_overcapacity():
         layout.add_net(net)
 
     single = GlobalRouter(layout).route_all()
-    multi = GlobalRouter(layout)._two_pass(penalty_weight=4.0, passes=4)
+    multi = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=4)
     detailed_single = DetailedRouter(layout).run(single)
     detailed_multi = DetailedRouter(layout).run(multi.final)
     # relief in global congestion should not worsen detailed packing
