@@ -4,23 +4,25 @@ Three changes landed together: the epoch-cached ray tracer
 (:class:`~repro.geometry.raytrace.ObstacleSet` memoizes ``first_hit``
 per mutation epoch), the flattened cost-model inner loops
 (:class:`~repro.core.costs.CongestionPenaltyCost`), and the lean
-OPEN/CLOSED core (flat heap tuples, slotted nodes).  PR 9 added the
-batched search engines (``scalar`` | ``vectorized`` | ``native``) and
-this harness grew an engine matrix alongside the original cache A/B.
-The claims the bench pins:
+OPEN/CLOSED core (flat heap tuples, slotted nodes).  The batched
+search problem followed, and this harness grew a comparison of the
+default search against the scalar oracle
+(:func:`~repro.core.pathfinder.reference_search`) alongside the
+original cache A/B.  The claims the bench pins:
 
-* **identity** — routed results are byte-identical with the ray cache
-  on and off, across every search engine, and through the single-pass
-  strategy's memo-population skip: same paths, same costs, same failed
-  nets, same per-iteration overflow trajectory.  Performance knobs may
-  only change how fast answers arrive, never the answers.
+* **identity** — routed results are byte-identical with the ray memo
+  on and off, between the default search and the reference oracle, and
+  through the single-pass strategy's memo-population skip: same paths,
+  same costs, same failed nets, same per-iteration overflow trajectory.
+  Performance work may only change how fast answers arrive, never the
+  answers.
 * **speed** — the negotiated multi-iteration workload (the rip-up
   loop re-searches the same static obstacle set every iteration, so
-  cache hit rates are high) runs measurably faster with the cache, and
-  the scaled engine workload (``negotiated_scaled_200``) runs at least
+  cache hit rates are high) runs measurably faster with the memo, and
+  the scaled workload (``negotiated_scaled_200``) runs at least
   :data:`ENGINE_SPEEDUP_FLOOR` times more expansions per second on the
-  vectorized engine than on scalar; BENCH_hotpath.json tracks the
-  trajectory PR over PR via ``benchmarks/run_suite.py``.
+  default search than on the reference oracle; BENCH_hotpath.json
+  tracks the trajectory PR over PR via ``benchmarks/run_suite.py``.
 
 Run standalone via ``pytest benchmarks/bench_x5_hotpath.py
 --benchmark-only`` or through the suite driver (which also emits the
@@ -32,11 +34,12 @@ JSON artifact)::
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 
 from repro.core.negotiate import NegotiatedRouter, NegotiationConfig
+from repro.core.pathfinder import reference_search
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.analysis.tables import format_table
-from repro.search.native import NATIVE_AVAILABLE
 
 from benchmarks.workloads import (
     congested_layout,
@@ -49,8 +52,8 @@ from benchmarks.workloads import (
 #: the names in :data:`QUICK_WORKLOADS`; the committed baseline
 #: (BENCH_hotpath.json) records the full set so quick CI runs can still
 #: compare against it by name.  ``engine_matrix_only`` workloads skip
-#: the cache A/B (their point is the engine comparison; a scalar run at
-#: this size is already minutes of wall clock).
+#: the cache A/B (their point is the search comparison; a reference run
+#: at this size is already minutes of wall clock).
 WORKLOADS: dict[str, dict] = {
     "negotiated_grid_16": {
         "kind": "negotiated",
@@ -80,24 +83,25 @@ WORKLOADS: dict[str, dict] = {
         "max_iterations": 4,
         "engine_matrix_only": True,
         # The ENGINE_SPEEDUP_FLOOR gate rides on this workload, so its
-        # engine walls are min-of-2 (same repeat count for every
-        # engine) to keep a single noisy draw from deciding the ratio.
+        # search walls are min-of-2 (same repeat count for both
+        # searches) to keep a single noisy draw from deciding the ratio.
         "engine_repeats": 2,
     },
 }
 
-#: The CI smoke subset: the small negotiated loop (cache + engine
-#: matrix) plus the single-pass workload (strategy memo-skip gate).
+#: The CI smoke subset: the small negotiated loop (cache A/B + search
+#: comparison) plus the single-pass workload (strategy memo-skip gate).
 QUICK_WORKLOADS = ("negotiated_grid_16", "single_pass_dense")
 
-#: Engines the matrix measures.  ``native`` degrades to the vectorized
-#: numpy path when numba is absent (the artifact records which via
-#: ``native_is_jitted``), so the matrix is runnable everywhere.
-ENGINES_MEASURED = ("scalar", "vectorized", "native")
+#: The searches compared, as ``(artifact row, reference?)``.  The row
+#: names predate the automatic engine choice and stay for artifact
+#: continuity: ``scalar`` is the reference oracle (scalar problem, ray
+#: memo off) and ``vectorized`` the default search.
+SEARCHES = (("scalar", True), ("vectorized", False))
 
-#: The acceptance floor for the tentpole claim: vectorized must route
-#: the scaled workload at >= this many times scalar's expansions per
-#: second.  Asserted by the pytest benchmark entry point, not the JSON
+#: The acceptance floor for the batched search: the default search
+#: must route the scaled workload at >= this many times the reference
+#: oracle's expansions per second.  Asserted by the pytest benchmark entry point, not the JSON
 #: emitter, so a slow CI box can still record an artifact.
 ENGINE_SPEEDUP_FLOOR = 5.0
 
@@ -117,8 +121,17 @@ PRE_OVERHAUL_REFERENCE = {
 }
 
 
-def _route(spec: dict, *, ray_cache: bool, engine: str = "scalar"):
-    """Route one workload; returns (wall_seconds, fingerprint, stats, extra)."""
+def _route(spec: dict, *, memo: bool = True, reference: bool = False):
+    """Route one workload; returns (wall_seconds, fingerprint, stats, extra).
+
+    *memo* toggles the router's ray memo; *reference* runs the whole
+    route under :func:`reference_search` (which keeps the memo off).
+    """
+    with reference_search() if reference else nullcontext():
+        return _route_measured(spec, memo)
+
+
+def _route_measured(spec: dict, memo: bool):
     if spec["kind"] == "negotiated":
         if spec.get("scaled"):
             layout = scaled_congested_layout(n_nets=spec["nets"], seed=spec["seed"])
@@ -126,9 +139,10 @@ def _route(spec: dict, *, ray_cache: bool, engine: str = "scalar"):
             layout = congested_layout(
                 n_nets=spec["nets"], seed=spec["seed"], gap=spec["gap"]
             )
-        router = NegotiatedRouter(
-            layout,
-            RouterConfig(ray_cache=ray_cache, engine=engine),
+        base = GlobalRouter(layout, RouterConfig())
+        base.obstacles.ray_cache_enabled = memo
+        router = NegotiatedRouter.from_router(
+            base,
             negotiation=NegotiationConfig(max_iterations=spec["max_iterations"]),
         )
         started = time.perf_counter()
@@ -153,7 +167,8 @@ def _route(spec: dict, *, ray_cache: bool, engine: str = "scalar"):
             "wirelength": result.final.total_length,
         }
     layout = netted_layout(spec["cells"], spec["nets"], seed=spec["seed"])
-    router = GlobalRouter(layout, RouterConfig(ray_cache=ray_cache, engine=engine))
+    router = GlobalRouter(layout, RouterConfig())
+    router.obstacles.ray_cache_enabled = memo
     started = time.perf_counter()
     route = router.route_all(on_unroutable="skip")
     wall = time.perf_counter() - started
@@ -168,10 +183,10 @@ def _route_single_strategy(spec: dict):
     """Route the single-pass workload through the pipeline's strategy.
 
     ``SingleStrategy`` skips ray-memo population — one pass never
-    re-queries a ray often enough to pay the memo back — so even with
-    ``ray_cache=True`` in the config the run must record *zero* cache
-    lookups, and must still route byte-identically to the direct
-    ``route_all`` measurements.  Returns (wall_seconds, fingerprint,
+    re-queries a ray often enough to pay the memo back — so even though
+    the router's memo is on the run must record *zero* cache lookups,
+    and must still route byte-identically to the direct ``route_all``
+    measurements.  Returns (wall_seconds, fingerprint,
     ray_lookups).
     """
     from repro.api.pipeline import RoutingPipeline
@@ -180,7 +195,6 @@ def _route_single_strategy(spec: dict):
     layout = netted_layout(spec["cells"], spec["nets"], seed=spec["seed"])
     request = RouteRequest(
         layout=layout,
-        config=RouterConfig(ray_cache=True),
         strategy="single",
         on_unroutable="skip",
         verify=False,
@@ -211,17 +225,17 @@ def _tree_fingerprint(route) -> dict:
 
 
 def run_workload(name: str, spec: dict) -> dict:
-    """Measure one workload: cache A/B plus the engine matrix.
+    """Measure one workload: cache A/B plus reference vs default search.
 
-    Every measured knob carries a byte-identity verdict next to its
+    Every measurement carries a byte-identity verdict next to its
     timing; ``engine_matrix_only`` workloads skip the cache A/B and the
-    per-kind extras come from their scalar engine run instead.
+    per-kind extras come from their reference run instead.
     """
     entry: dict = {"kind": spec["kind"]}
-    scalar_wall = scalar_fp = scalar_stats = None
+    runs: dict[str, tuple] = {}
     if not spec.get("engine_matrix_only"):
-        wall_off, fp_off, _stats_off, _ = _route(spec, ray_cache=False)
-        wall_on, fp_on, stats_on, extra = _route(spec, ray_cache=True)
+        wall_off, fp_off, _stats_off, _ = _route(spec, memo=False)
+        wall_on, fp_on, stats_on, extra = _route(spec)
         lookups = stats_on.cache_hits + stats_on.cache_misses
         entry.update(
             {
@@ -241,47 +255,47 @@ def run_workload(name: str, spec: dict) -> dict:
             }
         )
         entry.update(extra)
-        # The cache-on run *is* the scalar engine measurement.
-        scalar_wall, scalar_fp, scalar_stats = wall_on, fp_on, stats_on
+        # The cache-on run *is* the default search measurement.
+        runs["vectorized"] = (wall_on, fp_on, stats_on)
         if spec["kind"] == "single":
             strategy_wall, strategy_fp, strategy_lookups = _route_single_strategy(spec)
             entry["strategy_wall_seconds"] = round(strategy_wall, 4)
             entry["strategy_ray_lookups"] = strategy_lookups
             entry["identical_strategy_skip"] = strategy_fp == fp_on
 
-    engines: dict[str, dict] = {}
     repeats = spec.get("engine_repeats", 1)
-    for engine in ENGINES_MEASURED:
-        if engine == "scalar" and scalar_stats is not None:
-            wall, fp, stats = scalar_wall, scalar_fp, scalar_stats
-        else:
-            wall, fp, stats, extra = _route(spec, ray_cache=True, engine=engine)
-            # Min-of-N wall per engine (every engine gets the same
-            # repeat count, so the speedup ratio stays honest); routed
-            # results are deterministic, so the identity verdict uses
-            # the first run's fingerprint.
-            for _ in range(repeats - 1):
-                wall_r, _fp_r, stats_r, _extra_r = _route(
-                    spec, ray_cache=True, engine=engine
-                )
-                if wall_r < wall:
-                    wall, stats = wall_r, stats_r
-            if engine == "scalar":
-                scalar_wall, scalar_fp, scalar_stats = wall, fp, stats
-                entry["nodes_expanded"] = stats.nodes_expanded
-                entry.update(extra)
-        engines[engine] = {
+    for row, reference in SEARCHES:
+        if row in runs:
+            continue
+        wall, fp, stats, extra = _route(spec, reference=reference)
+        # Min-of-N wall per search (both get the same repeat count, so
+        # the speedup ratio stays honest); routed results are
+        # deterministic, so the identity verdict uses the first run's
+        # fingerprint.
+        for _ in range(repeats - 1):
+            wall_r, _fp_r, stats_r, _extra_r = _route(spec, reference=reference)
+            if wall_r < wall:
+                wall, stats = wall_r, stats_r
+        runs[row] = (wall, fp, stats)
+        if reference and "nodes_expanded" not in entry:
+            entry["nodes_expanded"] = stats.nodes_expanded
+            entry.update(extra)
+
+    ref_wall, ref_fp, _ref_stats = runs["scalar"]
+    engines: dict[str, dict] = {}
+    for row, _reference in SEARCHES:
+        wall, fp, stats = runs[row]
+        engines[row] = {
             "wall_seconds": round(wall, 4),
             "nodes_expanded": stats.nodes_expanded,
             "expansions_per_second": round(stats.nodes_expanded / wall, 1)
             if wall > 0
             else None,
-            "speedup_vs_scalar": round(scalar_wall / wall, 3) if wall > 0 else None,
-            "identical_to_scalar": fp == scalar_fp,
+            "speedup_vs_scalar": round(ref_wall / wall, 3) if wall > 0 else None,
+            "identical_to_scalar": fp == ref_fp,
         }
     entry["engines"] = engines
     entry["engine_repeats"] = repeats
-    entry["native_is_jitted"] = NATIVE_AVAILABLE
     return entry
 
 
@@ -315,7 +329,7 @@ def bench_x5_hotpath(benchmark):
         ["workload", "kind", "no-cache ms", "cache ms", "speedup",
          "hit rate", "expand/s", "identical"],
         rows,
-        title="X5: hot-path overhaul — ray-cache A/B on the tracked workloads",
+        title="X5: hot-path overhaul — ray-memo A/B on the tracked workloads",
     )
     report("x5_hotpath", table)
 
@@ -332,12 +346,9 @@ def bench_x5_hotpath(benchmark):
         for engine, stats in entry["engines"].items()
     ]
     engine_table = format_table(
-        ["workload", "engine", "wall ms", "expand/s", "vs scalar", "identical"],
+        ["workload", "search", "wall ms", "expand/s", "vs scalar", "identical"],
         engine_rows,
-        title=(
-            "X5: search engine matrix "
-            f"(native {'jitted' if NATIVE_AVAILABLE else 'numpy fallback'})"
-        ),
+        title="X5: reference oracle (scalar) vs default search (vectorized)",
     )
     report("x5_engines", engine_table)
 
@@ -354,11 +365,11 @@ def bench_x5_hotpath(benchmark):
                 "suspiciously low on a static-obstacle loop"
             )
 
-    # No engine may ever change routed results.
+    # The default search may never change routed results.
     for name, entry in results.items():
         for engine, stats in entry["engines"].items():
             assert stats["identical_to_scalar"], (
-                f"{name}: engine {engine} changed routed results"
+                f"{name}: search {engine} changed routed results"
             )
     # The single-pass strategy skips memo population without changing
     # the route.
@@ -370,15 +381,16 @@ def bench_x5_hotpath(benchmark):
         f"single-pass strategy still touched the ray memo "
         f"({single['strategy_ray_lookups']} lookups)"
     )
-    # The tentpole claim: vectorized beats scalar by the recorded floor
-    # on the scaled workload (where batch sizes amortize the overhead).
+    # The batched search beats the reference oracle by the recorded
+    # floor on the scaled workload (where batch sizes amortize the
+    # overhead).
     scaled = results["negotiated_scaled_200"]["engines"]["vectorized"]
     assert scaled["speedup_vs_scalar"] >= ENGINE_SPEEDUP_FLOOR, (
-        f"vectorized speedup {scaled['speedup_vs_scalar']}x below the "
+        f"default search speedup {scaled['speedup_vs_scalar']}x below the "
         f"{ENGINE_SPEEDUP_FLOOR}x floor on negotiated_scaled_200"
     )
 
     # Timed reference for the pytest-benchmark trend: the quick
-    # negotiated workload with the cache on (the shipping default).
+    # negotiated workload on the shipping default.
     spec = WORKLOADS[QUICK_WORKLOADS[0]]
-    benchmark(lambda: _route(spec, ray_cache=True))
+    benchmark(lambda: _route(spec))

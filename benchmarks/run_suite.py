@@ -25,10 +25,11 @@ Usage (from the repository root)::
 The hotpath artifact records, per workload: wall time with the ray
 cache off and on, the cache speedup, nodes expanded, expansions per
 second, cache hit rate, the byte-identity verdict (cache on vs off),
-and an ``engines`` block comparing the scalar / vectorized / native
-search engines (wall, expansions per second, speedup vs scalar, and a
-per-engine byte-identity verdict).  See ``docs/performance.md`` for
-how to read it.
+and an ``engines`` block comparing the reference oracle (row
+``scalar``: the scalar search with the ray memo off) with the default
+search (row ``vectorized``): wall, expansions per second, speedup vs
+the reference, and a byte-identity verdict.  See
+``docs/performance.md`` for how to read it.
 
 With ``--check BASELINE``, workloads present in both the baseline and
 the current run are compared; the driver exits non-zero when any

@@ -131,7 +131,6 @@ from repro.scenarios import (
 )
 from repro.service import (
     Client,
-    ResultCache,
     RoutingService,
     make_server,
 )
@@ -180,7 +179,6 @@ __all__ = [
     "Rect",
     "ReproError",
     "RerouteRequest",
-    "ResultCache",
     "RoutePath",
     "RouteRequest",
     "RouteResult",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextvars
 import json
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
@@ -38,6 +39,11 @@ UNROUTABLE_POLICIES = ("raise", "skip")
 #: round-tripping across schema growth.  A context var, not a flag
 #: argument: ``__post_init__`` has no way to receive one.
 _LENIENT_PARAMS = contextvars.ContextVar("repro_lenient_params", default=False)
+
+#: Router config keys that older releases wrote and this one ignores:
+#: the search-engine choice and the ray-memo toggle, neither of which
+#: could change a route.
+RETIRED_CONFIG_KEYS = frozenset({"engine", "ray_cache"})
 
 
 def _strategy_registry():
@@ -60,8 +66,6 @@ def config_to_dict(config: RouterConfig) -> dict[str, Any]:
         "refine": config.refine,
         "node_limit": config.node_limit,
         "trace": config.trace,
-        "ray_cache": config.ray_cache,
-        "engine": config.engine,
         "prune_clean_nets": config.prune_clean_nets,
         "workers": config.workers,
         "executor": config.executor,
@@ -72,11 +76,17 @@ def config_from_dict(data: Mapping[str, Any]) -> RouterConfig:
     """Rebuild a :class:`RouterConfig` from :func:`config_to_dict` output.
 
     Missing keys fall back to the config defaults, so old request files
-    keep working when new knobs are added; unknown keys raise.
+    keep working when new knobs are added.  Retired keys
+    (:data:`RETIRED_CONFIG_KEYS`) are dropped with a warning, whatever
+    their value, so old requests and persisted jobs keep loading; any
+    other unknown key raises.
     """
     defaults = RouterConfig()
     known = set(config_to_dict(defaults))
-    unknown = sorted(set(data) - known)
+    retired = sorted(RETIRED_CONFIG_KEYS.intersection(data))
+    if retired:
+        warnings.warn(f"ignoring retired router config key(s) {retired}", stacklevel=2)
+    unknown = sorted(set(data) - known - RETIRED_CONFIG_KEYS)
     if unknown:
         raise RoutingError(f"unknown router config key(s) {unknown}")
     try:
@@ -93,8 +103,6 @@ def config_from_dict(data: Mapping[str, Any]) -> RouterConfig:
             refine=bool(data.get("refine", defaults.refine)),
             node_limit=None if node_limit is None else int(node_limit),
             trace=bool(data.get("trace", defaults.trace)),
-            ray_cache=bool(data.get("ray_cache", defaults.ray_cache)),
-            engine=str(data.get("engine", defaults.engine)),
             prune_clean_nets=bool(
                 data.get("prune_clean_nets", defaults.prune_clean_nets)
             ),

@@ -25,7 +25,6 @@ from repro.geometry.point import Direction, Point
 from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
-from repro.search import native as native_kernels
 
 
 class CostModel:
@@ -53,14 +52,12 @@ class CostModel:
 
         Only models that are known (and tested) to produce bit-identical
         batched costs opt in; unknown subclasses default to ``False`` so
-        the vectorized engine falls back to the scalar oracle rather
-        than silently mispricing an overridden :meth:`segment_cost`.
+        the pathfinder falls back to the scalar problem rather than
+        silently mispricing an overridden :meth:`segment_cost`.
         """
         return type(self) in (CostModel, WirelengthCost)
 
-    def segment_costs_from(
-        self, x: int, y: int, coords: np.ndarray, horizontal: bool, *, native: bool = False
-    ) -> np.ndarray:
+    def segment_costs_from(self, x: int, y: int, coords: np.ndarray, horizontal: bool) -> np.ndarray:
         """Batched :meth:`segment_cost` for same-axis segments.
 
         Successor ``j`` is the segment from ``(x, y)`` to
@@ -71,9 +68,7 @@ class CostModel:
         origin = x if horizontal else y
         return np.abs(coords - origin).astype(np.float64)
 
-    def expansion_costs(
-        self, x: int, y: int, hx: np.ndarray, vy: np.ndarray, *, native: bool = False
-    ) -> np.ndarray:
+    def expansion_costs(self, x: int, y: int, hx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         """Both axes of one expansion priced into a single array.
 
         The fused form of two :meth:`segment_costs_from` calls —
@@ -331,7 +326,6 @@ class CongestionPenaltyCost(CostModel):
         origin: int,
         horizontal: bool,
         fixed: int,
-        native: bool,
     ) -> None:
         """Add this track's congestion surcharges to *costs* in place."""
         selection = self._regions_on_track(horizontal, fixed)
@@ -340,11 +334,6 @@ class CongestionPenaltyCost(CostModel):
         span_lo, span_hi, weights = selection
         a = np.minimum(coords, origin)
         b = np.maximum(coords, origin)
-        if native and native_kernels.NATIVE_AVAILABLE:
-            native_kernels.congestion_surcharge_on_track(
-                a, b, span_lo, span_hi, weights, costs
-            )
-            return
         lo = np.maximum(span_lo[:, None], a[None, :])
         hi = np.minimum(span_hi[:, None], b[None, :])
         np.subtract(hi, lo, out=hi)
@@ -427,7 +416,6 @@ class CongestionPenaltyCost(CostModel):
         x: int,
         vy: np.ndarray,
         y: int,
-        native: bool,
     ) -> None:
         """Both axes' congestion surcharges in one fused pass.
 
@@ -457,35 +445,26 @@ class CongestionPenaltyCost(CostModel):
             np.maximum(vy, y, out=bv)
             av += _FUSE_OFFSET
             bv += _FUSE_OFFSET
-        if native and native_kernels.NATIVE_AVAILABLE:
-            native_kernels.congestion_surcharge_on_track(
-                a, b, span_lo, span_hi, weights, costs
-            )
-            return
         lo = np.maximum(span_lo[:, None], a[None, :])
         hi = np.minimum(span_hi[:, None], b[None, :])
         np.subtract(hi, lo, out=hi)
         np.maximum(hi, 0, out=hi)
         self._fold_contributions(costs, hi, weights)
 
-    def segment_costs_from(
-        self, x: int, y: int, coords: np.ndarray, horizontal: bool, *, native: bool = False
-    ) -> np.ndarray:
-        costs = self.base.segment_costs_from(x, y, coords, horizontal, native=native)
+    def segment_costs_from(self, x: int, y: int, coords: np.ndarray, horizontal: bool) -> np.ndarray:
+        costs = self.base.segment_costs_from(x, y, coords, horizontal)
         if not self._bounds or not coords.size:
             return costs
         origin = x if horizontal else y
         fixed = y if horizontal else x
-        self._surcharge_into(costs, coords, origin, horizontal, fixed, native)
+        self._surcharge_into(costs, coords, origin, horizontal, fixed)
         return costs
 
-    def expansion_costs(
-        self, x: int, y: int, hx: np.ndarray, vy: np.ndarray, *, native: bool = False
-    ) -> np.ndarray:
+    def expansion_costs(self, x: int, y: int, hx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         if not self._bounds or type(self.base) not in (CostModel, WirelengthCost):
-            costs = self.base.expansion_costs(x, y, hx, vy, native=native)
+            costs = self.base.expansion_costs(x, y, hx, vy)
             if self._bounds and costs.size:
-                self._surcharge_expansion(costs, hx, x, vy, y, native)
+                self._surcharge_expansion(costs, hx, x, vy, y)
             return costs
         # Plain-wirelength base: the surcharge clamp needs the
         # normalized endpoints ``a = min(c, origin)``/``b = max`` of
@@ -509,11 +488,6 @@ class CongestionPenaltyCost(CostModel):
         a[nh:] += _FUSE_OFFSET
         b[nh:] += _FUSE_OFFSET
         span_lo, span_hi, weights = combined
-        if native and native_kernels.NATIVE_AVAILABLE:
-            native_kernels.congestion_surcharge_on_track(
-                a, b, span_lo, span_hi, weights, costs
-            )
-            return costs
         lo = np.maximum(span_lo[:, None], a[None, :])
         hi = np.minimum(span_hi[:, None], b[None, :])
         np.subtract(hi, lo, out=hi)
@@ -608,8 +582,8 @@ class TimingDrivenCost(NegotiatedCongestionCost):
 
     The per-net criticality makes this model net-specific, which is why
     :attr:`supports_batched_costs` stays ``False`` (inherited exact-type
-    whitelist): every engine prices it through the scalar oracle, so
-    results cannot depend on the engine choice.
+    whitelist): the pathfinder always searches it with the scalar
+    problem.
     """
 
     def __init__(

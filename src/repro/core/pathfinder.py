@@ -13,8 +13,9 @@ be charged exactly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -29,13 +30,6 @@ from repro.search.engine import Order, SearchResult, search
 from repro.search.problem import SearchProblem
 from repro.search.stats import ExpansionTrace, SearchStats
 from repro.search.vector import VectorSearchProblem, search_vectorized
-
-#: Recognized search engines.  ``scalar`` is the conformance oracle;
-#: ``vectorized`` batches successor pricing over numpy arrays;
-#: ``native`` additionally runs the batch kernels under numba when it
-#: is importable (and is otherwise identical to ``vectorized``).  All
-#: three produce byte-identical routes — the parity suite pins it.
-ENGINES = ("scalar", "vectorized", "native")
 
 #: Largest flat key space (in states) the batched problem will mirror
 #: into the engine's dense g array — 4M states is 32 MB of float64,
@@ -68,12 +62,6 @@ class PathRequest:
         Optional expansion budget.
     trace:
         Record expansion order for rendering.
-    engine:
-        Search engine (one of :data:`ENGINES`).  Non-scalar engines
-        apply only where the batched problem is available (FULL escape
-        mode, cost-ordered order, direction-insensitive batch-capable
-        cost model); other searches silently use the scalar oracle,
-        which is always result-identical anyway.
     """
 
     obstacles: ObstacleSet
@@ -84,7 +72,6 @@ class PathRequest:
     order: Order = Order.A_STAR
     node_limit: Optional[int] = None
     trace: bool = False
-    engine: str = "scalar"
 
 
 @dataclass
@@ -182,14 +169,11 @@ class _BatchedPointProblem(VectorSearchProblem):
         request: PathRequest,
         extra_xs: list[int],
         extra_ys: list[int],
-        *,
-        native: bool = False,
     ):
         self._req = request
         self._obstacles = request.obstacles
         self._model = request.cost_model
         self._targets = request.targets
-        self._native = native
         # Stop coordinates are drawn from the union of edge and extra
         # columns; both are fixed for the whole search, so merge once
         # and slice per ray instead of deduplicating per ray.
@@ -268,13 +252,12 @@ class _BatchedPointProblem(VectorSearchProblem):
     ) -> tuple[list[tuple[int, int]], np.ndarray, Optional[np.ndarray]]:
         x, y = state
         hx, vy = self._rays(x, y)
-        native = self._native
         states = [(cx, y) for cx in hx.tolist()]
         states.extend((x, cy) for cy in vy.tolist())
-        costs = self._model.expansion_costs(x, y, hx, vy, native=native)
+        costs = self._model.expansion_costs(x, y, hx, vy)
         if not with_h:
             return states, costs, None
-        hs = self._targets.distances_expansion(hx, y, vy, x, native=native)
+        hs = self._targets.distances_expansion(hx, y, vy, x)
         return states, costs, hs
 
     def dense_size(self) -> Optional[int]:
@@ -295,7 +278,7 @@ class _BatchedPointProblem(VectorSearchProblem):
         keys[:nh] += y - self._key_base_y - self._key_base_x * stride
         keys[nh:] = vy
         keys[nh:] += (x - self._key_base_x) * stride - self._key_base_y
-        costs = self._model.expansion_costs(x, y, hx, vy, native=self._native)
+        costs = self._model.expansion_costs(x, y, hx, vy)
         self._last_batch = (x, y, hx, vy, nh)
         return keys, costs
 
@@ -313,23 +296,48 @@ class _BatchedPointProblem(VectorSearchProblem):
         # Per-point distances: each batch column is an independent
         # min-over-targets, so the subset evaluates bit-identically to
         # slicing the full batch.
-        hs = self._targets.distances_expansion(hx_w, y, vy_w, x, native=self._native)
+        hs = self._targets.distances_expansion(hx_w, y, vy_w, x)
         return states, hs
 
 
+#: Set while :func:`reference_search` is active.
+_REFERENCE = False
+
+
+@contextmanager
+def reference_search() -> Iterator[None]:
+    """Route with the scalar oracle and the ray memo off, for testing.
+
+    While active, every :func:`find_path` in this process searches the
+    scalar problem with the obstacle set's ray memo switched off for
+    the duration of the search — the plainest form of the line-search
+    A*, against which the batched problem and the memo are checked.
+    The override is process-local: it reaches ``workers=1`` routing
+    only, never the processes of a ``workers > 1`` pool.  It is meant
+    for tests, the conformance matrix and the hot-path bench; no
+    config, request, CLI flag or environment variable selects it.
+    """
+    global _REFERENCE
+    previous = _REFERENCE
+    _REFERENCE = True
+    try:
+        yield
+    finally:
+        _REFERENCE = previous
+
+
 def _use_batched_engine(request: PathRequest) -> bool:
-    """Whether the non-scalar engines can serve *request*.
+    """Whether the batched problem serves *request*.
 
     The batched problem covers the paper's primary configuration: FULL
     escape mode, a cost-ordered OPEN list, and a direction-insensitive
     cost model that prices batches bit-identically.  Everything else
     (AGGRESSIVE mode, blind orders, bend-priced models, unknown cost
-    subclasses) falls back to the scalar oracle — results are
-    identical by construction, only the wall clock differs.
+    subclasses) runs the scalar problem — results are identical by
+    construction, only the wall clock differs.
     """
     return (
-        request.engine != "scalar"
-        and request.mode is EscapeMode.FULL
+        request.mode is EscapeMode.FULL
         and request.order.is_cost_ordered
         and not request.cost_model.direction_sensitive
         and request.cost_model.supports_batched_costs
@@ -354,7 +362,8 @@ def find_path(request: PathRequest) -> PathSearchResult:
     extra_xs = sorted(request.targets.escape_xs() | {p.x for p, _ in request.sources})
     extra_ys = sorted(request.targets.escape_ys() | {p.y for p, _ in request.sources})
 
-    batched = _use_batched_engine(request)
+    reference = _REFERENCE
+    batched = not reference and _use_batched_engine(request)
 
     # Ray-cache traffic attributable to this search: delta of the
     # obstacle set's counters around the search (the set is shared
@@ -362,29 +371,15 @@ def find_path(request: PathRequest) -> PathSearchResult:
     obstacles = request.obstacles
     hits_before = obstacles.ray_cache_hits
     misses_before = obstacles.ray_cache_misses
-    result: SearchResult
-    if batched:
-        vproblem = _BatchedPointProblem(
-            request, extra_xs, extra_ys, native=request.engine == "native"
-        )
-        result = search_vectorized(
-            vproblem,
-            request.order,
-            node_limit=request.node_limit,
-            trace=request.trace,
-        )
+    if reference:
+        memo_enabled = obstacles.ray_cache_enabled
+        obstacles.ray_cache_enabled = False
+        try:
+            result = _search(request, extra_xs, extra_ys, batched)
+        finally:
+            obstacles.ray_cache_enabled = memo_enabled
     else:
-        problem: SearchProblem
-        if request.cost_model.direction_sensitive:
-            problem = _DirectedProblem(request, extra_xs, extra_ys)
-        else:
-            problem = _PointProblem(request, extra_xs, extra_ys)
-        result = search(
-            problem,
-            request.order,
-            node_limit=request.node_limit,
-            trace=request.trace,
-        )
+        result = _search(request, extra_xs, extra_ys, batched)
     result.stats.cache_hits = obstacles.ray_cache_hits - hits_before
     result.stats.cache_misses = obstacles.ray_cache_misses - misses_before
     if not result.found:
@@ -408,6 +403,30 @@ def find_path(request: PathRequest) -> PathSearchResult:
     else:
         trace = _strip_trace(result.trace, request.cost_model.direction_sensitive)
     return PathSearchResult(path, result.stats, trace)
+
+
+def _search(
+    request: PathRequest, extra_xs: list[int], extra_ys: list[int], batched: bool
+) -> SearchResult:
+    """Run the batched or the scalar problem for *request*."""
+    if batched:
+        return search_vectorized(
+            _BatchedPointProblem(request, extra_xs, extra_ys),
+            request.order,
+            node_limit=request.node_limit,
+            trace=request.trace,
+        )
+    problem: SearchProblem
+    if request.cost_model.direction_sensitive:
+        problem = _DirectedProblem(request, extra_xs, extra_ys)
+    else:
+        problem = _PointProblem(request, extra_xs, extra_ys)
+    return search(
+        problem,
+        request.order,
+        node_limit=request.node_limit,
+        trace=request.trace,
+    )
 
 
 def _check_endpoints(request: PathRequest) -> None:

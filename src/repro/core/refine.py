@@ -45,7 +45,6 @@ def refine_tree(
     mode: EscapeMode = EscapeMode.FULL,
     order: Order = Order.A_STAR,
     max_rounds: int = 2,
-    engine: str = "scalar",
 ) -> RouteTree:
     """Return a refined copy of *tree* (never longer, still connected).
 
@@ -90,7 +89,6 @@ def refine_tree(
                 cost_model=model,
                 mode=mode,
                 order=order,
-                engine=engine,
             )
             try:
                 outcome = find_path(request)

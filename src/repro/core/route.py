@@ -21,9 +21,6 @@ from repro.geometry.rect import Rect, bounding_rect
 from repro.geometry.segment import Segment, path_bends, path_length, path_segments
 from repro.search.stats import ExpansionTrace, SearchStats
 
-_I64_MAX = np.iinfo(np.int64).max
-
-
 @dataclass(frozen=True)
 class RoutePath:
     """One point-to-point (or point-to-tree) connection.
@@ -239,33 +236,6 @@ class TargetSet:
             )
         return self._columns
 
-    def distances_to_many(self, xs: np.ndarray, ys: np.ndarray, *, native: bool = False) -> np.ndarray:
-        """:meth:`distance_to` for a whole successor batch at once.
-
-        Pure int64 arithmetic, so the values equal the scalar loop's
-        exactly.  With ``native=True`` and numba importable the
-        distance kernel runs jitted; otherwise numpy broadcasting.
-        """
-        from repro.search import native as native_kernels
-
-        px, py, hy, hx0, hx1, vx, vy0, vy1 = self._target_columns()
-        if native and native_kernels.NATIVE_AVAILABLE:
-            out = np.empty(xs.shape[0], dtype=np.int64)
-            native_kernels.min_target_distance(xs, ys, px, py, hy, hx0, hx1, vx, vy0, vy1, out)
-            return out
-        best = np.full(xs.shape[0], _I64_MAX, dtype=np.int64)
-        if px.size:
-            d = np.abs(px[:, None] - xs[None, :]) + np.abs(py[:, None] - ys[None, :])
-            np.minimum(best, d.min(axis=0), out=best)
-        if hy.size:
-            # Nearest point on a horizontal segment clamps x to the span.
-            dx = np.maximum(np.maximum(hx0[:, None] - xs[None, :], xs[None, :] - hx1[:, None]), 0)
-            np.minimum(best, (dx + np.abs(hy[:, None] - ys[None, :])).min(axis=0), out=best)
-        if vx.size:
-            dy = np.maximum(np.maximum(vy0[:, None] - ys[None, :], ys[None, :] - vy1[:, None]), 0)
-            np.minimum(best, (dy + np.abs(vx[:, None] - xs[None, :])).min(axis=0), out=best)
-        return best
-
     def _track_terms(self, horizontal: bool, fixed: int) -> tuple[np.ndarray, ...]:
         """Targets collapsed against one track, for :meth:`distances_along`.
 
@@ -302,7 +272,7 @@ class TargetSet:
         return cached
 
     def distances_along(self, coords: np.ndarray, fixed: int, horizontal: bool) -> np.ndarray:
-        """:meth:`distances_to_many` for an axis-aligned batch.
+        """:meth:`distance_to` for an axis-aligned batch.
 
         Successor ``j`` sits at ``(coords[j], fixed)`` when
         *horizontal*, else at ``(fixed, coords[j])``.  All arithmetic
@@ -332,9 +302,7 @@ class TargetSet:
         assert best is not None  # the target set is never empty
         return best
 
-    def distances_expansion(
-        self, hx: np.ndarray, y: int, vy: np.ndarray, x: int, *, native: bool = False
-    ) -> np.ndarray:
+    def distances_expansion(self, hx: np.ndarray, y: int, vy: np.ndarray, x: int) -> np.ndarray:
         """Heuristics for a whole expansion as one float64 array.
 
         Fuses the two per-axis :meth:`distances_along` calls —
@@ -342,24 +310,8 @@ class TargetSet:
         successors ``(x, vy[j])`` — casting the exact int64 distances
         into a single output (integers are exact in float64).
         """
-        from repro.search import native as native_kernels
-
         nh = hx.shape[0]
-        n = nh + vy.shape[0]
-        if native and native_kernels.NATIVE_AVAILABLE:
-            px, py, hy, hx0, hx1, vx, vy0, vy1 = self._target_columns()
-            xs = np.empty(n, dtype=np.int64)
-            ys = np.empty(n, dtype=np.int64)
-            xs[:nh] = hx
-            xs[nh:] = x
-            ys[:nh] = y
-            ys[nh:] = vy
-            out_i = np.empty(n, dtype=np.int64)
-            native_kernels.min_target_distance(
-                xs, ys, px, py, hy, hx0, hx1, vx, vy0, vy1, out_i
-            )
-            return out_i.astype(np.float64)
-        out = np.empty(n, dtype=np.float64)
+        out = np.empty(nh + vy.shape[0], dtype=np.float64)
         if nh:
             out[:nh] = self.distances_along(hx, y, True)
         if vy.shape[0]:

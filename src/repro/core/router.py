@@ -66,12 +66,6 @@ class RouterConfig:
         Per-connection expansion budget (``None`` = unlimited).
     trace:
         Record expansion traces on every connection.
-    ray_cache:
-        Memoize ray queries on the router's obstacle set per mutation
-        epoch (see :class:`~repro.geometry.raytrace.ObstacleSet`).
-        On by default; routed results are byte-identical either way,
-        so the flag exists for A/B measurement
-        (``benchmarks/bench_x5_hotpath.py``) and debugging.
     prune_clean_nets:
         Negotiation-loop pruning (standard PathFinder practice): each
         iteration reroutes only nets whose current path overlaps a
@@ -88,14 +82,15 @@ class RouterConfig:
         Pool flavour for ``workers > 1``: ``"process"`` (scales with
         cores) or ``"thread"`` (GIL-bound fallback for unpicklable
         layouts/cost models).
-    engine:
-        Search-core implementation: ``"scalar"`` (the pure-Python
-        conformance oracle), ``"vectorized"`` (numpy-batched frontier
-        expansion), or ``"native"`` (the batched loop with
-        numba-jitted kernels, falling back to ``"vectorized"``
-        behaviour when numba is not installed).  All engines produce
-        byte-identical routes — the parity suite and the conformance
-        matrix pin it — so this knob only trades wall clock.
+
+    The search problem and the ray memo are not configurable because
+    neither can change a route: :func:`~repro.core.pathfinder.find_path`
+    runs the batched problem wherever it prices bit-identically to the
+    scalar oracle and the scalar problem everywhere else, and the
+    router's obstacle set memoizes ray queries (single passes switch
+    the memo off, see :class:`~repro.api.strategies.SingleStrategy`).
+    Tests compare against the plain oracle through
+    :func:`~repro.core.pathfinder.reference_search`.
     """
 
     mode: EscapeMode = EscapeMode.FULL
@@ -107,11 +102,9 @@ class RouterConfig:
     refine: bool = False
     node_limit: Optional[int] = None
     trace: bool = False
-    ray_cache: bool = True
     prune_clean_nets: bool = True
     workers: int = 1
     executor: str = "process"
-    engine: str = "scalar"
 
     def __post_init__(self) -> None:
         """Reject malformed configs at construction time.
@@ -136,12 +129,6 @@ class RouterConfig:
             )
         if self.node_limit is not None and self.node_limit < 1:
             raise RoutingError(f"node_limit must be >= 1, got {self.node_limit}")
-        from repro.core.pathfinder import ENGINES
-
-        if self.engine not in ENGINES:
-            raise RoutingError(
-                f"engine must be one of {ENGINES}, not {self.engine!r}"
-            )
 
 
 def check_on_unroutable(on_unroutable: str) -> None:
@@ -173,7 +160,6 @@ class GlobalRouter:
         self.layout = layout
         self.config = config
         self.obstacles = layout.obstacles()
-        self.obstacles.ray_cache_enabled = config.ray_cache
         self._cost_model = cost_model if cost_model is not None else self._build_cost_model()
 
     def _build_cost_model(self) -> CostModel:
@@ -207,7 +193,6 @@ class GlobalRouter:
             exact_order=self.config.exact_steiner_order,
             node_limit=self.config.node_limit,
             trace=self.config.trace,
-            engine=self.config.engine,
         )
         if self.config.refine:
             from repro.core.refine import refine_tree
@@ -219,7 +204,6 @@ class GlobalRouter:
                 cost_model=model,
                 mode=self.config.mode,
                 order=self.config.order,
-                engine=self.config.engine,
             )
         return tree
 

@@ -44,7 +44,6 @@ def route_net(
     exact_order: bool = False,
     node_limit: Optional[int] = None,
     trace: bool = False,
-    engine: str = "scalar",
 ) -> RouteTree:
     """Route *net* as an approximate Steiner tree.
 
@@ -69,7 +68,7 @@ def route_net(
     while remaining:
         if exact_order:
             terminal, outcome = _cheapest_connection(
-                remaining, connected, obstacles, model, mode, order, node_limit, trace, engine
+                remaining, connected, obstacles, model, mode, order, node_limit, trace
             )
         else:
             terminal = min(
@@ -77,8 +76,7 @@ def route_net(
                 key=lambda t: (min(connected.distance_to(loc) for loc in t.locations), t.name),
             )
             outcome = _connect(
-                terminal, connected, obstacles, model, mode, order, node_limit, trace, tree,
-                engine,
+                terminal, connected, obstacles, model, mode, order, node_limit, trace, tree
             )
         remaining.remove(terminal)
 
@@ -120,7 +118,6 @@ def _connect(
     node_limit: Optional[int],
     trace: bool,
     tree: RouteTree,
-    engine: str = "scalar",
 ) -> PathSearchResult:
     """One multi-source connection from *terminal* to the tree."""
     request = PathRequest(
@@ -132,7 +129,6 @@ def _connect(
         order=order,
         node_limit=node_limit,
         trace=trace,
-        engine=engine,
     )
     try:
         return find_path(request)
@@ -152,7 +148,6 @@ def _cheapest_connection(
     order: Order,
     node_limit: Optional[int],
     trace: bool,
-    engine: str = "scalar",
 ) -> tuple[Terminal, PathSearchResult]:
     """Exact Prim step: search every remaining terminal, keep the cheapest.
 
@@ -171,7 +166,6 @@ def _cheapest_connection(
             order=order,
             node_limit=node_limit,
             trace=trace,
-            engine=engine,
         )
         try:
             outcome = find_path(request)

@@ -1,18 +1,19 @@
 """Differential conformance: every scenario × strategy × toggle combo.
 
 The runner routes each corpus scenario through every registered
-strategy under the full PR-3 config-toggle matrix (``ray_cache``
-on/off, serial vs parallel net fan-out, ``prune_clean_nets`` on/off,
-plus the PR-9 search ``engine`` axis) and checks three kinds of
+strategy under a config-toggle matrix (serial vs parallel net fan-out,
+``prune_clean_nets`` on/off, plus reference points that route under
+:func:`~repro.core.pathfinder.reference_search`) and checks these
 promises:
 
 1. **Oracle validity** — every routed result must come back clean from
    the independent checker (:func:`repro.analysis.verify.verify_global_route`)
    with no failed nets.
-2. **Byte identity where guaranteed** — ``ray_cache``, ``workers``,
-   and ``engine`` are documented as result-preserving, so every config
-   that differs only in those knobs must produce the identical route
-   fingerprint.
+2. **Byte identity where guaranteed** — ``workers`` is documented as
+   result-preserving, and so are the search problem the pathfinder
+   picks and the ray memo, so every config that differs only in those
+   (a reference point runs the scalar oracle with the memo off) must
+   produce the identical route fingerprint.
    ``prune_clean_nets`` changes which nets the negotiation loop rips
    up, so for the ``negotiated`` strategy identity is asserted per
    pruning flag; for the others the flag is inert and all configs must
@@ -51,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -59,6 +61,7 @@ from repro.api.pipeline import RoutingPipeline
 from repro.api.request import RouteRequest
 from repro.api.rerouting import RerouteRequest
 from repro.api.result import RouteResult
+from repro.core.pathfinder import reference_search
 from repro.core.route import GlobalRoute
 from repro.core.router import RouterConfig
 from repro.incremental.delta import LayoutDelta
@@ -90,13 +93,18 @@ WIRELENGTH_BAND: tuple[float, float] = (0.90, 1.60)
 
 @dataclass(frozen=True)
 class MatrixPoint:
-    """One config-toggle combination of the conformance matrix."""
+    """One config-toggle combination of the conformance matrix.
+
+    A ``reference`` point routes its whole cell — the run and any
+    incremental replays — under
+    :func:`~repro.core.pathfinder.reference_search`: the scalar oracle
+    with the ray memo off, serial only.
+    """
 
     name: str
-    ray_cache: bool = True
     workers: int = 1
     prune_clean_nets: bool = True
-    engine: str = "scalar"
+    reference: bool = False
 
     def to_config(self) -> RouterConfig:
         """The :class:`RouterConfig` this point routes under.
@@ -106,48 +114,45 @@ class MatrixPoint:
         paying process-pool spawn costs once per matrix cell.
         """
         return RouterConfig(
-            ray_cache=self.ray_cache,
             workers=self.workers,
             executor="thread",
             prune_clean_nets=self.prune_clean_nets,
-            engine=self.engine,
         )
 
+    def search(self) -> AbstractContextManager:
+        """The search override this point's cell routes under."""
+        return reference_search() if self.reference else nullcontext()
 
-#: All eight toggle combinations, plus one flip per non-scalar search
-#: engine.  Engine points deliberately share identity groups with the
-#: scalar points (``_identity_key`` ignores the engine): the batched
-#: engines promise byte-identical routes, and this matrix is where that
-#: promise is differentially pinned across the whole corpus.  ``native``
-#: silently degrades to the vectorized numpy path when numba is absent,
-#: so the point is safe to run everywhere.
+
+#: Every workers × pruning combination, plus one reference point per
+#: pruning flag.  Reference points share identity groups with the
+#: others (``_identity_key`` ignores them): the batched search and the
+#: ray memo promise byte-identical routes, and this matrix is where
+#: that promise is differentially pinned across the whole corpus.
 FULL_MATRIX: tuple[MatrixPoint, ...] = tuple(
     MatrixPoint(
-        name=(
-            f"cache={'on' if cache else 'off'}"
-            f"|workers={workers}"
-            f"|prune={'on' if prune else 'off'}"
-        ),
-        ray_cache=cache,
+        name=f"workers={workers}|prune={'on' if prune else 'off'}",
         workers=workers,
         prune_clean_nets=prune,
     )
-    for cache in (True, False)
     for workers in (1, 2)
     for prune in (True, False)
 ) + tuple(
-    MatrixPoint(name=f"engine={engine}", engine=engine)
-    for engine in ("vectorized", "native")
+    MatrixPoint(
+        name=f"reference|prune={'on' if prune else 'off'}",
+        prune_clean_nets=prune,
+        reference=True,
+    )
+    for prune in (True, False)
 )
 
 #: Baseline plus one flip per toggle — every identity promise is still
-#: exercised against the baseline, at half the matrix cost.
+#: exercised against the baseline, at a fraction of the matrix cost.
 QUICK_MATRIX: tuple[MatrixPoint, ...] = (
     MatrixPoint(name="baseline"),
-    MatrixPoint(name="cache=off", ray_cache=False),
     MatrixPoint(name="workers=2", workers=2),
     MatrixPoint(name="prune=off", prune_clean_nets=False),
-    MatrixPoint(name="engine=vectorized", engine="vectorized"),
+    MatrixPoint(name="reference", reference=True),
 )
 
 
@@ -257,10 +262,9 @@ def _identity_key(strategy: str, point: MatrixPoint) -> tuple:
 
     Only the negotiation-style loops read ``prune_clean_nets``, so it
     splits identity groups for ``negotiated`` and ``timing-driven``
-    alone; ``ray_cache``, ``workers``, and ``engine`` are documented
-    result-preserving everywhere — the engine deliberately does *not*
-    split groups, which is exactly what makes this matrix the
-    cross-engine parity gate.
+    alone; ``workers`` and the reference override are result-preserving
+    everywhere — reference points deliberately do *not* split groups,
+    which is exactly what makes this matrix the oracle parity gate.
     """
     if strategy in ("negotiated", "timing-driven"):
         return (strategy, point.prune_clean_nets)
@@ -309,23 +313,24 @@ def run_conformance(
         for strategy, params in strategy_params.items():
             groups: dict[tuple, dict[str, str]] = {}  # identity key -> config -> digest
             for point in matrix:
-                routed = _route_case(pipeline, scenario, strategy, params, point)
-                if isinstance(routed, CheckRecord):
-                    report.checks.append(routed)
-                    continue
-                case, result = routed
-                report.cases.append(case)
-                report.checks.append(_validity_check(case))
-                report.checks.append(_warning_contract_check(case, result))
-                groups.setdefault(_identity_key(strategy, point), {})[point.name] = (
-                    case.fingerprint
-                )
-                baselines.setdefault(strategy, case)
-                if incremental and strategy in INCREMENTAL_STRATEGIES:
-                    _incremental_checks(
-                        pipeline, report, scenario, strategy, params, point,
-                        base_case=case, base_result=result,
+                with point.search():
+                    routed = _route_case(pipeline, scenario, strategy, params, point)
+                    if isinstance(routed, CheckRecord):
+                        report.checks.append(routed)
+                        continue
+                    case, result = routed
+                    report.cases.append(case)
+                    report.checks.append(_validity_check(case))
+                    report.checks.append(_warning_contract_check(case, result))
+                    groups.setdefault(_identity_key(strategy, point), {})[point.name] = (
+                        case.fingerprint
                     )
+                    baselines.setdefault(strategy, case)
+                    if incremental and strategy in INCREMENTAL_STRATEGIES:
+                        _incremental_checks(
+                            pipeline, report, scenario, strategy, params, point,
+                            base_case=case, base_result=result,
+                        )
             for key, digests in groups.items():
                 report.checks.append(_identity_check(scenario.name, strategy, key, digests))
         _cross_strategy_checks(report, scenario.name, baselines)

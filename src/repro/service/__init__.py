@@ -16,8 +16,6 @@ The long-lived serving surface over the
 * :class:`~repro.service.workers.ProcessTier` — the
   ``--executor process`` worker tier: routing runs in a crash-tolerant
   process pool instead of on the GIL-bound dispatch threads.
-* :class:`~repro.service.cache.ResultCache` — the in-memory LRU
-  result store under its historical name.
 * :class:`~repro.service.metrics.ServiceMetrics` — the counters and
   route-latency percentiles behind ``GET /metrics``.
 * :func:`~repro.service.server.make_server` /
@@ -32,7 +30,6 @@ The long-lived serving surface over the
 store backends, and the cache-key definition.
 """
 
-from repro.service.cache import ResultCache
 from repro.service.client import Client
 from repro.service.jobs import JOB_STATES, Job, RoutingService
 from repro.service.metrics import ServiceMetrics
@@ -54,7 +51,6 @@ __all__ = [
     "JobRecord",
     "JobStore",
     "ProcessTier",
-    "ResultCache",
     "ResultStore",
     "RoutingServer",
     "RoutingService",

@@ -1,7 +1,7 @@
 """In-process store backends — fast, shared-nothing, non-durable.
 
 :class:`MemoryResultStore` is the LRU result cache the service has
-always had (PR 5's ``ResultCache``), refactored behind the
+always had, refactored behind the
 :class:`~repro.service.store.base.ResultStore` interface and extended
 with an eviction counter.  Cached results are shared objects: every
 job that hits a key hands out the same

@@ -97,6 +97,19 @@ class TestRequestCacheKey:
             RouteRequest(layout=layout, **variant)
         )
 
+    def test_fan_out_knobs_excluded_but_pruning_participates(self):
+        layout = make_layout(1)
+        base = request_cache_key(RouteRequest(layout=layout))
+        for config in (
+            RouterConfig(workers=2),
+            RouterConfig(workers=4, executor="thread"),
+            RouterConfig(executor="thread"),
+        ):
+            assert request_cache_key(RouteRequest(layout=layout, config=config)) == base
+        assert request_cache_key(
+            RouteRequest(layout=layout, config=RouterConfig(prune_clean_nets=False))
+        ) != base
+
     def test_report_hint_is_excluded(self):
         layout = make_layout(1)
         assert request_cache_key(RouteRequest(layout=layout)) == request_cache_key(

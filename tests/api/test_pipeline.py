@@ -316,16 +316,14 @@ class TestSinglePassCacheSkip:
         # misses recorded (first_hit counts neither when the cache is
         # disabled) — while the route stays byte-identical.
         layout = congested_layout()
-        result = RoutingPipeline().run(
-            RouteRequest(layout=layout, config=RouterConfig(ray_cache=True))
-        )
+        result = RoutingPipeline().run(RouteRequest(layout=layout))
         assert result.timings["ray_cache_hits"] == 0.0
         assert result.timings["ray_cache_misses"] == 0.0
         direct = GlobalRouter(congested_layout()).route_all()
         assert trees_of(result.route) == trees_of(direct)
 
     def test_cache_setting_restored_after_run(self):
-        router = GlobalRouter(congested_layout(), RouterConfig(ray_cache=True))
+        router = GlobalRouter(congested_layout())
         assert router.obstacles.ray_cache_enabled
         from repro.api.strategies import SingleStrategy
 

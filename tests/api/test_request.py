@@ -147,64 +147,68 @@ class TestRequestSerialization:
 
 
 class TestToggleFieldsFromDisk:
-    """The PR-3 ray_cache/prune_clean_nets knobs survive a disk round-trip."""
+    """The prune_clean_nets knob survives a disk round-trip."""
 
     def test_non_default_toggles_round_trip_via_file(self, tmp_path, small_layout):
         request = RouteRequest(
             layout=small_layout,
-            config=RouterConfig(ray_cache=False, prune_clean_nets=False),
+            config=RouterConfig(prune_clean_nets=False),
             strategy="negotiated",
             strategy_params={"max_iterations": 4},
         )
         path = tmp_path / "request.json"
         path.write_text(request.to_json(), encoding="utf-8")
         reloaded = RouteRequest.from_json(path.read_text(encoding="utf-8"))
-        assert reloaded.config.ray_cache is False
         assert reloaded.config.prune_clean_nets is False
         assert reloaded.config == request.config
         assert reloaded.strategy == "negotiated"
 
     def test_toggle_defaults_survive_sparse_file(self, tmp_path, small_layout):
         # A request file written before PR 3 carries no toggle keys;
-        # loading it must fall back to the defaults (cache and pruning
-        # both on), not crash.
+        # loading it must fall back to the defaults (pruning on), not
+        # crash.
         request = RouteRequest(layout=small_layout)
         data = request.to_dict()
-        del data["config"]["ray_cache"]
         del data["config"]["prune_clean_nets"]
         path = tmp_path / "request.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         reloaded = RouteRequest.from_json(path.read_text(encoding="utf-8"))
-        assert reloaded.config.ray_cache is True
         assert reloaded.config.prune_clean_nets is True
 
     def test_toggles_reach_the_routed_result(self, tmp_path, small_layout):
+        # A file written while the search engine and the ray memo were
+        # still config knobs loads and routes exactly like a fresh one.
         from repro.api import RoutingPipeline
+        from repro.scenarios import route_fingerprint
 
-        request = RouteRequest(
-            layout=small_layout, config=RouterConfig(ray_cache=False)
-        )
+        request = RouteRequest(layout=small_layout)
+        data = request.to_dict()
+        data["config"].update({"engine": "native", "ray_cache": False})
         path = tmp_path / "request.json"
-        path.write_text(request.to_json(), encoding="utf-8")
-        reloaded = RouteRequest.from_json(path.read_text(encoding="utf-8"))
-        result = RoutingPipeline().run(reloaded)
-        # With the cache disabled the pipeline telemetry must report
-        # zero cache traffic.
-        assert result.timings["ray_cache_hits"] == 0.0
-        assert result.timings["ray_cache_misses"] == 0.0
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.warns(UserWarning, match="retired"):
+            reloaded = RouteRequest.from_json(path.read_text(encoding="utf-8"))
+        assert reloaded.config == RouterConfig()
+        pipeline = RoutingPipeline()
+        assert route_fingerprint(pipeline.run(reloaded).route) == route_fingerprint(
+            pipeline.run(request).route
+        )
 
 
-class TestEngineSerialization:
-    def test_engine_round_trips(self):
-        for engine in ("scalar", "vectorized", "native"):
-            config = RouterConfig(engine=engine)
-            assert config_from_dict(config_to_dict(config)) == config
+class TestRetiredConfigKeys:
+    """``engine`` and ``ray_cache`` left the config; old JSON still loads."""
 
-    def test_old_dicts_default_to_scalar(self):
-        # Configs serialized before the engine axis existed must keep
-        # loading — and land on the conformance oracle.
-        assert config_from_dict({"workers": 2}).engine == "scalar"
+    @pytest.mark.parametrize(
+        "retired", [{"engine": "native"}, {"engine": "turbo"}, {"ray_cache": False}]
+    )
+    def test_retired_keys_dropped_with_a_warning(self, retired):
+        with pytest.warns(UserWarning, match="retired router config key"):
+            assert config_from_dict({"workers": 2, **retired}) == RouterConfig(workers=2)
 
-    def test_bad_engine_rejected(self):
-        with pytest.raises(RoutingError):
-            config_from_dict({"engine": "turbo"})
+    def test_other_unknown_keys_still_raise(self):
+        with pytest.warns(UserWarning):
+            with pytest.raises(RoutingError, match="wrokers"):
+                config_from_dict({"engine": "scalar", "wrokers": 3})
+
+    def test_retired_keys_are_no_longer_written(self):
+        assert not {"engine", "ray_cache"} & set(config_to_dict(RouterConfig()))

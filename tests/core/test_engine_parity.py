@@ -1,11 +1,13 @@
-"""Differential parity: the batched engines vs the scalar oracle.
+"""Differential parity: the pathfinder's default search vs the oracle.
 
-The ``vectorized`` and ``native`` engines promise *byte identity* with
-the scalar engine — same paths, same float costs, same node counters,
-same expansion order.  These tests pin the promise at three layers:
-one ``find_path`` search (golden expansion traces), a whole multi-net
-negotiated routing run (route fingerprints), and the numeric kernel
-whose accumulation order the promise hinges on (an adversarial
+:func:`~repro.core.pathfinder.find_path` runs the batched problem
+wherever it applies, and promises *byte identity* with the scalar
+oracle that :func:`~repro.core.pathfinder.reference_search` forces —
+same paths, same float costs, same node counters, same expansion
+order.  These tests pin the selection rule, then the promise at three
+layers: one ``find_path`` search (golden expansion traces), a whole
+multi-net negotiated routing run (route fingerprints), and the numeric
+kernel whose accumulation order the promise hinges on (an adversarial
 sequential-summation canary).
 """
 
@@ -14,19 +16,26 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.costs import CongestionPenaltyCost
+import repro.core.pathfinder as pathfinder
+from repro.core.costs import (
+    BendPenaltyCost,
+    CongestionPenaltyCost,
+    NegotiatedCongestionCost,
+    TimingDrivenCost,
+    WirelengthCost,
+)
+from repro.core.escape import EscapeMode
 from repro.core.negotiate import NegotiatedRouter, NegotiationConfig
-from repro.core.pathfinder import ENGINES, PathRequest, find_path
+from repro.core.pathfinder import PathRequest, find_path, reference_search
 from repro.core.route import TargetSet
 from repro.core.router import GlobalRouter, RouterConfig
-from repro.errors import RoutingError
 from repro.geometry.point import Point
 from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 from repro.layout.generators import LayoutSpec, grid_layout, random_netlist
 from repro.scenarios import route_fingerprint
-from repro.search.native import NATIVE_AVAILABLE
+from repro.search.engine import Order
 
 
 def _congested_grid(n_nets=12, seed=5):
@@ -52,26 +61,79 @@ def _scene():
     return obs, regions
 
 
-class TestFindPathParity:
-    @pytest.mark.parametrize("engine", ["vectorized", "native"])
-    def test_golden_expansion_trace(self, engine):
+def _request(**overrides):
+    obs, _regions = _scene()
+    fields = dict(
+        obstacles=obs,
+        sources=[(Point(2, 2), 0.0)],
+        targets=TargetSet(points=[Point(44, 44)]),
+    )
+    fields.update(overrides)
+    return PathRequest(**fields)
+
+
+_TERMS = [(Rect(6, 6, 20, 22), 1.0, 0.5)]
+
+
+class TestSelectionRule:
+    @pytest.mark.parametrize(
+        "model",
+        [WirelengthCost(), NegotiatedCongestionCost(_TERMS)],
+        ids=["wirelength", "negotiated"],
+    )
+    def test_default_config_picks_the_batched_problem(self, model):
+        config = RouterConfig()
+        request = _request(cost_model=model, mode=config.mode, order=config.order)
+        assert pathfinder._use_batched_engine(request)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"mode": EscapeMode.AGGRESSIVE},
+            {"order": Order.BREADTH_FIRST},
+            {"order": Order.DEPTH_FIRST},
+            {"cost_model": BendPenaltyCost(1.0)},
+            {"cost_model": TimingDrivenCost(_TERMS, criticality=0.5)},
+        ],
+        ids=["aggressive", "bfs", "dfs", "bend-penalty", "timing-driven"],
+    )
+    def test_other_cases_pick_the_scalar_problem(self, overrides):
+        assert not pathfinder._use_batched_engine(_request(**overrides))
+
+    def test_default_router_reaches_the_batched_search(self, monkeypatch):
+        calls = []
+        real = pathfinder.search_vectorized
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pathfinder, "search_vectorized", counting)
+        GlobalRouter(_congested_grid(n_nets=4)).route_all(on_unroutable="skip")
+        assert calls
+        calls.clear()
+        with reference_search():
+            GlobalRouter(_congested_grid(n_nets=4)).route_all(on_unroutable="skip")
+        assert not calls
+
+    def test_reference_search_switches_the_memo_off_and_restores_it(self):
         obs, regions = _scene()
-        model = CongestionPenaltyCost(regions)
+        request = _request(obstacles=obs, cost_model=CongestionPenaltyCost(regions))
+        with reference_search():
+            stats = find_path(request).stats
+        assert (stats.cache_hits, stats.cache_misses) == (0, 0)
+        assert obs.ray_cache_enabled
+        assert find_path(request).stats.cache_misses > 0
 
-        def run(eng):
-            return find_path(
-                PathRequest(
-                    obstacles=obs,
-                    sources=[(Point(2, 2), 0.0)],
-                    targets=TargetSet(points=[Point(44, 44)]),
-                    cost_model=model,
-                    trace=True,
-                    engine=eng,
-                )
-            )
 
-        scalar = run("scalar")
-        batched = run(engine)
+class TestFindPathParity:
+    def test_golden_expansion_trace(self):
+        obs, regions = _scene()
+        request = _request(obstacles=obs, cost_model=CongestionPenaltyCost(regions), trace=True)
+
+        with reference_search():
+            scalar = find_path(request)
+        batched = find_path(request)
         assert batched.path.points == scalar.path.points
         assert batched.path.cost == scalar.path.cost  # bit-exact, not approx
         assert batched.stats.nodes_expanded == scalar.stats.nodes_expanded
@@ -81,37 +143,34 @@ class TestFindPathParity:
 
     def test_multi_source_and_segment_targets(self):
         obs, regions = _scene()
-        model = CongestionPenaltyCost(regions)
-        targets = TargetSet(
-            points=[Point(44, 44)],
-            segments=[
-                Segment(Point(40, 2), Point(40, 10)),
-                Segment(Point(2, 40), Point(10, 40)),
-            ],
+        request = _request(
+            obstacles=obs,
+            sources=[(Point(2, 2), 0.0), (Point(6, 24), 1.5)],
+            targets=TargetSet(
+                points=[Point(44, 44)],
+                segments=[
+                    Segment(Point(40, 2), Point(40, 10)),
+                    Segment(Point(2, 40), Point(10, 40)),
+                ],
+            ),
+            cost_model=CongestionPenaltyCost(regions),
         )
 
-        def run(eng):
-            result = find_path(
-                PathRequest(
-                    obstacles=obs,
-                    sources=[(Point(2, 2), 0.0), (Point(6, 24), 1.5)],
-                    targets=targets,
-                    cost_model=model,
-                    engine=eng,
-                )
-            )
+        def run():
+            result = find_path(request)
             return result.path.points, result.path.cost, result.stats.nodes_expanded
 
-        assert run("vectorized") == run("scalar")
+        with reference_search():
+            scalar = run()
+        assert run() == scalar
 
 
 class TestRouterParity:
-    @pytest.mark.parametrize("engine", ["vectorized", "native"])
-    def test_negotiated_run_fingerprints(self, engine):
-        def run(eng):
+    def test_negotiated_run_fingerprints(self):
+        def run():
             router = NegotiatedRouter(
                 _congested_grid(),
-                RouterConfig(engine=eng),
+                RouterConfig(),
                 negotiation=NegotiationConfig(max_iterations=6),
             )
             result = router.run()
@@ -122,64 +181,19 @@ class TestRouterParity:
                 result.search_stats.nodes_expanded,
             )
 
-        assert run(engine) == run("scalar")
+        with reference_search():
+            scalar = run()
+        assert run() == scalar
 
     def test_single_pass_fingerprints(self):
-        def run(eng):
-            router = GlobalRouter(_congested_grid(n_nets=8), RouterConfig(engine=eng))
+        def run():
+            router = GlobalRouter(_congested_grid(n_nets=8), RouterConfig())
             route = router.route_all(on_unroutable="skip")
             return route_fingerprint(route), route.stats.nodes_expanded
 
-        scalar = run("scalar")
-        assert run("vectorized") == scalar
-        assert run("native") == scalar
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(RoutingError, match="engine"):
-            RouterConfig(engine="turbo")
-        assert set(ENGINES) == {"scalar", "vectorized", "native"}
-
-
-class TestNativeFallback:
-    def test_native_matches_vectorized_without_numba(self):
-        # With numba absent the native engine must silently use the
-        # numpy path; with numba present the jitted kernels must still
-        # be bit-identical.  Either way: native == vectorized.
-        obs, regions = _scene()
-        model = CongestionPenaltyCost(regions)
-
-        def run(eng):
-            result = find_path(
-                PathRequest(
-                    obstacles=obs,
-                    sources=[(Point(2, 2), 0.0)],
-                    targets=TargetSet(points=[Point(44, 44)]),
-                    cost_model=model,
-                    engine=eng,
-                )
-            )
-            return result.path.points, result.path.cost
-
-        assert run("native") == run("vectorized")
-
-    def test_jitted_kernels_match_numpy(self):
-        pytest.importorskip("numba")
-        assert NATIVE_AVAILABLE
-        from repro.search.native import congestion_surcharge_on_track
-
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, 50, size=20).astype(np.int64)
-        b = a + rng.integers(0, 30, size=20)
-        span_lo = rng.integers(0, 40, size=9).astype(np.int64)
-        span_hi = span_lo + rng.integers(1, 25, size=9)
-        weights = rng.uniform(0.01, 3.0, size=9)
-        jitted = np.zeros(20)
-        congestion_surcharge_on_track(a, b, span_lo, span_hi, weights, jitted)
-        reference = np.zeros(20)
-        for r in range(9):
-            overlap = np.minimum(span_hi[r], b) - np.maximum(span_lo[r], a)
-            reference += weights[r] * np.maximum(overlap, 0)
-        assert np.array_equal(jitted, reference)
+        with reference_search():
+            scalar = run()
+        assert run() == scalar
 
 
 class TestAccumulationOrder:

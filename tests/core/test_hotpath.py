@@ -2,8 +2,8 @@
 
 The ray cache, the lean search loop, and the flattened cost models are
 pure performance work: routed results must be byte-identical with the
-cache on and off, the negotiated pruning must be a strict subset
-operation, and the cache telemetry must flow end-to-end into
+obstacle set's memo on and off, the negotiated pruning must be a strict
+subset operation, and the cache telemetry must flow end-to-end into
 ``RouteResult.timings``.
 """
 
@@ -38,27 +38,33 @@ def tree_shapes(route):
     }
 
 
+def memo_router(layout, memo: bool, config: RouterConfig = RouterConfig()) -> GlobalRouter:
+    """A router whose obstacle set memoizes ray queries iff *memo*."""
+    router = GlobalRouter(layout, config)
+    router.obstacles.ray_cache_enabled = memo
+    return router
+
+
 class TestCacheParity:
     def test_single_pass_byte_identical(self, layout):
-        on = GlobalRouter(layout, RouterConfig(ray_cache=True)).route_all()
-        off = GlobalRouter(layout, RouterConfig(ray_cache=False)).route_all()
+        on = memo_router(layout, True).route_all()
+        off = memo_router(layout, False).route_all()
         assert tree_shapes(on) == tree_shapes(off)
         assert on.stats.nodes_expanded == off.stats.nodes_expanded
         assert on.stats.nodes_generated == off.stats.nodes_generated
 
     def test_traces_byte_identical(self, layout):
-        on = GlobalRouter(layout, RouterConfig(ray_cache=True, trace=True)).route_all()
-        off = GlobalRouter(layout, RouterConfig(ray_cache=False, trace=True)).route_all()
+        on = memo_router(layout, True, RouterConfig(trace=True)).route_all()
+        off = memo_router(layout, False, RouterConfig(trace=True)).route_all()
         for name in on.trees:
             assert [t.entries for t in on.tree(name).traces] == [
                 t.entries for t in off.tree(name).traces
             ]
 
     def test_negotiated_byte_identical(self):
-        def run(ray_cache):
-            return NegotiatedRouter(
-                oversubscribed_layout(),
-                RouterConfig(ray_cache=ray_cache),
+        def run(memo):
+            return NegotiatedRouter.from_router(
+                memo_router(oversubscribed_layout(), memo),
                 negotiation=NegotiationConfig(max_iterations=6),
             ).run()
 
@@ -75,13 +81,12 @@ class TestCacheParity:
         ]
 
     def test_cache_counters_populate(self, layout):
-        router = GlobalRouter(layout, RouterConfig(ray_cache=True))
-        route = router.route_all()
+        route = memo_router(layout, True).route_all()
         assert route.stats.cache_hits + route.stats.cache_misses > 0
         assert 0.0 <= route.stats.cache_hit_rate <= 1.0
 
     def test_cache_disabled_zero_counters(self, layout):
-        route = GlobalRouter(layout, RouterConfig(ray_cache=False)).route_all()
+        route = memo_router(layout, False).route_all()
         assert route.stats.cache_hits == 0
         assert route.stats.cache_misses == 0
 
@@ -109,7 +114,7 @@ class TestNegotiationPruning:
 
     def test_pruning_is_default(self):
         assert RouterConfig().prune_clean_nets is True
-        assert RouterConfig().ray_cache is True
+        assert GlobalRouter(oversubscribed_layout()).obstacles.ray_cache_enabled is True
 
 
 class TestPipelineTelemetry:
@@ -138,15 +143,19 @@ class TestPipelineTelemetry:
         assert result.timings["ray_cache_misses"] == 0.0
 
     def test_cache_off_request_round_trips(self, layout):
+        # Requests written before the ray memo lost its knob still load:
+        # the retired key is dropped with a warning.
         request = RouteRequest(
             layout=layout,
             strategy="single",
-            config=RouterConfig(ray_cache=False, prune_clean_nets=False),
+            config=RouterConfig(prune_clean_nets=False),
         )
-        revived = RouteRequest.from_json(request.to_json())
-        assert revived.config.ray_cache is False
-        assert revived.config.prune_clean_nets is False
-        result = RoutingPipeline().run(request)
+        document = request.to_dict()
+        document["config"]["ray_cache"] = False
+        with pytest.warns(UserWarning, match="ray_cache"):
+            revived = RouteRequest.from_dict(document)
+        assert revived.config == request.config
+        result = RoutingPipeline().run(revived)
         assert result.timings["ray_cache_hits"] == 0.0
         assert result.timings["ray_cache_misses"] == 0.0
         assert result.timings["ray_cache_hit_rate"] == 0.0

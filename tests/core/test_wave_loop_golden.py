@@ -1,8 +1,11 @@
-"""Golden values for every rip-up-and-reroute loop on the scalar engine.
+"""Golden values for every rip-up-and-reroute loop.
 
-The engine-parity suite only proves the engines agree with each other,
-so a change to the loops that moves every engine the same way slips
-through it.  These tests pin literal results instead: the route
+The values were recorded on the scalar search; the default config now
+runs the batched search wherever it applies, so these tests also pin
+that the batched search reproduces them.  The engine-parity suite only
+proves the two searches agree with each other, so a change to the
+loops that moves both the same way slips through it.  These tests pin
+literal results instead: the route
 fingerprint, the ``(total_overflow, wirelength, rerouted)`` of every
 wave (wave 0 is the first pass or warm start), the run-wide search
 effort, and — for timing-driven — the worst delay.

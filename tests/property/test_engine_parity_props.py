@@ -1,16 +1,17 @@
-"""Property-based differential parity for the batched search engines.
+"""Property-based differential parity for the batched search.
 
 Random scenes, random endpoints, random congestion regions: whatever
-hypothesis constructs, the vectorized engine must return the exact
+hypothesis constructs, the default search (the batched problem, for
+these A* wirelength and congestion requests) must return the exact
 path, the exact float cost, and the exact node counters of the scalar
-oracle.  This is the adversarial complement of the fixed golden-trace
+oracle under :func:`~repro.core.pathfinder.reference_search`.  This is the adversarial complement of the fixed golden-trace
 tests in ``tests/core/test_engine_parity.py``.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.costs import CongestionPenaltyCost
-from repro.core.pathfinder import PathRequest, find_path
+from repro.core.pathfinder import PathRequest, find_path, reference_search
 from repro.core.route import TargetSet
 from repro.geometry.point import Point
 from repro.geometry.raytrace import ObstacleSet
@@ -61,7 +62,7 @@ def parity_cases(draw):
     return obs, s, d, regions
 
 
-def _run(obs, s, d, regions, engine):
+def _run(obs, s, d, regions):
     model = CongestionPenaltyCost(regions) if regions else None
     kwargs = {"cost_model": model} if model is not None else {}
     result = find_path(
@@ -69,7 +70,6 @@ def _run(obs, s, d, regions, engine):
             obstacles=obs,
             sources=[(s, 0.0)],
             targets=TargetSet(points=[d]),
-            engine=engine,
             **kwargs,
         )
     )
@@ -87,12 +87,6 @@ class TestEngineParityProperties:
     @settings(max_examples=60, deadline=None)
     def test_vectorized_matches_scalar_exactly(self, case):
         obs, s, d, regions = case
-        assert _run(obs, s, d, regions, "vectorized") == _run(
-            obs, s, d, regions, "scalar"
-        )
-
-    @given(parity_cases())
-    @settings(max_examples=30, deadline=None)
-    def test_native_matches_scalar_exactly(self, case):
-        obs, s, d, regions = case
-        assert _run(obs, s, d, regions, "native") == _run(obs, s, d, regions, "scalar")
+        with reference_search():
+            scalar = _run(obs, s, d, regions)
+        assert _run(obs, s, d, regions) == scalar

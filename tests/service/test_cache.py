@@ -1,9 +1,9 @@
-"""ResultCache: LRU behaviour, the zero-size opt-out, counters."""
+"""MemoryResultStore: LRU behaviour, the zero-size opt-out, counters."""
 
 import pytest
 
 from repro.errors import RoutingError
-from repro.service import ResultCache
+from repro.service.store.memory import MemoryResultStore
 
 
 class _Stub:
@@ -15,7 +15,7 @@ class _Stub:
 
 class TestLRU:
     def test_round_trip(self):
-        cache = ResultCache(max_entries=4)
+        cache = MemoryResultStore(max_entries=4)
         value = _Stub("a")
         cache.put("k", value)
         assert cache.get("k") is value
@@ -23,11 +23,11 @@ class TestLRU:
         assert len(cache) == 1
 
     def test_miss_returns_none(self):
-        cache = ResultCache(max_entries=4)
+        cache = MemoryResultStore(max_entries=4)
         assert cache.get("absent") is None
 
     def test_eviction_drops_least_recently_used(self):
-        cache = ResultCache(max_entries=2)
+        cache = MemoryResultStore(max_entries=2)
         cache.put("a", _Stub("a"))
         cache.put("b", _Stub("b"))
         assert cache.get("a") is not None  # refresh "a"; "b" is now LRU
@@ -37,7 +37,7 @@ class TestLRU:
         assert cache.get("c") is not None
 
     def test_overwrite_same_key_keeps_one_entry(self):
-        cache = ResultCache(max_entries=2)
+        cache = MemoryResultStore(max_entries=2)
         cache.put("k", _Stub("old"))
         newer = _Stub("new")
         cache.put("k", newer)
@@ -47,19 +47,19 @@ class TestLRU:
 
 class TestZeroSize:
     def test_zero_disables_storage(self):
-        cache = ResultCache(max_entries=0)
+        cache = MemoryResultStore(max_entries=0)
         cache.put("k", _Stub("a"))
         assert cache.get("k") is None
         assert len(cache) == 0
 
     def test_negative_size_rejected(self):
         with pytest.raises(RoutingError):
-            ResultCache(max_entries=-1)
+            MemoryResultStore(max_entries=-1)
 
 
 class TestCounters:
     def test_stats_track_hits_and_misses(self):
-        cache = ResultCache(max_entries=4)
+        cache = MemoryResultStore(max_entries=4)
         cache.put("k", _Stub("a"))
         cache.get("k")
         cache.get("k")
@@ -71,7 +71,7 @@ class TestCounters:
         assert stats["max_entries"] == 4
 
     def test_clear_keeps_counters(self):
-        cache = ResultCache(max_entries=4)
+        cache = MemoryResultStore(max_entries=4)
         cache.put("k", _Stub("a"))
         cache.get("k")
         cache.clear()

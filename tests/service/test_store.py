@@ -235,6 +235,35 @@ class TestServicePersistence:
             fresh = service.submit(RouteRequest(layout=small_layout(9)))
             assert fresh.id == "job-000007"
 
+    def test_startup_recovers_jobs_carrying_retired_config_keys(self, tmp_path):
+        # Jobs persisted while ``engine`` and ``ray_cache`` were config
+        # knobs must survive the upgrade under their original ids.
+        spec = f"sqlite:{tmp_path / 'svc.db'}"
+        layout = small_layout(5)
+        document = RouteRequest(layout=layout).with_layout(layout).to_dict()
+        document["config"].update({"engine": "native", "ray_cache": False})
+        orphans = make_store(spec)
+        orphans.jobs.record(
+            JobRecord(
+                id="job-000012",
+                key="key-job-000012",
+                state="queued",
+                kind="route",
+                spec={"kind": "route", "request": document},
+                submitted_at=time.time(),
+            )
+        )
+        orphans.close()
+
+        with pytest.warns(UserWarning, match="retired router config key"):
+            service = RoutingService(workers=1, store=spec)
+        with service:
+            assert service.metrics.snapshot()["recovered"] == 1
+            job = service.wait("job-000012", timeout=60)
+            assert job.state == "done"
+            assert job.recovered
+            assert job.result.verified and not job.result.violations
+
     def test_unreplayable_record_is_dropped_not_fatal(self, tmp_path, capsys):
         spec = f"sqlite:{tmp_path / 'svc.db'}"
         orphans = make_store(spec)
