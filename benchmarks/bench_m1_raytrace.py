@@ -35,15 +35,33 @@ def bench_m1_raytrace(benchmark):
                 total += obs.first_hit(p, direction).distance
         return total
 
-    benchmark(run_rays)
+    def run_reaches():
+        total = 0
+        for p in points:
+            east, west, north, south = obs.reaches(p.x, p.y)
+            total += east - west + north - south
+        return total
 
     import time
 
-    t0 = time.perf_counter()
-    runs = 5
-    for _ in range(runs):
-        run_rays()
-    ray_rate = runs * len(points) * 4 / (time.perf_counter() - t0)
+    def ray_rate(job) -> float:
+        """Rays per second over five passes of *job* (four rays a point)."""
+        t0 = time.perf_counter()
+        runs = 5
+        for _ in range(runs):
+            job()
+        return runs * len(points) * 4 / (time.perf_counter() - t0)
+
+    # Cold rays: with the memo off every query goes to the track index
+    # (each epoch's index is built on first use, then kept).
+    obs.ray_cache_enabled = False
+    benchmark(run_rays)
+    cold_rate = ray_rate(run_rays)
+    reaches_rate = ray_rate(run_reaches)
+    # Memo hits: one warm-up pass fills the memo, every timed pass hits.
+    obs.ray_cache_enabled = True
+    run_rays()
+    memo_rate = ray_rate(run_rays)
 
     t0 = time.perf_counter()
     full_moves = 0
@@ -59,7 +77,9 @@ def bench_m1_raytrace(benchmark):
     table = format_table(
         ["primitive", "throughput", "successors/point"],
         [
-            ["first_hit (rays)", f"{ray_rate:,.0f} rays/s", "-"],
+            ["first_hit, memo off (cold rays)", f"{cold_rate:,.0f} rays/s", "-"],
+            ["first_hit, memo hits", f"{memo_rate:,.0f} rays/s", "-"],
+            ["reaches, memo off (4 rays/probe)", f"{reaches_rate:,.0f} rays/s", "-"],
             ["escape_moves FULL", f"{len(points) / t_full:,.0f} calls/s",
              f"{full_moves / len(points):.1f}"],
             ["escape_moves AGGRESSIVE", f"{len(points) / t_aggr:,.0f} calls/s",

@@ -151,8 +151,10 @@ class _BatchedPointProblem(VectorSearchProblem):
     """FULL-mode escape search over bare ``(x, y)`` tuples, batched.
 
     One :meth:`expand` call prices a whole expansion: the four clear
-    rays are traced through the shared (cached) ``first_hit`` exactly
-    as in :func:`~repro.core.escape.escape_moves`, but the stop
+    rays come from one :meth:`~repro.geometry.raytrace.ObstacleSet.reaches`
+    probe (memoized, else two lookups in the per-track blocker index)
+    and reach exactly as far as ``first_hit`` does in
+    :func:`~repro.core.escape.escape_moves`, but the stop
     coordinates along each ray come from ``searchsorted`` slices of
     pre-snapshotted edge/extra columns, and segment costs plus the
     target-distance heuristic are evaluated per batch.  Successor
@@ -306,12 +308,14 @@ _REFERENCE = False
 
 @contextmanager
 def reference_search() -> Iterator[None]:
-    """Route with the scalar oracle and the ray memo off, for testing.
+    """Route with the scalar oracle, the ray memo off, and scanned rays.
 
     While active, every :func:`find_path` in this process searches the
-    scalar problem with the obstacle set's ray memo switched off for
-    the duration of the search — the plainest form of the line-search
-    A*, against which the batched problem and the memo are checked.
+    scalar problem with the obstacle set's ray memo switched off and
+    its rays traced by the plain numpy scan instead of the per-track
+    blocker index, for the duration of the search — the plainest form
+    of the line-search A*, against which the batched problem, the memo
+    and the index are checked.
     The override is process-local: it reaches ``workers=1`` routing
     only, never the processes of a ``workers > 1`` pool.  It is meant
     for tests, the conformance matrix and the hot-path bench; no
@@ -373,11 +377,14 @@ def find_path(request: PathRequest) -> PathSearchResult:
     misses_before = obstacles.ray_cache_misses
     if reference:
         memo_enabled = obstacles.ray_cache_enabled
+        scan_rays = obstacles._scan_rays
         obstacles.ray_cache_enabled = False
+        obstacles._scan_rays = True
         try:
             result = _search(request, extra_xs, extra_ys, batched)
         finally:
             obstacles.ray_cache_enabled = memo_enabled
+            obstacles._scan_rays = scan_rays
     else:
         result = _search(request, extra_xs, extra_ys, batched)
     result.stats.cache_hits = obstacles.ray_cache_hits - hits_before

@@ -13,24 +13,35 @@ Semantics
   along a cell edge (hugging) or touch a corner without being blocked.
 * The routing boundary ("bound") is a hard closed limit: rays stop at
   its edge.
-* Queries are vectorized over numpy arrays of the rect coordinates so
-  that layouts with hundreds of cells stay fast; the arrays are
-  maintained **incrementally**: ``add``/``add_many`` append new
-  coordinate columns in place (amortized growth) and ``remove`` masks
-  the victim's column with an out-of-bound sentinel instead of
-  rebuilding everything, so wire-obstacle churn in the sequential
-  baseline stays cheap.  Dead columns are compacted away once they
-  outnumber the live ones.
-* Every mutation bumps an **epoch counter**.  Ray queries are memoized
-  per epoch — the memo is dropped whenever the epoch advances — so
-  repeated queries against a static set (the negotiation engine
-  re-searches the same layout every iteration) are answered from the
-  cache.  Hit/miss counters are exposed for the perf harness
-  (``benchmarks/bench_x5_hotpath.py``).
+* Point and segment queries are vectorized over numpy arrays of the
+  rect coordinates so that layouts with hundreds of cells stay fast;
+  the arrays are maintained **incrementally**: ``add``/``add_many``
+  append new coordinate columns in place (amortized growth) and
+  ``remove`` masks the victim's column with an out-of-bound sentinel
+  instead of rebuilding everything, so wire-obstacle churn in the
+  sequential baseline stays cheap.  Dead columns are compacted away
+  once they outnumber the live ones.
+* Rays are answered from a **per-track blocker index** — the paper's
+  "topological ordering" that makes ray tracing cheap.  The first ray
+  along a track (a row ``y`` for east/west rays, a column ``x`` for
+  north/south ones) collects the live rects whose open span straddles
+  it, sorted by far edge with a running nearest-near-edge; every later
+  ray on that track costs one dict probe and one ``bisect``.  The
+  index is dropped on every mutation and rebuilt lazily, one track at
+  a time.  The plain numpy scan over every rect stays as the reference
+  that :func:`~repro.core.pathfinder.reference_search` runs, so the
+  oracle keeps checking the index.
+* Every mutation bumps an **epoch counter**.  Ray answers are also
+  memoized per epoch — the memo is dropped whenever the epoch
+  advances — so repeated queries against a static set (the
+  negotiation engine re-searches the same layout every iteration) are
+  answered from the cache.  Hit/miss counters are exposed for the perf
+  harness (``benchmarks/bench_x5_hotpath.py``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -51,6 +62,17 @@ RAY_CACHE_LIMIT = 1 << 20
 _COMPACT_SLACK = 64
 
 _INITIAL_CAPACITY = 16
+
+#: One side of a track's blocker index: ``(keys, stops, rects)``.  The
+#: ray finds its first candidate by bisecting ``keys`` (the rects' far
+#: edges, sorted); ``stops[i]``/``rects[i]`` is the nearest near edge
+#: among candidates ``i`` onward (ahead side) or up to ``i`` (behind
+#: side), earliest-inserted rect on ties.
+_Side = tuple[list[int], list[int], list[Rect]]
+
+#: A track's index: ``(ahead, behind)`` — the east and west sides of a
+#: row, the north and south sides of a column.
+_Track = tuple[_Side, _Side]
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,6 +149,15 @@ class ObstacleSet:
         self.ray_cache_enabled = ray_cache
         self._ray_cache: dict[tuple[int, int, Direction], Hit] = {}
         self._reach_cache: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+        # Per-epoch blocker indexes of the rows (east/west rays) and
+        # columns (north/south rays) queried so far.
+        self._rows: dict[int, _Track] = {}
+        self._cols: dict[int, _Track] = {}
+        # Set only by find_path under reference_search: first_hit traces
+        # rays with the plain scan, the oracle the index is checked
+        # against.  reaches ignores it; only the batched search, which
+        # the reference never runs, calls reaches.
+        self._scan_rays = False
         self.ray_cache_hits = 0
         self.ray_cache_misses = 0
         self._sync_views()
@@ -217,7 +248,8 @@ class ObstacleSet:
         """Drop dead columns, preserving live insertion order.
 
         Geometry is unchanged, so the epoch (and any cached answers)
-        survive compaction.
+        survive compaction.  Slot numbers do not, which is why the track
+        index stores rects, never slots.
         """
         live = [r for r in self._slots if r is not None]
         self._slots = []
@@ -243,6 +275,10 @@ class ObstacleSet:
             self._ray_cache.clear()
         if self._reach_cache:
             self._reach_cache.clear()
+        if self._rows:
+            self._rows.clear()
+        if self._cols:
+            self._cols.clear()
 
     # ------------------------------------------------------------------
     # Escape coordinates
@@ -362,48 +398,145 @@ class ObstacleSet:
             if hit is not None:
                 self.ray_cache_hits += 1
                 return hit
-            hit = self._trace(origin, direction)
+            hit = self._ray(origin, direction)
             self.ray_cache_misses += 1
             cache = self._ray_cache
             if len(cache) >= RAY_CACHE_LIMIT:
                 cache.clear()
             cache[key] = hit
             return hit
-        return self._trace(origin, direction)
+        return self._ray(origin, direction)
 
     def reaches(self, x: int, y: int) -> tuple[int, int, int, int]:
         """All four ray reaches from ``(x, y)`` in one probe.
 
-        Returns ``(east_x, west_x, north_y, south_y)``.  The batched
+        Returns ``(east_x, west_x, north_y, south_y)`` — the ``reach``
+        coordinates :meth:`first_hit` reports, with the same
+        :class:`GeometryError` for an illegal origin.  The batched
         search engine asks for all four directions of every expanded
         state, so the combined answer gets its own per-epoch memo — one
         dict probe instead of four — with the same invalidation rules
-        (and the same telemetry: a combined hit counts as four ray
-        hits) as :meth:`first_hit`.
+        (and the same telemetry: a combined hit or miss counts as four
+        ray hits or misses) as :meth:`first_hit`.  A miss is answered
+        from two track lookups (the row and the column through the
+        origin), without building any :class:`Hit`.
         """
-        if self.ray_cache_enabled:
+        memo = self.ray_cache_enabled
+        if memo:
             key = (x, y)
             cached = self._reach_cache.get(key)
             if cached is not None:
                 self.ray_cache_hits += 4
                 return cached
-        origin = Point(x, y)
-        first_hit = self.first_hit
+        bound = self.bound
+        if not (bound.x0 <= x <= bound.x1 and bound.y0 <= y <= bound.y1):
+            raise GeometryError(f"ray origin {Point(x, y)} outside routing bound {bound}")
+        row = self._rows.get(y) or self._track(y, True)
+        col = self._cols.get(x) or self._track(x, False)
+        # Each side sees the same straddling rects, so an origin strictly
+        # inside one is caught by all four or none.
+        east = _ahead(row[0], x, bound.x1)
+        if east is None:
+            raise GeometryError(f"ray origin {Point(x, y)} inside an obstacle")
         result = (
-            first_hit(origin, Direction.EAST).reach.x,
-            first_hit(origin, Direction.WEST).reach.x,
-            first_hit(origin, Direction.NORTH).reach.y,
-            first_hit(origin, Direction.SOUTH).reach.y,
+            east[0],
+            _behind(row[1], x, bound.x0)[0],
+            _ahead(col[0], y, bound.y1)[0],
+            _behind(col[1], y, bound.y0)[0],
         )
-        if self.ray_cache_enabled:
+        if memo:
+            self.ray_cache_misses += 4
             cache = self._reach_cache
             if len(cache) >= RAY_CACHE_LIMIT:
                 cache.clear()
             cache[key] = result
         return result
 
+    def _ray(self, origin: Point, direction: Direction) -> Hit:
+        """The unmemoized ray behind :meth:`first_hit`."""
+        if self._scan_rays:
+            return self._trace(origin, direction)
+        x, y = origin.x, origin.y
+        bound = self.bound
+        if not (bound.x0 <= x <= bound.x1 and bound.y0 <= y <= bound.y1):
+            raise GeometryError(f"ray origin {origin} outside routing bound {bound}")
+        if direction is Direction.EAST or direction is Direction.WEST:
+            row = self._rows.get(y) or self._track(y, True)
+            if direction is Direction.EAST:
+                found = _ahead(row[0], x, bound.x1)
+            else:
+                found = _behind(row[1], x, bound.x0)
+            if found is None:
+                raise GeometryError(f"ray origin {origin} inside an obstacle")
+            return Hit(origin, Point(found[0], y), found[1])
+        col = self._cols.get(x) or self._track(x, False)
+        if direction is Direction.NORTH:
+            found = _ahead(col[0], y, bound.y1)
+        else:
+            found = _behind(col[1], y, bound.y0)
+        if found is None:
+            raise GeometryError(f"ray origin {origin} inside an obstacle")
+        return Hit(origin, Point(x, found[0]), found[1])
+
+    def _track(self, coord: int, horizontal: bool) -> _Track:
+        """Build and store the blocker index of one row or column.
+
+        A row ``y`` indexes the live rects with ``y0 < y < y1`` — the
+        only ones an east/west ray along it can enter — and a column
+        ``x`` the rects with ``x0 < x < x1``.  The ahead side sorts them
+        by far edge (``x1`` on a row) and keeps a suffix minimum of the
+        near edge; the behind side sorts them by ``x0`` and keeps a
+        prefix maximum of ``x1``.  Ties go to the earliest-inserted
+        rect, matching the scan's ``argmin``/``argmax`` over slot order.
+        """
+        if horizontal:
+            span_lo, span_hi, lo, hi = self._vy0, self._vy1, self._vx0, self._vx1
+        else:
+            span_lo, span_hi, lo, hi = self._vx0, self._vx1, self._vy0, self._vy1
+        # Dead columns hold the out-of-bound sentinel and never straddle
+        # a track; flatnonzero keeps slot (= insertion) order, so a
+        # rect's position here is its tie-break rank.
+        live = np.flatnonzero((span_lo < coord) & (coord < span_hi))
+        rects = [self._slots[i] for i in live.tolist()]
+        starts = lo[live].tolist()
+        ends = hi[live].tolist()
+        ranks = range(len(rects))
+
+        by_end = sorted(ranks, key=ends.__getitem__)
+        ahead_stops: list[int] = []
+        ahead_rects: list[Rect] = []
+        best = None
+        for i in reversed(by_end):
+            if best is None or (starts[i], i) < best:
+                best = (starts[i], i)
+            ahead_stops.append(best[0])
+            ahead_rects.append(rects[best[1]])
+        ahead_stops.reverse()
+        ahead_rects.reverse()
+
+        by_start = sorted(ranks, key=starts.__getitem__)
+        behind_stops: list[int] = []
+        behind_rects: list[Rect] = []
+        best = None
+        for i in by_start:
+            if best is None or (ends[i], -i) > best:
+                best = (ends[i], -i)
+            behind_stops.append(best[0])
+            behind_rects.append(rects[-best[1]])
+
+        track = (
+            ([ends[i] for i in by_end], ahead_stops, ahead_rects),
+            ([starts[i] for i in by_start], behind_stops, behind_rects),
+        )
+        (self._rows if horizontal else self._cols)[coord] = track
+        return track
+
     def _trace(self, origin: Point, direction: Direction) -> Hit:
-        """The uncached ray trace behind :meth:`first_hit`."""
+        """The reference ray trace: a numpy scan over every rect.
+
+        Slower than the track index but independent of it; it serves
+        rays only under :func:`~repro.core.pathfinder.reference_search`.
+        """
         if not self.bound.contains_point(origin):
             raise GeometryError(f"ray origin {origin} outside routing bound {self.bound}")
         if not self.point_free(origin):
@@ -464,3 +597,37 @@ class ObstacleSet:
         """The maximal legal wire segment from *origin* along *direction*."""
         hit = self.first_hit(origin, direction)
         return Segment(origin, hit.reach)
+
+
+def _ahead(side: _Side, pos: int, limit: int) -> Optional[tuple[int, Optional[Rect]]]:
+    """Stop and blocker of a ray heading up the track from *pos*.
+
+    The candidates are the rects whose far edge lies beyond *pos*; the
+    nearest near edge among them stops the ray, unless it lies beyond
+    the bound *limit*.  ``None`` means one candidate's near edge is
+    behind *pos*: the origin is strictly inside that rect.
+    """
+    keys, stops, rects = side
+    i = bisect_right(keys, pos)
+    if i == len(keys):
+        return limit, None
+    stop = stops[i]
+    if stop < pos:
+        return None
+    if stop <= limit:
+        return stop, rects[i]
+    return limit, None
+
+
+def _behind(side: _Side, pos: int, limit: int) -> Optional[tuple[int, Optional[Rect]]]:
+    """Mirror of :func:`_ahead` for a ray heading down the track."""
+    keys, stops, rects = side
+    i = bisect_left(keys, pos)
+    if not i:
+        return limit, None
+    stop = stops[i - 1]
+    if stop > pos:
+        return None
+    if stop >= limit:
+        return stop, rects[i - 1]
+    return limit, None

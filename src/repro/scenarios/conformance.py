@@ -11,8 +11,9 @@ promises:
    with no failed nets.
 2. **Byte identity where guaranteed** — ``workers`` is documented as
    result-preserving, and so are the search problem the pathfinder
-   picks and the ray memo, so every config that differs only in those
-   (a reference point runs the scalar oracle with the memo off) must
+   picks, the ray memo and the ray index, so every config that differs
+   only in those (a reference point runs the scalar oracle with the
+   memo off and scanned rays) must
    produce the identical route fingerprint.
    ``prune_clean_nets`` changes which nets the negotiation loop rips
    up, so for the ``negotiated`` strategy identity is asserted per
@@ -98,7 +99,8 @@ class MatrixPoint:
     A ``reference`` point routes its whole cell — the run and any
     incremental replays — under
     :func:`~repro.core.pathfinder.reference_search`: the scalar oracle
-    with the ray memo off, serial only.
+    with the ray memo off and rays traced by the plain numpy scan,
+    serial only.
     """
 
     name: str

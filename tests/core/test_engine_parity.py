@@ -125,6 +125,27 @@ class TestSelectionRule:
         assert obs.ray_cache_enabled
         assert find_path(request).stats.cache_misses > 0
 
+    def test_reference_search_traces_rays_by_the_scan(self, monkeypatch):
+        calls = {"scan": 0, "index": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(ObstacleSet, "_trace", counted("scan", ObstacleSet._trace))
+        monkeypatch.setattr(ObstacleSet, "_track", counted("index", ObstacleSet._track))
+        with reference_search():
+            find_path(_request())
+        assert calls["scan"] > 0 and calls["index"] == 0
+        calls.update(scan=0, index=0)
+        request = _request()
+        find_path(request)
+        assert calls["scan"] == 0 and calls["index"] > 0
+        assert not request.obstacles._scan_rays
+
 
 class TestFindPathParity:
     def test_golden_expansion_trace(self):

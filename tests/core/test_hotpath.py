@@ -85,6 +85,20 @@ class TestCacheParity:
         assert route.stats.cache_hits + route.stats.cache_misses > 0
         assert 0.0 <= route.stats.cache_hit_rate <= 1.0
 
+    def test_batched_negotiated_memo_counts_are_pinned(self):
+        # Literal memo telemetry of a run whose every search is batched
+        # (reaches only, no first_hit), recorded before the ray
+        # misses were answered from the track index: a miss still
+        # counts four, a hit four, and nothing else moves them.
+        negotiated = NegotiatedRouter.from_router(
+            memo_router(oversubscribed_layout(), True),
+            negotiation=NegotiationConfig(max_iterations=6),
+        )
+        outcome = negotiated.run()
+        obstacles = negotiated.router.obstacles
+        assert (obstacles.ray_cache_hits, obstacles.ray_cache_misses) == (13732, 1068)
+        assert (outcome.final.stats.cache_hits, outcome.final.stats.cache_misses) == (3960, 912)
+
     def test_cache_disabled_zero_counters(self, layout):
         route = memo_router(layout, False).route_all()
         assert route.stats.cache_hits == 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry.point import Direction, Point
-from repro.geometry.raytrace import ObstacleSet
+from repro.geometry.raytrace import _COMPACT_SLACK, ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 
@@ -13,6 +13,13 @@ BOUND = Rect(0, 0, 100, 100)
 
 def make_set(*rects: Rect) -> ObstacleSet:
     return ObstacleSet(BOUND, rects)
+
+
+def scan_of(obs: ObstacleSet) -> ObstacleSet:
+    """A fresh set over *obs*'s rects whose rays run the reference scan."""
+    reference = ObstacleSet(obs.bound, obs.rects, ray_cache=False)
+    reference._scan_rays = True
+    return reference
 
 
 class TestPointQueries:
@@ -125,6 +132,79 @@ class TestRays:
         obs = make_set(Rect(60, 40, 80, 60))
         run = obs.clear_run(Point(10, 50), Direction.EAST)
         assert run == Segment.horizontal(50, 10, 60)
+
+
+class TestTrackIndex:
+    def test_tie_goes_to_earliest_inserted_rect(self):
+        first = Rect(60, 30, 70, 60)
+        second = Rect(60, 40, 90, 80)
+        origin = Point(10, 50)
+        obs = make_set(first, second)
+        for ray_set in (obs, scan_of(obs)):
+            hit = ray_set.first_hit(origin, Direction.EAST)
+            assert (hit.reach, hit.obstacle) == (Point(60, 50), first)
+        assert make_set(second, first).first_hit(origin, Direction.EAST).obstacle == second
+        obs.remove(first)
+        for ray_set in (obs, scan_of(obs)):
+            hit = ray_set.first_hit(origin, Direction.EAST)
+            assert (hit.reach, hit.obstacle) == (Point(60, 50), second)
+
+    def test_tie_on_the_far_side_goes_to_earliest_inserted_rect(self):
+        first = Rect(20, 30, 40, 60)
+        second = Rect(10, 40, 40, 80)
+        obs = make_set(first, second)
+        for ray_set in (obs, scan_of(obs)):
+            hit = ray_set.first_hit(Point(90, 50), Direction.WEST)
+            assert (hit.reach, hit.obstacle) == (Point(40, 50), first)
+
+    def test_near_edge_on_the_bound_is_reported(self):
+        beyond = Rect(110, 40, 130, 60)
+        flush = Rect(100, 40, 120, 60)
+        obs = make_set(beyond, flush)
+        hit = obs.first_hit(Point(10, 50), Direction.EAST)
+        assert (hit.reach, hit.obstacle) == (Point(100, 50), flush)
+        obs.remove(flush)
+        hit = obs.first_hit(Point(10, 50), Direction.EAST)
+        assert (hit.reach, hit.obstacle) == (Point(100, 50), None)
+
+    def test_reaches_matches_first_hit(self):
+        obs = make_set(Rect(60, 40, 80, 60), Rect(10, 0, 30, 45), Rect(40, 70, 50, 100))
+        origin = Point(45, 50)
+        expected = (
+            obs.first_hit(origin, Direction.EAST).reach.x,
+            obs.first_hit(origin, Direction.WEST).reach.x,
+            obs.first_hit(origin, Direction.NORTH).reach.y,
+            obs.first_hit(origin, Direction.SOUTH).reach.y,
+        )
+        assert expected == (60, 0, 70, 0)
+        assert obs.reaches(45, 50) == expected
+
+    def test_reaches_rejects_illegal_origins(self):
+        obs = make_set(Rect(40, 40, 60, 60))
+        with pytest.raises(GeometryError, match="inside an obstacle"):
+            obs.reaches(50, 50)
+        with pytest.raises(GeometryError, match="outside routing bound"):
+            obs.reaches(101, 50)
+
+    def test_index_across_compaction(self):
+        # The blockers sit behind enough removed fillers that compaction
+        # renumbers their slots; the tie must still go to `first`.
+        first = Rect(60, 30, 70, 60)
+        second = Rect(60, 40, 90, 80)
+        fillers = [Rect(i, 0, i + 1, 10) for i in range(_COMPACT_SLACK + 8)]
+        obs = make_set(*fillers[:4], first, *fillers[4:], second)
+        for filler in fillers:
+            obs.remove(filler)
+            reference = scan_of(obs)
+            for origin in (Point(10, 50), Point(0, 5), Point(80, 5)):
+                reaches = []
+                for direction in Direction:
+                    hit = obs.first_hit(origin, direction)
+                    assert hit == reference.first_hit(origin, direction)
+                    reaches.append(hit.reach.x if direction.is_horizontal else hit.reach.y)
+                assert obs.reaches(origin.x, origin.y) == tuple(reaches)
+            assert obs.first_hit(Point(10, 50), Direction.EAST).obstacle == first
+        assert len(obs._slots) < len(fillers) + 2  # compaction did run
 
 
 class TestMutation:

@@ -1,13 +1,17 @@
 """Property tests for the epoch-cached, incrementally-indexed obstacle set.
 
 The ``ObstacleSet`` rewrite (epoch counter + incremental numpy column
-maintenance + ray-query memo cache) must be observationally identical
-to a freshly-built, cache-disabled set after *any* interleaving of
-``add``/``add_many``/``remove`` mutations.  These tests drive randomized
-mutation sequences and compare every query surface between:
+maintenance + per-track blocker index + ray-query memo cache) must be
+observationally identical to a freshly-built, cache-disabled set after
+*any* interleaving of ``add``/``add_many``/``remove`` mutations.  These
+tests drive randomized mutation sequences and compare every query
+surface between:
 
 * the mutated set with the ray cache ON (the shipping configuration),
-* the mutated set with the ray cache OFF, and
+* the mutated set with the ray cache OFF,
+* a set whose rays run the plain numpy scan (the reference that
+  ``reference_search()`` selects),
+* a pure-Python loop over ``obs.rects`` (no numpy, no index), and
 * a pristine set rebuilt from scratch with the surviving rects
   (no incremental state at all).
 """
@@ -16,7 +20,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry.point import ALL_DIRECTIONS, Point
+from repro.errors import GeometryError
+from repro.geometry.point import ALL_DIRECTIONS, Direction, Point
 from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
@@ -33,8 +38,39 @@ def small_rects(draw):
     return Rect(x0, y0, x0 + draw(st.integers(0, 8)), y0 + draw(st.integers(0, 8)))
 
 
+#: Coarse coordinates so that edges coincide: rects overlap, share near
+#: edges, duplicate, collapse to zero width or height, sit flush with
+#: the bound (0 and 60), and reach past it.
+TRICKY = (-5, 0, 10, 20, 30, 40, 50, 60, 65)
+
+#: Probe coordinates: on the grid, between grid lines, and just outside
+#: the bound.
+PROBE = (-1, 0, 5, 10, 15, 20, 30, 35, 40, 50, 55, 60, 61)
+
+
 @st.composite
-def mutation_scripts(draw):
+def tricky_rects(draw):
+    x0, x1 = sorted(draw(st.lists(st.sampled_from(TRICKY), min_size=2, max_size=2)))
+    y0, y1 = sorted(draw(st.lists(st.sampled_from(TRICKY), min_size=2, max_size=2)))
+    return Rect(x0, y0, x1, y1)
+
+
+@st.composite
+def tricky_sets(draw):
+    """Tricky rects plus explicit duplicates of some of them."""
+    rects = draw(st.lists(tricky_rects(), max_size=10))
+    if rects:
+        rects += draw(st.lists(st.sampled_from(rects), max_size=3))
+    return rects
+
+
+probe_lists = st.lists(
+    st.builds(Point, st.sampled_from(PROBE), st.sampled_from(PROBE)), min_size=1, max_size=12
+)
+
+
+@st.composite
+def mutation_scripts(draw, rects=small_rects()):
     """A list of ('add'|'add_many'|'remove', payload) operations.
 
     Removals pick from the rects added so far, so every script is
@@ -46,11 +82,11 @@ def mutation_scripts(draw):
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         op = draw(st.sampled_from(["add", "add", "add_many", "remove"]))
         if op == "add":
-            rect = draw(small_rects())
+            rect = draw(rects)
             pool.append(rect)
             script.append(("add", rect))
         elif op == "add_many":
-            batch = draw(st.lists(small_rects(), min_size=1, max_size=4))
+            batch = draw(st.lists(rects, min_size=1, max_size=4))
             pool.extend(batch)
             script.append(("add_many", tuple(batch)))
         elif pool:
@@ -99,6 +135,118 @@ def ray_answers(obs: ObstacleSet, probes) -> list:
             except Exception:
                 out.append((p, direction, "illegal-origin"))
     return out
+
+
+def scan_set(bound: Rect, rects=()) -> ObstacleSet:
+    """A memo-less set whose rays run the reference numpy scan."""
+    obs = ObstacleSet(bound, rects, ray_cache=False)
+    obs._scan_rays = True  # what find_path sets under reference_search()
+    return obs
+
+
+def brute_ray(obs: ObstacleSet, p: Point, direction: Direction):
+    """``first_hit`` as a pure-Python loop over ``obs.rects``.
+
+    Returns ``(reach, obstacle)``, or ``"outside"``/``"inside"`` for an
+    illegal origin.  A rect blocks when the ray's track is strictly
+    inside its perpendicular span and its far edge lies ahead; the
+    nearest near edge wins, the earliest-inserted rect on ties, and a
+    stop beyond the bound yields to the bound.
+    """
+    bound = obs.bound
+    if not bound.contains_point(p):
+        return "outside"
+    if any(r.contains_point(p, strict=True) for r in obs.rects):
+        return "inside"
+    horizontal = direction.is_horizontal
+    sign = direction.sign
+    pos = p.x if horizontal else p.y
+    best = None
+    for r in obs.rects:
+        if horizontal:
+            straddles, lo, hi = r.y0 < p.y < r.y1, r.x0, r.x1
+        else:
+            straddles, lo, hi = r.x0 < p.x < r.x1, r.y0, r.y1
+        if not straddles:
+            continue
+        if sign > 0 and hi > pos:
+            stop = lo
+        elif sign < 0 and lo < pos:
+            stop = hi
+        else:
+            continue
+        if best is None or (stop < best[0] if sign > 0 else stop > best[0]):
+            best = (stop, r)
+    if horizontal:
+        limit = bound.x1 if sign > 0 else bound.x0
+    else:
+        limit = bound.y1 if sign > 0 else bound.y0
+    if best is None or (best[0] > limit if sign > 0 else best[0] < limit):
+        stop, obstacle = limit, None
+    else:
+        stop, obstacle = best
+    return (p.with_x(stop) if horizontal else p.with_y(stop)), obstacle
+
+
+def ray_answer(obs: ObstacleSet, p: Point, direction: Direction):
+    """``first_hit`` in :func:`brute_ray`'s vocabulary."""
+    try:
+        hit = obs.first_hit(p, direction)
+    except GeometryError as exc:
+        return "outside" if "outside" in str(exc) else "inside"
+    return hit.reach, hit.obstacle
+
+
+def reach_answer(obs: ObstacleSet, p: Point):
+    try:
+        return obs.reaches(p.x, p.y)
+    except GeometryError as exc:
+        return "outside" if "outside" in str(exc) else "inside"
+
+
+def brute_reaches(obs: ObstacleSet, p: Point):
+    answers = [brute_ray(obs, p, d) for d in ALL_DIRECTIONS]
+    if isinstance(answers[0], str):
+        return answers[0]
+    east, west, north, south = (reach for reach, _ in answers)
+    return east.x, west.x, north.y, south.y
+
+
+def assert_index_matches_references(obs: ObstacleSet, probes) -> None:
+    """Index vs reference scan vs pure-Python loop, on every surface."""
+    scan = scan_set(obs.bound, obs.rects)
+    for p in probes:
+        for direction in ALL_DIRECTIONS:
+            expected = brute_ray(obs, p, direction)
+            assert ray_answer(obs, p, direction) == expected
+            assert ray_answer(scan, p, direction) == expected
+        assert reach_answer(obs, p) == brute_reaches(obs, p)
+
+
+class TestIndexVsScanVsBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(tricky_sets(), probe_lists)
+    def test_static_sets_agree(self, rects, probes):
+        assert_index_matches_references(ObstacleSet(BOUND, rects, ray_cache=False), probes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tricky_sets(), probe_lists)
+    def test_memoized_answers_agree(self, rects, probes):
+        obs = ObstacleSet(BOUND, rects)
+        # Twice: the second pass is served by both memos.
+        assert_index_matches_references(obs, probes)
+        assert_index_matches_references(obs, probes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mutation_scripts(tricky_rects()), probe_lists)
+    def test_agree_after_every_mutation(self, script, probes):
+        obs = ObstacleSet(BOUND)
+        shadow: list[Rect] = []
+        assert_index_matches_references(obs, probes)
+        for step in script:
+            apply_script(obs, [step], shadow)
+            assert list(obs.rects) == shadow
+            assert_index_matches_references(obs, probes)
 
 
 class TestCachedVsUncached:
