@@ -1,4 +1,3 @@
-#!/usr/bin/env python
 """Service load bench: N concurrent clients through the real HTTP frontend.
 
 The service's scaling pitch is the worker tier: routing is CPU-bound
@@ -24,64 +23,52 @@ and p95 request latency (submit → terminal, client-observed), and a
 byte-identity verdict: one probe request is routed in-process through
 :class:`RoutingPipeline` and its
 :func:`~repro.scenarios.conformance.route_fingerprint` must match what
-came over the wire.  Two gates apply on every run:
+came over the wire.  The matrix runs at two sizes: the full size
+(4 clients x 5 requests of 16-net layouts, plain configuration names)
+and a small size (2 clients x 2 requests of 6-net layouts, names
+ending in ``_small``) that is the ``--quick`` subset.  :func:`gate`
+applies on every run:
 
 * **identity** — every configuration must match the in-process
-  fingerprint (a worker tier that changes results is wrong, not fast);
-* **throughput** — on a multi-core box, ``process+memory`` must beat
-  ``thread+memory`` on the full workload; on a single-core box the
-  comparison is physically meaningless (same serial CPU plus IPC), so
-  the gate degrades to an overhead bound — the process tier may not
-  cost more than :data:`SINGLE_CORE_OVERHEAD_FLOOR` of thread
-  throughput.  The artifact records ``cpu_cores`` so a reader knows
-  which gate a committed baseline ran under.  Quick mode reports the
-  ratio but never gates: sub-second smoke workloads are dominated by
-  pool spin-up.
+  fingerprint (a worker tier that changes results is wrong, not fast),
+  and no job may fail;
+* **throughput** — on a multi-core box, full-size ``process+memory``
+  must beat ``thread+memory``; on a single-core box the comparison is
+  physically meaningless (same serial CPU plus IPC), so the gate
+  degrades to an overhead bound — the process tier may not cost more
+  than :data:`SINGLE_CORE_OVERHEAD_FLOOR` of thread throughput.  The
+  artifact records ``cpu_cores`` so a reader knows which gate a
+  committed baseline ran under.  The small size is never compared:
+  sub-second workloads are dominated by pool spin-up.
 
-Usage (from the repository root)::
+Run the suite through the one bench driver::
 
-    PYTHONPATH=src python benchmarks/bench_service_load.py            # full
-    PYTHONPATH=src python benchmarks/bench_service_load.py --quick    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_service_load.py --quick \\
-        --check BENCH_service.json                                    # gate
-
-With ``--check BASELINE``, each configuration's wall time is compared
-against the recorded baseline and the driver exits non-zero past
-``--max-regression`` (default 3x — the same deliberately loose wall
-gate as ``run_suite.py``: it catches blowups, not CI-box jitter).
+    PYTHONPATH=src python benchmarks/run_suite.py --suite service --quick
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import pathlib
-import platform
-import sys
 import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for entry in (str(_REPO_ROOT), str(_REPO_ROOT / "src")):
-    if entry not in sys.path:
-        sys.path.insert(0, entry)
+from repro.api.pipeline import RoutingPipeline
+from repro.api.request import RouteRequest
+from repro.layout.generators import LayoutSpec, random_layout
+from repro.scenarios.conformance import route_fingerprint
+from repro.service import Client, RoutingService, make_server
+from repro.service.metrics import percentile
 
-from repro.api.pipeline import RoutingPipeline  # noqa: E402
-from repro.api.request import RouteRequest  # noqa: E402
-from repro.layout.generators import LayoutSpec, random_layout  # noqa: E402
-from repro.scenarios.conformance import route_fingerprint  # noqa: E402
-from repro.service import Client, RoutingService, make_server  # noqa: E402
-from repro.service.metrics import percentile  # noqa: E402
-
-SCHEMA_VERSION = 1
+from benchmarks.run_suite import cpu_cores
 
 #: On one core the process tier can only lose (serialization + IPC on
 #: the same serial CPU); below half of thread throughput that loss is
 #: an overhead bug, not physics.
 SINGLE_CORE_OVERHEAD_FLOOR = 0.5
+
+#: Seconds a client waits for one job before giving up.
+WAIT_TIMEOUT = 300.0
 
 #: The executor × store matrix, in reporting order.
 CONFIGURATIONS = (
@@ -90,6 +77,26 @@ CONFIGURATIONS = (
     ("thread+sqlite", "thread", "sqlite"),
     ("process+sqlite", "process", "sqlite"),
 )
+
+#: Traffic per size: name suffix -> clients, requests per client, and
+#: the layout each request routes.
+SIZES = {
+    "_small": {"clients": 2, "per_client": 2, "cells": 6, "nets": 6},
+    "": {"clients": 4, "per_client": 5, "cells": 14, "nets": 16},
+}
+
+WORKLOADS: dict[str, dict] = {
+    f"{name}{suffix}": {"executor": executor, "store": store, **size}
+    for suffix, size in SIZES.items()
+    for name, executor, store in CONFIGURATIONS
+}
+
+QUICK = tuple(name for name in WORKLOADS if name.endswith("_small"))
+
+#: Gated against the baseline: walls at the driver's fixed ratio,
+#: deterministic counters for exact equality.
+WALL_KEYS = ("wall_seconds",)
+COUNTER_KEYS = ("requests", "completed")
 
 
 def _requests(clients: int, per_client: int, spec: LayoutSpec) -> list[list[RouteRequest]]:
@@ -105,16 +112,15 @@ def _requests(clients: int, per_client: int, spec: LayoutSpec) -> list[list[Rout
     ]
 
 
-def run_configuration(
-    *,
-    executor: str,
-    store_backend: str,
-    clients: int,
-    batches: list[list[RouteRequest]],
-    reference_fingerprint: str,
-    wait_timeout: float = 300.0,
-) -> dict:
+def run_workload(spec: dict) -> dict:
     """Drive one executor+store pairing over real HTTP; return its row."""
+    clients = spec["clients"]
+    executor, store_backend = spec["executor"], spec["store"]
+    batches = _requests(
+        clients, spec["per_client"], LayoutSpec(n_cells=spec["cells"], n_nets=spec["nets"])
+    )
+    # Seed 1, the first client's first request, is the identity probe.
+    reference_fingerprint = route_fingerprint(RoutingPipeline().run(batches[0][0]).route)
     with tempfile.TemporaryDirectory(prefix="bench-service-") as tmp:
         store = (
             "memory" if store_backend == "memory" else f"sqlite:{tmp}/bench.db"
@@ -137,7 +143,7 @@ def run_configuration(
             fingerprint = ""
             for request in batch:
                 started = time.perf_counter()
-                result = client.route(request, wait_timeout=wait_timeout)
+                result = client.route(request, wait_timeout=WAIT_TIMEOUT)
                 elapsed = time.perf_counter() - started
                 with latency_lock:
                     latencies.append(elapsed)
@@ -151,7 +157,7 @@ def run_configuration(
         # lazily on first submit, and that one-time cost is startup,
         # not throughput.
         warm = Client(url, timeout=30.0)
-        warm.route(batches[0][0], wait_timeout=wait_timeout)
+        warm.route(batches[0][0], wait_timeout=WAIT_TIMEOUT)
         service.cache.clear()
 
         wall_started = time.perf_counter()
@@ -182,174 +188,28 @@ def run_configuration(
     }
 
 
-def run_suite(*, quick: bool = False) -> dict[str, dict]:
-    """The full matrix; see :data:`CONFIGURATIONS`."""
-    if quick:
-        clients, per_client = 2, 2
-        spec = LayoutSpec(n_cells=6, n_nets=6)
-    else:
-        clients, per_client = 4, 5
-        spec = LayoutSpec(n_cells=14, n_nets=16)
-    batches = _requests(clients, per_client, spec)
-    reference = RoutingPipeline().run(batches[0][0])
-    reference_fingerprint = route_fingerprint(reference.route)
-    results: dict[str, dict] = {}
-    for name, executor, store_backend in CONFIGURATIONS:
-        results[name] = run_configuration(
-            executor=executor,
-            store_backend=store_backend,
-            clients=clients,
-            batches=batches,
-            reference_fingerprint=reference_fingerprint,
-        )
-    return results
-
-
-def _load_baseline(path: pathlib.Path) -> dict | None:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return None
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"bench_service_load: unreadable baseline {path}: {exc}", file=sys.stderr)
-        return None
-    if data.get("schema") != SCHEMA_VERSION:
-        print(
-            f"bench_service_load: baseline {path} has schema "
-            f"{data.get('schema')!r}, expected {SCHEMA_VERSION}; "
-            f"skipping regression check",
-            file=sys.stderr,
-        )
-        return None
-    return data
-
-
-def _check_regressions(
-    baseline: dict, current: dict[str, dict], max_regression: float
-) -> list[str]:
-    failures: list[str] = []
-    for name, entry in current.items():
-        base_entry = baseline.get("configurations", {}).get(name)
-        if base_entry is None:
-            continue
-        base_wall = base_entry.get("wall_seconds")
-        new_wall = entry.get("wall_seconds")
-        if base_wall and new_wall:
-            ratio = new_wall / base_wall
-            verdict = "REGRESSED" if ratio > max_regression else "ok"
-            print(
-                f"  {name}: wall {base_wall:.3f}s -> {new_wall:.3f}s "
-                f"({ratio:.2f}x, limit {max_regression:.1f}x) {verdict}"
-            )
-            if ratio > max_regression:
-                failures.append(
-                    f"{name}: wall {ratio:.2f}x over baseline "
-                    f"(limit {max_regression:.1f}x)"
-                )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small workload for CI smoke (throughput gate reports, not fails)",
-    )
-    parser.add_argument(
-        "--out", type=pathlib.Path, default=_REPO_ROOT / "BENCH_service.json",
-        help="where to write the JSON artifact (default: repo-root BENCH_service.json)",
-    )
-    parser.add_argument(
-        "--check", type=pathlib.Path, default=None, metavar="BASELINE",
-        help="compare against a recorded baseline JSON; exit 1 on regression",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=3.0,
-        help="allowed wall-time ratio over the baseline before failing (default 3.0)",
-    )
-    args = parser.parse_args(argv)
-
-    baseline = _load_baseline(args.check) if args.check else None
-
-    mode = "quick" if args.quick else "full"
-    print(f"bench_service_load: service load suite ({mode}) ...")
-    results = run_suite(quick=args.quick)
+def gate(results: dict[str, dict]) -> list[str]:
+    """Identity, no failed jobs, and the core-aware full-size floor."""
+    failures = []
     for name, entry in results.items():
-        print(
-            f"  {name}: {entry['requests']} requests / "
-            f"{entry['wall_seconds']:.3f}s = {entry['throughput_rps']:.2f} req/s "
-            f"(p50 {entry['latency_p50_seconds']:.3f}s, "
-            f"p95 {entry['latency_p95_seconds']:.3f}s, "
-            f"identical={entry['identical_to_inprocess']})"
+        if not entry["identical_to_inprocess"]:
+            failures.append(f"{name}: the worker tier changed routed results")
+        if entry["failed"]:
+            failures.append(f"{name}: {entry['failed']} jobs failed under load")
+    if "process+memory" in results and "thread+memory" in results:
+        ratio = (
+            results["process+memory"]["throughput_rps"]
+            / results["thread+memory"]["throughput_rps"]
         )
-
-    broken = [n for n, e in results.items() if not e["identical_to_inprocess"]]
-    if broken:
-        print(
-            f"bench_service_load: tier changed routed results on: {broken}",
-            file=sys.stderr,
-        )
-        return 1
-    failed_jobs = [n for n, e in results.items() if e["failed"]]
-    if failed_jobs:
-        print(
-            f"bench_service_load: jobs failed under load on: {failed_jobs}",
-            file=sys.stderr,
-        )
-        return 1
-
-    speedup = (
-        results["process+memory"]["throughput_rps"]
-        / results["thread+memory"]["throughput_rps"]
-    )
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cores = os.cpu_count() or 1
-    print(
-        f"bench_service_load: process/thread throughput ratio {speedup:.2f}x "
-        f"on {cores} core(s)"
-    )
-    if not args.quick:
+        cores = cpu_cores()
         floor = 1.0 if cores > 1 else SINGLE_CORE_OVERHEAD_FLOOR
-        if speedup < floor:
-            print(
-                f"bench_service_load: process tier at {speedup:.2f}x of thread "
-                f"throughput, below the {floor:.2f}x floor for {cores} core(s)",
-                file=sys.stderr,
+        print(
+            f"  process/thread throughput {ratio:.2f}x on {cores} core(s), "
+            f"floor {floor:.2f}x"
+        )
+        if ratio < floor:
+            failures.append(
+                f"process tier at {ratio:.2f}x of thread throughput, below the "
+                f"{floor:.2f}x floor for {cores} core(s)"
             )
-            return 1
-        if cores == 1:
-            print(
-                "bench_service_load: single core — gating process-tier "
-                "overhead only; rerun on a multi-core box to measure the "
-                "speedup itself"
-            )
-
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "suite": "service-load",
-        "mode": mode,
-        "python": platform.python_version(),
-        "cpu_cores": cores,
-        "process_over_thread_throughput": speedup,
-        "configurations": results,
-    }
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"bench_service_load: wrote {args.out}")
-
-    if baseline is not None:
-        print(f"bench_service_load: regression check against {args.check}")
-        failures = _check_regressions(baseline, results, args.max_regression)
-        if failures:
-            for failure in failures:
-                print(f"bench_service_load: REGRESSION {failure}", file=sys.stderr)
-            return 1
-        print("bench_service_load: no regressions")
-    elif args.check:
-        print("bench_service_load: no usable baseline; skipping regression check")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return failures

@@ -22,18 +22,16 @@ original cache A/B.  The claims the bench pins:
   the scaled workload (``negotiated_scaled_200``) runs at least
   :data:`ENGINE_SPEEDUP_FLOOR` times more expansions per second on the
   default search than on the reference oracle; BENCH_hotpath.json
-  tracks the trajectory PR over PR via ``benchmarks/run_suite.py``.
+  tracks the trajectory PR over PR.
 
-Run standalone via ``pytest benchmarks/bench_x5_hotpath.py
---benchmark-only`` or through the suite driver (which also emits the
-JSON artifact)::
+:func:`gate` holds those claims.  Run the suite through the one bench
+driver, which writes the artifact and gates it::
 
-    PYTHONPATH=src python benchmarks/run_suite.py --quick
+    PYTHONPATH=src python benchmarks/run_suite.py --suite hotpath --quick
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 
 from repro.core.negotiate import NegotiatedRouter, NegotiationConfig
@@ -41,6 +39,7 @@ from repro.core.pathfinder import reference_search
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.analysis.tables import format_table
 
+from benchmarks.run_suite import best_wall
 from benchmarks.workloads import (
     congested_layout,
     netted_layout,
@@ -49,7 +48,7 @@ from benchmarks.workloads import (
 )
 
 #: Workload definitions, smallest first.  ``run_suite.py --quick`` runs
-#: the names in :data:`QUICK_WORKLOADS`; the committed baseline
+#: the names in :data:`QUICK`; the committed baseline
 #: (BENCH_hotpath.json) records the full set so quick CI runs can still
 #: compare against it by name.  ``engine_matrix_only`` workloads skip
 #: the cache A/B (their point is the search comparison; a reference run
@@ -91,7 +90,7 @@ WORKLOADS: dict[str, dict] = {
 
 #: The CI smoke subset: the small negotiated loop (cache A/B + search
 #: comparison) plus the single-pass workload (strategy memo-skip gate).
-QUICK_WORKLOADS = ("negotiated_grid_16", "single_pass_dense")
+QUICK = ("negotiated_grid_16", "single_pass_dense")
 
 #: The searches compared, as ``(artifact row, reference?)``.  The row
 #: names predate the automatic engine choice and stay for artifact
@@ -100,38 +99,34 @@ QUICK_WORKLOADS = ("negotiated_grid_16", "single_pass_dense")
 SEARCHES = (("scalar", True), ("vectorized", False))
 
 #: The acceptance floor for the batched search: the default search
-#: must route the scaled workload at >= this many times the reference
-#: oracle's expansions per second.  Asserted by the pytest benchmark entry point, not the JSON
-#: emitter, so a slow CI box can still record an artifact.
+#: must route :data:`ENGINE_FLOOR_WORKLOAD` at >= this many times the
+#: reference oracle's speed.
 ENGINE_SPEEDUP_FLOOR = 5.0
+ENGINE_FLOOR_WORKLOAD = "negotiated_scaled_200"
 
-#: One-off reference measurements of the pre-overhaul code path
-#: (commit 45ed25b, the last commit before this harness landed),
-#: taken on the same machine as the initial committed baseline so the
-#: headline "overhaul speedup" claim stays auditable from the
-#: artifact.  These are historical constants, not re-measured per run;
-#: compare them against the same machine class only.
-PRE_OVERHAUL_REFERENCE = {
-    "commit": "45ed25b",
-    "note": (
-        "wall seconds of the pre-overhaul code on the initial baseline "
-        "machine; routed results verified byte-identical before/after"
-    ),
-    "wall_seconds": {"negotiated_grid_24": 8.99},
-}
+#: On the negotiated loops the rip-up waves re-query the same static
+#: obstacles every iteration, so the ray memo must hit more often than
+#: this.
+HIT_RATE_FLOOR = 0.5
 
-
-def _route(spec: dict, *, memo: bool = True, reference: bool = False):
-    """Route one workload; returns (wall_seconds, fingerprint, stats, extra).
-
-    *memo* toggles the router's ray memo; *reference* runs the whole
-    route under :func:`reference_search` (which keeps the memo off).
-    """
-    with reference_search() if reference else nullcontext():
-        return _route_measured(spec, memo)
+#: Gated against the baseline: walls at the driver's fixed ratio,
+#: deterministic counters for exact equality.
+WALL_KEYS = (
+    "wall_seconds_cache_on",
+    "engines.scalar.wall_seconds",
+    "engines.vectorized.wall_seconds",
+)
+COUNTER_KEYS = (
+    "nodes_expanded",
+    "ray_cache_hits",
+    "ray_cache_misses",
+    "engines.scalar.nodes_expanded",
+    "engines.vectorized.nodes_expanded",
+)
 
 
-def _route_measured(spec: dict, memo: bool):
+def _route(spec: dict, memo: bool):
+    """Route one workload from scratch; returns the strategy's result."""
     if spec["kind"] == "negotiated":
         if spec.get("scaled"):
             layout = scaled_congested_layout(n_nets=spec["nets"], seed=spec["seed"])
@@ -145,9 +140,22 @@ def _route_measured(spec: dict, memo: bool):
             base,
             negotiation=NegotiationConfig(max_iterations=spec["max_iterations"]),
         )
-        started = time.perf_counter()
-        result = router.run()
-        wall = time.perf_counter() - started
+        return router.run()
+    layout = netted_layout(spec["cells"], spec["nets"], seed=spec["seed"])
+    router = GlobalRouter(layout, RouterConfig())
+    router.obstacles.ray_cache_enabled = memo
+    return router.route_all(on_unroutable="skip")
+
+
+def _measure(spec: dict, *, memo: bool = True, reference: bool = False, repeats: int = 1):
+    """Min-of-*repeats* route wall; returns (wall, fingerprint, stats, extra).
+
+    *memo* toggles the router's ray memo; *reference* runs the whole
+    route under :func:`reference_search` (which keeps the memo off).
+    """
+    with reference_search() if reference else nullcontext():
+        wall, result = best_wall(lambda: _route(spec, memo), repeats)
+    if spec["kind"] == "negotiated":
         fingerprint = {
             "trees": _tree_fingerprint(result.final),
             "failed": sorted(result.final.failed_nets),
@@ -166,17 +174,11 @@ def _route_measured(spec: dict, memo: bool):
             "iterations": result.iteration_count,
             "wirelength": result.final.total_length,
         }
-    layout = netted_layout(spec["cells"], spec["nets"], seed=spec["seed"])
-    router = GlobalRouter(layout, RouterConfig())
-    router.obstacles.ray_cache_enabled = memo
-    started = time.perf_counter()
-    route = router.route_all(on_unroutable="skip")
-    wall = time.perf_counter() - started
     fingerprint = {
-        "trees": _tree_fingerprint(route),
-        "failed": sorted(route.failed_nets),
+        "trees": _tree_fingerprint(result),
+        "failed": sorted(result.failed_nets),
     }
-    return wall, fingerprint, route.stats, {"wirelength": route.total_length}
+    return wall, fingerprint, result.stats, {"wirelength": result.total_length}
 
 
 def _route_single_strategy(spec: dict):
@@ -199,9 +201,7 @@ def _route_single_strategy(spec: dict):
         on_unroutable="skip",
         verify=False,
     )
-    started = time.perf_counter()
-    result = RoutingPipeline().run(request)
-    wall = time.perf_counter() - started
+    wall, result = best_wall(lambda: RoutingPipeline().run(request), 1)
     fingerprint = {
         "trees": _tree_fingerprint(result.route),
         "failed": sorted(result.route.failed_nets),
@@ -224,7 +224,7 @@ def _tree_fingerprint(route) -> dict:
     }
 
 
-def run_workload(name: str, spec: dict) -> dict:
+def run_workload(spec: dict) -> dict:
     """Measure one workload: cache A/B plus reference vs default search.
 
     Every measurement carries a byte-identity verdict next to its
@@ -234,8 +234,8 @@ def run_workload(name: str, spec: dict) -> dict:
     entry: dict = {"kind": spec["kind"]}
     runs: dict[str, tuple] = {}
     if not spec.get("engine_matrix_only"):
-        wall_off, fp_off, _stats_off, _ = _route(spec, memo=False)
-        wall_on, fp_on, stats_on, extra = _route(spec)
+        wall_off, fp_off, _stats_off, _ = _measure(spec, memo=False)
+        wall_on, fp_on, stats_on, extra = _measure(spec)
         lookups = stats_on.cache_hits + stats_on.cache_misses
         entry.update(
             {
@@ -263,19 +263,13 @@ def run_workload(name: str, spec: dict) -> dict:
             entry["strategy_ray_lookups"] = strategy_lookups
             entry["identical_strategy_skip"] = strategy_fp == fp_on
 
+    # Both searches get the same repeat count, so the speedup ratio
+    # stays honest.
     repeats = spec.get("engine_repeats", 1)
     for row, reference in SEARCHES:
         if row in runs:
             continue
-        wall, fp, stats, extra = _route(spec, reference=reference)
-        # Min-of-N wall per search (both get the same repeat count, so
-        # the speedup ratio stays honest); routed results are
-        # deterministic, so the identity verdict uses the first run's
-        # fingerprint.
-        for _ in range(repeats - 1):
-            wall_r, _fp_r, stats_r, _extra_r = _route(spec, reference=reference)
-            if wall_r < wall:
-                wall, stats = wall_r, stats_r
+        wall, fp, stats, extra = _measure(spec, reference=reference, repeats=repeats)
         runs[row] = (wall, fp, stats)
         if reference and "nodes_expanded" not in entry:
             entry["nodes_expanded"] = stats.nodes_expanded
@@ -299,14 +293,40 @@ def run_workload(name: str, spec: dict) -> dict:
     return entry
 
 
-def run_suite(quick: bool = False) -> dict[str, dict]:
-    """Run the (quick or full) workload set; returns per-workload metrics."""
-    names = QUICK_WORKLOADS if quick else tuple(WORKLOADS)
-    return {name: run_workload(name, WORKLOADS[name]) for name in names}
+def gate(results: dict[str, dict]) -> list[str]:
+    """Identity everywhere, memo hits on the loops, the engine floor."""
+    failures = []
+    for name, entry in results.items():
+        if not entry.get("identical_cache_on_off", True):
+            failures.append(f"{name}: the ray memo changed routed results")
+        rate = entry.get("ray_cache_hit_rate")
+        if entry["kind"] == "negotiated" and rate is not None and rate <= HIT_RATE_FLOOR:
+            failures.append(
+                f"{name}: ray memo hit rate {rate} not above {HIT_RATE_FLOOR} "
+                "on a static-obstacle loop"
+            )
+        for row, stats in entry["engines"].items():
+            if not stats["identical_to_scalar"]:
+                failures.append(f"{name}[{row}]: routed results differ from the reference")
+        if "identical_strategy_skip" in entry and not (
+            entry["identical_strategy_skip"] and entry["strategy_ray_lookups"] == 0
+        ):
+            failures.append(
+                f"{name}: single-pass memo skip changed the route or still made "
+                f"{entry['strategy_ray_lookups']} memo lookups"
+            )
+    if ENGINE_FLOOR_WORKLOAD in results:
+        speedup = results[ENGINE_FLOOR_WORKLOAD]["engines"]["vectorized"]["speedup_vs_scalar"]
+        if speedup < ENGINE_SPEEDUP_FLOOR:
+            failures.append(
+                f"{ENGINE_FLOOR_WORKLOAD}: default search {speedup}x the reference, "
+                f"below the {ENGINE_SPEEDUP_FLOOR}x floor"
+            )
+    return failures
 
 
 def bench_x5_hotpath(benchmark):
-    results = run_suite(quick=False)
+    results = {name: run_workload(spec) for name, spec in WORKLOADS.items()}
 
     cache_results = {
         name: entry for name, entry in results.items()
@@ -352,45 +372,10 @@ def bench_x5_hotpath(benchmark):
     )
     report("x5_engines", engine_table)
 
-    # The cache must never change routed results...
-    assert all(e["identical_cache_on_off"] for e in cache_results.values()), (
-        "ray cache changed routed results"
-    )
-    # ...and on the negotiated multi-iteration workloads (static
-    # obstacles re-queried every iteration) it must actually hit.
-    for name, entry in cache_results.items():
-        if entry["kind"] == "negotiated":
-            assert entry["ray_cache_hit_rate"] > 0.5, (
-                f"{name}: ray cache hit rate {entry['ray_cache_hit_rate']} "
-                "suspiciously low on a static-obstacle loop"
-            )
-
-    # The default search may never change routed results.
-    for name, entry in results.items():
-        for engine, stats in entry["engines"].items():
-            assert stats["identical_to_scalar"], (
-                f"{name}: search {engine} changed routed results"
-            )
-    # The single-pass strategy skips memo population without changing
-    # the route.
-    single = results["single_pass_dense"]
-    assert single["identical_strategy_skip"], (
-        "single-pass strategy changed the route"
-    )
-    assert single["strategy_ray_lookups"] == 0, (
-        f"single-pass strategy still touched the ray memo "
-        f"({single['strategy_ray_lookups']} lookups)"
-    )
-    # The batched search beats the reference oracle by the recorded
-    # floor on the scaled workload (where batch sizes amortize the
-    # overhead).
-    scaled = results["negotiated_scaled_200"]["engines"]["vectorized"]
-    assert scaled["speedup_vs_scalar"] >= ENGINE_SPEEDUP_FLOOR, (
-        f"default search speedup {scaled['speedup_vs_scalar']}x below the "
-        f"{ENGINE_SPEEDUP_FLOOR}x floor on negotiated_scaled_200"
-    )
+    failures = gate(results)
+    assert not failures, failures
 
     # Timed reference for the pytest-benchmark trend: the quick
     # negotiated workload on the shipping default.
-    spec = WORKLOADS[QUICK_WORKLOADS[0]]
-    benchmark(lambda: _route(spec))
+    spec = WORKLOADS[QUICK[0]]
+    benchmark(lambda: _route(spec, True))

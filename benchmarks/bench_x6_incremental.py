@@ -1,4 +1,3 @@
-#!/usr/bin/env python
 """X6 — incremental re-routing speedup, measured and gated.
 
 The incremental engine's pitch is arithmetic: a delta dirtying ``k``
@@ -17,53 +16,35 @@ pins that claim on tracked workloads and emits
   reroute must land byte-identical to from-scratch.  Recorded (not
   gated) for ``negotiated``.
 
-Usage (from the repository root)::
+:func:`gate` holds both on every run.  Run the suite through the one
+bench driver::
 
-    PYTHONPATH=src python benchmarks/bench_x6_incremental.py            # full
-    PYTHONPATH=src python benchmarks/bench_x6_incremental.py --quick    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_x6_incremental.py --quick \\
-        --check BENCH_incremental.json                                  # gate
-
-With ``--check BASELINE``, reroute wall times are compared workload by
-workload against the recorded baseline and the driver exits non-zero
-past ``--max-regression`` (default 3x, the same deliberately loose
-wall gate as ``run_suite.py`` — it catches algorithmic blowups, not
-CI-box jitter).  The speedup floor and the identity gate apply on
-every run, baseline or not.
+    PYTHONPATH=src python benchmarks/run_suite.py --suite incremental --quick
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import platform
-import sys
-import time
+from repro.api.pipeline import RoutingPipeline
+from repro.api.request import RouteRequest
+from repro.api.rerouting import RerouteRequest
+from repro.core.router import RouterConfig
+from repro.incremental.scripts import replace_nets_delta
+from repro.scenarios import load_corpus, route_fingerprint
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for entry in (str(_REPO_ROOT), str(_REPO_ROOT / "src")):
-    if entry not in sys.path:
-        sys.path.insert(0, entry)
-
-from repro.api.pipeline import RoutingPipeline  # noqa: E402
-from repro.api.request import RouteRequest  # noqa: E402
-from repro.api.rerouting import RerouteRequest  # noqa: E402
-from repro.core.router import RouterConfig  # noqa: E402
-from repro.incremental.scripts import replace_nets_delta  # noqa: E402
-from repro.scenarios import load_corpus, route_fingerprint  # noqa: E402
-
-from benchmarks.workloads import congested_layout, netted_layout  # noqa: E402
-
-SCHEMA_VERSION = 1
+from benchmarks.run_suite import best_wall
+from benchmarks.workloads import congested_layout, netted_layout
 
 #: A ≤10%-dirty reroute slower than a third of from-scratch means the
 #: warm start is not actually skipping the kept work.
 SPEEDUP_FLOOR = 3.0
 
-#: Best-of-N wall measurements; the workloads are millisecond-scale,
-#: so the minimum is the honest estimate of the work itself.
+#: Best-of-N wall measurements; the workloads are millisecond-scale.
 REPEATS = 5
+
+#: Gated against the baseline: walls at the driver's fixed ratio,
+#: deterministic counters for exact equality.
+WALL_KEYS = ("wall_seconds_reroute",)
+COUNTER_KEYS = ("kept", "ripped", "new")
 
 #: Workload definitions.  ``dirty`` nets are replaced verbatim via
 #: ``replace_nets_delta`` — the mutated layout equals the base layout,
@@ -135,7 +116,7 @@ WORKLOADS: dict[str, dict] = {
     },
 }
 
-QUICK_WORKLOADS = ("corpus_hotspot_s59_single", "negotiated_grid_16_6pct")
+QUICK = ("corpus_hotspot_s59_single", "negotiated_grid_16_6pct")
 
 
 def _layout(spec: dict):
@@ -147,17 +128,6 @@ def _layout(spec: dict):
     if spec["kind"] == "random":
         return netted_layout(spec["cells"], spec["nets"], seed=spec["seed"])
     return congested_layout(n_nets=spec["nets"], seed=spec["seed"], gap=spec["gap"])
-
-
-def _best_wall(fn) -> tuple[float, object]:
-    """Minimum wall over :data:`REPEATS` runs, plus the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - started)
-    return best, result
 
 
 def run_workload(spec: dict) -> dict:
@@ -177,9 +147,9 @@ def run_workload(spec: dict) -> dict:
     reroute_request = RerouteRequest(base=base_request, delta=delta)
     mutated_request = reroute_request.mutated_request()
 
-    wall_scratch, scratch = _best_wall(lambda: pipeline.run(mutated_request))
-    wall_reroute, rerouted = _best_wall(
-        lambda: pipeline.reroute(reroute_request, prev_result=base_result)
+    wall_scratch, scratch = best_wall(lambda: pipeline.run(mutated_request), REPEATS)
+    wall_reroute, rerouted = best_wall(
+        lambda: pipeline.reroute(reroute_request, prev_result=base_result), REPEATS
     )
 
     n_nets = len(layout.nets)
@@ -202,13 +172,7 @@ def run_workload(spec: dict) -> dict:
     }
 
 
-def run_suite(quick: bool = False) -> dict[str, dict]:
-    """Run the (quick or full) workload set; returns per-workload metrics."""
-    names = QUICK_WORKLOADS if quick else tuple(WORKLOADS)
-    return {name: run_workload(WORKLOADS[name]) for name in names}
-
-
-def _gate_failures(results: dict[str, dict]) -> list[str]:
+def gate(results: dict[str, dict]) -> list[str]:
     """Machine-independent gates: speedup floor and single identity."""
     failures = []
     for name, entry in results.items():
@@ -221,114 +185,3 @@ def _gate_failures(results: dict[str, dict]) -> list[str]:
             failures.append(f"{name}: single-strategy reroute diverged from scratch")
     return failures
 
-
-def _load_baseline(path: pathlib.Path) -> dict | None:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return None
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"bench_x6: unreadable baseline {path}: {exc}", file=sys.stderr)
-        return None
-    if data.get("schema") != SCHEMA_VERSION:
-        print(
-            f"bench_x6: baseline {path} has schema {data.get('schema')!r}, "
-            f"expected {SCHEMA_VERSION}; skipping regression check",
-            file=sys.stderr,
-        )
-        return None
-    return data
-
-
-def _check_regressions(
-    baseline: dict, current: dict[str, dict], max_regression: float
-) -> list[str]:
-    """Reroute wall time vs the recorded baseline, workload by workload."""
-    failures = []
-    for name, entry in current.items():
-        base_entry = baseline.get("workloads", {}).get(name)
-        if base_entry is None:
-            continue
-        base_wall = base_entry.get("wall_seconds_reroute")
-        new_wall = entry.get("wall_seconds_reroute")
-        if base_wall and new_wall:
-            ratio = new_wall / base_wall
-            verdict = "REGRESSED" if ratio > max_regression else "ok"
-            print(
-                f"  {name}: reroute wall {base_wall:.3f}s -> {new_wall:.3f}s "
-                f"({ratio:.2f}x, limit {max_regression:.1f}x) {verdict}"
-            )
-            if ratio > max_regression:
-                failures.append(
-                    f"{name}: reroute wall {ratio:.2f}x over baseline "
-                    f"(limit {max_regression:.1f}x)"
-                )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="run only the quick workload subset (CI smoke)",
-    )
-    parser.add_argument(
-        "--out", type=pathlib.Path, default=_REPO_ROOT / "BENCH_incremental.json",
-        help="where to write the JSON artifact "
-             "(default: repo-root BENCH_incremental.json)",
-    )
-    parser.add_argument(
-        "--check", type=pathlib.Path, default=None, metavar="BASELINE",
-        help="compare reroute walls against a recorded baseline JSON; "
-             "exit 1 on regression",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=3.0,
-        help="allowed reroute wall-time ratio over the baseline before "
-             "failing (default 3.0)",
-    )
-    args = parser.parse_args(argv)
-
-    baseline = _load_baseline(args.check) if args.check else None
-
-    mode = "quick" if args.quick else "full"
-    print(f"bench_x6: incremental suite ({mode}) ...")
-    results = run_suite(quick=args.quick)
-    for name, entry in results.items():
-        print(
-            f"  {name}: {entry['dirty_nets']}/{entry['nets']} nets dirty "
-            f"({entry['dirty_fraction'] * 100:.0f}%), scratch "
-            f"{entry['wall_seconds_scratch']:.3f}s -> reroute "
-            f"{entry['wall_seconds_reroute']:.3f}s ({entry['speedup']:.2f}x, "
-            f"kept={entry['kept']} ripped={entry['ripped']} new={entry['new']}, "
-            f"identical={entry['identical_to_scratch']})"
-        )
-
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "suite": "incremental",
-        "mode": mode,
-        "python": platform.python_version(),
-        "speedup_floor": SPEEDUP_FLOOR,
-        "workloads": results,
-    }
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"bench_x6: wrote {args.out}")
-
-    failures = _gate_failures(results)
-    if baseline is not None:
-        print(f"bench_x6: regression check against {args.check}")
-        failures += _check_regressions(baseline, results, args.max_regression)
-        if not failures:
-            print("bench_x6: no regressions")
-    elif args.check:
-        print("bench_x6: no usable baseline; skipping regression check")
-    if failures:
-        for failure in failures:
-            print(f"bench_x6: FAIL {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

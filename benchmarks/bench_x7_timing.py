@@ -1,4 +1,3 @@
-#!/usr/bin/env python
 """X7 — timing-driven routing: critical-net delay, measured and gated.
 
 The timing-driven strategy's pitch is that criticality-blended costs
@@ -20,47 +19,31 @@ the trajectory is auditable PR over PR:
   of the single-pass baseline (delay protection must not buy its wins
   with unbounded detours elsewhere).
 
-Usage (from the repository root)::
+:func:`gate` holds all three on every run.  Run the suite through the
+one bench driver::
 
-    PYTHONPATH=src python benchmarks/bench_x7_timing.py            # full
-    PYTHONPATH=src python benchmarks/bench_x7_timing.py --quick    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_x7_timing.py --quick \\
-        --check BENCH_timing.json                                  # gate
-
-With ``--check BASELINE``, timing-driven wall times are compared
-workload by workload against the recorded baseline and the driver
-exits non-zero past ``--max-regression`` (default 3x — it catches
-algorithmic blowups, not CI-box jitter).  The delay, validity, and
-wirelength gates apply on every run, baseline or not.
+    PYTHONPATH=src python benchmarks/run_suite.py --suite timing --quick
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import platform
-import sys
-import time
+from repro.api.pipeline import RoutingPipeline
+from repro.api.request import RouteRequest
+from repro.core.router import RouterConfig
+from repro.core.timing import analyze_route_timing
+from repro.scenarios import load_corpus
+from repro.scenarios.conformance import WIRELENGTH_BAND
+from repro.scenarios.families import FAMILIES
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for entry in (str(_REPO_ROOT), str(_REPO_ROOT / "src")):
-    if entry not in sys.path:
-        sys.path.insert(0, entry)
+from benchmarks.run_suite import best_wall
 
-from repro.api.pipeline import RoutingPipeline  # noqa: E402
-from repro.api.request import RouteRequest  # noqa: E402
-from repro.core.router import RouterConfig  # noqa: E402
-from repro.core.timing import analyze_route_timing  # noqa: E402
-from repro.scenarios import load_corpus  # noqa: E402
-from repro.scenarios.conformance import WIRELENGTH_BAND  # noqa: E402
-from repro.scenarios.families import FAMILIES  # noqa: E402
-
-SCHEMA_VERSION = 1
-
-#: Best-of-N wall measurements; the workloads are sub-second, so the
-#: minimum is the honest estimate of the work itself.
+#: Best-of-N wall measurements; the workloads are sub-second.
 REPEATS = 3
+
+#: Gated against the baseline: walls at the driver's fixed ratio,
+#: deterministic counters for exact equality.
+WALL_KEYS = ("wall_seconds_timing",)
+COUNTER_KEYS = ("worst_critical_delay_negotiated", "worst_critical_delay_timing")
 
 #: Workload definitions.  Corpus workloads route the checked-in
 #: ``long-critical-nets`` scenes (the same ones the conformance
@@ -92,7 +75,7 @@ WORKLOADS: dict[str, dict] = {
     },
 }
 
-QUICK_WORKLOADS = ("corpus_long_critical_s79", "corpus_long_critical_s107")
+QUICK = ("corpus_long_critical_s79", "corpus_long_critical_s107")
 
 
 def _layout(spec: dict):
@@ -102,17 +85,6 @@ def _layout(spec: dict):
                 return scenario.layout
         raise RuntimeError(f"corpus scenario {spec['scenario']!r} not found")
     return FAMILIES["long-critical-nets"].build(spec["seed"], **spec["overrides"])
-
-
-def _best_wall(fn) -> tuple[float, object]:
-    """Minimum wall over :data:`REPEATS` runs, plus the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - started)
-    return best, result
 
 
 def _worst_critical_delay(result, layout) -> float:
@@ -139,11 +111,11 @@ def run_workload(spec: dict) -> dict:
 
     single = pipeline.run(_request("single", {}))
     params = {"max_iterations": spec["max_iterations"]}
-    wall_negotiated, negotiated = _best_wall(
-        lambda: pipeline.run(_request("negotiated", dict(params)))
+    wall_negotiated, negotiated = best_wall(
+        lambda: pipeline.run(_request("negotiated", dict(params))), REPEATS
     )
-    wall_timing, timing = _best_wall(
-        lambda: pipeline.run(_request("timing-driven", dict(params)))
+    wall_timing, timing = best_wall(
+        lambda: pipeline.run(_request("timing-driven", dict(params))), REPEATS
     )
 
     delay_negotiated = _worst_critical_delay(negotiated, layout)
@@ -179,13 +151,7 @@ def run_workload(spec: dict) -> dict:
     }
 
 
-def run_suite(quick: bool = False) -> dict[str, dict]:
-    """Run the (quick or full) workload set; returns per-workload metrics."""
-    names = QUICK_WORKLOADS if quick else tuple(WORKLOADS)
-    return {name: run_workload(WORKLOADS[name]) for name in names}
-
-
-def _gate_failures(results: dict[str, dict]) -> list[str]:
+def gate(results: dict[str, dict]) -> list[str]:
     """Machine-independent gates: strict delay win, validity, wirelength."""
     failures = []
     lo, hi = WIRELENGTH_BAND
@@ -208,114 +174,3 @@ def _gate_failures(results: dict[str, dict]) -> list[str]:
             )
     return failures
 
-
-def _load_baseline(path: pathlib.Path) -> dict | None:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return None
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"bench_x7: unreadable baseline {path}: {exc}", file=sys.stderr)
-        return None
-    if data.get("schema") != SCHEMA_VERSION:
-        print(
-            f"bench_x7: baseline {path} has schema {data.get('schema')!r}, "
-            f"expected {SCHEMA_VERSION}; skipping regression check",
-            file=sys.stderr,
-        )
-        return None
-    return data
-
-
-def _check_regressions(
-    baseline: dict, current: dict[str, dict], max_regression: float
-) -> list[str]:
-    """Timing-driven wall time vs the recorded baseline, per workload."""
-    failures = []
-    for name, entry in current.items():
-        base_entry = baseline.get("workloads", {}).get(name)
-        if base_entry is None:
-            continue
-        base_wall = base_entry.get("wall_seconds_timing")
-        new_wall = entry.get("wall_seconds_timing")
-        if base_wall and new_wall:
-            ratio = new_wall / base_wall
-            verdict = "REGRESSED" if ratio > max_regression else "ok"
-            print(
-                f"  {name}: timing wall {base_wall:.3f}s -> {new_wall:.3f}s "
-                f"({ratio:.2f}x, limit {max_regression:.1f}x) {verdict}"
-            )
-            if ratio > max_regression:
-                failures.append(
-                    f"{name}: timing wall {ratio:.2f}x over baseline "
-                    f"(limit {max_regression:.1f}x)"
-                )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="run only the quick workload subset (CI smoke)",
-    )
-    parser.add_argument(
-        "--out", type=pathlib.Path, default=_REPO_ROOT / "BENCH_timing.json",
-        help="where to write the JSON artifact "
-             "(default: repo-root BENCH_timing.json)",
-    )
-    parser.add_argument(
-        "--check", type=pathlib.Path, default=None, metavar="BASELINE",
-        help="compare timing-driven walls against a recorded baseline JSON; "
-             "exit 1 on regression",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=3.0,
-        help="allowed timing wall-time ratio over the baseline before "
-             "failing (default 3.0)",
-    )
-    args = parser.parse_args(argv)
-
-    baseline = _load_baseline(args.check) if args.check else None
-
-    mode = "quick" if args.quick else "full"
-    print(f"bench_x7: timing suite ({mode}) ...")
-    results = run_suite(quick=args.quick)
-    for name, entry in results.items():
-        print(
-            f"  {name}: {entry['critical_nets']}/{entry['nets']} critical, "
-            f"worst delay negotiated {entry['worst_critical_delay_negotiated']:g} "
-            f"-> timing {entry['worst_critical_delay_timing']:g} "
-            f"({entry['delay_improvement'] * 100:.0f}% better), "
-            f"wirelength {entry['wirelength_ratio_vs_single']:.3f}x single, "
-            f"wall {entry['wall_seconds_timing']:.3f}s"
-        )
-
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "suite": "timing",
-        "mode": mode,
-        "python": platform.python_version(),
-        "wirelength_band": list(WIRELENGTH_BAND),
-        "workloads": results,
-    }
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"bench_x7: wrote {args.out}")
-
-    failures = _gate_failures(results)
-    if baseline is not None:
-        print(f"bench_x7: regression check against {args.check}")
-        failures += _check_regressions(baseline, results, args.max_regression)
-        if not failures:
-            print("bench_x7: no regressions")
-    elif args.check:
-        print("bench_x7: no usable baseline; skipping regression check")
-    if failures:
-        for failure in failures:
-            print(f"bench_x7: FAIL {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

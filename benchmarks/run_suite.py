@@ -1,288 +1,253 @@
 #!/usr/bin/env python
-"""Perf-benchmark suite driver: runs the tracked workloads and emits
-the committed baseline artifacts so every PR has a perf trajectory to
-compare against.
+"""The one driver for the tracked bench suites.
 
-Two suites are tracked (pick with ``--suite``):
+Four suites are tracked, each in its own module, and each writes one
+artifact ``BENCH_<suite>.json``; the committed copies in the
+repository root are the baselines:
 
-* ``hotpath`` (default) — the single-process routing hot path; emits
-  ``BENCH_hotpath.json``.
-* ``service`` — N concurrent clients through the real HTTP service
-  across the executor × store matrix
-  (:mod:`benchmarks.bench_service_load`); emits ``BENCH_service.json``.
-* ``all`` — both, each against its default artifact (``--check`` is
-  per-suite and therefore rejected here; gate suites individually).
+* ``hotpath`` (:mod:`benchmarks.bench_x5_hotpath`) — ray memo on vs
+  off and the reference oracle vs the default search;
+* ``incremental`` (:mod:`benchmarks.bench_x6_incremental`) — warm
+  reroute vs routing from scratch;
+* ``timing`` (:mod:`benchmarks.bench_x7_timing`) — timing-driven vs
+  negotiated critical-net delay;
+* ``service`` (:mod:`benchmarks.bench_service_load`) — concurrent
+  clients over real HTTP across the executor x store matrix.
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python benchmarks/run_suite.py            # full hotpath
-    PYTHONPATH=src python benchmarks/run_suite.py --quick    # CI smoke
-    PYTHONPATH=src python benchmarks/run_suite.py --quick \\
-        --check BENCH_hotpath.json                           # regression gate
-    PYTHONPATH=src python benchmarks/run_suite.py --suite service --quick \\
-        --check BENCH_service.json                           # service gate
+    PYTHONPATH=src python benchmarks/run_suite.py                  # re-record all
+    PYTHONPATH=src python benchmarks/run_suite.py --suite timing   # one suite
+    PYTHONPATH=src python benchmarks/run_suite.py --quick --check --out bench
 
-The hotpath artifact records, per workload: wall time with the ray
-cache off and on, the cache speedup, nodes expanded, expansions per
-second, cache hit rate, the byte-identity verdict (cache on vs off),
-and an ``engines`` block comparing the reference oracle (row
-``scalar``: the scalar search with the ray memo off) with the default
-search (row ``vectorized``): wall, expansions per second, speedup vs
-the reference, and a byte-identity verdict.  See
-``docs/performance.md`` for how to read it.
+A suite module holds only what differs between suites: ``WORKLOADS``,
+its ``QUICK`` subset (names of ``WORKLOADS``), ``run_workload(spec)``,
+``gate(results)`` with the suite's machine-independent gates, and the
+dotted names of its ``WALL_KEYS`` and ``COUNTER_KEYS``.
 
-With ``--check BASELINE``, workloads present in both the baseline and
-the current run are compared; the driver exits non-zero when any
-workload's wall time regresses more than ``--max-regression``
-(default 3x — generous on purpose: CI boxes are slow and noisy, so the
-gate only catches algorithmic blowups, not jitter).
+The driver runs the selected workloads, always writes the artifact,
+then gates.  With ``--check`` every result row is also compared, by
+workload name, against the committed ``BENCH_<suite>.json``: wall keys
+may not exceed :data:`WALL_LIMIT` times the baseline (loose on purpose:
+the baseline may come from another machine, so the ratio only catches
+algorithmic blowups), and deterministic counters must match exactly.
+A missing, unreadable or other-schema baseline fails ``--check``, and
+every baseline is loaded before any artifact is written, so ``--out .``
+can overwrite the files it checks against.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
+import os
 import pathlib
 import platform
 import sys
+import time
 
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 # Make `benchmarks.*` and `repro.*` importable no matter where the
 # driver is launched from (CI runs it with only PYTHONPATH=src).
-for entry in (str(_REPO_ROOT), str(_REPO_ROOT / "src")):
+for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-SCHEMA_VERSION = 1
+SCHEMA = 2
 
-#: Expansion counts are deterministic per code+workload, so anything
-#: beyond rounding-free growth is an algorithmic regression; 1.5x
-#: leaves room for deliberate heuristic tweaks that a PR can absorb by
-#: regenerating the baseline.
-NODE_REGRESSION_LIMIT = 1.5
+#: Allowed ratio of a wall key over its baseline.
+WALL_LIMIT = 3.0
+
+#: Suite name -> module.
+SUITES = {
+    "hotpath": "benchmarks.bench_x5_hotpath",
+    "incremental": "benchmarks.bench_x6_incremental",
+    "timing": "benchmarks.bench_x7_timing",
+    "service": "benchmarks.bench_service_load",
+}
 
 
-def _load_baseline(path: pathlib.Path) -> dict | None:
+class BaselineError(Exception):
+    """A baseline that ``--check`` cannot compare against."""
+
+
+def best_wall(fn, repeats: int) -> tuple[float, object]:
+    """Minimum wall over *repeats* calls of *fn*, plus the last result.
+
+    The tracked workloads are deterministic, so the minimum is the
+    honest estimate of the work itself.
+    """
+    best = float("inf")
+    result = None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - started)
+    return best, result
+
+
+def cpu_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def baseline_path(suite: str) -> pathlib.Path:
+    return REPO_ROOT / f"BENCH_{suite}.json"
+
+
+def load_baseline(suite: str) -> dict:
+    """The committed artifact of *suite*; raises :class:`BaselineError`."""
+    path = baseline_path(suite)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        return None
+        raise BaselineError(f"missing baseline {path}") from None
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"run_suite: unreadable baseline {path}: {exc}", file=sys.stderr)
-        return None
-    if data.get("schema") != SCHEMA_VERSION:
-        print(
-            f"run_suite: baseline {path} has schema {data.get('schema')!r}, "
-            f"expected {SCHEMA_VERSION}; skipping regression check",
-            file=sys.stderr,
+        raise BaselineError(f"unreadable baseline {path}: {exc}") from None
+    if not isinstance(data, dict) or data.get("schema") != SCHEMA:
+        found = data.get("schema") if isinstance(data, dict) else None
+        raise BaselineError(
+            f"baseline {path} has schema {found!r}, expected {SCHEMA}"
         )
-        return None
+    if data.get("suite") != suite or not isinstance(data.get("workloads"), dict):
+        raise BaselineError(f"baseline {path} is not a {suite} artifact")
     return data
 
 
-def _check_regressions(
-    baseline: dict, current: dict[str, dict], max_regression: float
-) -> list[str]:
-    """Wall-time gate plus a machine-independent expansion-count gate.
+def _flatten(entry: dict, prefix: str = "") -> dict:
+    """Nested row -> ``{"a.b.c": value}``."""
+    flat = {}
+    for key, value in entry.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[f"{prefix}{key}"] = value
+    return flat
 
-    Wall clock varies across hardware (the committed baseline may come
-    from a different box than CI), which is why the wall limit is a
-    generous ratio.  Node expansions are deterministic for identical
-    code+workload, so any drift there beyond noise-free tolerance is
-    an algorithmic change and is gated much tighter.
-    """
-    failures: list[str] = []
-    for name, entry in current.items():
-        base_entry = baseline.get("workloads", {}).get(name)
+
+def check(suite, baseline: dict, results: dict[str, dict]) -> list[str]:
+    """Compare *results* with *baseline* row by row, by workload name."""
+    failures = []
+    for name, entry in results.items():
+        base_entry = baseline["workloads"].get(name)
         if base_entry is None:
+            failures.append(f"{name}: no baseline row; re-record the baseline")
             continue
-        base_wall = base_entry.get("wall_seconds_cache_on")
-        new_wall = entry.get("wall_seconds_cache_on")
-        if base_wall and new_wall:
-            ratio = new_wall / base_wall
-            verdict = "REGRESSED" if ratio > max_regression else "ok"
-            print(
-                f"  {name}: wall {base_wall:.3f}s -> {new_wall:.3f}s "
-                f"({ratio:.2f}x, limit {max_regression:.1f}x) {verdict}"
-            )
-            if ratio > max_regression:
-                failures.append(
-                    f"{name}: wall {ratio:.2f}x over baseline (limit {max_regression:.1f}x)"
-                )
-        base_nodes = base_entry.get("nodes_expanded")
-        new_nodes = entry.get("nodes_expanded")
-        if base_nodes and new_nodes:
-            node_ratio = new_nodes / base_nodes
-            verdict = "REGRESSED" if node_ratio > NODE_REGRESSION_LIMIT else "ok"
-            print(
-                f"  {name}: expansions {base_nodes} -> {new_nodes} "
-                f"({node_ratio:.2f}x, limit {NODE_REGRESSION_LIMIT:.1f}x) {verdict}"
-            )
-            if node_ratio > NODE_REGRESSION_LIMIT:
-                failures.append(
-                    f"{name}: {node_ratio:.2f}x node expansions over baseline "
-                    f"(limit {NODE_REGRESSION_LIMIT:.1f}x)"
-                )
-        # Per-engine wall gate, same generous ratio: catches one engine
-        # regressing while the headline cache-on number stays healthy.
-        for engine, stats in entry.get("engines", {}).items():
-            base_engine = base_entry.get("engines", {}).get(engine, {})
-            base_wall = base_engine.get("wall_seconds")
-            new_wall = stats.get("wall_seconds")
-            if not (base_wall and new_wall):
+        base, new = _flatten(base_entry), _flatten(entry)
+        for key in (*suite.WALL_KEYS, *suite.COUNTER_KEYS):
+            if key not in base and key not in new:
                 continue
-            ratio = new_wall / base_wall
-            verdict = "REGRESSED" if ratio > max_regression else "ok"
-            print(
-                f"  {name}[{engine}]: wall {base_wall:.3f}s -> {new_wall:.3f}s "
-                f"({ratio:.2f}x, limit {max_regression:.1f}x) {verdict}"
-            )
-            if ratio > max_regression:
-                failures.append(
-                    f"{name}[{engine}]: wall {ratio:.2f}x over baseline "
-                    f"(limit {max_regression:.1f}x)"
+            if key not in base or key not in new:
+                failures.append(f"{name}: {key} present in only one of run and baseline")
+            elif key in suite.COUNTER_KEYS:
+                if new[key] != base[key]:
+                    failures.append(f"{name}: {key} {base[key]} -> {new[key]}, must match")
+            elif base[key]:
+                ratio = new[key] / base[key]
+                verdict = "REGRESSED" if ratio > WALL_LIMIT else "ok"
+                print(
+                    f"  {name}: {key} {base[key]:.3f}s -> {new[key]:.3f}s "
+                    f"({ratio:.2f}x, limit {WALL_LIMIT:.0f}x) {verdict}"
                 )
+                if ratio > WALL_LIMIT:
+                    failures.append(
+                        f"{name}: {key} {ratio:.2f}x over baseline "
+                        f"(limit {WALL_LIMIT:.0f}x)"
+                    )
     return failures
 
 
-def _run_service_suite(args: argparse.Namespace) -> int:
-    """Delegate to :mod:`benchmarks.bench_service_load`'s own driver."""
-    from benchmarks.bench_service_load import main as service_main
+def run(
+    name: str,
+    suite,
+    *,
+    quick: bool,
+    out_dir: pathlib.Path,
+    baseline: dict | None = None,
+) -> list[str]:
+    """Run one suite, write its artifact, then gate; returns failures."""
+    mode = "quick" if quick else "full"
+    print(f"run_suite: {name} suite ({mode}) ...")
+    results = {}
+    for workload in suite.QUICK if quick else suite.WORKLOADS:
+        results[workload] = suite.run_workload(suite.WORKLOADS[workload])
+        flat = _flatten(results[workload])
+        row = ", ".join(
+            f"{key}={flat[key]}"
+            for key in (*suite.WALL_KEYS, *suite.COUNTER_KEYS)
+            if key in flat
+        )
+        print(f"  {workload}: {row}")
 
-    forwarded: list[str] = []
-    if args.quick:
-        forwarded.append("--quick")
-    forwarded += ["--out", str(args.out or _REPO_ROOT / "BENCH_service.json")]
-    if args.check is not None:
-        forwarded += [
-            "--check", str(args.check),
-            "--max-regression", str(args.max_regression),
-        ]
-    return service_main(forwarded)
+    out = out_dir / f"BENCH_{name}.json"
+    payload = {
+        "schema": SCHEMA,
+        "suite": name,
+        "mode": mode,
+        "python": platform.python_version(),
+        "cpu_cores": cpu_cores(),
+        "workloads": results,
+    }
+    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    print(f"run_suite: wrote {out}")
+
+    failures = suite.gate(results)
+    if baseline is not None:
+        print(f"run_suite: {name} check against {baseline_path(name)}")
+        failures += check(suite, baseline, results)
+    return [f"{name}: {failure}" for failure in failures]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--suite", choices=("hotpath", "service", "all"), default="hotpath",
-        help="which tracked suite to run (default hotpath)",
+        "--suite", choices=(*SUITES, "all"), default="all",
+        help="which tracked suite to run (default all)",
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="run only the quick workload subset (CI smoke)",
+        help="run only each suite's QUICK workloads (CI smoke)",
     )
     parser.add_argument(
-        "--out", type=pathlib.Path, default=None,
-        help="where to write the JSON artifact (default: the suite's "
-             "committed baseline name in the repo root)",
+        "--check", action="store_true",
+        help="also compare against the committed BENCH_<suite>.json; "
+             "a missing or other-schema baseline fails",
     )
     parser.add_argument(
-        "--check", type=pathlib.Path, default=None, metavar="BASELINE",
-        help="compare against a recorded baseline JSON; exit 1 on regression",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=3.0,
-        help="allowed wall-time ratio over the baseline before failing (default 3.0)",
+        "--out", type=pathlib.Path, default=REPO_ROOT, metavar="DIR",
+        help="directory for the BENCH_<suite>.json artifacts "
+             "(default: the repository root)",
     )
     args = parser.parse_args(argv)
+    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
 
-    if args.suite == "all" and args.check is not None:
-        parser.error("--check is per-suite; gate hotpath and service separately")
-    if args.suite == "service":
-        return _run_service_suite(args)
-    if args.out is None:
-        args.out = _REPO_ROOT / "BENCH_hotpath.json"
-
-    # Read the baseline before writing --out: the CI smoke run points
-    # both at the committed BENCH_hotpath.json.
-    baseline = _load_baseline(args.check) if args.check else None
-
-    from benchmarks.bench_x5_hotpath import PRE_OVERHAUL_REFERENCE, run_suite
-
-    mode = "quick" if args.quick else "full"
-    print(f"run_suite: hotpath suite ({mode}) ...")
-    results = run_suite(quick=args.quick)
-    for name, entry in results.items():
-        if "identical_cache_on_off" in entry:
-            print(
-                f"  {name}: {entry['wall_seconds_cache_off']:.3f}s -> "
-                f"{entry['wall_seconds_cache_on']:.3f}s with cache "
-                f"({entry['speedup_cache']:.2f}x, hit rate "
-                f"{entry['ray_cache_hit_rate'] * 100:.1f}%, "
-                f"{entry['expansions_per_second']:.0f} expand/s, "
-                f"identical={entry['identical_cache_on_off']})"
-            )
-        for engine, stats in entry.get("engines", {}).items():
-            print(
-                f"  {name}[{engine}]: {stats['wall_seconds']:.3f}s "
-                f"({stats['expansions_per_second']:.0f} expand/s, "
-                f"{stats['speedup_vs_scalar']:.2f}x vs scalar, "
-                f"identical={stats['identical_to_scalar']})"
-            )
-
-    broken = [
-        n for n, e in results.items() if not e.get("identical_cache_on_off", True)
-    ]
-    if broken:
-        print(f"run_suite: cache changed routed results on: {broken}", file=sys.stderr)
-        return 1
-    engine_broken = [
-        f"{name}[{engine}]"
-        for name, entry in results.items()
-        for engine, stats in entry.get("engines", {}).items()
-        if not stats["identical_to_scalar"]
-    ]
-    if engine_broken:
-        print(
-            f"run_suite: engine changed routed results on: {engine_broken}",
-            file=sys.stderr,
-        )
-        return 1
-    skip_broken = [
-        n
-        for n, e in results.items()
-        if "identical_strategy_skip" in e
-        and not (e["identical_strategy_skip"] and e["strategy_ray_lookups"] == 0)
-    ]
-    if skip_broken:
-        print(
-            "run_suite: single-pass memo skip not byte-identical / not skipped "
-            f"on: {skip_broken}",
-            file=sys.stderr,
-        )
-        return 1
-
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "suite": "hotpath",
-        "mode": mode,
-        "python": platform.python_version(),
-        "workloads": results,
-        "reference_pre_overhaul": PRE_OVERHAUL_REFERENCE,
-    }
-    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"run_suite: wrote {args.out}")
-
-    if baseline is not None:
-        print(f"run_suite: regression check against {args.check}")
-        failures = _check_regressions(baseline, results, args.max_regression)
-        if failures:
-            for failure in failures:
-                print(f"run_suite: REGRESSION {failure}", file=sys.stderr)
+    baselines = {}
+    if args.check:
+        try:
+            baselines = {name: load_baseline(name) for name in names}
+        except BaselineError as exc:
+            print(f"run_suite: {exc}", file=sys.stderr)
             return 1
-        print("run_suite: no regressions")
-    elif args.check:
-        print("run_suite: no usable baseline; skipping regression check")
 
-    if args.suite == "all":
-        return _run_service_suite(
-            argparse.Namespace(
-                quick=args.quick,
-                out=None,
-                check=None,
-                max_regression=args.max_regression,
-            )
+    args.out.mkdir(parents=True, exist_ok=True)
+    failures = []
+    for name in names:
+        failures += run(
+            name,
+            importlib.import_module(SUITES[name]),
+            quick=args.quick,
+            out_dir=args.out,
+            baseline=baselines.get(name),
         )
+    for failure in failures:
+        print(f"run_suite: FAIL {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    print("run_suite: all gates passed")
     return 0
 
 

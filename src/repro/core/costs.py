@@ -619,23 +619,3 @@ class TimingDrivenCost(NegotiatedCongestionCost):
             super().segment_cost(seg)
             + self.criticality * self.delay_weight * seg.length
         )
-
-
-def _overlap_length(seg: Segment, region: Rect) -> int:
-    """Length of *seg* lying within the closed *region*.
-
-    A segment running along the region's boundary counts: hugging a
-    cell edge adjacent to a congested passage is exactly the behaviour
-    the penalty must discourage.
-    """
-    if seg.is_degenerate:
-        return 0
-    if seg.is_horizontal:
-        if not region.y_span.contains(seg.a.y):
-            return 0
-        shared = seg.span.intersection(region.x_span)
-    else:
-        if not region.x_span.contains(seg.a.x):
-            return 0
-        shared = seg.span.intersection(region.y_span)
-    return shared.length if shared is not None else 0

@@ -8,7 +8,7 @@ random layouts (delay bounds against the routed trees).
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.router import GlobalRouter
 from repro.core.timing import (
@@ -91,6 +91,9 @@ class TestRoutedLayoutProperties:
         n_nets=st.integers(min_value=1, max_value=8),
         load_factor=st.floats(min_value=0.0, max_value=2.0),
     )
+    # Pinned: the old bound, `(1 + load_factor) * total` plus one ulp,
+    # sat below the model's own grouping on this draw.
+    @example(seed=31, n_nets=2, load_factor=1.0669681859261353)
     @settings(max_examples=15, deadline=None)
     def test_analysis_of_routed_layout(self, seed, n_nets, load_factor):
         layout = random_layout(
@@ -111,11 +114,12 @@ class TestRoutedLayoutProperties:
             assert 0.0 <= timing.criticality <= 1.0
             total = tree.total_length
             assert timing.delay >= load_factor * total
-            # One float ulp of slop: the bound sums the terms in a
-            # different association than the model does.
-            assert timing.delay <= math.nextafter(
-                (1.0 + load_factor) * total, math.inf
-            )
+            # The bound uses the model's own grouping, `longest +
+            # load_factor * total` with `longest <= total`, so it holds
+            # exactly: rounding is monotone, and regrouping the sum as
+            # `(1 + load_factor) * total` can round below it by more
+            # than one ulp.
+            assert timing.delay <= total + load_factor * total
             assert timing.delay == net_delay(
                 tree, net, load_factor=load_factor
             )
