@@ -1,9 +1,8 @@
 """X4 — Batch.route_many scaling over worker counts.
 
 The batch facade fans whole RouteRequests out over one shared executor
-(:mod:`repro.api.batch`), one process per layout — the orthogonal
-scaling axis to the per-layout net fan-out measured in X3b.  Two claims
-are checked: results are identical to serial per-layout pipeline runs
+(:mod:`repro.api.batch`), one process per layout; each layout's nets
+route serially inside its worker.  Two claims are checked: results are identical to serial per-layout pipeline runs
 for every worker count and executor flavour (the batch is purely a
 wall-time facade), and wall time per batch is reported per worker
 count (speedup appears on multicore hosts; single-core CI boxes only

@@ -1,12 +1,11 @@
 """The batch facade: many layouts, one shared executor.
 
-Where :mod:`repro.core.parallel` fans the *nets of one layout* out over
-workers, :class:`Batch` fans *whole requests* out — the
-service/benchmark-farm shape where many independent layouts arrive at
-once.  Both share the executor machinery
-(:func:`repro.core.parallel.make_executor`), so the flavour semantics
-are identical: ``"process"`` scales with cores, ``"thread"`` is the
-GIL-bound fallback for unpicklable inputs.
+Each layout's nets route serially in one process; :class:`Batch` fans
+*whole requests* out — the service/benchmark-farm shape where many
+independent layouts arrive at once.  It shares the executor machinery
+with the service (:func:`repro.core.parallel.make_executor`), so the
+flavour semantics are identical: ``"process"`` scales with cores,
+``"thread"`` is the GIL-bound fallback for unpicklable inputs.
 
 Duplicate requests — equal canonical keys per
 :func:`repro.api.canonical.request_cache_key` — are routed exactly
@@ -14,17 +13,10 @@ once; every duplicate slot aliases the shared
 :class:`~repro.api.result.RouteResult`, the same identity the service
 layer (:mod:`repro.service`) caches and coalesces on.
 
-Nesting note: requests routed by a process batch should keep
-``config.workers == 1`` — one process per request is already the
-scaling axis, and nesting process pools inside pool workers multiplies
-processes without adding cores.  ``Batch`` rejects that combination
-rather than silently oversubscribing.
-
 Process batches resolve strategies inside fresh worker processes, so
-only strategies importable at ``repro.api`` import time (the built-ins,
-or anything a custom ``initializer`` registers) are available there;
-third-party strategies registered at runtime in the parent need the
-``"thread"`` executor.
+only strategies importable at ``repro.api`` import time (the built-ins)
+are available there; third-party strategies registered at runtime in
+the parent need the ``"thread"`` executor.
 """
 
 from __future__ import annotations
@@ -215,13 +207,6 @@ class Batch:
         if serial:
             return [run(r) for r in reqs]
         if self.executor == "process":
-            oversubscribed = [r for r in reqs if r.config.workers > 1]
-            if oversubscribed:
-                raise RoutingError(
-                    "process batches require config.workers == 1 per request "
-                    f"({len(oversubscribed)} request(s) ask for nested net fan-out); "
-                    "drop the per-request workers or use executor='thread'"
-                )
             # Layout references would be opened in worker processes with
             # whatever cwd they inherit; resolve them here so the batch
             # behaves like the serial path regardless of worker state.
@@ -238,12 +223,7 @@ class Batch:
             pending = [r for r in resolved if isinstance(r, RouteRequest)]
             routed: list[BatchOutcome] = []
             if pending:
-                # Slot-isolated resolve failures (or duplicate collapse)
-                # can leave a single pending request; a one-worker pool
-                # is legitimate here, so relax the fan-out minimum.
-                with make_executor(
-                    min(self.workers, len(pending)), "process", minimum=1
-                ) as pool:
+                with make_executor(min(self.workers, len(pending)), "process") as pool:
                     routed = list(pool.map(_run_request_guarded, pending))
             routed_iter = iter(routed)
             return [

@@ -17,12 +17,12 @@ Covered fields and why:
 
 * the **layout content** (not its path — two paths to byte-identical
   layouts share a key, and editing a referenced file changes it);
-* the **router config minus its fan-out knobs** — ``workers`` and
-  ``executor`` (:data:`RESULT_INVARIANT_CONFIG_KEYS`) only spread the
-  same passes over a pool, and the conformance identity groups pin
-  their byte identity corpus-wide, so requests differing only there
-  share a key.  Every other knob participates, ``prune_clean_nets``
-  included: it changes negotiated routes (see ``docs/scenarios.md``);
+* the **router config** — every knob participates,
+  ``prune_clean_nets`` included: it changes negotiated routes (see
+  ``docs/scenarios.md``).  Retired keys an old request still carries
+  (``workers``, ``executor``, ``engine``, ``ray_cache``) are dropped
+  when it loads, so they never reach the key and stored results keep
+  hitting;
 * ``strategy`` + ``strategy_params`` (nested structures canonicalize
   recursively via sorted-key JSON);
 * ``on_unroutable``, ``verify``, ``detail`` — they change what the
@@ -49,10 +49,6 @@ from repro.layout.io import layout_to_dict
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.request import RouteRequest
     from repro.layout.layout import Layout
-
-#: Router config keys left out of :func:`request_cache_key`: routes
-#: are byte-identical whatever their values.
-RESULT_INVARIANT_CONFIG_KEYS = frozenset({"workers", "executor"})
 
 
 def canonical_json(value: Any) -> str:
@@ -100,14 +96,9 @@ def request_cache_key(
 
     if layout is None:
         layout = request.resolve_layout()
-    config = {
-        key: value
-        for key, value in config_to_dict(request.config).items()
-        if key not in RESULT_INVARIANT_CONFIG_KEYS
-    }
     payload = {
         "layout": layout_fingerprint(layout),
-        "config": config,
+        "config": config_to_dict(request.config),
         "strategy": request.strategy,
         "strategy_params": dict(request.strategy_params),
         "on_unroutable": request.on_unroutable,

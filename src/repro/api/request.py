@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextvars
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Optional
 
 from repro.errors import RoutingError
@@ -41,9 +41,16 @@ UNROUTABLE_POLICIES = ("raise", "skip")
 _LENIENT_PARAMS = contextvars.ContextVar("repro_lenient_params", default=False)
 
 #: Router config keys that older releases wrote and this one ignores:
-#: the search-engine choice and the ray-memo toggle, neither of which
-#: could change a route.
-RETIRED_CONFIG_KEYS = frozenset({"engine", "ray_cache"})
+#: the search-engine choice, the ray-memo toggle and the net-level
+#: fan-out (``workers``, ``executor``), none of which could change a
+#: route.
+RETIRED_CONFIG_KEYS = frozenset({"engine", "ray_cache", "workers", "executor"})
+
+#: The :class:`RouterConfig` fields that must arrive as JSON booleans:
+#: every field whose default is a bool.
+_CONFIG_FLAGS = tuple(
+    f.name for f in fields(RouterConfig) if isinstance(getattr(RouterConfig(), f.name), bool)
+)
 
 
 def _strategy_registry():
@@ -52,6 +59,24 @@ def _strategy_registry():
     from repro.api.registry import DEFAULT_REGISTRY
 
     return DEFAULT_REGISTRY
+
+
+def _object(value: Any, what: str) -> Mapping[str, Any]:
+    """*value* if it is a JSON object, else a :class:`RoutingError`."""
+    if not isinstance(value, Mapping):
+        raise RoutingError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _flag(data: Mapping[str, Any], key: str, default: bool) -> bool:
+    """``data[key]`` (or *default*) if it is a JSON boolean, else a :class:`RoutingError`.
+
+    No truthiness: ``"no"`` or ``0`` would otherwise flip a toggle.
+    """
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise RoutingError(f"{key} must be a JSON boolean, got {value!r}")
+    return value
 
 
 def config_to_dict(config: RouterConfig) -> dict[str, Any]:
@@ -67,8 +92,6 @@ def config_to_dict(config: RouterConfig) -> dict[str, Any]:
         "node_limit": config.node_limit,
         "trace": config.trace,
         "prune_clean_nets": config.prune_clean_nets,
-        "workers": config.workers,
-        "executor": config.executor,
     }
 
 
@@ -79,8 +102,10 @@ def config_from_dict(data: Mapping[str, Any]) -> RouterConfig:
     keep working when new knobs are added.  Retired keys
     (:data:`RETIRED_CONFIG_KEYS`) are dropped with a warning, whatever
     their value, so old requests and persisted jobs keep loading; any
-    other unknown key raises.
+    other unknown key raises, as does a non-object *data* or a
+    non-boolean flag.
     """
+    _object(data, "router config")
     defaults = RouterConfig()
     known = set(config_to_dict(defaults))
     retired = sorted(RETIRED_CONFIG_KEYS.intersection(data))
@@ -89,25 +114,16 @@ def config_from_dict(data: Mapping[str, Any]) -> RouterConfig:
     unknown = sorted(set(data) - known - RETIRED_CONFIG_KEYS)
     if unknown:
         raise RoutingError(f"unknown router config key(s) {unknown}")
+    flags = {key: _flag(data, key, getattr(defaults, key)) for key in _CONFIG_FLAGS}
     try:
         node_limit = data.get("node_limit", defaults.node_limit)
         return RouterConfig(
             mode=EscapeMode(data.get("mode", defaults.mode.value)),
             order=Order(data.get("order", defaults.order.value)),
-            inverted_corner=bool(data.get("inverted_corner", defaults.inverted_corner)),
             corner_epsilon=float(data.get("corner_epsilon", defaults.corner_epsilon)),
             bend_penalty=float(data.get("bend_penalty", defaults.bend_penalty)),
-            exact_steiner_order=bool(
-                data.get("exact_steiner_order", defaults.exact_steiner_order)
-            ),
-            refine=bool(data.get("refine", defaults.refine)),
             node_limit=None if node_limit is None else int(node_limit),
-            trace=bool(data.get("trace", defaults.trace)),
-            prune_clean_nets=bool(
-                data.get("prune_clean_nets", defaults.prune_clean_nets)
-            ),
-            workers=int(data.get("workers", defaults.workers)),
-            executor=str(data.get("executor", defaults.executor)),
+            **flags,
         )
     except ValueError as exc:
         raise RoutingError(f"malformed router config: {exc}") from exc
@@ -232,7 +248,9 @@ class RouteRequest:
 
         Unknown ``strategy_params`` keys are tolerated here (warned
         about and dropped) so serialized requests survive schema
-        growth; ill-typed values still raise.
+        growth; ill-typed values still raise.  So does a ``config`` or
+        ``strategy_params`` that is not a JSON object, and a
+        ``verify``/``detail``/``report`` that is not a JSON boolean.
         """
         token = _LENIENT_PARAMS.set(True)
         try:
@@ -245,11 +263,13 @@ class RouteRequest:
                 layout_path=data.get("layout_path"),
                 config=config_from_dict(data.get("config", {})),
                 strategy=data.get("strategy", "single"),
-                strategy_params=data.get("strategy_params", {}),
+                strategy_params=_object(
+                    data.get("strategy_params", {}), "strategy_params"
+                ),
                 on_unroutable=data.get("on_unroutable", "raise"),
-                verify=bool(data.get("verify", True)),
-                detail=bool(data.get("detail", False)),
-                report=bool(data.get("report", False)),
+                verify=_flag(data, "verify", True),
+                detail=_flag(data, "detail", False),
+                report=_flag(data, "report", False),
             )
         except (KeyError, TypeError) as exc:
             raise RoutingError(f"malformed route request: {exc}") from exc

@@ -30,7 +30,7 @@ Example::
 
     python -m repro generate --cells 12 --nets 10 --seed 7 -o chip.json
     python -m repro route chip.json --strategy two-pass --detail --svg chip.svg
-    python -m repro route chip.json --strategy timing-driven --workers 4
+    python -m repro route chip.json --strategy timing-driven
     python -m repro route --request request.json --json-out result.json
     python -m repro strategies --json
     python -m repro conformance --quick --json-out conformance_report.json
@@ -97,9 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rip-up-and-reconnect refinement per net")
     route.add_argument("--passes", type=int, default=2,
                        help="repasses for the two-pass strategy (default 2)")
-    route.add_argument("--workers", type=int, default=1, metavar="K",
-                       help="parallel net fan-out over K worker processes "
-                            "(default 1 = serial)")
     route.add_argument("--detail", action="store_true",
                        help="also run the detailed router")
     route.add_argument("--no-verify", action="store_true",
@@ -126,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="scenario corpus directory (default: the checked-in "
                            "scenarios/ corpus)")
     conf.add_argument("--quick", action="store_true",
-                      help="baseline + one flip per toggle instead of the full "
-                           "2x2x2 matrix")
+                      help="baseline + one flip per toggle (3 points) instead of "
+                           "the full prune x reference matrix (4 points)")
     conf.add_argument("--only", action="append", metavar="PATTERN", default=None,
                       help="restrict to scenario names matching the glob "
                            "(repeatable)")
@@ -246,7 +243,6 @@ def _request_from_flags(args: argparse.Namespace) -> RouteRequest:
         mode=EscapeMode.FULL if args.mode == "full" else EscapeMode.AGGRESSIVE,
         inverted_corner=args.inverted_corner,
         refine=args.refine,
-        workers=args.workers,
     )
     return RouteRequest(
         layout=_load_layout(args.layout),
@@ -265,8 +261,7 @@ def _request_from_flags(args: argparse.Namespace) -> RouteRequest:
 #: output-only flags --ascii/--svg/--json-out still apply).
 _REQUEST_CONFLICT_FLAGS = (
     ("strategy", None), ("mode", "full"), ("inverted_corner", False),
-    ("refine", False), ("passes", 2),
-    ("workers", 1), ("skip_unroutable", False), ("no_verify", False),
+    ("refine", False), ("passes", 2), ("skip_unroutable", False), ("no_verify", False),
     ("detail", False), ("report", False),
 )
 

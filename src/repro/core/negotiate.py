@@ -21,8 +21,8 @@ Dense, over-subscribed layouts that the two-pass mode leaves illegal
 are legalized this way (see ``benchmarks/bench_x3_negotiation.py``).
 
 One loop, four strategies.  :func:`negotiate` owns everything the
-strategies share: the first pass (or a warm start in its place), the
-worker pool, per-wave :class:`IterationStats`, the stop rule (no
+strategies share: the first pass (or a warm start in its place),
+per-wave :class:`IterationStats`, the stop rule (no
 overflow left, or the wave budget spent), the prune-aware choice of
 affected nets, the call to :meth:`GlobalRouter.reroute_pass`, and
 best-route tracking.  A *policy* — :class:`NegotiatedRouter` or a
@@ -34,11 +34,10 @@ analysis after each pass.  ``negotiated`` is the default policy,
 (:func:`~repro.incremental.engine.incremental_negotiated`) passes a
 warm-start *seed*.
 
-Parallelism rides along for free: within one wave the cost model is
-frozen, so the paper's E7 order-invariance applies to every pass, and
-both the first pass and each reroute wave fan out over
-``RouterConfig.workers`` (see :mod:`repro.core.parallel`) with results
-identical to a serial run.  Waves with a model per net route serially.
+Every pass routes its nets serially, in the order the policy gives.
+Within one wave the cost model is frozen (or fixed per net before the
+wave starts), so the paper's E7 order-invariance applies to every pass:
+the order changes no route, only which nets a wave picks does.
 """
 
 from __future__ import annotations
@@ -213,14 +212,13 @@ class NegotiatedRouter:
     :class:`NegotiationConfig`.  :meth:`run` hands this object to
     :func:`negotiate` as the wave policy:
 
-    1. Route all nets independently (parallel when
-       ``config.workers > 1``) and measure passage congestion.
+    1. Route all nets independently and measure passage congestion.
     2. While any passage is over capacity and budget remains: fold the
        overflow into the history, build a
        :class:`~repro.core.costs.NegotiatedCongestionCost` from the
        present utilizations and accumulated history, rip up every net
        through an overflowed passage, and reroute those nets under the
-       frozen negotiated model (again fanning out over workers).
+       frozen negotiated model.
     3. Return the best route seen — least total overflow, then least
        wirelength — with per-iteration convergence stats.
 
@@ -398,8 +396,7 @@ def negotiate(
     and ``max_iterations`` allows.
 
     In skip mode a net whose reroute fails keeps its earlier tree
-    (first-pass failures stay recorded in ``failed_nets``).  One
-    worker pool serves every pass.
+    (first-pass failures stay recorded in ``failed_nets``).
     """
     check_on_unroutable(on_unroutable)
     router = policy.router
@@ -407,69 +404,59 @@ def negotiate(
     passages = find_passages(router.layout, max_gap=knobs.max_gap)
     history = CongestionHistory(gain=knobs.history_gain)
     rerouted: set[str] = set()
-    # One pool for the whole run: the first pass and every reroute
-    # wave reuse the same workers instead of paying spawn +
-    # layout-pickle costs per iteration.
-    pool = router.open_pool()
-    try:
-        started = time.perf_counter()
-        if seed is None:
-            first = router.route_all(on_unroutable=on_unroutable, pool=pool)
-            moved = 0
-        else:
-            first = GlobalRoute(
-                trees=dict(seed.kept.trees),
-                stats=seed.kept.stats,
-                failed_nets=list(seed.kept.failed_nets),
-            )
-            kept_map = measure_congestion(passages, first)
-            history.seed(kept_map)
-            outcomes = router.route_each(
-                list(seed.dirty),
-                cost_model=policy.wave_cost(history, kept_map),
-                pool=pool,
-                fail_fast=on_unroutable == "raise",
-            )
-            moved = router.merge_outcomes(
-                first, outcomes, on_unroutable=on_unroutable, rerouted=rerouted
-            )
-        before = measure_congestion(passages, first)
-        current = best = (first, before, policy.analyze(first))
-        iterations = [IterationStats.measure(0, first, before, started=started, rerouted=moved)]
+    started = time.perf_counter()
+    if seed is None:
+        first = router.route_all(on_unroutable=on_unroutable)
+        moved = 0
+    else:
+        first = GlobalRoute(
+            trees=dict(seed.kept.trees),
+            stats=seed.kept.stats,
+            failed_nets=list(seed.kept.failed_nets),
+        )
+        kept_map = measure_congestion(passages, first)
+        history.seed(kept_map)
+        outcomes = router.route_each(
+            list(seed.dirty),
+            cost_model=policy.wave_cost(history, kept_map),
+            fail_fast=on_unroutable == "raise",
+        )
+        moved = router.merge_outcomes(
+            first, outcomes, on_unroutable=on_unroutable, rerouted=rerouted
+        )
+    before = measure_congestion(passages, first)
+    current = best = (first, before, policy.analyze(first))
+    iterations = [IterationStats.measure(0, first, before, started=started, rerouted=moved)]
 
-        for iteration in range(1, knobs.max_iterations + 1):
-            route, congestion, analysis = current
-            if congestion.total_overflow == 0:
-                break
-            wave_started = time.perf_counter()
-            cost = policy.wave_cost(history, congestion)
-            nets = sorted(congestion.affected_nets() if policy.prune else route.trees)
-            order, cost = policy.wave_plan(nets, cost, analysis)
-            candidate, candidate_map, moved = router.reroute_pass(
-                route,
-                order,
-                cost,
-                passages=passages,
-                pool=pool,
-                on_unroutable=on_unroutable,
-                rerouted=rerouted,
+    for iteration in range(1, knobs.max_iterations + 1):
+        route, congestion, analysis = current
+        if congestion.total_overflow == 0:
+            break
+        wave_started = time.perf_counter()
+        cost = policy.wave_cost(history, congestion)
+        nets = sorted(congestion.affected_nets() if policy.prune else route.trees)
+        order, cost = policy.wave_plan(nets, cost, analysis)
+        candidate, candidate_map, moved = router.reroute_pass(
+            route,
+            order,
+            cost,
+            passages=passages,
+            on_unroutable=on_unroutable,
+            rerouted=rerouted,
+        )
+        current = (candidate, candidate_map, policy.analyze(candidate))
+        iterations.append(
+            IterationStats.measure(
+                iteration,
+                candidate,
+                candidate_map,
+                started=wave_started,
+                rerouted=moved,
+                previous=route,
             )
-            current = (candidate, candidate_map, policy.analyze(candidate))
-            iterations.append(
-                IterationStats.measure(
-                    iteration,
-                    candidate,
-                    candidate_map,
-                    started=wave_started,
-                    rerouted=moved,
-                    previous=route,
-                )
-            )
-            if policy.key(*current) < policy.key(*best):
-                best = current
-    finally:
-        if pool is not None:
-            pool.close()
+        )
+        if policy.key(*current) < policy.key(*best):
+            best = current
 
     final, after, analysis = best
     return NegotiationResult(

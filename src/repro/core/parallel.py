@@ -1,261 +1,34 @@
-"""Parallel net fan-out for the independent routing passes.
+"""Pool construction shared by the request-level fan-out.
 
-"Independent net routing also eliminates the problem of net ordering."
-The same property that makes the router order-invariant (experiment
-E7) makes it embarrassingly parallel: within one pass the cost model
-is frozen and no net's route depends on any other net's route, so the
-netlist can be partitioned over workers arbitrarily and the resulting
-trees are identical to a serial run — results are collected back in
-netlist order, so even the aggregate is deterministic.
-
-Two executors are provided behind ``RouterConfig.workers``:
-
-``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker
-    process reconstructs the router once (layout, config and active
-    cost model travel by pickle in the pool initializer) and then
-    routes nets by name.  This is the backend that actually scales
-    with cores for the pure-Python search.
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor` sharing the
-    parent's router.  The GIL serializes the search, so this is a
-    compatibility fallback for layouts or cost models that cannot be
-    pickled, not a speedup.
-
-Spinning a process pool up costs worker spawns plus a pickle of the
-whole layout, so loops that run many passes over the same layout (the
-negotiation engine, multi-pass congestion schemes) should keep one
-:class:`NetRoutingPool` alive for the whole run and hand each pass its
-own frozen cost model; one-shot callers can use
-:func:`route_each_parallel`.  Only the fan-out lives here; deciding
-*when* to fan out (``workers``, trace mode, netlist size) is the
-router's job.
+One layout's nets are routed serially, in one process (see
+:class:`~repro.core.router.GlobalRouter`).  Work spreads across cores
+one level up, over whole requests: the batch facade
+(:mod:`repro.api.batch`), the service's dispatch pool
+(:mod:`repro.service.jobs`) and its process tier
+(:mod:`repro.service.workers`) all build their pools here, so they
+share one set of flavour strings and one validation.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
-import pickle
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.errors import RoutingError, UnroutableError
-from repro.core.costs import CongestionPenaltyCost, CostModel
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.route import RouteTree
-    from repro.core.router import GlobalRouter
+from repro.errors import RoutingError
 
 EXECUTORS = ("process", "thread")
 
 
-def validate_fanout(workers: int, executor: str, *, minimum: int = 2) -> None:
-    """Reject invalid fan-out knobs before any pool (or pickling) work.
+def make_executor(workers: int, executor: str):
+    """Build a :mod:`concurrent.futures` executor of the named flavour.
 
-    *minimum* is the smallest legal pool.  Net fan-out keeps the
-    default of 2 (the serial routing path never builds a pool at all),
-    while the routing service's job pool legitimately runs with one
-    worker — a single-worker pool still decouples request admission
-    from execution.
+    ``"process"`` scales with cores; ``"thread"`` shares the parent's
+    state (the GIL serializes the routing).  Rejects an unknown flavour
+    or fewer than one worker before any pool is built.
     """
     if executor not in EXECUTORS:
         raise RoutingError(f"executor must be one of {EXECUTORS}, not {executor!r}")
-    if workers < minimum:
-        raise RoutingError(
-            f"parallel fan-out needs workers >= {minimum}, got {workers}"
-        )
-
-
-def make_executor(
-    workers: int,
-    executor: str,
-    *,
-    initializer=None,
-    initargs: tuple = (),
-    minimum: int = 2,
-):
-    """Build a :mod:`concurrent.futures` executor of the configured flavour.
-
-    The one place pool flavour strings turn into pool objects; the
-    net-level fan-out (:class:`NetRoutingPool`), the request-level
-    batch facade (:mod:`repro.api.batch`), and the service job pool
-    (:mod:`repro.service.jobs`) all go through it, so they share
-    validation and semantics.  ``initializer``/``initargs`` only apply
-    to process pools (thread pools share the parent's state already);
-    ``minimum`` is forwarded to :func:`validate_fanout`.
-    """
-    validate_fanout(workers, executor, minimum=minimum)
+    if workers < 1:
+        raise RoutingError(f"a worker pool needs workers >= 1, got {workers}")
     if executor == "thread":
         return ThreadPoolExecutor(max_workers=workers)
-    return ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
-    )
-
-
-#: Per-process worker state (populated by the pool initializer).
-_WORKER: dict = {}
-
-
-def _init_worker(payload: bytes) -> None:
-    """Process-pool initializer: rebuild the router once per worker."""
-    from repro.core.router import GlobalRouter
-
-    layout, config, cost_model = pickle.loads(payload)
-    _WORKER["router"] = GlobalRouter(layout, config, cost_model=cost_model)
-    _WORKER["model"] = None
-
-
-def _encode_model(router: "GlobalRouter", cost_model: Optional[CostModel]) -> Optional[bytes]:
-    """Pickle a per-pass cost model once, as compactly as possible.
-
-    Congestion surcharges stacked directly on the router's own base
-    model — the shape every pass of the two-pass and negotiation loops
-    produces — ship as bare penalty regions; the workers already hold
-    the base model from the pool initializer, so re-pickling its chain
-    (obstacle sets and all) per pass would waste the pool's
-    pay-the-layout-pickle-once design.  Anything else ships whole.
-    """
-    if cost_model is None:
-        return None
-    if isinstance(cost_model, CongestionPenaltyCost) and cost_model.base is router.cost_model:
-        payload = ("regions", cost_model.regions)
-    else:
-        payload = ("model", cost_model)
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _load_model(blob: Optional[bytes]) -> Optional[CostModel]:
-    """Decode a per-pass cost model, caching it across a pass's tasks."""
-    if blob is None:
-        return None
-    cached = _WORKER.get("model")
-    if cached is not None and cached[0] == blob:
-        return cached[1]
-    kind, payload = pickle.loads(blob)
-    if kind == "regions":
-        model: CostModel = CongestionPenaltyCost(payload, base=_WORKER["router"].cost_model)
-    else:
-        model = payload
-    _WORKER["model"] = (blob, model)
-    return model
-
-
-def _route_in_worker(net_name: str, model_blob: Optional[bytes]):
-    """Route one net inside a pool worker process."""
-    return route_one_outcome(_WORKER["router"], net_name, _load_model(model_blob))
-
-
-def route_one_outcome(
-    router: "GlobalRouter", net_name: str, cost_model: Optional[CostModel]
-) -> "tuple[str, Optional[RouteTree], Optional[UnroutableError]]":
-    """Route one net, capturing unroutability as data (pickle-safe).
-
-    The error slot carries the original :class:`UnroutableError` (its
-    ``partial`` diagnostic survives pickling), so raise-mode callers
-    can re-raise it unchanged.
-    """
-    try:
-        tree = router.route_one(router.layout.net(net_name), cost_model=cost_model)
-        return net_name, tree, None
-    except UnroutableError as exc:
-        return net_name, None, exc
-
-
-class NetRoutingPool:
-    """A reusable worker pool bound to one router.
-
-    The pool pays its setup cost (process spawns plus one pickle of
-    the layout/config/base cost model) exactly once; every
-    :meth:`route_each` pass afterwards ships only the net names and,
-    when given, one pickled per-pass cost model shared by all of the
-    pass's tasks.  Usable as a context manager; :meth:`close` shuts
-    the workers down.
-
-    Parameters
-    ----------
-    router:
-        The configured parent router (layout, config, base cost model).
-    workers, executor:
-        Override ``router.config``; ``workers`` must be >= 2 (the
-        serial path never needs a pool).
-    """
-
-    def __init__(
-        self,
-        router: "GlobalRouter",
-        *,
-        workers: Optional[int] = None,
-        executor: Optional[str] = None,
-    ):
-        self.router = router
-        self.workers = workers if workers is not None else router.config.workers
-        self.executor = executor if executor is not None else router.config.executor
-        # Fail before the (potentially large) layout pickle below.
-        validate_fanout(self.workers, self.executor)
-        if self.executor == "thread":
-            self._pool = make_executor(self.workers, self.executor)
-        else:
-            serial_config = dataclasses.replace(router.config, workers=1)
-            payload = pickle.dumps(
-                (router.layout, serial_config, router.cost_model),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            self._pool = make_executor(
-                self.workers,
-                self.executor,
-                initializer=_init_worker,
-                initargs=(payload,),
-            )
-
-    def route_each(
-        self,
-        net_names: Iterable[str],
-        *,
-        cost_model: Optional[CostModel] = None,
-    ) -> list:
-        """Route *net_names* concurrently; outcomes come back in input order.
-
-        *cost_model* overrides the router's model for every net of
-        this pass (the congestion loops pass their per-iteration
-        penalized model).  Returns ``(net_name, tree_or_None,
-        error_or_None)`` tuples; unroutable nets are reported as data
-        so the caller decides between raising and skipping.
-        """
-        names = list(net_names)
-        if self.executor == "thread":
-            return list(
-                self._pool.map(
-                    lambda name: route_one_outcome(self.router, name, cost_model), names
-                )
-            )
-        blob = _encode_model(self.router, cost_model)
-        chunksize = max(1, len(names) // (self.workers * 4))
-        return list(
-            self._pool.map(
-                _route_in_worker, names, itertools.repeat(blob), chunksize=chunksize
-            )
-        )
-
-    def close(self) -> None:
-        """Shut the worker pool down."""
-        self._pool.shutdown()
-
-    def __enter__(self) -> "NetRoutingPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def route_each_parallel(
-    router: "GlobalRouter",
-    net_names: Iterable[str],
-    *,
-    cost_model: Optional[CostModel] = None,
-    workers: int,
-    executor: str = "process",
-) -> list:
-    """One-shot fan-out: build a pool, route one pass, tear it down."""
-    with NetRoutingPool(router, workers=workers, executor=executor) as pool:
-        return pool.route_each(net_names, cost_model=cost_model)
+    return ProcessPoolExecutor(max_workers=workers)

@@ -316,9 +316,8 @@ def reference_search() -> Iterator[None]:
     blocker index, for the duration of the search — the plainest form
     of the line-search A*, against which the batched problem, the memo
     and the index are checked.
-    The override is process-local: it reaches ``workers=1`` routing
-    only, never the processes of a ``workers > 1`` pool.  It is meant
-    for tests, the conformance matrix and the hot-path bench; no
+    The override is process-local: it never reaches the processes of a
+    batch or service worker pool.  It is meant for tests, the conformance matrix and the hot-path bench; no
     config, request, CLI flag or environment variable selects it.
     """
     global _REFERENCE

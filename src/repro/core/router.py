@@ -12,10 +12,11 @@ both statements: two-pass, negotiated and timing-driven routing, all
 run by the one wave loop in :mod:`repro.core.negotiate`, add
 usage-dependent penalty regions on top of the cells, so route costs
 there depend on where other nets went in *earlier* passes.  Within any
-single pass the cost model is frozen, so E7 order-invariance — and
-hence the parallel fan-out behind ``RouterConfig.workers`` — still
+single pass the cost model is frozen, so E7 order-invariance still
 holds pass by pass; it is only across passes that ordering (which
-iteration a net is ripped up in) matters.
+iteration a net is ripped up in) matters.  Every pass routes its nets
+serially, in one process; work spreads across cores one level up,
+over whole requests (:mod:`repro.api.batch` and the service tiers).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
-from repro.errors import LayoutError, RoutingError, UnroutableError
+from repro.errors import RoutingError, UnroutableError
 from repro.core.congestion import CongestionMap, measure_congestion
 from repro.core.costs import (
     BendPenaltyCost,
@@ -73,24 +74,16 @@ class RouterConfig:
         (``prune_clean_nets=False``) rips up and reroutes *every*
         routed net per iteration — the original PathFinder formulation,
         far slower and occasionally shorter.
-    workers:
-        Net-level fan-out for the independent passes (see
-        :mod:`repro.core.parallel`).  1 (the default) routes serially;
-        larger values partition each pass's netlist over a worker
-        pool, producing identical trees in identical order.
-    executor:
-        Pool flavour for ``workers > 1``: ``"process"`` (scales with
-        cores) or ``"thread"`` (GIL-bound fallback for unpicklable
-        layouts/cost models).
 
-    The search problem and the ray memo are not configurable because
-    neither can change a route: :func:`~repro.core.pathfinder.find_path`
-    runs the batched problem wherever it prices bit-identically to the
-    scalar oracle and the scalar problem everywhere else, and the
-    router's obstacle set memoizes ray queries (single passes switch
-    the memo off, see :class:`~repro.api.strategies.SingleStrategy`).
-    Tests compare against the plain oracle through
-    :func:`~repro.core.pathfinder.reference_search`.
+    The search problem, the ray memo and net-level parallelism are not
+    configurable because none can change a route:
+    :func:`~repro.core.pathfinder.find_path` runs the batched problem
+    wherever it prices bit-identically to the scalar oracle and the
+    scalar problem everywhere else, the router's obstacle set memoizes
+    ray queries (single passes switch the memo off, see
+    :class:`~repro.api.strategies.SingleStrategy`), and every pass
+    routes its nets serially.  Tests compare against the plain oracle
+    through :func:`~repro.core.pathfinder.reference_search`.
     """
 
     mode: EscapeMode = EscapeMode.FULL
@@ -103,24 +96,13 @@ class RouterConfig:
     node_limit: Optional[int] = None
     trace: bool = False
     prune_clean_nets: bool = True
-    workers: int = 1
-    executor: str = "process"
 
     def __post_init__(self) -> None:
         """Reject malformed configs at construction time.
 
         Programmatic callers get the same errors the CLI used to
-        hand-check, and a bad config can never reach a routing pass
-        (or a worker pool) half-built.
+        hand-check, and a bad config can never reach a routing pass.
         """
-        from repro.core.parallel import EXECUTORS
-
-        if self.workers < 1:
-            raise RoutingError(f"workers must be >= 1, got {self.workers}")
-        if self.executor not in EXECUTORS:
-            raise RoutingError(
-                f"executor must be one of {EXECUTORS}, not {self.executor!r}"
-            )
         if self.bend_penalty < 0:
             raise RoutingError(f"bend_penalty must be >= 0, got {self.bend_penalty}")
         if self.corner_epsilon < 0:
@@ -207,73 +189,39 @@ class GlobalRouter:
             )
         return tree
 
-    def open_pool(self) -> Optional["NetRoutingPool"]:  # noqa: F821
-        """A reusable worker pool per the config, or ``None`` if serial.
-
-        The wave loop (:func:`repro.core.negotiate.negotiate`) calls
-        this once and passes the result through every pass, so each
-        pass reuses the same workers instead of paying spawn
-        and layout-pickle costs per pass.  The caller owns the pool
-        and must ``close()`` it (or use it as a context manager).
-        """
-        if self.config.workers > 1 and len(self.layout.nets) > 1 and not self.config.trace:
-            from repro.core.parallel import NetRoutingPool
-
-            return NetRoutingPool(self)
-        return None
-
     def route_each(
         self,
-        net_names: Iterable[str],
+        nets: Iterable[Union[str, Net]],
         *,
-        cost_model: Optional[CostModel] = None,
-        pool: Optional["NetRoutingPool"] = None,  # noqa: F821
+        cost_model: Union[Optional[CostModel], Mapping[str, CostModel]] = None,
         fail_fast: bool = False,
     ) -> list[tuple[str, Optional[RouteTree], Optional[UnroutableError]]]:
-        """Route the named layout nets under one frozen cost model.
+        """Route *nets* one after another; outcomes come back in input order.
 
-        The pass primitive shared by :meth:`route_all` and the
-        wave loop.  Returns ``(name, tree_or_None,
-        error_or_None)`` outcomes in input order, the error slot
-        carrying the original :class:`UnroutableError` (``partial``
-        diagnostic intact, even across process boundaries);
-        unroutability comes back as data so the caller picks
-        raise-vs-skip semantics —
-        except with ``fail_fast=True``, where the *serial* path
-        re-raises the first :class:`UnroutableError` immediately
-        (pool-backed passes always run to completion first, so there
-        fail-fast only skips the merge).
-
-        With ``config.workers > 1`` the nets fan out over a worker
-        pool (:mod:`repro.core.parallel`); because the cost model is
-        frozen for the whole pass this produces trees identical to the
-        serial run.  Callers that run many passes should obtain one
-        pool via :meth:`open_pool` and pass it through to amortize the
-        pool setup.  Trace-recording runs stay serial so expansion
-        traces never cross a process boundary.
+        The pass primitive shared by :meth:`route_all` and the wave
+        loop.  *nets* are layout net names or :class:`Net` objects
+        (ad-hoc nets the layout does not hold route too).  *cost_model*
+        is one frozen model for every net (``None`` for the router's
+        own), or a mapping giving each net, by name, its own model.
+        Returns ``(name, tree_or_None, error_or_None)`` outcomes, the
+        error slot carrying the original :class:`UnroutableError`
+        (``partial`` diagnostic intact); unroutability comes back as
+        data so the caller picks raise-vs-skip semantics — except with
+        ``fail_fast=True``, which re-raises the first
+        :class:`UnroutableError` at once.
         """
-        names = list(net_names)
-        if names and not self.config.trace:
-            if pool is not None:
-                return pool.route_each(names, cost_model=cost_model)
-            if self.config.workers > 1 and len(names) > 1:
-                from repro.core.parallel import route_each_parallel
-
-                return route_each_parallel(
-                    self,
-                    names,
-                    cost_model=cost_model,
-                    workers=self.config.workers,
-                    executor=self.config.executor,
-                )
+        per_net = isinstance(cost_model, Mapping)
         outcomes: list[tuple[str, Optional[RouteTree], Optional[UnroutableError]]] = []
-        for name in names:
+        for net in nets:
+            if isinstance(net, str):
+                net = self.layout.net(net)
+            model = cost_model[net.name] if per_net else cost_model
             try:
-                outcomes.append((name, self.route_one(self.layout.net(name), cost_model=cost_model), None))
+                outcomes.append((net.name, self.route_one(net, cost_model=model), None))
             except UnroutableError as exc:
                 if fail_fast:
                     raise
-                outcomes.append((name, None, exc))
+                outcomes.append((net.name, None, exc))
         return outcomes
 
     def merge_outcomes(
@@ -319,39 +267,26 @@ class GlobalRouter:
         cost_model: Union[Optional[CostModel], Mapping[str, CostModel]],
         *,
         passages: list,
-        pool: Optional["NetRoutingPool"] = None,  # noqa: F821
         on_unroutable: str = "raise",
         rerouted: Optional[set] = None,
     ) -> tuple[GlobalRoute, CongestionMap, int]:
         """One penalized repass: the pass primitive of the wave loop.
 
         Copies *current* (trees, stats, failed nets), reroutes the
-        *affected* nets (a net whose reroute fails keeps its previous
-        tree), and re-measures the *passages*.  *cost_model* is either
-        one frozen model for the whole pass, which may fan out over
-        *pool*, or a mapping giving every affected net its own model;
-        those nets are routed serially in *affected* order, whatever
-        ``workers`` says.  Returns ``(candidate, congestion_map,
-        nets_moved)``.
+        *affected* nets in order (a net whose reroute fails keeps its
+        previous tree), and re-measures the *passages*.  *cost_model*
+        is one frozen model for the whole pass or a mapping giving
+        every affected net its own (see :meth:`route_each`).  Returns
+        ``(candidate, congestion_map, nets_moved)``.
         """
         candidate = GlobalRoute(
             trees=dict(current.trees),
             stats=current.stats,
             failed_nets=list(current.failed_nets),
         )
-        fail_fast = on_unroutable == "raise"
-        if isinstance(cost_model, Mapping):
-            outcomes = [
-                outcome
-                for name in affected
-                for outcome in self.route_each(
-                    [name], cost_model=cost_model[name], fail_fast=fail_fast
-                )
-            ]
-        else:
-            outcomes = self.route_each(
-                affected, cost_model=cost_model, pool=pool, fail_fast=fail_fast
-            )
+        outcomes = self.route_each(
+            affected, cost_model=cost_model, fail_fast=on_unroutable == "raise"
+        )
         moved = self.merge_outcomes(
             candidate,
             outcomes,
@@ -366,57 +301,26 @@ class GlobalRouter:
         nets: Optional[Iterable[Net]] = None,
         *,
         on_unroutable: str = "raise",
-        pool: Optional["NetRoutingPool"] = None,  # noqa: F821
     ) -> GlobalRoute:
         """Route every net (or the given subset) independently.
 
         Parameters
         ----------
         on_unroutable:
-            ``"raise"`` (default) propagates the first failure;
+            ``"raise"`` (default) propagates the first failure at once;
             ``"skip"`` records the net in ``failed_nets`` and carries
             on — useful for diagnostics on deliberately hard inputs.
-        pool:
-            An existing :class:`~repro.core.parallel.NetRoutingPool`
-            to reuse (multi-pass loops); otherwise ``config.workers``
-            decides whether a one-shot pool is spun up.
 
-        With ``config.workers > 1`` the nets are partitioned over a
-        worker pool; the resulting trees (and their order) are
-        identical to the serial run.  In raise mode the serial path
-        fails fast on the first unroutable net, while the parallel
-        path finishes the in-flight pass before raising the same
-        error.  Ad-hoc :class:`Net` objects not registered in the
-        layout are routed too, but their presence makes the *whole*
-        pass serial (workers address nets by name, so a mixed list
-        cannot be partitioned without reordering outcomes).
+        Ad-hoc :class:`Net` objects not registered in the layout are
+        routed too.
         """
         check_on_unroutable(on_unroutable)
-        net_list = list(nets) if nets is not None else list(self.layout.nets)
         route = GlobalRoute()
         started = time.perf_counter()
-        if all(self._owns(net) for net in net_list):
-            outcomes = self.route_each(
-                [net.name for net in net_list],
-                pool=pool,
-                fail_fast=on_unroutable == "raise",
-            )
-        else:
-            outcomes = []
-            for net in net_list:
-                try:
-                    outcomes.append((net.name, self.route_one(net), None))
-                except UnroutableError as exc:
-                    if on_unroutable == "raise":
-                        raise
-                    outcomes.append((net.name, None, exc))
+        outcomes = self.route_each(
+            self.layout.nets if nets is None else nets,
+            fail_fast=on_unroutable == "raise",
+        )
         self.merge_outcomes(route, outcomes, on_unroutable=on_unroutable)
         route.stats.elapsed_seconds = time.perf_counter() - started
         return route
-
-    def _owns(self, net: Net) -> bool:
-        """Whether *net* is the layout's own net object (routable by name)."""
-        try:
-            return self.layout.net(net.name) is net
-        except LayoutError:
-            return False

@@ -287,8 +287,7 @@ class TimingDrivenRouter(NegotiatedRouter):
        :class:`~repro.core.costs.TimingDrivenCost` carrying that net's
        criticality.  (Congestion terms stay frozen for the wave, so
        the ordering only matters across waves, like the negotiated
-       loop.)  Per-net models make the waves serial for any
-       ``workers``; only the first pass fans out.
+       loop.)
     3. The best route is the lexicographically least
        ``(total_overflow, worst_delay, wirelength)`` — delay outranks
        wirelength, which is the whole point.

@@ -48,8 +48,8 @@ class UnroutableError(RoutingError):
         self.partial = partial
 
     def __reduce__(self):
-        # Default exception pickling would drop ``partial``; the
-        # parallel router ships these across process boundaries.
+        # Default exception pickling would drop ``partial``; process
+        # batches ship these across process boundaries.
         return (type(self), (self.args[0], self.partial))
 
 

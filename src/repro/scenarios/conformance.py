@@ -1,20 +1,19 @@
 """Differential conformance: every scenario × strategy × toggle combo.
 
 The runner routes each corpus scenario through every registered
-strategy under a config-toggle matrix (serial vs parallel net fan-out,
-``prune_clean_nets`` on/off, plus reference points that route under
+strategy under a config-toggle matrix (``prune_clean_nets`` on/off,
+each also at a reference point that routes under
 :func:`~repro.core.pathfinder.reference_search`) and checks these
 promises:
 
 1. **Oracle validity** — every routed result must come back clean from
    the independent checker (:func:`repro.analysis.verify.verify_global_route`)
    with no failed nets.
-2. **Byte identity where guaranteed** — ``workers`` is documented as
-   result-preserving, and so are the search problem the pathfinder
-   picks, the ray memo and the ray index, so every config that differs
-   only in those (a reference point runs the scalar oracle with the
-   memo off and scanned rays) must
-   produce the identical route fingerprint.
+2. **Byte identity where guaranteed** — the search problem the
+   pathfinder picks, the ray memo and the ray index are documented as
+   result-preserving, so every config that differs only in those (a
+   reference point runs the scalar oracle with the memo off and
+   scanned rays) must produce the identical route fingerprint.
    ``prune_clean_nets`` changes which nets the negotiation loop rips
    up, so for the ``negotiated`` strategy identity is asserted per
    pruning flag; for the others the flag is inert and all configs must
@@ -99,52 +98,34 @@ class MatrixPoint:
     A ``reference`` point routes its whole cell — the run and any
     incremental replays — under
     :func:`~repro.core.pathfinder.reference_search`: the scalar oracle
-    with the ray memo off and rays traced by the plain numpy scan,
-    serial only.
+    with the ray memo off and rays traced by the plain numpy scan.
     """
 
     name: str
-    workers: int = 1
     prune_clean_nets: bool = True
     reference: bool = False
 
     def to_config(self) -> RouterConfig:
-        """The :class:`RouterConfig` this point routes under.
-
-        Parallel points use the thread executor: the serial-vs-parallel
-        identity promise is executor-independent, and threads avoid
-        paying process-pool spawn costs once per matrix cell.
-        """
-        return RouterConfig(
-            workers=self.workers,
-            executor="thread",
-            prune_clean_nets=self.prune_clean_nets,
-        )
+        """The :class:`RouterConfig` this point routes under."""
+        return RouterConfig(prune_clean_nets=self.prune_clean_nets)
 
     def search(self) -> AbstractContextManager:
         """The search override this point's cell routes under."""
         return reference_search() if self.reference else nullcontext()
 
 
-#: Every workers × pruning combination, plus one reference point per
-#: pruning flag.  Reference points share identity groups with the
-#: others (``_identity_key`` ignores them): the batched search and the
-#: ray memo promise byte-identical routes, and this matrix is where
-#: that promise is differentially pinned across the whole corpus.
+#: Every pruning × reference combination.  Reference points share
+#: identity groups with the others (``_identity_key`` ignores them):
+#: the batched search and the ray memo promise byte-identical routes,
+#: and this matrix is where that promise is differentially pinned
+#: across the whole corpus.
 FULL_MATRIX: tuple[MatrixPoint, ...] = tuple(
     MatrixPoint(
-        name=f"workers={workers}|prune={'on' if prune else 'off'}",
-        workers=workers,
+        name=f"{'reference|' if reference else ''}prune={'on' if prune else 'off'}",
         prune_clean_nets=prune,
+        reference=reference,
     )
-    for workers in (1, 2)
-    for prune in (True, False)
-) + tuple(
-    MatrixPoint(
-        name=f"reference|prune={'on' if prune else 'off'}",
-        prune_clean_nets=prune,
-        reference=True,
-    )
+    for reference in (False, True)
     for prune in (True, False)
 )
 
@@ -152,7 +133,6 @@ FULL_MATRIX: tuple[MatrixPoint, ...] = tuple(
 #: exercised against the baseline, at a fraction of the matrix cost.
 QUICK_MATRIX: tuple[MatrixPoint, ...] = (
     MatrixPoint(name="baseline"),
-    MatrixPoint(name="workers=2", workers=2),
     MatrixPoint(name="prune=off", prune_clean_nets=False),
     MatrixPoint(name="reference", reference=True),
 )
@@ -264,8 +244,8 @@ def _identity_key(strategy: str, point: MatrixPoint) -> tuple:
 
     Only the negotiation-style loops read ``prune_clean_nets``, so it
     splits identity groups for ``negotiated`` and ``timing-driven``
-    alone; ``workers`` and the reference override are result-preserving
-    everywhere — reference points deliberately do *not* split groups,
+    alone; the reference override is result-preserving everywhere —
+    reference points deliberately do *not* split groups,
     which is exactly what makes this matrix the oracle parity gate.
     """
     if strategy in ("negotiated", "timing-driven"):

@@ -28,10 +28,10 @@ failure fans out to every follower.  Followers do not consume window
 slots either; the window bounds actual routing work.
 
 Two worker tiers execute the accepted work.  Dispatch is always a
-thread pool from :func:`repro.core.parallel.make_executor`
-(``minimum=1``); with ``executor="thread"`` the routing runs inline on
-those threads (GIL-bound, but mandatory for caller-registered
-strategies that only exist in this process), while
+thread pool from :func:`repro.core.parallel.make_executor`; with
+``executor="thread"`` the routing runs inline on those threads
+(GIL-bound, but mandatory for caller-registered strategies that only
+exist in this process), while
 ``executor="process"`` hands each run's JSON work spec to the
 crash-tolerant :class:`~repro.service.workers.ProcessTier` — true
 multi-core routing, with worker-crash detection, a per-job
@@ -260,7 +260,7 @@ class RoutingService:
         #: The result store, under its historical attribute name.
         self.cache = self.store.results
         self._pipeline = RoutingPipeline(registry)
-        self._pool = make_executor(workers, "thread", minimum=1)
+        self._pool = make_executor(workers, "thread")
         self._tier = (
             ProcessTier(workers, self.metrics) if executor == "process" else None
         )

@@ -103,7 +103,7 @@ class ProcessTier:
         self.target = target
         self._lock = threading.Lock()
         self._generation = 0
-        self._pool = make_executor(workers, "process", minimum=1)
+        self._pool = make_executor(workers, "process")
 
     def run(self, spec: dict) -> "RouteResult":
         """Execute *spec* in a worker process; retry once across a crash."""
@@ -136,7 +136,7 @@ class ProcessTier:
         with self._lock:
             if self._generation == generation:
                 self._pool.shutdown(wait=False)
-                self._pool = make_executor(self.workers, "process", minimum=1)
+                self._pool = make_executor(self.workers, "process")
                 self._generation += 1
                 self.metrics.record_worker_restart()
 

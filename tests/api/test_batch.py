@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import RoutingError
 from repro.api import Batch, RouteRequest, RoutingPipeline, route_many
-from repro.core.router import RouterConfig
 from repro.layout.generators import LayoutSpec, random_layout
 from repro.layout.io import layout_to_json
 
@@ -165,16 +164,6 @@ class TestValidation:
         with pytest.raises(RoutingError):
             Batch(workers=2, executor="fiber")
 
-    def test_nested_process_fanout_rejected(self):
-        requests = make_requests(n=2, config=RouterConfig(workers=2))
-        with pytest.raises(RoutingError, match="nested"):
-            Batch(workers=2, executor="process").route_many(requests)
-
-    def test_nested_fanout_fine_on_threads(self):
-        requests = make_requests(n=2, config=RouterConfig(workers=2))
-        results = Batch(workers=2, executor="thread").route_many(requests)
-        assert len(results) == 2
-
 
 class TestFailurePaths:
     """One request raising must not poison sibling results."""
@@ -246,6 +235,33 @@ class TestFailurePaths:
         )
         assert [isinstance(o, BatchError) for o in outcomes] == [False, True, False]
         assert outcomes[0].ok and outcomes[2].ok
+
+    def test_unroutable_partial_survives_process_boundary(self):
+        from repro.api import BatchError
+        from repro.core.router import RouterConfig
+        from repro.errors import UnroutableError
+        from repro.geometry.point import Point
+        from repro.geometry.rect import Rect
+        from repro.layout.cell import Cell
+        from repro.layout.layout import Layout
+        from repro.layout.net import Net
+
+        # the pipeline validates layouts, so an expansion budget (not a
+        # touching-cell ring) makes the obstructed net unroutable
+        layout = Layout(Rect(0, 0, 100, 100))
+        layout.add_cell(Cell.rect("block", 40, 30, 20, 40))
+        layout.add_net(Net.two_point("blocked", Point(10, 50), Point(90, 50)))
+        starved = RouteRequest(layout=layout, config=RouterConfig(node_limit=2))
+        good = make_requests(n=1)[0]
+        outcomes = route_many(
+            [good, starved], workers=2, executor="process", on_error="return"
+        )
+        assert outcomes[0].ok
+        assert isinstance(outcomes[1], BatchError)
+        # the error is pickled back from the worker process; its
+        # partial-tree diagnostic must survive the trip
+        assert isinstance(outcomes[1].error, UnroutableError)
+        assert outcomes[1].error.partial is not None
 
     def test_bad_on_error_policy_rejected(self):
         with pytest.raises(RoutingError, match="on_error"):

@@ -1,5 +1,7 @@
 """Canonical hashing: the request identity everything else hangs off."""
 
+import copy
+
 import pytest
 
 from repro.errors import RoutingError
@@ -43,6 +45,56 @@ class TestLayoutFingerprint:
 
     def test_different_layouts_differ(self):
         assert layout_fingerprint(make_layout(1)) != layout_fingerprint(make_layout(2))
+
+
+#: A small request in the format releases with ``RouterConfig.workers``
+#: and ``executor`` wrote, fan-out keys included.
+PINNED_REQUEST = {
+    "version": 1,
+    "layout": {
+        "version": 1,
+        "outline": [0, 0, 60, 40],
+        "cells": [
+            {"name": "a", "rect": [10, 10, 25, 30]},
+            {"name": "b", "rect": [35, 10, 50, 30]},
+        ],
+        "nets": [
+            {
+                "name": "n1",
+                "terminals": [
+                    {"name": "n1.s", "pins": [{"name": "n1.s", "at": [5, 5], "cell": None}]},
+                    {"name": "n1.d", "pins": [{"name": "n1.d", "at": [55, 35], "cell": None}]},
+                ],
+            }
+        ],
+    },
+    "layout_path": None,
+    "config": {
+        "mode": "full",
+        "order": "a-star",
+        "inverted_corner": False,
+        "corner_epsilon": 0.0625,
+        "bend_penalty": 0.0,
+        "exact_steiner_order": False,
+        "refine": False,
+        "node_limit": None,
+        "trace": False,
+        "prune_clean_nets": True,
+        "workers": 4,
+        "executor": "thread",
+    },
+    "strategy": "negotiated",
+    "strategy_params": {"max_iterations": 3},
+    "on_unroutable": "raise",
+    "verify": True,
+    "detail": False,
+    "report": False,
+}
+
+#: The key releases before the fan-out knobs were retired gave
+#: :data:`PINNED_REQUEST`.  Stored results and persisted jobs are
+#: addressed by it, so it must never move.
+PINNED_KEY = "31e0de56452a1a431b340d6f27e33481bdbe53d5d4965250bd8f15c8d33b881f"
 
 
 class TestRequestCacheKey:
@@ -98,17 +150,17 @@ class TestRequestCacheKey:
         )
 
     def test_fan_out_knobs_excluded_but_pruning_participates(self):
-        layout = make_layout(1)
-        base = request_cache_key(RouteRequest(layout=layout))
-        for config in (
-            RouterConfig(workers=2),
-            RouterConfig(workers=4, executor="thread"),
-            RouterConfig(executor="thread"),
-        ):
-            assert request_cache_key(RouteRequest(layout=layout, config=config)) == base
+        # an old-format request still carrying the retired fan-out knobs
+        # loads with a warning and keeps the key it was stored under
+        with pytest.warns(UserWarning, match="retired router config key"):
+            request = RouteRequest.from_dict(copy.deepcopy(PINNED_REQUEST))
+        assert request.config == RouterConfig()
+        assert request_cache_key(request) == PINNED_KEY
         assert request_cache_key(
-            RouteRequest(layout=layout, config=RouterConfig(prune_clean_nets=False))
-        ) != base
+            RouteRequest(
+                layout=request.layout, config=RouterConfig(prune_clean_nets=False)
+            )
+        ) != PINNED_KEY
 
     def test_report_hint_is_excluded(self):
         layout = make_layout(1)
@@ -130,3 +182,12 @@ class TestRequestCacheKey:
                                strategy_params={"fn": object()})
         with pytest.raises(RoutingError):
             request_cache_key(request)
+
+
+class TestKeyStability:
+    """Cache keys survive releases: old stores and job records still hit."""
+
+    def test_fresh_request_matches_the_pinned_key(self):
+        data = copy.deepcopy(PINNED_REQUEST)
+        del data["config"]["workers"], data["config"]["executor"]
+        assert request_cache_key(RouteRequest.from_dict(data)) == PINNED_KEY

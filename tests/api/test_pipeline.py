@@ -233,18 +233,6 @@ class TestDeprecatedDelegates:
         )
         assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
 
-    def test_workers_config_still_honored_via_pipeline(self):
-        layout = congested_layout()
-        serial = RoutingPipeline().run(
-            RouteRequest(layout=layout, strategy="two-pass")
-        )
-        parallel = RoutingPipeline().run(
-            RouteRequest(
-                layout=layout, strategy="two-pass", config=RouterConfig(workers=2)
-            )
-        )
-        assert trees_of(serial.route) == trees_of(parallel.route)
-
 
 class TestNonConvergenceWarning:
     def test_capped_negotiated_run_emits_structured_warning(self):

@@ -1,10 +1,12 @@
 """Unit tests for RouteRequest construction, validation, and JSON I/O."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.errors import RoutingError
+from repro.api import request as request_module
 from repro.api import RouteRequest, config_from_dict, config_to_dict
 from repro.core.escape import EscapeMode
 from repro.core.router import RouterConfig
@@ -39,16 +41,6 @@ class TestValidation:
 class TestConfigValidation:
     """RouterConfig rejects bad values at construction (satellite task)."""
 
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(RoutingError):
-            RouterConfig(workers=0)
-        with pytest.raises(RoutingError):
-            RouterConfig(workers=-2)
-
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(RoutingError):
-            RouterConfig(executor="fiber")
-
     def test_rejects_negative_bend_penalty(self):
         with pytest.raises(RoutingError):
             RouterConfig(bend_penalty=-0.5)
@@ -78,14 +70,12 @@ class TestConfigSerialization:
             bend_penalty=0.5,
             refine=True,
             node_limit=5000,
-            workers=4,
-            executor="thread",
         )
         assert config_from_dict(config_to_dict(config)) == config
 
     def test_missing_keys_fall_back_to_defaults(self):
         assert config_from_dict({}) == RouterConfig()
-        assert config_from_dict({"workers": 3}) == RouterConfig(workers=3)
+        assert config_from_dict({"refine": True}) == RouterConfig(refine=True)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(RoutingError):
@@ -100,7 +90,7 @@ class TestRequestSerialization:
     def test_inline_layout_round_trip(self, small_layout):
         request = RouteRequest(
             layout=small_layout,
-            config=RouterConfig(inverted_corner=True, workers=2),
+            config=RouterConfig(inverted_corner=True, prune_clean_nets=False),
             strategy="negotiated",
             strategy_params={"max_iterations": 7},
             on_unroutable="skip",
@@ -196,14 +186,23 @@ class TestToggleFieldsFromDisk:
 
 
 class TestRetiredConfigKeys:
-    """``engine`` and ``ray_cache`` left the config; old JSON still loads."""
+    """``engine``, ``ray_cache``, ``workers`` and ``executor`` left the
+    config; old JSON still loads."""
 
     @pytest.mark.parametrize(
-        "retired", [{"engine": "native"}, {"engine": "turbo"}, {"ray_cache": False}]
+        "retired",
+        [
+            {"engine": "native"},
+            {"engine": "turbo"},
+            {"ray_cache": False},
+            {"workers": 4},
+            {"executor": "thread"},
+            {"workers": 4, "executor": "thread"},
+        ],
     )
     def test_retired_keys_dropped_with_a_warning(self, retired):
         with pytest.warns(UserWarning, match="retired router config key"):
-            assert config_from_dict({"workers": 2, **retired}) == RouterConfig(workers=2)
+            assert config_from_dict(retired) == RouterConfig()
 
     def test_other_unknown_keys_still_raise(self):
         with pytest.warns(UserWarning):
@@ -211,4 +210,43 @@ class TestRetiredConfigKeys:
                 config_from_dict({"engine": "scalar", "wrokers": 3})
 
     def test_retired_keys_are_no_longer_written(self):
-        assert not {"engine", "ray_cache"} & set(config_to_dict(RouterConfig()))
+        written = set(config_to_dict(RouterConfig()))
+        assert not {"engine", "ray_cache", "workers", "executor"} & written
+
+    def test_router_config_has_ten_fields(self):
+        assert len(dataclasses.fields(RouterConfig)) == 10
+
+
+class TestMalformedFields:
+    """Ill-typed request fields raise RoutingError (a 400 over HTTP), never
+    an AttributeError/ValueError (a 500) or a silently flipped toggle."""
+
+    @pytest.fixture
+    def data(self, small_layout):
+        return RouteRequest(layout=small_layout, strategy="negotiated").to_dict()
+
+    @pytest.mark.parametrize("config", [[], "fast", 3, None])
+    def test_config_must_be_an_object(self, data, config):
+        data["config"] = config
+        with pytest.raises(RoutingError, match="router config must be a JSON object"):
+            RouteRequest.from_dict(data)
+
+    @pytest.mark.parametrize("params", ["x", [], 7])
+    def test_strategy_params_must_be_an_object(self, data, params):
+        data["strategy_params"] = params
+        with pytest.raises(RoutingError, match="strategy_params must be a JSON object"):
+            RouteRequest.from_dict(data)
+
+    @pytest.mark.parametrize("field", ["verify", "detail", "report"])
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+    def test_request_flags_must_be_booleans(self, data, field, value):
+        data[field] = value
+        with pytest.raises(RoutingError, match=f"{field} must be a JSON boolean"):
+            RouteRequest.from_dict(data)
+
+    @pytest.mark.parametrize("field", request_module._CONFIG_FLAGS)
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_config_flags_must_be_booleans(self, data, field, value):
+        data["config"][field] = value
+        with pytest.raises(RoutingError, match=f"{field} must be a JSON boolean"):
+            RouteRequest.from_dict(data)

@@ -1,12 +1,12 @@
-"""Tests for negotiated rip-up-and-reroute and the parallel fan-out.
+"""Tests for negotiated rip-up-and-reroute and the pass primitives.
 
-Covers the three acceptance behaviours of the negotiation engine:
+Covers the acceptance behaviours of the negotiation engine:
 convergence on an over-subscribed workload that the two-pass scheme
-cannot legalize, determinism of the parallel backend (workers=1 vs
-workers=4 produce identical trees), and monotonicity of the
-accumulated history cost.
+cannot legalize, the raise/skip semantics and outcome order of a pass,
+and monotonicity of the accumulated history cost.
 """
 
+import pickle
 import random
 
 import pytest
@@ -22,7 +22,7 @@ from repro.core.congestion import (
 )
 from repro.core.costs import NegotiatedCongestionCost, WirelengthCost
 from repro.core.negotiate import NegotiatedRouter, NegotiationConfig, two_pass
-from repro.core.parallel import NetRoutingPool, route_each_parallel
+from repro.core.parallel import make_executor
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.geometry.point import Axis
 from repro.geometry.rect import Rect
@@ -39,10 +39,6 @@ def oversubscribed_layout(n_nets: int = 16, seed: int = 5, gap: int = 3) -> Layo
     for net in random_netlist(layout, n_nets, rng=rng, spec=spec):
         layout.add_net(net)
     return layout
-
-
-def trees_of(route):
-    return {name: [p.points for p in tree.paths] for name, tree in route.trees.items()}
 
 
 class TestConvergence:
@@ -131,30 +127,8 @@ class TestConvergence:
 
 
 class TestParallelParity:
-    """workers=1 and workers=4 must produce byte-identical routes."""
-
-    def test_first_pass_parity_process(self, medium_layout):
-        serial = GlobalRouter(medium_layout).route_all()
-        parallel = GlobalRouter(medium_layout, RouterConfig(workers=4)).route_all()
-        assert list(serial.trees) == list(parallel.trees)
-        assert trees_of(serial) == trees_of(parallel)
-        assert serial.stats.nodes_expanded == parallel.stats.nodes_expanded
-
-    def test_first_pass_parity_thread(self, medium_layout):
-        serial = GlobalRouter(medium_layout).route_all()
-        threaded = GlobalRouter(
-            medium_layout, RouterConfig(workers=4, executor="thread")
-        ).route_all()
-        assert trees_of(serial) == trees_of(threaded)
-
-    def test_negotiation_parity(self):
-        layout = oversubscribed_layout()
-        serial = NegotiatedRouter(layout).run()
-        parallel = NegotiatedRouter(layout, RouterConfig(workers=4)).run()
-        assert serial.converged == parallel.converged
-        assert serial.iteration_count == parallel.iteration_count
-        assert serial.rerouted_nets == parallel.rerouted_nets
-        assert trees_of(serial.final) == trees_of(parallel.final)
+    """The pass primitives (outcome order, raise/skip semantics) and the
+    pool validation shared by the request-level fan-out."""
 
     def test_route_each_outcomes_in_input_order(self, small_layout):
         router = GlobalRouter(small_layout)
@@ -163,6 +137,17 @@ class TestParallelParity:
         outcomes = router.route_each(reordered)
         assert [name for name, _tree, _err in outcomes] == reordered
         assert all(tree is not None for _n, tree, _e in outcomes)
+
+    def test_route_each_takes_net_objects_and_per_net_models(self, small_layout):
+        router = GlobalRouter(small_layout)
+        nets = list(small_layout.nets)
+        by_name = router.route_each([net.name for net in nets])
+        by_net = router.route_each(
+            nets, cost_model={net.name: WirelengthCost() for net in nets}
+        )
+        assert [(name, [p.points for p in tree.paths]) for name, tree, _e in by_name] == [
+            (name, [p.points for p in tree.paths]) for name, tree, _e in by_net
+        ]
 
     def test_parallel_skip_mode_records_failures(self):
         layout = Layout(Rect(0, 0, 100, 100))
@@ -179,32 +164,9 @@ class TestParallelParity:
             layout.add_cell(cell)
         layout.add_net(Net.two_point("trapped", Point(10, 10), Point(50, 50)))
         layout.add_net(Net.two_point("fine", Point(5, 5), Point(90, 5)))
-        route = GlobalRouter(layout, RouterConfig(workers=2)).route_all(
-            on_unroutable="skip"
-        )
+        route = GlobalRouter(layout).route_all(on_unroutable="skip")
         assert route.failed_nets == ["trapped"]
         assert route.routed_count == 1
-
-    def test_pool_reuse_across_passes(self, small_layout):
-        router = GlobalRouter(small_layout)
-        names = [n.name for n in small_layout.nets]
-        serial = router.route_each(names)
-        with NetRoutingPool(router, workers=2) as pool:
-            first = pool.route_each(names)
-            second = pool.route_each(names)
-        for reference, outcome in ((serial, first), (serial, second)):
-            assert [
-                (name, [p.points for p in tree.paths]) for name, tree, _e in reference
-            ] == [(name, [p.points for p in tree.paths]) for name, tree, _e in outcome]
-
-    def test_two_pass_uses_workers(self):
-        layout = oversubscribed_layout()
-        serial = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=3)
-        parallel = two_pass(
-            GlobalRouter(layout, RouterConfig(workers=2)), penalty_weight=4.0, passes=3
-        )
-        assert serial.rerouted_nets == parallel.rerouted_nets
-        assert trees_of(serial.final) == trees_of(parallel.final)
 
     def test_parallel_raise_preserves_partial(self):
         from repro.errors import UnroutableError
@@ -223,9 +185,14 @@ class TestParallelParity:
         layout.add_net(Net.two_point("trapped", Point(10, 10), Point(50, 50)))
         layout.add_net(Net.two_point("fine", Point(5, 5), Point(90, 5)))
         with pytest.raises(UnroutableError) as excinfo:
-            GlobalRouter(layout, RouterConfig(workers=2)).route_all()
-        # the partial-tree diagnostic must survive the process boundary
+            GlobalRouter(layout).route_all()
+        # raise mode re-raises the original error, partial tree intact
         assert excinfo.value.partial is not None
+        # process batches pickle the error back from their workers; the
+        # partial-tree diagnostic must survive that round trip
+        shipped = pickle.loads(pickle.dumps(excinfo.value))
+        assert isinstance(shipped, UnroutableError)
+        assert shipped.partial is not None
 
     def test_two_pass_skip_never_contradicts(self):
         layout = oversubscribed_layout()
@@ -255,18 +222,14 @@ class TestParallelParity:
         assert "walled" in result.first.failed_nets
         assert "walled" in result.final.failed_nets
 
-    def test_bad_executor_rejected(self, small_layout):
-        # validation moved into RouterConfig.__post_init__, so a bad
-        # executor can no longer reach (or half-build) a worker pool
-        with pytest.raises(RoutingError):
-            RouterConfig(workers=2, executor="fiber")
+    def test_bad_executor_rejected(self):
+        # the request-level pools (batch, service) share this check
+        with pytest.raises(RoutingError, match="executor"):
+            make_executor(2, "fiber")
 
-    def test_too_few_workers_rejected(self, small_layout):
-        router = GlobalRouter(small_layout)
-        with pytest.raises(RoutingError):
-            route_each_parallel(
-                router, [n.name for n in small_layout.nets], workers=1
-            )
+    def test_too_few_workers_rejected(self):
+        with pytest.raises(RoutingError, match="workers >= 1"):
+            make_executor(0, "thread")
 
 
 class TestHistoryMonotonicity:

@@ -88,11 +88,6 @@ class TestRoute:
         assert "negotiated congestion" in out
         assert "negotiation" in out
 
-    def test_route_negotiated_with_workers(self, layout_file, capsys):
-        assert main(["route", str(layout_file), "--strategy", "negotiated",
-                     "--workers", "2"]) == 0
-        assert "negotiated congestion" in capsys.readouterr().out
-
     def test_route_timing_driven(self, layout_file, capsys):
         assert main(["route", str(layout_file), "--strategy",
                      "timing-driven"]) == 0
@@ -107,7 +102,10 @@ class TestRoute:
             main(["route", str(layout_file), "--negotiate", "2"])
 
     def test_bad_workers_fails_cleanly(self, layout_file, capsys):
-        assert main(["route", str(layout_file), "--workers", "0"]) == 1
+        # Nets route in one process: --workers is no route flag (a
+        # usage error), only a serve flag.
+        with pytest.raises(SystemExit):
+            main(["route", str(layout_file), "--workers", "2"])
         assert "error:" in capsys.readouterr().err
 
     def test_bad_layout_json_fails_cleanly(self, tmp_path, capsys):

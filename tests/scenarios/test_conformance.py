@@ -36,8 +36,8 @@ def test_scenario_conforms(name, strategy):
 
 def test_full_matrix_on_congested_scenario():
     # The congested scene is where the toggles genuinely interact:
-    # pruning changes the negotiation loop's rip-up set while cache and
-    # workers must still be no-ops on the result.
+    # pruning changes the negotiation loop's rip-up set while the
+    # reference search must still be a no-op on the result.
     scenario = SCENARIOS_BY_NAME["congestion-hotspot-s59"]
     report = run_conformance([scenario], matrix=FULL_MATRIX)
     assert len(report.cases) == len(FULL_MATRIX) * len(DEFAULT_STRATEGIES)

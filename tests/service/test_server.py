@@ -83,6 +83,25 @@ class TestPlumbing:
             client.submit({"version": 1})  # neither layout nor layout_path
         assert excinfo.value.status == 400
 
+    def test_non_object_config_400_json_error(self, served):
+        import json
+        import urllib.request
+
+        _, client = served()
+        body = RouteRequest(layout=small_layout()).to_dict()
+        body["config"] = []
+        request = urllib.request.Request(
+            client.base_url + "/route",
+            data=json.dumps(body).encode("utf-8"),
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
+        assert "router config must be a JSON object" in error
+
     def test_malformed_content_length_400(self, served):
         import http.client
         from urllib.parse import urlsplit
