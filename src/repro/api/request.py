@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import contextvars
 import json
+import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
 from repro.errors import RoutingError
+from repro.api.params import _coerce_value, param_specs
 from repro.core.escape import EscapeMode
 from repro.core.router import RouterConfig
 from repro.layout.io import layout_from_dict, layout_from_json, layout_to_dict
@@ -46,10 +48,16 @@ _LENIENT_PARAMS = contextvars.ContextVar("repro_lenient_params", default=False)
 #: route.
 RETIRED_CONFIG_KEYS = frozenset({"engine", "ray_cache", "workers", "executor"})
 
-#: The :class:`RouterConfig` fields that must arrive as JSON booleans:
-#: every field whose default is a bool.
-_CONFIG_FLAGS = tuple(
-    f.name for f in fields(RouterConfig) if isinstance(getattr(RouterConfig(), f.name), bool)
+#: Accepted type, nullability and default of every :class:`RouterConfig`
+#: field, read off its annotations as for strategy params.
+_CONFIG_SPECS = param_specs(RouterConfig)
+
+#: The :class:`RouterConfig` fields that must arrive as JSON booleans.
+_CONFIG_FLAGS = tuple(name for name, spec in _CONFIG_SPECS.items() if spec.kind == "bool")
+
+#: The :class:`RouterConfig` fields that must arrive as JSON numbers.
+_CONFIG_NUMBERS = tuple(
+    name for name, spec in _CONFIG_SPECS.items() if spec.kind in ("int", "float")
 )
 
 
@@ -79,6 +87,25 @@ def _flag(data: Mapping[str, Any], key: str, default: bool) -> bool:
     return value
 
 
+def _number(data: Mapping[str, Any], key: str) -> Any:
+    """``data[key]`` (or the default) if it is a finite JSON number of the
+    field's kind, else a :class:`RoutingError`.
+
+    No strings, booleans or truncation: an ``int`` field takes an
+    integer, an integral float (``3.0``) or, when optional, ``null``.
+    """
+    spec = _CONFIG_SPECS[key]
+    try:
+        value, error = _coerce_value(spec, data.get(key, spec.default))
+    except OverflowError:  # an integer too large for a float
+        value, error = None, "number out of range"
+    if error is None and isinstance(value, float) and not math.isfinite(value):
+        error = f"expected a finite number, got {value!r}"
+    if error is not None:
+        raise RoutingError(f"malformed router config: {key}: {error}")
+    return value
+
+
 def config_to_dict(config: RouterConfig) -> dict[str, Any]:
     """Convert a :class:`RouterConfig` to a JSON-ready dict."""
     return {
@@ -102,8 +129,8 @@ def config_from_dict(data: Mapping[str, Any]) -> RouterConfig:
     keep working when new knobs are added.  Retired keys
     (:data:`RETIRED_CONFIG_KEYS`) are dropped with a warning, whatever
     their value, so old requests and persisted jobs keep loading; any
-    other unknown key raises, as does a non-object *data* or a
-    non-boolean flag.
+    other unknown key raises, as does a non-object *data*, a
+    non-boolean flag or a number of the wrong kind.
     """
     _object(data, "router config")
     defaults = RouterConfig()
@@ -115,14 +142,12 @@ def config_from_dict(data: Mapping[str, Any]) -> RouterConfig:
     if unknown:
         raise RoutingError(f"unknown router config key(s) {unknown}")
     flags = {key: _flag(data, key, getattr(defaults, key)) for key in _CONFIG_FLAGS}
+    numbers = {key: _number(data, key) for key in _CONFIG_NUMBERS}
     try:
-        node_limit = data.get("node_limit", defaults.node_limit)
         return RouterConfig(
             mode=EscapeMode(data.get("mode", defaults.mode.value)),
             order=Order(data.get("order", defaults.order.value)),
-            corner_epsilon=float(data.get("corner_epsilon", defaults.corner_epsilon)),
-            bend_penalty=float(data.get("bend_penalty", defaults.bend_penalty)),
-            node_limit=None if node_limit is None else int(node_limit),
+            **numbers,
             **flags,
         )
     except ValueError as exc:

@@ -12,6 +12,12 @@ a lower bound and A* stays admissible.
 Models that price bends need to know the incoming direction at each
 search state, which the pathfinder supports by switching to
 direction-tagged states; they declare ``direction_sensitive = True``.
+
+:meth:`CostModel.expansion_costs` is the one batched form of
+:meth:`~CostModel.segment_cost`: all successors of one expansion in a
+single array, bit-identical to the scalar prices.  Wirelength,
+congestion, negotiated and timing-driven models each supply it next to
+their ``segment_cost``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from repro.geometry.segment import Segment
 class CostModel:
     """Base model: cost is exactly rectilinear wirelength.
 
-    Subclasses override :meth:`segment_cost` and/or :meth:`bend_cost`.
+    Subclasses override :meth:`segment_cost` and/or :meth:`bend_cost`,
+    and :meth:`expansion_costs` alongside :meth:`segment_cost` to be
+    searched with the batched problem.
     """
 
     #: Whether the pathfinder must track arrival directions so that
@@ -45,40 +53,17 @@ class CostModel:
         """Extra cost for turning at *at*.  Must be >= 0."""
         return 0.0
 
-    @property
-    def supports_batched_costs(self) -> bool:
-        """Whether :meth:`segment_costs_from` prices exactly like
-        :meth:`segment_cost`.
-
-        Only models that are known (and tested) to produce bit-identical
-        batched costs opt in; unknown subclasses default to ``False`` so
-        the pathfinder falls back to the scalar problem rather than
-        silently mispricing an overridden :meth:`segment_cost`.
-        """
-        return type(self) in (CostModel, WirelengthCost)
-
-    def segment_costs_from(self, x: int, y: int, coords: np.ndarray, horizontal: bool) -> np.ndarray:
-        """Batched :meth:`segment_cost` for same-axis segments.
-
-        Successor ``j`` is the segment from ``(x, y)`` to
-        ``(coords[j], y)`` when *horizontal*, else to ``(x, coords[j])``.
-        Returns a fresh float64 array; values equal the scalar method's
-        exactly (int64 length cast to float64).
-        """
-        origin = x if horizontal else y
-        return np.abs(coords - origin).astype(np.float64)
-
     def expansion_costs(self, x: int, y: int, hx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """Both axes of one expansion priced into a single array.
+        """:meth:`segment_cost` of every successor of one expansion.
 
-        The fused form of two :meth:`segment_costs_from` calls —
-        horizontal successors ``(hx[j], y)`` first, then vertical
-        successors ``(x, vy[j])`` — writing straight into one float64
-        output.  Values are identical to the per-axis calls (integer
-        coordinates are exact in float64, so casting before or after
-        the subtraction cannot change them); only the call count and
-        allocations shrink, which is what the small per-expansion
-        batches are dominated by.
+        Horizontal successors ``(hx[j], y)`` come first, then vertical
+        successors ``(x, vy[j])``, all priced into one float64 array
+        whose values equal the scalar method's bit for bit (integer
+        lengths are exact in float64).  The pathfinder batches a model
+        only when the class that supplies its :meth:`segment_cost`
+        also supplies this method, so a subclass that overrides just
+        :meth:`segment_cost` is searched with the scalar problem
+        rather than mispriced here.
         """
         nh = hx.shape[0]
         out = np.empty(nh + vy.shape[0], dtype=np.float64)
@@ -269,13 +254,6 @@ class CongestionPenaltyCost(CostModel):
     def bend_cost(self, at: Point, incoming: Direction, outgoing: Direction) -> float:
         return self.base.bend_cost(at, incoming, outgoing)
 
-    @property
-    def supports_batched_costs(self) -> bool:
-        return (
-            type(self) in (CongestionPenaltyCost, NegotiatedCongestionCost)
-            and self.base.supports_batched_costs
-        )
-
     def _region_columns(self) -> tuple[np.ndarray, ...]:
         """Region bounds as int64/float64 columns, in declaration order."""
         if self._vectorized:
@@ -318,27 +296,6 @@ class CongestionPenaltyCost(CostModel):
             selection = None
         self._track_regions[key] = selection
         return selection
-
-    def _surcharge_into(
-        self,
-        costs: np.ndarray,
-        coords: np.ndarray,
-        origin: int,
-        horizontal: bool,
-        fixed: int,
-    ) -> None:
-        """Add this track's congestion surcharges to *costs* in place."""
-        selection = self._regions_on_track(horizontal, fixed)
-        if selection is None:
-            return
-        span_lo, span_hi, weights = selection
-        a = np.minimum(coords, origin)
-        b = np.maximum(coords, origin)
-        lo = np.maximum(span_lo[:, None], a[None, :])
-        hi = np.minimum(span_hi[:, None], b[None, :])
-        np.subtract(hi, lo, out=hi)
-        np.maximum(hi, 0, out=hi)
-        self._fold_contributions(costs, hi, weights)
 
     @staticmethod
     def _fold_contributions(
@@ -409,68 +366,19 @@ class CongestionPenaltyCost(CostModel):
         self._pair_spans_cache[key] = combined
         return combined
 
-    def _surcharge_expansion(
-        self,
-        costs: np.ndarray,
-        hx: np.ndarray,
-        x: int,
-        vy: np.ndarray,
-        y: int,
-    ) -> None:
-        """Both axes' congestion surcharges in one fused pass.
-
-        Equivalent to one :meth:`_surcharge_into` call per axis, but
-        with a single clamp/fold over the combined region set: each
-        successor's column folds its own track's regions (same values,
-        same declaration order as the per-axis call) plus the other
-        track's regions, whose clamped overlaps are exactly zero by the
-        :data:`_FUSE_OFFSET` construction — and ``x + 0.0 == x`` for
-        these positive costs, so interleaving the zero terms cannot
-        change a single bit.  The parity suite pins this.
-        """
-        combined = self._pair_spans(y, x)
-        if combined is None:
-            return
-        span_lo, span_hi, weights = combined
-        nh = hx.shape[0]
-        n = costs.shape[0]
-        a = np.empty(n, dtype=np.int64)
-        b = np.empty(n, dtype=np.int64)
-        np.minimum(hx, x, out=a[:nh])
-        np.maximum(hx, x, out=b[:nh])
-        if n > nh:
-            av = a[nh:]
-            bv = b[nh:]
-            np.minimum(vy, y, out=av)
-            np.maximum(vy, y, out=bv)
-            av += _FUSE_OFFSET
-            bv += _FUSE_OFFSET
-        lo = np.maximum(span_lo[:, None], a[None, :])
-        hi = np.minimum(span_hi[:, None], b[None, :])
-        np.subtract(hi, lo, out=hi)
-        np.maximum(hi, 0, out=hi)
-        self._fold_contributions(costs, hi, weights)
-
-    def segment_costs_from(self, x: int, y: int, coords: np.ndarray, horizontal: bool) -> np.ndarray:
-        costs = self.base.segment_costs_from(x, y, coords, horizontal)
-        if not self._bounds or not coords.size:
-            return costs
-        origin = x if horizontal else y
-        fixed = y if horizontal else x
-        self._surcharge_into(costs, coords, origin, horizontal, fixed)
-        return costs
-
     def expansion_costs(self, x: int, y: int, hx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        if not self._bounds or type(self.base) not in (CostModel, WirelengthCost):
-            costs = self.base.expansion_costs(x, y, hx, vy)
-            if self._bounds and costs.size:
-                self._surcharge_expansion(costs, hx, x, vy, y)
-            return costs
-        # Plain-wirelength base: the surcharge clamp needs the
-        # normalized endpoints ``a = min(c, origin)``/``b = max`` of
-        # every successor segment anyway, and the base cost is exactly
-        # ``b - a`` (integer lengths are exact in float64, same value
-        # as ``|c - origin|``), so one fused pass computes both.
+        """Wirelength plus both tracks' surcharges in one fused pass.
+
+        Batched only over a plain-wirelength base (the pathfinder's
+        rule), whose cost is exactly ``b - a`` for the normalized
+        endpoints ``a = min(c, origin)``/``b = max`` the surcharge
+        clamp needs anyway (integer lengths are exact in float64).
+        The vertical successors are shifted by :data:`_FUSE_OFFSET`
+        together with their track's regions, so each successor folds
+        its own track's regions in declaration order, as the scalar
+        loop does, plus the other track's, whose clamped overlaps are
+        exactly zero — and ``x + 0.0 == x`` for these positive costs.
+        """
         nh = hx.shape[0]
         n = nh + vy.shape[0]
         if not n:
@@ -580,10 +488,9 @@ class TimingDrivenCost(NegotiatedCongestionCost):
     strength and detours on its behalf.  Both terms are >= 0, so the
     model still dominates pure wirelength and A* stays admissible.
 
-    The per-net criticality makes this model net-specific, which is why
-    :attr:`supports_batched_costs` stays ``False`` (inherited exact-type
-    whitelist): the pathfinder always searches it with the scalar
-    problem.
+    Each search prices one net, so the per-net criticality is just one
+    more per-successor column: :meth:`expansion_costs` adds the delay
+    term to the fused congestion pricing, in the scalar sum's order.
     """
 
     def __init__(
@@ -617,5 +524,11 @@ class TimingDrivenCost(NegotiatedCongestionCost):
     def segment_cost(self, seg: Segment) -> float:
         return (
             super().segment_cost(seg)
-            + self.criticality * self.delay_weight * seg.length
+            + (self.criticality * self.delay_weight) * seg.length
         )
+
+    def expansion_costs(self, x: int, y: int, hx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+        costs = super().expansion_costs(x, y, hx, vy)
+        lengths = CostModel.expansion_costs(self, x, y, hx, vy)
+        costs += (self.criticality * self.delay_weight) * lengths
+        return costs

@@ -329,21 +329,42 @@ def reference_search() -> Iterator[None]:
         _REFERENCE = previous
 
 
+def _supplier(model: CostModel, method: str) -> type:
+    """The class in *model*'s MRO that defines *method*."""
+    return next(cls for cls in type(model).__mro__ if method in vars(cls))
+
+
+def _prices_in_batches(model: CostModel) -> bool:
+    """Whether ``model.expansion_costs`` prices like ``model.segment_cost``.
+
+    True when one class supplies both methods and any ``base`` the
+    model wraps is plain wirelength (the only base the fused batched
+    pricing folds in).  A subclass that overrides :meth:`segment_cost`
+    alone inherits an ``expansion_costs`` that knows nothing of it, so
+    it gets the scalar problem instead of a mispriced batch.
+    """
+    base = getattr(model, "base", None)
+    return _supplier(model, "segment_cost") is _supplier(model, "expansion_costs") and (
+        base is None or _supplier(base, "segment_cost") is CostModel
+    )
+
+
 def _use_batched_engine(request: PathRequest) -> bool:
     """Whether the batched problem serves *request*.
 
     The batched problem covers the paper's primary configuration: FULL
     escape mode, a cost-ordered OPEN list, and a direction-insensitive
-    cost model that prices batches bit-identically.  Everything else
-    (AGGRESSIVE mode, blind orders, bend-priced models, unknown cost
-    subclasses) runs the scalar problem — results are identical by
-    construction, only the wall clock differs.
+    cost model that prices batches bit-identically
+    (:func:`_prices_in_batches`).  Everything else (AGGRESSIVE mode,
+    blind orders, bend-priced or inverted-corner models, subclasses
+    that override only ``segment_cost``) runs the scalar problem —
+    results are identical by construction, only the wall clock differs.
     """
     return (
         request.mode is EscapeMode.FULL
         and request.order.is_cost_ordered
         and not request.cost_model.direction_sensitive
-        and request.cost_model.supports_batched_costs
+        and _prices_in_batches(request.cost_model)
     )
 
 

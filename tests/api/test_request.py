@@ -250,3 +250,29 @@ class TestMalformedFields:
         data["config"][field] = value
         with pytest.raises(RoutingError, match=f"{field} must be a JSON boolean"):
             RouteRequest.from_dict(data)
+
+    @pytest.mark.parametrize("field", ["bend_penalty", "corner_epsilon"])
+    @pytest.mark.parametrize(
+        "value",
+        [True, "0.5", None, [], float("nan"), float("inf"), 10**400],
+        ids=["true", "string", "null", "list", "nan", "inf", "huge-int"],
+    )
+    def test_config_reals_must_be_finite_numbers(self, data, field, value):
+        data["config"][field] = value
+        with pytest.raises(RoutingError, match=f"malformed router config: {field}"):
+            RouteRequest.from_dict(data)
+
+    @pytest.mark.parametrize("value", [2.5, "5", True, False, float("inf"), [3]])
+    def test_node_limit_must_be_an_integer_or_null(self, data, value):
+        data["config"]["node_limit"] = value
+        with pytest.raises(RoutingError, match="malformed router config: node_limit"):
+            RouteRequest.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [("node_limit", 5.0, 5), ("bend_penalty", 1, 1.0), ("corner_epsilon", 0, 0.0)],
+    )
+    def test_config_numbers_of_the_other_json_kind_load(self, data, field, value, expected):
+        data["config"][field] = value
+        loaded = getattr(RouteRequest.from_dict(data).config, field)
+        assert loaded == expected and type(loaded) is type(expected)

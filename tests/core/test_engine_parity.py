@@ -20,6 +20,7 @@ import repro.core.pathfinder as pathfinder
 from repro.core.costs import (
     BendPenaltyCost,
     CongestionPenaltyCost,
+    CostModel,
     NegotiatedCongestionCost,
     TimingDrivenCost,
     WirelengthCost,
@@ -29,12 +30,14 @@ from repro.core.negotiate import NegotiatedRouter, NegotiationConfig
 from repro.core.pathfinder import PathRequest, find_path, reference_search
 from repro.core.route import TargetSet
 from repro.core.router import GlobalRouter, RouterConfig
+from repro.core.timing import TimingConfig, TimingDrivenRouter
 from repro.geometry.point import Point
 from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 from repro.layout.generators import LayoutSpec, grid_layout, random_netlist
 from repro.scenarios import route_fingerprint
+from repro.scenarios.families import FAMILIES
 from repro.search.engine import Order
 
 
@@ -75,11 +78,42 @@ def _request(**overrides):
 _TERMS = [(Rect(6, 6, 20, 22), 1.0, 0.5)]
 
 
+class _DetourWirelength(CostModel):
+    """A user model that overrides only ``segment_cost``."""
+
+    def segment_cost(self, seg):
+        cost = float(seg.length)
+        if seg.a.y == seg.b.y and 20 <= seg.a.y <= 30:
+            cost += 3.0 * seg.length
+        return cost
+
+
+class _DoubledNegotiated(NegotiatedCongestionCost):
+    """A negotiated model that overrides only ``segment_cost``."""
+
+    def segment_cost(self, seg):
+        return 2.0 * super().segment_cost(seg) - seg.length
+
+
+def _route(request):
+    result = find_path(request)
+    return (
+        result.path.points,
+        result.path.cost,
+        result.stats.nodes_expanded,
+        result.stats.nodes_generated,
+    )
+
+
 class TestSelectionRule:
     @pytest.mark.parametrize(
         "model",
-        [WirelengthCost(), NegotiatedCongestionCost(_TERMS)],
-        ids=["wirelength", "negotiated"],
+        [
+            WirelengthCost(),
+            NegotiatedCongestionCost(_TERMS),
+            TimingDrivenCost(_TERMS, criticality=0.5),
+        ],
+        ids=["wirelength", "negotiated", "timing-driven"],
     )
     def test_default_config_picks_the_batched_problem(self, model):
         config = RouterConfig()
@@ -93,12 +127,26 @@ class TestSelectionRule:
             {"order": Order.BREADTH_FIRST},
             {"order": Order.DEPTH_FIRST},
             {"cost_model": BendPenaltyCost(1.0)},
-            {"cost_model": TimingDrivenCost(_TERMS, criticality=0.5)},
+            {"cost_model": _DetourWirelength()},
+            {"cost_model": _DoubledNegotiated(_TERMS)},
+            {"cost_model": TimingDrivenCost(_TERMS, criticality=0.5, base=_DetourWirelength())},
         ],
-        ids=["aggressive", "bfs", "dfs", "bend-penalty", "timing-driven"],
+        ids=[
+            "aggressive",
+            "bfs",
+            "dfs",
+            "bend-penalty",
+            "override-cost-model",
+            "override-negotiated",
+            "override-base",
+        ],
     )
     def test_other_cases_pick_the_scalar_problem(self, overrides):
-        assert not pathfinder._use_batched_engine(_request(**overrides))
+        request = _request(**overrides)
+        assert not pathfinder._use_batched_engine(request)
+        with reference_search():
+            scalar = _route(request)
+        assert _route(request) == scalar
 
     def test_default_router_reaches_the_batched_search(self, monkeypatch):
         calls = []
@@ -206,6 +254,24 @@ class TestRouterParity:
             scalar = run()
         assert run() == scalar
 
+    def test_timing_driven_run_fingerprints(self):
+        layout = FAMILIES["long-critical-nets"].build(107)
+
+        def run():
+            result = TimingDrivenRouter(
+                layout, timing=TimingConfig(max_iterations=6)
+            ).run(on_unroutable="skip")
+            return (
+                route_fingerprint(result.final),
+                [(it.total_overflow, it.wirelength) for it in result.iterations],
+                result.search_stats.nodes_expanded,
+                result.timing.worst_delay,
+            )
+
+        with reference_search():
+            scalar = run()
+        assert run() == scalar
+
     def test_single_pass_fingerprints(self):
         def run():
             router = GlobalRouter(_congested_grid(n_nets=8), RouterConfig())
@@ -220,48 +286,81 @@ class TestRouterParity:
 class TestAccumulationOrder:
     """The canary for the one numerics assumption the parity rests on.
 
-    The batched congestion surcharge folds per-region contributions
-    into the running cost in declaration order with strictly sequential
-    float64 additions — numpy's pairwise summation would drift an ULP
-    from the scalar loop on adversarial magnitudes (empirically it does
-    for (R, 1) column batches, which is why ``_surcharge_into`` has a
-    Python-float path for single-successor batches).  This test feeds
-    magnitudes spanning 24 orders of magnitude through both the real
-    batched pricer and a pure-Python sequential reference, for batch
-    sizes 1 (the pairwise-prone shape) through many, and requires bit
-    equality.
+    The fused congestion surcharge (``expansion_costs``) folds
+    per-region contributions into the running cost in declaration
+    order with strictly sequential float64 additions — numpy's
+    pairwise summation would drift an ULP from the scalar loop on
+    adversarial magnitudes (empirically it does for (R, 1) column
+    batches, which is why ``_fold_contributions`` has a Python-float
+    path for single-successor batches).  Both tracks' regions fold in
+    one pass, the vertical ones shifted by ``_FUSE_OFFSET``, so the
+    canary covers horizontal-only, vertical-only and both-axis
+    batches.  It feeds magnitudes spanning 24 orders of magnitude
+    through the real batched pricer and a pure-Python sequential
+    reference, for batches of one (the pairwise-prone shape) through
+    many, and requires bit equality with both the reference and the
+    scalar ``segment_cost``.
     """
 
     @pytest.mark.parametrize("n_coords", [1, 2, 7])
     @pytest.mark.parametrize("trial_seed", range(6))
     def test_batched_pricing_is_sequential(self, n_coords, trial_seed):
         rng = random.Random(trial_seed)
-        n_regions = rng.randint(1, 9)
-        y = 10
+        for _ in range(8):
+            self._check_one_scene(rng, n_coords)
+
+    @staticmethod
+    def _check_one_scene(rng, n_coords):
+        x, y = rng.randint(10, 50), rng.randint(10, 50)
         regions = []
-        for _ in range(n_regions):
-            x0 = rng.randint(0, 40)
-            x1 = x0 + rng.randint(1, 20)
+        for _ in range(rng.randint(8, 14)):
+            x0, y0 = rng.randint(0, 40), rng.randint(0, 40)
+            x1, y1 = x0 + rng.randint(1, 20), y0 + rng.randint(1, 20)
+            # Most regions straddle one of the origin's tracks, so even
+            # a batch of one folds enough terms for pairwise summation
+            # (8+ operands) to reorder them.
+            track = rng.random()
+            if track < 0.45:
+                y0, y1 = y - rng.randint(0, 9), y + rng.randint(1, 9)
+            elif track < 0.9:
+                x0, x1 = x - rng.randint(0, 9), x + rng.randint(1, 9)
             # Magnitudes from 1e-12 to 1e12, with zeros mixed in.
             weight = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-12, 12)
-            regions.append((Rect(x0, 0, x1, 20), weight))
+            regions.append((Rect(x0, y0, x1, y1), weight))
         model = CongestionPenaltyCost(regions)
-        origin = rng.randint(0, 60)
-        coords = np.array(
-            sorted(rng.sample(range(0, 64), n_coords)), dtype=np.int64
-        )
 
-        batched = model.segment_costs_from(origin, y, coords, True)
+        def stops(origin, count):
+            picks = rng.sample([c for c in range(64) if c != origin], count)
+            return np.array(sorted(picks), dtype=np.int64)
 
-        for j, coord in enumerate(coords.tolist()):
-            a, b = min(coord, origin), max(coord, origin)
-            expected = float(abs(coord - origin))  # base wirelength
+        def sequential(ax, ay, bx, by):
+            expected = float(bx - ax + by - ay)  # base wirelength
             for region, weight in regions:
-                if region.y0 <= y <= region.y1:
-                    lo, hi = max(region.x0, a), min(region.x1, b)
-                    expected += weight * max(hi - lo, 0)
+                if ay == by and region.y0 <= ay <= region.y1:
+                    overlap = min(region.x1, bx) - max(region.x0, ax)
+                elif ax == bx and region.x0 <= ax <= region.x1:
+                    overlap = min(region.y1, by) - max(region.y0, ay)
                 else:
-                    expected += 0.0
-            assert batched[j] == expected, (
-                f"coord {coord}: {batched[j]!r} != sequential {expected!r}"
-            )
+                    overlap = 0
+                expected += weight * max(overlap, 0)
+            return expected
+
+        empty = np.empty(0, dtype=np.int64)
+        batches = {
+            "horizontal": (stops(x, n_coords), empty),
+            "vertical": (empty, stops(y, n_coords)),
+            "both": (stops(x, n_coords), stops(y, n_coords)),
+        }
+        for axes, (hx, vy) in batches.items():
+            batched = model.expansion_costs(x, y, hx, vy).tolist()
+            ends = [(x, y, cx, y) for cx in hx.tolist()] + [(x, y, x, cy) for cy in vy.tolist()]
+            assert len(batched) == len(ends)
+            for cost, (sx, sy, tx, ty) in zip(batched, ends):
+                ax, bx = sorted((sx, tx))
+                ay, by = sorted((sy, ty))
+                expected = sequential(ax, ay, bx, by)
+                scalar = model.segment_cost(Segment(Point(sx, sy), Point(tx, ty)))
+                assert cost == expected == scalar, (
+                    f"{axes} successor ({tx}, {ty}): batched {cost!r}, "
+                    f"sequential {expected!r}, scalar {scalar!r}"
+                )

@@ -10,6 +10,7 @@ family its worst critical-net delay comes out strictly below plain
 negotiation's.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import RoutingError
@@ -207,9 +208,18 @@ class TestTimingDrivenCost:
             for seg in (INSIDE, OUTSIDE):
                 assert model.segment_cost(seg) >= seg.length
 
-    def test_stays_on_the_scalar_oracle(self):
-        model = TimingDrivenCost(TERMS, criticality=0.5)
-        assert not model.supports_batched_costs
+    @pytest.mark.parametrize("criticality", [0.0, 0.3, 1.0])
+    def test_batched_prices_equal_segment_cost(self, criticality):
+        model = TimingDrivenCost(TERMS, criticality=criticality, delay_weight=0.7)
+        # Both tracks through (5, 5) cross the congested region.
+        x, y = 5, 5
+        hx = np.array([0, 3, 12, 30], dtype=np.int64)
+        vy = np.array([0, 9, 25], dtype=np.int64)
+        segments = [Segment(Point(x, y), Point(cx, y)) for cx in hx.tolist()]
+        segments += [Segment(Point(x, y), Point(x, cy)) for cy in vy.tolist()]
+        assert model.expansion_costs(x, y, hx, vy).tolist() == [
+            model.segment_cost(seg) for seg in segments
+        ]
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(RoutingError):

@@ -1,8 +1,9 @@
 """Property-based differential parity for the batched search.
 
-Random scenes, random endpoints, random congestion regions: whatever
-hypothesis constructs, the default search (the batched problem, for
-these A* wirelength and congestion requests) must return the exact
+Random scenes, random endpoints, random congestion regions, and for
+some cases a random criticality and delay weight: whatever hypothesis
+constructs, the default search (the batched problem, for these A*
+wirelength, congestion and timing-driven requests) must return the exact
 path, the exact float cost, and the exact node counters of the scalar
 oracle under :func:`~repro.core.pathfinder.reference_search`.  This is the adversarial complement of the fixed golden-trace
 tests in ``tests/core/test_engine_parity.py``.
@@ -10,7 +11,7 @@ tests in ``tests/core/test_engine_parity.py``.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.costs import CongestionPenaltyCost
+from repro.core.costs import CongestionPenaltyCost, TimingDrivenCost
 from repro.core.pathfinder import PathRequest, find_path, reference_search
 from repro.core.route import TargetSet
 from repro.geometry.point import Point
@@ -59,11 +60,27 @@ def parity_cases(draw):
             )
         )
         regions.append((Rect(x0, y0, min(x0 + w, SIZE), min(y0 + h, SIZE)), weight))
-    return obs, s, d, regions
+    # Some cases price as timing-driven: (criticality, delay_weight).
+    timing = draw(
+        st.none()
+        | st.tuples(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=0.0, max_value=10.0),
+        )
+    )
+    return obs, s, d, regions, timing
 
 
-def _run(obs, s, d, regions):
-    model = CongestionPenaltyCost(regions) if regions else None
+def _run(obs, s, d, regions, timing):
+    if timing is not None:
+        criticality, delay_weight = timing
+        model = TimingDrivenCost(
+            [(region, weight, 0.0) for region, weight in regions],
+            criticality=criticality,
+            delay_weight=delay_weight,
+        )
+    else:
+        model = CongestionPenaltyCost(regions) if regions else None
     kwargs = {"cost_model": model} if model is not None else {}
     result = find_path(
         PathRequest(
@@ -86,7 +103,6 @@ class TestEngineParityProperties:
     @given(parity_cases())
     @settings(max_examples=60, deadline=None)
     def test_vectorized_matches_scalar_exactly(self, case):
-        obs, s, d, regions = case
         with reference_search():
-            scalar = _run(obs, s, d, regions)
-        assert _run(obs, s, d, regions) == scalar
+            scalar = _run(*case)
+        assert _run(*case) == scalar
