@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.errors import UnroutableError
+from repro.errors import SearchError, UnroutableError
 from repro.core.costs import CostModel, WirelengthCost
 from repro.core.escape import EscapeMode, escape_moves
 from repro.core.route import RoutePath, TargetSet
@@ -31,10 +31,11 @@ from repro.search.problem import SearchProblem
 from repro.search.stats import ExpansionTrace, SearchStats
 from repro.search.vector import VectorSearchProblem, search_vectorized
 
-#: Largest flat key space (in states) the batched problem will mirror
-#: into the engine's dense g array — 4M states is 32 MB of float64,
-#: comfortably covering every corpus surface; anything larger uses the
-#: generic dict-only path with identical results.
+#: Largest escape grid (in states) the batched problem searches on the
+#: engine's dense path, which holds two grid-sized float64 arrays per
+#: search (the g mirror and the heuristic table; 32 MB each at 4M
+#: states).  A corpus grid has a few hundred states; anything larger
+#: than the cap takes the generic dict-only path with identical results.
 _DENSE_KEY_LIMIT = 1 << 22
 
 
@@ -148,22 +149,35 @@ class _DirectedProblem(SearchProblem):
 
 
 class _BatchedPointProblem(VectorSearchProblem):
-    """FULL-mode escape search over bare ``(x, y)`` tuples, batched.
+    """FULL-mode escape search over the connection's escape grid, batched.
 
-    One :meth:`expand` call prices a whole expansion: the four clear
-    rays come from one :meth:`~repro.geometry.raytrace.ObstacleSet.reaches`
-    probe (memoized, else two lookups in the per-track blocker index)
-    and reach exactly as far as ``first_hit`` does in
-    :func:`~repro.core.escape.escape_moves`, but the stop
-    coordinates along each ray come from ``searchsorted`` slices of
-    pre-snapshotted edge/extra columns, and segment costs plus the
-    target-distance heuristic are evaluated per batch.  Successor
-    order — EAST, WEST, NORTH, SOUTH, each ray's stops ascending — and
+    A line search only ever stops at escape coordinates: the cell and
+    bound edges the obstacle set registers (``edge_xs``/``edge_ys``)
+    and the connection's source and target coordinates.  Merged once
+    into ascending columns ``mx`` and rows ``my``, they span a small
+    grid that holds every state, so a state is its flat grid index
+    ``ix * len(my) + iy``, a plain int; :meth:`point` converts back and
+    :func:`find_path` does so at the boundary.
+
+    One expansion is one :meth:`~repro.geometry.raytrace.ObstacleSet.reaches`
+    probe (memoized, else two lookups in the per-track blocker index),
+    whose four reaches are exactly where ``first_hit`` stops in
+    :func:`~repro.core.escape.escape_moves` and always lie on the grid
+    (a reach off it raises :class:`SearchError`).  Each ray's stops
+    are then a contiguous slice of ``mx`` or ``my`` — east
+    ``mx[ix + 1 : ie + 1]``, west ``mx[iw : ix]``, north and south
+    likewise — and all successors are priced in one
+    :meth:`~repro.core.costs.CostModel.expansion_costs` call.  Successor
+    order (EAST, WEST, NORTH, SOUTH, each ray's stops ascending) and
     every float match the scalar :class:`_PointProblem` bit for bit.
 
-    States are plain int tuples rather than :class:`Point` objects;
-    equality and hashing coincide, and :func:`find_path` converts back
-    at the boundary.
+    Grids up to :data:`_DENSE_KEY_LIMIT` states take the engine's dense
+    path: the g mirror is grid-sized, and winners' heuristics are one
+    gather from a per-search table of
+    :meth:`~repro.core.route.TargetSet.distance_grid`, built on first
+    use.  Larger grids take the generic :meth:`expand` path, which
+    prices the same batches with
+    :meth:`~repro.core.route.TargetSet.distances`.
     """
 
     def __init__(
@@ -172,134 +186,98 @@ class _BatchedPointProblem(VectorSearchProblem):
         extra_xs: list[int],
         extra_ys: list[int],
     ):
-        self._req = request
         self._obstacles = request.obstacles
         self._model = request.cost_model
         self._targets = request.targets
-        # Stop coordinates are drawn from the union of edge and extra
-        # columns; both are fixed for the whole search, so merge once
-        # and slice per ray instead of deduplicating per ray.
-        self._stops_x = np.union1d(
+        self._mx = np.union1d(
             request.obstacles.edge_xs.as_array(), np.asarray(extra_xs, dtype=np.int64)
         )
-        self._stops_y = np.union1d(
+        self._my = np.union1d(
             request.obstacles.edge_ys.as_array(), np.asarray(extra_ys, dtype=np.int64)
         )
-        # Dense-key layout for the engine's batched g prefilter: every
-        # reachable state lies inside the closed routing bound, so
-        # (x, y) flattens to (x - x0) * stride + (y - y0).  Surfaces
-        # large enough to make the flat array a memory concern fall
-        # back to the generic dict-only path.
-        bound = request.obstacles.bound
-        self._key_stride = bound.y1 - bound.y0 + 1
-        self._key_base_x = bound.x0
-        self._key_base_y = bound.y0
-        size = (bound.x1 - bound.x0 + 1) * self._key_stride
+        self._xs = self._mx.tolist()
+        self._ys = self._my.tolist()
+        self._col = {x: i for i, x in enumerate(self._xs)}
+        self._row = {y: j for j, y in enumerate(self._ys)}
+        ny = self._ny = len(self._ys)
+        self._sources = [
+            (self._col[p.x] * ny + self._row[p.y], g0) for p, g0 in request.sources
+        ]
+        size = len(self._xs) * ny
         self._dense = size if size <= _DENSE_KEY_LIMIT else None
+        self._h: Optional[np.ndarray] = None
 
-    def start_states(self) -> list[tuple[tuple[int, int], float]]:
-        return [((p.x, p.y), g0) for p, g0 in self._req.sources]
+    def point(self, state: int) -> Point:
+        """The routing-plane point of a grid state."""
+        ix, iy = divmod(state, self._ny)
+        return Point(self._xs[ix], self._ys[iy])
 
-    def is_goal(self, state: tuple[int, int]) -> bool:
-        return self._targets.contains_xy(state[0], state[1])
+    def describe(self, state: int) -> str:
+        p = self.point(state)
+        return f"({p.x}, {p.y})"
 
-    def heuristic(self, state: tuple[int, int]) -> float:
-        return float(self._targets.distance_to(Point(state[0], state[1])))
+    def start_states(self) -> list[tuple[int, float]]:
+        return self._sources
 
-    @staticmethod
-    def _axis_stops(origin: int, fwd_reach: int, back_reach: int, merged: np.ndarray) -> np.ndarray:
-        """Stop coordinates of both rays on one axis, in one array.
+    def is_goal(self, state: int) -> bool:
+        ix, iy = divmod(state, self._ny)
+        return self._targets.contains_xy(self._xs[ix], self._ys[iy])
 
-        Forward (east/north) stops first — ascending, reach last —
-        then backward (west/south) stops — reach first, then ascending.
-        This is the exact successor order of ``escape_moves`` plus
-        ``_stops_for_ray``: each ray contributes every merged
-        edge/extra coordinate strictly inside its span (the
-        open-interval ``searchsorted`` slice excludes both span ends,
-        so the origin never appears) plus its reach, already sorted
-        and distinct without any per-ray dedup.
-        """
-        searchsorted = merged.searchsorted
-        if fwd_reach != origin:
-            f0 = searchsorted(origin, side="right")
-            f1 = searchsorted(fwd_reach, side="left")
-            n_fwd = f1 - f0 + 1
-        else:
-            f0 = f1 = n_fwd = 0
-        if back_reach != origin:
-            b0 = searchsorted(back_reach, side="right")
-            b1 = searchsorted(origin, side="left")
-            n_back = b1 - b0 + 1
-        else:
-            b0 = b1 = n_back = 0
-        out = np.empty(n_fwd + n_back, dtype=np.int64)
-        if n_fwd:
-            out[: n_fwd - 1] = merged[f0:f1]
-            out[n_fwd - 1] = fwd_reach
-        if n_back:
-            out[n_fwd] = back_reach
-            out[n_fwd + 1:] = merged[b0:b1]
-        return out
+    def heuristic(self, state: int) -> float:
+        return float(self._targets.distance_to(self.point(state)))
 
-    def _rays(self, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stop columns (``hx``) and rows (``vy``) of the four rays."""
+    def expand_dense(self, state: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every successor of *state* and its edge cost, in order."""
+        ny = self._ny
+        ix, iy = divmod(state, ny)
+        x = self._xs[ix]
+        y = self._ys[iy]
         east, west, north, south = self._obstacles.reaches(x, y)
-        return (
-            self._axis_stops(x, east, west, self._stops_x),
-            self._axis_stops(y, north, south, self._stops_y),
+        col = self._col
+        row = self._row
+        try:
+            ie, iw, in_, is_ = col[east], col[west], row[north], row[south]
+        except KeyError:
+            raise SearchError(
+                f"ray reaches {(east, west, north, south)} from ({x}, {y}) "
+                "are not all on the escape grid"
+            ) from None
+        mx = self._mx
+        my = self._my
+        stops = np.concatenate(
+            (mx[ix + 1 : ie + 1], mx[iw:ix], my[iy + 1 : in_ + 1], my[is_:iy])
         )
+        # The same successors as states: a step along a row moves the
+        # state by ny, a step along a column by 1.
+        spans = (
+            (state + ny, state + (ie - ix + 1) * ny, ny),
+            (state - (ix - iw) * ny, state, ny),
+            (state + 1, state + in_ - iy + 1, 1),
+            (state - iy + is_, state, 1),
+        )
+        succ = np.concatenate([np.arange(*span, dtype=np.int64) for span in spans])
+        nh = ie - iw
+        return succ, self._model.expansion_costs(x, y, stops[:nh], stops[nh:])
 
     def expand(
-        self, state: tuple[int, int], with_h: bool
-    ) -> tuple[list[tuple[int, int]], np.ndarray, Optional[np.ndarray]]:
-        x, y = state
-        hx, vy = self._rays(x, y)
-        states = [(cx, y) for cx in hx.tolist()]
-        states.extend((x, cy) for cy in vy.tolist())
-        costs = self._model.expansion_costs(x, y, hx, vy)
-        if not with_h:
-            return states, costs, None
-        hs = self._targets.distances_expansion(hx, y, vy, x)
-        return states, costs, hs
+        self, state: int, with_h: bool
+    ) -> tuple[list[int], np.ndarray, Optional[np.ndarray]]:
+        succ, costs = self.expand_dense(state)
+        hs = None
+        if with_h:
+            ix, iy = np.divmod(succ, self._ny)
+            hs = self._targets.distances(self._mx[ix], self._my[iy]).astype(np.float64)
+        return succ.tolist(), costs, hs
 
     def dense_size(self) -> Optional[int]:
         return self._dense
 
-    def dense_key(self, state: tuple[int, int]) -> int:
-        return (state[0] - self._key_base_x) * self._key_stride + (
-            state[1] - self._key_base_y
-        )
-
-    def expand_dense(self, state: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        x, y = state
-        hx, vy = self._rays(x, y)
-        stride = self._key_stride
-        nh = hx.shape[0]
-        keys = np.empty(nh + vy.shape[0], dtype=np.int64)
-        np.multiply(hx, stride, out=keys[:nh])
-        keys[:nh] += y - self._key_base_y - self._key_base_x * stride
-        keys[nh:] = vy
-        keys[nh:] += (x - self._key_base_x) * stride - self._key_base_y
-        costs = self._model.expansion_costs(x, y, hx, vy)
-        self._last_batch = (x, y, hx, vy, nh)
-        return keys, costs
-
-    def dense_winners(
-        self, winners: np.ndarray, with_h: bool
-    ) -> tuple[list[tuple[int, int]], Optional[np.ndarray]]:
-        x, y, hx, vy, nh = self._last_batch
-        split = int(winners.searchsorted(nh))
-        hx_w = hx[winners[:split]]
-        vy_w = vy[winners[split:] - nh]
-        states = [(cx, y) for cx in hx_w.tolist()]
-        states.extend((x, cy) for cy in vy_w.tolist())
-        if not with_h:
-            return states, None
-        # Per-point distances: each batch column is an independent
-        # min-over-targets, so the subset evaluates bit-identically to
-        # slicing the full batch.
-        hs = self._targets.distances_expansion(hx_w, y, vy_w, x)
-        return states, hs
+    def dense_heuristics(self, states: np.ndarray) -> np.ndarray:
+        table = self._h
+        if table is None:
+            grid = self._targets.distance_grid(self._mx, self._my)
+            table = self._h = grid.ravel().astype(np.float64)
+        return table[states]
 
 
 #: Set while :func:`reference_search` is active.
@@ -387,7 +365,11 @@ def find_path(request: PathRequest) -> PathSearchResult:
     extra_ys = sorted(request.targets.escape_ys() | {p.y for p, _ in request.sources})
 
     reference = _REFERENCE
-    batched = not reference and _use_batched_engine(request)
+    grid = (
+        _BatchedPointProblem(request, extra_xs, extra_ys)
+        if not reference and _use_batched_engine(request)
+        else None
+    )
 
     # Ray-cache traffic attributable to this search: delta of the
     # obstacle set's counters around the search (the set is shared
@@ -401,12 +383,12 @@ def find_path(request: PathRequest) -> PathSearchResult:
         obstacles.ray_cache_enabled = False
         obstacles._scan_rays = True
         try:
-            result = _search(request, extra_xs, extra_ys, batched)
+            result = _search(request, extra_xs, extra_ys, grid)
         finally:
             obstacles.ray_cache_enabled = memo_enabled
             obstacles._scan_rays = scan_rays
     else:
-        result = _search(request, extra_xs, extra_ys, batched)
+        result = _search(request, extra_xs, extra_ys, grid)
     result.stats.cache_hits = obstacles.ray_cache_hits - hits_before
     result.stats.cache_misses = obstacles.ray_cache_misses - misses_before
     if not result.found:
@@ -418,27 +400,30 @@ def find_path(request: PathRequest) -> PathSearchResult:
         )
 
     raw_states = result.path
-    if batched:
-        points = [Point(sx, sy) for sx, sy in raw_states]
+    if grid is not None:
+        points = [grid.point(state) for state in raw_states]
     elif request.cost_model.direction_sensitive:
         points = [state[0] for state in raw_states]
     else:
         points = list(raw_states)
     path = RoutePath(tuple(_compress_collinear(points)), cost=result.cost)
-    if batched:
-        trace = _point_trace(result.trace)
+    if grid is not None:
+        trace = _point_trace(result.trace, grid.point)
     else:
         trace = _strip_trace(result.trace, request.cost_model.direction_sensitive)
     return PathSearchResult(path, result.stats, trace)
 
 
 def _search(
-    request: PathRequest, extra_xs: list[int], extra_ys: list[int], batched: bool
+    request: PathRequest,
+    extra_xs: list[int],
+    extra_ys: list[int],
+    grid: Optional[_BatchedPointProblem],
 ) -> SearchResult:
-    """Run the batched or the scalar problem for *request*."""
-    if batched:
+    """Run the batched problem *grid*, or the scalar problem without one."""
+    if grid is not None:
         return search_vectorized(
-            _BatchedPointProblem(request, extra_xs, extra_ys),
+            grid,
             request.order,
             node_limit=request.node_limit,
             trace=request.trace,
@@ -460,13 +445,15 @@ def _check_endpoints(request: PathRequest) -> None:
     """Fail fast on illegal endpoints with a precise message."""
     if not request.sources:
         raise UnroutableError("no source points given")
-    for point, g0 in request.sources:
+    targets = request.targets.points
+    free = request.obstacles.points_free([p for p, _ in request.sources] + targets)
+    for (point, g0), ok in zip(request.sources, free):
         if g0 < 0:
             raise UnroutableError(f"negative initial cost {g0} at source {point}")
-        if not request.obstacles.point_free(point):
+        if not ok:
             raise UnroutableError(f"source {point} is not routable (inside a cell or outside)")
-    for point in request.targets.points:
-        if not request.obstacles.point_free(point):
+    for point, ok in zip(targets, free[len(request.sources):]):
+        if not ok:
             raise UnroutableError(f"target {point} is not routable (inside a cell or outside)")
 
 
@@ -496,14 +483,13 @@ def _strip_trace(
     return stripped
 
 
-def _point_trace(trace: Optional[ExpansionTrace]) -> Optional[ExpansionTrace]:
-    """Convert the batched engine's tuple-state trace to points."""
+def _point_trace(
+    trace: Optional[ExpansionTrace], point: Callable[[int], Point]
+) -> Optional[ExpansionTrace]:
+    """Convert the batched engine's grid-state trace to points."""
     if trace is None:
         return trace
     converted = ExpansionTrace()
     for state, parent in trace.entries:
-        converted.record(
-            Point(state[0], state[1]),
-            Point(parent[0], parent[1]) if parent is not None else None,
-        )
+        converted.record(point(state), point(parent) if parent is not None else None)
     return converted

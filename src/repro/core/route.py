@@ -21,6 +21,37 @@ from repro.geometry.rect import Rect, bounding_rect
 from repro.geometry.segment import Segment, path_bends, path_length, path_segments
 from repro.search.stats import ExpansionTrace, SearchStats
 
+#: Distance-transform seed of a grid point on no target: far above any
+#: distance between layout coordinates (which stay well inside
+#: ``±2**58``), and far enough below the int64 limit that adding one
+#: cannot overflow.
+_FAR = 1 << 60
+
+
+def _sweep(table: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """One axis of the rectilinear distance transform, in int64.
+
+    Row ``i`` of *table* becomes ``min over k of table[k] + |c[i] -
+    c[k]|`` for the ascending coordinates ``c`` (*coords*, a column):
+    a forward running minimum of ``table - c`` plus ``c`` covers
+    ``k <= i``, a backward one of ``table + c`` minus ``c`` covers
+    ``k >= i``.
+    """
+    forward = np.minimum.accumulate(table - coords, axis=0)
+    forward += coords
+    backward = np.minimum.accumulate((table + coords)[::-1], axis=0)[::-1]
+    backward -= coords
+    return np.minimum(forward, backward, out=forward)
+
+
+def _grid_index(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Positions of *values* in the ascending *grid*, which must hold them."""
+    at = grid.searchsorted(values)
+    if values.size and not (grid.size and (grid.take(at, mode="clip") == values).all()):
+        raise RoutingError(f"target coordinates {values.tolist()} are not all on the grid")
+    return at
+
+
 @dataclass(frozen=True)
 class RoutePath:
     """One point-to-point (or point-to-tree) connection.
@@ -172,6 +203,7 @@ class TargetSet:
 
     def __init__(self, points: Iterable[Point] = (), segments: Iterable[Segment] = ()):
         self.points: list[Point] = list(points)
+        segments = list(segments)
         self.segments: list[Segment] = [s for s in segments if not s.is_degenerate]
         # Degenerate segments are points in disguise.
         self.points.extend(s.a for s in segments if s.is_degenerate)
@@ -179,8 +211,7 @@ class TargetSet:
             raise RoutingError("target set is empty")
         self._point_set = set(self.points)
         self._xy_set = {(p.x, p.y) for p in self.points}
-        self._columns: Optional[tuple[np.ndarray, ...]] = None
-        self._track_terms_cache: dict[tuple[bool, int], tuple[np.ndarray, ...]] = {}
+        self._box_columns: Optional[tuple[np.ndarray, ...]] = None
 
     def contains(self, p: Point) -> bool:
         """Goal test: *p* coincides with a target point or lies on a segment."""
@@ -219,104 +250,57 @@ class TargetSet:
         assert best is not None
         return best
 
-    def _target_columns(self) -> tuple[np.ndarray, ...]:
-        """Lazily built int64 columns for the batched heuristic."""
-        if self._columns is None:
-            horizontal = [s for s in self.segments if s.is_horizontal]
-            vertical = [s for s in self.segments if not s.is_horizontal]
-            self._columns = (
-                np.array([p.x for p in self.points], dtype=np.int64),
-                np.array([p.y for p in self.points], dtype=np.int64),
-                np.array([s.a.y for s in horizontal], dtype=np.int64),
-                np.array([s.a.x for s in horizontal], dtype=np.int64),
-                np.array([s.b.x for s in horizontal], dtype=np.int64),
-                np.array([s.a.x for s in vertical], dtype=np.int64),
-                np.array([s.a.y for s in vertical], dtype=np.int64),
-                np.array([s.b.y for s in vertical], dtype=np.int64),
-            )
-        return self._columns
+    def distance_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """:meth:`distance_to` at every point of the grid ``xs`` × ``ys``.
 
-    def _track_terms(self, horizontal: bool, fixed: int) -> tuple[np.ndarray, ...]:
-        """Targets collapsed against one track, for :meth:`distances_along`.
+        *xs* and *ys* are ascending, distinct int64 coordinates that
+        include every :meth:`escape_xs` and :meth:`escape_ys` value.
+        Returns an int64 array of shape ``(len(xs), len(ys))`` whose
+        ``[i, j]`` entry equals ``distance_to(Point(xs[i], ys[j]))``.
 
-        For successors varying along one axis with the other pinned to
-        *fixed*, each target's distance is either ``|t - c| + k``
-        (points, and segments perpendicular to the travel axis — their
-        clamp term depends only on *fixed*) or ``clamp(c, lo, hi) + k``
-        (segments parallel to the travel axis).  The constant parts
-        are precomputed and cached per track: searches expand many
-        states on the same track, and the target set is frozen for the
-        whole connection.
+        On such a grid every target is a run of grid points (a segment
+        attains its distance from any grid point at one of its own grid
+        points: the foot of the perpendicular or an end), so the table
+        is the rectilinear distance transform of those points: two
+        running-minimum sweeps per axis, exact integer arithmetic, and
+        work proportional to the grid whatever the target count.
+
+        Raises :class:`RoutingError` if a target coordinate is not on
+        the grid.
         """
-        key = (horizontal, fixed)
-        cached = self._track_terms_cache.get(key)
-        if cached is not None:
-            return cached
-        px, py, hy, hx0, hx1, vx, vy0, vy1 = self._target_columns()
-        if horizontal:
-            t = np.concatenate((px, vx))
-            k = np.concatenate((
-                np.abs(py - fixed),
-                np.maximum(np.maximum(vy0 - fixed, fixed - vy1), 0),
-            ))
-            lo, hi, kseg = hx0, hx1, np.abs(hy - fixed)
-        else:
-            t = np.concatenate((py, hy))
-            k = np.concatenate((
-                np.abs(px - fixed),
-                np.maximum(np.maximum(hx0 - fixed, fixed - hx1), 0),
-            ))
-            lo, hi, kseg = vy0, vy1, np.abs(vx - fixed)
-        cached = (t, k, lo, hi, kseg)
-        self._track_terms_cache[key] = cached
-        return cached
+        x0, x1, y0, y1 = self._boxes()
+        i0, i1 = _grid_index(xs, x0), _grid_index(xs, x1)
+        j0, j1 = _grid_index(ys, y0), _grid_index(ys, y1)
+        seeds = np.full((xs.shape[0], ys.shape[0]), _FAR, dtype=np.int64)
+        n = len(self.points)
+        seeds[i0[:n], j0[:n]] = 0
+        for a, b, c, d in zip(i0[n:].tolist(), i1[n:].tolist(), j0[n:].tolist(), j1[n:].tolist()):
+            seeds[a : b + 1, c : d + 1] = 0
+        return _sweep(_sweep(seeds, xs[:, None]).T, ys[:, None]).T
 
-    def distances_along(self, coords: np.ndarray, fixed: int, horizontal: bool) -> np.ndarray:
-        """:meth:`distance_to` for an axis-aligned batch.
+    def distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """:meth:`distance_to` of every point ``(xs[j], ys[j])``, as int64.
 
-        Successor ``j`` sits at ``(coords[j], fixed)`` when
-        *horizontal*, else at ``(fixed, coords[j])``.  All arithmetic
-        is int64, and an integer minimum is exact regardless of
-        evaluation order, so the values equal the scalar
-        :meth:`distance_to` loop's exactly.
+        A point's distance to a target box is the sum of its per-axis
+        overshoots, so one targets × points broadcast gives every
+        minimum in exact integer arithmetic.
         """
-        t, k, lo, hi, kseg = self._track_terms(horizontal, fixed)
-        if not lo.size and t.size == 1:
-            # Single point target (the common late-tree case): the
-            # minimum over one row is that row, no broadcast needed.
-            d1 = np.abs(coords - t[0])
-            d1 += k[0]
-            return d1
-        best: Optional[np.ndarray] = None
-        if t.size:
-            d = np.abs(t[:, None] - coords[None, :])
-            d += k[:, None]
-            best = d.min(axis=0)
-        if lo.size:
-            d2 = np.maximum(np.maximum(lo[:, None] - coords, coords - hi[:, None]), 0)
-            d2 += kseg[:, None]
-            if best is None:
-                best = d2.min(axis=0)
-            else:
-                np.minimum(best, d2.min(axis=0), out=best)
-        assert best is not None  # the target set is never empty
-        return best
+        x0, x1, y0, y1 = (col[:, None] for col in self._boxes())
+        d = np.maximum(np.maximum(x0 - xs, xs - x1), 0)
+        d += np.maximum(np.maximum(y0 - ys, ys - y1), 0)
+        return d.min(axis=0)
 
-    def distances_expansion(self, hx: np.ndarray, y: int, vy: np.ndarray, x: int) -> np.ndarray:
-        """Heuristics for a whole expansion as one float64 array.
+    def _boxes(self) -> tuple[np.ndarray, ...]:
+        """Every target as a closed box: int64 columns ``x0, x1, y0, y1``.
 
-        Fuses the two per-axis :meth:`distances_along` calls —
-        horizontal successors ``(hx[j], y)`` first, then vertical
-        successors ``(x, vy[j])`` — casting the exact int64 distances
-        into a single output (integers are exact in float64).
+        Points come first (each a one-point box), then the segments
+        (normalized, so ``a <= b``).
         """
-        nh = hx.shape[0]
-        out = np.empty(nh + vy.shape[0], dtype=np.float64)
-        if nh:
-            out[:nh] = self.distances_along(hx, y, True)
-        if vy.shape[0]:
-            out[nh:] = self.distances_along(vy, x, False)
-        return out
+        if self._box_columns is None:
+            corners = [(p.x, p.x, p.y, p.y) for p in self.points]
+            corners += [(s.a.x, s.b.x, s.a.y, s.b.y) for s in self.segments]
+            self._box_columns = tuple(np.array(col, dtype=np.int64) for col in zip(*corners))
+        return self._box_columns
 
     def nearest_point_to(self, p: Point) -> Point:
         """The concrete target point nearest to *p* (for diagnostics)."""

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -300,12 +300,25 @@ class ObstacleSet:
         """Whether *p* is routable: inside the bound, outside all interiors."""
         if not self.bound.contains_point(p):
             return False
-        if not self._count:
-            return True
-        inside = (
-            (self._vx0 < p.x) & (p.x < self._vx1) & (self._vy0 < p.y) & (p.y < self._vy1)
-        )
-        return not bool(inside.any())
+        return not self._count or not bool(self._in_interiors(p.x, p.y).any())
+
+    def points_free(self, points: Sequence[Point]) -> list[bool]:
+        """:meth:`point_free` of every point in *points*, in one query."""
+        free = [self.bound.contains_point(p) for p in points]
+        if not self._count or not points:
+            return free
+        xs = np.array([p.x for p in points], dtype=np.int64)[:, None]
+        ys = np.array([p.y for p in points], dtype=np.int64)[:, None]
+        blocked = self._in_interiors(xs, ys).any(axis=1).tolist()
+        return [inside and not hit for inside, hit in zip(free, blocked)]
+
+    def _in_interiors(self, x, y) -> np.ndarray:
+        """Which rect interiors hold the point(s) ``(x, y)``.
+
+        Scalars give one flag per rect; columns of points give a
+        points × rects mask.
+        """
+        return (self._vx0 < x) & (x < self._vx1) & (self._vy0 < y) & (y < self._vy1)
 
     def segment_free(self, seg: Segment) -> bool:
         """Whether a wire along *seg* is legal (no interior crossings).

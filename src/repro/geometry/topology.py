@@ -69,9 +69,9 @@ class CoordIndex:
         """Sorted distinct values as an int64 numpy snapshot.
 
         Cached until the distinct-value set changes; callers must not
-        mutate the returned array.  The vectorized engine slices this
-        with ``searchsorted`` instead of calling :meth:`between` per
-        ray.
+        mutate the returned array.  The batched search merges it into
+        its escape grid once per search instead of calling
+        :meth:`between` per ray.
         """
         if self._array is None:
             self._array = np.asarray(self._sorted, dtype=np.int64)

@@ -47,6 +47,12 @@ class VectorSearchProblem(ABC, Generic[S]):
     *order* within the batch must match what the scalar problem would
     have yielded — the engine preserves it, and the tie-breaking
     counter makes it observable.
+
+    A problem whose states are the ints of a small range can also
+    implement the optional dense-key protocol below, which the engine
+    then uses instead of :meth:`expand`.  The pathfinder's batched
+    problem does so: each state is its index on the connection's escape
+    grid, so the engine's g mirror has one entry per grid point.
     """
 
     @abstractmethod
@@ -73,46 +79,42 @@ class VectorSearchProblem(ABC, Generic[S]):
         float64 array when *with_h* is true (``None`` otherwise).
         """
 
+    def describe(self, state: S) -> str:
+        """*state* as the engine's error messages print it."""
+        return str(state)
+
     # -- optional dense-key protocol ---------------------------------
     #
     # On congested workloads ~80% of generated successors fail the
     # ``new_g < existing.g`` improvement test and cost a pure-Python
-    # dict probe each.  A problem whose states map into a small dense
-    # integer range can opt in to a batched prefilter: the engine
-    # keeps a flat float64 array of best-known g values and gathers /
-    # compares a whole batch in two numpy ops, so the Python loop only
-    # visits actual improvements.  The comparison is the identical
-    # float64 ``<`` the loop performs (unknown states hold +inf), so
-    # the visited set, push order, and all counters are unchanged.
+    # dict probe each.  A problem whose states are the ints
+    # ``0 .. size - 1`` can opt in to a batched prefilter: the engine
+    # keeps a flat float64 array of best-known g values (the "g
+    # mirror", one entry per state) and gathers / compares a whole batch
+    # in two numpy ops, so the Python loop only visits actual
+    # improvements.  The comparison is the identical float64 ``<`` the
+    # loop performs (unknown states hold +inf), so the visited set,
+    # push order, and all counters are unchanged.
 
     def dense_size(self) -> Optional[int]:
-        """Flat key-space size, or ``None`` to use the generic path."""
+        """Size of the int state range, or ``None`` to use the generic path."""
         return None
 
-    def dense_key(self, state: S) -> int:
-        """Flat key of one state (used for start states)."""
-        raise NotImplementedError
+    def expand_dense(self, state: int) -> tuple[np.ndarray, np.ndarray]:
+        """Successor states and edge costs of the full expansion of *state*.
 
-    def expand_dense(self, state: S) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and edge costs of the full expansion of *state*.
-
-        Returns ``(keys, edge_costs)`` — an int64 array of flat state
-        keys and the float64 edge costs, both in batch order — and
-        retains the batch so :meth:`dense_winners` can materialize the
-        surviving subset.  Only called when :meth:`dense_size` returns
-        a size.
+        Returns ``(states, edge_costs)``: an int64 array of successor
+        states and the float64 edge costs, both in batch order.  Only
+        called when :meth:`dense_size` returns a size.
         """
         raise NotImplementedError
 
-    def dense_winners(
-        self, winners: np.ndarray, with_h: bool
-    ) -> tuple[list[S], Optional[np.ndarray]]:
-        """States (and heuristics) of a subset of the last batch.
+    def dense_heuristics(self, states: np.ndarray) -> np.ndarray:
+        """Heuristics of an int64 array of states, as float64.
 
-        *winners* holds ascending batch indices from the last
-        :meth:`expand_dense` call.  Heuristic values are pure per-state
-        functions, so evaluating them on the subset must be
-        bit-identical to evaluating the full batch and slicing.
+        The engine asks only for the successors that improve on their
+        best-known g; heuristic values are pure per-state functions, so
+        they equal those of the full batch.
         """
         raise NotImplementedError
 
@@ -158,9 +160,8 @@ def search_vectorized(
     g_flat: Optional[np.ndarray] = None
     if dense_size is not None:
         g_flat = np.full(dense_size, np.inf, dtype=np.float64)
-        dense_key = problem.dense_key
         expand_dense = problem.expand_dense
-        dense_winners = problem.dense_winners
+        dense_heuristics = problem.dense_heuristics
     heap: list[tuple[float, float, int, float, SearchNode[S]]] = []
     counter = 0
     open_size = 0
@@ -180,7 +181,9 @@ def search_vectorized(
 
     for state, g0 in problem.start_states():
         if g0 < 0:
-            raise SearchError(f"negative start cost {g0} for state {state}")
+            raise SearchError(
+                f"negative start cost {g0} for state {problem.describe(state)}"
+            )
         existing = nodes.get(state)
         if existing is None or g0 < existing.g:
             h0 = heuristic(state) if use_heuristic else 0.0
@@ -196,7 +199,7 @@ def search_vectorized(
             if open_size > max_open:
                 max_open = open_size
             if g_flat is not None:
-                g_flat[dense_key(state)] = g0
+                g_flat[state] = g0
 
     while heap:
         entry = heappop(heap)
@@ -232,39 +235,39 @@ def search_vectorized(
             # comparison below selects exactly the successors the
             # generic loop would create or improve — in the same
             # (ascending-index) order, with the same counter values.
-            # Only the winners are ever materialized as states, and
-            # heuristics are evaluated on that subset alone (they are
-            # pure per-state functions, so the values are identical).
-            keys, edge_costs = expand_dense(state)
-            count = keys.shape[0]
+            # Heuristics are evaluated on those winners alone (they
+            # are pure per-state functions, so the values are
+            # identical).
+            batch, edge_costs = expand_dense(state)
+            count = batch.shape[0]
             if not count:
                 continue
             if edge_costs.min() < 0:
                 bad = int(np.flatnonzero(edge_costs < 0)[0])
                 raise SearchError(
-                    f"negative edge cost {edge_costs[bad]} from {state} "
-                    f"(successor {bad} of the batch)"
+                    f"negative edge cost {edge_costs[bad]} from {problem.describe(state)} "
+                    f"to {problem.describe(int(batch[bad]))}"
                 )
             generated += count
             new_arr = node_g + edge_costs
-            winners = np.flatnonzero(new_arr < g_flat[keys])
+            winners = np.flatnonzero(new_arr < g_flat[batch])
             if not winners.size:
                 continue
-            succ_states, succ_hs = dense_winners(winners, use_heuristic)
+            win_states = batch[winners]
+            succ_states = win_states.tolist()
             new_gs = new_arr[winners].tolist()
-            win_keys = keys[winners].tolist()
             if use_heuristic:
-                for succ_state, new_g, key, h in zip(
-                    succ_states, new_gs, win_keys, succ_hs.tolist()
+                for succ_state, new_g, h in zip(
+                    succ_states, new_gs, dense_heuristics(win_states).tolist()
                 ):
                     existing = nodes_get(succ_state)
                     if existing is None:
-                        g_flat[key] = new_g
+                        g_flat[succ_state] = new_g
                         child = SearchNode(succ_state, new_g, h, node, child_depth)
                         nodes[succ_state] = child
                         heappush(heap, (new_g + h, -new_g, counter, new_g, child))
                     elif new_g < existing.g:
-                        g_flat[key] = new_g
+                        g_flat[succ_state] = new_g
                         if status_get(succ_state) == _CLOSED:
                             reopened += 1
                         existing.parent = node
@@ -282,15 +285,15 @@ def search_vectorized(
                     if open_size > max_open:
                         max_open = open_size
             else:
-                for succ_state, new_g, key in zip(succ_states, new_gs, win_keys):
+                for succ_state, new_g in zip(succ_states, new_gs):
                     existing = nodes_get(succ_state)
                     if existing is None:
-                        g_flat[key] = new_g
+                        g_flat[succ_state] = new_g
                         child = SearchNode(succ_state, new_g, 0.0, node, child_depth)
                         nodes[succ_state] = child
                         heappush(heap, (new_g, 0.0, counter, new_g, child))
                     elif new_g < existing.g:
-                        g_flat[key] = new_g
+                        g_flat[succ_state] = new_g
                         if status_get(succ_state) == _CLOSED:
                             reopened += 1
                         existing.parent = node
@@ -313,7 +316,8 @@ def search_vectorized(
         if edge_costs.min() < 0:
             bad = int(np.flatnonzero(edge_costs < 0)[0])
             raise SearchError(
-                f"negative edge cost {edge_costs[bad]} from {state} to {succ_states[bad]}"
+                f"negative edge cost {edge_costs[bad]} from {problem.describe(state)} "
+                f"to {problem.describe(succ_states[bad])}"
             )
         generated += count
         # node_g + float64 column == the scalar per-successor addition,

@@ -36,7 +36,7 @@ from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 from repro.layout.generators import LayoutSpec, grid_layout, random_netlist
-from repro.scenarios import route_fingerprint
+from repro.scenarios import load_corpus, route_fingerprint
 from repro.scenarios.families import FAMILIES
 from repro.search.engine import Order
 
@@ -281,6 +281,70 @@ class TestRouterParity:
         with reference_search():
             scalar = run()
         assert run() == scalar
+
+
+class TestGenericPath:
+    """Grids above ``_DENSE_KEY_LIMIT`` take the generic ``expand()`` path.
+
+    No corpus grid comes near the cap, so the cap is patched down to
+    zero: every batched search then runs the dict-only path with the
+    batched ``TargetSet.distances`` heuristic, which must match the dense path (same routes,
+    node counters, ray-memo traffic and expansion traces) and the
+    oracle (same routes, node counters and traces).
+    """
+
+    @pytest.mark.parametrize("scenario", load_corpus(), ids=lambda scenario: scenario.name)
+    def test_corpus_matches_the_dense_path_and_the_oracle(self, scenario, monkeypatch):
+        def run():
+            route = GlobalRouter(scenario.layout, RouterConfig(trace=True)).route_all(
+                on_unroutable="skip"
+            )
+            stats = route.stats
+            searched = (
+                route_fingerprint(route),
+                stats.nodes_expanded,
+                stats.nodes_generated,
+                stats.nodes_reopened,
+                [trace.entries for tree in route.trees.values() for trace in tree.traces],
+            )
+            return searched, (stats.cache_hits, stats.cache_misses)
+
+        dense, dense_rays = run()
+        with reference_search():
+            reference, _ = run()
+        calls = []
+        real = pathfinder._BatchedPointProblem.expand
+
+        def counting(self, state, with_h):
+            calls.append(state)
+            return real(self, state, with_h)
+
+        monkeypatch.setattr(pathfinder, "_DENSE_KEY_LIMIT", 0)
+        monkeypatch.setattr(pathfinder._BatchedPointProblem, "expand", counting)
+        generic, generic_rays = run()
+        assert generic == dense == reference
+        assert generic_rays == dense_rays
+        assert len(calls) == dense[1]  # every expansion took the generic path
+
+    def test_negotiated_run_matches_the_dense_path_and_the_oracle(self, monkeypatch):
+        def run():
+            result = NegotiatedRouter(
+                _congested_grid(), negotiation=NegotiationConfig(max_iterations=3)
+            ).run()
+            stats = result.search_stats
+            return (
+                route_fingerprint(result.final),
+                [(it.total_overflow, it.wirelength) for it in result.iterations],
+                stats.nodes_expanded,
+                stats.nodes_generated,
+                stats.nodes_reopened,
+            )
+
+        dense = run()
+        with reference_search():
+            reference = run()
+        monkeypatch.setattr(pathfinder, "_DENSE_KEY_LIMIT", 0)
+        assert run() == dense == reference
 
 
 class TestAccumulationOrder:

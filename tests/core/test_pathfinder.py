@@ -1,9 +1,11 @@
 """Unit tests for the line-search pathfinder, including oracle checks."""
 
+import numpy as np
 import pytest
 
-from repro.errors import UnroutableError
-from repro.core.costs import BendPenaltyCost, InvertedCornerCost
+from repro.errors import SearchError, UnroutableError
+from repro.core import pathfinder
+from repro.core.costs import BendPenaltyCost, CostModel, InvertedCornerCost
 from repro.core.escape import EscapeMode
 from repro.core.pathfinder import PathRequest, find_path
 from repro.core.route import TargetSet
@@ -102,6 +104,37 @@ class TestEndpointChecks:
         with pytest.raises(UnroutableError, match="target"):
             route(one_block, Point(10, 50), Point(50, 50))
 
+    @pytest.mark.parametrize(
+        "sources, target_points, message",
+        [
+            # Sources are checked in order, each for its cost, then its point.
+            (
+                [(Point(10, 50), 0.0), (Point(50, 50), 0.0), (Point(90, 50), -1.0)],
+                [Point(50, 60)],
+                "source (50, 50) is not routable",
+            ),
+            (
+                [(Point(10, 50), 0.0), (Point(90, 50), -1.0), (Point(50, 50), 0.0)],
+                [Point(50, 60)],
+                "negative initial cost -1.0 at source (90, 50)",
+            ),
+            # Targets only after every source; the bound is closed.
+            (
+                [(Point(100, 100), 0.0)],
+                [Point(0, 0), Point(101, 50), Point(50, 60)],
+                "target (101, 50) is not routable",
+            ),
+        ],
+        ids=["bad-point-first", "bad-cost-first", "target-outside"],
+    )
+    def test_first_failing_endpoint_is_reported(self, one_block, sources, target_points, message):
+        request = PathRequest(
+            obstacles=one_block, sources=sources, targets=TargetSet(points=target_points)
+        )
+        with pytest.raises(UnroutableError) as raised:
+            find_path(request)
+        assert str(raised.value).startswith(message)
+
     def test_no_sources_raises(self, empty_surface):
         with pytest.raises(UnroutableError, match="source"):
             find_path(
@@ -133,6 +166,29 @@ class TestEndpointChecks:
     def test_node_limit_gives_unroutable(self, one_block):
         with pytest.raises(UnroutableError, match="limit"):
             route(one_block, Point(10, 50), Point(90, 50), node_limit=1)
+
+
+class NegativeCost(CostModel):
+    """A broken user model: every wire costs -1, batched and scalar alike."""
+
+    def segment_cost(self, seg):
+        return -1.0
+
+    def expansion_costs(self, x, y, hx, vy):
+        return np.full(hx.shape[0] + vy.shape[0], -1.0)
+
+
+class TestBatchedSearchErrors:
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "generic"])
+    def test_negative_edge_cost_names_both_points(self, one_block, monkeypatch, dense):
+        if not dense:
+            monkeypatch.setattr(pathfinder, "_DENSE_KEY_LIMIT", 0)
+        # The first successor of (10, 50) is the east reach, the block's
+        # west edge.
+        with pytest.raises(
+            SearchError, match=r"negative edge cost -1\.0 from \(10, 50\) to \(40, 50\)"
+        ):
+            route(one_block, Point(10, 50), Point(90, 50), cost_model=NegativeCost())
 
 
 class TestOptimality:

@@ -104,6 +104,15 @@ class TestTargetSet:
         assert targets.contains(Point(3, 3))
         assert targets.segments == []
 
+    def test_generator_segments_keep_their_degenerate_members(self):
+        segments = [Segment(Point(3, 3), Point(3, 3)), Segment.horizontal(5, 0, 10)]
+        targets = TargetSet(segments=(s for s in segments))
+        assert targets.points == [Point(3, 3)]
+        assert targets.segments == [Segment.horizontal(5, 0, 10)]
+        only_degenerate = TargetSet(segments=(s for s in segments[:1]))
+        assert only_degenerate.points == [Point(3, 3)]
+        assert only_degenerate.segments == []
+
     def test_distance_to(self):
         targets = TargetSet(
             points=[Point(0, 0)], segments=[Segment.vertical(10, 0, 20)]

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry.point import ALL_DIRECTIONS, Direction, Point
-from repro.geometry.raytrace import ObstacleSet
+from repro.geometry.raytrace import _COMPACT_SLACK, ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 
@@ -280,6 +280,7 @@ class TestCachedVsUncached:
         assert list(mutated.edge_xs) == list(pristine.edge_xs)
         assert list(mutated.edge_ys) == list(pristine.edge_ys)
         assert ray_answers(mutated, probes) == ray_answers(pristine, probes)
+        assert mutated.points_free(probes) == [pristine.point_free(p) for p in probes]
         for p in probes:
             assert mutated.point_free(p) == pristine.point_free(p)
             assert mutated.on_any_boundary(p) == pristine.on_any_boundary(p)
@@ -300,3 +301,48 @@ class TestCachedVsUncached:
             apply_script(obs, [step], shadow)
             assert obs.epoch > last
             last = obs.epoch
+
+
+def assert_reaches_on_edges(obs: ObstacleSet, probes) -> None:
+    """Every reach is a registered edge coordinate or the origin itself.
+
+    The batched search names states by their index on the grid of edge
+    (plus pin) coordinates, so a reach anywhere else would have no
+    state to land on.
+    """
+    xs = set(obs.edge_xs)
+    ys = set(obs.edge_ys)
+    for p in probes:
+        try:
+            east, west, north, south = obs.reaches(p.x, p.y)
+        except GeometryError:
+            continue
+        for reach in (east, west):
+            assert reach in xs or reach == p.x, (p, reach, sorted(xs))
+        for reach in (north, south):
+            assert reach in ys or reach == p.y, (p, reach, sorted(ys))
+
+
+class TestReachesStayOnTheEscapeGrid:
+    @settings(max_examples=80, deadline=None)
+    @given(mutation_scripts(tricky_rects()), tricky_sets(), probe_lists)
+    def test_through_add_remove_and_compaction(self, script, churn, probes):
+        obs = ObstacleSet(BOUND)
+        shadow: list[Rect] = []
+        assert_reaches_on_edges(obs, probes)
+        for step in script:
+            apply_script(obs, [step], shadow)
+            assert_reaches_on_edges(obs, probes)
+        # Churn past the compaction threshold: add enough copies of the
+        # churn rects that removing them all leaves more dead columns
+        # than _COMPACT_SLACK and than live ones.
+        churn = churn or [Rect(20, 20, 30, 30)]
+        copies = churn * (_COMPACT_SLACK // len(churn) + len(shadow) + 2)
+        obs.add_many(copies)
+        appended = obs._count
+        assert_reaches_on_edges(obs, probes)
+        for rect in copies:
+            obs.remove(rect)
+            assert_reaches_on_edges(obs, probes)
+        assert obs._count < appended  # compaction ran
+        assert sorted(obs.rects) == sorted(shadow)

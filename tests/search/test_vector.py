@@ -107,7 +107,9 @@ def test_blind_orders_rejected():
 
 
 def test_negative_edge_cost_rejected():
-    with pytest.raises(SearchError, match="negative edge cost"):
+    # The first expansion's last successor is (0, 1); states print as
+    # the problem describes them.
+    with pytest.raises(SearchError, match=r"negative edge cost -0\.5 from \(0, 0\) to \(0, 1\)"):
         search_vectorized(NegativeEdgeProblem(GridProblem()))
 
 
