@@ -9,7 +9,9 @@ The schema drives three things:
   checks its ``strategy_params`` immediately: unknown or ill-typed
   keys raise :class:`StrategyParamError` (a structured
   :class:`~repro.errors.RoutingError`) at the call site instead of
-  deep inside the run.
+  deep inside the run.  Well-typed params then build the schema, so
+  its own range checks (``__post_init__``, e.g. ``max_gap >= 1``)
+  reject out-of-range values there too.
 - **Lenient JSON intake.**  ``RouteRequest.from_dict`` coerces instead
   (``strict=False``): unknown keys warn and drop so old serialized
   requests keep round-tripping, while ill-typed values still raise —
@@ -180,8 +182,10 @@ def coerce_params(
 
     Unknown keys raise :class:`StrategyParamError` when *strict*, warn
     and drop otherwise (the lenient JSON-intake path).  Ill-typed
-    values raise in both modes.  Keys absent from *params* stay absent
-    — defaults belong to the strategy factory, not the request.
+    values raise in both modes, and so do values the schema's own
+    checks reject when it is built from them.  Keys absent from
+    *params* stay absent — defaults belong to the strategy factory,
+    not the request.
     """
     specs = param_specs(schema)
     unknown = sorted(set(params) - set(specs))
@@ -208,4 +212,8 @@ def coerce_params(
             invalid=sorted(invalid),
             known=sorted(specs),
         )
+    try:
+        schema(**coerced)
+    except TypeError:
+        pass  # a required field absent here is left to the factory
     return coerced

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.congestion import find_passages, measure_congestion
+from repro.core.congestion import check_max_gap, find_passages, measure_congestion
 from repro.core.negotiate import (
     NegotiatedRouter,
     NegotiationConfig,
@@ -93,6 +93,9 @@ class SingleParams:
     max_gap: Optional[int] = None
     measure_congestion: bool = True
 
+    def __post_init__(self) -> None:
+        check_max_gap(self.max_gap)
+
 
 @dataclass(frozen=True)
 class TwoPassParams:
@@ -101,6 +104,9 @@ class TwoPassParams:
     penalty_weight: float = 2.0
     passes: int = 2
     max_gap: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        check_max_gap(self.max_gap)
 
 
 @register_strategy("single", params=SingleParams)

@@ -25,6 +25,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.core.route import GlobalRoute
+from repro.errors import RoutingError
 from repro.geometry.point import Axis
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
@@ -95,6 +96,16 @@ class Passage:
         return f"Passage({a}|{b}, gap={self.gap}, {self.region})"
 
 
+def check_max_gap(max_gap: Optional[int]) -> None:
+    """Reject a passage-width cutoff that no passage can meet.
+
+    Every passage is at least one unit wide, so ``max_gap < 1`` would
+    measure no passages at all and report any route as uncongested.
+    """
+    if max_gap is not None and max_gap < 1:
+        raise RoutingError(f"max_gap must be >= 1 (or None for every passage), got {max_gap}")
+
+
 def find_passages(layout: Layout, *, max_gap: Optional[int] = None) -> list[Passage]:
     """Detect all inter-cell and cell-to-boundary passages of *layout*.
 
@@ -102,12 +113,14 @@ def find_passages(layout: Layout, *, max_gap: Optional[int] = None) -> list[Pass
     ----------
     max_gap:
         When given, corridors wider than this are ignored (they are
-        not plausible bottlenecks).
+        not plausible bottlenecks).  Must be at least 1
+        (:func:`check_max_gap`).
 
     Passages blocked by an intervening third cell are dropped rather
     than split: a corridor with a cell in the middle is two *other*
     passages against that cell, which the pairwise sweep finds anyway.
     """
+    check_max_gap(max_gap)
     passages: list[Passage] = []
     boxes = [(cell.name, cell.bounding_box) for cell in layout.cells]
 

@@ -177,20 +177,15 @@ class CongestionPenaltyCost(CostModel):
     congested area."  Each region carries its own weight (cost added
     per unit of wire inside it); overlapping regions stack.
 
-    This is the negotiated loop's hottest cost model — every generated
-    successor prices one segment against every region — so the region
-    bounds are flattened once at construction (the model is frozen for
-    a whole routing pass) into plain int tuples for a tight scalar
-    loop, or numpy columns once the region count is large enough for
-    vectorization to win.  Per-region contributions are bit-identical
-    between the two forms and to the original object-per-query code
-    (same product, accumulated in the same region order, zero terms
-    skipped), so routed results do not depend on which implementation
+    The scalar :meth:`segment_cost` prices one segment against every
+    region, so the region bounds are flattened once at construction
+    (the model is frozen for a whole routing pass) into plain int
+    tuples for a tight loop.  Per-region contributions are
+    bit-identical to the original object-per-query code and to
+    :meth:`expansion_costs` (same product, accumulated in the same
+    region order), so routed results do not depend on which method
     priced them.
     """
-
-    #: Region count at which the numpy path overtakes the scalar loop.
-    VECTOR_THRESHOLD = 48
 
     def __init__(
         self,
@@ -204,16 +199,9 @@ class CongestionPenaltyCost(CostModel):
         self.base = base or CostModel()
         self.direction_sensitive = self.base.direction_sensitive
         self._bounds = [(r.x0, r.y0, r.x1, r.y1, w) for r, w in self.regions]
-        self._vectorized = len(self.regions) >= self.VECTOR_THRESHOLD
         self._batch_columns: Optional[tuple[np.ndarray, ...]] = None
         self._track_regions: dict[tuple[bool, int], Optional[tuple[np.ndarray, ...]]] = {}
         self._pair_spans_cache: dict[tuple[int, int], Optional[tuple[np.ndarray, ...]]] = {}
-        if self._vectorized:
-            self._rx0 = np.array([r.x0 for r, _ in self.regions], dtype=np.int64)
-            self._ry0 = np.array([r.y0 for r, _ in self.regions], dtype=np.int64)
-            self._rx1 = np.array([r.x1 for r, _ in self.regions], dtype=np.int64)
-            self._ry1 = np.array([r.y1 for r, _ in self.regions], dtype=np.int64)
-            self._weights = np.array([w for _, w in self.regions], dtype=np.float64)
 
     def segment_cost(self, seg: Segment) -> float:
         cost = self.base.segment_cost(seg)
@@ -223,17 +211,6 @@ class CongestionPenaltyCost(CostModel):
         ax, ay = a.x, a.y
         bx, by = b.x, b.y
         if ax == bx and ay == by:  # degenerate: no wire, no surcharge
-            return cost
-        if self._vectorized:
-            if ay == by:
-                inside = (self._ry0 <= ay) & (ay <= self._ry1)
-                overlap = np.minimum(self._rx1, bx) - np.maximum(self._rx0, ax)
-            else:
-                inside = (self._rx0 <= ax) & (ax <= self._rx1)
-                overlap = np.minimum(self._ry1, by) - np.maximum(self._ry0, ay)
-            contrib = self._weights * np.where(inside & (overlap > 0), overlap, 0)
-            for index in np.flatnonzero(contrib):
-                cost += float(contrib[index])
             return cost
         if ay == by:  # horizontal
             for x0, y0, x1, y1, weight in self._bounds:
@@ -256,8 +233,6 @@ class CongestionPenaltyCost(CostModel):
 
     def _region_columns(self) -> tuple[np.ndarray, ...]:
         """Region bounds as int64/float64 columns, in declaration order."""
-        if self._vectorized:
-            return self._rx0, self._ry0, self._rx1, self._ry1, self._weights
         if self._batch_columns is None:
             self._batch_columns = (
                 np.array([b[0] for b in self._bounds], dtype=np.int64),

@@ -50,6 +50,7 @@ from repro.errors import RoutingError
 from repro.core.congestion import (
     CongestionHistory,
     CongestionMap,
+    check_max_gap,
     find_passages,
     measure_congestion,
 )
@@ -100,6 +101,7 @@ class NegotiationConfig:
             value = getattr(self, knob)
             if value < 0:
                 raise RoutingError(f"negotiation {knob} must be >= 0, got {value}")
+        check_max_gap(self.max_gap)
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,12 @@ from repro.search.problem import SearchProblem
 from repro.search.stats import ExpansionTrace, SearchStats
 from repro.search.vector import VectorSearchProblem, search_vectorized
 
-#: Largest escape grid (in states) the batched problem searches on the
-#: engine's dense path, which holds two grid-sized float64 arrays per
-#: search (the g mirror and the heuristic table; 32 MB each at 4M
-#: states).  A corpus grid has a few hundred states; anything larger
-#: than the cap takes the generic dict-only path with identical results.
+#: Largest escape grid (in states) the batched problem searches.  The
+#: engine holds two grid-sized float64 arrays per search (the g mirror
+#: and the heuristic table; 32 MB each at 4M states), so larger grids
+#: take the scalar problem, which needs neither, with identical
+#: results.  This is a memory guard only: a corpus or perfbench grid
+#: has a few hundred states.
 _DENSE_KEY_LIMIT = 1 << 22
 
 
@@ -171,13 +172,11 @@ class _BatchedPointProblem(VectorSearchProblem):
     order (EAST, WEST, NORTH, SOUTH, each ray's stops ascending) and
     every float match the scalar :class:`_PointProblem` bit for bit.
 
-    Grids up to :data:`_DENSE_KEY_LIMIT` states take the engine's dense
-    path: the g mirror is grid-sized, and winners' heuristics are one
-    gather from a per-search table of
+    The engine's g mirror has one entry per grid state, and heuristics
+    are one gather from a per-search table of
     :meth:`~repro.core.route.TargetSet.distance_grid`, built on first
-    use.  Larger grids take the generic :meth:`expand` path, which
-    prices the same batches with
-    :meth:`~repro.core.route.TargetSet.distances`.
+    use.  :func:`find_path` only builds this problem for grids of at
+    most :data:`_DENSE_KEY_LIMIT` states.
     """
 
     def __init__(
@@ -203,8 +202,7 @@ class _BatchedPointProblem(VectorSearchProblem):
         self._sources = [
             (self._col[p.x] * ny + self._row[p.y], g0) for p, g0 in request.sources
         ]
-        size = len(self._xs) * ny
-        self._dense = size if size <= _DENSE_KEY_LIMIT else None
+        self._size = len(self._xs) * ny
         self._h: Optional[np.ndarray] = None
 
     def point(self, state: int) -> Point:
@@ -223,10 +221,10 @@ class _BatchedPointProblem(VectorSearchProblem):
         ix, iy = divmod(state, self._ny)
         return self._targets.contains_xy(self._xs[ix], self._ys[iy])
 
-    def heuristic(self, state: int) -> float:
-        return float(self._targets.distance_to(self.point(state)))
+    def size(self) -> int:
+        return self._size
 
-    def expand_dense(self, state: int) -> tuple[np.ndarray, np.ndarray]:
+    def expand(self, state: int) -> tuple[np.ndarray, np.ndarray]:
         """Every successor of *state* and its edge cost, in order."""
         ny = self._ny
         ix, iy = divmod(state, ny)
@@ -259,20 +257,7 @@ class _BatchedPointProblem(VectorSearchProblem):
         nh = ie - iw
         return succ, self._model.expansion_costs(x, y, stops[:nh], stops[nh:])
 
-    def expand(
-        self, state: int, with_h: bool
-    ) -> tuple[list[int], np.ndarray, Optional[np.ndarray]]:
-        succ, costs = self.expand_dense(state)
-        hs = None
-        if with_h:
-            ix, iy = np.divmod(succ, self._ny)
-            hs = self._targets.distances(self._mx[ix], self._my[iy]).astype(np.float64)
-        return succ.tolist(), costs, hs
-
-    def dense_size(self) -> Optional[int]:
-        return self._dense
-
-    def dense_heuristics(self, states: np.ndarray) -> np.ndarray:
+    def heuristics(self, states: np.ndarray) -> np.ndarray:
         table = self._h
         if table is None:
             grid = self._targets.distance_grid(self._mx, self._my)
@@ -337,6 +322,8 @@ def _use_batched_engine(request: PathRequest) -> bool:
     blind orders, bend-priced or inverted-corner models, subclasses
     that override only ``segment_cost``) runs the scalar problem —
     results are identical by construction, only the wall clock differs.
+    So do escape grids above :data:`_DENSE_KEY_LIMIT` states, which
+    :func:`find_path` checks once the grid is built.
     """
     return (
         request.mode is EscapeMode.FULL
@@ -365,11 +352,11 @@ def find_path(request: PathRequest) -> PathSearchResult:
     extra_ys = sorted(request.targets.escape_ys() | {p.y for p, _ in request.sources})
 
     reference = _REFERENCE
-    grid = (
-        _BatchedPointProblem(request, extra_xs, extra_ys)
-        if not reference and _use_batched_engine(request)
-        else None
-    )
+    grid = None
+    if not reference and _use_batched_engine(request):
+        grid = _BatchedPointProblem(request, extra_xs, extra_ys)
+        if grid.size() > _DENSE_KEY_LIMIT:
+            grid = None  # memory guard: the scalar problem has no grid arrays
 
     # Ray-cache traffic attributable to this search: delta of the
     # obstacle set's counters around the search (the set is shared

@@ -278,18 +278,6 @@ class TargetSet:
             seeds[a : b + 1, c : d + 1] = 0
         return _sweep(_sweep(seeds, xs[:, None]).T, ys[:, None]).T
 
-    def distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """:meth:`distance_to` of every point ``(xs[j], ys[j])``, as int64.
-
-        A point's distance to a target box is the sum of its per-axis
-        overshoots, so one targets × points broadcast gives every
-        minimum in exact integer arithmetic.
-        """
-        x0, x1, y0, y1 = (col[:, None] for col in self._boxes())
-        d = np.maximum(np.maximum(x0 - xs, xs - x1), 0)
-        d += np.maximum(np.maximum(y0 - ys, ys - y1), 0)
-        return d.min(axis=0)
-
     def _boxes(self) -> tuple[np.ndarray, ...]:
         """Every target as a closed box: int64 columns ``x0, x1, y0, y1``.
 

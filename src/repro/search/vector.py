@@ -25,7 +25,8 @@ from __future__ import annotations
 import heapq
 import time
 from abc import ABC, abstractmethod
-from typing import Generic, Hashable, Optional, Sequence, TypeVar
+from itertools import repeat
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,99 +35,72 @@ from repro.search.engine import _CLOSED, _OPEN, Order, SearchResult
 from repro.search.node import SearchNode
 from repro.search.stats import ExpansionTrace, SearchStats
 
-S = TypeVar("S", bound=Hashable)
 
-
-class VectorSearchProblem(ABC, Generic[S]):
-    """A search problem whose successors arrive as numpy batches.
+class VectorSearchProblem(ABC):
+    """A search problem over the int states ``0 .. size - 1``, batched.
 
     The contract mirrors :class:`~repro.search.problem.SearchProblem`
-    except that :meth:`expand` replaces ``successors``: one call
-    returns every successor of a state, with edge costs (and, for A*,
-    heuristic values) already evaluated as float64 arrays.  Successor
-    *order* within the batch must match what the scalar problem would
-    have yielded — the engine preserves it, and the tie-breaking
-    counter makes it observable.
+    except that :meth:`expand` replaces ``successors`` and
+    :meth:`heuristics` replaces ``heuristic``: one call returns every
+    successor of a state with its edge cost, and heuristics are priced
+    for an array of states at once.  Successor *order* within the batch
+    must match what the scalar problem would have yielded — the engine
+    preserves it, and the tie-breaking counter makes it observable.
 
-    A problem whose states are the ints of a small range can also
-    implement the optional dense-key protocol below, which the engine
-    then uses instead of :meth:`expand`.  The pathfinder's batched
-    problem does so: each state is its index on the connection's escape
-    grid, so the engine's g mirror has one entry per grid point.
+    States are ints of a small range so that the engine can mirror
+    every state's best-known g in one flat float64 array (the "g
+    mirror").  On congested workloads ~80% of generated successors fail
+    the ``new_g < existing.g`` improvement test; one gathered comparison
+    against the mirror rejects them all, so the Python loop only visits
+    actual improvements.  The comparison is the identical float64 ``<``
+    the scalar loop performs (unknown states hold +inf), so the visited
+    set, push order, and all counters are unchanged.  The pathfinder's
+    batched problem numbers the points of the connection's escape grid
+    this way.
     """
 
     @abstractmethod
-    def start_states(self) -> Sequence[tuple[S, float]]:
+    def start_states(self) -> Sequence[tuple[int, float]]:
         """``(state, initial cost)`` pairs seeding the search."""
 
     @abstractmethod
-    def is_goal(self, state: S) -> bool:
+    def is_goal(self, state: int) -> bool:
         """Whether *state* satisfies the search goal."""
 
     @abstractmethod
-    def heuristic(self, state: S) -> float:
-        """Admissible estimate for one state (used for start states)."""
+    def size(self) -> int:
+        """Number of states: every state is an int below it."""
 
     @abstractmethod
-    def expand(
-        self, state: S, with_h: bool
-    ) -> tuple[list[S], np.ndarray, Optional[np.ndarray]]:
-        """All successors of *state* as one batch.
+    def expand(self, state: int) -> tuple[np.ndarray, np.ndarray]:
+        """Successor states and edge costs of the full expansion of *state*.
 
-        Returns ``(states, edge_costs, heuristics)`` where ``states``
-        is a list of hashable successor states, ``edge_costs`` is a
-        float64 array of the same length, and ``heuristics`` is a
-        float64 array when *with_h* is true (``None`` otherwise).
+        Returns ``(states, edge_costs)``: an int64 array of distinct
+        successor states and the float64 edge costs, both in batch
+        order.
         """
 
-    def describe(self, state: S) -> str:
+    @abstractmethod
+    def heuristics(self, states: np.ndarray) -> np.ndarray:
+        """Admissible estimates of an int64 array of states, as float64.
+
+        The engine asks only for start states and for the successors
+        that improve on their best-known g; heuristic values are pure
+        per-state functions, so they equal those of the full batch.
+        """
+
+    def describe(self, state: int) -> str:
         """*state* as the engine's error messages print it."""
         return str(state)
 
-    # -- optional dense-key protocol ---------------------------------
-    #
-    # On congested workloads ~80% of generated successors fail the
-    # ``new_g < existing.g`` improvement test and cost a pure-Python
-    # dict probe each.  A problem whose states are the ints
-    # ``0 .. size - 1`` can opt in to a batched prefilter: the engine
-    # keeps a flat float64 array of best-known g values (the "g
-    # mirror", one entry per state) and gathers / compares a whole batch
-    # in two numpy ops, so the Python loop only visits actual
-    # improvements.  The comparison is the identical float64 ``<`` the
-    # loop performs (unknown states hold +inf), so the visited set,
-    # push order, and all counters are unchanged.
-
-    def dense_size(self) -> Optional[int]:
-        """Size of the int state range, or ``None`` to use the generic path."""
-        return None
-
-    def expand_dense(self, state: int) -> tuple[np.ndarray, np.ndarray]:
-        """Successor states and edge costs of the full expansion of *state*.
-
-        Returns ``(states, edge_costs)``: an int64 array of successor
-        states and the float64 edge costs, both in batch order.  Only
-        called when :meth:`dense_size` returns a size.
-        """
-        raise NotImplementedError
-
-    def dense_heuristics(self, states: np.ndarray) -> np.ndarray:
-        """Heuristics of an int64 array of states, as float64.
-
-        The engine asks only for the successors that improve on their
-        best-known g; heuristic values are pure per-state functions, so
-        they equal those of the full batch.
-        """
-        raise NotImplementedError
-
 
 def search_vectorized(
-    problem: VectorSearchProblem[S],
+    problem: VectorSearchProblem,
     order: Order = Order.A_STAR,
     *,
     node_limit: Optional[int] = None,
-    exhaustive: bool = False,
     trace: bool = False,
-) -> SearchResult[S]:
+) -> SearchResult[int]:
     """Run the OPEN/CLOSED search with batched expansion.
 
     Mirrors :func:`repro.search.engine.search` for the cost-ordered
@@ -134,6 +108,11 @@ def search_vectorized(
     and are rejected.  Semantics — admissible goal test at pop,
     reopening of CLOSED nodes, node-limit termination, stats, traces —
     are identical to the scalar loop, node for node.
+
+    Best-first search is the same loop with ``h ≡ 0``: its heap entries
+    ``(g + 0.0, -g, counter, ...)`` order exactly like the scalar
+    engine's ``(g, 0.0, counter, ...)``, since equal first keys mean
+    equal g and so equal second keys.
     """
     if not order.is_cost_ordered:
         raise SearchError(
@@ -146,30 +125,25 @@ def search_vectorized(
     started = time.perf_counter()
 
     use_heuristic = order is Order.A_STAR
-    heuristic = problem.heuristic
+    heuristics = problem.heuristics
     expand = problem.expand
     is_goal = problem.is_goal
     heappush = heapq.heappush
     heappop = heapq.heappop
+    zeros = repeat(0.0)
 
-    nodes: dict[S, SearchNode[S]] = {}
-    status: dict[S, int] = {}
+    nodes: dict[int, SearchNode[int]] = {}
+    status: dict[int, int] = {}
     nodes_get = nodes.get
     status_get = status.get
-    dense_size = problem.dense_size()
-    g_flat: Optional[np.ndarray] = None
-    if dense_size is not None:
-        g_flat = np.full(dense_size, np.inf, dtype=np.float64)
-        expand_dense = problem.expand_dense
-        dense_heuristics = problem.dense_heuristics
-    heap: list[tuple[float, float, int, float, SearchNode[S]]] = []
+    g_flat = np.full(problem.size(), np.inf, dtype=np.float64)
+    heap: list[tuple[float, float, int, float, SearchNode[int]]] = []
     counter = 0
     open_size = 0
     max_open = 0
     expanded = 0
     generated = 0
     reopened = 0
-    best_goal: Optional[SearchNode[S]] = None
 
     def finish(termination: str) -> None:
         stats.nodes_expanded = expanded
@@ -179,27 +153,27 @@ def search_vectorized(
         stats.termination = termination
         stats.elapsed_seconds = time.perf_counter() - started
 
-    for state, g0 in problem.start_states():
+    starts = list(problem.start_states())
+    if use_heuristic:
+        start_hs = heuristics(np.array([s for s, _ in starts], dtype=np.int64)).tolist()
+    else:
+        start_hs = zeros
+    for (state, g0), h0 in zip(starts, start_hs):
         if g0 < 0:
             raise SearchError(
                 f"negative start cost {g0} for state {problem.describe(state)}"
             )
         existing = nodes.get(state)
         if existing is None or g0 < existing.g:
-            h0 = heuristic(state) if use_heuristic else 0.0
             node = SearchNode(state, g0, h0)
             nodes[state] = node
-            if use_heuristic:
-                heappush(heap, (g0 + h0, -g0, counter, g0, node))
-            else:
-                heappush(heap, (g0, 0.0, counter, g0, node))
+            heappush(heap, (g0 + h0, -g0, counter, g0, node))
             counter += 1
             status[state] = _OPEN
             open_size += 1
             if open_size > max_open:
                 max_open = open_size
-            if g_flat is not None:
-                g_flat[state] = g0
+            g_flat[state] = g0
 
     while heap:
         entry = heappop(heap)
@@ -212,11 +186,8 @@ def search_vectorized(
         status[state] = _CLOSED
 
         if is_goal(state):
-            if not exhaustive:
-                finish("goal")
-                return SearchResult(node, stats, expansion)
-            if best_goal is None or node.g < best_goal.g:
-                best_goal = node
+            finish("goal")
+            return SearchResult(node, stats, expansion)
 
         expanded += 1
         if record is not None:
@@ -224,160 +195,52 @@ def search_vectorized(
             record(state, parent.state if parent is not None else None)
         if node_limit is not None and expanded >= node_limit:
             finish("limit")
-            return SearchResult(best_goal, stats, expansion)
+            return SearchResult(None, stats, expansion)
 
-        node_g = node.g
-        child_depth = node.depth + 1
-
-        if g_flat is not None:
-            # Dense prefilter: ``g_flat`` mirrors the best-known g of
-            # every node (+inf when unknown), so the gathered float64
-            # comparison below selects exactly the successors the
-            # generic loop would create or improve — in the same
-            # (ascending-index) order, with the same counter values.
-            # Heuristics are evaluated on those winners alone (they
-            # are pure per-state functions, so the values are
-            # identical).
-            batch, edge_costs = expand_dense(state)
-            count = batch.shape[0]
-            if not count:
-                continue
-            if edge_costs.min() < 0:
-                bad = int(np.flatnonzero(edge_costs < 0)[0])
-                raise SearchError(
-                    f"negative edge cost {edge_costs[bad]} from {problem.describe(state)} "
-                    f"to {problem.describe(int(batch[bad]))}"
-                )
-            generated += count
-            new_arr = node_g + edge_costs
-            winners = np.flatnonzero(new_arr < g_flat[batch])
-            if not winners.size:
-                continue
-            win_states = batch[winners]
-            succ_states = win_states.tolist()
-            new_gs = new_arr[winners].tolist()
-            if use_heuristic:
-                for succ_state, new_g, h in zip(
-                    succ_states, new_gs, dense_heuristics(win_states).tolist()
-                ):
-                    existing = nodes_get(succ_state)
-                    if existing is None:
-                        g_flat[succ_state] = new_g
-                        child = SearchNode(succ_state, new_g, h, node, child_depth)
-                        nodes[succ_state] = child
-                        heappush(heap, (new_g + h, -new_g, counter, new_g, child))
-                    elif new_g < existing.g:
-                        g_flat[succ_state] = new_g
-                        if status_get(succ_state) == _CLOSED:
-                            reopened += 1
-                        existing.parent = node
-                        existing.g = new_g
-                        existing.depth = child_depth
-                        heappush(
-                            heap,
-                            (new_g + existing.h, -new_g, counter, new_g, existing),
-                        )
-                    else:  # pragma: no cover - batch states are distinct
-                        continue
-                    counter += 1
-                    status[succ_state] = _OPEN
-                    open_size += 1
-                    if open_size > max_open:
-                        max_open = open_size
-            else:
-                for succ_state, new_g in zip(succ_states, new_gs):
-                    existing = nodes_get(succ_state)
-                    if existing is None:
-                        g_flat[succ_state] = new_g
-                        child = SearchNode(succ_state, new_g, 0.0, node, child_depth)
-                        nodes[succ_state] = child
-                        heappush(heap, (new_g, 0.0, counter, new_g, child))
-                    elif new_g < existing.g:
-                        g_flat[succ_state] = new_g
-                        if status_get(succ_state) == _CLOSED:
-                            reopened += 1
-                        existing.parent = node
-                        existing.g = new_g
-                        existing.depth = child_depth
-                        heappush(heap, (new_g, 0.0, counter, new_g, existing))
-                    else:  # pragma: no cover - batch states are distinct
-                        continue
-                    counter += 1
-                    status[succ_state] = _OPEN
-                    open_size += 1
-                    if open_size > max_open:
-                        max_open = open_size
-            continue
-
-        succ_states, edge_costs, succ_hs = expand(state, use_heuristic)
-        count = len(succ_states)
+        batch, edge_costs = expand(state)
+        count = batch.shape[0]
         if not count:
             continue
         if edge_costs.min() < 0:
             bad = int(np.flatnonzero(edge_costs < 0)[0])
             raise SearchError(
                 f"negative edge cost {edge_costs[bad]} from {problem.describe(state)} "
-                f"to {problem.describe(succ_states[bad])}"
+                f"to {problem.describe(int(batch[bad]))}"
             )
         generated += count
         # node_g + float64 column == the scalar per-successor addition,
-        # element for element; .tolist() yields native floats so heap
-        # entries compare exactly as in the scalar engine.  The two
-        # specialized loops below are the same per-successor body with
-        # the order-dependent branches hoisted out; most successors
-        # fall through both tests untouched, so the fall-through path
-        # is kept as short as possible.
-        new_gs = (node_g + edge_costs).tolist()
-        if use_heuristic:
-            for succ_state, new_g, h in zip(succ_states, new_gs, succ_hs.tolist()):
-                existing = nodes_get(succ_state)
-                if existing is None:
-                    child = SearchNode(succ_state, new_g, h, node, child_depth)
-                    nodes[succ_state] = child
-                    heappush(heap, (new_g + h, -new_g, counter, new_g, child))
-                    counter += 1
-                    status[succ_state] = _OPEN
-                    open_size += 1
-                    if open_size > max_open:
-                        max_open = open_size
-                elif new_g < existing.g:
-                    if status_get(succ_state) == _CLOSED:
-                        reopened += 1
-                    existing.parent = node
-                    existing.g = new_g
-                    existing.depth = child_depth
-                    heappush(
-                        heap, (new_g + existing.h, -new_g, counter, new_g, existing)
-                    )
-                    counter += 1
-                    status[succ_state] = _OPEN
-                    open_size += 1
-                    if open_size > max_open:
-                        max_open = open_size
-        else:
-            for succ_state, new_g in zip(succ_states, new_gs):
-                existing = nodes_get(succ_state)
-                if existing is None:
-                    child = SearchNode(succ_state, new_g, 0.0, node, child_depth)
-                    nodes[succ_state] = child
-                    heappush(heap, (new_g, 0.0, counter, new_g, child))
-                    counter += 1
-                    status[succ_state] = _OPEN
-                    open_size += 1
-                    if open_size > max_open:
-                        max_open = open_size
-                elif new_g < existing.g:
-                    if status_get(succ_state) == _CLOSED:
-                        reopened += 1
-                    existing.parent = node
-                    existing.g = new_g
-                    existing.depth = child_depth
-                    heappush(heap, (new_g, 0.0, counter, new_g, existing))
-                    counter += 1
-                    status[succ_state] = _OPEN
-                    open_size += 1
-                    if open_size > max_open:
-                        max_open = open_size
+        # element for element.  ``g_flat`` mirrors the best-known g of
+        # every node (+inf when unknown), so the gathered comparison
+        # selects exactly the successors the scalar loop would create
+        # or improve, in batch order; .tolist() yields native floats so
+        # heap entries compare exactly as in the scalar engine.
+        node_g = node.g
+        new_arr = node_g + edge_costs
+        winners = np.flatnonzero(new_arr < g_flat[batch])
+        if not winners.size:
+            continue
+        win_states = batch[winners]
+        hs = heuristics(win_states).tolist() if use_heuristic else zeros
+        child_depth = node.depth + 1
+        for succ_state, new_g, h in zip(win_states.tolist(), new_arr[winners].tolist(), hs):
+            g_flat[succ_state] = new_g
+            existing = nodes_get(succ_state)
+            if existing is None:
+                child = SearchNode(succ_state, new_g, h, node, child_depth)
+                nodes[succ_state] = child
+                heappush(heap, (new_g + h, -new_g, counter, new_g, child))
+            else:  # a winner improves on the g its mirror entry holds
+                if status_get(succ_state) == _CLOSED:
+                    reopened += 1
+                existing.parent = node
+                existing.g = new_g
+                existing.depth = child_depth
+                heappush(heap, (new_g + h, -new_g, counter, new_g, existing))
+            counter += 1
+            status[succ_state] = _OPEN
+            open_size += 1
+            if open_size > max_open:
+                max_open = open_size
 
-    finish("goal" if best_goal is not None else "exhausted")
-    return SearchResult(best_goal, stats, expansion)
+    finish("exhausted")
+    return SearchResult(None, stats, expansion)

@@ -87,6 +87,20 @@ class TestPerStrategyContract:
         (key,) = ILL_TYPED_PARAMS[strategy]
         assert excinfo.value.invalid[0][0] == key
 
+    @pytest.mark.parametrize("max_gap", [0, -5])
+    def test_max_gap_below_one_rejected(self, small_layout, strategy, max_gap):
+        # Every passage is at least 1 wide: such a cutoff would measure
+        # nothing and report a congested route as converged.
+        params = {"max_gap": max_gap}
+        with pytest.raises(RoutingError, match="max_gap must be >= 1"):
+            RouteRequest(layout=small_layout, strategy=strategy, strategy_params=params)
+        document = RouteRequest(layout=small_layout, strategy=strategy).to_dict()
+        document["strategy_params"] = params
+        with pytest.raises(RoutingError, match="max_gap must be >= 1"):
+            RouteRequest.from_dict(document)
+        with pytest.raises(RoutingError, match="max_gap must be >= 1"):
+            DEFAULT_REGISTRY.create(strategy, params)
+
     def test_from_dict_warns_and_drops_unknown_keys(self, small_layout, strategy):
         """Old serialized requests keep loading (lenient intake)."""
         document = RouteRequest(

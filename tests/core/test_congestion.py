@@ -11,6 +11,7 @@ from repro.core.congestion import (
     measure_congestion,
 )
 from repro.core.route import GlobalRoute, RoutePath, RouteTree
+from repro.errors import RoutingError
 from repro.geometry.point import Axis, Point
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
@@ -62,6 +63,11 @@ class TestFindPassages:
         passages = find_passages(two_cell_layout(), max_gap=3)
         pair = [p for p in passages if set(p.between) == {"a", "b"}]
         assert not pair  # the 4-wide passage is filtered out
+
+    @pytest.mark.parametrize("max_gap", [0, -5])
+    def test_max_gap_below_one_rejected(self, max_gap):
+        with pytest.raises(RoutingError, match="max_gap must be >= 1"):
+            find_passages(two_cell_layout(), max_gap=max_gap)
 
     def test_intervening_cell_blocks_passage(self):
         layout = two_cell_layout()

@@ -283,48 +283,60 @@ class TestRouterParity:
         assert run() == scalar
 
 
-class TestGenericPath:
-    """Grids above ``_DENSE_KEY_LIMIT`` take the generic ``expand()`` path.
+_CORPUS = load_corpus()
 
-    No corpus grid comes near the cap, so the cap is patched down to
-    zero: every batched search then runs the dict-only path with the
-    batched ``TargetSet.distances`` heuristic, which must match the dense path (same routes,
-    node counters, ray-memo traffic and expansion traces) and the
-    oracle (same routes, node counters and traces).
+
+class TestGenericPath:
+    """Grids above ``_DENSE_KEY_LIMIT`` leave the batched search.
+
+    Above the cap :func:`find_path` searches the generic scalar problem
+    instead, so no grid-sized array is allocated.  No corpus grid comes
+    near the cap, so the cap is patched down to zero: every search must
+    then skip ``search_vectorized`` and still match the batched search
+    (same routes, node counters and expansion traces) and the oracle.
+    The corpus runs once more under best-first order, the batched
+    loop's ``h = 0`` case.
     """
 
-    @pytest.mark.parametrize("scenario", load_corpus(), ids=lambda scenario: scenario.name)
-    def test_corpus_matches_the_dense_path_and_the_oracle(self, scenario, monkeypatch):
+    @pytest.mark.parametrize(
+        "scenario,order",
+        [(scenario, Order.A_STAR) for scenario in _CORPUS]
+        + [(scenario, Order.BEST_FIRST) for scenario in _CORPUS],
+        ids=[scenario.name for scenario in _CORPUS]
+        + [f"{scenario.name}-best-first" for scenario in _CORPUS],
+    )
+    def test_corpus_matches_the_dense_path_and_the_oracle(
+        self, scenario, order, monkeypatch
+    ):
         def run():
-            route = GlobalRouter(scenario.layout, RouterConfig(trace=True)).route_all(
-                on_unroutable="skip"
-            )
+            config = RouterConfig(order=order, trace=True)
+            route = GlobalRouter(scenario.layout, config).route_all(on_unroutable="skip")
             stats = route.stats
-            searched = (
+            return (
                 route_fingerprint(route),
                 stats.nodes_expanded,
                 stats.nodes_generated,
                 stats.nodes_reopened,
                 [trace.entries for tree in route.trees.values() for trace in tree.traces],
             )
-            return searched, (stats.cache_hits, stats.cache_misses)
 
-        dense, dense_rays = run()
-        with reference_search():
-            reference, _ = run()
         calls = []
-        real = pathfinder._BatchedPointProblem.expand
+        real = pathfinder.search_vectorized
 
-        def counting(self, state, with_h):
-            calls.append(state)
-            return real(self, state, with_h)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
 
+        monkeypatch.setattr(pathfinder, "search_vectorized", counting)
+        dense = run()
+        assert bool(calls) == bool(dense[1])  # batched wherever anything was searched
+        with reference_search():
+            reference = run()
         monkeypatch.setattr(pathfinder, "_DENSE_KEY_LIMIT", 0)
-        monkeypatch.setattr(pathfinder._BatchedPointProblem, "expand", counting)
-        generic, generic_rays = run()
-        assert generic == dense == reference
-        assert generic_rays == dense_rays
-        assert len(calls) == dense[1]  # every expansion took the generic path
+        calls.clear()
+        above_cap = run()
+        assert not calls
+        assert above_cap == dense == reference
 
     def test_negotiated_run_matches_the_dense_path_and_the_oracle(self, monkeypatch):
         def run():
@@ -344,6 +356,7 @@ class TestGenericPath:
         with reference_search():
             reference = run()
         monkeypatch.setattr(pathfinder, "_DENSE_KEY_LIMIT", 0)
+        monkeypatch.setattr(pathfinder, "search_vectorized", None)  # must not be reached
         assert run() == dense == reference
 
 

@@ -181,7 +181,7 @@ class NegativeCost(CostModel):
 class TestBatchedSearchErrors:
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "generic"])
     def test_negative_edge_cost_names_both_points(self, one_block, monkeypatch, dense):
-        if not dense:
+        if not dense:  # above the cap: the scalar problem reports the same points
             monkeypatch.setattr(pathfinder, "_DENSE_KEY_LIMIT", 0)
         # The first successor of (10, 50) is the east reach, the block's
         # west edge.

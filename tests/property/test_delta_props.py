@@ -15,8 +15,7 @@ contracts, pinned here property-style over generated layouts:
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.core.router import GlobalRouter, RouterConfig
-from repro.errors import LayoutError
-from repro.layout.generators import LayoutSpec, random_layout
+from repro.layout.generators import LayoutSpec
 from repro.layout.io import layout_to_json
 from repro.incremental.delta import LayoutDelta, apply_delta, changed_rects, compose_deltas
 from repro.incremental.dirty import classify_nets
@@ -25,6 +24,7 @@ from repro.incremental.scripts import (
     geometry_delta,
     replace_nets_delta,
 )
+from tests.property.conftest import generate
 
 COMMON = dict(
     deadline=None,
@@ -42,14 +42,6 @@ SPEC = LayoutSpec(
     pins_per_terminal=(1, 2),
     density=0.25,
 )
-
-
-def generate(seed):
-    """random_layout, discarding the rare too-dense rejection."""
-    try:
-        return random_layout(SPEC, seed=seed)
-    except LayoutError:
-        assume(False)
 
 
 def scripted(layout, kind, step):
@@ -87,7 +79,7 @@ def canonical(layout) -> str:
 @given(seed=st.integers(min_value=0, max_value=10_000), kind=KINDS)
 @settings(**COMMON)
 def test_json_round_trip_is_stable(seed, kind):
-    layout = generate(seed)
+    layout = generate(SPEC, seed)
     delta = scripted(layout, kind, 0)
     text = delta.to_json()
     again = LayoutDelta.from_json(text)
@@ -108,7 +100,7 @@ def test_json_round_trip_is_stable(seed, kind):
 )
 @settings(**COMMON)
 def test_compose_matches_sequential_application(seed, kinds):
-    layout = generate(seed)
+    layout = generate(SPEC, seed)
     deltas, current = [], layout
     for step, kind in enumerate(kinds):
         delta = scripted(current, kind, step)
@@ -127,7 +119,7 @@ def test_compose_matches_sequential_application(seed, kinds):
 )
 @settings(**COMMON)
 def test_compose_is_associative(seed, kinds):
-    layout = generate(seed)
+    layout = generate(SPEC, seed)
     deltas, current = [], layout
     for step, kind in enumerate(kinds):
         delta = scripted(current, kind, step)
@@ -154,7 +146,7 @@ def _segment_enters(rect, p, q) -> bool:
 @given(seed=st.integers(min_value=0, max_value=10_000), kind=KINDS)
 @settings(**COMMON)
 def test_kept_routes_never_enter_changed_footprints(seed, kind):
-    layout = generate(seed)
+    layout = generate(SPEC, seed)
     assume(layout.nets)
     route = GlobalRouter(layout, RouterConfig()).route_all(on_unroutable="skip")
     delta = scripted(layout, kind, 0)

@@ -7,9 +7,7 @@ table.  Two invariants make that exact:
 * :meth:`~repro.core.route.TargetSet.distance_grid` equals
   :meth:`~repro.core.route.TargetSet.distance_to` at every grid point,
   for point-only, segment-only, mixed and degenerate target sets, and
-  refuses a grid that misses a target coordinate (the batched
-  :meth:`~repro.core.route.TargetSet.distances` of grids above the
-  dense cap equals it at any point);
+  refuses a grid that misses a target coordinate;
 * a ray reach off the grid (which the obstacle set never reports, see
   ``tests/property/test_raytrace_cache_props.py``) raises instead of
   being routed to the wrong state.
@@ -73,13 +71,6 @@ class TestDistanceGrid:
         for i, x in enumerate(xs.tolist()):
             for j, y in enumerate(ys.tolist()):
                 assert table[i, j] == targets.distance_to(Point(x, y))
-
-    @settings(max_examples=200, deadline=None)
-    @given(target_sets, st.lists(points, max_size=12))
-    def test_batched_distances_equal_distance_to(self, targets, probes):
-        xs = np.array([p.x for p in probes], dtype=np.int64)
-        ys = np.array([p.y for p in probes], dtype=np.int64)
-        assert targets.distances(xs, ys).tolist() == [targets.distance_to(p) for p in probes]
 
     @settings(max_examples=100, deadline=None)
     @given(target_sets, st.data())

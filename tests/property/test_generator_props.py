@@ -7,14 +7,14 @@ placement, the terminal/pin count ranges, and byte determinism for the
 same spec + seed.
 """
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import LayoutError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.layout.generators import LayoutSpec, random_layout
+from repro.layout.generators import LayoutSpec
 from repro.layout.io import layout_to_json
 from repro.layout.validate import validate_layout
+from tests.property.conftest import generate
 
 
 @st.composite
@@ -35,14 +35,6 @@ def specs(draw):
         pad_fraction=draw(st.floats(min_value=0.0, max_value=1.0)),
         density=draw(st.floats(min_value=0.15, max_value=0.4)),
     )
-
-
-def generate(spec, seed):
-    """random_layout, discarding the rare too-dense rejection."""
-    try:
-        return random_layout(spec, seed=seed)
-    except LayoutError:
-        assume(False)
 
 
 def on_boundary(rect: Rect, p: Point) -> bool:

@@ -17,7 +17,8 @@ from repro.core.timing import (
     analyze_route_timing,
     net_delay,
 )
-from repro.layout.generators import LayoutSpec, random_layout
+from repro.layout.generators import LayoutSpec
+from tests.property.conftest import generate
 
 delays = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -96,10 +97,7 @@ class TestRoutedLayoutProperties:
     @example(seed=31, n_nets=2, load_factor=1.0669681859261353)
     @settings(max_examples=15, deadline=None)
     def test_analysis_of_routed_layout(self, seed, n_nets, load_factor):
-        layout = random_layout(
-            LayoutSpec(n_cells=6, n_nets=n_nets, terminals_per_net=(2, 3)),
-            seed=seed,
-        )
+        layout = generate(LayoutSpec(n_cells=6, n_nets=n_nets, terminals_per_net=(2, 3)), seed)
         route = GlobalRouter(layout).route_all(on_unroutable="skip")
         analysis = analyze_route_timing(route, layout, load_factor=load_factor)
 

@@ -47,35 +47,50 @@ class GridProblem(SearchProblem):
 
 
 class VectorGridProblem(VectorSearchProblem):
-    """The same grid walk, batched form (same successor order)."""
+    """The same grid walk, batched over int states ``x * size + y``.
+
+    Successors come in the scalar problem's order; :meth:`cell`
+    converts a state back to the scalar problem's ``(x, y)`` tuple.
+    """
 
     def __init__(self, scalar: GridProblem):
         self.scalar = scalar
 
+    def state(self, cell):
+        return cell[0] * self.scalar.size + cell[1]
+
+    def cell(self, state):
+        return divmod(state, self.scalar.size)
+
+    def describe(self, state):
+        return str(self.cell(state))
+
     def start_states(self):
-        return self.scalar.start_states()
+        return [(self.state(cell), g0) for cell, g0 in self.scalar.start_states()]
 
     def is_goal(self, state):
-        return self.scalar.is_goal(state)
+        return self.scalar.is_goal(self.cell(state))
 
-    def heuristic(self, state):
-        return self.scalar.heuristic(state)
+    def size(self):
+        return self.scalar.size**2
 
-    def expand(self, state, with_h):
-        states = list(self.scalar._neighbors(state))
-        costs = np.ones(len(states), dtype=np.float64)
-        hs = None
-        if with_h:
-            hs = np.array([self.scalar.heuristic(s) for s in states], dtype=np.float64)
-        return states, costs, hs
+    def expand(self, state):
+        cells = list(self.scalar._neighbors(self.cell(state)))
+        states = np.array([self.state(c) for c in cells], dtype=np.int64)
+        return states, np.ones(len(cells), dtype=np.float64)
+
+    def heuristics(self, states):
+        return np.array(
+            [self.scalar.heuristic(self.cell(s)) for s in states.tolist()], dtype=np.float64
+        )
 
 
 class NegativeEdgeProblem(VectorGridProblem):
-    def expand(self, state, with_h):
-        states, costs, hs = super().expand(state, with_h)
+    def expand(self, state):
+        states, costs = super().expand(state)
         if costs.size:
             costs[-1] = -0.5
-        return states, costs, hs
+        return states, costs
 
 
 def _stats_tuple(stats):
@@ -92,12 +107,16 @@ def _stats_tuple(stats):
 def test_matches_scalar_engine_exactly(order):
     scalar = GridProblem(blocked=[(2, y) for y in range(5)])
     s_result = search(scalar, order, trace=True)
-    v_result = search_vectorized(VectorGridProblem(scalar), order, trace=True)
+    problem = VectorGridProblem(scalar)
+    v_result = search_vectorized(problem, order, trace=True)
     assert v_result.goal is not None and s_result.goal is not None
     assert v_result.goal.g == s_result.goal.g
-    assert v_result.path == s_result.path
+    assert [problem.cell(s) for s in v_result.path] == s_result.path
     assert _stats_tuple(v_result.stats) == _stats_tuple(s_result.stats)
-    assert v_result.trace.entries == s_result.trace.entries
+    cell = problem.cell
+    assert [
+        (cell(s), cell(p) if p is not None else None) for s, p in v_result.trace.entries
+    ] == s_result.trace.entries
 
 
 def test_blind_orders_rejected():
@@ -127,15 +146,6 @@ def test_node_limit_matches_scalar():
     assert s_result.goal is None and v_result.goal is None
     assert _stats_tuple(v_result.stats) == _stats_tuple(s_result.stats)
     assert v_result.stats.termination == "limit"
-
-
-def test_exhaustive_returns_best_goal():
-    scalar = GridProblem(size=3, goal=(2, 2))
-    s_result = search(scalar, exhaustive=True)
-    v_result = search_vectorized(VectorGridProblem(scalar), exhaustive=True)
-    assert v_result.goal is not None
-    assert v_result.goal.g == s_result.goal.g
-    assert _stats_tuple(v_result.stats) == _stats_tuple(s_result.stats)
 
 
 def test_unreachable_goal_exhausts():

@@ -102,6 +102,15 @@ class TestPlumbing:
         error = json.loads(excinfo.value.read().decode("utf-8"))["error"]
         assert "router config must be a JSON object" in error
 
+    def test_out_of_range_strategy_param_400(self, served):
+        _, client = served()
+        body = RouteRequest(layout=small_layout(), strategy="negotiated").to_dict()
+        body["strategy_params"] = {"max_gap": -5}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(body)
+        assert excinfo.value.status == 400
+        assert "max_gap must be >= 1" in str(excinfo.value)
+
     def test_malformed_content_length_400(self, served):
         import http.client
         from urllib.parse import urlsplit
