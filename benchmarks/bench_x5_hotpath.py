@@ -1,28 +1,24 @@
-"""X5 — the hot-path overhaul, measured.
+"""X5 — the hot path, measured.
 
-Three changes landed together: the epoch-cached ray tracer
-(:class:`~repro.geometry.raytrace.ObstacleSet` memoizes ``first_hit``
-per mutation epoch), the flattened cost-model inner loops
-(:class:`~repro.core.costs.CongestionPenaltyCost`), and the lean
-OPEN/CLOSED core (flat heap tuples, slotted nodes).  The batched
-search problem followed, and this harness grew a comparison of the
-default search against the scalar oracle
-(:func:`~repro.core.pathfinder.reference_search`) alongside the
-original cache A/B.  The claims the bench pins:
+The default search (the batched escape-grid problem, rays answered by
+the obstacle set's per-track blocker index, the flattened cost-model
+inner loops and the lean OPEN/CLOSED core) is compared against the
+scalar oracle with scanned rays
+(:func:`~repro.core.pathfinder.reference_search`) on every workload.
+The claims the bench pins:
 
-* **identity** — routed results are byte-identical with the ray memo
-  on and off, between the default search and the reference oracle, and
-  through the single-pass strategy's memo-population skip: same paths,
-  same costs, same failed nets, same per-iteration overflow trajectory.
+* **identity** — routed results are byte-identical between the
+  default search and the reference oracle: same paths, same costs,
+  same failed nets, same per-iteration overflow trajectory.
   Performance work may only change how fast answers arrive, never the
   answers.
-* **speed** — the negotiated multi-iteration workload (the rip-up
-  loop re-searches the same static obstacle set every iteration, so
-  cache hit rates are high) runs measurably faster with the memo, and
-  the scaled workload (``negotiated_scaled_200``) runs at least
-  :data:`ENGINE_SPEEDUP_FLOOR` times more expansions per second on the
-  default search than on the reference oracle; BENCH_hotpath.json
-  tracks the trajectory PR over PR.
+* **speed** — the scaled workload (``negotiated_scaled_200``) runs at
+  least :data:`ENGINE_SPEEDUP_FLOOR` times more expansions per second
+  on the default search than on the reference oracle;
+  BENCH_hotpath.json tracks the trajectory PR over PR.
+* **work** — expansions and ray probes (``ray_probes``: every
+  ``first_hit`` one, every ``reaches`` four) are deterministic, and the
+  driver's ``--check`` pins them exactly.
 
 :func:`gate` holds those claims.  Run the suite through the one bench
 driver, which writes the artifact and gates it::
@@ -50,9 +46,7 @@ from benchmarks.workloads import (
 #: Workload definitions, smallest first.  ``run_suite.py --quick`` runs
 #: the names in :data:`QUICK`; the committed baseline
 #: (BENCH_hotpath.json) records the full set so quick CI runs can still
-#: compare against it by name.  ``engine_matrix_only`` workloads skip
-#: the cache A/B (their point is the search comparison; a reference run
-#: at this size is already minutes of wall clock).
+#: compare against it by name.
 WORKLOADS: dict[str, dict] = {
     "negotiated_grid_16": {
         "kind": "negotiated",
@@ -80,7 +74,6 @@ WORKLOADS: dict[str, dict] = {
         "nets": 200,
         "seed": 7,
         "max_iterations": 4,
-        "engine_matrix_only": True,
         # The ENGINE_SPEEDUP_FLOOR gate rides on this workload, so its
         # search walls are min-of-2 (same repeat count for both
         # searches) to keep a single noisy draw from deciding the ratio.
@@ -88,14 +81,13 @@ WORKLOADS: dict[str, dict] = {
     },
 }
 
-#: The CI smoke subset: the small negotiated loop (cache A/B + search
-#: comparison) plus the single-pass workload (strategy memo-skip gate).
+#: The CI smoke subset: the small negotiated loop plus the single pass.
 QUICK = ("negotiated_grid_16", "single_pass_dense")
 
 #: The searches compared, as ``(artifact row, reference?)``.  The row
 #: names predate the automatic engine choice and stay for artifact
-#: continuity: ``scalar`` is the reference oracle (scalar problem, ray
-#: memo off) and ``vectorized`` the default search.
+#: continuity: ``scalar`` is the reference oracle (scalar problem,
+#: scanned rays) and ``vectorized`` the default search.
 SEARCHES = (("scalar", True), ("vectorized", False))
 
 #: The acceptance floor for the batched search: the default search
@@ -104,28 +96,22 @@ SEARCHES = (("scalar", True), ("vectorized", False))
 ENGINE_SPEEDUP_FLOOR = 5.0
 ENGINE_FLOOR_WORKLOAD = "negotiated_scaled_200"
 
-#: On the negotiated loops the rip-up waves re-query the same static
-#: obstacles every iteration, so the ray memo must hit more often than
-#: this.
-HIT_RATE_FLOOR = 0.5
-
 #: Gated against the baseline: walls at the driver's fixed ratio,
 #: deterministic counters for exact equality.
 WALL_KEYS = (
-    "wall_seconds_cache_on",
+    "wall_seconds",
     "engines.scalar.wall_seconds",
     "engines.vectorized.wall_seconds",
 )
 COUNTER_KEYS = (
     "nodes_expanded",
-    "ray_cache_hits",
-    "ray_cache_misses",
+    "ray_probes",
     "engines.scalar.nodes_expanded",
     "engines.vectorized.nodes_expanded",
 )
 
 
-def _route(spec: dict, memo: bool):
+def _route(spec: dict):
     """Route one workload from scratch; returns the strategy's result."""
     if spec["kind"] == "negotiated":
         if spec.get("scaled"):
@@ -134,27 +120,23 @@ def _route(spec: dict, memo: bool):
             layout = congested_layout(
                 n_nets=spec["nets"], seed=spec["seed"], gap=spec["gap"]
             )
-        base = GlobalRouter(layout, RouterConfig())
-        base.obstacles.ray_cache_enabled = memo
-        router = NegotiatedRouter.from_router(
-            base,
+        router = NegotiatedRouter(
+            layout,
+            RouterConfig(),
             negotiation=NegotiationConfig(max_iterations=spec["max_iterations"]),
         )
         return router.run()
     layout = netted_layout(spec["cells"], spec["nets"], seed=spec["seed"])
-    router = GlobalRouter(layout, RouterConfig())
-    router.obstacles.ray_cache_enabled = memo
-    return router.route_all(on_unroutable="skip")
+    return GlobalRouter(layout, RouterConfig()).route_all(on_unroutable="skip")
 
 
-def _measure(spec: dict, *, memo: bool = True, reference: bool = False, repeats: int = 1):
+def _measure(spec: dict, *, reference: bool, repeats: int):
     """Min-of-*repeats* route wall; returns (wall, fingerprint, stats, extra).
 
-    *memo* toggles the router's ray memo; *reference* runs the whole
-    route under :func:`reference_search` (which keeps the memo off).
+    *reference* runs the whole route under :func:`reference_search`.
     """
     with reference_search() if reference else nullcontext():
-        wall, result = best_wall(lambda: _route(spec, memo), repeats)
+        wall, result = best_wall(lambda: _route(spec), repeats)
     if spec["kind"] == "negotiated":
         fingerprint = {
             "trees": _tree_fingerprint(result.final),
@@ -181,39 +163,8 @@ def _measure(spec: dict, *, memo: bool = True, reference: bool = False, repeats:
     return wall, fingerprint, result.stats, {"wirelength": result.total_length}
 
 
-def _route_single_strategy(spec: dict):
-    """Route the single-pass workload through the pipeline's strategy.
-
-    ``SingleStrategy`` skips ray-memo population — one pass never
-    re-queries a ray often enough to pay the memo back — so even though
-    the router's memo is on the run must record *zero* cache lookups,
-    and must still route byte-identically to the direct ``route_all``
-    measurements.  Returns (wall_seconds, fingerprint,
-    ray_lookups).
-    """
-    from repro.api.pipeline import RoutingPipeline
-    from repro.api.request import RouteRequest
-
-    layout = netted_layout(spec["cells"], spec["nets"], seed=spec["seed"])
-    request = RouteRequest(
-        layout=layout,
-        strategy="single",
-        on_unroutable="skip",
-        verify=False,
-    )
-    wall, result = best_wall(lambda: RoutingPipeline().run(request), 1)
-    fingerprint = {
-        "trees": _tree_fingerprint(result.route),
-        "failed": sorted(result.route.failed_nets),
-    }
-    lookups = int(
-        result.timings["ray_cache_hits"] + result.timings["ray_cache_misses"]
-    )
-    return wall, fingerprint, lookups
-
-
 def _tree_fingerprint(route) -> dict:
-    """Everything deterministic about a route (no timings, no cache telemetry)."""
+    """Everything deterministic about a route (no timings, no ray telemetry)."""
     return {
         name: {
             "paths": [[(p.x, p.y) for p in path.points] for path in tree.paths],
@@ -225,54 +176,32 @@ def _tree_fingerprint(route) -> dict:
 
 
 def run_workload(spec: dict) -> dict:
-    """Measure one workload: cache A/B plus reference vs default search.
+    """Measure one workload on the default search and the reference.
 
     Every measurement carries a byte-identity verdict next to its
-    timing; ``engine_matrix_only`` workloads skip the cache A/B and the
-    per-kind extras come from their reference run instead.
+    timing.  The default search's run also fills the top-level wall,
+    counters and per-kind extras.
     """
     entry: dict = {"kind": spec["kind"]}
-    runs: dict[str, tuple] = {}
-    if not spec.get("engine_matrix_only"):
-        wall_off, fp_off, _stats_off, _ = _measure(spec, memo=False)
-        wall_on, fp_on, stats_on, extra = _measure(spec)
-        lookups = stats_on.cache_hits + stats_on.cache_misses
-        entry.update(
-            {
-                "wall_seconds_cache_off": round(wall_off, 4),
-                "wall_seconds_cache_on": round(wall_on, 4),
-                "speedup_cache": round(wall_off / wall_on, 3) if wall_on > 0 else None,
-                "nodes_expanded": stats_on.nodes_expanded,
-                "expansions_per_second": round(stats_on.nodes_expanded / wall_on, 1)
-                if wall_on > 0
-                else None,
-                "ray_cache_hits": stats_on.cache_hits,
-                "ray_cache_misses": stats_on.cache_misses,
-                "ray_cache_hit_rate": round(stats_on.cache_hit_rate, 4)
-                if lookups
-                else 0.0,
-                "identical_cache_on_off": fp_off == fp_on,
-            }
-        )
-        entry.update(extra)
-        # The cache-on run *is* the default search measurement.
-        runs["vectorized"] = (wall_on, fp_on, stats_on)
-        if spec["kind"] == "single":
-            strategy_wall, strategy_fp, strategy_lookups = _route_single_strategy(spec)
-            entry["strategy_wall_seconds"] = round(strategy_wall, 4)
-            entry["strategy_ray_lookups"] = strategy_lookups
-            entry["identical_strategy_skip"] = strategy_fp == fp_on
-
     # Both searches get the same repeat count, so the speedup ratio
     # stays honest.
     repeats = spec.get("engine_repeats", 1)
+    runs: dict[str, tuple] = {}
     for row, reference in SEARCHES:
-        if row in runs:
-            continue
         wall, fp, stats, extra = _measure(spec, reference=reference, repeats=repeats)
         runs[row] = (wall, fp, stats)
-        if reference and "nodes_expanded" not in entry:
-            entry["nodes_expanded"] = stats.nodes_expanded
+        if not reference:
+            entry.update(
+                {
+                    "wall_seconds": round(wall, 4),
+                    "nodes_expanded": stats.nodes_expanded,
+                    "expansions_per_second": round(stats.nodes_expanded / wall, 1)
+                    if wall > 0
+                    else None,
+                    # No memo: every probe is a miss.
+                    "ray_probes": stats.cache_misses,
+                }
+            )
             entry.update(extra)
 
     ref_wall, ref_fp, _ref_stats = runs["scalar"]
@@ -294,27 +223,12 @@ def run_workload(spec: dict) -> dict:
 
 
 def gate(results: dict[str, dict]) -> list[str]:
-    """Identity everywhere, memo hits on the loops, the engine floor."""
+    """Identity everywhere and the engine floor."""
     failures = []
     for name, entry in results.items():
-        if not entry.get("identical_cache_on_off", True):
-            failures.append(f"{name}: the ray memo changed routed results")
-        rate = entry.get("ray_cache_hit_rate")
-        if entry["kind"] == "negotiated" and rate is not None and rate <= HIT_RATE_FLOOR:
-            failures.append(
-                f"{name}: ray memo hit rate {rate} not above {HIT_RATE_FLOOR} "
-                "on a static-obstacle loop"
-            )
         for row, stats in entry["engines"].items():
             if not stats["identical_to_scalar"]:
                 failures.append(f"{name}[{row}]: routed results differ from the reference")
-        if "identical_strategy_skip" in entry and not (
-            entry["identical_strategy_skip"] and entry["strategy_ray_lookups"] == 0
-        ):
-            failures.append(
-                f"{name}: single-pass memo skip changed the route or still made "
-                f"{entry['strategy_ray_lookups']} memo lookups"
-            )
     if ENGINE_FLOOR_WORKLOAD in results:
         speedup = results[ENGINE_FLOOR_WORKLOAD]["engines"]["vectorized"]["speedup_vs_scalar"]
         if speedup < ENGINE_SPEEDUP_FLOOR:
@@ -327,31 +241,6 @@ def gate(results: dict[str, dict]) -> list[str]:
 
 def bench_x5_hotpath(benchmark):
     results = {name: run_workload(spec) for name, spec in WORKLOADS.items()}
-
-    cache_results = {
-        name: entry for name, entry in results.items()
-        if "identical_cache_on_off" in entry
-    }
-    rows = [
-        [
-            name,
-            entry["kind"],
-            f"{entry['wall_seconds_cache_off'] * 1e3:.0f}",
-            f"{entry['wall_seconds_cache_on'] * 1e3:.0f}",
-            f"{entry['speedup_cache']:.2f}x",
-            f"{entry['ray_cache_hit_rate'] * 100:.1f}%",
-            f"{entry['expansions_per_second']:.0f}",
-            "yes" if entry["identical_cache_on_off"] else "NO",
-        ]
-        for name, entry in cache_results.items()
-    ]
-    table = format_table(
-        ["workload", "kind", "no-cache ms", "cache ms", "speedup",
-         "hit rate", "expand/s", "identical"],
-        rows,
-        title="X5: hot-path overhaul — ray-memo A/B on the tracked workloads",
-    )
-    report("x5_hotpath", table)
 
     engine_rows = [
         [
@@ -378,4 +267,4 @@ def bench_x5_hotpath(benchmark):
     # Timed reference for the pytest-benchmark trend: the quick
     # negotiated workload on the shipping default.
     spec = WORKLOADS[QUICK[0]]
-    benchmark(lambda: _route(spec, True))
+    benchmark(lambda: _route(spec))

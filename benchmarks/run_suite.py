@@ -5,8 +5,8 @@ Four suites are tracked, each in its own module, and each writes one
 artifact ``BENCH_<suite>.json``; the committed copies in the
 repository root are the baselines:
 
-* ``hotpath`` (:mod:`benchmarks.bench_x5_hotpath`) — ray memo on vs
-  off and the reference oracle vs the default search;
+* ``hotpath`` (:mod:`benchmarks.bench_x5_hotpath`) — the reference
+  oracle vs the default search;
 * ``incremental`` (:mod:`benchmarks.bench_x6_incremental`) — warm
   reroute vs routing from scratch;
 * ``timing`` (:mod:`benchmarks.bench_x7_timing`) — timing-driven vs

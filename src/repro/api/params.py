@@ -29,6 +29,7 @@ gracefully rather than being rejected.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 import warnings
 from typing import Any, Mapping, Optional, Sequence
@@ -161,9 +162,16 @@ def _coerce_value(spec: ParamSpec, value: Any) -> tuple[Any, Optional[str]]:
             return int(value), None
         return value, f"expected int, got {type(value).__name__}"
     if spec.kind == "float":
-        if isinstance(value, (int, float)):
-            return float(value), None
-        return value, f"expected float, got {type(value).__name__}"
+        if not isinstance(value, (int, float)):
+            return value, f"expected float, got {type(value).__name__}"
+        try:
+            number = float(value)
+        except OverflowError:  # an integer too large for a float
+            return value, "number out of range"
+        if not math.isfinite(number):
+            # NaN slips past every `< 0` range check downstream.
+            return value, f"expected a finite number, got {number!r}"
+        return number, None
     if spec.kind == "str":
         if isinstance(value, str):
             return value, None

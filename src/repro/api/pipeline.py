@@ -145,20 +145,7 @@ class RoutingPipeline:
         timings: dict[str, float],
         total_started: float,
     ) -> RouteResult:
-        """The shared back half: telemetry, verify, detail, assembly."""
-        # Ray-cache statistics ride along in the timings block so every
-        # RouteResult carries the perf telemetry the bench harness (and
-        # BENCH_hotpath.json) tracks.  Counts are floats for JSON
-        # uniformity with the phase timings.  Iterating strategies
-        # provide run-wide totals via `search_stats` (the returned
-        # route's own stats stop accumulating at the best iteration).
-        route_stats = (
-            outcome.search_stats if outcome.search_stats is not None else outcome.route.stats
-        )
-        timings["ray_cache_hits"] = float(route_stats.cache_hits)
-        timings["ray_cache_misses"] = float(route_stats.cache_misses)
-        timings["ray_cache_hit_rate"] = route_stats.cache_hit_rate
-
+        """The shared back half: verify, detail, assembly."""
         violations: dict[str, list[str]] = {}
         if request.verify:
             verify_started = time.perf_counter()

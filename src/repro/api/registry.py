@@ -60,7 +60,7 @@ class StrategyOutcome:
     ``search_stats``, when set, totals the search effort of the whole
     strategy run; iterating strategies fill it in because their
     returned route's stats stop accumulating at the best iteration,
-    and the pipeline's perf telemetry must count all of the work.
+    and the hot-path bench's counters must count all of the work.
     ``timing`` carries the final route's delay/criticality/slack
     analysis when the strategy computed one (``timing-driven`` does);
     the pipeline serializes it onto the result's ``timing`` block.

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import contextvars
 import json
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
@@ -95,12 +94,7 @@ def _number(data: Mapping[str, Any], key: str) -> Any:
     integer, an integral float (``3.0``) or, when optional, ``null``.
     """
     spec = _CONFIG_SPECS[key]
-    try:
-        value, error = _coerce_value(spec, data.get(key, spec.default))
-    except OverflowError:  # an integer too large for a float
-        value, error = None, "number out of range"
-    if error is None and isinstance(value, float) and not math.isfinite(value):
-        error = f"expected a finite number, got {value!r}"
+    value, error = _coerce_value(spec, data.get(key, spec.default))
     if error is not None:
         raise RoutingError(f"malformed router config: {key}: {error}")
     return value

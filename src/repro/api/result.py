@@ -150,11 +150,7 @@ class RouteResult:
         the strategy computed one — ``timing-driven`` always does).
     timings:
         Wall-clock seconds per pipeline phase (``route``, ``verify``,
-        ``detail``, ``total``) plus ray-cache telemetry from the route
-        phase (``ray_cache_hits``, ``ray_cache_misses``,
-        ``ray_cache_hit_rate`` — see
-        :class:`~repro.geometry.raytrace.ObstacleSet` and
-        ``docs/performance.md``).
+        ``detail``, ``total``).
     warnings:
         Structured non-fatal findings about the run.  Each entry is a
         dict with at least ``kind`` and ``message``; the only built-in

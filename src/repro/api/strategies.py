@@ -39,6 +39,7 @@ from repro.core.negotiate import (
     two_pass,
 )
 from repro.core.timing import TimingConfig, TimingDrivenRouter
+from repro.errors import RoutingError
 from repro.incremental.engine import (
     IncrementalOutcome,
     incremental_negotiated,
@@ -106,6 +107,12 @@ class TwoPassParams:
     max_gap: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.passes < 2:
+            raise RoutingError(f"two-pass routing needs passes >= 2, got {self.passes}")
+        if self.penalty_weight < 0:
+            raise RoutingError(
+                f"two-pass penalty_weight must be >= 0, got {self.penalty_weight}"
+            )
         check_max_gap(self.max_gap)
 
 
@@ -129,18 +136,7 @@ class SingleStrategy:
 
     def run(self, router: "GlobalRouter", request: "RouteRequest") -> StrategyOutcome:
         """One independent pass, plus a diagnostic congestion measurement."""
-        # A single pass never re-queries a ray often enough to pay the
-        # memo back — the committed bench showed cache-on *losing* to
-        # cache-off on single_pass_dense — so skip populating it.
-        # Memoization never changes answers, only wall clock, and the
-        # bench's identity gate pins that.  Restore the caller's
-        # setting afterwards: the router object may outlive this run.
-        was_enabled = router.obstacles.ray_cache_enabled
-        router.obstacles.ray_cache_enabled = False
-        try:
-            route = router.route_all(on_unroutable=request.on_unroutable)
-        finally:
-            router.obstacles.ray_cache_enabled = was_enabled
+        route = router.route_all(on_unroutable=request.on_unroutable)
         if not self.measure:
             return StrategyOutcome(route=route, first=route)
         congestion = measure_congestion(

@@ -161,7 +161,7 @@ class _BatchedPointProblem(VectorSearchProblem):
     :func:`find_path` does so at the boundary.
 
     One expansion is one :meth:`~repro.geometry.raytrace.ObstacleSet.reaches`
-    probe (memoized, else two lookups in the per-track blocker index),
+    probe (two lookups in the per-track blocker index),
     whose four reaches are exactly where ``first_hit`` stops in
     :func:`~repro.core.escape.escape_moves` and always lie on the grid
     (a reach off it raises :class:`SearchError`).  Each ray's stops
@@ -271,14 +271,13 @@ _REFERENCE = False
 
 @contextmanager
 def reference_search() -> Iterator[None]:
-    """Route with the scalar oracle, the ray memo off, and scanned rays.
+    """Route with the scalar oracle and scanned rays.
 
     While active, every :func:`find_path` in this process searches the
-    scalar problem with the obstacle set's ray memo switched off and
-    its rays traced by the plain numpy scan instead of the per-track
-    blocker index, for the duration of the search — the plainest form
-    of the line-search A*, against which the batched problem, the memo
-    and the index are checked.
+    scalar problem with the obstacle set's rays traced by the plain
+    numpy scan instead of the per-track blocker index, for the duration
+    of the search — the plainest form of the line-search A*, against
+    which the batched problem and the index are checked.
     The override is process-local: it never reaches the processes of a
     batch or service worker pool.  It is meant for tests, the conformance matrix and the hot-path bench; no
     config, request, CLI flag or environment variable selects it.
@@ -358,26 +357,23 @@ def find_path(request: PathRequest) -> PathSearchResult:
         if grid.size() > _DENSE_KEY_LIMIT:
             grid = None  # memory guard: the scalar problem has no grid arrays
 
-    # Ray-cache traffic attributable to this search: delta of the
-    # obstacle set's counters around the search (the set is shared
-    # across connections, so absolute values span many searches).
+    # Rays traced by this search: the delta of the obstacle set's probe
+    # counter (the set is shared across connections, so its absolute
+    # value spans many searches).  SearchStats keeps its hit/miss
+    # fields; with no memo every probe is a miss.
     obstacles = request.obstacles
-    hits_before = obstacles.ray_cache_hits
-    misses_before = obstacles.ray_cache_misses
+    probes_before = obstacles.ray_probes
     if reference:
-        memo_enabled = obstacles.ray_cache_enabled
         scan_rays = obstacles._scan_rays
-        obstacles.ray_cache_enabled = False
         obstacles._scan_rays = True
         try:
             result = _search(request, extra_xs, extra_ys, grid)
         finally:
-            obstacles.ray_cache_enabled = memo_enabled
             obstacles._scan_rays = scan_rays
     else:
         result = _search(request, extra_xs, extra_ys, grid)
-    result.stats.cache_hits = obstacles.ray_cache_hits - hits_before
-    result.stats.cache_misses = obstacles.ray_cache_misses - misses_before
+    result.stats.cache_hits = 0
+    result.stats.cache_misses = obstacles.ray_probes - probes_before
     if not result.found:
         raise UnroutableError(
             f"no route from {[str(p) for p, _ in request.sources]} to "

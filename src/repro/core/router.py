@@ -75,14 +75,12 @@ class RouterConfig:
         routed net per iteration — the original PathFinder formulation,
         far slower and occasionally shorter.
 
-    The search problem, the ray memo and net-level parallelism are not
-    configurable because none can change a route:
+    The search problem and net-level parallelism are not configurable
+    because neither can change a route:
     :func:`~repro.core.pathfinder.find_path` runs the batched problem
     wherever it prices bit-identically to the scalar oracle and the
-    scalar problem everywhere else, the router's obstacle set memoizes
-    ray queries (single passes switch the memo off, see
-    :class:`~repro.api.strategies.SingleStrategy`), and every pass
-    routes its nets serially.  Tests compare against the plain oracle
+    scalar problem everywhere else, and every pass routes its nets
+    serially.  Tests compare against the plain oracle
     through :func:`~repro.core.pathfinder.reference_search`.
     """
 

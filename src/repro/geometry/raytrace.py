@@ -31,12 +31,11 @@ Semantics
   a time.  The plain numpy scan over every rect stays as the reference
   that :func:`~repro.core.pathfinder.reference_search` runs, so the
   oracle keeps checking the index.
-* Every mutation bumps an **epoch counter**.  Ray answers are also
-  memoized per epoch — the memo is dropped whenever the epoch
-  advances — so repeated queries against a static set (the
-  negotiation engine re-searches the same layout every iteration) are
-  answered from the cache.  Hit/miss counters are exposed for the perf
-  harness (``benchmarks/bench_x5_hotpath.py``).
+* Ray answers are not memoized: a repeated ray costs the same probe
+  and ``bisect`` as its first trace, which measured no slower than a
+  per-mutation memo in front of the index.  ``ray_probes`` counts the
+  rays traced (``reaches`` counts as four) for the perf harness
+  (``benchmarks/bench_x5_hotpath.py``).
 """
 
 from __future__ import annotations
@@ -52,11 +51,6 @@ from repro.geometry.point import Direction, Point
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 from repro.geometry.topology import CoordIndex
-
-#: Memo entries kept before the ray cache is wholesale cleared.  The
-#: distinct (origin, direction) pairs a search touches are bounded by
-#: the escape-point graph, so this is a runaway guard, not a tuning knob.
-RAY_CACHE_LIMIT = 1 << 20
 
 #: Dead columns tolerated before :meth:`ObstacleSet._compact` runs.
 _COMPACT_SLACK = 64
@@ -118,13 +112,9 @@ class ObstacleSet:
         Degenerate rects are legal; having an empty interior they never
         block, but their edge coordinates still register as escape
         coordinates.
-    ray_cache:
-        Memoize :meth:`first_hit` per epoch (default on).  Turning the
-        cache off yields byte-identical query results — it exists for
-        A/B perf measurement and debugging.
     """
 
-    def __init__(self, bound: Rect, rects: Iterable[Rect] = (), *, ray_cache: bool = True):
+    def __init__(self, bound: Rect, rects: Iterable[Rect] = ()):
         self.bound = bound
         # Slot-addressed storage: _slots[i] is the rect occupying numpy
         # column i, or None once removed.  _ids maps each rect value to
@@ -145,12 +135,8 @@ class ObstacleSet:
         self._dead_y = bound.y1 + 1
         self._edge_xs = CoordIndex((bound.x0, bound.x1))
         self._edge_ys = CoordIndex((bound.y0, bound.y1))
-        self._epoch = 0
-        self.ray_cache_enabled = ray_cache
-        self._ray_cache: dict[tuple[int, int, Direction], Hit] = {}
-        self._reach_cache: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-        # Per-epoch blocker indexes of the rows (east/west rays) and
-        # columns (north/south rays) queried so far.
+        # Blocker indexes of the rows (east/west rays) and columns
+        # (north/south rays) queried since the last mutation.
         self._rows: dict[int, _Track] = {}
         self._cols: dict[int, _Track] = {}
         # Set only by find_path under reference_search: first_hit traces
@@ -158,8 +144,8 @@ class ObstacleSet:
         # against.  reaches ignores it; only the batched search, which
         # the reference never runs, calls reaches.
         self._scan_rays = False
-        self.ray_cache_hits = 0
-        self.ray_cache_misses = 0
+        #: Rays traced so far (``reaches`` counts four).
+        self.ray_probes = 0
         self._sync_views()
         for rect in rects:
             self._append(rect)
@@ -173,15 +159,6 @@ class ObstacleSet:
         """The current blocking rects (read-only view, insertion order)."""
         return tuple(r for r in self._slots if r is not None)
 
-    @property
-    def epoch(self) -> int:
-        """Mutation counter; bumps on every ``add``/``add_many``/``remove``.
-
-        Cached ray answers are only ever served within the epoch they
-        were computed in.
-        """
-        return self._epoch
-
     def add(self, rect: Rect) -> None:
         """Add a blocking rect (used by nets-as-obstacles baselines)."""
         self._append(rect)
@@ -189,7 +166,7 @@ class ObstacleSet:
         self._mutated()
 
     def add_many(self, rects: Iterable[Rect]) -> None:
-        """Add several blocking rects at once (one epoch bump)."""
+        """Add several blocking rects at once (one index invalidation)."""
         for rect in rects:
             self._append(rect)
         self._sync_views()
@@ -221,7 +198,7 @@ class ObstacleSet:
         self._mutated()
 
     def _append(self, rect: Rect, *, register_edges: bool = True) -> None:
-        """Install *rect* in the next free column (no epoch bump)."""
+        """Install *rect* in the next free column (the index is left alone)."""
         slot = self._count
         if slot == len(self._x0):
             grown = max(_INITIAL_CAPACITY, 2 * len(self._x0))
@@ -247,9 +224,9 @@ class ObstacleSet:
     def _compact(self) -> None:
         """Drop dead columns, preserving live insertion order.
 
-        Geometry is unchanged, so the epoch (and any cached answers)
-        survive compaction.  Slot numbers do not, which is why the track
-        index stores rects, never slots.
+        Geometry is unchanged, so compaction itself leaves the track
+        index alone.  Slot numbers change, which is why the index stores
+        rects, never slots.
         """
         live = [r for r in self._slots if r is not None]
         self._slots = []
@@ -269,12 +246,7 @@ class ObstacleSet:
         self._vy1 = self._y1[:count]
 
     def _mutated(self) -> None:
-        """Advance the epoch and invalidate memoized ray answers."""
-        self._epoch += 1
-        if self._ray_cache:
-            self._ray_cache.clear()
-        if self._reach_cache:
-            self._reach_cache.clear()
+        """Drop the track index; it is rebuilt lazily, track by track."""
         if self._rows:
             self._rows.clear()
         if self._cols:
@@ -395,78 +367,13 @@ class ObstacleSet:
     def first_hit(self, origin: Point, direction: Direction) -> Hit:
         """Trace a ray and report how far it can extend.
 
-        Answers are memoized per epoch when ``ray_cache_enabled``; a
-        cached answer is byte-identical to a fresh trace because the
-        set cannot have mutated since it was stored.
-
         Raises
         ------
         GeometryError
             If *origin* lies outside the routing boundary or strictly
             inside an obstacle (rays cannot start from illegal points).
         """
-        if self.ray_cache_enabled:
-            key = (origin.x, origin.y, direction)
-            hit = self._ray_cache.get(key)
-            if hit is not None:
-                self.ray_cache_hits += 1
-                return hit
-            hit = self._ray(origin, direction)
-            self.ray_cache_misses += 1
-            cache = self._ray_cache
-            if len(cache) >= RAY_CACHE_LIMIT:
-                cache.clear()
-            cache[key] = hit
-            return hit
-        return self._ray(origin, direction)
-
-    def reaches(self, x: int, y: int) -> tuple[int, int, int, int]:
-        """All four ray reaches from ``(x, y)`` in one probe.
-
-        Returns ``(east_x, west_x, north_y, south_y)`` — the ``reach``
-        coordinates :meth:`first_hit` reports, with the same
-        :class:`GeometryError` for an illegal origin.  The batched
-        search engine asks for all four directions of every expanded
-        state, so the combined answer gets its own per-epoch memo — one
-        dict probe instead of four — with the same invalidation rules
-        (and the same telemetry: a combined hit or miss counts as four
-        ray hits or misses) as :meth:`first_hit`.  A miss is answered
-        from two track lookups (the row and the column through the
-        origin), without building any :class:`Hit`.
-        """
-        memo = self.ray_cache_enabled
-        if memo:
-            key = (x, y)
-            cached = self._reach_cache.get(key)
-            if cached is not None:
-                self.ray_cache_hits += 4
-                return cached
-        bound = self.bound
-        if not (bound.x0 <= x <= bound.x1 and bound.y0 <= y <= bound.y1):
-            raise GeometryError(f"ray origin {Point(x, y)} outside routing bound {bound}")
-        row = self._rows.get(y) or self._track(y, True)
-        col = self._cols.get(x) or self._track(x, False)
-        # Each side sees the same straddling rects, so an origin strictly
-        # inside one is caught by all four or none.
-        east = _ahead(row[0], x, bound.x1)
-        if east is None:
-            raise GeometryError(f"ray origin {Point(x, y)} inside an obstacle")
-        result = (
-            east[0],
-            _behind(row[1], x, bound.x0)[0],
-            _ahead(col[0], y, bound.y1)[0],
-            _behind(col[1], y, bound.y0)[0],
-        )
-        if memo:
-            self.ray_cache_misses += 4
-            cache = self._reach_cache
-            if len(cache) >= RAY_CACHE_LIMIT:
-                cache.clear()
-            cache[key] = result
-        return result
-
-    def _ray(self, origin: Point, direction: Direction) -> Hit:
-        """The unmemoized ray behind :meth:`first_hit`."""
+        self.ray_probes += 1
         if self._scan_rays:
             return self._trace(origin, direction)
         x, y = origin.x, origin.y
@@ -490,6 +397,35 @@ class ObstacleSet:
         if found is None:
             raise GeometryError(f"ray origin {origin} inside an obstacle")
         return Hit(origin, Point(x, found[0]), found[1])
+
+    def reaches(self, x: int, y: int) -> tuple[int, int, int, int]:
+        """All four ray reaches from ``(x, y)`` in one probe.
+
+        Returns ``(east_x, west_x, north_y, south_y)`` — the ``reach``
+        coordinates :meth:`first_hit` reports, with the same
+        :class:`GeometryError` for an illegal origin.  The batched
+        search engine asks for all four directions of every expanded
+        state, so it gets them from two track lookups (the row and the
+        column through the origin), without building any :class:`Hit`.
+        It counts as four :attr:`ray_probes`.
+        """
+        self.ray_probes += 4
+        bound = self.bound
+        if not (bound.x0 <= x <= bound.x1 and bound.y0 <= y <= bound.y1):
+            raise GeometryError(f"ray origin {Point(x, y)} outside routing bound {bound}")
+        row = self._rows.get(y) or self._track(y, True)
+        col = self._cols.get(x) or self._track(x, False)
+        # Each side sees the same straddling rects, so an origin strictly
+        # inside one is caught by all four or none.
+        east = _ahead(row[0], x, bound.x1)
+        if east is None:
+            raise GeometryError(f"ray origin {Point(x, y)} inside an obstacle")
+        return (
+            east[0],
+            _behind(row[1], x, bound.x0)[0],
+            _ahead(col[0], y, bound.y1)[0],
+            _behind(col[1], y, bound.y0)[0],
+        )
 
     def _track(self, coord: int, horizontal: bool) -> _Track:
         """Build and store the blocker index of one row or column.

@@ -10,10 +10,10 @@ promises:
    the independent checker (:func:`repro.analysis.verify.verify_global_route`)
    with no failed nets.
 2. **Byte identity where guaranteed** — the search problem the
-   pathfinder picks, the ray memo and the ray index are documented as
+   pathfinder picks and the ray index are documented as
    result-preserving, so every config that differs only in those (a
-   reference point runs the scalar oracle with the memo off and
-   scanned rays) must produce the identical route fingerprint.
+   reference point runs the scalar oracle with scanned rays) must
+   produce the identical route fingerprint.
    ``prune_clean_nets`` changes which nets the negotiation loop rips
    up, so for the ``negotiated`` strategy identity is asserted per
    pruning flag; for the others the flag is inert and all configs must
@@ -98,7 +98,7 @@ class MatrixPoint:
     A ``reference`` point routes its whole cell — the run and any
     incremental replays — under
     :func:`~repro.core.pathfinder.reference_search`: the scalar oracle
-    with the ray memo off and rays traced by the plain numpy scan.
+    with rays traced by the plain numpy scan.
     """
 
     name: str
@@ -116,7 +116,7 @@ class MatrixPoint:
 
 #: Every pruning × reference combination.  Reference points share
 #: identity groups with the others (``_identity_key`` ignores them):
-#: the batched search and the ray memo promise byte-identical routes,
+#: the batched search and the ray index promise byte-identical routes,
 #: and this matrix is where that promise is differentially pinned
 #: across the whole corpus.
 FULL_MATRIX: tuple[MatrixPoint, ...] = tuple(

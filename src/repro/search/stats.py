@@ -34,12 +34,12 @@ class SearchStats:
         empty), ``"limit"`` (node limit hit), or ``"none"`` (no search
         has been recorded yet — the neutral element for merging).
     cache_hits / cache_misses:
-        Ray-query memo cache traffic attributable to this search (the
-        :class:`~repro.geometry.raytrace.ObstacleSet` epoch cache).
-        Zero when the cache is disabled.  Telemetry only: two runs that
-        route identically may warm the cache differently (e.g. under a
-        different worker partitioning), so these are excluded from any
-        byte-identity comparison.
+        Ray probes of this search.  Rays are not memoized, so
+        ``cache_hits`` is always 0 and ``cache_misses`` counts every
+        probe (:attr:`~repro.geometry.raytrace.ObstacleSet.ray_probes`);
+        the field names survive for the perf tracer and stored routes.
+        Telemetry only: these are excluded from any byte-identity
+        comparison.
     """
 
     nodes_expanded: int = 0
@@ -50,12 +50,6 @@ class SearchStats:
     termination: str = "none"
     cache_hits: int = 0
     cache_misses: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Hits over total ray-cache lookups (0.0 when none were made)."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
 
     def observe_open_size(self, size: int) -> None:
         """Track the OPEN list high-water mark."""

@@ -295,36 +295,3 @@ class TestNonConvergenceWarning:
         revived = RouteResult.from_dict(result.to_dict())
         assert revived.warnings == result.warnings
         assert revived.warnings[0]["kind"] == "non-convergence"
-
-
-class TestSinglePassCacheSkip:
-    def test_single_pass_never_touches_the_ray_memo(self):
-        # The memo can't pay for itself in one pass, so the single
-        # strategy must not populate it at all — zero hits AND zero
-        # misses recorded (first_hit counts neither when the cache is
-        # disabled) — while the route stays byte-identical.
-        layout = congested_layout()
-        result = RoutingPipeline().run(RouteRequest(layout=layout))
-        assert result.timings["ray_cache_hits"] == 0.0
-        assert result.timings["ray_cache_misses"] == 0.0
-        direct = GlobalRouter(congested_layout()).route_all()
-        assert trees_of(result.route) == trees_of(direct)
-
-    def test_cache_setting_restored_after_run(self):
-        router = GlobalRouter(congested_layout())
-        assert router.obstacles.ray_cache_enabled
-        from repro.api.strategies import SingleStrategy
-
-        SingleStrategy().run(router, RouteRequest(layout=router.layout))
-        assert router.obstacles.ray_cache_enabled
-
-    def test_iterative_strategies_still_use_the_memo(self):
-        layout = congested_layout()
-        result = RoutingPipeline().run(
-            RouteRequest(
-                layout=layout,
-                strategy="negotiated",
-                strategy_params={"max_iterations": 4},
-            )
-        )
-        assert result.timings["ray_cache_hits"] > 0

@@ -7,11 +7,22 @@ import pytest
 
 from repro.errors import RoutingError
 from repro.api import request as request_module
-from repro.api import RouteRequest, config_from_dict, config_to_dict
+from repro.api import RouteRequest, StrategyParamError, config_from_dict, config_to_dict
+from repro.api.params import param_specs
+from repro.api.registry import DEFAULT_REGISTRY
+from repro.api.strategies import BUILTIN_STRATEGIES
 from repro.core.escape import EscapeMode
 from repro.core.router import RouterConfig
 from repro.layout.io import layout_to_json
 from repro.search.engine import Order
+
+#: Every ``(strategy, param)`` pair whose schema type is float.
+FLOAT_STRATEGY_PARAMS = [
+    (strategy, spec.name)
+    for strategy in BUILTIN_STRATEGIES
+    for spec in param_specs(DEFAULT_REGISTRY.params_schema(strategy)).values()
+    if spec.kind == "float"
+]
 
 
 class TestValidation:
@@ -260,6 +271,32 @@ class TestMalformedFields:
     def test_config_reals_must_be_finite_numbers(self, data, field, value):
         data["config"][field] = value
         with pytest.raises(RoutingError, match=f"malformed router config: {field}"):
+            RouteRequest.from_dict(data)
+
+    @pytest.mark.parametrize("strategy, field", FLOAT_STRATEGY_PARAMS)
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge-int"]
+    )
+    def test_strategy_float_params_must_be_finite_numbers(self, data, strategy, field, value):
+        # NaN passes every `< 0` range check and 10**400 overflows
+        # float(): both must fail intake, not route or crash.
+        data["strategy"] = strategy
+        data["strategy_params"] = {field: value}
+        with pytest.raises(StrategyParamError, match=field) as excinfo:
+            RouteRequest.from_dict(data)
+        assert [key for key, _error in excinfo.value.invalid] == [field]
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"passes": 1}, "passes >= 2"),
+            ({"penalty_weight": -1.0}, "penalty_weight must be >= 0"),
+        ],
+    )
+    def test_two_pass_params_out_of_range(self, data, params, message):
+        data["strategy"] = "two-pass"
+        data["strategy_params"] = params
+        with pytest.raises(RoutingError, match=message):
             RouteRequest.from_dict(data)
 
     @pytest.mark.parametrize("value", [2.5, "5", True, False, float("inf"), [3]])

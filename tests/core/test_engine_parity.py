@@ -164,13 +164,14 @@ class TestSelectionRule:
             GlobalRouter(_congested_grid(n_nets=4)).route_all(on_unroutable="skip")
         assert not calls
 
-    def test_reference_search_switches_the_memo_off_and_restores_it(self):
+    def test_reference_search_counts_scanned_probes_and_restores_the_index(self):
         obs, regions = _scene()
         request = _request(obstacles=obs, cost_model=CongestionPenaltyCost(regions))
         with reference_search():
             stats = find_path(request).stats
-        assert (stats.cache_hits, stats.cache_misses) == (0, 0)
-        assert obs.ray_cache_enabled
+        # Scanned rays are probes too, and there is no memo to hit.
+        assert stats.cache_hits == 0 and stats.cache_misses > 0
+        assert not obs._scan_rays
         assert find_path(request).stats.cache_misses > 0
 
     def test_reference_search_traces_rays_by_the_scan(self, monkeypatch):

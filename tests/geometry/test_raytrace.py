@@ -17,7 +17,7 @@ def make_set(*rects: Rect) -> ObstacleSet:
 
 def scan_of(obs: ObstacleSet) -> ObstacleSet:
     """A fresh set over *obs*'s rects whose rays run the reference scan."""
-    reference = ObstacleSet(obs.bound, obs.rects, ray_cache=False)
+    reference = ObstacleSet(obs.bound, obs.rects)
     reference._scan_rays = True
     return reference
 
@@ -231,27 +231,21 @@ class TestMutation:
 
 
 class TestEpochAndRayCache:
-    def test_epoch_bumps_on_every_mutation(self):
-        obs = make_set()
-        e0 = obs.epoch
-        obs.add(Rect(10, 10, 20, 20))
-        assert obs.epoch == e0 + 1
-        obs.add_many([Rect(30, 30, 40, 40), Rect(50, 50, 55, 55)])
-        assert obs.epoch == e0 + 2  # batch add is one epoch
-        obs.remove(Rect(30, 30, 40, 40))
-        assert obs.epoch == e0 + 3
+    """Mutation invalidates the per-track index; every ray is one probe."""
 
-    def test_repeat_query_is_a_cache_hit(self):
+    def test_every_ray_is_one_probe(self):
         obs = make_set(Rect(40, 40, 60, 60))
         origin = Point(10, 50)
         first = obs.first_hit(origin, Direction.EAST)
-        assert obs.ray_cache_misses == 1 and obs.ray_cache_hits == 0
+        assert obs.ray_probes == 1
         second = obs.first_hit(origin, Direction.EAST)
-        assert obs.ray_cache_hits == 1
+        assert obs.ray_probes == 2  # a repeat is traced again, not remembered
         assert first == second
+        obs.reaches(origin.x, origin.y)
+        assert obs.ray_probes == 6  # all four directions at once
 
     def test_epoch_bump_invalidates_stale_hits(self):
-        # Regression: a cached reach must not survive a mutation that
+        # Regression: an indexed track must not survive a mutation that
         # changes the answer.
         obs = make_set()
         origin = Point(10, 50)
@@ -263,12 +257,6 @@ class TestEpochAndRayCache:
         assert hit.obstacle == blocker
         obs.remove(blocker)
         assert obs.first_hit(origin, Direction.EAST).reach == Point(100, 50)
-
-    def test_cache_disabled_never_counts(self):
-        obs = ObstacleSet(BOUND, [Rect(40, 40, 60, 60)], ray_cache=False)
-        for _ in range(3):
-            obs.first_hit(Point(10, 50), Direction.EAST)
-        assert obs.ray_cache_hits == 0 and obs.ray_cache_misses == 0
 
     def test_illegal_origin_still_raises_with_cache(self):
         obs = make_set(Rect(40, 40, 60, 60))

@@ -1,12 +1,12 @@
-"""Regression: the ray memo must never survive mutation churn.
+"""Regression: the per-track ray index must never survive mutation churn.
 
-The epoch-cached ray queries (PR 3) memoize ``first_hit`` answers and
-invalidate on every mutation.  Heavy remove/add churn additionally
+``first_hit`` answers come from row and column blocker indexes that
+are dropped on every mutation.  Heavy remove/add churn additionally
 triggers slot *compaction* (``_COMPACT_SLACK``), which rebuilds the
-numpy views and renumbers live slots — a regime where a stale memo
-entry from an earlier epoch would silently return hits against
-geometry that no longer exists.  This suite drives exactly that churn
-and cross-checks every cached answer against a freshly built set.
+numpy views and renumbers live slots — a regime where a stale track
+from before a mutation would silently return hits against geometry
+that no longer exists.  This suite drives exactly that churn and
+cross-checks every answer against a freshly built set.
 """
 
 from repro.geometry.point import Direction, Point
@@ -32,8 +32,8 @@ def _probes() -> list[tuple[Point, Direction]]:
 
 
 def _assert_fresh_equal(obs: ObstacleSet) -> None:
-    """Every memoized answer equals a from-scratch ObstacleSet's answer."""
-    fresh = ObstacleSet(BOUND, obs.rects, ray_cache=False)
+    """Every ray answer equals a from-scratch ObstacleSet's answer."""
+    fresh = ObstacleSet(BOUND, obs.rects)
     for origin, direction in _probes():
         assert obs.first_hit(origin, direction) == fresh.first_hit(
             origin, direction
@@ -44,31 +44,27 @@ def test_remove_add_churn_through_compaction():
     rects = _grid_rects(100)
     obs = ObstacleSet(BOUND, rects)
 
-    # Populate the memo from a spread of origins and directions.
+    # Index the tracks of a spread of origins and directions.
     for origin, direction in _probes():
         obs.first_hit(origin, direction)
-    epoch = obs.epoch
 
     # Remove enough rects to cross the compaction threshold (dead >
-    # _COMPACT_SLACK and dead > live) with the memo populated.
+    # _COMPACT_SLACK and dead > live) with the tracks indexed.
     doomed = rects[: _COMPACT_SLACK + 20]
     for rect in doomed:
         obs.remove(rect)
-        assert obs.epoch > epoch
-        epoch = obs.epoch
     assert len(obs.rects) == len(rects) - len(doomed)
     _assert_fresh_equal(obs)
 
     # Re-add new geometry over the vacated slots and re-query.
     obs.add_many(_grid_rects(40, offset=3))
-    assert obs.epoch > epoch
     _assert_fresh_equal(obs)
 
 
 def test_interleaved_churn_rounds_stay_consistent():
     obs = ObstacleSet(BOUND, _grid_rects(90))
     for round_no in range(4):
-        # Query (warms the memo), churn, query again.
+        # Query (indexes the tracks), churn, query again.
         for origin, direction in _probes():
             obs.first_hit(origin, direction)
         survivors = list(obs.rects)
@@ -76,16 +72,3 @@ def test_interleaved_churn_rounds_stay_consistent():
             obs.remove(rect)
         obs.add_many(_grid_rects(30, offset=2 * round_no + 1))
         _assert_fresh_equal(obs)
-
-
-def test_epoch_strictly_increases_per_mutation():
-    obs = ObstacleSet(BOUND, _grid_rects(3))
-    seen = [obs.epoch]
-    extra = Rect(500, 500, 510, 510)
-    obs.add(extra)
-    seen.append(obs.epoch)
-    obs.add_many(_grid_rects(5, offset=7))
-    seen.append(obs.epoch)
-    obs.remove(extra)
-    seen.append(obs.epoch)
-    assert seen == sorted(set(seen)), f"epoch not strictly increasing: {seen}"

@@ -163,18 +163,14 @@ def test_every_suite_exposes_the_suite_interface():
 # -- the suites' own gates, on synthetic rows -------------------------------
 
 
-def _hotpath_row(**changes):
-    row = {
+def _hotpath_row():
+    return {
         "kind": "negotiated",
-        "identical_cache_on_off": True,
-        "ray_cache_hit_rate": 0.9,
         "engines": {
             "scalar": {"identical_to_scalar": True, "speedup_vs_scalar": 1.0},
             "vectorized": {"identical_to_scalar": True, "speedup_vs_scalar": 6.0},
         },
     }
-    row.update(changes)
-    return row
 
 
 def test_hotpath_gate():
@@ -182,6 +178,10 @@ def test_hotpath_gate():
 
     scaled = hotpath.ENGINE_FLOOR_WORKLOAD
     assert hotpath.gate({scaled: _hotpath_row(), "n": _hotpath_row()}) == []
+    # The gate pins probes through the driver's exact counter check,
+    # not a hit-rate floor: there is no memo left to hit.
+    assert "ray_probes" in hotpath.COUNTER_KEYS
+    assert not any("ray_cache" in key for key in (*hotpath.WALL_KEYS, *hotpath.COUNTER_KEYS))
     slow = _hotpath_row()
     slow["engines"]["vectorized"]["speedup_vs_scalar"] = hotpath.ENGINE_SPEEDUP_FLOOR - 0.01
     diverged = _hotpath_row()
@@ -189,10 +189,6 @@ def test_hotpath_gate():
     for results in (
         {scaled: slow},
         {"n": diverged},
-        {"n": _hotpath_row(identical_cache_on_off=False)},
-        {"n": _hotpath_row(ray_cache_hit_rate=hotpath.HIT_RATE_FLOOR)},
-        {"s": _hotpath_row(identical_strategy_skip=True, strategy_ray_lookups=1)},
-        {"s": _hotpath_row(identical_strategy_skip=False, strategy_ray_lookups=0)},
     ):
         assert hotpath.gate(results), results
 

@@ -1,14 +1,13 @@
-"""Property tests for the epoch-cached, incrementally-indexed obstacle set.
+"""Property tests for the incrementally-indexed obstacle set.
 
-The ``ObstacleSet`` rewrite (epoch counter + incremental numpy column
-maintenance + per-track blocker index + ray-query memo cache) must be
-observationally identical to a freshly-built, cache-disabled set after
-*any* interleaving of ``add``/``add_many``/``remove`` mutations.  These
+The ``ObstacleSet`` (incremental numpy column maintenance + a
+per-track blocker index rebuilt lazily after every mutation) must be
+observationally identical to a freshly-built set after *any*
+interleaving of ``add``/``add_many``/``remove`` mutations.  These
 tests drive randomized mutation sequences and compare every query
 surface between:
 
-* the mutated set with the ray cache ON (the shipping configuration),
-* the mutated set with the ray cache OFF,
+* the mutated set (the shipping configuration),
 * a set whose rays run the plain numpy scan (the reference that
   ``reference_search()`` selects),
 * a pure-Python loop over ``obs.rects`` (no numpy, no index), and
@@ -138,8 +137,8 @@ def ray_answers(obs: ObstacleSet, probes) -> list:
 
 
 def scan_set(bound: Rect, rects=()) -> ObstacleSet:
-    """A memo-less set whose rays run the reference numpy scan."""
-    obs = ObstacleSet(bound, rects, ray_cache=False)
+    """A set whose rays run the reference numpy scan."""
+    obs = ObstacleSet(bound, rects)
     obs._scan_rays = True  # what find_path sets under reference_search()
     return obs
 
@@ -227,13 +226,13 @@ class TestIndexVsScanVsBruteForce:
     @settings(max_examples=150, deadline=None)
     @given(tricky_sets(), probe_lists)
     def test_static_sets_agree(self, rects, probes):
-        assert_index_matches_references(ObstacleSet(BOUND, rects, ray_cache=False), probes)
+        assert_index_matches_references(ObstacleSet(BOUND, rects), probes)
 
     @settings(max_examples=60, deadline=None)
     @given(tricky_sets(), probe_lists)
     def test_memoized_answers_agree(self, rects, probes):
         obs = ObstacleSet(BOUND, rects)
-        # Twice: the second pass is served by both memos.
+        # Twice: the second pass is answered from the built track index.
         assert_index_matches_references(obs, probes)
         assert_index_matches_references(obs, probes)
 
@@ -252,27 +251,10 @@ class TestIndexVsScanVsBruteForce:
 class TestCachedVsUncached:
     @settings(max_examples=60, deadline=None)
     @given(mutation_scripts(), st.integers(0, 2**31))
-    def test_ray_queries_agree_under_mutation(self, script, seed):
-        cached = ObstacleSet(BOUND, ray_cache=True)
-        uncached = ObstacleSet(BOUND, ray_cache=False)
-        rng = random.Random(seed)
-        shadow_cached: list[Rect] = []
-        shadow_uncached: list[Rect] = []
-        for step in range(len(script)):
-            apply_script(cached, script[step : step + 1], shadow_cached)
-            apply_script(uncached, script[step : step + 1], shadow_uncached)
-            probes = probe_points(rng, count=6)
-            assert ray_answers(cached, probes) == ray_answers(uncached, probes)
-            # Query twice: the second pass is served from the memo and
-            # must not drift from the first.
-            assert ray_answers(cached, probes) == ray_answers(uncached, probes)
-
-    @settings(max_examples=60, deadline=None)
-    @given(mutation_scripts(), st.integers(0, 2**31))
     def test_mutated_set_matches_pristine_rebuild(self, script, seed):
         mutated = ObstacleSet(BOUND)
         survivors = apply_script(mutated, script)
-        pristine = ObstacleSet(BOUND, survivors, ray_cache=False)
+        pristine = ObstacleSet(BOUND, survivors)
         rng = random.Random(seed)
         probes = probe_points(rng)
 
@@ -290,17 +272,6 @@ class TestCachedVsUncached:
                 if a.x == b.x or a.y == b.y:
                     seg = Segment(a, b)
                     assert mutated.segment_free(seg) == pristine.segment_free(seg)
-
-    @settings(max_examples=40, deadline=None)
-    @given(mutation_scripts())
-    def test_epoch_strictly_increases_per_mutation(self, script):
-        obs = ObstacleSet(BOUND)
-        shadow: list[Rect] = []
-        last = obs.epoch
-        for step in script:
-            apply_script(obs, [step], shadow)
-            assert obs.epoch > last
-            last = obs.epoch
 
 
 def assert_reaches_on_edges(obs: ObstacleSet, probes) -> None:

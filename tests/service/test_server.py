@@ -111,6 +111,23 @@ class TestPlumbing:
         assert excinfo.value.status == 400
         assert "max_gap must be >= 1" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "strategy, params",
+        [
+            ("negotiated", {"present_weight": 10**400}),
+            ("two-pass", {"passes": 1}),
+            ("two-pass", {"penalty_weight": -1.0}),
+        ],
+        ids=["huge-float-param", "two-pass-passes", "two-pass-penalty"],
+    )
+    def test_malformed_strategy_param_400_not_a_failed_job(self, served, strategy, params):
+        _, client = served()
+        body = RouteRequest(layout=small_layout(), strategy=strategy).to_dict()
+        body["strategy_params"] = params
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(body)
+        assert excinfo.value.status == 400
+
     def test_malformed_content_length_400(self, served):
         import http.client
         from urllib.parse import urlsplit
