@@ -38,6 +38,16 @@ from repro.errors import RoutingError
 
 _ATOMS: dict[type, str] = {int: "int", float: "float", bool: "bool", str: "str"}
 
+#: The largest ``max_iterations`` a request may ask for.  Negotiation
+#: converges or stalls within tens of rounds; a budget like ``10**9``
+#: only pins a worker.  Checked at request intake alone: a
+#: ``NegotiationConfig`` built in process takes any budget.
+MAX_ITERATIONS = 1000
+
+#: Ceilings on round-count params at intake: ``two-pass`` runs
+#: ``passes - 1`` negotiation rounds, so it gets the same budget.
+_CEILINGS = {"max_iterations": MAX_ITERATIONS, "passes": MAX_ITERATIONS + 1}
+
 
 class StrategyParamError(RoutingError):
     """Bad ``strategy_params`` for a schema'd strategy.
@@ -190,8 +200,9 @@ def coerce_params(
 
     Unknown keys raise :class:`StrategyParamError` when *strict*, warn
     and drop otherwise (the lenient JSON-intake path).  Ill-typed
-    values raise in both modes, and so do values the schema's own
-    checks reject when it is built from them.  Keys absent from
+    values raise in both modes, and so do round counts above their
+    ceiling (:data:`MAX_ITERATIONS`) and values the schema's own checks
+    reject when it is built from them.  Keys absent from
     *params* stay absent — defaults belong to the strategy factory,
     not the request.
     """
@@ -209,6 +220,9 @@ def coerce_params(
         if key in unknown:
             continue
         new_value, error = _coerce_value(specs[key], value)
+        ceiling = _CEILINGS.get(key)
+        if error is None and ceiling is not None and new_value > ceiling:
+            error = f"must be <= {ceiling}, got {new_value}"
         if error is not None:
             invalid.append((key, error))
         else:

@@ -30,6 +30,7 @@ from repro.geometry.point import Axis
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 from repro.layout.layout import Layout
+from repro.layout.validate import bounding_boxes
 
 #: Pseudo cell name for passages against the routing boundary.
 BOUNDARY = "<boundary>"
@@ -106,6 +107,13 @@ def check_max_gap(max_gap: Optional[int]) -> None:
         raise RoutingError(f"max_gap must be >= 1 (or None for every passage), got {max_gap}")
 
 
+#: Booleans in one chunk of a pairwise broadcast.  ``find_passages``
+#: takes its source cells and ``measure_congestion`` its passages in
+#: chunks of about this many elements, so no intermediate grows as the
+#: cube of the cell count or as passages x segments.
+_CHUNK = 1 << 18
+
+
 def find_passages(layout: Layout, *, max_gap: Optional[int] = None) -> list[Passage]:
     """Detect all inter-cell and cell-to-boundary passages of *layout*.
 
@@ -119,69 +127,117 @@ def find_passages(layout: Layout, *, max_gap: Optional[int] = None) -> list[Pass
     Passages blocked by an intervening third cell are dropped rather
     than split: a corridor with a cell in the middle is two *other*
     passages against that cell, which the pairwise sweep finds anyway.
+
+    The sweep runs on int64 columns of the cell bounding boxes, one
+    chunk of source cells at a time.  Candidates keep the pairwise
+    order: for each ordered pair ``(a, b)`` the corridor with ``a``
+    left of ``b``, then the one with ``a`` below ``b``; after every
+    pair, each cell's four boundary corridors (left, right, bottom,
+    top).  The negotiated cost's terms follow this order.
     """
     check_max_gap(max_gap)
-    passages: list[Passage] = []
-    boxes = [(cell.name, cell.bounding_box) for cell in layout.cells]
+    names = [cell.name for cell in layout.cells]
+    n = len(names)
+    boxes = bounding_boxes(layout.cells)
+    # Owner index n labels the routing boundary.  A cell that is itself
+    # named BOUNDARY takes that role, as a comparison of names would.
+    labels = names + [BOUNDARY]
+    boundary = names.index(BOUNDARY) if BOUNDARY in names else n
 
-    for i in range(len(boxes)):
-        for j in range(len(boxes)):
-            if i == j:
-                continue
-            name_a, a = boxes[i]
-            name_b, b = boxes[j]
-            # Horizontal adjacency: a strictly left of b.
-            if a.x1 <= b.x0:
-                overlap = a.y_span.intersection(b.y_span)
-                if overlap is not None and overlap.length >= 1:
-                    region = Rect(a.x1, overlap.lo, b.x0, overlap.hi)
-                    _append_if_clear(
-                        passages, region, Axis.Y, (name_a, name_b), boxes, max_gap
-                    )
-            # Vertical adjacency: a strictly below b.
-            if a.y1 <= b.y0:
-                overlap = a.x_span.intersection(b.x_span)
-                if overlap is not None and overlap.length >= 1:
-                    region = Rect(overlap.lo, a.y1, overlap.hi, b.y0)
-                    _append_if_clear(
-                        passages, region, Axis.X, (name_a, name_b), boxes, max_gap
-                    )
-
-    outline = layout.outline
-    for name, box in boxes:
-        candidates = (
-            (Rect(outline.x0, box.y0, box.x0, box.y1), Axis.Y, (BOUNDARY, name)),
-            (Rect(box.x1, box.y0, outline.x1, box.y1), Axis.Y, (name, BOUNDARY)),
-            (Rect(box.x0, outline.y0, box.x1, box.y0), Axis.X, (BOUNDARY, name)),
-            (Rect(box.x0, box.y1, box.x1, outline.y1), Axis.X, (name, BOUNDARY)),
+    pairs: list[Passage] = []
+    walls: list[Passage] = []
+    step = max(1, _CHUNK // max(1, 2 * n * n))
+    for start in range(0, n, step):
+        src = np.arange(start, min(start + step, n))
+        pairs += _clear_passages(*_pair_candidates(boxes, src), boxes, labels, max_gap)
+        walls += _clear_passages(
+            *_wall_candidates(boxes, src, layout.outline, boundary), boxes, labels, max_gap
         )
-        for region, flow, between in candidates:
-            _append_if_clear(passages, region, flow, between, boxes, max_gap)
-
-    return _dedupe(passages)
+    return _dedupe(pairs + walls)
 
 
-def _append_if_clear(
-    passages: list[Passage],
-    region: Rect,
-    flow: Axis,
-    between: tuple[str, str],
-    boxes: list[tuple[str, Rect]],
+def _pair_candidates(
+    boxes: np.ndarray, src: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corridors from each source box to every box, in pairwise order.
+
+    Returns ``(regions, flow_y, owners)``: ``[x0, y0, x1, y1]`` rows,
+    whether each flows along y, and the two owner indices.  A row may
+    be inverted (no corridor); :func:`_clear_passages` drops it.
+    """
+    n = len(boxes)
+    a = boxes[src][:, None, :]
+    b = boxes[None, :, :]
+    lo = np.maximum(a, b)
+    hi = np.minimum(a, b)
+    # a left of b: [a.x1, b.x0] across the overlap of the y spans;
+    # a below b: the overlap of the x spans across [a.y1, b.y0].  A box
+    # paired with itself gets a gap below 1 both ways, so it drops out.
+    left = np.broadcast_arrays(a[..., 2], lo[..., 1], b[..., 0], hi[..., 3])
+    below = np.broadcast_arrays(lo[..., 0], a[..., 3], hi[..., 2], b[..., 1])
+    regions = np.stack((np.stack(left, axis=-1), np.stack(below, axis=-1)), axis=2)
+    flow_y = np.tile([True, False], len(src) * n)
+    owners = np.stack(
+        (np.repeat(src, 2 * n), np.tile(np.repeat(np.arange(n), 2), len(src))), axis=1
+    )
+    return regions.reshape(-1, 4), flow_y, owners
+
+
+def _wall_candidates(
+    boxes: np.ndarray, src: np.ndarray, outline: Rect, boundary: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each source box's corridors to the routing boundary, in the
+    order left, right, bottom, top (:func:`_pair_candidates`' shape)."""
+    x0, y0, x1, y1 = boxes[src].T
+    ox0, oy0, ox1, oy1 = (
+        np.full(len(src), v) for v in (outline.x0, outline.y0, outline.x1, outline.y1)
+    )
+    wall = np.full(len(src), boundary)
+    regions = np.stack(
+        (ox0, y0, x0, y1, x1, y0, ox1, y1, x0, oy0, x1, y0, x0, y1, x1, oy1), axis=1
+    )
+    flow_y = np.tile([True, True, False, False], len(src))
+    owners = np.stack((wall, src, src, wall, wall, src, src, wall), axis=1)
+    return regions.reshape(-1, 4), flow_y, owners.reshape(-1, 2)
+
+
+def _clear_passages(
+    regions: np.ndarray,
+    flow_y: np.ndarray,
+    owners: np.ndarray,
+    boxes: np.ndarray,
+    labels: list[str],
     max_gap: Optional[int],
-) -> None:
-    """Append the passage unless degenerate, too wide, or obstructed."""
-    gap = region.width if flow is Axis.Y else region.height
-    span = region.height if flow is Axis.Y else region.width
-    if gap < 1 or span < 1:
-        return
-    if max_gap is not None and gap > max_gap:
-        return
-    for name, box in boxes:
-        if name in between:
-            continue
-        if box.intersects(region, strict=True):
-            return
-    passages.append(Passage(region, flow, between))
+) -> list[Passage]:
+    """The candidates that are neither degenerate, too wide, nor obstructed.
+
+    A box obstructs a corridor when their open interiors overlap; the
+    two owners of the corridor never do.
+    """
+    width = regions[:, 2] - regions[:, 0]
+    height = regions[:, 3] - regions[:, 1]
+    gap = np.where(flow_y, width, height)
+    span = np.where(flow_y, height, width)
+    fits = (gap >= 1) & (span >= 1)
+    if max_gap is not None:
+        fits &= gap <= max_gap
+    rows = np.flatnonzero(fits)
+    r = regions[rows]
+    blocked = (
+        (boxes[:, 0] < r[:, 2:3])
+        & (r[:, 0:1] < boxes[:, 2])
+        & (boxes[:, 1] < r[:, 3:4])
+        & (r[:, 1:2] < boxes[:, 3])
+    )
+    k = np.arange(len(boxes))
+    blocked &= (k != owners[rows, 0:1]) & (k != owners[rows, 1:2])
+    rows = rows[~blocked.any(axis=1)]
+    return [
+        Passage(Rect(*region), Axis.Y if along_y else Axis.X, (labels[a], labels[b]))
+        for region, along_y, (a, b) in zip(
+            regions[rows].tolist(), flow_y[rows].tolist(), owners[rows].tolist()
+        )
+    ]
 
 
 def _dedupe(passages: list[Passage]) -> list[Passage]:
@@ -359,26 +415,21 @@ def measure_congestion(passages: Iterable[Passage], route: GlobalRoute) -> Conge
     """Count, per passage, the distinct nets flowing through it.
 
     Column-batched form of the naive ``passage.carries(seg)`` double
-    loop: segment endpoints go into int64 columns once, then each
-    passage's carry test is a handful of elementwise comparisons.  The
-    membership math is integer-exact and ``nets`` is a set, so the
-    result is identical to the scalar loop for any input.
+    loop: passage regions and segment endpoints go into int64 columns
+    once, and one passages x segments broadcast (in chunks of passages)
+    makes every carry test.  The membership math is integer-exact and
+    ``nets`` is a set, so the result is identical to the scalar loop
+    for any input.
     """
     entries = [PassageUsage(p) for p in passages]
     tagged = route.all_segments()
     if not entries or not tagged:
         return CongestionMap(entries)
 
-    n = len(tagged)
-    ax = np.empty(n, dtype=np.int64)
-    ay = np.empty(n, dtype=np.int64)
-    bx = np.empty(n, dtype=np.int64)
-    by = np.empty(n, dtype=np.int64)
-    for i, (_, seg) in enumerate(tagged):
-        ax[i] = seg.a.x
-        ay[i] = seg.a.y
-        bx[i] = seg.b.x
-        by[i] = seg.b.y
+    names = [name for name, _ in tagged]
+    ax, ay, bx, by = np.array(
+        [(seg.a.x, seg.a.y, seg.b.x, seg.b.y) for _, seg in tagged], dtype=np.int64
+    ).T
     # Degenerate segments are in neither class (carries() ignores
     # them); non-rectilinear ones would be in neither either.
     vertical = (ax == bx) & (ay != by)
@@ -387,28 +438,22 @@ def measure_congestion(passages: Iterable[Passage], route: GlobalRoute) -> Conge
     v_hi = np.maximum(ay, by)
     h_lo = np.minimum(ax, bx)
     h_hi = np.maximum(ax, bx)
-    names = [name for name, _ in tagged]
+    regions = np.array(
+        [(r.x0, r.y0, r.x1, r.y1) for r in (e.passage.region for e in entries)], dtype=np.int64
+    )
+    flow_y = np.array([e.passage.flow is Axis.Y for e in entries])
 
-    for entry in entries:
-        region = entry.passage.region
-        if entry.passage.flow is Axis.Y:
-            # Vertical segments crossing the corridor: on a track
-            # inside the closed x span, overlapping the y span with
-            # positive length.
-            mask = (
-                vertical
-                & (region.x0 <= ax)
-                & (ax <= region.x1)
-                & (v_lo < region.y1)
-                & (region.y0 < v_hi)
-            )
-        else:
-            mask = (
-                horizontal
-                & (region.y0 <= ay)
-                & (ay <= region.y1)
-                & (h_lo < region.x1)
-                & (region.x0 < h_hi)
-            )
-        entry.nets.update(names[i] for i in np.flatnonzero(mask).tolist())
+    step = max(1, _CHUNK // len(tagged))
+    for start in range(0, len(entries), step):
+        x0, y0, x1, y1 = (column[:, None] for column in regions[start : start + step].T)
+        # A corridor flowing along y carries vertical segments on a
+        # track inside its closed x span that overlap its y span with
+        # positive length; one flowing along x, the transpose.
+        carried = np.where(
+            flow_y[start : start + step, None],
+            vertical & (x0 <= ax) & (ax <= x1) & (v_lo < y1) & (y0 < v_hi),
+            horizontal & (y0 <= ay) & (ay <= y1) & (h_lo < x1) & (x0 < h_hi),
+        )
+        for row, col in zip(*(index.tolist() for index in np.nonzero(carried))):
+            entries[start + row].nets.add(names[col])
     return CongestionMap(entries)

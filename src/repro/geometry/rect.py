@@ -174,7 +174,9 @@ class Rect:
 
         Running along the boundary (hugging) does not count; neither
         does touching a corner or edge from outside.  This is the
-        validity test for global-route wires.
+        validity test for global-route wires; the route verifier
+        applies it as one segments x rects broadcast, which the
+        columnar parity suite checks against this form.
         """
         if seg.is_degenerate:
             return self.contains_point(seg.a, strict=True)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 from repro.errors import LayoutError
 from repro.geometry.point import Point
 from repro.geometry.raytrace import ObstacleSet
@@ -17,6 +19,7 @@ from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
 from repro.layout.net import Net
 from repro.layout.pin import Pin
+from repro.layout.validate import bounding_boxes, separations
 
 
 class Layout:
@@ -168,14 +171,11 @@ class Layout:
         The paper's third placement restriction requires this to be
         positive ("a finite and non-zero distance apart").
         """
-        boxes = [cell.bounding_box for cell in self._cells.values()]
-        if len(boxes) < 2:
+        n = len(self._cells)
+        if n < 2:
             return None
-        return min(
-            boxes[i].separation(boxes[j])
-            for i in range(len(boxes))
-            for j in range(i + 1, len(boxes))
-        )
+        gaps = separations(bounding_boxes(self.cells))
+        return int(gaps[np.triu_indices(n, 1)].min())
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

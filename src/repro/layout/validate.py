@@ -12,8 +12,37 @@ legality.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+import numpy as np
+
 from repro.errors import ValidationError
-from repro.layout.layout import Layout
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.layout.cell import Cell
+    from repro.layout.layout import Layout
+
+
+def bounding_boxes(cells: tuple[Cell, ...]) -> np.ndarray:
+    """The cells' bounding boxes as an ``(n, 4)`` int64 array of
+    ``[x0, y0, x1, y1]`` rows, in cell order."""
+    return np.array(
+        [(b.x0, b.y0, b.x1, b.y1) for b in (cell.bounding_box for cell in cells)],
+        dtype=np.int64,
+    ).reshape(len(cells), 4)
+
+
+def separations(boxes: np.ndarray) -> np.ndarray:
+    """Pairwise rectilinear gaps of *boxes* (:func:`bounding_boxes` rows).
+
+    Entry ``[i, j]`` is ``Rect.separation`` of boxes ``i`` and ``j``:
+    per axis, the gap between the closed spans (0 when they touch or
+    overlap), summed over both axes.
+    """
+    x0, y0, x1, y1 = (column[:, None] for column in boxes.T)
+    gap_x = np.maximum(np.maximum(x0.T - x1, x0 - x1.T), 0)
+    gap_y = np.maximum(np.maximum(y0.T - y1, y0 - y1.T), 0)
+    return gap_x + gap_y
 
 
 def validate_layout(
@@ -40,6 +69,8 @@ def validate_layout(
     ------
     ValidationError
         Describing the first violation found, with the offending names.
+        Cells are checked in order, then pairs of cells in row-major
+        order, then pins in netlist order.
     """
     if min_separation < 1:
         raise ValidationError("min_separation must be >= 1 (paper requires non-zero spacing)")
@@ -53,40 +84,51 @@ def validate_layout(
         if not layout.outline.contains_rect(cell.bounding_box):
             raise ValidationError(f"cell {cell.name!r} extends outside the routing surface")
 
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            a, b = cells[i], cells[j]
-            gap = a.bounding_box.separation(b.bounding_box)
-            if gap < min_separation:
-                raise ValidationError(
-                    f"cells {a.name!r} and {b.name!r} are {gap} apart; "
-                    f"placement requires separation >= {min_separation}"
-                )
+    boxes = bounding_boxes(cells)
+    gaps = separations(boxes)
+    too_close = np.flatnonzero(np.triu(gaps < min_separation, 1))
+    if too_close.size:
+        i, j = divmod(int(too_close[0]), len(cells))
+        raise ValidationError(
+            f"cells {cells[i].name!r} and {cells[j].name!r} are {int(gaps[i, j])} apart; "
+            f"placement requires separation >= {min_separation}"
+        )
 
-    _validate_pins(layout)
+    _validate_pins(layout, boxes)
 
 
-def _validate_pins(layout: Layout) -> None:
+def _validate_pins(layout: Layout, boxes: np.ndarray) -> None:
     """Every pin must be a legal route endpoint.
 
     Rules: a pin attached to a cell must lie on that cell's boundary; a
     pad pin must lie on or inside the outline; no pin may fall strictly
     inside any cell interior (it would be unreachable).
+
+    A pin strictly inside a cell is strictly inside its bounding box,
+    so one pins x boxes broadcast picks the candidate cells and the
+    exact ``contains_point`` runs on those alone (a polygon's notch is
+    inside its box but outside the cell).
     """
-    for net in layout.nets:
-        for terminal in net.terminals:
-            for pin in terminal.pins:
-                where = f"pin {pin.name!r} of net {net.name!r}"
-                if not layout.outline.contains_point(pin.location):
-                    raise ValidationError(f"{where} lies outside the routing surface")
-                if pin.cell is not None:
-                    cell = layout.cell(pin.cell)
-                    if not cell.on_boundary(pin.location):
-                        raise ValidationError(
-                            f"{where} is not on the boundary of its cell {pin.cell!r}"
-                        )
-                for cell in layout.cells:
-                    if cell.contains_point(pin.location, strict=True):
-                        raise ValidationError(
-                            f"{where} is strictly inside cell {cell.name!r} and unreachable"
-                        )
+    cells = layout.cells
+    pins = [
+        (net, pin) for net in layout.nets for terminal in net.terminals for pin in terminal.pins
+    ]
+    xy = np.array([(pin.location.x, pin.location.y) for _, pin in pins], dtype=np.int64)
+    px, py = xy.reshape(-1, 2).T[:, :, None]
+    x0, y0, x1, y1 = boxes.T
+    inside_box = (x0 < px) & (px < x1) & (y0 < py) & (py < y1)
+    for (net, pin), candidates in zip(pins, inside_box):
+        where = f"pin {pin.name!r} of net {net.name!r}"
+        if not layout.outline.contains_point(pin.location):
+            raise ValidationError(f"{where} lies outside the routing surface")
+        if pin.cell is not None:
+            cell = layout.cell(pin.cell)
+            if not cell.on_boundary(pin.location):
+                raise ValidationError(
+                    f"{where} is not on the boundary of its cell {pin.cell!r}"
+                )
+        for k in np.flatnonzero(candidates).tolist():
+            if cells[k].contains_point(pin.location, strict=True):
+                raise ValidationError(
+                    f"{where} is strictly inside cell {cells[k].name!r} and unreachable"
+                )

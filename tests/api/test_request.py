@@ -8,10 +8,11 @@ import pytest
 from repro.errors import RoutingError
 from repro.api import request as request_module
 from repro.api import RouteRequest, StrategyParamError, config_from_dict, config_to_dict
-from repro.api.params import param_specs
+from repro.api.params import MAX_ITERATIONS, param_specs
 from repro.api.registry import DEFAULT_REGISTRY
 from repro.api.strategies import BUILTIN_STRATEGIES
 from repro.core.escape import EscapeMode
+from repro.core.negotiate import NegotiationConfig
 from repro.core.router import RouterConfig
 from repro.layout.io import layout_to_json
 from repro.search.engine import Order
@@ -285,6 +286,27 @@ class TestMalformedFields:
         with pytest.raises(StrategyParamError, match=field) as excinfo:
             RouteRequest.from_dict(data)
         assert [key for key, _error in excinfo.value.invalid] == [field]
+
+    @pytest.mark.parametrize(
+        "strategy, field, ceiling",
+        [
+            ("negotiated", "max_iterations", MAX_ITERATIONS),
+            ("timing-driven", "max_iterations", MAX_ITERATIONS),
+            ("two-pass", "passes", MAX_ITERATIONS + 1),
+        ],
+    )
+    def test_round_counts_above_the_ceiling_rejected(self, data, strategy, field, ceiling):
+        # 10**9 rounds would survive the round trip and pin a worker.
+        data["strategy"] = strategy
+        data["strategy_params"] = {field: 10**9}
+        with pytest.raises(StrategyParamError, match=f"{field}.*<= {ceiling}") as excinfo:
+            RouteRequest.from_dict(data)
+        assert [key for key, _error in excinfo.value.invalid] == [field]
+        data["strategy_params"] = {field: ceiling}
+        assert RouteRequest.from_dict(data).strategy_params == {field: ceiling}
+
+    def test_in_process_config_has_no_ceiling(self):
+        assert NegotiationConfig(max_iterations=10**9).max_iterations == 10**9
 
     @pytest.mark.parametrize(
         "params, message",

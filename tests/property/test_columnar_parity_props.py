@@ -1,0 +1,488 @@
+"""Differential parity of the columnar layers around the search.
+
+``find_passages``, ``measure_congestion``, the route verifier and the
+layout validator run on int64 column broadcasts.  Their pairwise
+Python loops live on here, verbatim, as the oracles: whatever layout,
+route or netlist hypothesis draws, the columnar forms must return the
+same passage list in the same order, the same net sets, the same
+violation strings in the same order, and raise the same
+``ValidationError`` message.  The drawn layouts use a coarse
+coordinate grid so that edges coincide; cells may touch, overlap, be
+L-shaped polygons (the ``l_macro`` shape of the polygon-cell bench) or
+carry the boundary's pseudo name.
+"""
+
+from typing import Optional
+
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.verify import (
+    verify_detailed,
+    verify_global_route,
+    verify_path,
+    verify_route_tree,
+)
+from repro.core.congestion import (
+    BOUNDARY,
+    Passage,
+    _dedupe,
+    find_passages,
+    measure_congestion,
+)
+from repro.core.route import GlobalRoute, RoutePath, RouteTree
+from repro.core.router import GlobalRouter
+from repro.detail.detailed import DetailedRouter
+from repro.errors import ValidationError
+from repro.geometry.orthpoly import OrthoPolygon
+from repro.geometry.point import Axis, Point
+from repro.geometry.rect import Rect
+from repro.geometry.segment import Segment
+from repro.layout.cell import Cell
+from repro.layout.generators import LayoutSpec
+from repro.layout.layout import Layout
+from repro.layout.net import Net
+from repro.layout.pin import Pin
+from repro.layout.terminal import Terminal
+from repro.layout.validate import validate_layout
+
+from tests.property.conftest import generate
+
+SIZE = 60
+
+#: Coarse coordinates so that cell edges, pins and wires coincide.
+GRID = tuple(range(0, SIZE + 1, 5))
+
+#: Wire and pin coordinates: the grid plus points just off the surface.
+WIRE = (-5,) + GRID + (SIZE + 5,)
+
+
+# ----------------------------------------------------------------------
+# The scalar oracles: the pairwise loops the columnar forms replaced.
+# ----------------------------------------------------------------------
+def scalar_find_passages(layout: Layout, *, max_gap: Optional[int] = None) -> list[Passage]:
+    passages: list[Passage] = []
+    boxes = [(cell.name, cell.bounding_box) for cell in layout.cells]
+
+    for i in range(len(boxes)):
+        for j in range(len(boxes)):
+            if i == j:
+                continue
+            name_a, a = boxes[i]
+            name_b, b = boxes[j]
+            # Horizontal adjacency: a strictly left of b.
+            if a.x1 <= b.x0:
+                overlap = a.y_span.intersection(b.y_span)
+                if overlap is not None and overlap.length >= 1:
+                    region = Rect(a.x1, overlap.lo, b.x0, overlap.hi)
+                    _append_if_clear(
+                        passages, region, Axis.Y, (name_a, name_b), boxes, max_gap
+                    )
+            # Vertical adjacency: a strictly below b.
+            if a.y1 <= b.y0:
+                overlap = a.x_span.intersection(b.x_span)
+                if overlap is not None and overlap.length >= 1:
+                    region = Rect(overlap.lo, a.y1, overlap.hi, b.y0)
+                    _append_if_clear(
+                        passages, region, Axis.X, (name_a, name_b), boxes, max_gap
+                    )
+
+    outline = layout.outline
+    for name, box in boxes:
+        candidates = (
+            (Rect(outline.x0, box.y0, box.x0, box.y1), Axis.Y, (BOUNDARY, name)),
+            (Rect(box.x1, box.y0, outline.x1, box.y1), Axis.Y, (name, BOUNDARY)),
+            (Rect(box.x0, outline.y0, box.x1, box.y0), Axis.X, (BOUNDARY, name)),
+            (Rect(box.x0, box.y1, box.x1, outline.y1), Axis.X, (name, BOUNDARY)),
+        )
+        for region, flow, between in candidates:
+            _append_if_clear(passages, region, flow, between, boxes, max_gap)
+
+    return _dedupe(passages)
+
+
+def _append_if_clear(passages, region, flow, between, boxes, max_gap) -> None:
+    gap = region.width if flow is Axis.Y else region.height
+    span = region.height if flow is Axis.Y else region.width
+    if gap < 1 or span < 1:
+        return
+    if max_gap is not None and gap > max_gap:
+        return
+    for name, box in boxes:
+        if name in between:
+            continue
+        if box.intersects(region, strict=True):
+            return
+    passages.append(Passage(region, flow, between))
+
+
+def scalar_measure_congestion(passages, route) -> list[set[str]]:
+    return [
+        {name for name, seg in route.all_segments() if passage.carries(seg)}
+        for passage in passages
+    ]
+
+
+def scalar_verify_path(path: RoutePath, layout: Layout) -> list[str]:
+    violations: list[str] = []
+    for point in path.points:
+        if not layout.outline.contains_point(point):
+            violations.append(f"point {point} outside routing surface")
+    for seg in path.segments:
+        for cell in layout.cells:
+            for rect in cell.blocking_rects:
+                if rect.segment_crosses_interior(seg):
+                    violations.append(f"segment {seg} crosses cell {cell.name!r}")
+    return violations
+
+
+def scalar_verify_route_tree(tree: RouteTree, net: Net, layout: Layout) -> list[str]:
+    violations: list[str] = []
+    for path in tree.paths:
+        violations.extend(scalar_verify_path(path, layout))
+
+    if set(tree.connected_terminals) != {t.name for t in net.terminals}:
+        missing = {t.name for t in net.terminals} - set(tree.connected_terminals)
+        violations.append(f"net {net.name!r}: terminals never connected: {sorted(missing)}")
+        return violations
+
+    violations.extend(scalar_connectivity_violations(tree, net))
+    return violations
+
+
+def scalar_connectivity_violations(tree: RouteTree, net: Net) -> list[str]:
+    elements: list[Segment] = list(tree.segments)
+    for path in tree.paths:
+        if len(path.points) == 1:
+            elements.append(Segment(path.points[0], path.points[0]))
+
+    pin_elements: dict[str, list[int]] = {}
+    for terminal in net.terminals:
+        indices: list[int] = []
+        for pin in terminal.pins:
+            elements.append(Segment(pin.location, pin.location))
+            indices.append(len(elements) - 1)
+        pin_elements[terminal.name] = indices
+
+    parent = list(range(len(elements)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+
+    for i in range(len(elements)):
+        for j in range(i + 1, len(elements)):
+            if elements[i].intersects(elements[j]):
+                union(i, j)
+
+    for indices in pin_elements.values():
+        for first, second in zip(indices, indices[1:]):
+            union(first, second)
+
+    violations: list[str] = []
+    roots_by_terminal = {
+        name: {find(i) for i in indices} for name, indices in pin_elements.items()
+    }
+    anchor_candidates = roots_by_terminal[net.terminals[0].name]
+    best_anchor = None
+    best_cover = -1
+    for root in anchor_candidates:
+        cover = sum(1 for roots in roots_by_terminal.values() if root in roots)
+        if cover > best_cover:
+            best_anchor, best_cover = root, cover
+    for terminal in net.terminals:
+        if best_anchor not in roots_by_terminal[terminal.name]:
+            violations.append(
+                f"net {net.name!r}: terminal {terminal.name!r} not electrically "
+                f"connected to the tree"
+            )
+    return violations
+
+
+def scalar_verify_global_route(route: GlobalRoute, layout: Layout) -> dict[str, list[str]]:
+    report: dict[str, list[str]] = {}
+    for name, tree in route.trees.items():
+        violations = scalar_verify_route_tree(tree, layout.net(name), layout)
+        if violations:
+            report[name] = violations
+    return report
+
+
+def scalar_verify_detailed(result, layout: Layout) -> list[str]:
+    violations: list[str] = []
+    for wire in result.layers.wires:
+        for endpoint in (wire.seg.a, wire.seg.b):
+            if not layout.outline.contains_point(endpoint):
+                violations.append(f"wire {wire.seg} of {wire.net!r} leaves the surface")
+                break
+        for cell in layout.cells:
+            for rect in cell.blocking_rects:
+                if rect.segment_crosses_interior(wire.seg):
+                    violations.append(
+                        f"wire {wire.seg} of {wire.net!r} crosses cell {cell.name!r}"
+                    )
+    return violations
+
+
+def scalar_validate_layout(
+    layout: Layout, *, min_separation: int = 1, allow_polygon_cells: bool = True
+) -> None:
+    cells = layout.cells
+    for cell in cells:
+        if not allow_polygon_cells and not cell.is_rectangular:
+            raise ValidationError(
+                f"cell {cell.name!r} is polygonal but rectangular cells were required"
+            )
+        if not layout.outline.contains_rect(cell.bounding_box):
+            raise ValidationError(f"cell {cell.name!r} extends outside the routing surface")
+
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            a, b = cells[i], cells[j]
+            gap = a.bounding_box.separation(b.bounding_box)
+            if gap < min_separation:
+                raise ValidationError(
+                    f"cells {a.name!r} and {b.name!r} are {gap} apart; "
+                    f"placement requires separation >= {min_separation}"
+                )
+
+    for net in layout.nets:
+        for terminal in net.terminals:
+            for pin in terminal.pins:
+                where = f"pin {pin.name!r} of net {net.name!r}"
+                if not layout.outline.contains_point(pin.location):
+                    raise ValidationError(f"{where} lies outside the routing surface")
+                if pin.cell is not None:
+                    cell = layout.cell(pin.cell)
+                    if not cell.on_boundary(pin.location):
+                        raise ValidationError(
+                            f"{where} is not on the boundary of its cell {pin.cell!r}"
+                        )
+                for cell in layout.cells:
+                    if cell.contains_point(pin.location, strict=True):
+                        raise ValidationError(
+                            f"{where} is strictly inside cell {cell.name!r} and unreachable"
+                        )
+
+
+def scalar_min_cell_separation(layout: Layout) -> Optional[int]:
+    boxes = [cell.bounding_box for cell in layout.cells]
+    if len(boxes) < 2:
+        return None
+    return min(
+        boxes[i].separation(boxes[j])
+        for i in range(len(boxes))
+        for j in range(i + 1, len(boxes))
+    )
+
+
+def message(check, *args, **kwargs) -> Optional[str]:
+    """The ValidationError message *check* raises, or None."""
+    try:
+        check(*args, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+# ----------------------------------------------------------------------
+# Strategies
+# ----------------------------------------------------------------------
+def l_macro(name: str, x: int, y: int, size: int, notch: int) -> Cell:
+    """An L-shaped cell with a notch cut from its top-right."""
+    arm = size - notch
+    return Cell(
+        name,
+        OrthoPolygon(
+            [
+                Point(x, y),
+                Point(x + size, y),
+                Point(x + size, y + arm),
+                Point(x + arm, y + arm),
+                Point(x + arm, y + size),
+                Point(x, y + size),
+            ]
+        ),
+    )
+
+
+@st.composite
+def cells(draw, name: str) -> Cell:
+    """A rect or an L-shaped cell on the coarse grid; cells may overlap."""
+    if draw(st.booleans()):
+        size = draw(st.sampled_from((10, 15, 20)))
+        notch = draw(st.sampled_from([n for n in (5, 10) if n < size]))
+        x = draw(st.sampled_from([g for g in GRID if g + size <= SIZE]))
+        y = draw(st.sampled_from([g for g in GRID if g + size <= SIZE]))
+        return l_macro(name, x, y, size, notch)
+    x0, x1 = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2, unique=True)))
+    return Cell(name, Rect(x0, y0, x1, y1))
+
+
+@st.composite
+def layouts(draw, spaced: bool = False) -> Layout:
+    """Up to seven cells; one may carry the boundary's pseudo name.
+
+    With *spaced*, a drawn cell closer than 1 to a placed one is
+    skipped, so validation gets past the separation check.
+    """
+    count = draw(st.integers(min_value=0, max_value=7))
+    names = [f"c{i}" for i in range(count)]
+    if names and draw(st.booleans()):
+        names[draw(st.integers(0, count - 1))] = BOUNDARY
+    layout = Layout(Rect(0, 0, SIZE, SIZE))
+    for name in names:
+        cell = draw(cells(name))
+        box = cell.bounding_box
+        if spaced and any(box.separation(c.bounding_box) < 1 for c in layout.cells):
+            continue
+        layout.add_cell(cell)
+    return layout
+
+
+def points(coords=WIRE):
+    return st.builds(Point, st.sampled_from(coords), st.sampled_from(coords))
+
+
+@st.composite
+def polylines(draw) -> RoutePath:
+    """A rectilinear path: one point, or alternating x and y moves."""
+    start = draw(points())
+    pts = [start]
+    for k in range(draw(st.integers(min_value=0, max_value=4))):
+        last = pts[-1]
+        coord = draw(st.sampled_from(WIRE))
+        pts.append(Point(coord, last.y) if k % 2 == 0 else Point(last.x, coord))
+    return RoutePath(tuple(pts))
+
+
+@st.composite
+def pins(draw, layout: Layout, name: str) -> Pin:
+    """A pad pin anywhere on or off the grid, or a pin on a cell's outline.
+
+    A pin on an outline claims that cell or, sometimes, another one.  A
+    pad may fall strictly inside a cell, or in a polygon's notch, which
+    is inside the cell's bounding box but outside the cell.
+    """
+    names = [cell.name for cell in layout.cells]
+    if names and draw(st.booleans()):
+        cell = draw(st.sampled_from(layout.cells))
+        edge = draw(st.sampled_from(cell.shape.edges))
+        middle = Point((edge.a.x + edge.b.x) // 2, (edge.a.y + edge.b.y) // 2)
+        location = draw(st.sampled_from((edge.a, edge.b, middle)))
+        owner = cell.name if draw(st.booleans()) else draw(st.sampled_from(names))
+        return Pin(name, location, owner)
+    return Pin(name, draw(points(WIRE if draw(st.booleans()) else GRID)))
+
+
+@st.composite
+def netlists(draw, layout: Layout, max_nets: int = 3) -> list[Net]:
+    """One to *max_nets* nets of two or three terminals of one or two pins."""
+    nets = []
+    for n in range(draw(st.integers(min_value=1, max_value=max_nets))):
+        terminals = []
+        for t in range(draw(st.integers(min_value=2, max_value=3))):
+            count = draw(st.integers(min_value=1, max_value=2))
+            members = [draw(pins(layout, f"n{n}.t{t}.p{p}")) for p in range(count)]
+            terminals.append(Terminal(f"n{n}.t{t}", members))
+        nets.append(Net(f"n{n}", terminals))
+    return nets
+
+
+@st.composite
+def routed(draw):
+    """A layout with nets and hand-drawn trees: wires cross cells, leave
+    the surface, dangle, or skip terminals (truncated trees)."""
+    layout = draw(layouts())
+    for net in draw(netlists(layout)):
+        layout.add_net(net)
+    route = GlobalRoute()
+    for net in layout.nets:
+        names = [t.name for t in net.terminals]
+        claimed = draw(st.lists(st.sampled_from(names), max_size=len(names), unique=True))
+        if draw(st.booleans()):
+            claimed = names
+        paths = draw(st.lists(polylines(), max_size=4))
+        route.trees[net.name] = RouteTree(net.name, paths, claimed)
+    return layout, route
+
+
+# ----------------------------------------------------------------------
+# Properties
+# ----------------------------------------------------------------------
+class TestPassageParity:
+    @given(layouts(), st.sampled_from([None, 1, 2, 3, 4, 5, 6]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_passages_in_the_same_order(self, layout, max_gap):
+        assert find_passages(layout, max_gap=max_gap) == scalar_find_passages(
+            layout, max_gap=max_gap
+        )
+
+    @given(routed())
+    @settings(max_examples=80, deadline=None)
+    def test_same_nets_per_passage(self, case):
+        layout, route = case
+        passages = find_passages(layout)
+        measured = measure_congestion(passages, route)
+        assert [e.passage for e in measured.entries] == passages
+        assert [e.nets for e in measured.entries] == scalar_measure_congestion(
+            passages, route
+        )
+
+
+class TestVerifyParity:
+    @given(routed())
+    @settings(max_examples=120, deadline=None)
+    def test_same_violations_per_net(self, case):
+        layout, route = case
+        assert verify_global_route(route, layout) == scalar_verify_global_route(
+            route, layout
+        )
+        for name, tree in route.trees.items():
+            net = layout.net(name)
+            assert verify_route_tree(tree, net, layout) == scalar_verify_route_tree(
+                tree, net, layout
+            )
+            for path in tree.paths:
+                assert verify_path(path, layout) == scalar_verify_path(path, layout)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_corrupted_real_routes(self, seed, data):
+        """A clean route, then injected crossings, escapes and truncation."""
+        layout = generate(LayoutSpec(n_cells=5, n_nets=4, terminals_per_net=(2, 3)), seed)
+        route = GlobalRouter(layout).route_all()
+        assert verify_global_route(route, layout) == {}
+        for tree in route.trees.values():
+            if tree.paths and data.draw(st.booleans()):
+                tree.paths[data.draw(st.integers(0, len(tree.paths) - 1))] = data.draw(
+                    polylines()
+                )
+            if tree.connected_terminals and data.draw(st.booleans()):
+                tree.connected_terminals.pop()
+        assert verify_global_route(route, layout) == scalar_verify_global_route(route, layout)
+        detailed = DetailedRouter(layout).run(route)
+        assert verify_detailed(detailed, layout) == scalar_verify_detailed(detailed, layout)
+
+
+class TestValidateParity:
+    @given(
+        st.data(), st.integers(min_value=1, max_value=6), st.sampled_from((True, True, False))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_first_error(self, data, min_separation, polygons):
+        layout = data.draw(layouts(spaced=data.draw(st.booleans())))
+        for net in data.draw(netlists(layout)):
+            layout.add_net(net)
+        knobs = {"min_separation": min_separation, "allow_polygon_cells": polygons}
+        assert message(validate_layout, layout, **knobs) == message(
+            scalar_validate_layout, layout, **knobs
+        )
+        assert layout.min_cell_separation() == scalar_min_cell_separation(layout)

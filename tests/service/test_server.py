@@ -115,10 +115,11 @@ class TestPlumbing:
         "strategy, params",
         [
             ("negotiated", {"present_weight": 10**400}),
+            ("negotiated", {"max_iterations": 10**9}),
             ("two-pass", {"passes": 1}),
             ("two-pass", {"penalty_weight": -1.0}),
         ],
-        ids=["huge-float-param", "two-pass-passes", "two-pass-penalty"],
+        ids=["huge-float-param", "max-iterations-ceiling", "two-pass-passes", "two-pass-penalty"],
     )
     def test_malformed_strategy_param_400_not_a_failed_job(self, served, strategy, params):
         _, client = served()
