@@ -38,7 +38,7 @@ def bench_e6_congestion(benchmark):
                 passes,
                 result.congestion_after.total_overflow,
                 f"{result.congestion_after.max_utilization:.2f}",
-                result.final.total_length,
+                result.route.total_length,
                 len(result.rerouted_nets),
             ]
         )

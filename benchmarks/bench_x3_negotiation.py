@@ -34,7 +34,7 @@ def bench_x3_negotiation(benchmark):
                 result.iteration_count,
                 "yes" if result.converged else "no",
                 result.first.total_length,
-                result.final.total_length,
+                result.route.total_length,
             ]
         )
     table = format_table(

@@ -139,8 +139,8 @@ def _measure(spec: dict, *, reference: bool, repeats: int):
         wall, result = best_wall(lambda: _route(spec), repeats)
     if spec["kind"] == "negotiated":
         fingerprint = {
-            "trees": _tree_fingerprint(result.final),
-            "failed": sorted(result.final.failed_nets),
+            "trees": _tree_fingerprint(result.route),
+            "failed": sorted(result.route.failed_nets),
             "iterations": [
                 (it.iteration, it.overflowed_passages, it.total_overflow,
                  it.max_overflow, it.wirelength, it.rerouted)
@@ -154,7 +154,7 @@ def _measure(spec: dict, *, reference: bool, repeats: int):
         return wall, fingerprint, result.search_stats, {
             "converged": result.converged,
             "iterations": result.iteration_count,
-            "wirelength": result.final.total_length,
+            "wirelength": result.route.total_length,
         }
     fingerprint = {
         "trees": _tree_fingerprint(result),

@@ -68,7 +68,7 @@ def main() -> None:
         title="negotiation convergence (iteration 0 is the first pass)",
     ))
     print(f"\nwirelength price of legality: "
-          f"{result.first.total_length} -> {result.final.total_length} "
+          f"{result.first.total_length} -> {result.route.total_length} "
           f"({len(result.rerouted_nets)} distinct nets rerouted)")
 
 

@@ -65,7 +65,6 @@ from repro.core import (
     NegotiatedCongestionCost,
     NegotiatedRouter,
     NegotiationConfig,
-    NegotiationResult,
     NetTiming,
     PathRequest,
     RoutePath,
@@ -166,7 +165,6 @@ __all__ = [
     "NegotiatedCongestionCost",
     "NegotiatedRouter",
     "NegotiationConfig",
-    "NegotiationResult",
     "Net",
     "NetTiming",
     "ObstacleSet",

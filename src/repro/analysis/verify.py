@@ -216,8 +216,8 @@ def verify_global_route(
     return report
 
 
-def verify_detailed(result: DetailedResult, layout: Layout) -> list[str]:
-    """Check detailed wires: legality of every physical wire.
+def detailed_violations(result: DetailedResult, layout: Layout) -> list[tuple[str, str]]:
+    """``(net name, message)`` for every illegal detailed wire, in wire order.
 
     Same-layer overlap conflicts are already recorded on the result;
     this adds the geometric checks (wires inside the surface, outside
@@ -225,16 +225,24 @@ def verify_detailed(result: DetailedResult, layout: Layout) -> list[str]:
     """
     wires = result.layers.wires
     crossed = _Blockers(layout).crossed([wire.seg for wire in wires])
-    violations: list[str] = []
+    violations: list[tuple[str, str]] = []
     for wire, owners in zip(wires, crossed):
         for endpoint in (wire.seg.a, wire.seg.b):
             if not layout.outline.contains_point(endpoint):
-                violations.append(f"wire {wire.seg} of {wire.net!r} leaves the surface")
+                violations.append(
+                    (wire.net, f"wire {wire.seg} of {wire.net!r} leaves the surface")
+                )
                 break
         violations.extend(
-            f"wire {wire.seg} of {wire.net!r} crosses cell {name!r}" for name in owners
+            (wire.net, f"wire {wire.seg} of {wire.net!r} crosses cell {name!r}")
+            for name in owners
         )
     return violations
+
+
+def verify_detailed(result: DetailedResult, layout: Layout) -> list[str]:
+    """Check detailed wires: the messages of :func:`detailed_violations`."""
+    return [message for _, message in detailed_violations(result, layout)]
 
 
 def assert_optimal_length(path: RoutePath, expected: int) -> None:

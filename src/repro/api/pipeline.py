@@ -23,7 +23,7 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.metrics import summarize_route
-from repro.analysis.verify import verify_global_route
+from repro.analysis.verify import detailed_violations, verify_global_route
 from repro.errors import RoutingError
 from repro.core.router import GlobalRouter
 from repro.layout.layout import Layout
@@ -145,7 +145,12 @@ class RoutingPipeline:
         timings: dict[str, float],
         total_started: float,
     ) -> RouteResult:
-        """The shared back half: verify, detail, assembly."""
+        """The shared back half: verify, detail, assembly.
+
+        With both ``verify`` and ``detail`` on, the detailed wires are
+        checked too; their findings join the global ones under each
+        wire's net name.
+        """
         violations: dict[str, list[str]] = {}
         if request.verify:
             verify_started = time.perf_counter()
@@ -161,6 +166,11 @@ class RoutingPipeline:
             detailed = DetailedRouter(layout).run(outcome.route)
             timings["detail"] = time.perf_counter() - detail_started
             detail_summary = DetailSummary.from_detailed(detailed)
+            if request.verify:
+                verify_started = time.perf_counter()
+                for net, message in detailed_violations(detailed, layout):
+                    violations.setdefault(net, []).append(message)
+                timings["verify"] += time.perf_counter() - verify_started
 
         # Non-convergence used to be reported only through the
         # `converged` flag, which callers routinely ignored — capped
@@ -173,15 +183,14 @@ class RoutingPipeline:
                 if outcome.congestion_after is not None
                 else None
             )
-            iterations_run = max(0, len(outcome.iterations) - 1)
             warnings.append(
                 {
                     "kind": "non-convergence",
                     "message": (
                         f"strategy {request.strategy!r} stopped after "
-                        f"{iterations_run} iteration(s) with overflow remaining"
+                        f"{outcome.iteration_count} iteration(s) with overflow remaining"
                     ),
-                    "iterations": iterations_run,
+                    "iterations": outcome.iteration_count,
                     "total_overflow": overflow,
                 }
             )

@@ -21,8 +21,10 @@ Strategies are looked up by name from a :class:`StrategyRegistry`;
 The factory is called with the request's ``strategy_params`` as
 keywords; ``run`` receives the configured router and the originating
 :class:`~repro.api.request.RouteRequest` and returns a
-:class:`StrategyOutcome`.  ``params`` (optional) declares a frozen
-dataclass as the strategy's typed parameter schema
+:class:`StrategyOutcome` — the wave loop's own return type
+(:mod:`repro.core.negotiate`), re-exported here unchanged.
+``params`` (optional) declares a frozen dataclass as the strategy's
+typed parameter schema
 (:mod:`repro.api.params`): requests validate against it up front, and
 :meth:`StrategyRegistry.describe` publishes it to the introspection
 surfaces (``repro strategies``, ``GET /strategies``).
@@ -34,47 +36,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Protocol, runtime_checkable
 
 from repro.errors import RoutingError
-from repro.core.congestion import CongestionMap
-from repro.core.negotiate import IterationStats
-from repro.core.route import GlobalRoute
-from repro.core.timing import TimingAnalysis
+from repro.core.negotiate import StrategyOutcome
 from repro.api.params import coerce_params, schema_dict
-from repro.search.stats import SearchStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.request import RouteRequest
     from repro.core.router import GlobalRouter
     from repro.incremental.engine import WarmStart
-
-
-@dataclass
-class StrategyOutcome:
-    """What a strategy hands back to the pipeline.
-
-    ``route`` is mandatory; the congestion/iteration fields are
-    telemetry that strategies fill in as far as they measure it.
-    ``first`` carries the unpenalized first-pass route when the
-    strategy runs repasses (strategy-level callers compare it against
-    the final route without re-routing; it stays runtime-only and is
-    not serialized into :class:`~repro.api.result.RouteResult`).
-    ``search_stats``, when set, totals the search effort of the whole
-    strategy run; iterating strategies fill it in because their
-    returned route's stats stop accumulating at the best iteration,
-    and the hot-path bench's counters must count all of the work.
-    ``timing`` carries the final route's delay/criticality/slack
-    analysis when the strategy computed one (``timing-driven`` does);
-    the pipeline serializes it onto the result's ``timing`` block.
-    """
-
-    route: GlobalRoute
-    first: Optional[GlobalRoute] = None
-    congestion_before: Optional[CongestionMap] = None
-    congestion_after: Optional[CongestionMap] = None
-    iterations: tuple[IterationStats, ...] = ()
-    rerouted_nets: tuple[str, ...] = ()
-    converged: Optional[bool] = None
-    search_stats: Optional[SearchStats] = None
-    timing: Optional[TimingAnalysis] = None
 
 
 @runtime_checkable

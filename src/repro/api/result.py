@@ -6,11 +6,12 @@ congestion before/after as JSON-friendly summaries, per-iteration
 convergence stats, phase timings, verification violations, a routing
 summary, and (when requested) the detailed-routing outcome.
 
-Results round-trip through JSON.  Two runtime-only conveniences ride
+Results round-trip through JSON.  One runtime-only convenience rides
 along without being serialized: the live
 :class:`~repro.detail.detailed.DetailedResult` object (its summary is
-what travels) and nothing else — everything the wave loop's
-``NegotiationResult`` reports is representable here.
+what travels).  Everything the wave loop's
+:class:`~repro.core.negotiate.StrategyOutcome` reports is representable
+here except its ``first`` route and run-wide ``search_stats``.
 """
 
 from __future__ import annotations
@@ -161,7 +162,9 @@ class RouteResult:
         to miss, so capped runs shipped silently overflowing routes.
     violations:
         Independent verification report per net name (empty when clean
-        or when ``verify`` was off).
+        or when ``verify`` was off): the global route's findings, plus,
+        when ``detail`` was on too, every detailed wire that leaves the
+        surface or crosses a cell, under that wire's net.
     verified:
         Whether verification actually ran.
     detail_summary:

@@ -32,59 +32,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.congestion import check_max_gap, find_passages, measure_congestion
-from repro.core.negotiate import (
-    NegotiatedRouter,
-    NegotiationConfig,
-    NegotiationResult,
-    two_pass,
-)
+from repro.core.negotiate import NegotiatedRouter, NegotiationConfig, negotiate, two_pass
 from repro.core.timing import TimingConfig, TimingDrivenRouter
 from repro.errors import RoutingError
-from repro.incremental.engine import (
-    IncrementalOutcome,
-    incremental_negotiated,
-    incremental_single,
-)
+from repro.incremental.engine import incremental_single
 from repro.api.registry import StrategyOutcome, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.request import RouteRequest
     from repro.core.router import GlobalRouter
     from repro.incremental.engine import WarmStart
-
-
-def _adapt_incremental(outcome: IncrementalOutcome) -> StrategyOutcome:
-    """Convert an engine-level outcome to the pipeline's shape.
-
-    The :class:`~repro.incremental.dirty.DirtySet` is dropped here —
-    the pipeline already holds it from :func:`plan_reroute` and folds
-    the counts into the result timings.
-    """
-    return StrategyOutcome(
-        route=outcome.route,
-        first=outcome.first,
-        congestion_before=outcome.congestion_before,
-        congestion_after=outcome.congestion_after,
-        iterations=tuple(outcome.iterations),
-        rerouted_nets=outcome.rerouted_nets,
-        converged=outcome.converged,
-        search_stats=outcome.search_stats,
-    )
-
-
-def _adapt_waves(result: NegotiationResult) -> StrategyOutcome:
-    """Convert a wave-loop result to the pipeline's shape."""
-    return StrategyOutcome(
-        route=result.final,
-        first=result.first,
-        congestion_before=result.congestion_before,
-        congestion_after=result.congestion_after,
-        iterations=tuple(result.iterations),
-        rerouted_nets=tuple(result.rerouted_nets),
-        converged=result.converged,
-        search_stats=result.search_stats,
-        timing=result.timing,
-    )
 
 
 @dataclass(frozen=True)
@@ -130,17 +87,16 @@ class SingleStrategy:
         that only want wirelength).
     """
 
-    def __init__(self, *, max_gap: Optional[int] = None, measure_congestion: bool = True):
-        self.max_gap = max_gap
-        self.measure = measure_congestion
+    def __init__(self, **params):
+        self.params = SingleParams(**params)
 
     def run(self, router: "GlobalRouter", request: "RouteRequest") -> StrategyOutcome:
         """One independent pass, plus a diagnostic congestion measurement."""
         route = router.route_all(on_unroutable=request.on_unroutable)
-        if not self.measure:
+        if not self.params.measure_congestion:
             return StrategyOutcome(route=route, first=route)
         congestion = measure_congestion(
-            find_passages(router.layout, max_gap=self.max_gap), route
+            find_passages(router.layout, max_gap=self.params.max_gap), route
         )
         return StrategyOutcome(
             route=route,
@@ -154,14 +110,12 @@ class SingleStrategy:
         self, router: "GlobalRouter", request: "RouteRequest", warm: "WarmStart"
     ) -> StrategyOutcome:
         """Route only the dirty nets; kept trees survive verbatim."""
-        return _adapt_incremental(
-            incremental_single(
-                router,
-                warm,
-                on_unroutable=request.on_unroutable,
-                max_gap=self.max_gap,
-                measure=self.measure,
-            )
+        return incremental_single(
+            router,
+            warm,
+            on_unroutable=request.on_unroutable,
+            max_gap=self.params.max_gap,
+            measure=self.params.measure_congestion,
         )
 
 
@@ -177,27 +131,17 @@ class TwoPassStrategy:
     warm-start seed — ``RoutingPipeline.reroute`` rejects it up front.
     """
 
-    def __init__(
-        self,
-        *,
-        penalty_weight: float = 2.0,
-        passes: int = 2,
-        max_gap: Optional[int] = None,
-    ):
-        self.penalty_weight = penalty_weight
-        self.passes = passes
-        self.max_gap = max_gap
+    def __init__(self, **params):
+        self.params = TwoPassParams(**params)
 
     def run(self, router: "GlobalRouter", request: "RouteRequest") -> StrategyOutcome:
         """Route, measure, penalize, reroute the affected nets."""
-        return _adapt_waves(
-            two_pass(
-                router,
-                penalty_weight=self.penalty_weight,
-                passes=self.passes,
-                max_gap=self.max_gap,
-                on_unroutable=request.on_unroutable,
-            )
+        return two_pass(
+            router,
+            penalty_weight=self.params.penalty_weight,
+            passes=self.params.passes,
+            max_gap=self.params.max_gap,
+            on_unroutable=request.on_unroutable,
         )
 
 
@@ -215,23 +159,18 @@ class NegotiatedStrategy:
 
     def run(self, router: "GlobalRouter", request: "RouteRequest") -> StrategyOutcome:
         """Iterate rip-up-and-reroute until legal or out of budget."""
-        return _adapt_waves(
-            NegotiatedRouter.from_router(router, negotiation=self.negotiation).run(
-                on_unroutable=request.on_unroutable
-            )
+        return NegotiatedRouter(router=router, negotiation=self.negotiation).run(
+            on_unroutable=request.on_unroutable
         )
 
     def run_incremental(
         self, router: "GlobalRouter", request: "RouteRequest", warm: "WarmStart"
     ) -> StrategyOutcome:
         """Warm-start the negotiation from the kept routes' congestion."""
-        return _adapt_incremental(
-            incremental_negotiated(
-                router,
-                warm,
-                self.negotiation,
-                on_unroutable=request.on_unroutable,
-            )
+        return negotiate(
+            NegotiatedRouter(router=router, negotiation=self.negotiation),
+            on_unroutable=request.on_unroutable,
+            seed=warm,
         )
 
 
@@ -253,10 +192,8 @@ class TimingDrivenStrategy:
 
     def run(self, router: "GlobalRouter", request: "RouteRequest") -> StrategyOutcome:
         """Iterate criticality-ordered rip-up-and-reroute."""
-        return _adapt_waves(
-            TimingDrivenRouter.from_router(router, timing=self.timing).run(
-                on_unroutable=request.on_unroutable
-            )
+        return TimingDrivenRouter(router=router, timing=self.timing).run(
+            on_unroutable=request.on_unroutable
         )
 
 

@@ -11,7 +11,8 @@ Public surface:
 * :func:`~repro.core.negotiate.negotiate` — the one rip-up-and-reroute
   wave loop behind the congestion-driven second pass from the paper's
   Conclusions (:func:`~repro.core.negotiate.two_pass`) and its
-  generalizations below.
+  generalizations below; every run returns one
+  :class:`~repro.core.negotiate.StrategyOutcome`.
 * :class:`~repro.core.negotiate.NegotiatedRouter` — the PathFinder-
   style generalization of that sketch: iterated rip-up-and-reroute
   under present-usage × accumulated-history congestion costs.
@@ -48,7 +49,7 @@ from repro.core.negotiate import (
     IterationStats,
     NegotiatedRouter,
     NegotiationConfig,
-    NegotiationResult,
+    StrategyOutcome,
 )
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.core.timing import (
@@ -82,7 +83,6 @@ __all__ = [
     "NegotiatedCongestionCost",
     "NegotiatedRouter",
     "NegotiationConfig",
-    "NegotiationResult",
     "NetTiming",
     "adjust_placement",
     "move_cell",
@@ -92,6 +92,7 @@ __all__ = [
     "RoutePath",
     "RouteTree",
     "RouterConfig",
+    "StrategyOutcome",
     "TargetSet",
     "TimingAnalysis",
     "TimingConfig",

@@ -31,8 +31,9 @@ any per-net model, the key that picks the best route, and an optional
 analysis after each pass.  ``negotiated`` is the default policy,
 :class:`~repro.core.timing.TimingDrivenRouter` overrides three hooks,
 :func:`two_pass` is a private policy, and the incremental re-router
-(:func:`~repro.incremental.engine.incremental_negotiated`) passes a
-warm-start *seed*.
+(``NegotiatedStrategy.run_incremental``) passes a warm-start *seed*.
+Every run returns one :class:`StrategyOutcome`, the type the pipeline
+reads, so the loop's answer needs no adapter on its way out.
 
 Every pass routes its nets serially, in the order the policy gives.
 Within one wave the cost model is frozen (or fixed per net before the
@@ -43,7 +44,7 @@ the order changes no route, only which nets a wave picks does.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro.errors import RoutingError
@@ -179,26 +180,34 @@ class IterationStats:
 
 
 @dataclass
-class NegotiationResult:
-    """Outcome of any run of the wave loop.
+class StrategyOutcome:
+    """What the wave loop, and every routing strategy, hands back.
 
-    ``search_stats`` totals the search effort of the *whole* run —
-    every pass of every iteration — unlike ``final.stats``, which only
-    accumulates up to the best iteration (the returned route).  Perf
-    telemetry (expansions/sec, ray-cache hit rate) must read the
+    ``route`` is mandatory; the congestion/iteration fields are
+    telemetry that a strategy fills in as far as it measures it.
+    ``first`` carries the unpenalized first-pass route (or warm start)
+    so callers can compare it against the returned route without
+    re-routing; it stays runtime-only and is not serialized into
+    :class:`~repro.api.result.RouteResult`.  ``iterations`` has one
+    entry per pass, wave 0 first.
+
+    ``search_stats``, when set, totals the search effort of the
+    *whole* run — every pass of every iteration — unlike
+    ``route.stats``, which only accumulates up to the best iteration.
+    Perf telemetry (expansions/sec, probe counts) must read the
     run-wide numbers or it silently drops the waves after the best.
-    ``timing`` is the final route's delay analysis when the policy
-    computes one (timing-driven does).
+    ``timing`` is the returned route's delay analysis when the
+    strategy computes one (timing-driven does).
     """
 
-    first: GlobalRoute
-    final: GlobalRoute
-    congestion_before: CongestionMap
-    congestion_after: CongestionMap
-    iterations: list[IterationStats] = field(default_factory=list)
-    rerouted_nets: list[str] = field(default_factory=list)
-    converged: bool = False
-    search_stats: SearchStats = field(default_factory=SearchStats)
+    route: GlobalRoute
+    first: Optional[GlobalRoute] = None
+    congestion_before: Optional[CongestionMap] = None
+    congestion_after: Optional[CongestionMap] = None
+    iterations: tuple[IterationStats, ...] = ()
+    rerouted_nets: tuple[str, ...] = ()
+    converged: Optional[bool] = None
+    search_stats: Optional[SearchStats] = None
     timing: Optional["TimingAnalysis"] = None
 
     @property
@@ -247,19 +256,12 @@ class NegotiatedRouter:
         )
         self.negotiation = negotiation if negotiation is not None else NegotiationConfig()
 
-    @classmethod
-    def from_router(
-        cls, router: GlobalRouter, *, negotiation: Optional[NegotiationConfig] = None
-    ) -> "NegotiatedRouter":
-        """Wrap an existing configured router."""
-        return cls(router=router, negotiation=negotiation)
-
     @property
     def layout(self) -> Layout:
         """The layout being routed."""
         return self.router.layout
 
-    def run(self, *, on_unroutable: str = "raise") -> NegotiationResult:
+    def run(self, *, on_unroutable: str = "raise") -> StrategyOutcome:
         """Negotiate until congestion-free or out of budget.
 
         Parameters
@@ -363,7 +365,7 @@ def two_pass(
     max_gap: Optional[int] = None,
     on_unroutable: str = "raise",
     passes: int = 2,
-) -> NegotiationResult:
+) -> StrategyOutcome:
     """First pass, congestion measurement, penalized repasses.
 
     Only nets through overflowed passages are rerouted; everything
@@ -372,7 +374,7 @@ def two_pass(
     values iterate with accumulated penalties (each round adds the
     currently-overflowed regions on top of the previous penalties)
     and the best route seen — by total overflow, then wirelength —
-    is returned as ``final``.
+    is returned as ``route``.
     """
     if passes < 2:
         raise RoutingError(f"two-pass routing needs passes >= 2, got {passes}")
@@ -385,7 +387,7 @@ def negotiate(
     *,
     on_unroutable: str = "raise",
     seed: Optional["WarmStart"] = None,
-) -> NegotiationResult:
+) -> StrategyOutcome:
     """The wave loop: first pass, then penalized reroute waves.
 
     *policy* supplies the per-wave decisions (see
@@ -395,7 +397,11 @@ def negotiate(
     it: the kept routes pre-charge the history
     (:meth:`CongestionHistory.seed`) and wave 0 routes only the dirty
     nets under that cost.  Waves then run while any passage overflows
-    and ``max_iterations`` allows.
+    and ``max_iterations`` allows.  A seed with no dirty nets runs no
+    wave at all: its kept trees come back untouched, even over
+    capacity, which makes an empty-delta reroute identical to the
+    previous result.  A seed's fresh stats make ``search_stats``
+    count the incremental work only.
 
     In skip mode a net whose reroute fails keeps its earlier tree
     (first-pass failures stay recorded in ``failed_nets``).
@@ -407,15 +413,15 @@ def negotiate(
     history = CongestionHistory(gain=knobs.history_gain)
     rerouted: set[str] = set()
     started = time.perf_counter()
+    waves = knobs.max_iterations
     if seed is None:
         first = router.route_all(on_unroutable=on_unroutable)
         moved = 0
+    elif not seed.dirty:
+        # Nothing to route: the kept trees are the answer, overflow and all.
+        first, moved, waves = seed.kept.copy(), 0, 0
     else:
-        first = GlobalRoute(
-            trees=dict(seed.kept.trees),
-            stats=seed.kept.stats,
-            failed_nets=list(seed.kept.failed_nets),
-        )
+        first = seed.kept.copy()
         kept_map = measure_congestion(passages, first)
         history.seed(kept_map)
         outcomes = router.route_each(
@@ -430,7 +436,7 @@ def negotiate(
     current = best = (first, before, policy.analyze(first))
     iterations = [IterationStats.measure(0, first, before, started=started, rerouted=moved)]
 
-    for iteration in range(1, knobs.max_iterations + 1):
+    for iteration in range(1, waves + 1):
         route, congestion, analysis = current
         if congestion.total_overflow == 0:
             break
@@ -461,13 +467,13 @@ def negotiate(
             best = current
 
     final, after, analysis = best
-    return NegotiationResult(
+    return StrategyOutcome(
+        route=final,
         first=first,
-        final=final,
         congestion_before=before,
         congestion_after=after,
-        iterations=iterations,
-        rerouted_nets=sorted(rerouted),
+        iterations=tuple(iterations),
+        rerouted_nets=tuple(sorted(rerouted)),
         converged=after.total_overflow == 0,
         # The last pass's stats accumulated through every wave — the
         # run-wide totals.

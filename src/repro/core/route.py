@@ -162,6 +162,16 @@ class GlobalRoute:
     stats: SearchStats = field(default_factory=SearchStats)
     failed_nets: list[str] = field(default_factory=list)
 
+    def copy(self) -> "GlobalRoute":
+        """A shallow working copy: its own tree dict and failed list.
+
+        Trees and stats are shared; merging a rerouted net replaces its
+        tree and the stats object, so the original route is unchanged.
+        """
+        return GlobalRoute(
+            trees=dict(self.trees), stats=self.stats, failed_nets=list(self.failed_nets)
+        )
+
     @property
     def total_length(self) -> int:
         """Summed wirelength over all routed nets."""

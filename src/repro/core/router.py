@@ -277,11 +277,7 @@ class GlobalRouter:
         every affected net its own (see :meth:`route_each`).  Returns
         ``(candidate, congestion_map, nets_moved)``.
         """
-        candidate = GlobalRoute(
-            trees=dict(current.trees),
-            stats=current.stats,
-            failed_nets=list(current.failed_nets),
-        )
+        candidate = current.copy()
         outcomes = self.route_each(
             affected, cost_model=cost_model, fail_fast=on_unroutable == "raise"
         )

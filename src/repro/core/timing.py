@@ -310,13 +310,6 @@ class TimingDrivenRouter(NegotiatedRouter):
             router=router,
         )
 
-    @classmethod
-    def from_router(
-        cls, router: GlobalRouter, *, timing: Optional[TimingConfig] = None
-    ) -> "TimingDrivenRouter":
-        """Wrap an existing configured router."""
-        return cls(router=router, timing=timing)
-
     @property
     def timing(self) -> TimingConfig:
         """The loop's knobs."""

@@ -21,6 +21,10 @@ from repro.layout.net import Net
 from repro.layout.pin import Pin
 from repro.layout.validate import bounding_boxes, separations
 
+#: Largest coordinate magnitude a layout accepts.  The router's int64
+#: columns subtract coordinates, so the limit sits below 2**63.
+MAX_COORDINATE = 2**62
+
 
 class Layout:
     """A general-cell layout.
@@ -42,6 +46,8 @@ class Layout:
     ):
         if outline.width == 0 or outline.height == 0:
             raise LayoutError(f"layout outline {outline} is degenerate")
+        if max(map(abs, (outline.x0, outline.y0, outline.x1, outline.y1))) > MAX_COORDINATE:
+            raise LayoutError(f"layout outline {outline} is out of range (|v| <= 2**62)")
         self.outline = outline
         self._cells: dict[str, Cell] = {}
         self._nets: dict[str, Net] = {}
@@ -69,13 +75,21 @@ class Layout:
     def add_net(self, net: Net) -> None:
         """Add a net.
 
-        Raises :class:`LayoutError` on duplicate names or pins that
-        reference unknown cells.
+        Raises :class:`LayoutError` on duplicate names, pins that
+        reference unknown cells, or pin coordinates out of range
+        (:data:`MAX_COORDINATE`).  Cells need no such check: they lie
+        inside the outline.
         """
         if net.name in self._nets:
             raise LayoutError(f"duplicate net name {net.name!r}")
         for terminal in net.terminals:
             for pin in terminal.pins:
+                at = pin.location
+                if abs(at.x) > MAX_COORDINATE or abs(at.y) > MAX_COORDINATE:
+                    raise LayoutError(
+                        f"net {net.name!r} pin {pin.name!r} at {at} is out of range "
+                        f"(|v| <= 2**62)"
+                    )
                 if pin.cell is not None and pin.cell not in self._cells:
                     raise LayoutError(
                         f"net {net.name!r} pin {pin.name!r} references unknown cell {pin.cell!r}"

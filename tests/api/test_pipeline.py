@@ -49,7 +49,7 @@ class TestStrategies:
                 strategy_params={"penalty_weight": 4.0, "passes": 3},
             )
         )
-        assert trees_of(result.route) == trees_of(direct.final)
+        assert trees_of(result.route) == trees_of(direct.route)
         assert result.congestion_before.total_overflow == direct.congestion_before.total_overflow
         assert result.congestion_after.total_overflow == direct.congestion_after.total_overflow
         assert list(result.rerouted_nets) == list(direct.rerouted_nets)
@@ -66,7 +66,7 @@ class TestStrategies:
                 strategy_params={"max_iterations": 10},
             )
         )
-        assert trees_of(result.route) == trees_of(direct.final)
+        assert trees_of(result.route) == trees_of(direct.route)
         assert result.converged == direct.converged
         assert len(result.iterations) == len(direct.iterations)
         assert list(result.rerouted_nets) == list(direct.rerouted_nets)
@@ -118,6 +118,32 @@ class TestToggles:
         layout.add_net(Net.two_point("blocked", Point(10, 50), Point(90, 50)))
         layout.add_net(Net.two_point("fine", Point(5, 5), Point(95, 5)))
         return layout
+
+    def test_detailed_wire_through_a_cell_is_a_violation(self, monkeypatch):
+        from repro.detail.detailed import DetailedRouter
+        from repro.detail.layers import DetailedWire
+        from repro.geometry.segment import Segment
+
+        original = DetailedRouter.run
+
+        def through_block(self, route):
+            detailed = original(self, route)
+            stray = DetailedWire("fine", Segment(Point(30, 50), Point(70, 50)), 1)
+            detailed.layers.wires.append(stray)
+            return detailed
+
+        monkeypatch.setattr(DetailedRouter, "run", through_block)
+        layout = self.budget_starved_layout()
+        result = RoutingPipeline().run(RouteRequest(layout=layout, detail=True))
+        assert not result.ok
+        assert list(result.violations) == ["fine"]
+        assert result.violations["fine"] == [
+            "wire (30, 50)--(70, 50) of 'fine' crosses cell 'block'"
+        ]
+        unchecked = RoutingPipeline().run(
+            RouteRequest(layout=layout, detail=True, verify=False)
+        )
+        assert unchecked.violations == {} and "verify" not in unchecked.timings
 
     def test_skip_mode_records_failures(self):
         result = RoutingPipeline().run(
@@ -210,8 +236,8 @@ class TestDeprecatedDelegates:
             )
         )
         direct = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=3)
-        assert trees_of(via_api.route) == trees_of(direct.final)
-        assert list(via_api.rerouted_nets) == direct.rerouted_nets
+        assert trees_of(via_api.route) == trees_of(direct.route)
+        assert via_api.rerouted_nets == direct.rerouted_nets
 
     def test_api_replaces_negotiated_delegate(self, small_layout):
         via_api = RoutingPipeline().run(
@@ -224,7 +250,7 @@ class TestDeprecatedDelegates:
         direct = NegotiatedRouter(
             small_layout, negotiation=NegotiationConfig(max_iterations=3)
         ).run()
-        assert trees_of(via_api.route) == trees_of(direct.final)
+        assert trees_of(via_api.route) == trees_of(direct.route)
 
     def test_pipeline_strategies_do_not_warn(self, recwarn):
         layout = congested_layout()

@@ -245,7 +245,7 @@ class TestRouterParity:
             )
             result = router.run()
             return (
-                route_fingerprint(result.final),
+                route_fingerprint(result.route),
                 result.converged,
                 [(it.total_overflow, it.wirelength) for it in result.iterations],
                 result.search_stats.nodes_expanded,
@@ -263,7 +263,7 @@ class TestRouterParity:
                 layout, timing=TimingConfig(max_iterations=6)
             ).run(on_unroutable="skip")
             return (
-                route_fingerprint(result.final),
+                route_fingerprint(result.route),
                 [(it.total_overflow, it.wirelength) for it in result.iterations],
                 result.search_stats.nodes_expanded,
                 result.timing.worst_delay,
@@ -346,7 +346,7 @@ class TestGenericPath:
             ).run()
             stats = result.search_stats
             return (
-                route_fingerprint(result.final),
+                route_fingerprint(result.route),
                 [(it.total_overflow, it.wirelength) for it in result.iterations],
                 stats.nodes_expanded,
                 stats.nodes_generated,

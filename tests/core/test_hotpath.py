@@ -50,13 +50,13 @@ class TestCacheParity:
         # A run whose every search is batched (reaches only, no
         # first_hit): formerly 13732 memo hits + 1068 misses on the
         # obstacle set and 3960 + 912 on the final route's stats.
-        negotiated = NegotiatedRouter.from_router(
-            GlobalRouter(oversubscribed_layout()),
+        negotiated = NegotiatedRouter(
+            router=GlobalRouter(oversubscribed_layout()),
             negotiation=NegotiationConfig(max_iterations=6),
         )
         outcome = negotiated.run()
         assert negotiated.router.obstacles.ray_probes == 14800
-        assert (outcome.final.stats.cache_hits, outcome.final.stats.cache_misses) == (0, 4872)
+        assert (outcome.route.stats.cache_hits, outcome.route.stats.cache_misses) == (0, 4872)
 
 
 class TestNegotiationPruning:
@@ -78,7 +78,7 @@ class TestNegotiationPruning:
         # total (every routed net is ripped up, not just congested ones).
         if len(full.iterations) > 1:
             assert len(full.rerouted_nets) >= len(pruned.rerouted_nets)
-            assert len(full.rerouted_nets) == len(full.final.trees)
+            assert len(full.rerouted_nets) == len(full.route.trees)
 
     def test_pruning_is_default(self):
         assert RouterConfig().prune_clean_nets is True

@@ -51,7 +51,7 @@ class TestConvergence:
         assert result.converged
         assert result.congestion_after.total_overflow == 0
         assert result.congestion_before.total_overflow > 0
-        assert verify_global_route(result.final, layout) == {}
+        assert verify_global_route(result.route, layout) == {}
 
     def test_iteration_stats_recorded(self):
         layout = oversubscribed_layout()
@@ -77,8 +77,8 @@ class TestConvergence:
         if result.congestion_before.total_overflow == 0:
             assert result.converged
             assert result.iteration_count == 0
-            assert result.final is result.first
-            assert result.rerouted_nets == []
+            assert result.route is result.first
+            assert result.rerouted_nets == ()
 
     def test_budget_exhaustion_returns_best_seen(self):
         layout = oversubscribed_layout(n_nets=24)
@@ -91,7 +91,7 @@ class TestConvergence:
             result.congestion_after.total_overflow
             <= result.congestion_before.total_overflow
         )
-        assert verify_global_route(result.final, layout) == {}
+        assert verify_global_route(result.route, layout) == {}
 
     def test_invalid_config_rejected(self):
         with pytest.raises(RoutingError):
@@ -107,9 +107,9 @@ class TestConvergence:
         with pytest.raises(RoutingError):
             NegotiatedRouter(small_layout).run(on_unroutable="explode")
 
-    def test_from_router_shares_config(self, small_layout):
+    def test_wraps_existing_router(self, small_layout):
         router = GlobalRouter(small_layout, RouterConfig(inverted_corner=True))
-        negotiated = NegotiatedRouter.from_router(router)
+        negotiated = NegotiatedRouter(router=router)
         assert negotiated.router is router
         assert negotiated.layout is small_layout
 
@@ -199,7 +199,7 @@ class TestParallelParity:
         result = two_pass(
             GlobalRouter(layout), penalty_weight=4.0, passes=3, on_unroutable="skip"
         )
-        assert not (set(result.final.failed_nets) & set(result.final.trees))
+        assert not (set(result.route.failed_nets) & set(result.route.trees))
 
     def test_two_pass_skip_keeps_first_pass_failures(self):
         from repro.layout.cell import Cell
@@ -220,7 +220,7 @@ class TestParallelParity:
             GlobalRouter(layout), penalty_weight=4.0, passes=3, on_unroutable="skip"
         )
         assert "walled" in result.first.failed_nets
-        assert "walled" in result.final.failed_nets
+        assert "walled" in result.route.failed_nets
 
     def test_bad_executor_rejected(self):
         # the request-level pools (batch, service) share this check

@@ -165,13 +165,13 @@ class TestTwoPass:
     def test_final_routes_remain_valid(self):
         layout = self.congested_layout()
         result = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=3)
-        assert verify_global_route(result.final, layout) == {}
+        assert verify_global_route(result.route, layout) == {}
 
     def test_uncongested_layout_short_circuits(self, small_layout):
         result = two_pass(GlobalRouter(small_layout))
         if result.congestion_before.total_overflow == 0:
-            assert result.final is result.first
-            assert result.rerouted_nets == []
+            assert result.route is result.first
+            assert result.rerouted_nets == ()
 
     def test_invalid_passes_rejected(self, small_layout):
         with pytest.raises(RoutingError):

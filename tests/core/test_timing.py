@@ -261,8 +261,8 @@ class TestTimingDrivenRouter:
         result = TimingDrivenRouter(
             layout, timing=TimingConfig(max_iterations=8)
         ).run(on_unroutable="skip")
-        assert verify_global_route(result.final, layout) == {}
-        assert not result.final.failed_nets
+        assert verify_global_route(result.route, layout) == {}
+        assert not result.route.failed_nets
         assert result.timing.nets
         assert result.timing.worst_delay > 0
         assert (
@@ -282,8 +282,8 @@ class TestTimingDrivenRouter:
         timing = TimingDrivenRouter(
             layout, timing=TimingConfig(max_iterations=8)
         ).run(on_unroutable="skip")
-        assert worst_critical_delay(timing.final, layout) < worst_critical_delay(
-            negotiated.final, layout
+        assert worst_critical_delay(timing.route, layout) < worst_critical_delay(
+            negotiated.route, layout
         )
 
     def test_uncongested_run_short_circuits(self, small_layout):
@@ -291,8 +291,8 @@ class TestTimingDrivenRouter:
         if result.congestion_before.total_overflow == 0:
             assert result.converged
             assert result.iteration_count == 0
-            assert result.final is result.first
-            assert result.rerouted_nets == []
+            assert result.route is result.first
+            assert result.rerouted_nets == ()
 
     def test_layout_and_router_mutually_exclusive(self, small_layout):
         router = GlobalRouter(small_layout)
@@ -301,9 +301,9 @@ class TestTimingDrivenRouter:
         with pytest.raises(RoutingError):
             TimingDrivenRouter()
 
-    def test_from_router_shares_config(self, small_layout):
+    def test_wraps_existing_router(self, small_layout):
         router = GlobalRouter(small_layout, RouterConfig(inverted_corner=True))
-        timing = TimingDrivenRouter.from_router(router)
+        timing = TimingDrivenRouter(router=router)
         assert timing.router is router
         assert timing.layout is small_layout
 
@@ -317,4 +317,4 @@ class TestTimingDrivenRouter:
             layout, timing=TimingConfig(max_iterations=1)
         ).run(on_unroutable="skip")
         assert len(result.iterations) <= 2
-        assert verify_global_route(result.final, layout) == {}
+        assert verify_global_route(result.route, layout) == {}

@@ -22,10 +22,10 @@ import pytest
 
 from repro.api.registry import DEFAULT_REGISTRY
 from repro.api.request import RouteRequest
-from repro.core.negotiate import NegotiationConfig
+from repro.core.negotiate import NegotiatedRouter, NegotiationConfig, negotiate
 from repro.core.router import GlobalRouter, RouterConfig
-from repro.incremental.engine import incremental_negotiated, plan_reroute
-from repro.incremental.scripts import replace_nets_delta
+from repro.incremental.engine import plan_reroute
+from repro.incremental.scripts import empty_delta, replace_nets_delta
 from repro.layout.generators import LayoutSpec, grid_layout, random_netlist
 from repro.scenarios import route_fingerprint
 from repro.scenarios.families import FAMILIES
@@ -102,33 +102,31 @@ def test_timing_driven_golden():
     assert outcome.converged is True
 
 
-def test_incremental_negotiated_golden(routed):
+def _seeded(mutated, warm, max_iterations):
+    policy = NegotiatedRouter(
+        router=GlobalRouter(mutated, RouterConfig()),
+        negotiation=NegotiationConfig(max_iterations=max_iterations),
+    )
+    return negotiate(policy, on_unroutable="skip", seed=warm)
+
+
+def test_seeded_negotiate_golden(routed):
     layout, route = routed
     mutated, warm = plan_reroute(route, layout, replace_nets_delta(layout, 2))
-    outcome = incremental_negotiated(
-        GlobalRouter(mutated, RouterConfig()),
-        warm,
-        NegotiationConfig(max_iterations=4),
-        on_unroutable="skip",
-    )
+    outcome = _seeded(mutated, warm, 4)
     assert route_fingerprint(outcome.route) == "2fdba63826504053"
     assert _waves(outcome) == [(0, 349, 2)]
     assert outcome.search_stats.nodes_expanded == 10
     assert outcome.rerouted_nets == ("n0", "n1")
 
 
-def test_incremental_negotiated_waves_golden():
+def test_seeded_negotiate_waves_golden():
     # A warm start that lands over capacity, so the seeded history and
     # the waves after the dirty-only wave 0 are pinned too.
     layout = _congested_grid()
     previous = _run("negotiated", layout, {"max_iterations": 6}).route
     mutated, warm = plan_reroute(previous, layout, replace_nets_delta(layout, 4))
-    outcome = incremental_negotiated(
-        GlobalRouter(mutated, RouterConfig()),
-        warm,
-        NegotiationConfig(max_iterations=6),
-        on_unroutable="skip",
-    )
+    outcome = _seeded(mutated, warm, 6)
     assert route_fingerprint(outcome.route) == "4a17b7b5ff613549"
     assert _waves(outcome) == [
         (1, 897, 4),
@@ -140,3 +138,17 @@ def test_incremental_negotiated_waves_golden():
     assert outcome.search_stats.nodes_expanded == 1039
     assert outcome.rerouted_nets == ("n0", "n1", "n10", "n11", "n2", "n3", "n4", "n5")
     assert outcome.converged is True
+
+
+def test_seeded_negotiate_empty_delta_golden():
+    # An empty delta on an overflowing route runs no wave: the kept
+    # trees come back untouched, overflow and all.
+    layout = _congested_grid()
+    previous = GlobalRouter(layout, RouterConfig()).route_all()
+    mutated, warm = plan_reroute(previous, layout, empty_delta())
+    outcome = _seeded(mutated, warm, 6)
+    assert route_fingerprint(outcome.route) == route_fingerprint(previous)
+    assert _waves(outcome) == [(4, 803, 0)]
+    assert outcome.search_stats.nodes_expanded == 0
+    assert outcome.rerouted_nets == ()
+    assert outcome.converged is False

@@ -3,14 +3,10 @@
 import pytest
 
 from repro.core.congestion import CongestionHistory, find_passages, measure_congestion
-from repro.core.negotiate import NegotiationConfig
+from repro.core.negotiate import NegotiatedRouter, NegotiationConfig, negotiate
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.errors import RoutingError, UnroutableError
-from repro.incremental.engine import (
-    incremental_negotiated,
-    incremental_single,
-    plan_reroute,
-)
+from repro.incremental.engine import incremental_single, plan_reroute
 from repro.incremental.scripts import (
     disjoint_delta,
     empty_delta,
@@ -26,6 +22,11 @@ def routed(small_layout):
         on_unroutable="skip"
     )
     return small_layout, route
+
+
+def negotiate_seeded(router, warm, *, on_unroutable="raise"):
+    policy = NegotiatedRouter(router=router, negotiation=NegotiationConfig(max_iterations=4))
+    return negotiate(policy, on_unroutable=on_unroutable, seed=warm)
 
 
 def test_plan_reroute_builds_warm_start(routed):
@@ -54,9 +55,7 @@ def test_empty_delta_negotiated_returns_kept_untouched(routed):
     layout, route = routed
     mutated, warm = plan_reroute(route, layout, empty_delta())
     router = GlobalRouter(mutated, RouterConfig())
-    outcome = incremental_negotiated(
-        router, warm, NegotiationConfig(max_iterations=4), on_unroutable="skip"
-    )
+    outcome = negotiate_seeded(router, warm, on_unroutable="skip")
     assert route_fingerprint(outcome.route) == route_fingerprint(route)
     assert len(outcome.iterations) == 1
     assert outcome.iterations[0].rerouted == 0
@@ -92,16 +91,14 @@ def test_negotiated_incremental_work_is_incremental_only(routed):
     delta = replace_nets_delta(layout, 1)
     mutated, warm = plan_reroute(route, layout, delta)
     router = GlobalRouter(mutated, RouterConfig())
-    outcome = incremental_negotiated(
-        router, warm, NegotiationConfig(max_iterations=4), on_unroutable="skip"
-    )
+    outcome = negotiate_seeded(router, warm, on_unroutable="skip")
     assert outcome.search_stats is not None
     scratch = GlobalRouter(mutated, RouterConfig()).route_all(on_unroutable="skip")
     # Routing one net must expand far fewer nodes than routing them all.
     assert outcome.search_stats.nodes_expanded < scratch.stats.nodes_expanded
 
 
-@pytest.mark.parametrize("engine", [incremental_single, incremental_negotiated])
+@pytest.mark.parametrize("engine", [incremental_single, negotiate_seeded])
 @pytest.mark.parametrize("dirty", [False, True])
 def test_bad_on_unroutable_rejected(routed, engine, dirty):
     layout, route = routed

@@ -3,6 +3,8 @@
 Deliverable (e) requires doc comments on every public item; this test
 keeps that true as the code evolves.  Private names (leading
 underscore), re-exports, and dataclass-generated plumbing are exempt.
+Every name a module lists in ``__all__`` must also exist on it, so a
+deletion cannot leave a dangling export behind.
 """
 
 import importlib
@@ -60,3 +62,9 @@ def test_public_classes_and_functions_documented(module):
                 if not inherited:
                     missing.append(f"{module.__name__}.{name}.{attr_name}")
     assert not missing, "undocumented public items:\n  " + "\n  ".join(missing)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_exports_resolve(module):
+    dangling = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not dangling, f"{module.__name__}.__all__ names missing attributes: {dangling}"

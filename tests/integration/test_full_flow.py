@@ -76,7 +76,7 @@ def test_two_pass_then_detail_reduces_overcapacity():
     single = GlobalRouter(layout).route_all()
     multi = two_pass(GlobalRouter(layout), penalty_weight=4.0, passes=4)
     detailed_single = DetailedRouter(layout).run(single)
-    detailed_multi = DetailedRouter(layout).run(multi.final)
+    detailed_multi = DetailedRouter(layout).run(multi.route)
     # relief in global congestion should not worsen detailed packing
     assert (
         detailed_multi.over_capacity_channels <= detailed_single.over_capacity_channels + 1

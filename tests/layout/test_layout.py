@@ -45,6 +45,16 @@ class TestConstruction:
         with pytest.raises(LayoutError):
             layout.add_net(Net.two_point("n", Point(1, 1), Point(2, 2)))
 
+    def test_out_of_range_coordinates_rejected(self):
+        with pytest.raises(LayoutError, match="out of range"):
+            Layout(Rect(0, 0, 2**62 + 1, 100))
+        layout = basic_layout()
+        with pytest.raises(LayoutError, match="out of range"):
+            layout.add_net(Net.two_point("n", Point(0, 0), Point(-(2**62) - 1, 5)))
+        assert "n" not in layout
+        # The limit itself is accepted.
+        Layout(Rect(-(2**62), -(2**62), 2**62, 2**62))
+
     def test_constructor_accepts_contents(self):
         layout = Layout(
             Rect(0, 0, 50, 50),

@@ -111,6 +111,23 @@ class TestPlumbing:
         assert excinfo.value.status == 400
         assert "max_gap must be >= 1" in str(excinfo.value)
 
+    def test_out_of_range_coordinates_400(self, served):
+        _, client = served()
+        body = RouteRequest(layout=small_layout()).to_dict()
+        layout = body["layout"]
+        scale = 2**66
+        layout["outline"] = [v * scale for v in layout["outline"]]
+        for cell in layout["cells"]:
+            cell["rect"] = [v * scale for v in cell["rect"]]
+        for net in layout["nets"]:
+            for terminal in net["terminals"]:
+                for pin in terminal["pins"]:
+                    pin["at"] = [v * scale for v in pin["at"]]
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(body)
+        assert excinfo.value.status == 400
+        assert "out of range" in str(excinfo.value)
+
     @pytest.mark.parametrize(
         "strategy, params",
         [
