@@ -62,14 +62,9 @@ class BatchError:
 BatchOutcome = Union[RouteResult, BatchError]
 
 
-def _run_request(request: RouteRequest) -> RouteResult:
-    """Route one request in a worker process (module-level for pickling)."""
-    return RoutingPipeline().run(request)
-
-
 def _run_request_guarded(request: RouteRequest) -> BatchOutcome:
-    """Like :func:`_run_request`, but a failure fills the slot instead
-    of poisoning the pool map (module-level for pickling)."""
+    """Route one request in a worker process; a failure fills its slot
+    instead of poisoning the pool map (module-level for pickling)."""
     try:
         return RoutingPipeline().run(request)
     except Exception as exc:  # noqa: BLE001 - every failure must stay in its slot

@@ -80,7 +80,7 @@ class SequentialRouter:
         if on_unroutable not in ("raise", "skip"):
             raise RoutingError(f"on_unroutable must be 'raise' or 'skip', not {on_unroutable!r}")
         names = list(net_order) if net_order is not None else [n.name for n in self.layout.nets]
-        obstacles = self.layout.obstacles()  # fresh set this router may mutate
+        obstacles = self.layout.obstacles()  # cells; each routed net extends it
         route = GlobalRoute()
         started = time.perf_counter()
         for name in names:
@@ -101,7 +101,7 @@ class SequentialRouter:
                 continue
             route.trees[name] = tree
             route.stats = route.stats.merged_with(tree.stats)
-            obstacles.add_many(
+            obstacles = obstacles.extended(
                 _wire_obstacle(seg, self.config.clearance) for seg in tree.segments
             )
         route.stats.elapsed_seconds = time.perf_counter() - started

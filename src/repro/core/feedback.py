@@ -26,10 +26,8 @@ from repro.core.congestion import BOUNDARY, CongestionMap, find_passages, measur
 from repro.core.route import GlobalRoute
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.geometry.point import Axis
+from repro.incremental.delta import CellMove, LayoutDelta, apply_delta
 from repro.layout.layout import Layout
-from repro.layout.net import Net
-from repro.layout.pin import Pin
-from repro.layout.terminal import Terminal
 from repro.layout.validate import validate_layout
 
 
@@ -40,23 +38,7 @@ def move_cell(layout: Layout, cell_name: str, dx: int, dy: int) -> Layout:
     routing surface; separation against other cells is the caller's
     check (via :func:`validate_layout`).
     """
-    moved = Layout(layout.outline)
-    for cell in layout.cells:
-        moved.add_cell(cell.translated(dx, dy) if cell.name == cell_name else cell)
-    for net in layout.nets:
-        terminals = []
-        for terminal in net.terminals:
-            pins = [
-                Pin(
-                    pin.name,
-                    pin.location.translated(dx, dy) if pin.cell == cell_name else pin.location,
-                    pin.cell,
-                )
-                for pin in terminal.pins
-            ]
-            terminals.append(Terminal(terminal.name, pins))
-        moved.add_net(Net(net.name, terminals))
-    return moved
+    return apply_delta(layout, LayoutDelta(move_cells=(CellMove(cell_name, dx, dy),)))
 
 
 @dataclass

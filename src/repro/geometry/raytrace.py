@@ -13,27 +13,25 @@ Semantics
   along a cell edge (hugging) or touch a corner without being blocked.
 * The routing boundary ("bound") is a hard closed limit: rays stop at
   its edge.
-* Point and segment queries are vectorized over numpy arrays of the
-  rect coordinates so that layouts with hundreds of cells stay fast;
-  the arrays are maintained **incrementally**: ``add``/``add_many``
-  append new coordinate columns in place (amortized growth) and
-  ``remove`` masks the victim's column with an out-of-bound sentinel
-  instead of rebuilding everything, so wire-obstacle churn in the
-  sequential baseline stays cheap.  Dead columns are compacted away
-  once they outnumber the live ones.
+* Point and segment queries are vectorized over int64 numpy columns
+  of the rect coordinates so that layouts with hundreds of cells stay
+  fast.  The set is **immutable**: the columns and edge indexes are
+  built once, in ``__init__``.  A router that routes against a growing
+  set (the nets-as-obstacles baseline) asks :meth:`ObstacleSet.extended`
+  for a new set with the extra rects appended.
 * Rays are answered from a **per-track blocker index** — the paper's
   "topological ordering" that makes ray tracing cheap.  The first ray
   along a track (a row ``y`` for east/west rays, a column ``x`` for
-  north/south ones) collects the live rects whose open span straddles
+  north/south ones) collects the rects whose open span straddles
   it, sorted by far edge with a running nearest-near-edge; every later
-  ray on that track costs one dict probe and one ``bisect``.  The
-  index is dropped on every mutation and rebuilt lazily, one track at
-  a time.  The plain numpy scan over every rect stays as the reference
+  ray on that track costs one dict probe and one ``bisect``.  Tracks
+  are indexed lazily, one at a time, and never go stale.  The plain
+  numpy scan over every rect stays as the reference
   that :func:`~repro.core.pathfinder.reference_search` runs, so the
   oracle keeps checking the index.
 * Ray answers are not memoized: a repeated ray costs the same probe
   and ``bisect`` as its first trace, which measured no slower than a
-  per-mutation memo in front of the index.  ``ray_probes`` counts the
+  memo in front of the index.  ``ray_probes`` counts the
   rays traced (``reaches`` counts as four) for the perf harness
   (``benchmarks/bench_x5_hotpath.py``).
 """
@@ -42,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -50,12 +48,6 @@ from repro.errors import GeometryError
 from repro.geometry.point import Direction, Point
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
-from repro.geometry.topology import CoordIndex
-
-#: Dead columns tolerated before :meth:`ObstacleSet._compact` runs.
-_COMPACT_SLACK = 64
-
-_INITIAL_CAPACITY = 16
 
 #: One side of a track's blocker index: ``(keys, stops, rects)``.  The
 #: ray finds its first candidate by bisecting ``keys`` (the rects' far
@@ -100,43 +92,73 @@ class Hit:
         return self.obstacle is not None
 
 
+class CoordIndex:
+    """Sorted distinct integer coordinates with range queries, built once."""
+
+    def __init__(self, values: Iterable[int] = ()):
+        self._sorted = sorted(set(values))
+        self._array = np.asarray(self._sorted, dtype=np.int64)
+
+    def as_array(self) -> np.ndarray:
+        """The sorted values as an int64 numpy array.
+
+        Callers must not mutate it.  The batched search merges it into
+        its escape grid once per search instead of calling
+        :meth:`between` per ray.
+        """
+        return self._array
+
+    def __len__(self) -> int:
+        return len(self._sorted)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._sorted)
+
+    def between(
+        self, lo: int, hi: int, *, include_lo: bool = False, include_hi: bool = False
+    ) -> list[int]:
+        """Distinct coordinates within ``(lo, hi)``.
+
+        Boundary inclusion is controlled by the keyword flags; the
+        default is the open interval, which matches "escape coordinates
+        strictly inside a clear ray span".
+        """
+        if lo > hi:
+            lo, hi = hi, lo
+        left = bisect_left(self._sorted, lo) if include_lo else bisect_right(self._sorted, lo)
+        right = bisect_right(self._sorted, hi) if include_hi else bisect_left(self._sorted, hi)
+        return self._sorted[left:right]
+
+
 class ObstacleSet:
-    """A routing boundary plus a mutable set of blocking rectangles.
+    """A routing boundary plus an immutable set of blocking rectangles.
 
     Parameters
     ----------
     bound:
         The routing surface.  All queries are confined to it.
     rects:
-        Initial blocking rectangles (typically the layout's cells).
-        Degenerate rects are legal; having an empty interior they never
-        block, but their edge coordinates still register as escape
-        coordinates.
+        The blocking rectangles (typically the layout's cells), in
+        insertion order — the order ray ties are broken in.  Degenerate
+        rects are legal; having an empty interior they never block, but
+        their edge coordinates still register as escape coordinates.
     """
 
     def __init__(self, bound: Rect, rects: Iterable[Rect] = ()):
         self.bound = bound
-        # Slot-addressed storage: _slots[i] is the rect occupying numpy
-        # column i, or None once removed.  _ids maps each rect value to
-        # its live slot ids so removal is O(1) instead of a list scan.
-        self._slots: list[Optional[Rect]] = []
-        self._ids: dict[Rect, list[int]] = {}
-        self._count = 0  # used columns, dead ones included
-        self._live = 0
-        capacity = _INITIAL_CAPACITY
-        self._x0 = np.empty(capacity, dtype=np.int64)
-        self._y0 = np.empty(capacity, dtype=np.int64)
-        self._x1 = np.empty(capacity, dtype=np.int64)
-        self._y1 = np.empty(capacity, dtype=np.int64)
-        # Dead-column sentinel: a degenerate point strictly outside the
-        # bound fails every open-interval, closed-touch, and ray-stop
-        # test, so masked columns are inert without a separate mask pass.
-        self._dead_x = bound.x1 + 1
-        self._dead_y = bound.y1 + 1
-        self._edge_xs = CoordIndex((bound.x0, bound.x1))
-        self._edge_ys = CoordIndex((bound.y0, bound.y1))
+        self._rects = tuple(rects)
+        columns = np.array(
+            [(r.x0, r.y0, r.x1, r.y1) for r in self._rects], dtype=np.int64
+        ).reshape(-1, 4).T.copy()
+        self._x0, self._y0, self._x1, self._y1 = columns
+        self._edge_xs = CoordIndex(
+            [bound.x0, bound.x1, *(r.x0 for r in self._rects), *(r.x1 for r in self._rects)]
+        )
+        self._edge_ys = CoordIndex(
+            [bound.y0, bound.y1, *(r.y0 for r in self._rects), *(r.y1 for r in self._rects)]
+        )
         # Blocker indexes of the rows (east/west rays) and columns
-        # (north/south rays) queried since the last mutation.
+        # (north/south rays) queried so far.
         self._rows: dict[int, _Track] = {}
         self._cols: dict[int, _Track] = {}
         # Set only by find_path under reference_search: first_hit traces
@@ -146,111 +168,19 @@ class ObstacleSet:
         self._scan_rays = False
         #: Rays traced so far (``reaches`` counts four).
         self.ray_probes = 0
-        self._sync_views()
-        for rect in rects:
-            self._append(rect)
-        self._sync_views()
 
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
     @property
     def rects(self) -> tuple[Rect, ...]:
-        """The current blocking rects (read-only view, insertion order)."""
-        return tuple(r for r in self._slots if r is not None)
+        """The blocking rects, in insertion order."""
+        return self._rects
 
-    def add(self, rect: Rect) -> None:
-        """Add a blocking rect (used by nets-as-obstacles baselines)."""
-        self._append(rect)
-        self._sync_views()
-        self._mutated()
+    def extended(self, rects: Iterable[Rect]) -> ObstacleSet:
+        """A new set over this one's rects followed by *rects*.
 
-    def add_many(self, rects: Iterable[Rect]) -> None:
-        """Add several blocking rects at once (one index invalidation)."""
-        for rect in rects:
-            self._append(rect)
-        self._sync_views()
-        self._mutated()
-
-    def remove(self, rect: Rect) -> None:
-        """Remove one occurrence of *rect*.
-
-        Raises :class:`GeometryError` if absent.  O(1) via the id-map
-        (plus an occasional compaction sweep), not a list scan.
+        Appending keeps every existing rect's tie-break rank: on a tie,
+        an old rect still beats a new one.
         """
-        ids = self._ids.get(rect)
-        if not ids:
-            raise GeometryError(f"rect {rect} not in obstacle set")
-        slot = ids.pop()
-        if not ids:
-            del self._ids[rect]
-        self._slots[slot] = None
-        self._x0[slot] = self._x1[slot] = self._dead_x
-        self._y0[slot] = self._y1[slot] = self._dead_y
-        self._live -= 1
-        for index, coords in ((self._edge_xs, (rect.x0, rect.x1)),
-                              (self._edge_ys, (rect.y0, rect.y1))):
-            for coord in coords:
-                index.remove(coord)
-        dead = self._count - self._live
-        if dead > _COMPACT_SLACK and dead > self._live:
-            self._compact()
-        self._mutated()
-
-    def _append(self, rect: Rect, *, register_edges: bool = True) -> None:
-        """Install *rect* in the next free column (the index is left alone)."""
-        slot = self._count
-        if slot == len(self._x0):
-            grown = max(_INITIAL_CAPACITY, 2 * len(self._x0))
-            for name in ("_x0", "_y0", "_x1", "_y1"):
-                old = getattr(self, name)
-                new = np.empty(grown, dtype=np.int64)
-                new[:slot] = old[:slot]
-                setattr(self, name, new)
-        self._x0[slot] = rect.x0
-        self._y0[slot] = rect.y0
-        self._x1[slot] = rect.x1
-        self._y1[slot] = rect.y1
-        self._slots.append(rect)
-        self._ids.setdefault(rect, []).append(slot)
-        self._count += 1
-        self._live += 1
-        if register_edges:
-            self._edge_xs.add(rect.x0)
-            self._edge_xs.add(rect.x1)
-            self._edge_ys.add(rect.y0)
-            self._edge_ys.add(rect.y1)
-
-    def _compact(self) -> None:
-        """Drop dead columns, preserving live insertion order.
-
-        Geometry is unchanged, so compaction itself leaves the track
-        index alone.  Slot numbers change, which is why the index stores
-        rects, never slots.
-        """
-        live = [r for r in self._slots if r is not None]
-        self._slots = []
-        self._ids = {}
-        self._count = 0
-        self._live = 0
-        for rect in live:
-            self._append(rect, register_edges=False)
-        self._sync_views()
-
-    def _sync_views(self) -> None:
-        """Refresh the used-column array views after a mutation."""
-        count = self._count
-        self._vx0 = self._x0[:count]
-        self._vy0 = self._y0[:count]
-        self._vx1 = self._x1[:count]
-        self._vy1 = self._y1[:count]
-
-    def _mutated(self) -> None:
-        """Drop the track index; it is rebuilt lazily, track by track."""
-        if self._rows:
-            self._rows.clear()
-        if self._cols:
-            self._cols.clear()
+        return ObstacleSet(self.bound, self._rects + tuple(rects))
 
     # ------------------------------------------------------------------
     # Escape coordinates
@@ -272,12 +202,12 @@ class ObstacleSet:
         """Whether *p* is routable: inside the bound, outside all interiors."""
         if not self.bound.contains_point(p):
             return False
-        return not self._count or not bool(self._in_interiors(p.x, p.y).any())
+        return not self._rects or not bool(self._in_interiors(p.x, p.y).any())
 
     def points_free(self, points: Sequence[Point]) -> list[bool]:
         """:meth:`point_free` of every point in *points*, in one query."""
         free = [self.bound.contains_point(p) for p in points]
-        if not self._count or not points:
+        if not self._rects or not points:
             return free
         xs = np.array([p.x for p in points], dtype=np.int64)[:, None]
         ys = np.array([p.y for p in points], dtype=np.int64)[:, None]
@@ -290,7 +220,7 @@ class ObstacleSet:
         Scalars give one flag per rect; columns of points give a
         points × rects mask.
         """
-        return (self._vx0 < x) & (x < self._vx1) & (self._vy0 < y) & (y < self._vy1)
+        return (self._x0 < x) & (x < self._x1) & (self._y0 < y) & (y < self._y1)
 
     def segment_free(self, seg: Segment) -> bool:
         """Whether a wire along *seg* is legal (no interior crossings).
@@ -300,23 +230,23 @@ class ObstacleSet:
         """
         if not (self.bound.contains_point(seg.a) and self.bound.contains_point(seg.b)):
             return False
-        if not self._count:
+        if not self._rects:
             return True
         if seg.is_degenerate:
             return self.point_free(seg.a)
         if seg.is_horizontal:
             y = seg.a.y
             crossing = (
-                (self._vy0 < y)
-                & (y < self._vy1)
-                & (np.maximum(self._vx0, seg.a.x) < np.minimum(self._vx1, seg.b.x))
+                (self._y0 < y)
+                & (y < self._y1)
+                & (np.maximum(self._x0, seg.a.x) < np.minimum(self._x1, seg.b.x))
             )
         else:
             x = seg.a.x
             crossing = (
-                (self._vx0 < x)
-                & (x < self._vx1)
-                & (np.maximum(self._vy0, seg.a.y) < np.minimum(self._vy1, seg.b.y))
+                (self._x0 < x)
+                & (x < self._x1)
+                & (np.maximum(self._y0, seg.a.y) < np.minimum(self._y1, seg.b.y))
             )
         return not bool(crossing.any())
 
@@ -326,13 +256,12 @@ class ObstacleSet:
         Used by the aggressive successor generator: the cell currently
         being hugged contributes its corner coordinates as escape stops.
         """
-        if not self._count:
+        if not self._rects:
             return []
         closed = (
-            (self._vx0 <= p.x) & (p.x <= self._vx1) & (self._vy0 <= p.y) & (p.y <= self._vy1)
+            (self._x0 <= p.x) & (p.x <= self._x1) & (self._y0 <= p.y) & (p.y <= self._y1)
         )
-        touching = (self._slots[i] for i in np.flatnonzero(closed))
-        return [rect for rect in touching if rect is not None]
+        return [self._rects[i] for i in np.flatnonzero(closed).tolist()]
 
     def on_any_boundary(self, p: Point) -> bool:
         """Whether *p* lies on any rect's boundary or the routing bound's.
@@ -341,24 +270,18 @@ class ObstacleSet:
         used by the inverted-corner cost model, which queries it once
         per candidate bend.
         """
-        if self._count:
+        if self._rects:
             px, py = p.x, p.y
             closed = (
-                (self._vx0 <= px) & (px <= self._vx1)
-                & (self._vy0 <= py) & (py <= self._vy1)
+                (self._x0 <= px) & (px <= self._x1)
+                & (self._y0 <= py) & (py <= self._y1)
             )
             edge = (
-                (self._vx0 == px) | (self._vx1 == px)
-                | (self._vy0 == py) | (self._vy1 == py)
+                (self._x0 == px) | (self._x1 == px)
+                | (self._y0 == py) | (self._y1 == py)
             )
-            matches = closed & edge
-            if matches.any():
-                # Dead columns hold an out-of-bound sentinel point; it
-                # can only match a query at that exact point, but rule
-                # it out anyway rather than rely on callers staying
-                # inside the bound.
-                if any(self._slots[i] is not None for i in np.flatnonzero(matches)):
-                    return True
+            if (closed & edge).any():
+                return True
         return self.bound.on_boundary(p)
 
     # ------------------------------------------------------------------
@@ -430,25 +353,24 @@ class ObstacleSet:
     def _track(self, coord: int, horizontal: bool) -> _Track:
         """Build and store the blocker index of one row or column.
 
-        A row ``y`` indexes the live rects with ``y0 < y < y1`` — the
+        A row ``y`` indexes the rects with ``y0 < y < y1`` — the
         only ones an east/west ray along it can enter — and a column
         ``x`` the rects with ``x0 < x < x1``.  The ahead side sorts them
         by far edge (``x1`` on a row) and keeps a suffix minimum of the
         near edge; the behind side sorts them by ``x0`` and keeps a
         prefix maximum of ``x1``.  Ties go to the earliest-inserted
-        rect, matching the scan's ``argmin``/``argmax`` over slot order.
+        rect, matching the scan's ``argmin``/``argmax`` over column order.
         """
         if horizontal:
-            span_lo, span_hi, lo, hi = self._vy0, self._vy1, self._vx0, self._vx1
+            span_lo, span_hi, lo, hi = self._y0, self._y1, self._x0, self._x1
         else:
-            span_lo, span_hi, lo, hi = self._vx0, self._vx1, self._vy0, self._vy1
-        # Dead columns hold the out-of-bound sentinel and never straddle
-        # a track; flatnonzero keeps slot (= insertion) order, so a
-        # rect's position here is its tie-break rank.
-        live = np.flatnonzero((span_lo < coord) & (coord < span_hi))
-        rects = [self._slots[i] for i in live.tolist()]
-        starts = lo[live].tolist()
-        ends = hi[live].tolist()
+            span_lo, span_hi, lo, hi = self._x0, self._x1, self._y0, self._y1
+        # flatnonzero keeps column (= insertion) order, so a rect's
+        # position here is its tie-break rank.
+        straddling = np.flatnonzero((span_lo < coord) & (coord < span_hi))
+        rects = [self._rects[i] for i in straddling.tolist()]
+        starts = lo[straddling].tolist()
+        ends = hi[straddling].tolist()
         ranks = range(len(rects))
 
         by_end = sorted(ranks, key=ends.__getitem__)
@@ -493,16 +415,16 @@ class ObstacleSet:
         px, py = origin.x, origin.y
         if direction is Direction.EAST:
             limit = self.bound.x1
-            stops = self._ray_stops(self._vy0, self._vy1, py, self._vx1 > px, self._vx0, px, +1)
+            stops = self._ray_stops(self._y0, self._y1, py, self._x1 > px, self._x0, px, +1)
         elif direction is Direction.WEST:
             limit = self.bound.x0
-            stops = self._ray_stops(self._vy0, self._vy1, py, self._vx0 < px, self._vx1, px, -1)
+            stops = self._ray_stops(self._y0, self._y1, py, self._x0 < px, self._x1, px, -1)
         elif direction is Direction.NORTH:
             limit = self.bound.y1
-            stops = self._ray_stops(self._vx0, self._vx1, px, self._vy1 > py, self._vy0, py, +1)
+            stops = self._ray_stops(self._x0, self._x1, px, self._y1 > py, self._y0, py, +1)
         else:  # SOUTH
             limit = self.bound.y0
-            stops = self._ray_stops(self._vx0, self._vx1, px, self._vy0 < py, self._vy1, py, -1)
+            stops = self._ray_stops(self._x0, self._x1, px, self._y0 < py, self._y1, py, -1)
 
         obstacle: Optional[Rect] = None
         reach_coord = limit
@@ -513,7 +435,7 @@ class ObstacleSet:
             closer = candidate < reach_coord if direction.sign > 0 else candidate > reach_coord
             if closer or candidate == reach_coord:
                 reach_coord = candidate
-                obstacle = self._slots[int(indices[best])]
+                obstacle = self._rects[int(indices[best])]
         reach = (
             origin.with_x(reach_coord) if direction.is_horizontal else origin.with_y(reach_coord)
         )
@@ -526,10 +448,8 @@ class ObstacleSet:
         the rect's perpendicular span and some part of the rect lies
         ahead.  The stop is the rect's near edge, clamped back to the
         origin when the origin already touches the rect's far column.
-        Dead (removed) columns hold the out-of-bound sentinel and can
-        never satisfy the perpendicular-span test.
         """
-        if not self._count:
+        if not self._rects:
             return None
         mask = (perp_lo < perp_coord) & (perp_coord < perp_hi) & ahead_mask
         if not mask.any():

@@ -39,7 +39,7 @@ from repro.layout.io import (
     rect_from_list,
     rect_to_list,
 )
-from repro.layout.layout import Layout
+from repro.layout.layout import Layout, _coordinate_problem
 from repro.layout.net import Net
 from repro.layout.pin import Pin
 from repro.layout.terminal import Terminal
@@ -62,7 +62,7 @@ class CellMove:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CellMove":
         """Inverse of :meth:`as_dict`."""
-        return cls(name=data["name"], dx=int(data["dx"]), dy=int(data["dy"]))
+        return cls(name=data["name"], dx=data["dx"], dy=data["dy"])
 
 
 def _duplicates(names: Iterable[str]) -> list[str]:
@@ -218,7 +218,8 @@ def apply_delta(layout: Layout, delta: LayoutDelta) -> Layout:
     repeated application is deterministic.  Raises
     :class:`LayoutError` when the delta does not fit the base: removing
     or moving names that do not exist, adding duplicates, moving a cell
-    off the surface, or removing a cell a surviving net still pins to.
+    by a non-integer offset or off the surface, or removing a cell a
+    surviving net still pins to.
     """
     for name in delta.remove_cells:
         layout.cell(name)
@@ -226,6 +227,9 @@ def apply_delta(layout: Layout, delta: LayoutDelta) -> Layout:
         layout.net(name)
     for move in delta.move_cells:
         layout.cell(move.name)
+        problem = _coordinate_problem((move.dx, move.dy))
+        if problem:
+            raise LayoutError(f"move of cell {move.name!r} {problem}")
 
     removed_cells = set(delta.remove_cells)
     removed_nets = set(delta.remove_nets)

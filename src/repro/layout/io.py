@@ -96,7 +96,7 @@ def _cell_from_dict(data: dict[str, Any]) -> Cell:
     if "rect" in data:
         return Cell(data["name"], _rect_from_list(data["rect"]))
     if "polygon" in data:
-        vertices = [Point(int(x), int(y)) for x, y in data["polygon"]]
+        vertices = [Point(x, y) for x, y in data["polygon"]]
         return Cell(data["name"], OrthoPolygon(vertices))
     raise LayoutError(f"cell entry {data.get('name')!r} has neither 'rect' nor 'polygon'")
 
@@ -124,7 +124,7 @@ def _net_from_dict(data: dict[str, Any]) -> Net:
         Terminal(
             term["name"],
             [
-                Pin(pin["name"], Point(int(pin["at"][0]), int(pin["at"][1])), pin.get("cell"))
+                Pin(pin["name"], Point(pin["at"][0], pin["at"][1]), pin.get("cell"))
                 for pin in term["pins"]
             ],
         )

@@ -8,6 +8,7 @@ via :func:`repro.layout.validate.validate_layout`.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -24,6 +25,20 @@ from repro.layout.validate import bounding_boxes, separations
 #: Largest coordinate magnitude a layout accepts.  The router's int64
 #: columns subtract coordinates, so the limit sits below 2**63.
 MAX_COORDINATE = 2**62
+
+
+def _coordinate_problem(values: Iterable[object]) -> Optional[str]:
+    """Why *values* are not in-range integer coordinates, or ``None``.
+
+    The router's int64 columns would silently truncate a fraction, so
+    only :class:`numbers.Integral` values (``bool`` excluded) pass.
+    """
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            return f"has a non-integer coordinate {value!r}"
+        if abs(value) > MAX_COORDINATE:
+            return "is out of range (|v| <= 2**62)"
+    return None
 
 
 class Layout:
@@ -44,10 +59,11 @@ class Layout:
         cells: Iterable[Cell] = (),
         nets: Iterable[Net] = (),
     ):
+        problem = _coordinate_problem((outline.x0, outline.y0, outline.x1, outline.y1))
+        if problem:
+            raise LayoutError(f"layout outline {outline} {problem}")
         if outline.width == 0 or outline.height == 0:
             raise LayoutError(f"layout outline {outline} is degenerate")
-        if max(map(abs, (outline.x0, outline.y0, outline.x1, outline.y1))) > MAX_COORDINATE:
-            raise LayoutError(f"layout outline {outline} is out of range (|v| <= 2**62)")
         self.outline = outline
         self._cells: dict[str, Cell] = {}
         self._nets: dict[str, Net] = {}
@@ -62,12 +78,21 @@ class Layout:
     def add_cell(self, cell: Cell) -> None:
         """Add a cell.
 
-        Raises :class:`LayoutError` on duplicate names or cells outside
-        the outline.  Overlap/separation is checked by validation, not
-        here, so that partially built layouts remain inspectable.
+        Raises :class:`LayoutError` on duplicate names, non-integer
+        coordinates or cells outside the outline.  Overlap/separation is
+        checked by validation, not here, so that partially built layouts
+        remain inspectable.
         """
         if cell.name in self._cells:
             raise LayoutError(f"duplicate cell name {cell.name!r}")
+        shape = cell.shape
+        if isinstance(shape, Rect):
+            coords: list[object] = [shape.x0, shape.y0, shape.x1, shape.y1]
+        else:
+            coords = [c for v in shape.vertices for c in (v.x, v.y)]
+        problem = _coordinate_problem(coords)
+        if problem:
+            raise LayoutError(f"cell {cell.name!r} {problem}")
         if not self.outline.contains_rect(cell.bounding_box):
             raise LayoutError(f"cell {cell.name!r} extends outside the outline {self.outline}")
         self._cells[cell.name] = cell
@@ -76,20 +101,17 @@ class Layout:
         """Add a net.
 
         Raises :class:`LayoutError` on duplicate names, pins that
-        reference unknown cells, or pin coordinates out of range
-        (:data:`MAX_COORDINATE`).  Cells need no such check: they lie
-        inside the outline.
+        reference unknown cells, or pin coordinates that are not
+        integers or are out of range (:data:`MAX_COORDINATE`).
         """
         if net.name in self._nets:
             raise LayoutError(f"duplicate net name {net.name!r}")
         for terminal in net.terminals:
             for pin in terminal.pins:
                 at = pin.location
-                if abs(at.x) > MAX_COORDINATE or abs(at.y) > MAX_COORDINATE:
-                    raise LayoutError(
-                        f"net {net.name!r} pin {pin.name!r} at {at} is out of range "
-                        f"(|v| <= 2**62)"
-                    )
+                problem = _coordinate_problem((at.x, at.y))
+                if problem:
+                    raise LayoutError(f"net {net.name!r} pin {pin.name!r} at {at} {problem}")
                 if pin.cell is not None and pin.cell not in self._cells:
                     raise LayoutError(
                         f"net {net.name!r} pin {pin.name!r} references unknown cell {pin.cell!r}"
@@ -156,10 +178,11 @@ class Layout:
     # Router views
     # ------------------------------------------------------------------
     def obstacles(self) -> ObstacleSet:
-        """A fresh obstacle view of the cells for ray tracing.
+        """The cells' blocking rects as an obstacle set for ray tracing.
 
-        Each call returns a new set so that routers may add transient
-        obstacles (e.g. nets-as-obstacles baselines) without aliasing.
+        The set is immutable and built on each call.  A router that
+        routes against extra obstacles (the nets-as-obstacles baseline)
+        grows its own copy with :meth:`ObstacleSet.extended`.
         """
         rects: list[Rect] = []
         for cell in self._cells.values():

@@ -530,6 +530,10 @@ class RoutingService:
         admitted once; 429ing it now would drop accepted jobs).  Keys
         meanwhile satisfied by the shared result store complete as
         cache hits; duplicate keys coalesce exactly like live traffic.
+        Every record is prepared first and all are admitted under one
+        hold of the lock, as :meth:`submit_many` admits a batch, so a
+        recovered run cannot finish before its duplicates are admitted
+        (they would then complete as cache hits instead of coalescing).
         Unreplayable records (e.g. written by a newer format) are
         dropped with a warning rather than wedging startup.
         """
@@ -540,50 +544,56 @@ class RoutingService:
             # Re-admission below re-records each row (same id); rows
             # that fail to replay must not wedge every later startup.
             self.store.jobs.delete(record.id)
+        admissions = []
         for record in records:
             try:
-                self._resubmit_record(record)
-                self.metrics.record_recovered()
+                admissions.append((record, self._prepare_record(record)))
             except ReproError as exc:
-                print(
-                    f"repro.service: dropping unrecoverable job "
-                    f"{record.id}: {exc}",
-                    file=sys.stderr,
-                )
+                _drop_unrecoverable(record, exc)
+        with self._lock:
+            for record, admit in admissions:
+                try:
+                    admit().recovered = True
+                except ReproError as exc:
+                    _drop_unrecoverable(record, exc)
+                    continue
+                self.metrics.record_recovered()
 
-    def _resubmit_record(self, record: JobRecord) -> Job:
+    def _prepare_record(self, record: JobRecord) -> Callable[[], Job]:
+        """Resolve one record outside the lock; the returned call admits it.
+
+        The call must run under ``self._lock``.
+        """
         self._reserve_id(record.id)
         if record.kind == "route":
             request = RouteRequest.from_dict(record.spec["request"])
             layout, key = self._prepare(request)
-            with self._lock:
-                job = self._admit_locked(
-                    key,
-                    work=self._route_work(request, layout),
-                    job_id=record.id,
-                    enforce_window=False,
-                )
-                job.recovered = True
-                return job
-        if record.kind == "reroute":
-            request = RerouteRequest.from_dict(record.spec["request"])
-            base_layout, mutated_layout, base_key, key = self._prepare_reroute(
-                request
+            return lambda: self._admit_locked(
+                key,
+                work=self._route_work(request, layout),
+                job_id=record.id,
+                enforce_window=False,
             )
-            with self._lock:
+        if record.kind == "reroute":
+            reroute = RerouteRequest.from_dict(record.spec["request"])
+            base_layout, mutated_layout, base_key, key = self._prepare_reroute(
+                reroute
+            )
+
+            def admit() -> Job:
                 prev = self.cache.get(base_key)
                 work = self._reroute_work(
-                    request, base_layout, mutated_layout, prev
+                    reroute, base_layout, mutated_layout, prev
                 )
-                job = self._admit_locked(
+                return self._admit_locked(
                     key,
                     work=work,
                     incremental=prev is not None,
                     job_id=record.id,
                     enforce_window=False,
                 )
-                job.recovered = True
-                return job
+
+            return admit
         raise RoutingError(f"unknown persisted job kind {record.kind!r}")
 
     def _reserve_id(self, job_id: str) -> None:
@@ -756,3 +766,10 @@ class RoutingService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _drop_unrecoverable(record: JobRecord, exc: ReproError) -> None:
+    print(
+        f"repro.service: dropping unrecoverable job {record.id}: {exc}",
+        file=sys.stderr,
+    )

@@ -1,17 +1,23 @@
 """Unit tests for the sequential (nets-as-obstacles) baseline."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.errors import RoutingError
 from repro.baselines.sequential import SequentialConfig, SequentialRouter, _wire_obstacle
+from repro.core.escape import EscapeMode
 from repro.geometry.point import Point
+from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 from repro.layout.cell import Cell
-from repro.layout.generators import LayoutSpec, random_layout
+from repro.layout.generators import LayoutSpec, grid_layout, random_layout, random_netlist
 from repro.layout.layout import Layout
 from repro.layout.net import Net
 from repro.analysis.verify import verify_global_route
+from repro.scenarios import route_fingerprint
 
 
 class TestWireObstacle:
@@ -104,3 +110,73 @@ class TestAgainstIndependent:
         ind_len = sum(independent.tree(n).total_length for n in shared)
         seq_len = sum(sequential.tree(n).total_length for n in shared)
         assert seq_len >= ind_len
+
+
+def _congested_grid(n_nets=12, seed=5) -> Layout:
+    layout = grid_layout(3, 3, cell_width=14, cell_height=14, gap=3, margin=6)
+    rng = random.Random(seed)
+    spec = LayoutSpec(terminals_per_net=(2, 4), pad_fraction=0.0)
+    for net in random_netlist(layout, n_nets, rng=rng, spec=spec):
+        layout.add_net(net)
+    return layout
+
+
+def _rect_order_digest(rects) -> str:
+    coords = [(r.x0, r.y0, r.x1, r.y1) for r in rects]
+    return hashlib.sha256(repr(coords).encode()).hexdigest()[:16]
+
+
+class TestGolden:
+    """Literal results of the sequential baseline on two fixed layouts.
+
+    Each routed net's wires join the obstacle set through
+    ``ObstacleSet.extended``, which appends them; insertion order is the
+    ray index's tie-break.  Besides the trees, the test pins the final
+    obstacle set's rect order, which moves if the wires are ever put in
+    front of the cells or of earlier nets' wires.
+    """
+
+    @pytest.mark.parametrize(
+        "make_layout, config, expected",
+        [
+            (
+                lambda: random_layout(LayoutSpec(n_cells=8, n_nets=6), seed=3),
+                SequentialConfig(),
+                ("9d40767af2548a59", 184, ["n3", "n4"], 27, 108, 18, "15d011fd9668abd0"),
+            ),
+            (
+                _congested_grid,
+                SequentialConfig(mode=EscapeMode.AGGRESSIVE),
+                (
+                    "f53e7c86f96faffb",
+                    289,
+                    ["n10", "n11", "n3", "n4", "n5", "n6", "n8", "n9"],
+                    57,
+                    228,
+                    42,
+                    "70859a7f51eba78c",
+                ),
+            ),
+        ],
+        ids=["random-full", "congested-aggressive"],
+    )
+    def test_trees_and_obstacle_order(self, monkeypatch, make_layout, config, expected):
+        grown = []
+        extended = ObstacleSet.extended
+
+        def spy(self, rects):
+            grown.append(extended(self, rects))
+            return grown[-1]
+
+        monkeypatch.setattr(ObstacleSet, "extended", spy)
+        route = SequentialRouter(make_layout(), config).route_all()
+        final = grown[-1].rects
+        assert (
+            route_fingerprint(route),
+            sum(tree.total_length for tree in route.trees.values()),
+            sorted(route.failed_nets),
+            route.stats.nodes_expanded,
+            route.stats.cache_misses,
+            len(final),
+            _rect_order_digest(final),
+        ) == expected

@@ -1,10 +1,11 @@
 """Unit tests for the obstacle set and ray tracer."""
 
+import numpy as np
 import pytest
 
 from repro.errors import GeometryError
 from repro.geometry.point import Direction, Point
-from repro.geometry.raytrace import _COMPACT_SLACK, ObstacleSet
+from repro.geometry.raytrace import CoordIndex, ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 
@@ -144,8 +145,8 @@ class TestTrackIndex:
             hit = ray_set.first_hit(origin, Direction.EAST)
             assert (hit.reach, hit.obstacle) == (Point(60, 50), first)
         assert make_set(second, first).first_hit(origin, Direction.EAST).obstacle == second
-        obs.remove(first)
-        for ray_set in (obs, scan_of(obs)):
+        grown = make_set(second).extended([first])
+        for ray_set in (grown, scan_of(grown)):
             hit = ray_set.first_hit(origin, Direction.EAST)
             assert (hit.reach, hit.obstacle) == (Point(60, 50), second)
 
@@ -160,11 +161,9 @@ class TestTrackIndex:
     def test_near_edge_on_the_bound_is_reported(self):
         beyond = Rect(110, 40, 130, 60)
         flush = Rect(100, 40, 120, 60)
-        obs = make_set(beyond, flush)
-        hit = obs.first_hit(Point(10, 50), Direction.EAST)
+        hit = make_set(beyond, flush).first_hit(Point(10, 50), Direction.EAST)
         assert (hit.reach, hit.obstacle) == (Point(100, 50), flush)
-        obs.remove(flush)
-        hit = obs.first_hit(Point(10, 50), Direction.EAST)
+        hit = make_set(beyond).first_hit(Point(10, 50), Direction.EAST)
         assert (hit.reach, hit.obstacle) == (Point(100, 50), None)
 
     def test_reaches_matches_first_hit(self):
@@ -186,53 +185,101 @@ class TestTrackIndex:
         with pytest.raises(GeometryError, match="outside routing bound"):
             obs.reaches(101, 50)
 
-    def test_index_across_compaction(self):
-        # The blockers sit behind enough removed fillers that compaction
-        # renumbers their slots; the tie must still go to `first`.
+
+class TestExtended:
+    def test_extended_leaves_the_original_alone(self):
+        obs = make_set()
+        assert obs.first_hit(Point(10, 50), Direction.EAST).reach == Point(100, 50)
+        blocker = Rect(40, 40, 60, 60)
+        grown = obs.extended([blocker])
+        hit = grown.first_hit(Point(10, 50), Direction.EAST)
+        assert (hit.reach, hit.obstacle) == (Point(40, 50), blocker)
+        assert not grown.segment_free(Segment.horizontal(50, 0, 100))
+        # The original's indexed track still answers for the original set.
+        assert obs.first_hit(Point(10, 50), Direction.EAST).reach == Point(100, 50)
+        assert obs.segment_free(Segment.horizontal(50, 0, 100))
+        assert obs.rects == ()
+
+    def test_extended_appends(self):
+        a, b, c = Rect(10, 10, 20, 20), Rect(30, 30, 40, 40), Rect(50, 50, 60, 60)
+        grown = make_set(a).extended([b, c])
+        assert grown.rects == (a, b, c)
+        assert grown.bound == BOUND
+        assert grown.extended([]).rects == grown.rects
+
+    def test_extended_takes_any_iterable(self):
+        rects = [Rect(10, 10, 20, 20), Rect(30, 30, 40, 40)]
+        grown = make_set().extended(r for r in rects)
+        assert grown.rects == tuple(rects)
+
+    def test_extended_registers_new_edges(self):
+        obs = make_set(Rect(10, 10, 20, 20))
+        grown = obs.extended([Rect(33, 44, 55, 66)])
+        assert list(grown.edge_xs) == [0, 10, 20, 33, 55, 100]
+        assert list(grown.edge_ys) == [0, 10, 20, 44, 66, 100]
+        assert grown.edge_xs.as_array().tolist() == [0, 10, 20, 33, 55, 100]
+        assert list(obs.edge_xs) == [0, 10, 20, 100]
+        assert list(obs.edge_ys) == [0, 10, 20, 100]
+
+    def test_extended_point_queries_see_new_rects(self):
+        rect = Rect(40, 40, 60, 60)
+        obs = make_set()
+        grown = obs.extended([rect])
+        assert not grown.point_free(Point(50, 50))
+        assert grown.rects_touching(Point(40, 50)) == [rect]
+        assert grown.on_any_boundary(Point(60, 45))
+        assert obs.point_free(Point(50, 50))
+        assert obs.rects_touching(Point(40, 50)) == []
+        assert not obs.on_any_boundary(Point(60, 45))
+
+    def test_extended_starts_its_own_probe_count(self):
+        obs = make_set(Rect(40, 40, 60, 60))
+        obs.first_hit(Point(10, 50), Direction.EAST)
+        grown = obs.extended([Rect(10, 70, 20, 80)])
+        assert grown.ray_probes == 0
+        grown.reaches(10, 50)
+        assert (obs.ray_probes, grown.ray_probes) == (1, 4)
+
+    def test_extended_after_indexed_rays_matches_scan(self):
+        # The original's tracks are indexed before it is extended; the
+        # grown set must index its own tracks over every rect, and the
+        # tie must still go to `first`, which precedes `second`.
         first = Rect(60, 30, 70, 60)
         second = Rect(60, 40, 90, 80)
-        fillers = [Rect(i, 0, i + 1, 10) for i in range(_COMPACT_SLACK + 8)]
-        obs = make_set(*fillers[:4], first, *fillers[4:], second)
-        for filler in fillers:
-            obs.remove(filler)
-            reference = scan_of(obs)
-            for origin in (Point(10, 50), Point(0, 5), Point(80, 5)):
-                reaches = []
-                for direction in Direction:
-                    hit = obs.first_hit(origin, direction)
-                    assert hit == reference.first_hit(origin, direction)
-                    reaches.append(hit.reach.x if direction.is_horizontal else hit.reach.y)
-                assert obs.reaches(origin.x, origin.y) == tuple(reaches)
-            assert obs.first_hit(Point(10, 50), Direction.EAST).obstacle == first
-        assert len(obs._slots) < len(fillers) + 2  # compaction did run
+        fillers = [Rect(i, 0, i + 1, 10) for i in range(0, 40, 4)]
+        obs = make_set(*fillers[:4], first)
+        origins = (Point(10, 50), Point(0, 5), Point(80, 5), Point(95, 50))
+        for origin in origins:
+            obs.reaches(origin.x, origin.y)
+        grown = obs.extended([*fillers[4:], second])
+        reference = scan_of(grown)
+        for origin in origins:
+            reaches = []
+            for direction in Direction:
+                hit = grown.first_hit(origin, direction)
+                assert hit == reference.first_hit(origin, direction)
+                reaches.append(hit.reach.x if direction.is_horizontal else hit.reach.y)
+            assert grown.reaches(origin.x, origin.y) == tuple(reaches)
+        assert grown.first_hit(Point(10, 50), Direction.EAST).obstacle == first
+        assert grown.first_hit(Point(95, 50), Direction.WEST).obstacle == second
+        assert obs.first_hit(Point(95, 50), Direction.WEST).obstacle == first
+
+    def test_extended_chain_matches_fresh_build(self):
+        rects = [Rect(5 + 9 * i, 7 * (i % 5), 10 + 9 * i, 20 + 7 * (i % 5)) for i in range(10)]
+        grown = make_set()
+        for rect in rects:
+            grown = grown.extended([rect])
+        fresh = make_set(*rects)
+        assert grown.rects == fresh.rects
+        assert list(grown.edge_xs) == list(fresh.edge_xs)
+        assert list(grown.edge_ys) == list(fresh.edge_ys)
+        for origin in (Point(0, 30), Point(50, 99), Point(97, 3), Point(3, 97)):
+            for direction in Direction:
+                assert grown.first_hit(origin, direction) == fresh.first_hit(origin, direction)
+            assert grown.reaches(origin.x, origin.y) == fresh.reaches(origin.x, origin.y)
 
 
-class TestMutation:
-    def test_add_invalidates_queries(self):
-        obs = make_set()
-        assert obs.segment_free(Segment.horizontal(50, 0, 100))
-        obs.add(Rect(40, 40, 60, 60))
-        assert not obs.segment_free(Segment.horizontal(50, 0, 100))
-
-    def test_remove_restores(self):
-        rect = Rect(40, 40, 60, 60)
-        obs = make_set(rect)
-        obs.remove(rect)
-        assert obs.segment_free(Segment.horizontal(50, 0, 100))
-
-    def test_remove_absent_raises(self):
-        with pytest.raises(GeometryError):
-            make_set().remove(Rect(0, 0, 1, 1))
-
-    def test_add_many(self):
-        obs = make_set()
-        obs.add_many([Rect(10, 10, 20, 20), Rect(30, 30, 40, 40)])
-        assert len(obs.rects) == 2
-
-
-class TestEpochAndRayCache:
-    """Mutation invalidates the per-track index; every ray is one probe."""
-
+class TestRayProbes:
     def test_every_ray_is_one_probe(self):
         obs = make_set(Rect(40, 40, 60, 60))
         origin = Point(10, 50)
@@ -244,54 +291,21 @@ class TestEpochAndRayCache:
         obs.reaches(origin.x, origin.y)
         assert obs.ray_probes == 6  # all four directions at once
 
-    def test_epoch_bump_invalidates_stale_hits(self):
-        # Regression: an indexed track must not survive a mutation that
-        # changes the answer.
-        obs = make_set()
-        origin = Point(10, 50)
-        assert obs.first_hit(origin, Direction.EAST).reach == Point(100, 50)
-        blocker = Rect(40, 40, 60, 60)
-        obs.add(blocker)
-        hit = obs.first_hit(origin, Direction.EAST)
-        assert hit.reach == Point(40, 50)
-        assert hit.obstacle == blocker
-        obs.remove(blocker)
-        assert obs.first_hit(origin, Direction.EAST).reach == Point(100, 50)
-
-    def test_illegal_origin_still_raises_with_cache(self):
+    def test_illegal_origin_raises_every_time(self):
         obs = make_set(Rect(40, 40, 60, 60))
         with pytest.raises(GeometryError):
             obs.first_hit(Point(50, 50), Direction.EAST)
-        with pytest.raises(GeometryError):  # and again (errors are not cached)
+        with pytest.raises(GeometryError):  # and again (errors are not remembered)
             obs.first_hit(Point(50, 50), Direction.EAST)
 
-    def test_remove_duplicate_keeps_one(self):
+    def test_duplicate_rects_both_kept(self):
         rect = Rect(40, 40, 60, 60)
         obs = make_set(rect, rect)
-        obs.remove(rect)
-        assert obs.rects == (rect,)
+        assert obs.rects == (rect, rect)
         assert not obs.segment_free(Segment.horizontal(50, 0, 100))
-        obs.remove(rect)
-        assert obs.rects == ()
-        assert obs.segment_free(Segment.horizontal(50, 0, 100))
-
-    def test_heavy_churn_compacts_without_drift(self):
-        # Push enough removals through to trigger compaction and check
-        # queries still match a pristine set.
-        obs = make_set()
-        rects = [Rect(i % 9 * 10 + 1, i // 9 * 10 + 1, i % 9 * 10 + 5, i // 9 * 10 + 5)
-                 for i in range(81)]
-        obs.add_many(rects)
-        for rect in rects[:70]:
-            obs.remove(rect)
-        pristine = ObstacleSet(BOUND, rects[70:])
-        assert obs.rects == pristine.rects
-        assert list(obs.edge_xs) == list(pristine.edge_xs)
-        for x in range(0, 101, 7):
-            p = Point(x, 50)
-            assert obs.point_free(p) == pristine.point_free(p)
-            if obs.point_free(p):
-                assert obs.first_hit(p, Direction.NORTH) == pristine.first_hit(p, Direction.NORTH)
+        hit = obs.first_hit(Point(10, 50), Direction.EAST)
+        assert (hit.reach, hit.obstacle) == (Point(40, 50), rect)
+        assert obs.rects_touching(Point(40, 50)) == [rect, rect]
 
 
 class TestEdgeIndexes:
@@ -300,12 +314,44 @@ class TestEdgeIndexes:
         assert set(obs.edge_xs) == {0, 10, 20, 100}
         assert set(obs.edge_ys) == {0, 10, 20, 100}
 
-    def test_edge_coordinates_track_mutation(self):
-        obs = make_set()
-        obs.add(Rect(33, 44, 55, 66))
-        assert 33 in obs.edge_xs and 66 in obs.edge_ys
+    def test_edge_coordinates_are_distinct_and_sorted(self):
+        obs = make_set(Rect(10, 10, 20, 20), Rect(20, 10, 30, 20), Rect(10, 10, 20, 20))
+        assert list(obs.edge_xs) == [0, 10, 20, 30, 100]
+        assert obs.edge_xs.as_array().tolist() == [0, 10, 20, 30, 100]
+        assert len(obs.edge_ys) == 4
 
     def test_degenerate_rect_never_blocks_but_registers_edges(self):
         obs = make_set(Rect(50, 10, 50, 90))
         assert obs.segment_free(Segment.horizontal(50, 0, 100))
         assert 50 in obs.edge_xs
+
+
+class TestCoordIndex:
+    def test_sorted_distinct_iteration(self):
+        idx = CoordIndex([5, 1, 3, 1])
+        assert list(idx) == [1, 3, 5]
+        assert len(idx) == 3
+
+    def test_len(self):
+        assert len(CoordIndex([1, 1, 2])) == 2
+        assert len(CoordIndex()) == 0
+
+    def test_between_open_default(self):
+        idx = CoordIndex([0, 2, 4, 6, 8])
+        assert idx.between(2, 6) == [4]
+
+    def test_between_inclusive_flags(self):
+        idx = CoordIndex([0, 2, 4, 6, 8])
+        assert idx.between(2, 6, include_lo=True) == [2, 4]
+        assert idx.between(2, 6, include_hi=True) == [4, 6]
+        assert idx.between(2, 6, include_lo=True, include_hi=True) == [2, 4, 6]
+
+    def test_between_swapped_bounds(self):
+        idx = CoordIndex([0, 2, 4])
+        assert idx.between(4, 0) == [2]
+
+    def test_as_array(self):
+        array = CoordIndex([9, 0, 4, 4]).as_array()
+        assert array.dtype == np.int64
+        assert array.tolist() == [0, 4, 9]
+        assert CoordIndex().as_array().tolist() == []

@@ -1,11 +1,14 @@
 """Unit tests for the Layout container."""
 
+import numpy as np
 import pytest
 
 from repro.errors import LayoutError
+from repro.incremental.delta import LayoutDelta, apply_delta
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
+from repro.layout.io import layout_from_dict, layout_to_dict
 from repro.layout.layout import Layout
 from repro.layout.net import Net
 
@@ -104,13 +107,81 @@ class TestAccess:
         assert layout.cell_at(Point(0, 0)) is None
 
 
+class TestIntegerCoordinates:
+    """Fractions, strings and booleans are refused, not truncated.
+
+    The router's int64 columns would silently truncate a fraction, so
+    the layout rejects it at the door, and the JSON converters pass
+    values through uncoerced so the check sees them.
+    """
+
+    @staticmethod
+    def document(pin_at=(40, 39), cell_rect=(18, 9, 30, 19)) -> dict:
+        layout = Layout(Rect(0, 0, 100, 100), cells=[Cell("c", Rect(*cell_rect))])
+        layout.add_net(Net.two_point("n", Point(0, 0), Point(*pin_at)))
+        return layout_to_dict(layout)
+
+    def test_valid_document_loads(self):
+        layout = layout_from_dict(self.document())
+        assert layout.net("n").terminals[1].pins[0].location == Point(40, 39)
+        assert not layout.obstacles().point_free(Point(29, 12))
+
+    @pytest.mark.parametrize("at", [[40.7, 39], ["40", 39], [True, False], [40, 39.0]])
+    def test_non_integer_pin_rejected(self, at):
+        data = self.document()
+        data["nets"][0]["terminals"][1]["pins"][0]["at"] = at
+        with pytest.raises(LayoutError):
+            layout_from_dict(data)
+
+    def test_fractional_cell_rect_rejected(self):
+        data = self.document()
+        data["cells"][0]["rect"] = [18, 9, 30.5, 19]
+        with pytest.raises(LayoutError, match="non-integer"):
+            layout_from_dict(data)
+
+    def test_fractional_polygon_vertex_rejected(self):
+        data = self.document()
+        del data["cells"][0]["rect"]
+        data["cells"][0]["polygon"] = [[18, 9], [30.5, 9], [30.5, 19], [18, 19]]
+        with pytest.raises(LayoutError, match="non-integer"):
+            layout_from_dict(data)
+
+    def test_direct_construction_rejected(self):
+        with pytest.raises(LayoutError, match="non-integer"):
+            Layout(Rect(0, 0, 100.5, 100))
+        with pytest.raises(LayoutError, match="non-integer"):
+            Layout(Rect(False, 0, 100, 100))
+        layout = basic_layout()
+        with pytest.raises(LayoutError, match="non-integer"):
+            layout.add_cell(Cell("c", Rect(60.5, 10, 70, 20)))
+        with pytest.raises(LayoutError, match="non-integer"):
+            layout.add_net(Net.two_point("n", Point(0, 0), Point(5, 5.5)))
+        assert "c" not in layout and "n" not in layout
+
+    def test_numpy_integers_accepted(self):
+        layout = Layout(Rect(0, 0, np.int64(100), 100))
+        layout.add_net(Net.two_point("n", Point(np.int32(0), 0), Point(5, 5)))
+        assert "n" in layout
+
+    @pytest.mark.parametrize("dx", [1.5, "1", True])
+    def test_non_integer_cell_move_rejected(self, dx):
+        base = layout_from_dict(self.document())
+        delta = LayoutDelta.from_dict(
+            {"version": 1, "move_cells": [{"name": "c", "dx": dx, "dy": 0}]}
+        )
+        with pytest.raises(LayoutError, match="non-integer"):
+            apply_delta(base, delta)
+
+
 class TestViews:
     def test_obstacles_snapshot(self):
         layout = basic_layout()
         obs = layout.obstacles()
         assert len(obs.rects) == 2
-        # mutating the view must not affect the layout
-        obs.add(Rect(0, 0, 1, 1))
+        # growing the view must not affect it or the layout
+        grown = obs.extended([Rect(0, 0, 1, 1)])
+        assert len(grown.rects) == 3
+        assert len(obs.rects) == 2
         assert len(layout.obstacles().rects) == 2
 
     def test_metrics(self):

@@ -9,7 +9,7 @@ table.  Two invariants make that exact:
   for point-only, segment-only, mixed and degenerate target sets, and
   refuses a grid that misses a target coordinate;
 * a ray reach off the grid (which the obstacle set never reports, see
-  ``tests/property/test_raytrace_cache_props.py``) raises instead of
+  ``tests/property/test_raytrace_props.py``) raises instead of
   being routed to the wrong state.
 """
 

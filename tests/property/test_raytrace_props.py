@@ -1,18 +1,16 @@
-"""Property tests for the incrementally-indexed obstacle set.
+"""Property tests for the obstacle set's ray layer.
 
-The ``ObstacleSet`` (incremental numpy column maintenance + a
-per-track blocker index rebuilt lazily after every mutation) must be
-observationally identical to a freshly-built set after *any*
-interleaving of ``add``/``add_many``/``remove`` mutations.  These
-tests drive randomized mutation sequences and compare every query
-surface between:
+The ``ObstacleSet`` is built once (numpy columns plus a per-track
+blocker index filled lazily) and grown only by ``extended``, which
+returns a new set with the extra rects appended.  These tests compare
+every ray answer between:
 
-* the mutated set (the shipping configuration),
+* the indexed set (the shipping configuration),
 * a set whose rays run the plain numpy scan (the reference that
   ``reference_search()`` selects),
 * a pure-Python loop over ``obs.rects`` (no numpy, no index), and
-* a pristine set rebuilt from scratch with the surviving rects
-  (no incremental state at all).
+* for sets grown by ``extended`` chains, a set built fresh over the
+  same rects.
 """
 
 import random
@@ -21,13 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry.point import ALL_DIRECTIONS, Direction, Point
-from repro.geometry.raytrace import _COMPACT_SLACK, ObstacleSet
+from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 
 BOUND = Rect(0, 0, 60, 60)
-
-coords = st.integers(min_value=0, max_value=60)
 
 
 @st.composite
@@ -69,54 +65,22 @@ probe_lists = st.lists(
 
 
 @st.composite
-def mutation_scripts(draw, rects=small_rects()):
-    """A list of ('add'|'add_many'|'remove', payload) operations.
+def extension_chains(draw, rects=small_rects()):
+    """A base rect list and the batches an ``extended`` chain appends.
 
-    Removals pick from the rects added so far, so every script is
-    replayable; a fraction of scripts also remove everything they
-    added to exercise the empty-again state.
+    Batches may be empty and may repeat rects already in the set.
     """
-    script = []
-    pool = []
-    for _ in range(draw(st.integers(min_value=1, max_value=12))):
-        op = draw(st.sampled_from(["add", "add", "add_many", "remove"]))
-        if op == "add":
-            rect = draw(rects)
-            pool.append(rect)
-            script.append(("add", rect))
-        elif op == "add_many":
-            batch = draw(st.lists(rects, min_size=1, max_size=4))
-            pool.extend(batch)
-            script.append(("add_many", tuple(batch)))
-        elif pool:
-            victim = pool.pop(draw(st.integers(0, len(pool) - 1)))
-            script.append(("remove", victim))
-    return script
+    base = draw(st.lists(rects, max_size=6))
+    batches = draw(st.lists(st.lists(rects, max_size=4), min_size=1, max_size=5))
+    return base, batches
 
 
-def apply_script(obs: ObstacleSet, script, survivors=None) -> list[Rect]:
-    """Replay *script* onto *obs*; returns the surviving rects in order.
-
-    Stepwise callers pass their own *survivors* list so the shadow
-    state persists across calls.
-    """
-    if survivors is None:
-        survivors = []
-    for op, payload in script:
-        if op == "add":
-            obs.add(payload)
-            survivors.append(payload)
-        elif op == "add_many":
-            obs.add_many(payload)
-            survivors.extend(payload)
-        else:
-            obs.remove(payload)
-            # Mirror ObstacleSet.remove, which drops the most recently
-            # added occurrence among equal rects — keeping the shadow
-            # list's relative order identical to the set's slot order.
-            index = len(survivors) - 1 - survivors[::-1].index(payload)
-            survivors.pop(index)
-    return survivors
+def grow(bound: Rect, base, batches) -> list[ObstacleSet]:
+    """The chain ``ObstacleSet(bound, base).extended(b1).extended(b2)...``."""
+    chain = [ObstacleSet(bound, base)]
+    for batch in batches:
+        chain.append(chain[-1].extended(batch))
+    return chain
 
 
 def probe_points(rng: random.Random, count: int = 12) -> list[Point]:
@@ -230,48 +194,56 @@ class TestIndexVsScanVsBruteForce:
 
     @settings(max_examples=60, deadline=None)
     @given(tricky_sets(), probe_lists)
-    def test_memoized_answers_agree(self, rects, probes):
+    def test_indexed_tracks_answer_again(self, rects, probes):
         obs = ObstacleSet(BOUND, rects)
         # Twice: the second pass is answered from the built track index.
         assert_index_matches_references(obs, probes)
         assert_index_matches_references(obs, probes)
 
     @settings(max_examples=60, deadline=None)
-    @given(mutation_scripts(tricky_rects()), probe_lists)
-    def test_agree_after_every_mutation(self, script, probes):
-        obs = ObstacleSet(BOUND)
-        shadow: list[Rect] = []
-        assert_index_matches_references(obs, probes)
-        for step in script:
-            apply_script(obs, [step], shadow)
-            assert list(obs.rects) == shadow
+    @given(extension_chains(tricky_rects()), probe_lists)
+    def test_agree_along_an_extended_chain(self, chain, probes):
+        base, batches = chain
+        sets = grow(BOUND, base, batches)
+        for obs in sets:
+            assert_index_matches_references(obs, probes)
+        # Every set keeps answering for its own rects after its
+        # successors were built and queried.
+        for obs in sets:
             assert_index_matches_references(obs, probes)
 
 
-class TestCachedVsUncached:
+class TestExtendedVsFresh:
     @settings(max_examples=60, deadline=None)
-    @given(mutation_scripts(), st.integers(0, 2**31))
-    def test_mutated_set_matches_pristine_rebuild(self, script, seed):
-        mutated = ObstacleSet(BOUND)
-        survivors = apply_script(mutated, script)
-        pristine = ObstacleSet(BOUND, survivors)
+    @given(extension_chains(), st.integers(0, 2**31))
+    def test_grown_set_matches_a_fresh_build(self, chain, seed):
+        base, batches = chain
         rng = random.Random(seed)
         probes = probe_points(rng)
+        grown = ObstacleSet(BOUND, base)
+        expected = list(base)
+        for batch in batches:
+            # Query before growing so the old set has indexed tracks.
+            ray_answers(grown, probes)
+            grown = grown.extended(batch)
+            expected.extend(batch)
+        fresh = ObstacleSet(BOUND, expected)
 
-        assert sorted(mutated.rects) == sorted(pristine.rects)
-        assert list(mutated.edge_xs) == list(pristine.edge_xs)
-        assert list(mutated.edge_ys) == list(pristine.edge_ys)
-        assert ray_answers(mutated, probes) == ray_answers(pristine, probes)
-        assert mutated.points_free(probes) == [pristine.point_free(p) for p in probes]
+        assert grown.rects == fresh.rects == tuple(expected)
+        assert list(grown.edge_xs) == list(fresh.edge_xs)
+        assert list(grown.edge_ys) == list(fresh.edge_ys)
+        assert ray_answers(grown, probes) == ray_answers(fresh, probes)
+        assert grown.points_free(probes) == [fresh.point_free(p) for p in probes]
         for p in probes:
-            assert mutated.point_free(p) == pristine.point_free(p)
-            assert mutated.on_any_boundary(p) == pristine.on_any_boundary(p)
-            assert sorted(mutated.rects_touching(p)) == sorted(pristine.rects_touching(p))
+            assert reach_answer(grown, p) == reach_answer(fresh, p)
+            assert grown.point_free(p) == fresh.point_free(p)
+            assert grown.on_any_boundary(p) == fresh.on_any_boundary(p)
+            assert grown.rects_touching(p) == fresh.rects_touching(p)
         for a in probes[:6]:
             for b in probes[6:]:
                 if a.x == b.x or a.y == b.y:
                     seg = Segment(a, b)
-                    assert mutated.segment_free(seg) == pristine.segment_free(seg)
+                    assert grown.segment_free(seg) == fresh.segment_free(seg)
 
 
 def assert_reaches_on_edges(obs: ObstacleSet, probes) -> None:
@@ -296,24 +268,13 @@ def assert_reaches_on_edges(obs: ObstacleSet, probes) -> None:
 
 class TestReachesStayOnTheEscapeGrid:
     @settings(max_examples=80, deadline=None)
-    @given(mutation_scripts(tricky_rects()), tricky_sets(), probe_lists)
-    def test_through_add_remove_and_compaction(self, script, churn, probes):
-        obs = ObstacleSet(BOUND)
-        shadow: list[Rect] = []
-        assert_reaches_on_edges(obs, probes)
-        for step in script:
-            apply_script(obs, [step], shadow)
+    @given(tricky_sets(), probe_lists)
+    def test_static_sets(self, rects, probes):
+        assert_reaches_on_edges(ObstacleSet(BOUND, rects), probes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(extension_chains(tricky_rects()), probe_lists)
+    def test_along_an_extended_chain(self, chain, probes):
+        base, batches = chain
+        for obs in grow(BOUND, base, batches):
             assert_reaches_on_edges(obs, probes)
-        # Churn past the compaction threshold: add enough copies of the
-        # churn rects that removing them all leaves more dead columns
-        # than _COMPACT_SLACK and than live ones.
-        churn = churn or [Rect(20, 20, 30, 30)]
-        copies = churn * (_COMPACT_SLACK // len(churn) + len(shadow) + 2)
-        obs.add_many(copies)
-        appended = obs._count
-        assert_reaches_on_edges(obs, probes)
-        for rect in copies:
-            obs.remove(rect)
-            assert_reaches_on_edges(obs, probes)
-        assert obs._count < appended  # compaction ran
-        assert sorted(obs.rects) == sorted(shadow)

@@ -128,6 +128,15 @@ class TestPlumbing:
         assert excinfo.value.status == 400
         assert "out of range" in str(excinfo.value)
 
+    def test_fractional_coordinate_400(self, served):
+        _, client = served()
+        body = RouteRequest(layout=small_layout()).to_dict()
+        body["layout"]["nets"][0]["terminals"][0]["pins"][0]["at"][0] += 0.7
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(body)
+        assert excinfo.value.status == 400
+        assert "non-integer" in str(excinfo.value)
+
     @pytest.mark.parametrize(
         "strategy, params",
         [

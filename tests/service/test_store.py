@@ -235,6 +235,47 @@ class TestServicePersistence:
             fresh = service.submit(RouteRequest(layout=small_layout(9)))
             assert fresh.id == "job-000007"
 
+    def test_recovered_duplicates_coalesce_however_slow_preparation_is(
+        self, tmp_path, monkeypatch
+    ):
+        # Preparing the second record takes long enough for the first
+        # recovered run to finish, were it admitted before the second
+        # was prepared; the duplicate must still coalesce onto it.
+        spec = f"sqlite:{tmp_path / 'svc.db'}"
+        layout = small_layout(3)
+        request = RouteRequest(layout=layout).with_layout(layout)
+        orphans = make_store(spec)
+        for job_id in ("job-000005", "job-000006"):
+            orphans.jobs.record(
+                JobRecord(
+                    id=job_id,
+                    key=f"key-{job_id}",
+                    state="queued",
+                    kind="route",
+                    spec={"kind": "route", "request": request.to_dict()},
+                    submitted_at=time.time(),
+                )
+            )
+        orphans.close()
+        prepare = RoutingService._prepare
+        calls = []
+
+        def slow_second_prepare(service, req):
+            calls.append(req)
+            if len(calls) == 2:
+                time.sleep(0.5)
+            return prepare(service, req)
+
+        monkeypatch.setattr(RoutingService, "_prepare", slow_second_prepare)
+        with RoutingService(workers=1, store=spec) as service:
+            first = service.wait("job-000005", timeout=60)
+            second = service.wait("job-000006", timeout=60)
+            assert len(calls) == 2
+            assert (first.state, second.state) == ("done", "done")
+            assert not first.coalesced and second.coalesced
+            assert not second.cache_hit
+            assert service.metrics.snapshot()["recovered"] == 2
+
     def test_startup_recovers_jobs_carrying_retired_config_keys(self, tmp_path):
         # Jobs persisted while ``engine`` and ``ray_cache`` were config
         # knobs must survive the upgrade under their original ids.
