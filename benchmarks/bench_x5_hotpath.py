@@ -1,9 +1,9 @@
 """X5 — the hot path, measured.
 
-The default search (the batched escape-grid problem, rays answered by
-the obstacle set's per-track blocker index, the flattened cost-model
-inner loops and the lean OPEN/CLOSED core) is compared against the
-scalar oracle with scanned rays
+The default search (the compiled escape-grid kernel of
+:mod:`repro.search.vector`: heap, ray scan, pricing and heuristic in
+one C call per connection) is compared against the scalar oracle with
+scanned rays
 (:func:`~repro.core.pathfinder.reference_search`) on every workload.
 The claims the bench pins:
 
@@ -17,8 +17,8 @@ The claims the bench pins:
   on the default search than on the reference oracle;
   BENCH_hotpath.json tracks the trajectory PR over PR.
 * **work** — expansions and ray probes (``ray_probes``: every
-  ``first_hit`` one, every ``reaches`` four) are deterministic, and the
-  driver's ``--check`` pins them exactly.
+  ``first_hit`` one, every kernel expansion four) are deterministic,
+  and the driver's ``--check`` pins them exactly.
 
 :func:`gate` holds those claims.  Run the suite through the one bench
 driver, which writes the artifact and gates it::
@@ -90,7 +90,7 @@ QUICK = ("negotiated_grid_16", "single_pass_dense")
 #: scanned rays) and ``vectorized`` the default search.
 SEARCHES = (("scalar", True), ("vectorized", False))
 
-#: The acceptance floor for the batched search: the default search
+#: The acceptance floor for the compiled search: the default search
 #: must route :data:`ENGINE_FLOOR_WORKLOAD` at >= this many times the
 #: reference oracle's speed.
 ENGINE_SPEEDUP_FLOOR = 5.0

@@ -123,12 +123,11 @@ def scaled_congested_layout(
     """The engine-comparison workload: a big macro grid, many fat nets.
 
     Hundreds of 3-6 terminal nets across a 6x6 macro grid is where the
-    batched engines earn their keep — multi-terminal nets make the
+    compiled search earns its keep — multi-terminal nets make the
     scalar per-node heuristic loop walk every tree segment in Python,
-    while the vectorized engine prices whole expansion rays per numpy
-    call.  Small two-terminal workloads understate the gap (per-batch
-    overhead dominates), so the tracked engine speedup is measured
-    here.
+    while the kernel walks them in C.  Small two-terminal workloads
+    understate the gap (per-search set-up dominates), so the tracked
+    engine speedup is measured here.
     """
     layout = grid_layout(rows, cols, cell_width=20, cell_height=20, gap=gap, margin=8)
     rng = random.Random(seed)

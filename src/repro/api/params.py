@@ -29,6 +29,7 @@ gracefully rather than being rejected.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 import warnings
@@ -122,13 +123,20 @@ def _classify(annotation: Any) -> tuple[str, bool]:
     return _ATOMS.get(annotation, "any"), allow_none
 
 
+@functools.cache
+def _type_hints(schema: type) -> dict[str, Any]:
+    """The resolved field annotations of *schema* (resolving is slow; every
+    request validates its params, so each schema resolves once)."""
+    return typing.get_type_hints(schema)
+
+
 def param_specs(schema: type) -> dict[str, ParamSpec]:
     """Field specs of a params-schema dataclass, in declaration order."""
     if not dataclasses.is_dataclass(schema):
         raise RoutingError(
             f"params schema must be a dataclass, got {schema!r}"
         )
-    hints = typing.get_type_hints(schema)
+    hints = _type_hints(schema)
     specs: dict[str, ParamSpec] = {}
     for field in dataclasses.fields(schema):
         kind, allow_none = _classify(hints.get(field.name, Any))

@@ -17,9 +17,10 @@ batch files all speak the same format.
 from __future__ import annotations
 
 import contextvars
+import copy
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from repro.errors import RoutingError
@@ -240,8 +241,15 @@ class RouteRequest:
             return layout_from_json(handle.read())
 
     def with_layout(self, layout: Layout) -> "RouteRequest":
-        """A copy of this request with *layout* inlined (reference dropped)."""
-        return replace(self, layout=layout, layout_path=None)
+        """A copy of this request with *layout* inlined (reference dropped).
+
+        Everything else was validated when this request was built, so
+        the copy skips ``__post_init__``.
+        """
+        copied = copy.copy(self)
+        object.__setattr__(copied, "layout", layout)
+        object.__setattr__(copied, "layout_path", None)
+        return copied
 
     # ------------------------------------------------------------------
     # Serialization

@@ -13,11 +13,11 @@ Models that price bends need to know the incoming direction at each
 search state, which the pathfinder supports by switching to
 direction-tagged states; they declare ``direction_sensitive = True``.
 
-:meth:`CostModel.expansion_costs` is the one batched form of
-:meth:`~CostModel.segment_cost`: all successors of one expansion in a
-single array, bit-identical to the scalar prices.  Wirelength,
-congestion, negotiated and timing-driven models each supply it next to
-their ``segment_cost``.
+:meth:`CostModel.track_terms` describes :meth:`~CostModel.segment_cost`
+as data for the compiled search (:mod:`repro.search.vector`), which
+prices every successor from it bit-identically to the scalar method.
+Wirelength, congestion, negotiated and timing-driven models each
+supply it next to their ``segment_cost``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class CostModel:
     """Base model: cost is exactly rectilinear wirelength.
 
     Subclasses override :meth:`segment_cost` and/or :meth:`bend_cost`,
-    and :meth:`expansion_costs` alongside :meth:`segment_cost` to be
-    searched with the batched problem.
+    and :meth:`track_terms` alongside :meth:`segment_cost` to be
+    searched by the compiled search.
     """
 
     #: Whether the pathfinder must track arrival directions so that
@@ -53,31 +53,28 @@ class CostModel:
         """Extra cost for turning at *at*.  Must be >= 0."""
         return 0.0
 
-    def expansion_costs(self, x: int, y: int, hx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """:meth:`segment_cost` of every successor of one expansion.
+    def track_terms(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """:meth:`segment_cost` as the compiled search prices it.
 
-        Horizontal successors ``(hx[j], y)`` come first, then vertical
-        successors ``(x, vy[j])``, all priced into one float64 array
-        whose values equal the scalar method's bit for bit (integer
-        lengths are exact in float64).  The pathfinder batches a model
-        only when the class that supplies its :meth:`segment_cost`
-        also supplies this method, so a subclass that overrides just
-        :meth:`segment_cost` is searched with the scalar problem
-        rather than mispriced here.
+        Returns ``(regions, weights, length_weight)``: the surcharged
+        rects as an ``(r, 4)`` int64 array of ``x0, y0, x1, y1`` rows
+        and their float64 weights, in declaration order.  A segment from
+        ``a`` to ``b`` (``a <= b``) costs ``float(length)``, then
+        ``+= weight * overlap`` for each region whose closed
+        perpendicular span holds the segment's track and whose open
+        overlap with it is non-empty, in order, then
+        ``+= length_weight * length`` when ``length_weight`` is not
+        zero.  The pathfinder hands a model to the kernel only when the
+        class that supplies its :meth:`segment_cost` also supplies this
+        method, so a subclass that overrides just :meth:`segment_cost`
+        is searched with the scalar problem rather than mispriced.
         """
-        nh = hx.shape[0]
-        out = np.empty(nh + vy.shape[0], dtype=np.float64)
-        if nh:
-            head = out[:nh]
-            head[...] = hx
-            np.subtract(head, x, out=head)
-            np.abs(head, out=head)
-        if vy.shape[0]:
-            tail = out[nh:]
-            tail[...] = vy
-            np.subtract(tail, y, out=tail)
-            np.abs(tail, out=tail)
-        return out
+        return _NO_REGIONS, _NO_WEIGHTS, 0.0
+
+
+#: The terms of a model without surcharged rects.
+_NO_REGIONS = np.empty((0, 4), dtype=np.int64)
+_NO_WEIGHTS = np.empty(0, dtype=np.float64)
 
 
 class WirelengthCost(CostModel):
@@ -159,16 +156,6 @@ class InvertedCornerCost(CostModel):
         return inherited + self.epsilon
 
 
-#: Coordinate offset separating the two axes of a fused expansion
-#: surcharge.  Vertical successors and vertical-track regions are
-#: shifted here so that a cross-axis (region, successor) pair can never
-#: overlap: one operand stays in ordinary coordinate range, the other
-#: sits beyond it, so the clamped interval is empty and the
-#: contribution is exactly ``0.0``.  Same-axis pairs are unaffected —
-#: the offset cancels in the interval subtraction (exact int64).
-_FUSE_OFFSET = 1 << 40
-
-
 class CongestionPenaltyCost(CostModel):
     """Per-unit-length surcharge inside congested regions.
 
@@ -180,10 +167,9 @@ class CongestionPenaltyCost(CostModel):
     The scalar :meth:`segment_cost` prices one segment against every
     region, so the region bounds are flattened once at construction
     (the model is frozen for a whole routing pass) into plain int
-    tuples for a tight loop.  Per-region contributions are
-    bit-identical to the original object-per-query code and to
-    :meth:`expansion_costs` (same product, accumulated in the same
-    region order), so routed results do not depend on which method
+    tuples for a tight loop.  The compiled search reads the same bounds
+    from :meth:`track_terms` and accumulates the same products in the
+    same region order, so routed results do not depend on which search
     priced them.
     """
 
@@ -199,9 +185,6 @@ class CongestionPenaltyCost(CostModel):
         self.base = base or CostModel()
         self.direction_sensitive = self.base.direction_sensitive
         self._bounds = [(r.x0, r.y0, r.x1, r.y1, w) for r, w in self.regions]
-        self._batch_columns: Optional[tuple[np.ndarray, ...]] = None
-        self._track_regions: dict[tuple[bool, int], Optional[tuple[np.ndarray, ...]]] = {}
-        self._pair_spans_cache: dict[tuple[int, int], Optional[tuple[np.ndarray, ...]]] = {}
 
     def segment_cost(self, seg: Segment) -> float:
         cost = self.base.segment_cost(seg)
@@ -231,152 +214,12 @@ class CongestionPenaltyCost(CostModel):
     def bend_cost(self, at: Point, incoming: Direction, outgoing: Direction) -> float:
         return self.base.bend_cost(at, incoming, outgoing)
 
-    def _region_columns(self) -> tuple[np.ndarray, ...]:
-        """Region bounds as int64/float64 columns, in declaration order."""
-        if self._batch_columns is None:
-            self._batch_columns = (
-                np.array([b[0] for b in self._bounds], dtype=np.int64),
-                np.array([b[1] for b in self._bounds], dtype=np.int64),
-                np.array([b[2] for b in self._bounds], dtype=np.int64),
-                np.array([b[3] for b in self._bounds], dtype=np.int64),
-                np.array([b[4] for b in self._bounds], dtype=np.float64),
-            )
-        return self._batch_columns
-
-    def _regions_on_track(self, horizontal: bool, fixed: int) -> Optional[tuple[np.ndarray, ...]]:
-        """Region columns whose perpendicular span contains *fixed*.
-
-        The model is frozen for a whole routing pass and searches
-        revisit the same tracks constantly, so the per-track selection
-        (in declaration order) is cached; ``None`` marks tracks no
-        region touches, which lets most batch calls exit immediately.
-        """
-        key = (horizontal, fixed)
-        try:
-            return self._track_regions[key]
-        except KeyError:
-            pass
-        rx0, ry0, rx1, ry1, weights = self._region_columns()
-        if horizontal:
-            perp_lo, perp_hi = ry0, ry1
-            span_lo, span_hi = rx0, rx1
-        else:
-            perp_lo, perp_hi = rx0, rx1
-            span_lo, span_hi = ry0, ry1
-        inside = np.flatnonzero((perp_lo <= fixed) & (fixed <= perp_hi))
-        selection: Optional[tuple[np.ndarray, ...]]
-        if inside.size:
-            selection = (span_lo[inside], span_hi[inside], weights[inside])
-        else:
-            selection = None
-        self._track_regions[key] = selection
-        return selection
-
-    @staticmethod
-    def _fold_contributions(
-        costs: np.ndarray, hi: np.ndarray, weights: np.ndarray
-    ) -> None:
-        """``costs[j] += sum_r weights[r] * hi[r, j]`` in row order.
-
-        Accumulates contributions per successor in region declaration
-        order — the exact accumulation order of the scalar path
-        (including its zero terms: ``x + 0.0 == x`` for the positive
-        finite costs here, so skipped-vs-added zeros cannot differ).
-        """
-        n = costs.shape[0]
-        if n == 1:
-            # Degenerate batch: a (R, 1) column is contiguous, where
-            # numpy reductions switch to pairwise summation and can
-            # drift by an ULP.  Accumulate with Python floats instead.
-            acc = costs[0]
-            for overlap, weight in zip(hi[:, 0].tolist(), weights.tolist()):
-                acc += weight * overlap
-            costs[0] = acc
-        else:
-            # Row 0 is the running total, each later row one region's
-            # weighted overlap (multiplied straight into the buffer —
-            # no intermediate contribution matrix).  An axis-0 reduce
-            # over a C-contiguous matrix with a non-trivial inner axis
-            # folds rows top-down sequentially (pairwise summation
-            # only applies along a contiguous reduction axis) — i.e.
-            # ``((base + c0) + c1) + ...`` per successor,
-            # bit-identical to the scalar loop.  The parity suite and
-            # an adversarial unit test pin this.
-            stacked = np.empty((hi.shape[0] + 1, n), dtype=np.float64)
-            stacked[0] = costs
-            np.multiply(hi, weights[:, None], out=stacked[1:])
-            np.add.reduce(stacked, axis=0, out=costs)
-
-    def _pair_spans(self, y: int, x: int) -> Optional[tuple[np.ndarray, ...]]:
-        """Region spans of both expansion tracks, fused into one set.
-
-        The horizontal track ``y`` contributes its regions' x spans
-        as-is; the vertical track ``x`` contributes its regions' y
-        spans shifted by :data:`_FUSE_OFFSET` so they can only ever
-        overlap (equally shifted) vertical successors.  Cached per
-        ``(y, x)`` origin: searches re-expand the same origins across
-        nets and iterations while the model is frozen.
-        """
-        key = (y, x)
-        try:
-            return self._pair_spans_cache[key]
-        except KeyError:
-            pass
-        sel_h = self._regions_on_track(True, y)
-        sel_v = self._regions_on_track(False, x)
-        combined: Optional[tuple[np.ndarray, ...]]
-        if sel_v is None:
-            combined = sel_h
-        elif sel_h is None:
-            lo_v, hi_v, w_v = sel_v
-            combined = (lo_v + _FUSE_OFFSET, hi_v + _FUSE_OFFSET, w_v)
-        else:
-            lo_h, hi_h, w_h = sel_h
-            lo_v, hi_v, w_v = sel_v
-            combined = (
-                np.concatenate((lo_h, lo_v + _FUSE_OFFSET)),
-                np.concatenate((hi_h, hi_v + _FUSE_OFFSET)),
-                np.concatenate((w_h, w_v)),
-            )
-        self._pair_spans_cache[key] = combined
-        return combined
-
-    def expansion_costs(self, x: int, y: int, hx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """Wirelength plus both tracks' surcharges in one fused pass.
-
-        Batched only over a plain-wirelength base (the pathfinder's
-        rule), whose cost is exactly ``b - a`` for the normalized
-        endpoints ``a = min(c, origin)``/``b = max`` the surcharge
-        clamp needs anyway (integer lengths are exact in float64).
-        The vertical successors are shifted by :data:`_FUSE_OFFSET`
-        together with their track's regions, so each successor folds
-        its own track's regions in declaration order, as the scalar
-        loop does, plus the other track's, whose clamped overlaps are
-        exactly zero — and ``x + 0.0 == x`` for these positive costs.
-        """
-        nh = hx.shape[0]
-        n = nh + vy.shape[0]
-        if not n:
-            return np.empty(0, dtype=np.float64)
-        a = np.empty(n, dtype=np.int64)
-        b = np.empty(n, dtype=np.int64)
-        np.minimum(hx, x, out=a[:nh])
-        np.maximum(hx, x, out=b[:nh])
-        np.minimum(vy, y, out=a[nh:])
-        np.maximum(vy, y, out=b[nh:])
-        costs = (b - a).astype(np.float64)
-        combined = self._pair_spans(y, x)
-        if combined is None:
-            return costs
-        a[nh:] += _FUSE_OFFSET
-        b[nh:] += _FUSE_OFFSET
-        span_lo, span_hi, weights = combined
-        lo = np.maximum(span_lo[:, None], a[None, :])
-        hi = np.minimum(span_hi[:, None], b[None, :])
-        np.subtract(hi, lo, out=hi)
-        np.maximum(hi, 0, out=hi)
-        self._fold_contributions(costs, hi, weights)
-        return costs
+    def track_terms(self) -> tuple[np.ndarray, np.ndarray, float]:
+        return (
+            np.array([b[:4] for b in self._bounds], dtype=np.int64).reshape(-1, 4),
+            np.array([b[4] for b in self._bounds], dtype=np.float64),
+            0.0,
+        )
 
 
 class NegotiatedCongestionCost(CongestionPenaltyCost):
@@ -463,9 +306,10 @@ class TimingDrivenCost(NegotiatedCongestionCost):
     strength and detours on its behalf.  Both terms are >= 0, so the
     model still dominates pure wirelength and A* stays admissible.
 
-    Each search prices one net, so the per-net criticality is just one
-    more per-successor column: :meth:`expansion_costs` adds the delay
-    term to the fused congestion pricing, in the scalar sum's order.
+    Each search prices one net, so the per-net criticality is one more
+    term of :meth:`track_terms`: the delay factor ``c * delay_weight``
+    as its ``length_weight``, added after the congestion surcharge as
+    the scalar sum adds it.
     """
 
     def __init__(
@@ -502,8 +346,6 @@ class TimingDrivenCost(NegotiatedCongestionCost):
             + (self.criticality * self.delay_weight) * seg.length
         )
 
-    def expansion_costs(self, x: int, y: int, hx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        costs = super().expansion_costs(x, y, hx, vy)
-        lengths = CostModel.expansion_costs(self, x, y, hx, vy)
-        costs += (self.criticality * self.delay_weight) * lengths
-        return costs
+    def track_terms(self) -> tuple[np.ndarray, np.ndarray, float]:
+        regions, weights, _ = super().track_terms()
+        return regions, weights, self.criticality * self.delay_weight

@@ -13,13 +13,12 @@ be charged exactly.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
-from repro.errors import SearchError, UnroutableError
+from repro.errors import UnroutableError
 from repro.core.costs import CostModel, WirelengthCost
 from repro.core.escape import EscapeMode, escape_moves
 from repro.core.route import RoutePath, TargetSet
@@ -29,14 +28,14 @@ from repro.geometry.segment import Segment
 from repro.search.engine import Order, SearchResult, search
 from repro.search.problem import SearchProblem
 from repro.search.stats import ExpansionTrace, SearchStats
-from repro.search.vector import VectorSearchProblem, search_vectorized
+from repro.search.vector import EndpointError, EscapeGrid, kernel, search_vectorized
 
-#: Largest escape grid (in states) the batched problem searches.  The
-#: engine holds two grid-sized float64 arrays per search (the g mirror
-#: and the heuristic table; 32 MB each at 4M states), so larger grids
-#: take the scalar problem, which needs neither, with identical
-#: results.  This is a memory guard only: a corpus or perfbench grid
-#: has a few hundred states.
+#: Largest escape grid (in states) the compiled search runs on.  The
+#: kernel holds 13 bytes per grid state for one search (a float64 g, an
+#: int32 parent and a status byte: 52 MB at 4M states), so larger grids
+#: take the scalar problem, which allocates per visited state only,
+#: with identical results.  This is a memory guard only: a corpus or
+#: perfbench grid has a few hundred states.
 _DENSE_KEY_LIMIT = 1 << 22
 
 
@@ -149,122 +148,6 @@ class _DirectedProblem(SearchProblem):
         return float(self._req.targets.distance_to(state[0]))
 
 
-class _BatchedPointProblem(VectorSearchProblem):
-    """FULL-mode escape search over the connection's escape grid, batched.
-
-    A line search only ever stops at escape coordinates: the cell and
-    bound edges the obstacle set registers (``edge_xs``/``edge_ys``)
-    and the connection's source and target coordinates.  Merged once
-    into ascending columns ``mx`` and rows ``my``, they span a small
-    grid that holds every state, so a state is its flat grid index
-    ``ix * len(my) + iy``, a plain int; :meth:`point` converts back and
-    :func:`find_path` does so at the boundary.
-
-    One expansion is one :meth:`~repro.geometry.raytrace.ObstacleSet.reaches`
-    probe (two lookups in the per-track blocker index),
-    whose four reaches are exactly where ``first_hit`` stops in
-    :func:`~repro.core.escape.escape_moves` and always lie on the grid
-    (a reach off it raises :class:`SearchError`).  Each ray's stops
-    are then a contiguous slice of ``mx`` or ``my`` — east
-    ``mx[ix + 1 : ie + 1]``, west ``mx[iw : ix]``, north and south
-    likewise — and all successors are priced in one
-    :meth:`~repro.core.costs.CostModel.expansion_costs` call.  Successor
-    order (EAST, WEST, NORTH, SOUTH, each ray's stops ascending) and
-    every float match the scalar :class:`_PointProblem` bit for bit.
-
-    The engine's g mirror has one entry per grid state, and heuristics
-    are one gather from a per-search table of
-    :meth:`~repro.core.route.TargetSet.distance_grid`, built on first
-    use.  :func:`find_path` only builds this problem for grids of at
-    most :data:`_DENSE_KEY_LIMIT` states.
-    """
-
-    def __init__(
-        self,
-        request: PathRequest,
-        extra_xs: list[int],
-        extra_ys: list[int],
-    ):
-        self._obstacles = request.obstacles
-        self._model = request.cost_model
-        self._targets = request.targets
-        self._mx = np.union1d(
-            request.obstacles.edge_xs.as_array(), np.asarray(extra_xs, dtype=np.int64)
-        )
-        self._my = np.union1d(
-            request.obstacles.edge_ys.as_array(), np.asarray(extra_ys, dtype=np.int64)
-        )
-        self._xs = self._mx.tolist()
-        self._ys = self._my.tolist()
-        self._col = {x: i for i, x in enumerate(self._xs)}
-        self._row = {y: j for j, y in enumerate(self._ys)}
-        ny = self._ny = len(self._ys)
-        self._sources = [
-            (self._col[p.x] * ny + self._row[p.y], g0) for p, g0 in request.sources
-        ]
-        self._size = len(self._xs) * ny
-        self._h: Optional[np.ndarray] = None
-
-    def point(self, state: int) -> Point:
-        """The routing-plane point of a grid state."""
-        ix, iy = divmod(state, self._ny)
-        return Point(self._xs[ix], self._ys[iy])
-
-    def describe(self, state: int) -> str:
-        p = self.point(state)
-        return f"({p.x}, {p.y})"
-
-    def start_states(self) -> list[tuple[int, float]]:
-        return self._sources
-
-    def is_goal(self, state: int) -> bool:
-        ix, iy = divmod(state, self._ny)
-        return self._targets.contains_xy(self._xs[ix], self._ys[iy])
-
-    def size(self) -> int:
-        return self._size
-
-    def expand(self, state: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every successor of *state* and its edge cost, in order."""
-        ny = self._ny
-        ix, iy = divmod(state, ny)
-        x = self._xs[ix]
-        y = self._ys[iy]
-        east, west, north, south = self._obstacles.reaches(x, y)
-        col = self._col
-        row = self._row
-        try:
-            ie, iw, in_, is_ = col[east], col[west], row[north], row[south]
-        except KeyError:
-            raise SearchError(
-                f"ray reaches {(east, west, north, south)} from ({x}, {y}) "
-                "are not all on the escape grid"
-            ) from None
-        mx = self._mx
-        my = self._my
-        stops = np.concatenate(
-            (mx[ix + 1 : ie + 1], mx[iw:ix], my[iy + 1 : in_ + 1], my[is_:iy])
-        )
-        # The same successors as states: a step along a row moves the
-        # state by ny, a step along a column by 1.
-        spans = (
-            (state + ny, state + (ie - ix + 1) * ny, ny),
-            (state - (ix - iw) * ny, state, ny),
-            (state + 1, state + in_ - iy + 1, 1),
-            (state - iy + is_, state, 1),
-        )
-        succ = np.concatenate([np.arange(*span, dtype=np.int64) for span in spans])
-        nh = ie - iw
-        return succ, self._model.expansion_costs(x, y, stops[:nh], stops[nh:])
-
-    def heuristics(self, states: np.ndarray) -> np.ndarray:
-        table = self._h
-        if table is None:
-            grid = self._targets.distance_grid(self._mx, self._my)
-            table = self._h = grid.ravel().astype(np.float64)
-        return table[states]
-
-
 #: Set while :func:`reference_search` is active.
 _REFERENCE = False
 
@@ -277,7 +160,7 @@ def reference_search() -> Iterator[None]:
     scalar problem with the obstacle set's rays traced by the plain
     numpy scan instead of the per-track blocker index, for the duration
     of the search — the plainest form of the line-search A*, against
-    which the batched problem and the index are checked.
+    which the compiled search and the index are checked.
     The override is process-local: it never reaches the processes of a
     batch or service worker pool.  It is meant for tests, the conformance matrix and the hot-path bench; no
     config, request, CLI flag or environment variable selects it.
@@ -291,44 +174,94 @@ def reference_search() -> Iterator[None]:
         _REFERENCE = previous
 
 
-def _supplier(model: CostModel, method: str) -> type:
-    """The class in *model*'s MRO that defines *method*."""
-    return next(cls for cls in type(model).__mro__ if method in vars(cls))
+@functools.cache
+def _supplier(model_type: type, method: str) -> type:
+    """The class in *model_type*'s MRO that defines *method*."""
+    return next(cls for cls in model_type.__mro__ if method in vars(cls))
 
 
-def _prices_in_batches(model: CostModel) -> bool:
-    """Whether ``model.expansion_costs`` prices like ``model.segment_cost``.
+def _prices_in_kernel(model: CostModel) -> bool:
+    """Whether ``model.track_terms`` describes ``model.segment_cost``.
 
     True when one class supplies both methods and any ``base`` the
-    model wraps is plain wirelength (the only base the fused batched
-    pricing folds in).  A subclass that overrides :meth:`segment_cost`
-    alone inherits an ``expansion_costs`` that knows nothing of it, so
-    it gets the scalar problem instead of a mispriced batch.
+    model wraps is plain wirelength (the only base the kernel's pricing
+    knows).  A subclass that overrides :meth:`segment_cost` alone
+    inherits ``track_terms`` that know nothing of it, so it gets the
+    scalar problem instead of a mispriced kernel search.
     """
     base = getattr(model, "base", None)
-    return _supplier(model, "segment_cost") is _supplier(model, "expansion_costs") and (
-        base is None or _supplier(base, "segment_cost") is CostModel
+    kind = type(model)
+    return _supplier(kind, "segment_cost") is _supplier(kind, "track_terms") and (
+        base is None or _supplier(type(base), "segment_cost") is CostModel
+    )
+
+
+def _plain_starts(sources: list[tuple[Point, float]]) -> bool:
+    """Whether *sources* are non-empty, non-negative, and never repeated cheaper.
+
+    The scalar engine gives a start point listed again at a lower cost
+    a second, detached start node whose stale heap entry can still be
+    expanded; the kernel keeps one node per state.  Every router passes
+    cost-0 sources, so only a hand-built request takes the scalar
+    problem here (which also reports empty and negative starts).
+    """
+    first: dict[Point, float] = {}
+    return bool(sources) and all(
+        g0 >= 0 and not g0 < first.setdefault(point, g0) for point, g0 in sources
     )
 
 
 def _use_batched_engine(request: PathRequest) -> bool:
-    """Whether the batched problem serves *request*.
+    """Whether the compiled escape-grid search serves *request*.
 
-    The batched problem covers the paper's primary configuration: FULL
-    escape mode, a cost-ordered OPEN list, and a direction-insensitive
-    cost model that prices batches bit-identically
-    (:func:`_prices_in_batches`).  Everything else (AGGRESSIVE mode,
-    blind orders, bend-priced or inverted-corner models, subclasses
-    that override only ``segment_cost``) runs the scalar problem —
-    results are identical by construction, only the wall clock differs.
-    So do escape grids above :data:`_DENSE_KEY_LIMIT` states, which
-    :func:`find_path` checks once the grid is built.
+    The kernel covers the paper's primary configuration: FULL escape
+    mode, a cost-ordered OPEN list, and a direction-insensitive cost
+    model it prices bit-identically (:func:`_prices_in_kernel`).
+    Everything else (AGGRESSIVE mode, blind orders, bend-priced or
+    inverted-corner models, subclasses that override only
+    ``segment_cost``, unusual start lists) runs the scalar
+    problem — results are identical by construction, only the wall
+    clock differs.  So do escape grids above :data:`_DENSE_KEY_LIMIT`
+    states, and every search of a process whose kernel cannot be built
+    (:func:`repro.search.vector.kernel`), which :func:`find_path`
+    checks next.
     """
     return (
         request.mode is EscapeMode.FULL
         and request.order.is_cost_ordered
         and not request.cost_model.direction_sensitive
-        and _prices_in_batches(request.cost_model)
+        and _prices_in_kernel(request.cost_model)
+        and _plain_starts(request.sources)
+    )
+
+
+def _escape_grid(
+    request: PathRequest, extra_xs: list[int], extra_ys: list[int]
+) -> Optional[EscapeGrid]:
+    """The kernel's view of *request*, or ``None`` above the size cap.
+
+    A line search only ever stops at escape coordinates: the cell and
+    bound edges the obstacle set registers (``edge_xs``/``edge_ys``)
+    and the connection's source and target coordinates (*extra_xs*,
+    *extra_ys*).  The kernel merges them into the grid that holds every
+    state; grids above :data:`_DENSE_KEY_LIMIT` states are left to the
+    scalar problem.
+    """
+    edge_xs, edge_ys = request.obstacles.edge_xs, request.obstacles.edge_ys
+    columns, rows = len(edge_xs) + len(extra_xs), len(edge_ys) + len(extra_ys)
+    if columns * rows > _DENSE_KEY_LIMIT:  # an upper bound: count shared coordinates once
+        columns -= sum(x in edge_xs for x in extra_xs)
+        rows -= sum(y in edge_ys for y in extra_ys)
+        if columns * rows > _DENSE_KEY_LIMIT:
+            return None  # memory guard: the scalar problem has no grid arrays
+    return EscapeGrid(
+        obstacles=request.obstacles,
+        sources=request.sources,
+        boxes=request.targets.boxes(),
+        points=len(request.targets.points),
+        extra_xs=extra_xs,
+        extra_ys=extra_ys,
+        cost_model=request.cost_model,
     )
 
 
@@ -340,38 +273,46 @@ def find_path(request: PathRequest) -> PathSearchResult:
     :class:`~repro.search.stats.SearchStats` as ``partial``) when the
     search exhausts or hits its node limit without reaching a target.
     """
-    _check_endpoints(request)
+    extra_xs = sorted(request.targets.escape_xs() | {p.x for p, _ in request.sources})
+    extra_ys = sorted(request.targets.escape_ys() | {p.y for p, _ in request.sources})
+    grid = None
+    if not _REFERENCE and _use_batched_engine(request) and kernel() is not None:
+        grid = _escape_grid(request, extra_xs, extra_ys)
+    if grid is None:
+        _check_endpoints(request)  # the kernel checks its endpoints itself
 
     # Source already touching a target: zero-length connection.
     for point, g0 in request.sources:
         if request.targets.contains(point):
+            if grid is not None:
+                _check_endpoints(request)
             return PathSearchResult(RoutePath((point,), cost=g0), SearchStats(termination="goal"))
-
-    extra_xs = sorted(request.targets.escape_xs() | {p.x for p, _ in request.sources})
-    extra_ys = sorted(request.targets.escape_ys() | {p.y for p, _ in request.sources})
-
-    reference = _REFERENCE
-    grid = None
-    if not reference and _use_batched_engine(request):
-        grid = _BatchedPointProblem(request, extra_xs, extra_ys)
-        if grid.size() > _DENSE_KEY_LIMIT:
-            grid = None  # memory guard: the scalar problem has no grid arrays
 
     # Rays traced by this search: the delta of the obstacle set's probe
     # counter (the set is shared across connections, so its absolute
-    # value spans many searches).  SearchStats keeps its hit/miss
-    # fields; with no memo every probe is a miss.
+    # value spans many searches), to which the kernel's own rays are
+    # added.  SearchStats keeps its hit/miss fields; with no memo every
+    # probe is a miss.
     obstacles = request.obstacles
     probes_before = obstacles.ray_probes
-    if reference:
+    if _REFERENCE:
         scan_rays = obstacles._scan_rays
         obstacles._scan_rays = True
         try:
-            result = _search(request, extra_xs, extra_ys, grid)
+            result = _scalar_search(request, extra_xs, extra_ys)
         finally:
             obstacles._scan_rays = scan_rays
+    elif grid is None:
+        result = _scalar_search(request, extra_xs, extra_ys)
     else:
-        result = _search(request, extra_xs, extra_ys, grid)
+        try:
+            result = search_vectorized(
+                grid, request.order, node_limit=request.node_limit, trace=request.trace
+            )
+        except EndpointError:
+            _check_endpoints(request)  # raises the precise error
+            raise
+        obstacles.ray_probes += result.stats.cache_misses
     result.stats.cache_hits = 0
     result.stats.cache_misses = obstacles.ray_probes - probes_before
     if not result.found:
@@ -382,35 +323,15 @@ def find_path(request: PathRequest) -> PathSearchResult:
             partial=result.stats,
         )
 
+    directed = request.cost_model.direction_sensitive
     raw_states = result.path
-    if grid is not None:
-        points = [grid.point(state) for state in raw_states]
-    elif request.cost_model.direction_sensitive:
-        points = [state[0] for state in raw_states]
-    else:
-        points = list(raw_states)
+    points = [state[0] for state in raw_states] if directed else list(raw_states)
     path = RoutePath(tuple(_compress_collinear(points)), cost=result.cost)
-    if grid is not None:
-        trace = _point_trace(result.trace, grid.point)
-    else:
-        trace = _strip_trace(result.trace, request.cost_model.direction_sensitive)
-    return PathSearchResult(path, result.stats, trace)
+    return PathSearchResult(path, result.stats, _strip_trace(result.trace, directed))
 
 
-def _search(
-    request: PathRequest,
-    extra_xs: list[int],
-    extra_ys: list[int],
-    grid: Optional[_BatchedPointProblem],
-) -> SearchResult:
-    """Run the batched problem *grid*, or the scalar problem without one."""
-    if grid is not None:
-        return search_vectorized(
-            grid,
-            request.order,
-            node_limit=request.node_limit,
-            trace=request.trace,
-        )
+def _scalar_search(request: PathRequest, extra_xs: list[int], extra_ys: list[int]) -> SearchResult:
+    """Run the scalar problem of *request* through the generic engine."""
     problem: SearchProblem
     if request.cost_model.direction_sensitive:
         problem = _DirectedProblem(request, extra_xs, extra_ys)
@@ -464,15 +385,3 @@ def _strip_trace(
     for state, parent in trace.entries:
         stripped.record(state[0], parent[0] if parent is not None else None)
     return stripped
-
-
-def _point_trace(
-    trace: Optional[ExpansionTrace], point: Callable[[int], Point]
-) -> Optional[ExpansionTrace]:
-    """Convert the batched engine's grid-state trace to points."""
-    if trace is None:
-        return trace
-    converted = ExpansionTrace()
-    for state, parent in trace.entries:
-        converted.record(point(state), point(parent) if parent is not None else None)
-    return converted

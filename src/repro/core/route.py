@@ -10,46 +10,15 @@ the escape coordinates it contributes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
-
-import numpy as np
 
 from repro.errors import RoutingError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect, bounding_rect
 from repro.geometry.segment import Segment, path_bends, path_length, path_segments
 from repro.search.stats import ExpansionTrace, SearchStats
-
-#: Distance-transform seed of a grid point on no target: far above any
-#: distance between layout coordinates (which stay well inside
-#: ``±2**58``), and far enough below the int64 limit that adding one
-#: cannot overflow.
-_FAR = 1 << 60
-
-
-def _sweep(table: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """One axis of the rectilinear distance transform, in int64.
-
-    Row ``i`` of *table* becomes ``min over k of table[k] + |c[i] -
-    c[k]|`` for the ascending coordinates ``c`` (*coords*, a column):
-    a forward running minimum of ``table - c`` plus ``c`` covers
-    ``k <= i``, a backward one of ``table + c`` minus ``c`` covers
-    ``k >= i``.
-    """
-    forward = np.minimum.accumulate(table - coords, axis=0)
-    forward += coords
-    backward = np.minimum.accumulate((table + coords)[::-1], axis=0)[::-1]
-    backward -= coords
-    return np.minimum(forward, backward, out=forward)
-
-
-def _grid_index(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Positions of *values* in the ascending *grid*, which must hold them."""
-    at = grid.searchsorted(values)
-    if values.size and not (grid.size and (grid.take(at, mode="clip") == values).all()):
-        raise RoutingError(f"target coordinates {values.tolist()} are not all on the grid")
-    return at
 
 
 @dataclass(frozen=True)
@@ -73,7 +42,8 @@ class RoutePath:
     def __post_init__(self) -> None:
         if not self.points:
             raise RoutingError("a route path needs at least one point")
-        path_length(list(self.points))  # validates rectilinearity
+        # Validates rectilinearity; kept, as the path never changes.
+        object.__setattr__(self, "_length", path_length(list(self.points)))
 
     @property
     def start(self) -> Point:
@@ -88,9 +58,9 @@ class RoutePath:
     @property
     def length(self) -> int:
         """Total rectilinear wirelength."""
-        return path_length(list(self.points))
+        return self._length
 
-    @property
+    @functools.cached_property
     def bends(self) -> int:
         """Number of corners along the path."""
         return path_bends(list(self.points))
@@ -220,27 +190,12 @@ class TargetSet:
         if not self.points and not self.segments:
             raise RoutingError("target set is empty")
         self._point_set = set(self.points)
-        self._xy_set = {(p.x, p.y) for p in self.points}
-        self._box_columns: Optional[tuple[np.ndarray, ...]] = None
 
     def contains(self, p: Point) -> bool:
         """Goal test: *p* coincides with a target point or lies on a segment."""
         if p in self._point_set:
             return True
         return any(seg.contains_point(p) for seg in self.segments)
-
-    def contains_xy(self, x: int, y: int) -> bool:
-        """:meth:`contains` over bare coordinates (vectorized engine)."""
-        if (x, y) in self._xy_set:
-            return True
-        for seg in self.segments:
-            a, b = seg.a, seg.b  # normalized: a <= b
-            if a.y == b.y:
-                if y == a.y and a.x <= x <= b.x:
-                    return True
-            elif x == a.x and a.y <= y <= b.y:
-                return True
-        return False
 
     def distance_to(self, p: Point) -> int:
         """Minimum rectilinear distance from *p* to any target.
@@ -260,45 +215,18 @@ class TargetSet:
         assert best is not None
         return best
 
-    def distance_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """:meth:`distance_to` at every point of the grid ``xs`` × ``ys``.
-
-        *xs* and *ys* are ascending, distinct int64 coordinates that
-        include every :meth:`escape_xs` and :meth:`escape_ys` value.
-        Returns an int64 array of shape ``(len(xs), len(ys))`` whose
-        ``[i, j]`` entry equals ``distance_to(Point(xs[i], ys[j]))``.
-
-        On such a grid every target is a run of grid points (a segment
-        attains its distance from any grid point at one of its own grid
-        points: the foot of the perpendicular or an end), so the table
-        is the rectilinear distance transform of those points: two
-        running-minimum sweeps per axis, exact integer arithmetic, and
-        work proportional to the grid whatever the target count.
-
-        Raises :class:`RoutingError` if a target coordinate is not on
-        the grid.
-        """
-        x0, x1, y0, y1 = self._boxes()
-        i0, i1 = _grid_index(xs, x0), _grid_index(xs, x1)
-        j0, j1 = _grid_index(ys, y0), _grid_index(ys, y1)
-        seeds = np.full((xs.shape[0], ys.shape[0]), _FAR, dtype=np.int64)
-        n = len(self.points)
-        seeds[i0[:n], j0[:n]] = 0
-        for a, b, c, d in zip(i0[n:].tolist(), i1[n:].tolist(), j0[n:].tolist(), j1[n:].tolist()):
-            seeds[a : b + 1, c : d + 1] = 0
-        return _sweep(_sweep(seeds, xs[:, None]).T, ys[:, None]).T
-
-    def _boxes(self) -> tuple[np.ndarray, ...]:
-        """Every target as a closed box: int64 columns ``x0, x1, y0, y1``.
+    def boxes(self) -> list[tuple[int, int, int, int]]:
+        """Every target as a closed box ``(x0, x1, y0, y1)``.
 
         Points come first (each a one-point box), then the segments
-        (normalized, so ``a <= b``).
+        (normalized, so ``a <= b``).  :meth:`contains` holds exactly on
+        the boxes and :meth:`distance_to` is the distance to the nearest
+        one, which is how the compiled search tests goals and prices
+        its heuristic.
         """
-        if self._box_columns is None:
-            corners = [(p.x, p.x, p.y, p.y) for p in self.points]
-            corners += [(s.a.x, s.b.x, s.a.y, s.b.y) for s in self.segments]
-            self._box_columns = tuple(np.array(col, dtype=np.int64) for col in zip(*corners))
-        return self._box_columns
+        boxes = [(p.x, p.x, p.y, p.y) for p in self.points]
+        boxes += [(s.a.x, s.b.x, s.a.y, s.b.y) for s in self.segments]
+        return boxes
 
     def nearest_point_to(self, p: Point) -> Point:
         """The concrete target point nearest to *p* (for diagnostics)."""

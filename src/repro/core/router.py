@@ -77,7 +77,7 @@ class RouterConfig:
 
     The search problem and net-level parallelism are not configurable
     because neither can change a route:
-    :func:`~repro.core.pathfinder.find_path` runs the batched problem
+    :func:`~repro.core.pathfinder.find_path` runs the compiled search
     wherever it prices bit-identically to the scalar oracle and the
     scalar problem everywhere else, and every pass routes its nets
     serially.  Tests compare against the plain oracle

@@ -102,7 +102,7 @@ class CoordIndex:
     def as_array(self) -> np.ndarray:
         """The sorted values as an int64 numpy array.
 
-        Callers must not mutate it.  The batched search merges it into
+        Callers must not mutate it.  The compiled search merges it into
         its escape grid once per search instead of calling
         :meth:`between` per ray.
         """
@@ -113,6 +113,10 @@ class CoordIndex:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._sorted)
+
+    def __contains__(self, value: int) -> bool:
+        at = bisect_left(self._sorted, value)
+        return at < len(self._sorted) and self._sorted[at] == value
 
     def between(
         self, lo: int, hi: int, *, include_lo: bool = False, include_hi: bool = False
@@ -150,6 +154,7 @@ class ObstacleSet:
         columns = np.array(
             [(r.x0, r.y0, r.x1, r.y1) for r in self._rects], dtype=np.int64
         ).reshape(-1, 4).T.copy()
+        self._columns = columns
         self._x0, self._y0, self._x1, self._y1 = columns
         self._edge_xs = CoordIndex(
             [bound.x0, bound.x1, *(r.x0 for r in self._rects), *(r.x1 for r in self._rects)]
@@ -163,8 +168,7 @@ class ObstacleSet:
         self._cols: dict[int, _Track] = {}
         # Set only by find_path under reference_search: first_hit traces
         # rays with the plain scan, the oracle the index is checked
-        # against.  reaches ignores it; only the batched search, which
-        # the reference never runs, calls reaches.
+        # against.  reaches ignores it.
         self._scan_rays = False
         #: Rays traced so far (``reaches`` counts four).
         self.ray_probes = 0
@@ -173,6 +177,15 @@ class ObstacleSet:
     def rects(self) -> tuple[Rect, ...]:
         """The blocking rects, in insertion order."""
         return self._rects
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The rects as a ``(4, n)`` int64 array of ``x0, y0, x1, y1`` rows.
+
+        Rect ``i`` is column ``i`` (insertion order).  Callers must not
+        mutate it.  The compiled search scans it for its rays.
+        """
+        return self._columns
 
     def extended(self, rects: Iterable[Rect]) -> ObstacleSet:
         """A new set over this one's rects followed by *rects*.
@@ -326,11 +339,12 @@ class ObstacleSet:
 
         Returns ``(east_x, west_x, north_y, south_y)`` — the ``reach``
         coordinates :meth:`first_hit` reports, with the same
-        :class:`GeometryError` for an illegal origin.  The batched
-        search engine asks for all four directions of every expanded
-        state, so it gets them from two track lookups (the row and the
-        column through the origin), without building any :class:`Hit`.
-        It counts as four :attr:`ray_probes`.
+        :class:`GeometryError` for an illegal origin — from two track
+        lookups (the row and the column through the origin), without
+        building any :class:`Hit`.  The compiled search
+        (:mod:`repro.search.vector`) computes the same four reaches per
+        expansion by its own scan of :attr:`columns`.  It counts as
+        four :attr:`ray_probes`.
         """
         self.ray_probes += 4
         bound = self.bound

@@ -101,13 +101,19 @@ class Rect:
         ``strict=True`` tests the open interior — the blocking test for
         routing, since cell boundaries remain routable.
         """
-        return self.x_span.contains(p.x, strict=strict) and self.y_span.contains(
-            p.y, strict=strict
-        )
+        x, y = p.x, p.y
+        if strict:
+            return self.x0 < x < self.x1 and self.y0 < y < self.y1
+        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
     def on_boundary(self, p: Point) -> bool:
         """Whether *p* lies exactly on the rectangle's boundary."""
-        return self.contains_point(p) and not self.contains_point(p, strict=True)
+        x, y = p.x, p.y
+        return (
+            self.x0 <= x <= self.x1
+            and self.y0 <= y <= self.y1
+            and (x == self.x0 or x == self.x1 or y == self.y0 or y == self.y1)
+        )
 
     def distance_to_point(self, p: Point) -> int:
         """Rectilinear distance from *p* to the closed rect (0 if inside)."""

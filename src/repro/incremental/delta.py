@@ -231,6 +231,18 @@ def apply_delta(layout: Layout, delta: LayoutDelta) -> Layout:
         if problem:
             raise LayoutError(f"move of cell {move.name!r} {problem}")
 
+    if delta.outline in (None, layout.outline) and not (delta.remove_cells or delta.move_cells):
+        # Cells and the surface stay: every surviving net carries over
+        # as it is, so the base's already-checked contents are copied.
+        mutated = layout.copy()
+        for name in delta.remove_nets:
+            mutated.remove_net(name)
+        for cell in delta.add_cells:
+            mutated.add_cell(cell)
+        for net in delta.add_nets:
+            mutated.add_net(net)
+        return mutated
+
     removed_cells = set(delta.remove_cells)
     removed_nets = set(delta.remove_nets)
     re_added_cells = {c.name for c in delta.add_cells}

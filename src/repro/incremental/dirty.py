@@ -151,7 +151,8 @@ def classify_nets(
         if tree is None:
             rip(name, "no prior route")
             continue
-        if net_to_dict(base_layout.net(name)) != net_to_dict(mutated_layout.net(name)):
+        before, after = base_layout.net(name), mutated_layout.net(name)
+        if before is not after and net_to_dict(before) != net_to_dict(after):
             rip(name, "pins changed")
             continue
         if probe is not None and not _tree_clear(probe, tree):

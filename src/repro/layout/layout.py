@@ -67,6 +67,10 @@ class Layout:
         self.outline = outline
         self._cells: dict[str, Cell] = {}
         self._nets: dict[str, Net] = {}
+        # None until validate_layout passes the layout with its default
+        # checks; from then on, the nets added since (only their pins
+        # are left to check).  Adding a cell resets it.
+        self._unchecked: Optional[list[Net]] = None
         for cell in cells:
             self.add_cell(cell)
         for net in nets:
@@ -96,6 +100,7 @@ class Layout:
         if not self.outline.contains_rect(cell.bounding_box):
             raise LayoutError(f"cell {cell.name!r} extends outside the outline {self.outline}")
         self._cells[cell.name] = cell
+        self._unchecked = None
 
     def add_net(self, net: Net) -> None:
         """Add a net.
@@ -117,13 +122,32 @@ class Layout:
                         f"net {net.name!r} pin {pin.name!r} references unknown cell {pin.cell!r}"
                     )
         self._nets[net.name] = net
+        if self._unchecked is not None:
+            self._unchecked.append(net)
+
+    def copy(self) -> "Layout":
+        """A layout with this one's outline, cells and nets, in order.
+
+        The copy shares the immutable cells and nets (already checked on
+        the way in, so they are not checked again); adding or removing
+        elements of either layout leaves the other unchanged.
+        """
+        copied = object.__new__(type(self))
+        copied.outline = self.outline
+        copied._cells = dict(self._cells)
+        copied._nets = dict(self._nets)
+        copied._unchecked = None if self._unchecked is None else list(self._unchecked)
+        return copied
 
     def remove_net(self, name: str) -> Net:
         """Remove and return a net by name (rip-up support)."""
         try:
-            return self._nets.pop(name)
+            net = self._nets.pop(name)
         except KeyError:
             raise LayoutError(f"no net named {name!r}") from None
+        if self._unchecked is not None:
+            self._unchecked = [n for n in self._unchecked if n is not net]
+        return net
 
     # ------------------------------------------------------------------
     # Access

@@ -7,6 +7,7 @@ are routed as approximate Steiner trees (Extensions section).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -55,12 +56,13 @@ class Net:
         """Bounding rect over all pin locations."""
         return bounding_rect(self.all_pin_locations)
 
-    @property
+    @functools.cached_property
     def hpwl(self) -> int:
         """Half-perimeter wirelength lower bound over all pins.
 
         The classical optimistic estimate; useful as a normalizer when
-        reporting routed wirelength quality.
+        reporting routed wirelength quality.  Computed once: a net
+        never changes.
         """
         return self.bounding_box.half_perimeter
 

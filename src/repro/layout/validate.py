@@ -12,7 +12,7 @@ legality.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from repro.errors import ValidationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.layout.cell import Cell
     from repro.layout.layout import Layout
+    from repro.layout.net import Net
 
 
 def bounding_boxes(cells: tuple[Cell, ...]) -> np.ndarray:
@@ -71,9 +72,23 @@ def validate_layout(
         Describing the first violation found, with the offending names.
         Cells are checked in order, then pairs of cells in row-major
         order, then pins in netlist order.
+
+    A layout passed with the default checks remembers it: validating it
+    again checks only the pins of nets added since (which follow every
+    other net in netlist order, so the first violation is the same),
+    and adding a cell makes the next call check everything.
     """
     if min_separation < 1:
         raise ValidationError("min_separation must be >= 1 (paper requires non-zero spacing)")
+    defaults = min_separation == 1 and allow_polygon_cells
+    if defaults and layout._unchecked is not None:
+        cells = layout.cells
+        for net in layout._unchecked:  # typically a net or two: checked pin by pin
+            for terminal in net.terminals:
+                for pin in terminal.pins:
+                    _check_pin(layout, net, pin, cells)
+        layout._unchecked = []
+        return
 
     cells = layout.cells
     for cell in cells:
@@ -94,10 +109,12 @@ def validate_layout(
             f"placement requires separation >= {min_separation}"
         )
 
-    _validate_pins(layout, boxes)
+    _validate_pins(layout, boxes, layout.nets)
+    if defaults:
+        layout._unchecked = []
 
 
-def _validate_pins(layout: Layout, boxes: np.ndarray) -> None:
+def _validate_pins(layout: Layout, boxes: np.ndarray, nets: Iterable[Net]) -> None:
     """Every pin must be a legal route endpoint.
 
     Rules: a pin attached to a cell must lie on that cell's boundary; a
@@ -110,25 +127,29 @@ def _validate_pins(layout: Layout, boxes: np.ndarray) -> None:
     inside its box but outside the cell).
     """
     cells = layout.cells
-    pins = [
-        (net, pin) for net in layout.nets for terminal in net.terminals for pin in terminal.pins
-    ]
+    pins = [(net, pin) for net in nets for terminal in net.terminals for pin in terminal.pins]
     xy = np.array([(pin.location.x, pin.location.y) for _, pin in pins], dtype=np.int64)
     px, py = xy.reshape(-1, 2).T[:, :, None]
     x0, y0, x1, y1 = boxes.T
     inside_box = (x0 < px) & (px < x1) & (y0 < py) & (py < y1)
-    for (net, pin), candidates in zip(pins, inside_box):
-        where = f"pin {pin.name!r} of net {net.name!r}"
-        if not layout.outline.contains_point(pin.location):
-            raise ValidationError(f"{where} lies outside the routing surface")
-        if pin.cell is not None:
-            cell = layout.cell(pin.cell)
-            if not cell.on_boundary(pin.location):
-                raise ValidationError(
-                    f"{where} is not on the boundary of its cell {pin.cell!r}"
-                )
-        for k in np.flatnonzero(candidates).tolist():
-            if cells[k].contains_point(pin.location, strict=True):
-                raise ValidationError(
-                    f"{where} is strictly inside cell {cells[k].name!r} and unreachable"
-                )
+    suspects = inside_box.any(axis=1).tolist()
+    for i, ((net, pin), suspect) in enumerate(zip(pins, suspects)):
+        candidates = [cells[k] for k in np.flatnonzero(inside_box[i]).tolist()] if suspect else ()
+        _check_pin(layout, net, pin, candidates)
+
+
+def _check_pin(layout: Layout, net: Net, pin, candidates: Iterable[Cell]) -> None:
+    """Check one pin; *candidates* are the cells it may be strictly inside."""
+    at = pin.location
+    problem = None
+    if not layout.outline.contains_point(at):
+        problem = "lies outside the routing surface"
+    elif pin.cell is not None and not layout.cell(pin.cell).on_boundary(at):
+        problem = f"is not on the boundary of its cell {pin.cell!r}"
+    else:
+        for cell in candidates:
+            if cell.contains_point(at, strict=True):
+                problem = f"is strictly inside cell {cell.name!r} and unreachable"
+                break
+    if problem is not None:
+        raise ValidationError(f"pin {pin.name!r} of net {net.name!r} {problem}")

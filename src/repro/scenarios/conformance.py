@@ -116,7 +116,7 @@ class MatrixPoint:
 
 #: Every pruning × reference combination.  Reference points share
 #: identity groups with the others (``_identity_key`` ignores them):
-#: the batched search and the ray index promise byte-identical routes,
+#: the compiled search and the ray index promise byte-identical routes,
 #: and this matrix is where that promise is differentially pinned
 #: across the whole corpus.
 FULL_MATRIX: tuple[MatrixPoint, ...] = tuple(

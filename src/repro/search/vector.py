@@ -1,246 +1,339 @@
-"""Batched frontier expansion for the cost-ordered search core.
+"""The compiled escape-grid search.
 
-The scalar engine (:mod:`repro.search.engine`) prices and pushes one
-successor at a time; on congested workloads almost all of the wall
-time is the per-successor Python work — a ``Segment`` allocation, a
-cost-model call that loops over every congestion region, and a
-heuristic call that loops over every target.  This module keeps the
-scalar engine's OPEN/CLOSED loop *exactly* (same heap-entry shapes,
-same tie-breaking counter, same stale-entry check, same goal-test-at-
-pop) but asks the problem for a whole expansion at once: a
-:class:`VectorSearchProblem` returns all successors of a state as
-numpy columns, so edge costs and heuristics are evaluated with a few
-array operations instead of thousands of interpreter dispatches.
+The scalar engine (:mod:`repro.search.engine`) spends almost all of a
+line search's wall time on per-successor interpreter work: a ray
+probe, a ``Segment``, a cost-model call that loops over the congestion
+regions, a heuristic call that loops over the targets, and a heap
+push.  :func:`search_vectorized` runs the whole A* of one connection
+in one C function instead (``escape_astar.c``, next to this module):
+the heap, the four ray reaches of every expansion (a scan of the
+obstacle set's int64 rect columns), the successor pricing, the
+heuristic and goal test from the target boxes, the node limit, the
+expansion trace and every counter.
 
-Bit-exactness contract: ``numpy`` float64 elementwise arithmetic is
-IEEE-identical to Python float scalar arithmetic, and every batched
-cost/heuristic implementation accumulates per-successor contributions
-in the same order as its scalar counterpart.  The differential parity
-suite pins this: routes, costs, node counters, and expansion traces
-from this engine are byte-identical to the scalar oracle.
+Bit-exactness contract: the kernel forms every float the way the
+Python code does (integer lengths rounded once, region surcharges
+added in declaration order, no fused multiply-add), orders its heap
+like Python tuples and sifts it like :mod:`heapq`, so routes, costs,
+node counters and traces equal the scalar oracle's.  The parity suites
+pin this.
+
+The library is compiled on the first search of a process, never at
+import: ``-O2 -std=c99 -fPIC -shared -ffp-contract=off`` with the
+interpreter's configured C compiler, else ``cc``, into
+:data:`CACHE_DIR` under a name keyed by a hash of the source and the
+flags, through a temporary file and an atomic rename (concurrent first
+builds are safe).  When no compiler works, :func:`kernel` warns once
+and returns ``None``, and the pathfinder searches with the scalar
+problem; results are the same, only slower.
 """
 
 from __future__ import annotations
 
-import heapq
+import array
+import ctypes
+import os
+import threading
 import time
-from abc import ABC, abstractmethod
-from itertools import repeat
-from typing import Optional, Sequence
+import warnings
+import weakref
+from dataclasses import dataclass
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from repro.errors import SearchError
-from repro.search.engine import _CLOSED, _OPEN, Order, SearchResult
+from repro.geometry.point import Point
+from repro.geometry.raytrace import ObstacleSet
+from repro.search.engine import Order, SearchResult
 from repro.search.node import SearchNode
 from repro.search.stats import ExpansionTrace, SearchStats
 
+if TYPE_CHECKING:
+    from repro.core.costs import CostModel
 
-class VectorSearchProblem(ABC):
-    """A search problem over the int states ``0 .. size - 1``, batched.
+_SOURCE = Path(__file__).with_name("escape_astar.c")
 
-    The contract mirrors :class:`~repro.search.problem.SearchProblem`
-    except that :meth:`expand` replaces ``successors`` and
-    :meth:`heuristics` replaces ``heuristic``: one call returns every
-    successor of a state with its edge cost, and heuristics are priced
-    for an array of states at once.  Successor *order* within the batch
-    must match what the scalar problem would have yielded — the engine
-    preserves it, and the tie-breaking counter makes it observable.
+#: Compiler flags.  ``-ffp-contract=off`` keeps ``cost += w * overlap``
+#: two roundings on targets (aarch64) that would otherwise fuse it.
+FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
 
-    States are ints of a small range so that the engine can mirror
-    every state's best-known g in one flat float64 array (the "g
-    mirror").  On congested workloads ~80% of generated successors fail
-    the ``new_g < existing.g`` improvement test; one gathered comparison
-    against the mirror rejects them all, so the Python loop only visits
-    actual improvements.  The comparison is the identical float64 ``<``
-    the scalar loop performs (unknown states hold +inf), so the visited
-    set, push order, and all counters are unchanged.  The pathfinder's
-    batched problem numbers the points of the connection's escape grid
-    this way.
+#: Where built kernels are kept: a per-user cache outside any checkout,
+#: one file per hash of the source and :data:`FLAGS`.
+CACHE_DIR = Path(os.path.expanduser("~")) / ".cache" / "repro"
+
+_I64 = ctypes.POINTER(ctypes.c_int64)
+
+
+class _Problem(ctypes.Structure):
+    _fields_ = [
+        ("bx0", ctypes.c_int64), ("by0", ctypes.c_int64),
+        ("bx1", ctypes.c_int64), ("by1", ctypes.c_int64),
+        ("nrects", ctypes.c_int64), ("rects", ctypes.c_void_p),
+        ("nedge_x", ctypes.c_int64), ("nedge_y", ctypes.c_int64),
+        ("edge_x", ctypes.c_void_p), ("edge_y", ctypes.c_void_p),
+        ("ntargets", ctypes.c_int64), ("npoints", ctypes.c_int64),
+        ("nextra_x", ctypes.c_int64), ("nextra_y", ctypes.c_int64),
+        ("nsources", ctypes.c_int64),
+        ("connection", ctypes.c_void_p), ("source_costs", ctypes.c_void_p),
+        ("nregions", ctypes.c_int64), ("regions", ctypes.c_void_p),
+        ("weights", ctypes.c_void_p), ("length_weight", ctypes.c_double),
+        ("node_limit", ctypes.c_int64),
+        ("use_heuristic", ctypes.c_int32), ("trace", ctypes.c_int32),
+    ]
+
+
+class _Result(ctypes.Structure):
+    _fields_ = [
+        ("expanded", ctypes.c_int64), ("generated", ctypes.c_int64),
+        ("reopened", ctypes.c_int64), ("max_open", ctypes.c_int64),
+        ("probes", ctypes.c_int64),
+        ("termination", ctypes.c_int32), ("error", ctypes.c_int32),
+        ("cost", ctypes.c_double),
+        ("path_len", ctypes.c_int64), ("path", _I64),
+        ("trace_len", ctypes.c_int64), ("trace", _I64),
+        ("error_x", ctypes.c_int64), ("error_y", ctypes.c_int64),
+        ("error_reach", ctypes.c_int64 * 4),
+    ]
+
+
+_TERMINATIONS = ("goal", "exhausted", "limit")
+_NO_MEMORY, _BAD_ENDPOINT, _OFF_GRID, _TOO_BIG = 1, 2, 3, 4
+
+
+class EndpointError(SearchError):
+    """A source or target point lies outside the bound or inside a cell."""
+
+
+@dataclass
+class EscapeGrid:
+    """One connection's search, as the kernel reads it.
+
+    The grid's columns are ``obstacles.edge_xs`` merged with
+    ``extra_xs`` (the connection's source and target x coordinates,
+    ascending), its rows likewise; every stop of the line search lies
+    on it.  ``boxes`` are the targets as closed boxes ``(x0, x1, y0,
+    y1)``, the first ``points`` of them target points, which must be
+    routable like the sources.  The kernel prices moves by
+    ``cost_model.track_terms()``
+    (:meth:`~repro.core.costs.CostModel.track_terms`).
     """
 
-    @abstractmethod
-    def start_states(self) -> Sequence[tuple[int, float]]:
-        """``(state, initial cost)`` pairs seeding the search."""
+    obstacles: ObstacleSet
+    sources: list[tuple[Point, float]]
+    boxes: list[tuple[int, int, int, int]]
+    points: int
+    extra_xs: list[int]
+    extra_ys: list[int]
+    cost_model: CostModel
 
-    @abstractmethod
-    def is_goal(self, state: int) -> bool:
-        """Whether *state* satisfies the search goal."""
 
-    @abstractmethod
-    def size(self) -> int:
-        """Number of states: every state is an int below it."""
+def _compilers() -> list[list[str]]:
+    """Compiler commands to try, in order: the interpreter's CC, then ``cc``."""
+    import shlex
+    import sysconfig
 
-    @abstractmethod
-    def expand(self, state: int) -> tuple[np.ndarray, np.ndarray]:
-        """Successor states and edge costs of the full expansion of *state*.
+    configured = sysconfig.get_config_var("CC")
+    commands = [shlex.split(configured)] if configured else []
+    return commands + [["cc"]]
 
-        Returns ``(states, edge_costs)``: an int64 array of distinct
-        successor states and the float64 edge costs, both in batch
-        order.
-        """
 
-    @abstractmethod
-    def heuristics(self, states: np.ndarray) -> np.ndarray:
-        """Admissible estimates of an int64 array of states, as float64.
+def build(cache_dir: Path) -> Path:
+    """The kernel library in *cache_dir*, compiled first if it is not there.
 
-        The engine asks only for start states and for the successors
-        that improve on their best-known g; heuristic values are pure
-        per-state functions, so they equal those of the full batch.
-        """
+    Each compiler writes to its own temporary file, renamed into place
+    only when the build succeeded, so concurrent first builds leave one
+    complete library.  Raises :class:`OSError` when no compiler works.
+    """
+    import hashlib  # the build's modules load with the first search, not at import
+    import subprocess
+    import tempfile
 
-    def describe(self, state: int) -> str:
-        """*state* as the engine's error messages print it."""
-        return str(state)
+    source = _SOURCE.read_bytes()
+    digest = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
+    target = cache_dir / f"escape_astar-{digest}.so"
+    if target.exists():
+        return target
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    failures = []
+    for command in _compilers():
+        fd, scratch = tempfile.mkstemp(prefix=f".{target.name}.", dir=cache_dir)
+        os.close(fd)
+        try:
+            done = subprocess.run(
+                [*command, *FLAGS, "-o", scratch, str(_SOURCE)],
+                capture_output=True, text=True, check=False,
+            )
+            if done.returncode == 0:
+                os.replace(scratch, target)
+                return target
+            failures.append(f"{command[0]}: {done.stderr.strip() or done.returncode}")
+        except OSError as exc:
+            failures.append(f"{command[0]}: {exc}")
+        finally:
+            if os.path.exists(scratch):
+                os.unlink(scratch)
+    raise OSError("cannot compile the search kernel: " + "; ".join(failures))
+
+
+_lock = threading.Lock()
+_kernel: Optional[ctypes.CDLL] = None
+_unavailable = False
+
+
+def kernel() -> Optional[ctypes.CDLL]:
+    """The loaded kernel, built on first use; ``None`` if it cannot be.
+
+    The first failure warns once per process and is remembered, so a
+    machine without a compiler pays for one attempt.
+    """
+    global _kernel, _unavailable
+    if _kernel is not None or _unavailable:
+        return _kernel
+    with _lock:
+        if _kernel is None and not _unavailable:
+            try:
+                library = ctypes.CDLL(str(build(CACHE_DIR)))
+            except OSError as exc:
+                _unavailable = True
+                warnings.warn(
+                    f"{exc}; line searches fall back to the scalar problem "
+                    "(same routes, slower)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                return None
+            library.rk_search.argtypes = (ctypes.POINTER(_Problem), ctypes.POINTER(_Result))
+            library.rk_search.restype = ctypes.c_int
+            library.rk_release.argtypes = (ctypes.POINTER(_Result),)
+            library.rk_release.restype = None
+            _kernel = library
+    return _kernel
+
+
+#: Per obstacle set and per cost model: the kernel's arguments that
+#: live as long as the object does (the addresses of its arrays, which
+#: the object keeps alive).
+_blocks: "weakref.WeakKeyDictionary[object, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _block(owner: object, make: Callable[[object], tuple]) -> tuple:
+    try:
+        block = _blocks.get(owner)
+    except TypeError:  # an unhashable cost model: no memo
+        return make(owner)
+    if block is None:
+        block = _blocks[owner] = make(owner)
+    return block
+
+
+def _obstacle_block(obstacles: ObstacleSet) -> tuple:
+    bound = obstacles.bound
+    edge_xs = obstacles.edge_xs.as_array()
+    edge_ys = obstacles.edge_ys.as_array()
+    columns = obstacles.columns
+    return (
+        bound.x0, bound.y0, bound.x1, bound.y1,
+        columns.shape[1], columns.ctypes.data,
+        edge_xs.shape[0], edge_ys.shape[0], edge_xs.ctypes.data, edge_ys.ctypes.data,
+    )
+
+
+def _pricing_block(model: CostModel) -> tuple:
+    regions, weights, length_weight = model.track_terms()
+    regions = np.ascontiguousarray(regions, dtype=np.int64).reshape(-1, 4)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    # The arrays ride along (unused by the kernel) to outlive their addresses.
+    return regions.shape[0], regions.ctypes.data, weights.ctypes.data, length_weight, regions, weights
 
 
 def search_vectorized(
-    problem: VectorSearchProblem,
+    grid: EscapeGrid,
     order: Order = Order.A_STAR,
     *,
     node_limit: Optional[int] = None,
     trace: bool = False,
-) -> SearchResult[int]:
-    """Run the OPEN/CLOSED search with batched expansion.
+) -> SearchResult[Point]:
+    """Run the cost-ordered OPEN/CLOSED search over *grid* in the kernel.
 
-    Mirrors :func:`repro.search.engine.search` for the cost-ordered
-    disciplines; blind orders have no per-successor pricing to batch
-    and are rejected.  Semantics — admissible goal test at pop,
-    reopening of CLOSED nodes, node-limit termination, stats, traces —
-    are identical to the scalar loop, node for node.
+    Semantics — goal test at pop, reopening of CLOSED nodes, node-limit
+    termination, stats, traces — are the scalar loop's, node for node,
+    and states are points as in the scalar point problem.  Best-first
+    search is the same loop with ``h = 0``: its keys
+    ``(g + 0.0, -g, counter)`` order exactly like the scalar engine's
+    ``(g, 0.0, counter)``, since equal first keys mean equal g.
 
-    Best-first search is the same loop with ``h ≡ 0``: its heap entries
-    ``(g + 0.0, -g, counter, ...)`` order exactly like the scalar
-    engine's ``(g, 0.0, counter, ...)``, since equal first keys mean
-    equal g and so equal second keys.
+    The goal node carries the found path as a parent chain;
+    ``stats.cache_misses`` holds the rays the search traced (four per
+    expansion).  Callers check :func:`kernel` first, and keep grids
+    within the kernel's int32 state numbering.
     """
     if not order.is_cost_ordered:
         raise SearchError(
             f"vectorized search supports cost-ordered orders only, got {order.value}"
         )
-
-    stats = SearchStats()
-    expansion = ExpansionTrace() if trace else None
-    record = expansion.record if expansion is not None else None
+    library = kernel()
+    if library is None:
+        raise SearchError("the compiled search kernel is unavailable")
     started = time.perf_counter()
+    sources = grid.sources
+    ints = [c for box in grid.boxes for c in box]
+    ints += grid.extra_xs
+    ints += grid.extra_ys
+    ints += [p.x for p, _ in sources]
+    ints += [p.y for p, _ in sources]
+    connection = array.array("q", ints)
+    costs = array.array("d", [g0 for _, g0 in sources])
+    problem = _Problem(
+        *_block(grid.obstacles, _obstacle_block),
+        len(grid.boxes), grid.points, len(grid.extra_xs), len(grid.extra_ys), len(sources),
+        connection.buffer_info()[0], costs.buffer_info()[0],
+        *_block(grid.cost_model, _pricing_block)[:4],
+        -1 if node_limit is None else max(node_limit, 0),
+        order is Order.A_STAR, trace,
+    )
+    out = _Result()
+    error = library.rk_search(ctypes.byref(problem), ctypes.byref(out))
+    try:
+        if error:
+            _raise(out, error)
+        stats = SearchStats(
+            nodes_expanded=out.expanded,
+            nodes_generated=out.generated,
+            nodes_reopened=out.reopened,
+            max_open_size=out.max_open,
+            termination=_TERMINATIONS[out.termination],
+            cache_misses=out.probes,
+        )
+        goal = None
+        if out.path_len:
+            flat = out.path[: 2 * out.path_len]
+            for x, y in zip(flat[::2], flat[1::2]):
+                goal = SearchNode(Point(x, y), 0.0, parent=goal)
+            goal.g = out.cost
+        expansion = None
+        if trace:
+            expansion = ExpansionTrace()
+            flat = out.trace[: 5 * out.trace_len]
+            for k in range(0, len(flat), 5):
+                x, y, has_parent, px, py = flat[k : k + 5]
+                expansion.record(Point(x, y), Point(px, py) if has_parent else None)
+    finally:
+        library.rk_release(ctypes.byref(out))
+    stats.elapsed_seconds = time.perf_counter() - started
+    return SearchResult(goal, stats, expansion)
 
-    use_heuristic = order is Order.A_STAR
-    heuristics = problem.heuristics
-    expand = problem.expand
-    is_goal = problem.is_goal
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    zeros = repeat(0.0)
 
-    nodes: dict[int, SearchNode[int]] = {}
-    status: dict[int, int] = {}
-    nodes_get = nodes.get
-    status_get = status.get
-    g_flat = np.full(problem.size(), np.inf, dtype=np.float64)
-    heap: list[tuple[float, float, int, float, SearchNode[int]]] = []
-    counter = 0
-    open_size = 0
-    max_open = 0
-    expanded = 0
-    generated = 0
-    reopened = 0
-
-    def finish(termination: str) -> None:
-        stats.nodes_expanded = expanded
-        stats.nodes_generated = generated
-        stats.nodes_reopened = reopened
-        stats.max_open_size = max_open
-        stats.termination = termination
-        stats.elapsed_seconds = time.perf_counter() - started
-
-    starts = list(problem.start_states())
-    if use_heuristic:
-        start_hs = heuristics(np.array([s for s, _ in starts], dtype=np.int64)).tolist()
-    else:
-        start_hs = zeros
-    for (state, g0), h0 in zip(starts, start_hs):
-        if g0 < 0:
-            raise SearchError(
-                f"negative start cost {g0} for state {problem.describe(state)}"
-            )
-        existing = nodes.get(state)
-        if existing is None or g0 < existing.g:
-            node = SearchNode(state, g0, h0)
-            nodes[state] = node
-            heappush(heap, (g0 + h0, -g0, counter, g0, node))
-            counter += 1
-            status[state] = _OPEN
-            open_size += 1
-            if open_size > max_open:
-                max_open = open_size
-            g_flat[state] = g0
-
-    while heap:
-        entry = heappop(heap)
-        pushed_g = entry[3]
-        node = entry[4]
-        open_size -= 1
-        state = node.state
-        if status_get(state) != _OPEN or pushed_g != node.g:
-            continue  # stale heap entry: the node was re-pushed cheaper
-        status[state] = _CLOSED
-
-        if is_goal(state):
-            finish("goal")
-            return SearchResult(node, stats, expansion)
-
-        expanded += 1
-        if record is not None:
-            parent = node.parent
-            record(state, parent.state if parent is not None else None)
-        if node_limit is not None and expanded >= node_limit:
-            finish("limit")
-            return SearchResult(None, stats, expansion)
-
-        batch, edge_costs = expand(state)
-        count = batch.shape[0]
-        if not count:
-            continue
-        if edge_costs.min() < 0:
-            bad = int(np.flatnonzero(edge_costs < 0)[0])
-            raise SearchError(
-                f"negative edge cost {edge_costs[bad]} from {problem.describe(state)} "
-                f"to {problem.describe(int(batch[bad]))}"
-            )
-        generated += count
-        # node_g + float64 column == the scalar per-successor addition,
-        # element for element.  ``g_flat`` mirrors the best-known g of
-        # every node (+inf when unknown), so the gathered comparison
-        # selects exactly the successors the scalar loop would create
-        # or improve, in batch order; .tolist() yields native floats so
-        # heap entries compare exactly as in the scalar engine.
-        node_g = node.g
-        new_arr = node_g + edge_costs
-        winners = np.flatnonzero(new_arr < g_flat[batch])
-        if not winners.size:
-            continue
-        win_states = batch[winners]
-        hs = heuristics(win_states).tolist() if use_heuristic else zeros
-        child_depth = node.depth + 1
-        for succ_state, new_g, h in zip(win_states.tolist(), new_arr[winners].tolist(), hs):
-            g_flat[succ_state] = new_g
-            existing = nodes_get(succ_state)
-            if existing is None:
-                child = SearchNode(succ_state, new_g, h, node, child_depth)
-                nodes[succ_state] = child
-                heappush(heap, (new_g + h, -new_g, counter, new_g, child))
-            else:  # a winner improves on the g its mirror entry holds
-                if status_get(succ_state) == _CLOSED:
-                    reopened += 1
-                existing.parent = node
-                existing.g = new_g
-                existing.depth = child_depth
-                heappush(heap, (new_g + h, -new_g, counter, new_g, existing))
-            counter += 1
-            status[succ_state] = _OPEN
-            open_size += 1
-            if open_size > max_open:
-                max_open = open_size
-
-    finish("exhausted")
-    return SearchResult(None, stats, expansion)
+def _raise(out: _Result, error: int) -> None:
+    """Raise the error kernel code *error* stands for."""
+    if error == _NO_MEMORY:
+        raise MemoryError("the search kernel ran out of memory")
+    if error == _TOO_BIG:
+        raise SearchError("the escape grid has too many states for the search kernel")
+    if error == _BAD_ENDPOINT:
+        raise EndpointError("a source or target point is not routable")
+    raise SearchError(
+        f"ray reaches {tuple(out.error_reach)} from ({out.error_x}, {out.error_y}) "
+        "are not all on the escape grid"
+    )

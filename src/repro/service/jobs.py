@@ -46,9 +46,12 @@ window — when the next service instance opens the same store.
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 import time
+import weakref
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Union
@@ -77,6 +80,11 @@ TERMINAL_STATES = ("done", "failed")
 DEFAULT_JOB_HISTORY = 1024
 
 
+def _encode(result: RouteResult) -> bytes:
+    """*result*'s wire document, as compressed JSON."""
+    return zlib.compress(json.dumps(result.to_dict(), separators=(",", ":")).encode())
+
+
 @dataclass
 class Job:
     """One submission's lifecycle record.
@@ -85,6 +93,12 @@ class Job:
     identical in-flight primary and finish when it does.  All mutation
     happens under the owning service's lock — readers outside the
     service should go through :meth:`RoutingService.describe`.
+
+    A finished job keeps its result as compressed JSON (a few KB) plus
+    a weak reference to the live :class:`RouteResult`, so the service's
+    job history does not keep every result alive: the live object lasts
+    as long as the result store holds it, and :attr:`result` decodes
+    the JSON after that.
     """
 
     id: str
@@ -111,11 +125,33 @@ class Job:
     submitted_mono: float = 0.0
     started_mono: Optional[float] = None
     finished_mono: Optional[float] = None
-    result: Optional[RouteResult] = None
     error: Optional[str] = None
+    _live: Optional[weakref.ref] = field(default=None, repr=False, compare=False)
+    _encoded: Optional[bytes] = field(default=None, repr=False, compare=False)
     _done: threading.Event = field(
         default_factory=threading.Event, repr=False, compare=False
     )
+
+    @property
+    def result(self) -> Optional[RouteResult]:
+        """The job's result (``None`` unless it finished ``done``).
+
+        The live object while the result store still holds it — so jobs
+        sharing one stored result share one object — else a fresh
+        decode of the stored JSON, equal to the original.
+        """
+        if self._encoded is None:
+            return None
+        live = self._live()
+        return live if live is not None else RouteResult.from_dict(self._document())
+
+    def _keep_result(self, result: RouteResult, encoded: bytes) -> None:
+        """Record the finished run's *result*, already :func:`_encode`-d."""
+        self._live = weakref.ref(result)
+        self._encoded = encoded
+
+    def _document(self) -> dict[str, Any]:
+        return json.loads(zlib.decompress(self._encoded))
 
     @property
     def finished(self) -> bool:
@@ -162,8 +198,8 @@ class Job:
             "timings": self.timings(),
             "error": self.error,
         }
-        if include_result and self.state == "done" and self.result is not None:
-            data["result"] = self.result.to_dict()
+        if include_result and self.state == "done" and self._encoded is not None:
+            data["result"] = self._document()
         return data
 
 
@@ -458,7 +494,7 @@ class RoutingService:
             job.finished_at = now
             job.started_mono = mono
             job.finished_mono = mono
-            job.result = cached
+            job._keep_result(cached, _encode(cached))
             job._done.set()
             return job
         self.metrics.record_cache(hit=False)
@@ -615,10 +651,11 @@ class RoutingService:
         self.store.jobs.update(job.id, "running")
         try:
             result = self._execute(work)
+            encoded = _encode(result)
         except Exception as exc:  # noqa: BLE001 - accepted jobs must terminate, not vanish
-            self._finish_job(job, key, result=None, error=f"{type(exc).__name__}: {exc}")
+            self._finish_job(job, key, None, error=f"{type(exc).__name__}: {exc}")
             return
-        self._finish_job(job, key, result=result, error=None)
+        self._finish_job(job, key, (result, encoded), error=None)
 
     def _execute(self, work: _Work) -> RouteResult:
         """Run one admitted work item on the configured tier.
@@ -632,8 +669,16 @@ class RoutingService:
         return work.inline()
 
     def _finish_job(
-        self, job: Job, key: str, *, result: Optional[RouteResult], error: Optional[str]
+        self,
+        job: Job,
+        key: str,
+        outcome: Optional[tuple[RouteResult, bytes]],
+        *,
+        error: Optional[str],
     ) -> None:
+        """Finish *job* and its followers: ``outcome`` is the result and
+        its :func:`_encode`-d form, or ``None`` when the run failed."""
+        result = outcome[0] if outcome is not None else None
         now = time.time()
         mono = time.monotonic()
         with self._lock:
@@ -648,7 +693,8 @@ class RoutingService:
                 self.metrics.record_failed()
             for member in (job, *followers):
                 member.state = "done" if result is not None else "failed"
-                member.result = result
+                if outcome is not None:
+                    member._keep_result(*outcome)
                 member.error = error
                 if member.started_at is None:
                     # Followers never queued for a worker: their wait

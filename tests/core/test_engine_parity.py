@@ -1,6 +1,6 @@
 """Differential parity: the pathfinder's default search vs the oracle.
 
-:func:`~repro.core.pathfinder.find_path` runs the batched problem
+:func:`~repro.core.pathfinder.find_path` runs the compiled search
 wherever it applies, and promises *byte identity* with the scalar
 oracle that :func:`~repro.core.pathfinder.reference_search` forces —
 same paths, same float costs, same node counters, same expansion
@@ -13,7 +13,6 @@ sequential-summation canary).
 
 import random
 
-import numpy as np
 import pytest
 
 import repro.core.pathfinder as pathfinder
@@ -192,7 +191,8 @@ class TestSelectionRule:
         calls.update(scan=0, index=0)
         request = _request()
         find_path(request)
-        assert calls["scan"] == 0 and calls["index"] > 0
+        # The compiled search traces its rays itself, from the rect columns.
+        assert calls == {"scan": 0, "index": 0}
         assert not request.obstacles._scan_rays
 
 
@@ -288,14 +288,14 @@ _CORPUS = load_corpus()
 
 
 class TestGenericPath:
-    """Grids above ``_DENSE_KEY_LIMIT`` leave the batched search.
+    """Grids above ``_DENSE_KEY_LIMIT`` leave the compiled search.
 
     Above the cap :func:`find_path` searches the generic scalar problem
     instead, so no grid-sized array is allocated.  No corpus grid comes
     near the cap, so the cap is patched down to zero: every search must
-    then skip ``search_vectorized`` and still match the batched search
+    then skip ``search_vectorized`` and still match the compiled search
     (same routes, node counters and expansion traces) and the oracle.
-    The corpus runs once more under best-first order, the batched
+    The corpus runs once more under best-first order, the kernel
     loop's ``h = 0`` case.
     """
 
@@ -364,39 +364,36 @@ class TestGenericPath:
 class TestAccumulationOrder:
     """The canary for the one numerics assumption the parity rests on.
 
-    The fused congestion surcharge (``expansion_costs``) folds
-    per-region contributions into the running cost in declaration
-    order with strictly sequential float64 additions — numpy's
-    pairwise summation would drift an ULP from the scalar loop on
-    adversarial magnitudes (empirically it does for (R, 1) column
-    batches, which is why ``_fold_contributions`` has a Python-float
-    path for single-successor batches).  Both tracks' regions fold in
-    one pass, the vertical ones shifted by ``_FUSE_OFFSET``, so the
-    canary covers horizontal-only, vertical-only and both-axis
-    batches.  It feeds magnitudes spanning 24 orders of magnitude
-    through the real batched pricer and a pure-Python sequential
-    reference, for batches of one (the pairwise-prone shape) through
-    many, and requires bit equality with both the reference and the
-    scalar ``segment_cost``.
+    The kernel folds per-region surcharges into each successor's price
+    in declaration order with strictly sequential float64 additions and
+    no fused multiply-add, as the scalar ``segment_cost`` loop does.
+    Any other order drifts by an ULP on adversarial magnitudes.  The
+    canary feeds weights spanning 24 orders of magnitude, on regions
+    that straddle the source's row, its column or both, through
+    kernel-vs-scalar searches: degenerate rects (which never block)
+    put many stops on every ray, so each expansion prices many
+    successors against many regions.  Paths, costs, counters and
+    expansion traces must be identical.  Without those stops a
+    two-point path is one hop, and it must cost exactly the
+    pure-Python sequential sum.
     """
 
-    @pytest.mark.parametrize("n_coords", [1, 2, 7])
+    @pytest.mark.parametrize("n_stops", [0, 2, 7])
     @pytest.mark.parametrize("trial_seed", range(6))
-    def test_batched_pricing_is_sequential(self, n_coords, trial_seed):
+    def test_kernel_pricing_is_sequential(self, n_stops, trial_seed):
         rng = random.Random(trial_seed)
         for _ in range(8):
-            self._check_one_scene(rng, n_coords)
+            self._check_one_scene(rng, n_stops)
 
     @staticmethod
-    def _check_one_scene(rng, n_coords):
+    def _check_one_scene(rng, n_stops):
         x, y = rng.randint(10, 50), rng.randint(10, 50)
         regions = []
         for _ in range(rng.randint(8, 14)):
             x0, y0 = rng.randint(0, 40), rng.randint(0, 40)
             x1, y1 = x0 + rng.randint(1, 20), y0 + rng.randint(1, 20)
-            # Most regions straddle one of the origin's tracks, so even
-            # a batch of one folds enough terms for pairwise summation
-            # (8+ operands) to reorder them.
+            # Most regions straddle one of the source's tracks, so every
+            # price folds enough terms for a reordered sum to drift.
             track = rng.random()
             if track < 0.45:
                 y0, y1 = y - rng.randint(0, 9), y + rng.randint(1, 9)
@@ -406,10 +403,11 @@ class TestAccumulationOrder:
             weight = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-12, 12)
             regions.append((Rect(x0, y0, x1, y1), weight))
         model = CongestionPenaltyCost(regions)
-
-        def stops(origin, count):
-            picks = rng.sample([c for c in range(64) if c != origin], count)
-            return np.array(sorted(picks), dtype=np.int64)
+        stops = [
+            Rect(c, c2, c, c2)
+            for c, c2 in zip(rng.sample(range(64), n_stops), rng.sample(range(64), n_stops))
+        ]
+        obs = ObstacleSet(Rect(0, 0, 64, 64), stops)
 
         def sequential(ax, ay, bx, by):
             expected = float(bx - ax + by - ay)  # base wirelength
@@ -420,25 +418,35 @@ class TestAccumulationOrder:
                     overlap = min(region.y1, by) - max(region.y0, ay)
                 else:
                     overlap = 0
-                expected += weight * max(overlap, 0)
+                if overlap > 0:
+                    expected += weight * overlap
             return expected
 
-        empty = np.empty(0, dtype=np.int64)
-        batches = {
-            "horizontal": (stops(x, n_coords), empty),
-            "vertical": (empty, stops(y, n_coords)),
-            "both": (stops(x, n_coords), stops(y, n_coords)),
-        }
-        for axes, (hx, vy) in batches.items():
-            batched = model.expansion_costs(x, y, hx, vy).tolist()
-            ends = [(x, y, cx, y) for cx in hx.tolist()] + [(x, y, x, cy) for cy in vy.tolist()]
-            assert len(batched) == len(ends)
-            for cost, (sx, sy, tx, ty) in zip(batched, ends):
-                ax, bx = sorted((sx, tx))
-                ay, by = sorted((sy, ty))
-                expected = sequential(ax, ay, bx, by)
-                scalar = model.segment_cost(Segment(Point(sx, sy), Point(tx, ty)))
-                assert cost == expected == scalar, (
-                    f"{axes} successor ({tx}, {ty}): batched {cost!r}, "
-                    f"sequential {expected!r}, scalar {scalar!r}"
-                )
+        source = Point(x, y)
+        ends = [Point(rng.randint(0, 64), y), Point(x, rng.randint(0, 64)),
+                Point(rng.randint(0, 64), rng.randint(0, 64))]
+        for end in ends:
+            if end == source:
+                continue
+            request = PathRequest(
+                obstacles=obs,
+                sources=[(source, 0.0)],
+                targets=TargetSet(points=[end]),
+                cost_model=model,
+                trace=True,
+            )
+            kernel = find_path(request)
+            with reference_search():
+                scalar = find_path(request)
+            assert kernel.path.points == scalar.path.points
+            assert kernel.path.cost == scalar.path.cost, (
+                f"{source} -> {end}: kernel {kernel.path.cost!r}, scalar {scalar.path.cost!r}"
+            )
+            assert kernel.trace.entries == scalar.trace.entries
+            assert (kernel.stats.nodes_expanded, kernel.stats.nodes_generated) == (
+                scalar.stats.nodes_expanded,
+                scalar.stats.nodes_generated,
+            )
+            if not n_stops and len(kernel.path.points) == 2:
+                a, b = sorted(kernel.path.points)
+                assert kernel.path.cost == sequential(a.x, a.y, b.x, b.y)

@@ -47,8 +47,8 @@ class TestCacheParity:
         assert route.stats.cache_misses > 0
 
     def test_batched_negotiated_probe_counts_are_pinned(self):
-        # A run whose every search is batched (reaches only, no
-        # first_hit): formerly 13732 memo hits + 1068 misses on the
+        # A run whose every search is compiled (four probes per
+        # expansion, no first_hit): formerly 13732 memo hits + 1068 misses on the
         # obstacle set and 3960 + 912 on the final route's stats.
         negotiated = NegotiatedRouter(
             router=GlobalRouter(oversubscribed_layout()),

@@ -1,10 +1,8 @@
 """Unit tests for the line-search pathfinder, including oracle checks."""
 
-import numpy as np
 import pytest
 
 from repro.errors import SearchError, UnroutableError
-from repro.core import pathfinder
 from repro.core.costs import BendPenaltyCost, CostModel, InvertedCornerCost
 from repro.core.escape import EscapeMode
 from repro.core.pathfinder import PathRequest, find_path
@@ -169,20 +167,18 @@ class TestEndpointChecks:
 
 
 class NegativeCost(CostModel):
-    """A broken user model: every wire costs -1, batched and scalar alike."""
+    """A broken user model: every wire costs -1.
+
+    It overrides ``segment_cost`` alone, so the scalar problem prices
+    it (the compiled search never could: its terms are non-negative).
+    """
 
     def segment_cost(self, seg):
         return -1.0
 
-    def expansion_costs(self, x, y, hx, vy):
-        return np.full(hx.shape[0] + vy.shape[0], -1.0)
 
-
-class TestBatchedSearchErrors:
-    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "generic"])
-    def test_negative_edge_cost_names_both_points(self, one_block, monkeypatch, dense):
-        if not dense:  # above the cap: the scalar problem reports the same points
-            monkeypatch.setattr(pathfinder, "_DENSE_KEY_LIMIT", 0)
+class TestSearchErrors:
+    def test_negative_edge_cost_names_both_points(self, one_block):
         # The first successor of (10, 50) is the east reach, the block's
         # west edge.
         with pytest.raises(

@@ -10,13 +10,13 @@ family its worst critical-net delay comes out strictly below plain
 negotiation's.
 """
 
-import numpy as np
 import pytest
 
 from repro.errors import RoutingError
 from repro.core.costs import NegotiatedCongestionCost, TimingDrivenCost
 from repro.core.negotiate import NegotiatedRouter, NegotiationConfig
-from repro.core.route import RoutePath, RouteTree
+from repro.core.pathfinder import PathRequest, find_path, reference_search
+from repro.core.route import RoutePath, RouteTree, TargetSet
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.core.timing import (
     TimingAnalysis,
@@ -26,6 +26,7 @@ from repro.core.timing import (
     net_delay,
 )
 from repro.geometry.point import Point
+from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 from repro.layout.net import Net
@@ -209,17 +210,33 @@ class TestTimingDrivenCost:
                 assert model.segment_cost(seg) >= seg.length
 
     @pytest.mark.parametrize("criticality", [0.0, 0.3, 1.0])
-    def test_batched_prices_equal_segment_cost(self, criticality):
+    def test_kernel_prices_equal_segment_cost(self, criticality):
         model = TimingDrivenCost(TERMS, criticality=criticality, delay_weight=0.7)
-        # Both tracks through (5, 5) cross the congested region.
-        x, y = 5, 5
-        hx = np.array([0, 3, 12, 30], dtype=np.int64)
-        vy = np.array([0, 9, 25], dtype=np.int64)
-        segments = [Segment(Point(x, y), Point(cx, y)) for cx in hx.tolist()]
-        segments += [Segment(Point(x, y), Point(x, cy)) for cy in vy.tolist()]
-        assert model.expansion_costs(x, y, hx, vy).tolist() == [
-            model.segment_cost(seg) for seg in segments
-        ]
+        # Both tracks through (5, 5) cross the congested region.  On an
+        # empty surface a straight connection is one move, so its cost
+        # is one price.
+        obstacles = ObstacleSet(Rect(0, 0, 30, 30))
+        origin = Point(5, 5)
+        straight = 0
+        for end in (Point(0, 5), Point(3, 5), Point(12, 5), Point(30, 5),
+                    Point(5, 0), Point(5, 9), Point(5, 25)):
+            request = PathRequest(
+                obstacles=obstacles,
+                sources=[(origin, 0.0)],
+                targets=TargetSet(points=[end]),
+                cost_model=model,
+            )
+            found = find_path(request)
+            with reference_search():
+                scalar = find_path(request)
+            assert (found.path.points, found.path.cost) == (
+                scalar.path.points,
+                scalar.path.cost,
+            )
+            if found.path.points == (origin, end):
+                straight += 1
+                assert found.path.cost == model.segment_cost(Segment(origin, end))
+        assert straight >= 3
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(RoutingError):

@@ -1,8 +1,8 @@
 """Golden values for every rip-up-and-reroute loop.
 
 The values were recorded on the scalar search; the default config now
-runs the batched search wherever it applies, so these tests also pin
-that the batched search reproduces them.  The engine-parity suite only
+runs the compiled search wherever it applies, so these tests also pin
+that the compiled search reproduces them.  The engine-parity suite only
 proves the two searches agree with each other, so a change to the
 loops that moves both the same way slips through it.  These tests pin
 literal results instead: the route

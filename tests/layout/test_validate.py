@@ -119,3 +119,45 @@ class TestPins:
         )
         with pytest.raises(ValidationError, match="outside"):
             validate_layout(layout)
+
+
+class TestRevalidation:
+    """A validated layout re-checks only what changed since."""
+
+    @staticmethod
+    def net(name, a, b):
+        return Net(name, [Terminal.single(f"{name}.s", a), Terminal.single(f"{name}.d", b)])
+
+    def test_a_net_added_after_validation_is_checked(self):
+        layout = layout_with(Cell.rect("a", 10, 10, 10, 10))
+        layout.add_net(self.net("ok", Point(0, 50), Point(50, 50)))
+        validate_layout(layout)
+        layout.add_net(self.net("bad", Point(15, 15), Point(50, 60)))
+        with pytest.raises(ValidationError, match="'bad' is strictly inside cell 'a'"):
+            validate_layout(layout)
+        with pytest.raises(ValidationError, match="'bad'"):
+            validate_layout(layout)  # still unchecked after a failure
+        layout.remove_net("bad")
+        validate_layout(layout)
+
+    def test_a_copy_carries_what_was_checked(self):
+        layout = layout_with(Cell.rect("a", 10, 10, 10, 10))
+        validate_layout(layout)
+        copied = layout.copy()
+        copied.add_net(self.net("bad", Point(-1, 50), Point(50, 50)))
+        with pytest.raises(ValidationError, match="outside the routing surface"):
+            validate_layout(copied)
+        validate_layout(layout)  # the original never held the net
+
+    def test_adding_a_cell_checks_everything_again(self):
+        layout = layout_with(Cell.rect("a", 10, 10, 10, 10))
+        validate_layout(layout)
+        layout.add_cell(Cell.rect("b", 20, 10, 10, 10))  # touches a
+        with pytest.raises(ValidationError, match="'a' and 'b' are 0 apart"):
+            validate_layout(layout)
+
+    def test_other_checks_are_not_remembered(self):
+        layout = layout_with(Cell.rect("a", 10, 10, 10, 10), Cell.rect("b", 22, 10, 8, 10))
+        validate_layout(layout)
+        with pytest.raises(ValidationError, match="separation >= 3"):
+            validate_layout(layout, min_separation=3)

@@ -1,12 +1,16 @@
-"""Property-based differential parity for the batched search.
+"""Property-based differential parity for the compiled search.
 
 Random scenes, random endpoints, random congestion regions, and for
 some cases a random criticality and delay weight: whatever hypothesis
-constructs, the default search (the batched problem, for these A*
+constructs, the default search (the compiled kernel, for these A*
 wirelength, congestion and timing-driven requests) must return the exact
 path, the exact float cost, and the exact node counters of the scalar
-oracle under :func:`~repro.core.pathfinder.reference_search`.  This is the adversarial complement of the fixed golden-trace
-tests in ``tests/core/test_engine_parity.py``.
+oracle under :func:`~repro.core.pathfinder.reference_search`.  The
+same scenes also run stretched and shifted across the whole coordinate
+range a layout accepts (``±2**62``), where lengths and distances no
+longer fit int64 or float64 exactly.  This is the adversarial
+complement of the fixed golden-trace tests in
+``tests/core/test_engine_parity.py``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,6 +21,7 @@ from repro.core.route import TargetSet
 from repro.geometry.point import Point
 from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.rect import Rect
+from repro.layout.layout import MAX_COORDINATE
 
 SIZE = 64
 
@@ -71,6 +76,29 @@ def parity_cases(draw):
     return obs, s, d, regions, timing
 
 
+@st.composite
+def wide_parity_cases(draw):
+    """A :func:`parity_cases` scene mapped by ``c -> offset + scale * c``.
+
+    The scale reaches ``2**56`` and the offset keeps every coordinate
+    of the 0..64 scene within ``±MAX_COORDINATE``.
+    """
+    obs, s, d, regions, timing = draw(parity_cases())
+    scale = draw(st.integers(min_value=1, max_value=MAX_COORDINATE // SIZE))
+    offset = draw(
+        st.integers(min_value=-MAX_COORDINATE, max_value=MAX_COORDINATE - SIZE * scale)
+    )
+
+    def point(p):
+        return Point(offset + scale * p.x, offset + scale * p.y)
+
+    def rect(r):
+        return Rect(*(offset + scale * c for c in (r.x0, r.y0, r.x1, r.y1)))
+
+    wide = ObstacleSet(rect(obs.bound), [rect(r) for r in obs.rects])
+    return wide, point(s), point(d), [(rect(r), w) for r, w in regions], timing
+
+
 def _run(obs, s, d, regions, timing):
     if timing is not None:
         criticality, delay_weight = timing
@@ -103,6 +131,13 @@ class TestEngineParityProperties:
     @given(parity_cases())
     @settings(max_examples=60, deadline=None)
     def test_vectorized_matches_scalar_exactly(self, case):
+        with reference_search():
+            scalar = _run(*case)
+        assert _run(*case) == scalar
+
+    @given(wide_parity_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_across_the_coordinate_range(self, case):
         with reference_search():
             scalar = _run(*case)
         assert _run(*case) == scalar

@@ -249,7 +249,7 @@ class TestExtendedVsFresh:
 def assert_reaches_on_edges(obs: ObstacleSet, probes) -> None:
     """Every reach is a registered edge coordinate or the origin itself.
 
-    The batched search names states by their index on the grid of edge
+    The compiled search names states by their index on the grid of edge
     (plus pin) coordinates, so a reach anywhere else would have no
     state to land on.
     """

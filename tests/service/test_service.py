@@ -6,6 +6,9 @@ the gated strategy from ``conftest.py`` so concurrency assertions are
 deterministic, not timing-dependent.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import QueueFullError, RoutingError, ServiceError
@@ -232,3 +235,18 @@ class TestHistory:
                 finished.append(job.id)
             assert service.get(finished[0]) is None  # oldest pruned
             assert service.get(finished[-1]) is not None
+
+    def test_history_does_not_keep_evicted_results_alive(self):
+        # The result store holds one result; the job history holds all
+        # three jobs.  The first job's live result goes with its store
+        # entry, while its record still serves an equal result.
+        with RoutingService(workers=1, queue_limit=8, cache_size=1) as service:
+            first = service.wait(service.submit(make_request(seed=1)).id, timeout=30)
+            live = weakref.ref(first.result)
+            original = first.result.to_dict()
+            for seed in (2, 3):
+                service.wait(service.submit(make_request(seed=seed)).id, timeout=30)
+            gc.collect()
+            assert live() is None
+            assert service.describe(first.id)["result"] == original
+            assert first.result.to_dict() == original
