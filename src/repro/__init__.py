@@ -55,6 +55,7 @@ from repro.layout import (
 from repro.search import Order, SearchProblem, SearchStats, search
 from repro.core import (
     CongestionHistory,
+    CongestionLedger,
     CongestionMap,
     CostModel,
     EscapeMode,
@@ -143,6 +144,7 @@ __all__ = [
     "CellMove",
     "Client",
     "CongestionHistory",
+    "CongestionLedger",
     "CongestionMap",
     "CongestionSummary",
     "CostModel",

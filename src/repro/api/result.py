@@ -46,7 +46,7 @@ class CongestionSummary:
     def from_map(cls, congestion: CongestionMap) -> "CongestionSummary":
         """Summarize a measured :class:`~repro.core.congestion.CongestionMap`."""
         return cls(
-            passages=len(congestion.entries),
+            passages=len(congestion.passages),
             overflowed_passages=congestion.overflow_count,
             total_overflow=congestion.total_overflow,
             max_overflow=congestion.max_overflow,

@@ -40,6 +40,7 @@ from repro.core.pathfinder import PathRequest, find_path
 from repro.core.steiner import route_net
 from repro.core.congestion import (
     CongestionHistory,
+    CongestionLedger,
     CongestionMap,
     Passage,
     find_passages,
@@ -72,6 +73,7 @@ from repro.core.route_io import (
 __all__ = [
     "BendPenaltyCost",
     "CongestionHistory",
+    "CongestionLedger",
     "CongestionMap",
     "CongestionPenaltyCost",
     "CostModel",

@@ -15,16 +15,23 @@ in between.  Its capacity is the number of unit-pitch wire tracks that
 fit across the gap — ``gap + 1``, counting the two hugging positions
 on the cell boundaries themselves.  Usage counts distinct nets running
 *through* the passage parallel to its flow direction.
+
+:func:`measure_congestion` counts a whole route from scratch.  The wave
+loop keeps a :class:`CongestionLedger` instead, which recounts only the
+nets whose trees change and hands out :class:`CongestionMap` snapshots
+equal to the from-scratch count; :class:`CongestionHistory` accumulates
+PathFinder's history term over the same passage indices.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core.route import GlobalRoute
+from repro.core.route import GlobalRoute, RouteTree
 from repro.errors import RoutingError
 from repro.geometry.point import Axis
 from repro.geometry.rect import Rect
@@ -285,42 +292,130 @@ class PassageUsage:
         return max(0, self.usage + 1 - self.passage.capacity) / self.passage.capacity
 
 
-@dataclass
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _gaps(passages: Sequence[Passage]) -> np.ndarray:
+    return _frozen(np.array([p.gap for p in passages], dtype=np.int64))
+
+
 class CongestionMap:
-    """Usage of every passage after a routing pass."""
+    """Usage of every passage after a routing pass: an immutable snapshot.
 
-    entries: list[PassageUsage]
+    The map holds the passages in measurement order, their ``gap`` and
+    ``usage`` as int64 columns, and for every net the sorted indices of
+    the passages its wiring flows through.  Every total and query reads
+    those columns; :attr:`entries`, the per-passage
+    :class:`PassageUsage` view, is built only when asked for.
 
-    @property
+    ``CongestionMap(entries)`` wraps measured (or hand-built) entries;
+    :meth:`CongestionLedger.snapshot` builds maps from its columns.
+    A passage can be ``2**63 - 1`` wide, so its capacity ``gap + 1``
+    does not fit in an int64: overflow compares ``usage - 1`` with
+    ``gap`` instead, and every ratio is divided in Python.
+    """
+
+    def __init__(self, entries: Iterable[PassageUsage] = ()):
+        entries = list(entries)
+        rows: dict[str, list[int]] = {}
+        for index, entry in enumerate(entries):
+            for net in entry.nets:
+                rows.setdefault(net, []).append(index)
+        passages = tuple(entry.passage for entry in entries)
+        self._fill(
+            passages,
+            _gaps(passages),
+            _frozen(np.array([entry.usage for entry in entries], dtype=np.int64)),
+            {net: _frozen(np.array(indices, dtype=np.intp)) for net, indices in rows.items()},
+        )
+
+    @classmethod
+    def _from_columns(
+        cls,
+        passages: tuple[Passage, ...],
+        gap: np.ndarray,
+        usage: np.ndarray,
+        rows: dict[str, np.ndarray],
+    ) -> "CongestionMap":
+        cmap = cls.__new__(cls)
+        cmap._fill(passages, gap, usage, rows)
+        return cmap
+
+    def _fill(
+        self,
+        passages: tuple[Passage, ...],
+        gap: np.ndarray,
+        usage: np.ndarray,
+        rows: dict[str, np.ndarray],
+    ) -> None:
+        self.passages = passages
+        self.gap = gap
+        self.usage = usage
+        self._rows = rows
+        self._overflow = _frozen(np.maximum(usage - 1 - gap, 0))
+
+    @functools.cached_property
+    def entries(self) -> list[PassageUsage]:
+        """One :class:`PassageUsage` per passage, in measurement order."""
+        entries = [PassageUsage(passage) for passage in self.passages]
+        for net, rows in self._rows.items():
+            for index in rows.tolist():
+                entries[index].nets.add(net)
+        return entries
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CongestionMap):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return (
+            f"CongestionMap({len(self.passages)} passages, "
+            f"total_overflow={self.total_overflow})"
+        )
+
+    @functools.cached_property
     def max_utilization(self) -> float:
-        """Peak usage/capacity over all passages (0.0 with no passages)."""
-        return max((e.utilization for e in self.entries), default=0.0)
+        """Peak usage/capacity over all passages (0.0 with no passages).
 
-    @property
+        Divided in Python over the passages in use, as
+        :attr:`PassageUsage.utilization` divides, so the peak is
+        bit-identical even where ``gap + 1`` fits in neither an int64
+        nor a float64.
+        """
+        return max(
+            (usage / (gap + 1) for _, usage, gap in self._pick(np.flatnonzero(self.usage))),
+            default=0.0,
+        )
+
+    @functools.cached_property
     def total_overflow(self) -> int:
         """Summed overflow over all passages."""
-        return sum(e.overflow for e in self.entries)
+        return int(self._overflow.sum())
 
-    @property
+    @functools.cached_property
     def overflow_count(self) -> int:
         """Number of passages loaded beyond capacity."""
-        return len(self.overflowed())
+        return int(np.count_nonzero(self._overflow))
 
-    @property
+    @functools.cached_property
     def max_overflow(self) -> int:
         """Worst single-passage overflow (0 when everything fits)."""
-        return max((e.overflow for e in self.entries), default=0)
+        return int(self._overflow.max(initial=0))
 
     def overflowed(self) -> list[PassageUsage]:
         """Passages loaded beyond capacity."""
-        return [e for e in self.entries if e.overflow > 0]
+        entries = self.entries
+        return [entries[index] for index in np.flatnonzero(self._overflow).tolist()]
 
     def affected_nets(self) -> set[str]:
         """Nets flowing through any overflowed passage."""
-        nets: set[str] = set()
-        for entry in self.overflowed():
-            nets |= entry.nets
-        return nets
+        if not self.overflow_count:
+            return set()
+        over = self._overflow > 0
+        return {net for net, rows in self._rows.items() if over[rows].any()}
 
     def penalty_regions(self, *, weight: float = 2.0) -> list[tuple[Rect, float]]:
         """Cost-model regions for the second pass.
@@ -328,11 +423,14 @@ class CongestionMap:
         The per-unit-length weight scales with relative overload so
         that badly overflowed passages repel harder.
         """
-        regions: list[tuple[Rect, float]] = []
-        for entry in self.overflowed():
-            overload = entry.usage / entry.passage.capacity
-            regions.append((entry.passage.region, weight * overload))
-        return regions
+        return [
+            (self.passages[index].region, weight * (usage / (gap + 1)))
+            for index, usage, gap in self._pick(np.flatnonzero(self._overflow))
+        ]
+
+    def _pick(self, indices: np.ndarray) -> Iterator[tuple[int, int, int]]:
+        """``(index, usage, gap)`` of each passage in *indices*, as Python ints."""
+        return zip(indices.tolist(), self.usage[indices].tolist(), self.gap[indices].tolist())
 
 
 @dataclass
@@ -348,17 +446,20 @@ class CongestionHistory:
     so repeat offenders become ever more expensive and the negotiation
     converges instead of cycling.
 
-    Values are keyed by the (hashable) :class:`Passage` itself and
-    never decrease; :meth:`update` folds in one iteration's measured
-    overflow, scaled by ``gain``.
+    Values are keyed by passage index, so every map a history reads
+    must measure the same passage list (one run's
+    :class:`CongestionLedger`); they never decrease, and
+    :meth:`update` folds in one iteration's measured overflow, scaled
+    by ``gain``.  Each method touches only the full or historied
+    passages.
     """
 
     gain: float = 1.0
-    values: dict[Passage, float] = field(default_factory=dict)
+    values: dict[int, float] = field(default_factory=dict)
 
-    def value(self, passage: Passage) -> float:
-        """Accumulated history of *passage* (0.0 if it never overflowed)."""
-        return self.values.get(passage, 0.0)
+    def value(self, index: int) -> float:
+        """Accumulated history of passage *index* (0.0 if it never overflowed)."""
+        return self.values.get(index, 0.0)
 
     def update(self, congestion: CongestionMap) -> None:
         """Fold one iteration's overflow into the history.
@@ -368,9 +469,9 @@ class CongestionHistory:
         History is monotone: passages that stopped overflowing keep
         what they accrued.
         """
-        for entry in congestion.overflowed():
-            self.values[entry.passage] = self.value(entry.passage) + self.gain * (
-                entry.overflow / entry.passage.capacity
+        for index, usage, gap in congestion._pick(np.flatnonzero(congestion._overflow)):
+            self.values[index] = self.value(index) + self.gain * (
+                (usage - 1 - gap) / (gap + 1)
             )
 
     def seed(self, congestion: CongestionMap) -> None:
@@ -386,12 +487,11 @@ class CongestionHistory:
         and re-negotiation does not unravel the kept assignment.
         Existing history is kept when larger (seed never decreases).
         """
-        for entry in congestion.entries:
-            capacity = entry.passage.capacity
-            if capacity > 0 and entry.usage >= capacity:
-                charge = self.gain * entry.usage / capacity
-                if charge > self.value(entry.passage):
-                    self.values[entry.passage] = charge
+        full = np.flatnonzero((congestion.usage > congestion.gap) & (congestion.gap >= 0))
+        for index, usage, gap in congestion._pick(full):
+            charge = self.gain * usage / (gap + 1)
+            if charge > self.value(index):
+                self.values[index] = charge
 
     def penalty_terms(self, congestion: CongestionMap) -> list[tuple[Rect, float, float]]:
         """``(region, present, history)`` terms for the negotiated cost.
@@ -400,15 +500,18 @@ class CongestionHistory:
         (:attr:`PassageUsage.overuse` > 0) *or* carries history; the
         history term keeps repelling even after a passage drains, which
         is what stops ripped-up nets from oscillating straight back.
-        Terms follow the congestion map's entry order, so identical
-        inputs yield an identical (deterministic) cost model.
+        Terms follow the map's passage order, so identical inputs
+        yield an identical (deterministic) cost model.
         """
-        terms: list[tuple[Rect, float, float]] = []
-        for entry in congestion.entries:
-            history = self.value(entry.passage)
-            if entry.overuse > 0 or history > 0:
-                terms.append((entry.passage.region, entry.overuse, history))
-        return terms
+        full = congestion.usage > congestion.gap
+        historied = [index for index, value in self.values.items() if value > 0]
+        if historied:
+            full = full.copy()
+            full[historied] = True
+        return [
+            (congestion.passages[index].region, max(0, usage - gap) / (gap + 1), self.value(index))
+            for index, usage, gap in congestion._pick(np.flatnonzero(full))
+        ]
 
 
 def measure_congestion(passages: Iterable[Passage], route: GlobalRoute) -> CongestionMap:
@@ -457,3 +560,108 @@ def measure_congestion(passages: Iterable[Passage], route: GlobalRoute) -> Conge
         for row, col in zip(*(index.tolist() for index in np.nonzero(carried))):
             entries[start + row].nets.add(names[col])
     return CongestionMap(entries)
+
+
+class CongestionLedger:
+    """A route's passage usage, kept up to date as its trees change.
+
+    The incremental counterpart of :func:`measure_congestion` over one
+    fixed passage list (the one the wave loop finds once per run).  It
+    keeps each passage's ``gap`` and ``usage`` as int64 columns and
+    each net's passages as one sorted index array, computed when the
+    net's tree is merged by one carry broadcast over the tree's
+    :attr:`RoutePath.points` (no :class:`~repro.geometry.segment.Segment`
+    objects).  :meth:`add` and :meth:`remove` move one net's row;
+    :meth:`snapshot` hands out an immutable :class:`CongestionMap`
+    equal to ``measure_congestion(passages, route)`` for the route the
+    ledger has been told about.
+    """
+
+    def __init__(self, passages: Iterable[Passage]):
+        self.passages = tuple(passages)
+        self.gap = _gaps(self.passages)
+        self.usage = np.zeros(len(self.passages), dtype=np.int64)
+        self._rows: dict[str, np.ndarray] = {}
+        # Passage.carries as six "passage value <= hop value" tests, one
+        # row each, against a hop's (d, -d, track, -track, -lo, hi - 1):
+        # the hop runs the way the passage flows (d is 1 for vertical,
+        # 0 for horizontal), on a track inside the closed span across the
+        # flow, and overlaps the span along it with positive length
+        # (lo < flow_hi, flow_lo < hi).  Coordinates are bounded by
+        # MAX_COORDINATE, so the negations and unit shifts cannot wrap.
+        bounds = []
+        for passage in self.passages:
+            r = passage.region
+            if passage.flow is Axis.Y:
+                d, cross_lo, cross_hi, flow_lo, flow_hi = 1, r.x0, r.x1, r.y0, r.y1
+            else:
+                d, cross_lo, cross_hi, flow_lo, flow_hi = 0, r.y0, r.y1, r.x0, r.x1
+            bounds.append((d, -d, cross_lo, -cross_hi, 1 - flow_hi, flow_lo))
+        self._bounds = np.ascontiguousarray(np.array(bounds, dtype=np.int64).reshape(-1, 6).T)
+
+    def load(self, route: GlobalRoute) -> None:
+        """Count exactly *route*'s trees, every net in one broadcast."""
+        names = list(route.trees)
+        hit = self._hits([route.trees[name] for name in names])
+        self.usage = hit.sum(axis=0, dtype=np.int64)
+        # Tree-major (net, passage) pairs, cut into one row per net.
+        owner, passage = np.nonzero(hit)
+        cuts = np.searchsorted(owner, np.arange(len(names) + 1)).tolist()
+        passage = _frozen(passage)
+        self._rows = {name: passage[lo:hi] for name, lo, hi in zip(names, cuts, cuts[1:])}
+
+    def add(self, net: str, tree: RouteTree) -> None:
+        """Count *tree* as *net*'s wiring, replacing any earlier tree."""
+        self.remove(net)
+        rows = _frozen(np.flatnonzero(self._hits([tree])))
+        self.usage[rows] += 1
+        self._rows[net] = rows
+
+    def remove(self, net: str) -> None:
+        """Stop counting *net* (a no-op for a net the ledger never saw)."""
+        rows = self._rows.pop(net, None)
+        if rows is not None:
+            self.usage[rows] -= 1
+
+    def snapshot(self) -> CongestionMap:
+        """The current usage as an immutable :class:`CongestionMap`."""
+        return CongestionMap._from_columns(
+            self.passages, self.gap, _frozen(self.usage.copy()), dict(self._rows)
+        )
+
+    def _hits(self, trees: Sequence[RouteTree]) -> np.ndarray:
+        """Whether each tree flows through each passage: (trees, passages) bools.
+
+        Every hop between consecutive path points becomes one row of
+        hop values for the six tests set up in ``__init__``; one hops x
+        passages broadcast (in chunks of passages) makes them all, and
+        an OR over each tree's hops folds them per tree.
+        """
+        hops: list[tuple[int, ...]] = []
+        starts: list[int] = []
+        owners: list[int] = []
+        for index, tree in enumerate(trees):
+            begin = len(hops)
+            for path in tree.paths:
+                points = path.points
+                for a, b in zip(points, points[1:]):
+                    if a.x == b.x:
+                        if a.y != b.y:
+                            lo, hi = (a.y, b.y) if a.y < b.y else (b.y, a.y)
+                            hops.append((1, -1, a.x, -a.x, -lo, hi - 1))
+                    elif a.y == b.y:
+                        lo, hi = (a.x, b.x) if a.x < b.x else (b.x, a.x)
+                        hops.append((0, 0, a.y, -a.y, -lo, hi - 1))
+            if len(hops) > begin:
+                starts.append(begin)
+                owners.append(index)
+        hit = np.zeros((len(trees), len(self.passages)), dtype=bool)
+        if not hops:
+            return hit
+        values = np.array(hops, dtype=np.int64)[:, :, None]
+        step = max(1, _CHUNK // (6 * len(hops)))
+        for first in range(0, len(self.passages), step):
+            columns = slice(first, first + step)
+            carried = (self._bounds[:, columns] <= values).all(axis=1)
+            hit[owners, columns] = np.logical_or.reduceat(carried, starts, axis=0)
+        return hit

@@ -50,10 +50,10 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 from repro.errors import RoutingError
 from repro.core.congestion import (
     CongestionHistory,
+    CongestionLedger,
     CongestionMap,
     check_max_gap,
     find_passages,
-    measure_congestion,
 )
 from repro.core.costs import CongestionPenaltyCost, CostModel, NegotiatedCongestionCost
 from repro.core.route import GlobalRoute
@@ -409,20 +409,19 @@ def negotiate(
     check_on_unroutable(on_unroutable)
     router = policy.router
     knobs = policy.negotiation
-    passages = find_passages(router.layout, max_gap=knobs.max_gap)
+    ledger = CongestionLedger(find_passages(router.layout, max_gap=knobs.max_gap))
     history = CongestionHistory(gain=knobs.history_gain)
     rerouted: set[str] = set()
     started = time.perf_counter()
     waves = knobs.max_iterations
-    if seed is None:
-        first = router.route_all(on_unroutable=on_unroutable)
-        moved = 0
-    elif not seed.dirty:
+    first = router.route_all(on_unroutable=on_unroutable) if seed is None else seed.kept.copy()
+    ledger.load(first)
+    moved = 0
+    if seed is not None and not seed.dirty:
         # Nothing to route: the kept trees are the answer, overflow and all.
-        first, moved, waves = seed.kept.copy(), 0, 0
-    else:
-        first = seed.kept.copy()
-        kept_map = measure_congestion(passages, first)
+        waves = 0
+    elif seed is not None:
+        kept_map = ledger.snapshot()
         history.seed(kept_map)
         outcomes = router.route_each(
             list(seed.dirty),
@@ -430,9 +429,9 @@ def negotiate(
             fail_fast=on_unroutable == "raise",
         )
         moved = router.merge_outcomes(
-            first, outcomes, on_unroutable=on_unroutable, rerouted=rerouted
+            first, outcomes, on_unroutable=on_unroutable, rerouted=rerouted, ledger=ledger
         )
-    before = measure_congestion(passages, first)
+    before = ledger.snapshot()
     current = best = (first, before, policy.analyze(first))
     iterations = [IterationStats.measure(0, first, before, started=started, rerouted=moved)]
 
@@ -448,7 +447,7 @@ def negotiate(
             route,
             order,
             cost,
-            passages=passages,
+            ledger=ledger,
             on_unroutable=on_unroutable,
             rerouted=rerouted,
         )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 from repro.errors import RoutingError, UnroutableError
-from repro.core.congestion import CongestionMap, measure_congestion
+from repro.core.congestion import CongestionLedger, CongestionMap
 from repro.core.costs import (
     BendPenaltyCost,
     CostModel,
@@ -230,6 +230,7 @@ class GlobalRouter:
         on_unroutable: str,
         keep_previous: bool = False,
         rerouted: Optional[set] = None,
+        ledger: Optional[CongestionLedger] = None,
     ) -> int:
         """Fold :meth:`route_each` outcomes into *route*; returns nets merged.
 
@@ -239,7 +240,9 @@ class GlobalRouter:
         recorded in ``failed_nets`` — unless ``keep_previous`` is set,
         the reroute-loop behaviour where the net's earlier tree is
         still in *route* and should simply survive.  *rerouted*, when
-        given, collects the names of successfully merged nets.
+        given, collects the names of successfully merged nets; a
+        *ledger* counting *route* is updated as each net merges (a
+        failed net keeps whatever row it had).
         """
         merged = 0
         for name, tree, error in outcomes:
@@ -253,6 +256,8 @@ class GlobalRouter:
                 continue
             route.trees[name] = tree
             route.stats = route.stats.merged_with(tree.stats)
+            if ledger is not None:
+                ledger.add(name, tree)
             if rerouted is not None:
                 rerouted.add(name)
             merged += 1
@@ -264,7 +269,7 @@ class GlobalRouter:
         affected: Iterable[str],
         cost_model: Union[Optional[CostModel], Mapping[str, CostModel]],
         *,
-        passages: list,
+        ledger: CongestionLedger,
         on_unroutable: str = "raise",
         rerouted: Optional[set] = None,
     ) -> tuple[GlobalRoute, CongestionMap, int]:
@@ -272,10 +277,12 @@ class GlobalRouter:
 
         Copies *current* (trees, stats, failed nets), reroutes the
         *affected* nets in order (a net whose reroute fails keeps its
-        previous tree), and re-measures the *passages*.  *cost_model*
-        is one frozen model for the whole pass or a mapping giving
-        every affected net its own (see :meth:`route_each`).  Returns
-        ``(candidate, congestion_map, nets_moved)``.
+        previous tree), and moves each merged net's row in the *ledger*,
+        which must count *current* on entry and counts the candidate on
+        return.  *cost_model* is one frozen model for the whole pass or
+        a mapping giving every affected net its own (see
+        :meth:`route_each`).  Returns ``(candidate, congestion_map,
+        nets_moved)``, the map a :meth:`CongestionLedger.snapshot`.
         """
         candidate = current.copy()
         outcomes = self.route_each(
@@ -287,8 +294,9 @@ class GlobalRouter:
             on_unroutable=on_unroutable,
             keep_previous=True,
             rerouted=rerouted,
+            ledger=ledger,
         )
-        return candidate, measure_congestion(passages, candidate), moved
+        return candidate, ledger.snapshot(), moved
 
     def route_all(
         self,

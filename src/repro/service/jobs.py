@@ -303,6 +303,9 @@ class RoutingService:
         self._lock = threading.Lock()
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._inflight: dict[str, _Inflight] = {}
+        #: Wire bytes of each live stored result, by ``id()``: a cache
+        #: hit reuses what its run encoded.  Entries go with their result.
+        self._encoded: dict[int, bytes] = {}
         self._pending = 0  # queued + running primaries (window occupancy)
         self._running = 0
         self._next_id = 0
@@ -494,7 +497,8 @@ class RoutingService:
             job.finished_at = now
             job.started_mono = mono
             job.finished_mono = mono
-            job._keep_result(cached, _encode(cached))
+            encoded = self._encoded.get(id(cached))
+            job._keep_result(cached, encoded if encoded is not None else _encode(cached))
             job._done.set()
             return job
         self.metrics.record_cache(hit=False)
@@ -688,6 +692,9 @@ class RoutingService:
             followers = inflight.followers if inflight is not None else []
             if result is not None:
                 self.cache.put(key, result)
+                if id(result) not in self._encoded:
+                    self._encoded[id(result)] = outcome[1]
+                    weakref.finalize(result, self._encoded.pop, id(result), None)
                 self.metrics.record_completed(mono - (job.started_mono or mono))
             else:
                 self.metrics.record_failed()

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.congestion import (
     BOUNDARY,
+    CongestionHistory,
+    CongestionLedger,
     CongestionMap,
     Passage,
     PassageUsage,
@@ -16,7 +18,7 @@ from repro.geometry.point import Axis, Point
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 from repro.layout.cell import Cell
-from repro.layout.layout import Layout
+from repro.layout.layout import MAX_COORDINATE, Layout
 
 
 def two_cell_layout() -> Layout:
@@ -173,3 +175,132 @@ class TestOverflowQueries:
         # at capacity: one more net would not fit -> present term kicks in
         assert PassageUsage(passage, nets={"a", "b", "c"}).overuse == pytest.approx(1 / 3)
         assert PassageUsage(passage, nets={"a", "b", "c", "d"}).overuse == pytest.approx(2 / 3)
+
+
+class TestLedger:
+    def passages(self) -> list[Passage]:
+        return [
+            Passage(Rect(26, 10, 28, 30), Axis.Y, ("a", "b")),  # capacity 3
+            Passage(Rect(0, 30, 60, 32), Axis.X, ("c", "d")),  # capacity 3
+        ]
+
+    def tree(self, net: str, *points: tuple[int, int]) -> RouteTree:
+        tree = RouteTree(net_name=net)
+        tree.paths.append(RoutePath(tuple(Point(x, y) for x, y in points)))
+        return tree
+
+    def test_add_remove_and_replace_track_the_oracle(self):
+        passages = self.passages()
+        ledger = CongestionLedger(passages)
+        route = GlobalRoute()
+        steps = [
+            ("n1", self.tree("n1", (27, 0), (27, 40))),
+            ("n2", self.tree("n2", (26, 0), (26, 31), (50, 31))),
+            ("n1", self.tree("n1", (5, 31), (55, 31))),  # replaces n1's tree
+            ("n3", self.tree("n3", (28, 12), (28, 12))),  # degenerate hop
+        ]
+        for net, tree in steps:
+            ledger.add(net, tree)
+            route.trees[net] = tree
+            assert ledger.snapshot() == measure_congestion(passages, route)
+        assert ledger.usage.tolist() == [1, 2]
+        ledger.remove("n2")
+        ledger.remove("never-added")
+        del route.trees["n2"]
+        assert ledger.snapshot() == measure_congestion(passages, route)
+        assert ledger.usage.tolist() == [0, 1]
+
+    def test_load_resets_to_the_route(self):
+        passages = self.passages()
+        ledger = CongestionLedger(passages)
+        ledger.add("stale", self.tree("stale", (27, 0), (27, 40)))
+        route = GlobalRoute(
+            trees={f"n{i}": self.tree(f"n{i}", (27, 0), (27, 40)) for i in range(4)}
+        )
+        ledger.load(route)
+        snapshot = ledger.snapshot()
+        assert snapshot == measure_congestion(passages, route)
+        assert (snapshot.total_overflow, snapshot.affected_nets()) == (1, set(route.trees))
+
+    def test_snapshots_are_immutable(self):
+        ledger = CongestionLedger(self.passages())
+        ledger.add("n1", self.tree("n1", (27, 0), (27, 40)))
+        snapshot = ledger.snapshot()
+        ledger.add("n2", self.tree("n2", (27, 0), (27, 40)))
+        ledger.remove("n1")
+        assert snapshot.usage.tolist() == [1, 0]
+        assert snapshot.entries[0].nets == {"n1"}
+        with pytest.raises(ValueError):
+            snapshot.usage[0] = 5
+
+    def test_maps_differing_in_one_net_set_are_unequal(self):
+        passages = self.passages()
+        a = CongestionMap([PassageUsage(passages[0], {"n1"}), PassageUsage(passages[1])])
+        b = CongestionMap([PassageUsage(passages[0], {"n2"}), PassageUsage(passages[1])])
+        assert a.usage.tolist() == b.usage.tolist()
+        assert a != b
+        assert a == CongestionMap([PassageUsage(passages[0], {"n1"}), PassageUsage(passages[1])])
+
+    def test_no_passages(self):
+        ledger = CongestionLedger([])
+        ledger.add("n1", self.tree("n1", (27, 0), (27, 40)))
+        snapshot = ledger.snapshot()
+        assert snapshot == measure_congestion([], GlobalRoute())
+        assert (snapshot.total_overflow, snapshot.max_utilization) == (0, 0.0)
+
+
+class TestCoordinateLimit:
+    """A passage ``2**63 - 1`` wide: its capacity does not fit in int64."""
+
+    def layout(self) -> Layout:
+        layout = Layout(Rect(-MAX_COORDINATE, -MAX_COORDINATE, MAX_COORDINATE, MAX_COORDINATE))
+        layout.add_cell(Cell("c", Rect(MAX_COORDINATE - 1, -5, MAX_COORDINATE, 5)))
+        return layout
+
+    def route(self, n_nets: int) -> GlobalRoute:
+        route = GlobalRoute()
+        for i in range(n_nets):
+            tree = RouteTree(net_name=f"n{i}")
+            tree.paths.append(RoutePath((Point(i, -MAX_COORDINATE), Point(i, MAX_COORDINATE))))
+            route.trees[tree.net_name] = tree
+        return route
+
+    @pytest.mark.parametrize("n_nets", [0, 1, 3])
+    def test_ledger_equals_the_oracle(self, n_nets):
+        passages = find_passages(self.layout())
+        widest = max(passages, key=lambda p: p.gap)
+        assert widest.gap == 2**63 - 1
+        route = self.route(n_nets)
+        ledger = CongestionLedger(passages)
+        ledger.load(route)
+        oracle = measure_congestion(passages, route)
+        snapshot = ledger.snapshot()
+        assert snapshot == oracle
+        for cmap in (snapshot, oracle):
+            assert cmap.total_overflow == sum(e.overflow for e in oracle.entries) == 0
+            assert cmap.overflow_count == cmap.max_overflow == 0
+            assert cmap.max_utilization == max(e.utilization for e in oracle.entries)
+        index = passages.index(widest)
+        assert snapshot.usage[index] == n_nets
+        assert snapshot.entries[index].utilization == n_nets / 2**63
+
+    def test_history_never_charges_the_wide_passage(self):
+        passages = find_passages(self.layout())
+        ledger = CongestionLedger(passages)
+        ledger.load(self.route(3))
+        history = CongestionHistory(gain=2.0)
+        history.seed(ledger.snapshot())
+        history.update(ledger.snapshot())
+        wide = passages.index(max(passages, key=lambda p: p.gap))
+        assert history.value(wide) == 0.0
+        terms = history.penalty_terms(ledger.snapshot())
+        assert all(region != passages[wide].region for region, _, _ in terms)
+
+    @pytest.mark.parametrize("gap", [2**53 - 1, 2**53, 2**53 + 1, 2**62 + 3, 2**63 - 1])
+    def test_max_utilization_rounds_as_python_does(self, gap):
+        # From 2**53 up, float(gap) + 1 and float(gap + 1) can differ.
+        passage = Passage(Rect(-MAX_COORDINATE, 0, gap - MAX_COORDINATE, 10), Axis.Y, ("a", "b"))
+        entry = PassageUsage(passage, nets={"n1", "n2", "n3"})
+        idle = PassageUsage(Passage(Rect(0, 0, 2, 10), Axis.Y, ("c", "d")))
+        cmap = CongestionMap([idle, entry])
+        assert cmap.max_utilization == 3 / (gap + 1) == entry.utilization

@@ -243,10 +243,10 @@ class TestHistoryMonotonicity:
     def test_history_accumulates_and_never_decreases(self):
         passage = self.passage()
         history = CongestionHistory()
-        seen = [history.value(passage)]
+        seen = [history.value(0)]
         for load in (8, 6, 4, 8):
             history.update(self.overflowed_map(passage, load))
-            seen.append(history.value(passage))
+            seen.append(history.value(0))
         assert seen == sorted(seen)
         assert seen[0] == 0.0
         assert seen[-1] > seen[0]
@@ -255,10 +255,10 @@ class TestHistoryMonotonicity:
         passage = self.passage()
         history = CongestionHistory()
         history.update(self.overflowed_map(passage, 8))
-        accrued = history.value(passage)
+        accrued = history.value(0)
         assert accrued > 0
         history.update(self.overflowed_map(passage, 1))  # within capacity
-        assert history.value(passage) == accrued
+        assert history.value(0) == accrued
 
     def test_gain_scales_deposits(self):
         passage = self.passage()
@@ -266,7 +266,7 @@ class TestHistoryMonotonicity:
         cmap = self.overflowed_map(passage, 8)
         slow.update(cmap)
         fast.update(cmap)
-        assert fast.value(passage) == pytest.approx(2 * slow.value(passage))
+        assert fast.value(0) == pytest.approx(2 * slow.value(0))
 
     def test_penalty_terms_keep_drained_history(self):
         passage = self.passage()
@@ -278,7 +278,7 @@ class TestHistoryMonotonicity:
         region, present, hist = terms[0]
         assert region == passage.region
         assert present == 0.0
-        assert hist == history.value(passage)
+        assert hist == history.value(0)
 
     def test_negotiated_weight_monotone_in_history(self):
         model = NegotiatedCongestionCost([])
@@ -299,9 +299,9 @@ class TestHistoryMonotonicity:
         history = CongestionHistory()
         route = router.route_all()
         cmap = measure_congestion(passages, route)
-        previous = {p: 0.0 for p in (e.passage for e in cmap.entries)}
+        previous = [0.0] * len(cmap.entries)
         for _ in range(3):
             history.update(cmap)
-            for entry in cmap.entries:
-                assert history.value(entry.passage) >= previous[entry.passage]
-                previous[entry.passage] = history.value(entry.passage)
+            for index in range(len(cmap.entries)):
+                assert history.value(index) >= previous[index]
+                previous[index] = history.value(index)

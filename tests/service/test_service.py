@@ -7,13 +7,17 @@ deterministic, not timing-dependent.
 """
 
 import gc
+import sys
+import threading
 import weakref
 
 import pytest
 
 from repro.errors import QueueFullError, RoutingError, ServiceError
 from repro.api import RouteRequest
+from repro.api.pipeline import RoutingPipeline
 from repro.service import JOB_STATES, RoutingService
+from repro.service import jobs as jobs_module
 from tests.service.conftest import small_layout
 
 
@@ -80,6 +84,90 @@ class TestCache:
             snapshot = service.snapshot()
             assert snapshot["cache_hits"] == 1
             assert snapshot["completed"] == 1  # one actual routing run
+
+    def test_cache_hit_reuses_the_encoded_result(self, monkeypatch):
+        with RoutingService(workers=1, queue_limit=4) as service:
+            layout = small_layout(1)
+            first = service.wait(
+                service.submit(RouteRequest(layout=layout)).id, timeout=30
+            )
+            calls = []
+            encode = jobs_module._encode
+            monkeypatch.setattr(
+                jobs_module, "_encode", lambda result: calls.append(result) or encode(result)
+            )
+            second = service.submit(RouteRequest(layout=layout))
+            assert second.cache_hit
+            assert calls == []
+            assert second._encoded is first._encoded
+            primary = service.describe(first.id)
+            hit = service.describe(second.id)
+            assert hit["result"] == primary["result"]
+
+    def test_sqlite_cache_hit_encodes_at_most_once(self, monkeypatch, tmp_path):
+        store = f"sqlite:{tmp_path / 'store.db'}"
+        with RoutingService(workers=1, queue_limit=4, store=store) as service:
+            layout = small_layout(1)
+            first = service.wait(
+                service.submit(RouteRequest(layout=layout)).id, timeout=30
+            )
+            calls = []
+            encode = jobs_module._encode
+            monkeypatch.setattr(
+                jobs_module, "_encode", lambda result: calls.append(result) or encode(result)
+            )
+            second = service.submit(RouteRequest(layout=layout))
+            assert second.cache_hit
+            assert len(calls) <= 1
+            assert service.describe(second.id)["result"] == service.describe(first.id)["result"]
+
+    def test_encoded_bytes_go_with_their_result(self):
+        # Entries are keyed by id(): one must not outlive its result,
+        # or a later result at the same address would serve its bytes.
+        with RoutingService(workers=1, queue_limit=8, cache_size=1) as service:
+            first = service.wait(service.submit(make_request(seed=1)).id, timeout=30)
+            live = weakref.ref(first.result)
+            assert list(service._encoded) == [id(live())]
+            service.wait(service.submit(make_request(seed=2)).id, timeout=30)
+            gc.collect()
+            assert live() is None
+            assert len(service._encoded) == 1
+
+    def test_reused_bytes_follow_their_result_through_evictions(self):
+        # One stored result at a time: every finished run evicts the
+        # previous one, whose id() may then name a new result.  Each
+        # hit must still serve its own result's bytes.
+        # Reruns of a seed differ only in their timings.
+        def paths(document: dict) -> dict:
+            return {name: tree["paths"] for name, tree in document["route"]["trees"].items()}
+
+        expected = {
+            seed: paths(RoutingPipeline().run(make_request(seed=seed)).to_dict())
+            for seed in (1, 2, 3)
+        }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RoutingService(workers=4, queue_limit=64, cache_size=1) as service:
+                errors: list[str] = []
+
+                def client(offset: int) -> None:
+                    for step in range(12):
+                        seed = 1 + (offset + step) % 3
+                        job = service.wait(service.submit(make_request(seed=seed)).id, timeout=30)
+                        if paths(service.describe(job.id)["result"]) != expected[seed]:
+                            errors.append(f"seed {seed}: {job.id} served another result")
+
+                threads = [threading.Thread(target=client, args=(k,)) for k in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert service.snapshot()["cache_hits"] > 0
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_nested_param_difference_misses_cache(self, gated_registry, gate):
         """Keys must see *into* strategy_params, not just their top level."""
