@@ -131,22 +131,22 @@ class IterationStats:
         *,
         started: float,
         rerouted: int = 0,
-        previous: Optional[GlobalRoute] = None,
+        previous_length: Optional[int] = None,
     ) -> "IterationStats":
         """Stats of the pass that produced *route*, begun at *started*.
 
-        ``wirelength_delta`` is measured against *previous* (0 for a
-        first pass or warm start).
+        ``wirelength_delta`` is measured against *previous_length*, the
+        previous pass's ``wirelength`` (0 for a first pass or warm
+        start).
         """
+        length = route.total_length
         return cls(
             iteration=iteration,
             overflowed_passages=congestion.overflow_count,
             total_overflow=congestion.total_overflow,
             max_overflow=congestion.max_overflow,
-            wirelength=route.total_length,
-            wirelength_delta=(
-                0 if previous is None else route.total_length - previous.total_length
-            ),
+            wirelength=length,
+            wirelength_delta=0 if previous_length is None else length - previous_length,
             rerouted=rerouted,
             elapsed_seconds=time.perf_counter() - started,
         )
@@ -459,7 +459,7 @@ def negotiate(
                 candidate_map,
                 started=wave_started,
                 rerouted=moved,
-                previous=route,
+                previous_length=iterations[-1].wirelength,
             )
         )
         if policy.key(*current) < policy.key(*best):

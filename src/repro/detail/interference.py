@@ -11,9 +11,14 @@ than cell placement".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.geometry.interval import Interval
 from repro.geometry.segment import Segment
+
+_I64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -61,43 +66,108 @@ def interfere(a: Segment, b: Segment, *, window: int) -> bool:
     return a.span.overlaps(b.span, strict=True)
 
 
+def segment_rows(segments: Sequence[Segment]) -> np.ndarray:
+    """The ``(4, n)`` int64 rows ``horizontal, track, lo, hi`` of *segments*.
+
+    Column ``i`` is segment ``i``: ``horizontal`` is 1 or 0, ``track``
+    and ``lo, hi`` are :attr:`Segment.track` and the ends of
+    :attr:`Segment.span`.  A degenerate segment counts as horizontal,
+    as it does for :attr:`Segment.is_horizontal`.  The detailed router
+    reads these rows instead of the properties, which build a fresh
+    :class:`Interval` on every access.
+    """
+    # Segments are normalized a <= b, so a holds the low end.
+    ax, ay, bx, by = (
+        np.array([(s.a.x, s.a.y, s.b.x, s.b.y) for s in segments], dtype=np.int64)
+        .reshape(-1, 4)
+        .T
+    )
+    horizontal = ay == by
+    return np.stack(
+        (
+            horizontal.astype(np.int64),
+            np.where(horizontal, ay, ax),
+            np.where(horizontal, ax, ay),
+            np.where(horizontal, bx, by),
+        )
+    )
+
+
+def window_pairs(tracks: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every position pair ``a < b`` of ascending *tracks* within *window*.
+
+    ``tracks[b] - tracks[a] <= window``, in row-major order: ``a``
+    ascending, then ``b``.  These are the pairs the sorted pairwise
+    walk visits before its ``> window`` break.  The limit saturates at
+    the int64 maximum instead of wrapping.
+    """
+    if window < 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    window = min(window, _I64_MAX)
+    limits = np.minimum(tracks, _I64_MAX - window) + window
+    ends = np.searchsorted(tracks, limits, side="right")
+    return range_pairs(np.arange(1, len(tracks) + 1), ends)
+
+
+def range_pairs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(a, b)`` with ``starts[a] <= b < ends[a]``, in row-major order."""
+    counts = np.maximum(ends - starts, 0)
+    firsts = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.arange(len(firsts)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return firsts, np.repeat(starts, counts) + offsets
+
+
 def interference_groups(
     tagged: list[TaggedSegment], *, window: int = 2
 ) -> list[InterferenceGroup]:
     """Partition same-orientation wires into interference components.
 
-    Uses union-find over the pairwise :func:`interfere` relation.
+    Connected components of the pairwise :func:`interfere` relation.
     Singleton groups (wires constraining nobody) are returned too —
     they become single-track channels.
     """
-    n = len(tagged)
+    rows = segment_rows([t.seg for t in tagged])
+    return [
+        InterferenceGroup([tagged[i] for i in members])
+        for members in group_indices(rows, window)
+    ]
+
+
+def group_indices(rows: np.ndarray, window: int) -> list[list[int]]:
+    """Member indices of each interference component, in output order.
+
+    *rows* are :func:`segment_rows`.  Members keep input order; the
+    components are ordered by their lowest track, then their lowest
+    span end, ties in order of first member.
+    """
+    horizontal, tracks, los, his = rows
+    n = len(tracks)
+    # Sort by track so only nearby tracks pair up.
+    order = np.argsort(tracks, kind="stable")
+    first, second = window_pairs(tracks[order], window)
+    i, j = order[first], order[second]
+    hit = (horizontal[i] == horizontal[j]) & (los[i] < his[j]) & (los[j] < his[i])
+
     parent = list(range(n))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    # Sort by track so only nearby tracks need pairwise checks.
-    order = sorted(range(n), key=lambda i: tagged[i].seg.track)
-    for a_pos in range(n):
-        i = order[a_pos]
-        for b_pos in range(a_pos + 1, n):
-            j = order[b_pos]
-            if tagged[j].seg.track - tagged[i].seg.track > window:
-                break
-            if interfere(tagged[i].seg, tagged[j].seg, window=window):
-                union(i, j)
-
-    components: dict[int, list[TaggedSegment]] = {}
-    for i in range(n):
-        components.setdefault(find(i), []).append(tagged[i])
-    groups = [InterferenceGroup(members) for members in components.values()]
-    groups.sort(key=lambda g: (g.track_hull.lo, g.span_hull.lo))
-    return groups
+    for a, b in zip(i[hit].tolist(), j[hit].tolist()):
+        parent[find(b)] = find(a)
+    # Components in order of their first member, before the stable sort.
+    components: dict[int, list[int]] = {}
+    for k in range(n):
+        components.setdefault(find(k), []).append(k)
+    track_of, lo_of = tracks.tolist(), los.tolist()
+    return sorted(
+        components.values(),
+        key=lambda members: (
+            min(track_of[k] for k in members),
+            min(lo_of[k] for k in members),
+        ),
+    )

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.detail.channels import _member_gap
+from repro.detail.channels import free_gaps
 from repro.detail.detailed import DetailedResult
+from repro.detail.interference import segment_rows
 from repro.detail.layers import DetailedWire, assign_layers
 from repro.geometry.point import Point
 from repro.geometry.raytrace import ObstacleSet
@@ -87,15 +88,15 @@ def _free_track_for(
     obstacles: ObstacleSet,
 ) -> int | None:
     """Nearest legal track for *wire* with no different-net overlap."""
-    horizontal = wire.seg.is_horizontal
-    gap = _member_gap(wire.seg, horizontal, obstacles)
-    if gap is None:
+    gap_lo, gap_hi = free_gaps(segment_rows([wire.seg]), wire.seg.is_horizontal, obstacles)
+    lo, hi = int(gap_lo[0]), int(gap_hi[0])
+    if lo > hi:
         return None
     track = wire.seg.track
     for magnitude in range(1, MAX_SLIDE + 1):
         for delta in (magnitude, -magnitude):
             candidate = track + delta
-            if not gap.contains(candidate):
+            if not lo <= candidate <= hi:
                 continue
             if _track_clear(wire, candidate, wires):
                 return candidate
