@@ -151,16 +151,16 @@ def find_passages(layout: Layout, *, max_gap: Optional[int] = None) -> list[Pass
     labels = names + [BOUNDARY]
     boundary = names.index(BOUNDARY) if BOUNDARY in names else n
 
-    pairs: list[Passage] = []
-    walls: list[Passage] = []
+    pairs: list[list[int]] = []
+    walls: list[list[int]] = []
     step = max(1, _CHUNK // max(1, 2 * n * n))
     for start in range(0, n, step):
         src = np.arange(start, min(start + step, n))
-        pairs += _clear_passages(*_pair_candidates(boxes, src), boxes, labels, max_gap)
-        walls += _clear_passages(
-            *_wall_candidates(boxes, src, layout.outline, boundary), boxes, labels, max_gap
+        pairs += _clear_rows(*_pair_candidates(boxes, src), boxes, max_gap)
+        walls += _clear_rows(
+            *_wall_candidates(boxes, src, layout.outline, boundary), boxes, max_gap
         )
-    return _dedupe(pairs + walls)
+    return _unique_passages(pairs + walls, labels)
 
 
 def _pair_candidates(
@@ -170,7 +170,7 @@ def _pair_candidates(
 
     Returns ``(regions, flow_y, owners)``: ``[x0, y0, x1, y1]`` rows,
     whether each flows along y, and the two owner indices.  A row may
-    be inverted (no corridor); :func:`_clear_passages` drops it.
+    be inverted (no corridor); :func:`_clear_rows` drops it.
     """
     n = len(boxes)
     a = boxes[src][:, None, :]
@@ -208,18 +208,19 @@ def _wall_candidates(
     return regions.reshape(-1, 4), flow_y, owners.reshape(-1, 2)
 
 
-def _clear_passages(
+def _clear_rows(
     regions: np.ndarray,
     flow_y: np.ndarray,
     owners: np.ndarray,
     boxes: np.ndarray,
-    labels: list[str],
     max_gap: Optional[int],
-) -> list[Passage]:
+) -> list[list[int]]:
     """The candidates that are neither degenerate, too wide, nor obstructed.
 
-    A box obstructs a corridor when their open interiors overlap; the
-    two owners of the corridor never do.
+    Returns one ``[x0, y0, x1, y1, flows along y, owner, owner]`` row
+    per passage, in candidate order.  A box obstructs a corridor when
+    their open interiors overlap; the two owners of the corridor never
+    do.
     """
     width = regions[:, 2] - regions[:, 0]
     height = regions[:, 3] - regions[:, 1]
@@ -239,24 +240,30 @@ def _clear_passages(
     k = np.arange(len(boxes))
     blocked &= (k != owners[rows, 0:1]) & (k != owners[rows, 1:2])
     rows = rows[~blocked.any(axis=1)]
-    return [
-        Passage(Rect(*region), Axis.Y if along_y else Axis.X, (labels[a], labels[b]))
-        for region, along_y, (a, b) in zip(
-            regions[rows].tolist(), flow_y[rows].tolist(), owners[rows].tolist()
-        )
-    ]
+    return np.column_stack((regions[rows], flow_y[rows], owners[rows])).tolist()
 
 
-def _dedupe(passages: list[Passage]) -> list[Passage]:
-    """Drop symmetric duplicates (a|b vs b|a over the same region)."""
-    seen: set[tuple[Rect, Axis, frozenset[str]]] = set()
-    unique: list[Passage] = []
-    for p in passages:
-        key = (p.region, p.flow, frozenset(p.between))
+def _unique_passages(rows: list[list[int]], labels: list[str]) -> list[Passage]:
+    """One :class:`Passage` per row, dropping symmetric duplicates.
+
+    A row repeats an earlier one when both cover the same region along
+    the same axis between the same two names (a|b vs b|a).  Keys are
+    plain ints and a sorted name pair, so only the passages kept are
+    ever built.
+    """
+    seen: set[tuple[int, int, int, int, int, str, str]] = set()
+    passages: list[Passage] = []
+    along, across = Axis.Y, Axis.X
+    for x0, y0, x1, y1, along_y, a, b in rows:
+        first, second = labels[a], labels[b]
+        pair = (first, second) if first <= second else (second, first)
+        key = (x0, y0, x1, y1, along_y, *pair)
         if key not in seen:
             seen.add(key)
-            unique.append(p)
-    return unique
+            passages.append(
+                Passage(Rect(x0, y0, x1, y1), along if along_y else across, (first, second))
+            )
+    return passages
 
 
 @dataclass

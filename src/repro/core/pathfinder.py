@@ -190,9 +190,14 @@ def _prices_in_kernel(model: CostModel) -> bool:
     scalar problem instead of a mispriced kernel search.
     """
     base = getattr(model, "base", None)
-    kind = type(model)
+    return _kernel_prices(type(model), None if base is None else type(base))
+
+
+@functools.cache
+def _kernel_prices(kind: type, base: Optional[type]) -> bool:
+    """:func:`_prices_in_kernel` for a model class and its base's class."""
     return _supplier(kind, "segment_cost") is _supplier(kind, "track_terms") and (
-        base is None or _supplier(type(base), "segment_cost") is CostModel
+        base is None or _supplier(base, "segment_cost") is CostModel
     )
 
 
@@ -235,34 +240,25 @@ def _use_batched_engine(request: PathRequest) -> bool:
     )
 
 
-def _escape_grid(
-    request: PathRequest, extra_xs: list[int], extra_ys: list[int]
-) -> Optional[EscapeGrid]:
-    """The kernel's view of *request*, or ``None`` above the size cap.
+def _fits_kernel(request: PathRequest) -> bool:
+    """Whether *request*'s escape grid is within :data:`_DENSE_KEY_LIMIT` states.
 
     A line search only ever stops at escape coordinates: the cell and
     bound edges the obstacle set registers (``edge_xs``/``edge_ys``)
-    and the connection's source and target coordinates (*extra_xs*,
-    *extra_ys*).  The kernel merges them into the grid that holds every
-    state; grids above :data:`_DENSE_KEY_LIMIT` states are left to the
-    scalar problem.
+    and the connection's source and target coordinates, which the
+    kernel merges into the grid that holds every state.  The cheap
+    bound counts every box edge and source as a new coordinate; only
+    when that bound is over the limit are the shared ones counted out.
     """
     edge_xs, edge_ys = request.obstacles.edge_xs, request.obstacles.edge_ys
-    columns, rows = len(edge_xs) + len(extra_xs), len(edge_ys) + len(extra_ys)
-    if columns * rows > _DENSE_KEY_LIMIT:  # an upper bound: count shared coordinates once
-        columns -= sum(x in edge_xs for x in extra_xs)
-        rows -= sum(y in edge_ys for y in extra_ys)
-        if columns * rows > _DENSE_KEY_LIMIT:
-            return None  # memory guard: the scalar problem has no grid arrays
-    return EscapeGrid(
-        obstacles=request.obstacles,
-        sources=request.sources,
-        boxes=request.targets.boxes(),
-        points=len(request.targets.points),
-        extra_xs=extra_xs,
-        extra_ys=extra_ys,
-        cost_model=request.cost_model,
-    )
+    extra = len(request.targets.flat) // 2 + len(request.sources)
+    if (len(edge_xs) + extra) * (len(edge_ys) + extra) <= _DENSE_KEY_LIMIT:
+        return True
+    xs = request.targets.escape_xs() | {p.x for p, _ in request.sources}
+    ys = request.targets.escape_ys() | {p.y for p, _ in request.sources}
+    columns = len(edge_xs) + sum(x not in edge_xs for x in xs)
+    rows = len(edge_ys) + sum(y not in edge_ys for y in ys)
+    return columns * rows <= _DENSE_KEY_LIMIT  # a memory guard: the scalar problem has no grid
 
 
 def find_path(request: PathRequest) -> PathSearchResult:
@@ -273,18 +269,19 @@ def find_path(request: PathRequest) -> PathSearchResult:
     :class:`~repro.search.stats.SearchStats` as ``partial``) when the
     search exhausts or hits its node limit without reaching a target.
     """
-    extra_xs = sorted(request.targets.escape_xs() | {p.x for p, _ in request.sources})
-    extra_ys = sorted(request.targets.escape_ys() | {p.y for p, _ in request.sources})
-    grid = None
-    if not _REFERENCE and _use_batched_engine(request) and kernel() is not None:
-        grid = _escape_grid(request, extra_xs, extra_ys)
-    if grid is None:
+    compiled = (
+        not _REFERENCE
+        and _use_batched_engine(request)
+        and kernel() is not None
+        and _fits_kernel(request)
+    )
+    if not compiled:
         _check_endpoints(request)  # the kernel checks its endpoints itself
 
     # Source already touching a target: zero-length connection.
     for point, g0 in request.sources:
         if request.targets.contains(point):
-            if grid is not None:
+            if compiled:
                 _check_endpoints(request)
             return PathSearchResult(RoutePath((point,), cost=g0), SearchStats(termination="goal"))
 
@@ -295,16 +292,11 @@ def find_path(request: PathRequest) -> PathSearchResult:
     # probe is a miss.
     obstacles = request.obstacles
     probes_before = obstacles.ray_probes
-    if _REFERENCE:
-        scan_rays = obstacles._scan_rays
-        obstacles._scan_rays = True
-        try:
-            result = _scalar_search(request, extra_xs, extra_ys)
-        finally:
-            obstacles._scan_rays = scan_rays
-    elif grid is None:
-        result = _scalar_search(request, extra_xs, extra_ys)
-    else:
+    if compiled:
+        grid = EscapeGrid(
+            obstacles, request.sources, request.targets.flat,
+            len(request.targets.points), request.cost_model,
+        )
         try:
             result = search_vectorized(
                 grid, request.order, node_limit=request.node_limit, trace=request.trace
@@ -313,6 +305,15 @@ def find_path(request: PathRequest) -> PathSearchResult:
             _check_endpoints(request)  # raises the precise error
             raise
         obstacles.ray_probes += result.stats.cache_misses
+    elif _REFERENCE:
+        scan_rays = obstacles._scan_rays
+        obstacles._scan_rays = True
+        try:
+            result = _scalar_search(request)
+        finally:
+            obstacles._scan_rays = scan_rays
+    else:
+        result = _scalar_search(request)
     result.stats.cache_hits = 0
     result.stats.cache_misses = obstacles.ray_probes - probes_before
     if not result.found:
@@ -330,8 +331,10 @@ def find_path(request: PathRequest) -> PathSearchResult:
     return PathSearchResult(path, result.stats, _strip_trace(result.trace, directed))
 
 
-def _scalar_search(request: PathRequest, extra_xs: list[int], extra_ys: list[int]) -> SearchResult:
+def _scalar_search(request: PathRequest) -> SearchResult:
     """Run the scalar problem of *request* through the generic engine."""
+    extra_xs = sorted(request.targets.escape_xs() | {p.x for p, _ in request.sources})
+    extra_ys = sorted(request.targets.escape_ys() | {p.y for p, _ in request.sources})
     problem: SearchProblem
     if request.cost_model.direction_sensitive:
         problem = _DirectedProblem(request, extra_xs, extra_ys)

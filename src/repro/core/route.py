@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import RoutingError
 from repro.geometry.point import Point
@@ -179,23 +179,83 @@ class TargetSet:
     terminal's pins; for later connections it is the whole partial tree
     — "all line segments in the spanning tree being built as potential
     connection points".
+
+    Every target is a closed box ``(x0, x1, y0, y1)`` in one flat int
+    list, :attr:`flat`: the points first (each a one-point box, in the
+    order they joined), then the segments (normalized, so ``x0 <= x1``
+    and ``y0 <= y1``).  Degenerate segments are points in disguise and
+    join the points.  :meth:`contains` holds exactly on the boxes and
+    :meth:`distance_to` is the distance to the nearest one, which is
+    how the compiled search reads the set too: the list goes to it as
+    it stands.  A growing tree appends only its new members
+    (:meth:`connect`).
     """
 
     def __init__(self, points: Iterable[Point] = (), segments: Iterable[Segment] = ()):
-        self.points: list[Point] = list(points)
-        segments = list(segments)
-        self.segments: list[Segment] = [s for s in segments if not s.is_degenerate]
-        # Degenerate segments are points in disguise.
-        self.points.extend(s.a for s in segments if s.is_degenerate)
-        if not self.points and not self.segments:
+        #: The target points, in order (a point may repeat).
+        self.points: list[Point] = []
+        self._point_set: set[Point] = set()
+        #: ``x0, x1, y0, y1`` per target: the points, then the segments.
+        self.flat: list[int] = []
+        points = list(points)
+        boxes: list[int] = []
+        for s in segments:
+            if s.is_degenerate:
+                points.append(s.a)
+            else:
+                boxes += (s.a.x, s.b.x, s.a.y, s.b.y)
+        self._add(points, boxes)
+        if not self.flat:
             raise RoutingError("target set is empty")
-        self._point_set = set(self.points)
+
+    def _add(self, points: list[Point], boxes: list[int]) -> list[int]:
+        """Append *points* after the points and segment *boxes* after the
+        segments; return the new boxes, flat (points first)."""
+        new = [c for p in points for c in (p.x, p.x, p.y, p.y)]
+        at = 4 * len(self.points)
+        self.flat[at:at] = new
+        self.points += points
+        self._point_set.update(points)
+        self.flat += boxes
+        new += boxes
+        return new
+
+    def connect(self, pins: Iterable[Point], path: Sequence[Point]) -> list[int]:
+        """Bring a newly connected terminal into the set (tree growth).
+
+        Its *pins* join the points, then the hops of its connecting
+        *path* (bend points) join the segments; a one-point path is a
+        zero-length attach, whose point joins the points after the
+        pins.  Returns the boxes added, flat, points first.
+        """
+        points = list(pins)
+        boxes: list[int] = []
+        if len(path) == 1:
+            points.append(path[0])
+        for a, b in zip(path, path[1:]):
+            ax, ay, bx, by = a.x, a.y, b.x, b.y
+            if ax != bx or ay != by:
+                boxes += (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
+        return self._add(points, boxes)
+
+    @property
+    def segments(self) -> list[Segment]:
+        """The non-degenerate target segments, in order."""
+        flat = self.flat
+        return [
+            Segment(Point(flat[k], flat[k + 2]), Point(flat[k + 1], flat[k + 3]))
+            for k in range(4 * len(self.points), len(flat), 4)
+        ]
 
     def contains(self, p: Point) -> bool:
         """Goal test: *p* coincides with a target point or lies on a segment."""
         if p in self._point_set:
             return True
-        return any(seg.contains_point(p) for seg in self.segments)
+        x, y, flat = p.x, p.y, self.flat
+        return any(
+            flat[k] <= x <= flat[k + 1] and flat[k + 2] <= y <= flat[k + 3]
+            for k in range(4 * len(self.points), len(flat), 4)
+        )
 
     def distance_to(self, p: Point) -> int:
         """Minimum rectilinear distance from *p* to any target.
@@ -203,60 +263,49 @@ class TargetSet:
         This is the admissible heuristic for tree connection: actual
         obstacle-avoiding cost can only be larger.
         """
-        best: Optional[int] = None
-        for point in self.points:
-            d = point.manhattan(p)
-            if best is None or d < best:
-                best = d
-        for seg in self.segments:
-            d = seg.distance_to_point(p)
-            if best is None or d < best:
-                best = d
-        assert best is not None
-        return best
+        return box_distance(self.flat, (p,))
 
     def boxes(self) -> list[tuple[int, int, int, int]]:
-        """Every target as a closed box ``(x0, x1, y0, y1)``.
-
-        Points come first (each a one-point box), then the segments
-        (normalized, so ``a <= b``).  :meth:`contains` holds exactly on
-        the boxes and :meth:`distance_to` is the distance to the nearest
-        one, which is how the compiled search tests goals and prices
-        its heuristic.
-        """
-        boxes = [(p.x, p.x, p.y, p.y) for p in self.points]
-        boxes += [(s.a.x, s.b.x, s.a.y, s.b.y) for s in self.segments]
-        return boxes
+        """Every target as a closed box ``(x0, x1, y0, y1)``, points first."""
+        coordinates = iter(self.flat)
+        return list(zip(coordinates, coordinates, coordinates, coordinates))
 
     def nearest_point_to(self, p: Point) -> Point:
         """The concrete target point nearest to *p* (for diagnostics)."""
-        candidates = list(self.points) + [seg.nearest_point_to(p) for seg in self.segments]
+        candidates = [
+            Point(min(max(p.x, x0), x1), min(max(p.y, y0), y1))
+            for x0, x1, y0, y1 in self.boxes()
+        ]
         return min(candidates, key=lambda c: (c.manhattan(p), c))
 
     def escape_xs(self) -> set[int]:
         """x coordinates at which a search may need to stop to hit a target."""
-        xs = {p.x for p in self.points}
-        for seg in self.segments:
-            xs.add(seg.a.x)
-            xs.add(seg.b.x)
-        return xs
+        return set(self.flat[0::4]) | set(self.flat[1::4])
 
     def escape_ys(self) -> set[int]:
         """y coordinates at which a search may need to stop to hit a target."""
-        ys = {p.y for p in self.points}
-        for seg in self.segments:
-            ys.add(seg.a.y)
-            ys.add(seg.b.y)
-        return ys
-
-    def extended(
-        self, points: Iterable[Point] = (), segments: Iterable[Segment] = ()
-    ) -> "TargetSet":
-        """A new target set with more members (tree growth)."""
-        return TargetSet(
-            points=list(self.points) + list(points),
-            segments=list(self.segments) + list(segments),
-        )
+        return set(self.flat[2::4]) | set(self.flat[3::4])
 
     def __len__(self) -> int:
-        return len(self.points) + len(self.segments)
+        return len(self.flat) // 4
+
+
+def box_distance(flat: list[int], points: Iterable[Point]) -> int:
+    """Least rectilinear distance from any of *points* to any box in *flat*.
+
+    *flat* holds ``x0, x1, y0, y1`` per box, as :attr:`TargetSet.flat`
+    does; the distance along each axis is the gap to the box's span.
+    """
+    best = None
+    for p in points:
+        x, y = p.x, p.y
+        coordinates = iter(flat)
+        for x0, x1, y0, y1 in zip(coordinates, coordinates, coordinates, coordinates):
+            d = (x0 - x if x < x0 else x - x1 if x > x1 else 0) + (
+                y0 - y if y < y0 else y - y1 if y > y1 else 0
+            )
+            if best is None or d < best:
+                best = d
+    if best is None:
+        raise RoutingError("no points or no boxes to measure between")
+    return best

@@ -26,12 +26,13 @@ from repro.errors import UnroutableError
 from repro.core.costs import CostModel, WirelengthCost
 from repro.core.escape import EscapeMode
 from repro.core.pathfinder import PathRequest, PathSearchResult, find_path
-from repro.core.route import RouteTree, TargetSet
+from repro.core.route import RouteTree, TargetSet, box_distance
 from repro.geometry.point import Point
 from repro.geometry.raytrace import ObstacleSet
 from repro.layout.net import Net
 from repro.layout.terminal import Terminal
 from repro.search.engine import Order
+from repro.search.stats import SearchStats
 
 
 def route_net(
@@ -65,32 +66,33 @@ def route_net(
     tree.connected_terminals.append(seed.name)
 
     remaining = [t for t in net.terminals if t.name != seed.name]
-    while remaining:
-        if exact_order:
-            terminal, outcome = _cheapest_connection(
-                remaining, connected, obstacles, model, mode, order, node_limit, trace
-            )
-        else:
-            terminal = min(
-                remaining,
-                key=lambda t: (min(connected.distance_to(loc) for loc in t.locations), t.name),
-            )
-            outcome = _connect(
-                terminal, connected, obstacles, model, mode, order, node_limit, trace, tree
-            )
-        remaining.remove(terminal)
+    # Each remaining terminal's lower-bound distance to the connected
+    # set.  The set only grows, so each step folds in its new boxes alone.
+    gaps = {t.name: box_distance(connected.flat, t.locations) for t in remaining}
+    stats: list[SearchStats] = []
+    try:
+        while remaining:
+            if exact_order:
+                terminal, outcome = _cheapest_connection(
+                    remaining, connected, obstacles, model, mode, order, node_limit, trace
+                )
+            else:
+                terminal = min(remaining, key=lambda t: (gaps[t.name], t.name))
+                outcome = _connect(
+                    terminal, connected, obstacles, model, mode, order, node_limit, trace, tree
+                )
+            remaining.remove(terminal)
 
-        tree.paths.append(outcome.path)
-        tree.connected_terminals.append(terminal.name)
-        tree.stats = tree.stats.merged_with(outcome.stats)
-        if outcome.trace is not None:
-            tree.traces.append(outcome.trace)
-        connected = connected.extended(
-            points=terminal.locations, segments=outcome.path.segments
-        )
-        if len(outcome.path.points) == 1:
-            # Zero-length attachment: the pin itself joins the set.
-            connected = connected.extended(points=[outcome.path.points[0]])
+            tree.paths.append(outcome.path)
+            tree.connected_terminals.append(terminal.name)
+            stats.append(outcome.stats)
+            if outcome.trace is not None:
+                tree.traces.append(outcome.trace)
+            new = connected.connect(terminal.locations, outcome.path.points)
+            for t in remaining:
+                gaps[t.name] = min(gaps[t.name], box_distance(new, t.locations))
+    finally:
+        tree.stats = SearchStats.merged(stats)
     return tree
 
 

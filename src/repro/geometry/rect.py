@@ -142,8 +142,14 @@ class Rect:
         test for an illegal cell overlap, since touching boundaries do
         not constitute overlap.
         """
-        return self.x_span.overlaps(other.x_span, strict=strict) and self.y_span.overlaps(
-            other.y_span, strict=strict
+        if strict:
+            return (
+                self.x0 < other.x1 and other.x0 < self.x1
+                and self.y0 < other.y1 and other.y0 < self.y1
+            )
+        return (
+            self.x0 <= other.x1 and other.x0 <= self.x1
+            and self.y0 <= other.y1 and other.y0 <= self.y1
         )
 
     def intersection(self, other: "Rect") -> Optional["Rect"]:

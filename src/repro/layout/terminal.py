@@ -23,7 +23,12 @@ from repro.layout.pin import Pin
 
 @dataclass(frozen=True)
 class Terminal:
-    """A logical terminal: one or more electrically equivalent pins."""
+    """A logical terminal: one or more electrically equivalent pins.
+
+    ``locations`` holds every equivalent pin's location, in pin order.
+    It is computed once, at construction, and is not a field: equality,
+    hashing and the repr read ``name`` and ``pins`` only.
+    """
 
     name: str
     pins: tuple[Pin, ...]
@@ -39,11 +44,7 @@ class Terminal:
             raise LayoutError(f"terminal {name!r} has duplicate pin names")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "pins", pin_tuple)
-
-    @property
-    def locations(self) -> tuple[Point, ...]:
-        """Locations of every equivalent pin."""
-        return tuple(p.location for p in self.pins)
+        object.__setattr__(self, "locations", tuple(p.location for p in pin_tuple))
 
     @property
     def is_multi_pin(self) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -60,23 +61,35 @@ class SearchResult(Generic[S]):
 
     Attributes
     ----------
-    goal:
-        The goal node (with parent chain), or ``None`` if no goal was
+    states:
+        The found path, start to goal, or ``None`` if no goal was
         reached.
+    goal_cost:
+        The goal's cost (``inf`` without a goal).
     stats:
         Node counters and timing.
     trace:
         Expansion order, when tracing was requested.
     """
 
-    goal: Optional[SearchNode[S]]
+    states: Optional[list[S]]
+    goal_cost: float
     stats: SearchStats
     trace: Optional[ExpansionTrace] = None
+
+    @classmethod
+    def ending_at(
+        cls, goal: Optional[SearchNode[S]], stats: SearchStats, trace: Optional[ExpansionTrace]
+    ) -> "SearchResult[S]":
+        """The result of a search that reached *goal* (``None``: no goal)."""
+        if goal is None:
+            return cls(None, math.inf, stats, trace)
+        return cls(goal.path(), goal.g, stats, trace)
 
     @property
     def found(self) -> bool:
         """Whether a goal was reached."""
-        return self.goal is not None
+        return self.states is not None
 
     @property
     def cost(self) -> float:
@@ -84,9 +97,9 @@ class SearchResult(Generic[S]):
 
         Raises :class:`SearchError` when no goal was found.
         """
-        if self.goal is None:
+        if self.states is None:
             raise SearchError("search found no goal; no cost available")
-        return self.goal.g
+        return self.goal_cost
 
     @property
     def path(self) -> list[S]:
@@ -94,9 +107,9 @@ class SearchResult(Generic[S]):
 
         Raises :class:`SearchError` when no goal was found.
         """
-        if self.goal is None:
+        if self.states is None:
             raise SearchError("search found no goal; no path available")
-        return self.goal.path()
+        return self.states
 
 
 def search(
@@ -233,7 +246,7 @@ def _cost_ordered_search(
         if is_goal(state):
             if not exhaustive:
                 finish("goal")
-                return SearchResult(node, stats, expansion)
+                return SearchResult.ending_at(node, stats, expansion)
             if best_goal is None or node.g < best_goal.g:
                 best_goal = node
 
@@ -243,7 +256,7 @@ def _cost_ordered_search(
             record(state, parent.state if parent is not None else None)
         if node_limit is not None and expanded >= node_limit:
             finish("limit")
-            return SearchResult(best_goal, stats, expansion)
+            return SearchResult.ending_at(best_goal, stats, expansion)
 
         node_g = node.g
         child_depth = node.depth + 1
@@ -287,7 +300,7 @@ def _cost_ordered_search(
                     max_open = open_size
 
     finish("goal" if best_goal is not None else "exhausted")
-    return SearchResult(best_goal, stats, expansion)
+    return SearchResult.ending_at(best_goal, stats, expansion)
 
 
 # ----------------------------------------------------------------------
@@ -321,7 +334,7 @@ def _blind_search(
         if problem.is_goal(node.state):
             stats.termination = "goal"
             stats.elapsed_seconds = time.perf_counter() - started
-            return SearchResult(node, stats, expansion)
+            return SearchResult.ending_at(node, stats, expansion)
         stats.nodes_expanded += 1
         if expansion is not None:
             parent_state = node.parent.state if node.parent else None
@@ -329,7 +342,7 @@ def _blind_search(
         if node_limit is not None and stats.nodes_expanded >= node_limit:
             stats.termination = "limit"
             stats.elapsed_seconds = time.perf_counter() - started
-            return SearchResult(None, stats, expansion)
+            return SearchResult.ending_at(None, stats, expansion)
         if depth_limit is not None and order is Order.DEPTH_FIRST and node.depth >= depth_limit:
             continue
 
@@ -350,4 +363,4 @@ def _blind_search(
 
     stats.termination = "exhausted"
     stats.elapsed_seconds = time.perf_counter() - started
-    return SearchResult(None, stats, expansion)
+    return SearchResult.ending_at(None, stats, expansion)

@@ -2,13 +2,13 @@
  * The line-search A* over one connection's escape grid, compiled.
  *
  * The grid's columns are the obstacle set's edge x coordinates merged
- * with the connection's own (its sources' and targets'), its rows
- * likewise; a state is the flat index ix * ny + iy.  Each expansion
- * traces the four rays from the state by scanning the blocking rects,
- * takes every grid coordinate along each clear ray as a successor
- * (east, west, north, south; each ray's stops ascending), prices each
- * one exactly as the scalar cost models do, and pushes the improving
- * ones.  The loop is the scalar engine's: heap keys (f, -g, counter)
+ * with the connection's own (its sources' and its target boxes', which
+ * the kernel sorts itself), its rows likewise; a state is the flat
+ * index ix * ny + iy.  Each expansion traces the four rays from the
+ * state by scanning the blocking rects, takes every grid coordinate
+ * along each clear ray as a successor (east, west, north, south; each
+ * ray's stops ascending), prices each one exactly as the scalar cost
+ * models do, and pushes the improving ones.  The loop is the scalar engine's: heap keys (f, -g, counter)
  * ordered like Python tuples, CPython's heapq sift order, the
  * stale-entry check, the goal test at pop, reopening, the node limit,
  * and the same counters.
@@ -40,8 +40,8 @@ typedef struct {
     const int64_t *rects;           /* blocking rects: open interiors block */
     int64_t nedge_x, nedge_y;
     const int64_t *edge_x, *edge_y; /* obstacle edge coordinates, ascending, distinct */
-    int64_t ntargets, npoints, nextra_x, nextra_y, nsources;
-    const int64_t *connection;      /* boxes (points first), extra xs, extra ys, source xs, source ys */
+    int64_t ntargets, npoints, nsources;
+    const int64_t *connection;      /* boxes (points first), source xs, source ys */
     const double *source_costs;
     int64_t nregions;
     const int64_t *regions;         /* surcharged rects, declaration order */
@@ -75,6 +75,7 @@ typedef struct {
 typedef struct {
     const rk_problem *p;
     const int64_t *boxes;
+    int64_t *own_x, *own_y; /* the connection's own coordinates, sorted */
     int64_t *mx, *my;
     int64_t nx, ny;
     double *g;
@@ -203,7 +204,14 @@ static int64_t find(const int64_t *values, int64_t n, int64_t v)
     return lo < n && values[lo] == v ? lo : -1;
 }
 
-/* The union of two ascending distinct lists, ascending; returns its length. */
+/* Three-way order of two int64s; x - y would overflow across the range. */
+static int compare(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* The union of two ascending lists, ascending and distinct; returns its length. */
 static int64_t merge(const int64_t *a, int64_t na, const int64_t *b, int64_t nb, int64_t *out)
 {
     int64_t i = 0, j = 0, n = 0;
@@ -279,7 +287,7 @@ static int run(search *s, rk_result *out)
 {
     const rk_problem *p = s->p;
     const int64_t nx = s->nx, ny = s->ny, *mx = s->mx, *my = s->my;
-    const int64_t *source_x = p->connection + 4 * p->ntargets + p->nextra_x + p->nextra_y;
+    const int64_t *source_x = p->connection + 4 * p->ntargets;
     const int64_t *source_y = source_x + p->nsources;
     int64_t counter = 0, open_size = 0;
     int err;
@@ -381,23 +389,42 @@ static int run(search *s, rk_result *out)
     return RK_OK;
 }
 
+/* The connection's own coordinates along one axis, ascending: each
+   box's low and high side (at lo[4t] and hi[4t]), then each source's. */
+static int64_t *own_coordinates(const rk_problem *p, const int64_t *lo, const int64_t *hi,
+                                const int64_t *sources, int64_t *n)
+{
+    *n = 2 * p->ntargets + p->nsources;
+    int64_t *own = malloc((size_t)(*n + 1) * sizeof(int64_t));
+    if (!own) return 0;
+    for (int64_t t = 0; t < p->ntargets; t++) {
+        own[2 * t] = lo[4 * t];
+        own[2 * t + 1] = hi[4 * t];
+    }
+    for (int64_t k = 0; k < p->nsources; k++) own[2 * p->ntargets + k] = sources[k];
+    qsort(own, (size_t)*n, sizeof(int64_t), compare);
+    return own;
+}
+
 static int prepare_and_run(const rk_problem *p, rk_result *out, search *s)
 {
-    const int64_t *extra_x = p->connection + 4 * p->ntargets;
-    const int64_t *extra_y = extra_x + p->nextra_x;
-    const int64_t *source_x = extra_y + p->nextra_y, *source_y = source_x + p->nsources;
+    const int64_t *boxes = p->connection;
+    const int64_t *source_x = boxes + 4 * p->ntargets, *source_y = source_x + p->nsources;
     int64_t reach[4]; /* a point is routable where its rays can start */
     for (int64_t k = 0; k < p->nsources; k++)
         if (!reaches(p, source_x[k], source_y[k], reach)) return RK_BAD_ENDPOINT;
     for (int64_t t = 0; t < p->npoints; t++)
-        if (!reaches(p, p->connection[4 * t], p->connection[4 * t + 2], reach))
-            return RK_BAD_ENDPOINT;
-    s->boxes = p->connection;
-    s->mx = malloc((size_t)(p->nedge_x + p->nextra_x + 1) * sizeof(int64_t));
-    s->my = malloc((size_t)(p->nedge_y + p->nextra_y + 1) * sizeof(int64_t));
+        if (!reaches(p, boxes[4 * t], boxes[4 * t + 2], reach)) return RK_BAD_ENDPOINT;
+    s->boxes = boxes;
+    int64_t n_own_x, n_own_y;
+    s->own_x = own_coordinates(p, boxes, boxes + 1, source_x, &n_own_x);
+    s->own_y = own_coordinates(p, boxes + 2, boxes + 3, source_y, &n_own_y);
+    if (!s->own_x || !s->own_y) return RK_NOMEM;
+    s->mx = malloc((size_t)(p->nedge_x + n_own_x + 1) * sizeof(int64_t));
+    s->my = malloc((size_t)(p->nedge_y + n_own_y + 1) * sizeof(int64_t));
     if (!s->mx || !s->my) return RK_NOMEM;
-    s->nx = merge(p->edge_x, p->nedge_x, extra_x, p->nextra_x, s->mx);
-    s->ny = merge(p->edge_y, p->nedge_y, extra_y, p->nextra_y, s->my);
+    s->nx = merge(p->edge_x, p->nedge_x, s->own_x, n_own_x, s->mx);
+    s->ny = merge(p->edge_y, p->nedge_y, s->own_y, n_own_y, s->my);
     if (s->nx > INT32_MAX / s->ny) return RK_TOO_BIG; /* parents are int32 */
     int64_t size = s->nx * s->ny;
     s->g = malloc((size_t)size * sizeof(double));
@@ -420,6 +447,8 @@ int rk_search(const rk_problem *p, rk_result *out)
     *out = blank;
     s.p = p;
     int err = prepare_and_run(p, out, &s);
+    free(s.own_x);
+    free(s.own_y);
     free(s.mx);
     free(s.my);
     free(s.g);

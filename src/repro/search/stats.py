@@ -9,6 +9,7 @@ reproduced series.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 
 @dataclass
@@ -57,24 +58,34 @@ class SearchStats:
             self.max_open_size = size
 
     def merged_with(self, other: "SearchStats") -> "SearchStats":
-        """Combine counters from two searches (multi-connection routing).
+        """Combine counters from two searches (multi-connection routing)."""
+        return SearchStats.merged((self, other))
 
-        The merged termination is the *worst* of the two, so an
-        aggregate reads ``"goal"`` only when every constituent search
-        reached its goal.
+    @classmethod
+    def merged(cls, parts: Sequence["SearchStats"]) -> "SearchStats":
+        """Combine the counters of *parts*, in order.
+
+        The result equals folding :meth:`merged_with` over *parts* from
+        an empty ``SearchStats()``: times are summed in order, and the
+        merged termination is the *worst* one, so an aggregate reads
+        ``"goal"`` only when every constituent search reached its goal.
         """
-        severity = {"none": 0, "goal": 1, "exhausted": 2, "limit": 3}
-        worst = max(self.termination, other.termination, key=lambda t: severity.get(t, 3))
-        return SearchStats(
-            nodes_expanded=self.nodes_expanded + other.nodes_expanded,
-            nodes_generated=self.nodes_generated + other.nodes_generated,
-            nodes_reopened=self.nodes_reopened + other.nodes_reopened,
-            max_open_size=max(self.max_open_size, other.max_open_size),
-            elapsed_seconds=self.elapsed_seconds + other.elapsed_seconds,
-            termination=worst,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-        )
+        total = cls()
+        for part in parts:
+            total.nodes_expanded += part.nodes_expanded
+            total.nodes_generated += part.nodes_generated
+            total.nodes_reopened += part.nodes_reopened
+            total.observe_open_size(part.max_open_size)
+            total.elapsed_seconds += part.elapsed_seconds
+            if _SEVERITY.get(part.termination, 3) > _SEVERITY.get(total.termination, 3):
+                total.termination = part.termination
+            total.cache_hits += part.cache_hits
+            total.cache_misses += part.cache_misses
+        return total
+
+
+#: Termination outcomes from best to worst; unknown ones rank worst.
+_SEVERITY = {"none": 0, "goal": 1, "exhausted": 2, "limit": 3}
 
 
 @dataclass

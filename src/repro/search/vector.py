@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import array
 import ctypes
+import math
 import os
 import threading
 import time
@@ -47,7 +48,6 @@ from repro.errors import SearchError
 from repro.geometry.point import Point
 from repro.geometry.raytrace import ObstacleSet
 from repro.search.engine import Order, SearchResult
-from repro.search.node import SearchNode
 from repro.search.stats import ExpansionTrace, SearchStats
 
 if TYPE_CHECKING:
@@ -74,7 +74,6 @@ class _Problem(ctypes.Structure):
         ("nedge_x", ctypes.c_int64), ("nedge_y", ctypes.c_int64),
         ("edge_x", ctypes.c_void_p), ("edge_y", ctypes.c_void_p),
         ("ntargets", ctypes.c_int64), ("npoints", ctypes.c_int64),
-        ("nextra_x", ctypes.c_int64), ("nextra_y", ctypes.c_int64),
         ("nsources", ctypes.c_int64),
         ("connection", ctypes.c_void_p), ("source_costs", ctypes.c_void_p),
         ("nregions", ctypes.c_int64), ("regions", ctypes.c_void_p),
@@ -110,22 +109,21 @@ class EndpointError(SearchError):
 class EscapeGrid:
     """One connection's search, as the kernel reads it.
 
-    The grid's columns are ``obstacles.edge_xs`` merged with
-    ``extra_xs`` (the connection's source and target x coordinates,
-    ascending), its rows likewise; every stop of the line search lies
-    on it.  ``boxes`` are the targets as closed boxes ``(x0, x1, y0,
-    y1)``, the first ``points`` of them target points, which must be
-    routable like the sources.  The kernel prices moves by
+    ``boxes`` holds the targets as closed boxes, flat: ``x0, x1, y0,
+    y1`` per target (:attr:`~repro.core.route.TargetSet.flat`), the
+    first ``points`` of them target points, which must be routable
+    like the sources.  The grid's columns are ``obstacles.edge_xs``
+    merged with the boxes' and the sources' x coordinates, its rows
+    likewise; the kernel sorts and merges them itself, and every stop
+    of the line search lies on that grid.  The kernel prices moves by
     ``cost_model.track_terms()``
     (:meth:`~repro.core.costs.CostModel.track_terms`).
     """
 
     obstacles: ObstacleSet
     sources: list[tuple[Point, float]]
-    boxes: list[tuple[int, int, int, int]]
+    boxes: list[int]
     points: int
-    extra_xs: list[int]
-    extra_ys: list[int]
     cost_model: CostModel
 
 
@@ -264,7 +262,6 @@ def search_vectorized(
     ``(g + 0.0, -g, counter)`` order exactly like the scalar engine's
     ``(g, 0.0, counter)``, since equal first keys mean equal g.
 
-    The goal node carries the found path as a parent chain;
     ``stats.cache_misses`` holds the rays the search traced (four per
     expansion).  Callers check :func:`kernel` first, and keep grids
     within the kernel's int32 state numbering.
@@ -278,16 +275,13 @@ def search_vectorized(
         raise SearchError("the compiled search kernel is unavailable")
     started = time.perf_counter()
     sources = grid.sources
-    ints = [c for box in grid.boxes for c in box]
-    ints += grid.extra_xs
-    ints += grid.extra_ys
-    ints += [p.x for p, _ in sources]
-    ints += [p.y for p, _ in sources]
-    connection = array.array("q", ints)
+    connection = array.array("q", grid.boxes)
+    connection.extend([p.x for p, _ in sources])
+    connection.extend([p.y for p, _ in sources])
     costs = array.array("d", [g0 for _, g0 in sources])
     problem = _Problem(
         *_block(grid.obstacles, _obstacle_block),
-        len(grid.boxes), grid.points, len(grid.extra_xs), len(grid.extra_ys), len(sources),
+        len(grid.boxes) // 4, grid.points, len(sources),
         connection.buffer_info()[0], costs.buffer_info()[0],
         *_block(grid.cost_model, _pricing_block)[:4],
         -1 if node_limit is None else max(node_limit, 0),
@@ -306,12 +300,10 @@ def search_vectorized(
             termination=_TERMINATIONS[out.termination],
             cache_misses=out.probes,
         )
-        goal = None
+        path = None
         if out.path_len:
             flat = out.path[: 2 * out.path_len]
-            for x, y in zip(flat[::2], flat[1::2]):
-                goal = SearchNode(Point(x, y), 0.0, parent=goal)
-            goal.g = out.cost
+            path = [Point(x, y) for x, y in zip(flat[::2], flat[1::2])]
         expansion = None
         if trace:
             expansion = ExpansionTrace()
@@ -322,7 +314,7 @@ def search_vectorized(
     finally:
         library.rk_release(ctypes.byref(out))
     stats.elapsed_seconds = time.perf_counter() - started
-    return SearchResult(goal, stats, expansion)
+    return SearchResult(path, out.cost if path else math.inf, stats, expansion)
 
 
 def _raise(out: _Result, error: int) -> None:

@@ -132,11 +132,18 @@ class TestTargetSet:
         assert targets.escape_xs() == {3, 5, 8}
         assert targets.escape_ys() == {4, 9}
 
-    def test_extended_is_a_new_set(self):
-        base = TargetSet(points=[Point(0, 0)])
-        grown = base.extended(points=[Point(5, 5)])
-        assert grown.contains(Point(5, 5))
-        assert not base.contains(Point(5, 5))
+    def test_connect_grows_the_set_in_place(self):
+        targets = TargetSet(points=[Point(0, 0)], segments=[Segment.horizontal(9, 5, 8)])
+        new = targets.connect([Point(5, 5)], [Point(5, 5), Point(5, 9)])
+        assert new == [5, 5, 5, 5, 5, 5, 5, 9]  # the pin, then the hop, as boxes
+        assert targets.contains(Point(5, 7))
+        assert targets.flat == [0, 0, 0, 0, 5, 5, 5, 5, 5, 8, 9, 9, 5, 5, 5, 9]
+
+    def test_zero_length_attach_joins_the_points(self):
+        targets = TargetSet(points=[Point(0, 0)])
+        assert targets.connect([Point(3, 0)], [Point(3, 0)]) == [3, 3, 0, 0, 3, 3, 0, 0]
+        assert targets.points == [Point(0, 0), Point(3, 0), Point(3, 0)]
+        assert len(targets) == 3
 
     def test_len(self):
         targets = TargetSet(points=[Point(0, 0)], segments=[Segment.horizontal(9, 5, 8)])

@@ -1,5 +1,8 @@
 """Unit tests for pins, multi-pin terminals, and nets."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import LayoutError
@@ -55,6 +58,24 @@ class TestTerminal:
     def test_distance_to(self):
         term = Terminal("t", [Pin("a", Point(0, 0)), Pin("b", Point(10, 0))])
         assert term.distance_to(Point(9, 1)) == 2
+
+    def test_locations_are_computed_once(self):
+        term = Terminal("t", [Pin("a", Point(0, 0)), Pin("b", Point(10, 0))])
+        assert term.locations == (Point(0, 0), Point(10, 0))
+        assert term.locations is term.locations
+
+    def test_locations_stay_out_of_equality_hash_and_repr(self):
+        pins = [Pin("a", Point(0, 0)), Pin("b", Point(10, 0))]
+        term = Terminal("t", pins)
+        assert term == Terminal("t", pins) and hash(term) == hash(Terminal("t", pins))
+        assert "locations" not in repr(term)
+        assert [f.name for f in dataclasses.fields(term)] == ["name", "pins"]
+
+    def test_pickle_round_trip(self):
+        term = Terminal("t", [Pin("a", Point(0, 0), "c"), Pin("b", Point(10, 0))])
+        copy = pickle.loads(pickle.dumps(term))
+        assert copy == term and hash(copy) == hash(term)
+        assert copy.locations == term.locations
 
 
 class TestNet:

@@ -25,7 +25,6 @@ from repro.analysis.verify import (
 from repro.core.congestion import (
     BOUNDARY,
     Passage,
-    _dedupe,
     find_passages,
     measure_congestion,
 )
@@ -98,6 +97,18 @@ def scalar_find_passages(layout: Layout, *, max_gap: Optional[int] = None) -> li
             _append_if_clear(passages, region, flow, between, boxes, max_gap)
 
     return _dedupe(passages)
+
+
+def _dedupe(passages: list[Passage]) -> list[Passage]:
+    """Drop symmetric duplicates (a|b vs b|a over the same region)."""
+    seen: set[tuple[Rect, Axis, frozenset[str]]] = set()
+    unique: list[Passage] = []
+    for p in passages:
+        key = (p.region, p.flow, frozenset(p.between))
+        if key not in seen:
+            seen.add(key)
+            unique.append(p)
+    return unique
 
 
 def _append_if_clear(passages, region, flow, between, boxes, max_gap) -> None:

@@ -120,7 +120,10 @@ class TestBuild:
 class TestSearch:
     def test_blind_orders_rejected(self):
         request = _one_block_request()
-        grid = pathfinder._escape_grid(request, [10, 90], [50])
+        grid = vector.EscapeGrid(
+            request.obstacles, request.sources, request.targets.flat,
+            len(request.targets.points), request.cost_model,
+        )
         with pytest.raises(SearchError, match="cost-ordered"):
             vector.search_vectorized(grid, Order.BREADTH_FIRST)
 
