@@ -9,7 +9,7 @@ their throughput so regressions surface immediately.
 import random
 
 from repro.core.escape import EscapeMode, escape_moves
-from repro.geometry.point import ALL_DIRECTIONS, Point
+from repro.geometry.point import Point
 from repro.analysis.tables import format_table
 
 from benchmarks.workloads import report, scaling_layout
@@ -31,15 +31,8 @@ def bench_m1_raytrace(benchmark):
     def run_rays():
         total = 0
         for p in points:
-            for direction in ALL_DIRECTIONS:
-                total += obs.first_hit(p, direction).distance
-        return total
-
-    def run_reaches():
-        total = 0
-        for p in points:
-            east, west, north, south = obs.reaches(p.x, p.y)
-            total += east - west + north - south
+            for hit in obs.rays(p):
+                total += hit.distance
         return total
 
     import time
@@ -52,11 +45,8 @@ def bench_m1_raytrace(benchmark):
             job()
         return runs * len(points) * 4 / (time.perf_counter() - t0)
 
-    # Every ray goes to the track index (each track is built on first
-    # use, then kept until the set mutates).
     benchmark(run_rays)
-    first_hit_rate = ray_rate(run_rays)
-    reaches_rate = ray_rate(run_reaches)
+    rays_rate = ray_rate(run_rays)
 
     t0 = time.perf_counter()
     full_moves = 0
@@ -72,8 +62,7 @@ def bench_m1_raytrace(benchmark):
     table = format_table(
         ["primitive", "throughput", "successors/point"],
         [
-            ["first_hit", f"{first_hit_rate:,.0f} rays/s", "-"],
-            ["reaches (4 rays/probe)", f"{reaches_rate:,.0f} rays/s", "-"],
+            ["rays (4 rays/point)", f"{rays_rate:,.0f} rays/s", "-"],
             ["escape_moves FULL", f"{len(points) / t_full:,.0f} calls/s",
              f"{full_moves / len(points):.1f}"],
             ["escape_moves AGGRESSIVE", f"{len(points) / t_aggr:,.0f} calls/s",

@@ -16,8 +16,8 @@ The claims the bench pins:
   least :data:`ENGINE_SPEEDUP_FLOOR` times more expansions per second
   on the default search than on the reference oracle;
   BENCH_hotpath.json tracks the trajectory PR over PR.
-* **work** — expansions and ray probes (``ray_probes``: every
-  ``first_hit`` one, every kernel expansion four) are deterministic,
+* **work** — expansions and ray probes (``ray_probes``: four for
+  every ``ObstacleSet.rays`` call and every kernel expansion) are deterministic,
   and the driver's ``--check`` pins them exactly.
 
 :func:`gate` holds those claims.  Run the suite through the one bench

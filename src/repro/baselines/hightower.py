@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.route import RoutePath
-from repro.geometry.point import ALL_DIRECTIONS, Point
+from repro.geometry.point import Point
 from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.segment import Segment
 
@@ -148,9 +148,9 @@ class _Side:
         probes: list[ProbeLine] = []
         if not self.obstacles.point_free(point):
             return probes
-        reaches = {d: self.obstacles.first_hit(point, d).reach for d in ALL_DIRECTIONS}
-        horizontal = Segment(reaches[ALL_DIRECTIONS[1]], reaches[ALL_DIRECTIONS[0]])
-        vertical = Segment(reaches[ALL_DIRECTIONS[3]], reaches[ALL_DIRECTIONS[2]])
+        east, west, north, south = self.obstacles.rays(point)
+        horizontal = Segment(west.reach, east.reach)
+        vertical = Segment(south.reach, north.reach)
         if not horizontal.is_degenerate:
             probes.append(ProbeLine(horizontal, point, parent, level))
         if not vertical.is_degenerate:

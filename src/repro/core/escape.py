@@ -32,7 +32,7 @@ Two stop policies are provided:
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.geometry.point import ALL_DIRECTIONS, Direction, Point
 from repro.geometry.raytrace import ObstacleSet
@@ -76,8 +76,7 @@ def escape_moves(
     in deterministic order.
     """
     moves: list[tuple[Point, Direction]] = []
-    for direction in ALL_DIRECTIONS:
-        hit = obstacles.first_hit(origin, direction)
+    for direction, hit in zip(ALL_DIRECTIONS, obstacles.rays(origin)):
         if hit.reach == origin:
             continue
         stops = _stops_for_ray(origin, direction, hit.reach, hit.obstacle, obstacles, mode,
@@ -127,21 +126,3 @@ def _stops_for_ray(
         if lo < coord < hi:
             stops.add(coord)
     return sorted(stops)
-
-
-def hanan_coordinates(
-    obstacles: ObstacleSet,
-    extra_points: Iterable[Point] = (),
-) -> tuple[list[int], list[int]]:
-    """The full track-graph coordinate sets (for oracles and analysis).
-
-    All distinct cell-edge and boundary coordinates plus those of
-    *extra_points* (sources/targets).  The explicit graph over these
-    coordinates is the reference a lazy escape search explores.
-    """
-    xs = set(obstacles.edge_xs)
-    ys = set(obstacles.edge_ys)
-    for p in extra_points:
-        xs.add(p.x)
-        ys.add(p.y)
-    return sorted(xs), sorted(ys)

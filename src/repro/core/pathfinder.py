@@ -154,13 +154,13 @@ _REFERENCE = False
 
 @contextmanager
 def reference_search() -> Iterator[None]:
-    """Route with the scalar oracle and scanned rays.
+    """Route with the scalar oracle.
 
     While active, every :func:`find_path` in this process searches the
-    scalar problem with the obstacle set's rays traced by the plain
-    numpy scan instead of the per-track blocker index, for the duration
-    of the search — the plainest form of the line-search A*, against
-    which the compiled search and the index are checked.
+    scalar problem, tracing its rays with
+    :meth:`~repro.geometry.raytrace.ObstacleSet.rays` — the plainest
+    form of the line-search A*, against which the compiled search and
+    its own ray scan are checked.
     The override is process-local: it never reaches the processes of a
     batch or service worker pool.  It is meant for tests, the conformance matrix and the hot-path bench; no
     config, request, CLI flag or environment variable selects it.
@@ -305,13 +305,6 @@ def find_path(request: PathRequest) -> PathSearchResult:
             _check_endpoints(request)  # raises the precise error
             raise
         obstacles.ray_probes += result.stats.cache_misses
-    elif _REFERENCE:
-        scan_rays = obstacles._scan_rays
-        obstacles._scan_rays = True
-        try:
-            result = _scalar_search(request)
-        finally:
-            obstacles._scan_rays = scan_rays
     else:
         result = _scalar_search(request)
     result.stats.cache_hits = 0

@@ -270,14 +270,6 @@ class TargetSet:
         coordinates = iter(self.flat)
         return list(zip(coordinates, coordinates, coordinates, coordinates))
 
-    def nearest_point_to(self, p: Point) -> Point:
-        """The concrete target point nearest to *p* (for diagnostics)."""
-        candidates = [
-            Point(min(max(p.x, x0), x1), min(max(p.y, y0), y1))
-            for x0, x1, y0, y1 in self.boxes()
-        ]
-        return min(candidates, key=lambda c: (c.manhattan(p), c))
-
     def escape_xs(self) -> set[int]:
         """x coordinates at which a search may need to stop to hit a target."""
         return set(self.flat[0::4]) | set(self.flat[1::4])

@@ -55,7 +55,8 @@ class RouterConfig:
     inverted_corner:
         Charge the Figure 2 epsilon so corner-hugging routes win ties.
     corner_epsilon:
-        Size of that epsilon (must stay below coordinate resolution).
+        Size of that epsilon (must stay below coordinate resolution,
+        and above 0 when ``inverted_corner`` is set).
     bend_penalty:
         Optional per-corner surcharge (via minimization); 0 disables.
     exact_steiner_order:
@@ -106,6 +107,10 @@ class RouterConfig:
         if self.corner_epsilon < 0:
             raise RoutingError(
                 f"corner_epsilon must be >= 0, got {self.corner_epsilon}"
+            )
+        if self.inverted_corner and not self.corner_epsilon > 0:
+            raise RoutingError(
+                f"corner_epsilon must be > 0 with inverted_corner, got {self.corner_epsilon}"
             )
         if self.node_limit is not None and self.node_limit < 1:
             raise RoutingError(f"node_limit must be >= 1, got {self.node_limit}")

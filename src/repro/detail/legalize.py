@@ -98,12 +98,12 @@ def _free_track_for(
             candidate = track + delta
             if not lo <= candidate <= hi:
                 continue
-            if _track_clear(wire, candidate, wires):
+            if _free_at_track(wire, candidate, wires):
                 return candidate
     return None
 
 
-def _track_clear(wire: DetailedWire, track: int, wires: list[tuple[str, Segment]]) -> bool:
+def _free_at_track(wire: DetailedWire, track: int, wires: list[tuple[str, Segment]]) -> bool:
     """No different-net same-orientation wire overlaps at *track*."""
     for net, seg in wires:
         if net == wire.net:

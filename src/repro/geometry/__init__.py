@@ -5,9 +5,8 @@ which the whole router is built: points, 1-D intervals, axis-parallel
 segments, axis-aligned rectangles, orthogonal polygons, and the
 Sutherland-style ray tracer used for successor generation: an
 obstacle set built once per layout (grown only by
-``ObstacleSet.extended``) whose per-track blocker index stands in for
-the topologically ordered point structure of the paper's
-implementation section.
+``ObstacleSet.extended``) that traces the four clear rays from a point
+in one pass over the rects straddling its row or column.
 
 Coordinates are arbitrary Python numbers; the routers use exact integer
 coordinates ("database units"), and a layout rejects any other.

@@ -96,14 +96,6 @@ class Interval:
         """Nearest coordinate inside the interval."""
         return max(self.lo, min(self.hi, value))
 
-    def distance_to(self, value: int) -> int:
-        """Distance from *value* to the interval (zero if inside)."""
-        if value < self.lo:
-            return self.lo - value
-        if value > self.hi:
-            return value - self.hi
-        return 0
-
     def gap_to(self, other: "Interval") -> int:
         """Separation between two intervals (zero when they touch/overlap)."""
         if self.overlaps(other):

@@ -19,21 +19,12 @@ Semantics
   built once, in ``__init__``.  A router that routes against a growing
   set (the nets-as-obstacles baseline) asks :meth:`ObstacleSet.extended`
   for a new set with the extra rects appended.
-* Rays are answered from a **per-track blocker index** — the paper's
-  "topological ordering" that makes ray tracing cheap.  The first ray
-  along a track (a row ``y`` for east/west rays, a column ``x`` for
-  north/south ones) collects the rects whose open span straddles
-  it, sorted by far edge with a running nearest-near-edge; every later
-  ray on that track costs one dict probe and one ``bisect``.  Tracks
-  are indexed lazily, one at a time, and never go stale.  The plain
-  numpy scan over every rect stays as the reference
-  that :func:`~repro.core.pathfinder.reference_search` runs, so the
-  oracle keeps checking the index.
-* Ray answers are not memoized: a repeated ray costs the same probe
-  and ``bisect`` as its first trace, which measured no slower than a
-  memo in front of the index.  ``ray_probes`` counts the
-  rays traced (``reaches`` counts as four) for the perf harness
-  (``benchmarks/bench_x5_hotpath.py``).
+* Rays come four at a time: :meth:`ObstacleSet.rays` traces the east,
+  west, north and south rays from a point in one pass over the rects
+  that straddle its row or column, as the compiled search
+  (``repro/search/escape_astar.c``) does per expansion.  Answers are
+  not memoized; ``ray_probes`` counts the rays traced (four per
+  point) for the perf harness (``benchmarks/bench_x5_hotpath.py``).
 """
 
 from __future__ import annotations
@@ -45,21 +36,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.point import Direction, Point
+from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
-
-#: One side of a track's blocker index: ``(keys, stops, rects)``.  The
-#: ray finds its first candidate by bisecting ``keys`` (the rects' far
-#: edges, sorted); ``stops[i]``/``rects[i]`` is the nearest near edge
-#: among candidates ``i`` onward (ahead side) or up to ``i`` (behind
-#: side), earliest-inserted rect on ties.
-_Side = tuple[list[int], list[int], list[Rect]]
-
-#: A track's index: ``(ahead, behind)`` — the east and west sides of a
-#: row, the north and south sides of a column.
-_Track = tuple[_Side, _Side]
-
 
 @dataclass(frozen=True, slots=True)
 class Hit:
@@ -85,11 +64,6 @@ class Hit:
     def distance(self) -> int:
         """Clear distance from origin to reach."""
         return self.origin.manhattan(self.reach)
-
-    @property
-    def blocked_by_cell(self) -> bool:
-        """True when a cell (not the boundary) stopped the ray."""
-        return self.obstacle is not None
 
 
 class CoordIndex:
@@ -162,15 +136,7 @@ class ObstacleSet:
         self._edge_ys = CoordIndex(
             [bound.y0, bound.y1, *(r.y0 for r in self._rects), *(r.y1 for r in self._rects)]
         )
-        # Blocker indexes of the rows (east/west rays) and columns
-        # (north/south rays) queried so far.
-        self._rows: dict[int, _Track] = {}
-        self._cols: dict[int, _Track] = {}
-        # Set only by find_path under reference_search: first_hit traces
-        # rays with the plain scan, the oracle the index is checked
-        # against.  reaches ignores it.
-        self._scan_rays = False
-        #: Rays traced so far (``reaches`` counts four).
+        #: Rays traced so far (each :meth:`rays` call counts four).
         self.ray_probes = 0
 
     @property
@@ -300,8 +266,19 @@ class ObstacleSet:
     # ------------------------------------------------------------------
     # Ray tracing
     # ------------------------------------------------------------------
-    def first_hit(self, origin: Point, direction: Direction) -> Hit:
-        """Trace a ray and report how far it can extend.
+    def rays(self, origin: Point) -> tuple[Hit, Hit, Hit, Hit]:
+        """The four maximal clear rays from *origin*, in one pass.
+
+        Returns the east, west, north and south :class:`Hit` (the
+        order of :data:`~repro.geometry.point.ALL_DIRECTIONS`).  A numpy
+        mask picks the rects whose open span straddles the row or the
+        column through *origin* — the only ones a ray can enter — and
+        one Python pass over them, in insertion order, keeps each ray's
+        nearest near edge (the earliest-inserted rect on ties).  A stop
+        past the bound yields to the bound; a stop on it is still
+        reported with its rect.  The compiled search
+        (:mod:`repro.search.vector`) makes the same pass over
+        :attr:`columns` per expansion.  Counts as four :attr:`ray_probes`.
 
         Raises
         ------
@@ -309,208 +286,42 @@ class ObstacleSet:
             If *origin* lies outside the routing boundary or strictly
             inside an obstacle (rays cannot start from illegal points).
         """
-        self.ray_probes += 1
-        if self._scan_rays:
-            return self._trace(origin, direction)
+        self.ray_probes += 4
         x, y = origin.x, origin.y
         bound = self.bound
         if not (bound.x0 <= x <= bound.x1 and bound.y0 <= y <= bound.y1):
             raise GeometryError(f"ray origin {origin} outside routing bound {bound}")
-        if direction is Direction.EAST or direction is Direction.WEST:
-            row = self._rows.get(y) or self._track(y, True)
-            if direction is Direction.EAST:
-                found = _ahead(row[0], x, bound.x1)
-            else:
-                found = _behind(row[1], x, bound.x0)
-            if found is None:
-                raise GeometryError(f"ray origin {origin} inside an obstacle")
-            return Hit(origin, Point(found[0], y), found[1])
-        col = self._cols.get(x) or self._track(x, False)
-        if direction is Direction.NORTH:
-            found = _ahead(col[0], y, bound.y1)
-        else:
-            found = _behind(col[1], y, bound.y0)
-        if found is None:
-            raise GeometryError(f"ray origin {origin} inside an obstacle")
-        return Hit(origin, Point(x, found[0]), found[1])
-
-    def reaches(self, x: int, y: int) -> tuple[int, int, int, int]:
-        """All four ray reaches from ``(x, y)`` in one probe.
-
-        Returns ``(east_x, west_x, north_y, south_y)`` — the ``reach``
-        coordinates :meth:`first_hit` reports, with the same
-        :class:`GeometryError` for an illegal origin — from two track
-        lookups (the row and the column through the origin), without
-        building any :class:`Hit`.  The compiled search
-        (:mod:`repro.search.vector`) computes the same four reaches per
-        expansion by its own scan of :attr:`columns`.  It counts as
-        four :attr:`ray_probes`.
-        """
-        self.ray_probes += 4
-        bound = self.bound
-        if not (bound.x0 <= x <= bound.x1 and bound.y0 <= y <= bound.y1):
-            raise GeometryError(f"ray origin {Point(x, y)} outside routing bound {bound}")
-        row = self._rows.get(y) or self._track(y, True)
-        col = self._cols.get(x) or self._track(x, False)
-        # Each side sees the same straddling rects, so an origin strictly
-        # inside one is caught by all four or none.
-        east = _ahead(row[0], x, bound.x1)
-        if east is None:
-            raise GeometryError(f"ray origin {Point(x, y)} inside an obstacle")
+        east = west = north = south = None
+        east_by = west_by = north_by = south_by = None
+        if self._rects:
+            near = ((self._y0 < y) & (y < self._y1)) | ((self._x0 < x) & (x < self._x1))
+            for i in np.flatnonzero(near).tolist():
+                rect = self._rects[i]
+                if rect.y0 < y < rect.y1:
+                    if rect.x0 < x < rect.x1:
+                        raise GeometryError(f"ray origin {origin} inside an obstacle")
+                    if x < rect.x1:
+                        if east is None or rect.x0 < east:
+                            east, east_by = rect.x0, rect
+                    elif rect.x0 < x and (west is None or rect.x1 > west):
+                        west, west_by = rect.x1, rect
+                # Not on the row, so the mask picked it for the column.
+                elif y < rect.y1:
+                    if north is None or rect.y0 < north:
+                        north, north_by = rect.y0, rect
+                elif rect.y0 < y and (south is None or rect.y1 > south):
+                    south, south_by = rect.y1, rect
+        if east is None or east > bound.x1:
+            east, east_by = bound.x1, None
+        if west is None or west < bound.x0:
+            west, west_by = bound.x0, None
+        if north is None or north > bound.y1:
+            north, north_by = bound.y1, None
+        if south is None or south < bound.y0:
+            south, south_by = bound.y0, None
         return (
-            east[0],
-            _behind(row[1], x, bound.x0)[0],
-            _ahead(col[0], y, bound.y1)[0],
-            _behind(col[1], y, bound.y0)[0],
+            Hit(origin, Point(east, y), east_by),
+            Hit(origin, Point(west, y), west_by),
+            Hit(origin, Point(x, north), north_by),
+            Hit(origin, Point(x, south), south_by),
         )
-
-    def _track(self, coord: int, horizontal: bool) -> _Track:
-        """Build and store the blocker index of one row or column.
-
-        A row ``y`` indexes the rects with ``y0 < y < y1`` — the
-        only ones an east/west ray along it can enter — and a column
-        ``x`` the rects with ``x0 < x < x1``.  The ahead side sorts them
-        by far edge (``x1`` on a row) and keeps a suffix minimum of the
-        near edge; the behind side sorts them by ``x0`` and keeps a
-        prefix maximum of ``x1``.  Ties go to the earliest-inserted
-        rect, matching the scan's ``argmin``/``argmax`` over column order.
-        """
-        if horizontal:
-            span_lo, span_hi, lo, hi = self._y0, self._y1, self._x0, self._x1
-        else:
-            span_lo, span_hi, lo, hi = self._x0, self._x1, self._y0, self._y1
-        # flatnonzero keeps column (= insertion) order, so a rect's
-        # position here is its tie-break rank.
-        straddling = np.flatnonzero((span_lo < coord) & (coord < span_hi))
-        rects = [self._rects[i] for i in straddling.tolist()]
-        starts = lo[straddling].tolist()
-        ends = hi[straddling].tolist()
-        ranks = range(len(rects))
-
-        by_end = sorted(ranks, key=ends.__getitem__)
-        ahead_stops: list[int] = []
-        ahead_rects: list[Rect] = []
-        best = None
-        for i in reversed(by_end):
-            if best is None or (starts[i], i) < best:
-                best = (starts[i], i)
-            ahead_stops.append(best[0])
-            ahead_rects.append(rects[best[1]])
-        ahead_stops.reverse()
-        ahead_rects.reverse()
-
-        by_start = sorted(ranks, key=starts.__getitem__)
-        behind_stops: list[int] = []
-        behind_rects: list[Rect] = []
-        best = None
-        for i in by_start:
-            if best is None or (ends[i], -i) > best:
-                best = (ends[i], -i)
-            behind_stops.append(best[0])
-            behind_rects.append(rects[-best[1]])
-
-        track = (
-            ([ends[i] for i in by_end], ahead_stops, ahead_rects),
-            ([starts[i] for i in by_start], behind_stops, behind_rects),
-        )
-        (self._rows if horizontal else self._cols)[coord] = track
-        return track
-
-    def _trace(self, origin: Point, direction: Direction) -> Hit:
-        """The reference ray trace: a numpy scan over every rect.
-
-        Slower than the track index but independent of it; it serves
-        rays only under :func:`~repro.core.pathfinder.reference_search`.
-        """
-        if not self.bound.contains_point(origin):
-            raise GeometryError(f"ray origin {origin} outside routing bound {self.bound}")
-        if not self.point_free(origin):
-            raise GeometryError(f"ray origin {origin} inside an obstacle")
-        px, py = origin.x, origin.y
-        if direction is Direction.EAST:
-            limit = self.bound.x1
-            stops = self._ray_stops(self._y0, self._y1, py, self._x1 > px, self._x0, px, +1)
-        elif direction is Direction.WEST:
-            limit = self.bound.x0
-            stops = self._ray_stops(self._y0, self._y1, py, self._x0 < px, self._x1, px, -1)
-        elif direction is Direction.NORTH:
-            limit = self.bound.y1
-            stops = self._ray_stops(self._x0, self._x1, px, self._y1 > py, self._y0, py, +1)
-        else:  # SOUTH
-            limit = self.bound.y0
-            stops = self._ray_stops(self._x0, self._x1, px, self._y0 < py, self._y1, py, -1)
-
-        obstacle: Optional[Rect] = None
-        reach_coord = limit
-        if stops is not None and stops[0].size:
-            coords, indices = stops
-            best = int(coords.argmin() if direction.sign > 0 else coords.argmax())
-            candidate = int(coords[best])
-            closer = candidate < reach_coord if direction.sign > 0 else candidate > reach_coord
-            if closer or candidate == reach_coord:
-                reach_coord = candidate
-                obstacle = self._rects[int(indices[best])]
-        reach = (
-            origin.with_x(reach_coord) if direction.is_horizontal else origin.with_y(reach_coord)
-        )
-        return Hit(origin, reach, obstacle)
-
-    def _ray_stops(self, perp_lo, perp_hi, perp_coord, ahead_mask, near_edge, start, sign):
-        """Candidate stop coordinates for one ray direction.
-
-        A rect blocks when the ray's fixed coordinate is strictly inside
-        the rect's perpendicular span and some part of the rect lies
-        ahead.  The stop is the rect's near edge, clamped back to the
-        origin when the origin already touches the rect's far column.
-        """
-        if not self._rects:
-            return None
-        mask = (perp_lo < perp_coord) & (perp_coord < perp_hi) & ahead_mask
-        if not mask.any():
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        indices = np.flatnonzero(mask)
-        edges = near_edge[indices]
-        if sign > 0:
-            coords = np.maximum(edges, start)
-        else:
-            coords = np.minimum(edges, start)
-        return (coords, indices)
-
-    def clear_run(self, origin: Point, direction: Direction) -> Segment:
-        """The maximal legal wire segment from *origin* along *direction*."""
-        hit = self.first_hit(origin, direction)
-        return Segment(origin, hit.reach)
-
-
-def _ahead(side: _Side, pos: int, limit: int) -> Optional[tuple[int, Optional[Rect]]]:
-    """Stop and blocker of a ray heading up the track from *pos*.
-
-    The candidates are the rects whose far edge lies beyond *pos*; the
-    nearest near edge among them stops the ray, unless it lies beyond
-    the bound *limit*.  ``None`` means one candidate's near edge is
-    behind *pos*: the origin is strictly inside that rect.
-    """
-    keys, stops, rects = side
-    i = bisect_right(keys, pos)
-    if i == len(keys):
-        return limit, None
-    stop = stops[i]
-    if stop < pos:
-        return None
-    if stop <= limit:
-        return stop, rects[i]
-    return limit, None
-
-
-def _behind(side: _Side, pos: int, limit: int) -> Optional[tuple[int, Optional[Rect]]]:
-    """Mirror of :func:`_ahead` for a ray heading down the track."""
-    keys, stops, rects = side
-    i = bisect_left(keys, pos)
-    if not i:
-        return limit, None
-    stop = stops[i - 1]
-    if stop > pos:
-        return None
-    if stop >= limit:
-        return stop, rects[i - 1]
-    return limit, None

@@ -115,14 +115,6 @@ class Rect:
             and (x == self.x0 or x == self.x1 or y == self.y0 or y == self.y1)
         )
 
-    def distance_to_point(self, p: Point) -> int:
-        """Rectilinear distance from *p* to the closed rect (0 if inside)."""
-        return self.x_span.distance_to(p.x) + self.y_span.distance_to(p.y)
-
-    def nearest_point_to(self, p: Point) -> Point:
-        """The closed-rect point nearest (L1) to *p*."""
-        return Point(self.x_span.clamp(p.x), self.y_span.clamp(p.y))
-
     # ------------------------------------------------------------------
     # Rect relationships
     # ------------------------------------------------------------------

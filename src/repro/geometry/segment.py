@@ -103,16 +103,6 @@ class Segment:
         """Whether *p* lies on the segment excluding the endpoints."""
         return self.contains_point(p) and p != self.a and p != self.b
 
-    def nearest_point_to(self, p: Point) -> Point:
-        """The point on the segment closest (L1) to *p*."""
-        if self.is_horizontal:
-            return Point(self.span.clamp(p.x), self.a.y)
-        return Point(self.a.x, self.span.clamp(p.y))
-
-    def distance_to_point(self, p: Point) -> int:
-        """Rectilinear distance from *p* to the nearest segment point."""
-        return self.nearest_point_to(p).manhattan(p)
-
     # ------------------------------------------------------------------
     # Segment relationships
     # ------------------------------------------------------------------

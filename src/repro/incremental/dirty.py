@@ -18,7 +18,7 @@ layout it was routed on, and a :class:`~repro.incremental.delta.LayoutDelta`,
 The geometry test reuses the PR-3 machinery: the changed footprints
 (:func:`~repro.incremental.delta.changed_rects`), inflated by one
 unit, become an :class:`~repro.geometry.raytrace.ObstacleSet` (with
-its per-track blocker index and ``CoordIndex`` edge tables), and each
+its int64 rect columns and ``CoordIndex`` edge tables), and each
 candidate tree is probed with the same vectorized
 ``segment_free``/``point_free`` queries the router itself uses.  The
 one-unit inflation makes the test *conservative*: a route that merely

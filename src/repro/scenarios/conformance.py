@@ -97,8 +97,8 @@ class MatrixPoint:
 
     A ``reference`` point routes its whole cell — the run and any
     incremental replays — under
-    :func:`~repro.core.pathfinder.reference_search`: the scalar oracle
-    with rays traced by the plain numpy scan.
+    :func:`~repro.core.pathfinder.reference_search`: the scalar oracle,
+    its rays traced in Python by ``ObstacleSet.rays``.
     """
 
     name: str

@@ -222,7 +222,7 @@ static int64_t merge(const int64_t *a, int64_t na, const int64_t *b, int64_t nb,
     return n;
 }
 
-/* The four ray reaches from (x, y), as ObstacleSet.reaches reports them;
+/* The four ray reaches from (x, y), as the Hits of ObstacleSet.rays give them;
    returns 0 for an illegal origin (outside the bound or inside a rect). */
 static int reaches(const rk_problem *p, int64_t x, int64_t y, int64_t out[4])
 {

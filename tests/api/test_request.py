@@ -61,6 +61,11 @@ class TestConfigValidation:
         with pytest.raises(RoutingError):
             RouterConfig(corner_epsilon=-0.01)
 
+    def test_rejects_zero_corner_epsilon_with_inverted_corner(self):
+        with pytest.raises(RoutingError, match="corner_epsilon must be > 0 with inverted_corner"):
+            RouterConfig(inverted_corner=True, corner_epsilon=0.0)
+        assert RouterConfig(corner_epsilon=0.0).corner_epsilon == 0.0  # unused: harmless
+
     def test_rejects_nonpositive_node_limit(self):
         with pytest.raises(RoutingError):
             RouterConfig(node_limit=0)
@@ -242,6 +247,13 @@ class TestMalformedFields:
         data["config"] = config
         with pytest.raises(RoutingError, match="router config must be a JSON object"):
             RouteRequest.from_dict(data)
+
+    def test_zero_corner_epsilon_with_inverted_corner_fails_intake(self, data):
+        data["config"].update(inverted_corner=True, corner_epsilon=0.0)
+        with pytest.raises(RoutingError, match="corner_epsilon must be > 0 with inverted_corner"):
+            RouteRequest.from_dict(data)
+        data["config"]["inverted_corner"] = False
+        assert RouteRequest.from_dict(data).config.corner_epsilon == 0.0
 
     @pytest.mark.parametrize("params", ["x", [], 7])
     def test_strategy_params_must_be_an_object(self, data, params):

@@ -54,6 +54,22 @@ class TestEscapeBehaviour:
         assert result.lines_created >= 4
         assert result.intersections_tested > 0
 
+    def test_probe_points_count_four_rays_each(self, monkeypatch):
+        calls = []
+        real = ObstacleSet.rays
+
+        def counted(self, origin):
+            calls.append(origin)
+            return real(self, origin)
+
+        monkeypatch.setattr(ObstacleSet, "rays", counted)
+        obs = ObstacleSet(BOUND, [Rect(40, 0, 60, 90)])
+        result = hightower_route(obs, Point(10, 50), Point(90, 50))
+        assert result.found
+        # One query gives a point's row and column probe lines.
+        assert len(calls) >= 2
+        assert obs.ray_probes == 4 * len(calls)
+
     def test_multiple_blocks(self):
         obs = ObstacleSet(
             BOUND, [Rect(20, 0, 30, 70), Rect(50, 30, 60, 100), Rect(75, 0, 85, 60)]

@@ -163,37 +163,31 @@ class TestSelectionRule:
             GlobalRouter(_congested_grid(n_nets=4)).route_all(on_unroutable="skip")
         assert not calls
 
-    def test_reference_search_counts_scanned_probes_and_restores_the_index(self):
+    def test_reference_search_counts_its_probes(self):
         obs, regions = _scene()
         request = _request(obstacles=obs, cost_model=CongestionPenaltyCost(regions))
         with reference_search():
-            stats = find_path(request).stats
-        # Scanned rays are probes too, and there is no memo to hit.
-        assert stats.cache_hits == 0 and stats.cache_misses > 0
-        assert not obs._scan_rays
-        assert find_path(request).stats.cache_misses > 0
+            scalar = find_path(request).stats
+        # Python rays are probes too, and there is no memo to hit.
+        assert scalar.cache_hits == 0 and scalar.cache_misses > 0
+        assert find_path(request).stats.cache_misses == scalar.cache_misses
 
-    def test_reference_search_traces_rays_by_the_scan(self, monkeypatch):
-        calls = {"scan": 0, "index": 0}
+    def test_only_reference_search_traces_rays_in_python(self, monkeypatch):
+        calls = []
+        real = ObstacleSet.rays
 
-        def counted(name, real):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
+        def counted(self, origin):
+            calls.append(origin)
+            return real(self, origin)
 
-            return wrapper
-
-        monkeypatch.setattr(ObstacleSet, "_trace", counted("scan", ObstacleSet._trace))
-        monkeypatch.setattr(ObstacleSet, "_track", counted("index", ObstacleSet._track))
+        monkeypatch.setattr(ObstacleSet, "rays", counted)
         with reference_search():
             find_path(_request())
-        assert calls["scan"] > 0 and calls["index"] == 0
-        calls.update(scan=0, index=0)
-        request = _request()
-        find_path(request)
+        assert calls
+        calls.clear()
+        find_path(_request())
         # The compiled search traces its rays itself, from the rect columns.
-        assert calls == {"scan": 0, "index": 0}
-        assert not request.obstacles._scan_rays
+        assert not calls
 
 
 class TestFindPathParity:

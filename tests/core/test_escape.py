@@ -1,6 +1,6 @@
 """Unit tests for escape-point successor generation."""
 
-from repro.core.escape import EscapeMode, escape_moves, hanan_coordinates
+from repro.core.escape import EscapeMode, escape_moves
 from repro.geometry.point import Direction, Point
 from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.rect import Rect
@@ -56,6 +56,13 @@ class TestFullMode:
         points = [p for p, _d in moves]
         assert len(points) == len(set(points))
 
+    def test_one_four_ray_query_per_origin(self):
+        obs = ObstacleSet(BOUND, [Rect(30, 60, 50, 80), Rect(60, 40, 80, 60)])
+        for mode in EscapeMode:
+            before = obs.ray_probes
+            escape_moves(Point(0, 50), obs, mode=mode, extra_xs=[42])
+            assert obs.ray_probes - before == 4
+
 
 class TestAggressiveMode:
     def test_far_fewer_stops_than_full(self):
@@ -97,16 +104,3 @@ class TestAggressiveMode:
         origin = Point(40, 30)  # on first cell's right edge
         for succ, _d in escape_moves(origin, obs, mode=EscapeMode.AGGRESSIVE):
             assert obs.segment_free(Segment(origin, succ))
-
-
-class TestHananCoordinates:
-    def test_includes_obstacles_bounds_and_extras(self):
-        obs = ObstacleSet(BOUND, [Rect(30, 60, 50, 80)])
-        xs, ys = hanan_coordinates(obs, [Point(7, 9)])
-        assert {0, 7, 30, 50, 100} <= set(xs)
-        assert {0, 9, 60, 80, 100} <= set(ys)
-
-    def test_sorted_unique(self):
-        obs = ObstacleSet(BOUND, [Rect(30, 60, 50, 80), Rect(30, 10, 50, 20)])
-        xs, _ys = hanan_coordinates(obs)
-        assert xs == sorted(set(xs))

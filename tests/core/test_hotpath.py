@@ -38,8 +38,8 @@ def tree_shapes(route):
 
 class TestCacheParity:
     """Ray-probe telemetry.  Every literal equals the hits plus misses
-    the retired ray memo recorded on the same run: one ``first_hit`` is
-    one probe, one ``reaches`` four, whether or not it repeats."""
+    the retired ray memo recorded on the same run: each traced ray is
+    one probe, whether or not it repeats."""
 
     def test_cache_counters_populate(self, layout):
         route = GlobalRouter(layout).route_all()
@@ -48,7 +48,7 @@ class TestCacheParity:
 
     def test_batched_negotiated_probe_counts_are_pinned(self):
         # A run whose every search is compiled (four probes per
-        # expansion, no first_hit): formerly 13732 memo hits + 1068 misses on the
+        # expansion, no Python rays): formerly 13732 memo hits + 1068 misses on the
         # obstacle set and 3960 + 912 on the final route's stats.
         negotiated = NegotiatedRouter(
             router=GlobalRouter(oversubscribed_layout()),

@@ -121,10 +121,6 @@ class TestTargetSet:
         assert targets.distance_to(Point(12, 5)) == 2  # nearest: segment at x=10
         assert targets.distance_to(Point(1, 1)) == 2  # nearest: the point
 
-    def test_nearest_point(self):
-        targets = TargetSet(segments=[Segment.vertical(10, 0, 20)])
-        assert targets.nearest_point_to(Point(15, 7)) == Point(10, 7)
-
     def test_escape_coordinates(self):
         targets = TargetSet(
             points=[Point(3, 4)], segments=[Segment.horizontal(9, 5, 8)]

@@ -51,12 +51,6 @@ class TestQueries:
         assert iv.clamp(9) == 8
         assert iv.clamp(5) == 5
 
-    def test_distance_to(self):
-        iv = Interval(2, 8)
-        assert iv.distance_to(0) == 2
-        assert iv.distance_to(11) == 3
-        assert iv.distance_to(5) == 0
-
 
 class TestRelations:
     def test_overlaps_touching_counts_closed(self):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry.point import Direction, Point
-from repro.geometry.raytrace import CoordIndex, ObstacleSet
+from repro.geometry.point import ALL_DIRECTIONS, Direction, Point
+from repro.geometry.raytrace import CoordIndex, Hit, ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 
@@ -16,11 +16,9 @@ def make_set(*rects: Rect) -> ObstacleSet:
     return ObstacleSet(BOUND, rects)
 
 
-def scan_of(obs: ObstacleSet) -> ObstacleSet:
-    """A fresh set over *obs*'s rects whose rays run the reference scan."""
-    reference = ObstacleSet(obs.bound, obs.rects)
-    reference._scan_rays = True
-    return reference
+def ray(obs: ObstacleSet, origin: Point, direction: Direction) -> Hit:
+    """The one of :meth:`ObstacleSet.rays` heading in *direction*."""
+    return obs.rays(origin)[ALL_DIRECTIONS.index(direction)]
 
 
 class TestPointQueries:
@@ -74,7 +72,7 @@ class TestSegmentQueries:
 class TestRays:
     def test_unobstructed_ray_reaches_bound(self):
         obs = make_set()
-        hit = obs.first_hit(Point(50, 50), Direction.EAST)
+        hit = ray(obs, Point(50, 50), Direction.EAST)
         assert hit.reach == Point(100, 50)
         assert hit.obstacle is None
         assert hit.distance == 50
@@ -82,121 +80,144 @@ class TestRays:
     def test_blocked_ray_stops_at_near_edge(self):
         rect = Rect(60, 40, 80, 60)
         obs = make_set(rect)
-        hit = obs.first_hit(Point(10, 50), Direction.EAST)
+        hit = ray(obs, Point(10, 50), Direction.EAST)
         assert hit.reach == Point(60, 50)
         assert hit.obstacle == rect
-        assert hit.blocked_by_cell
 
     def test_all_four_directions(self):
         rect = Rect(40, 40, 60, 60)
         obs = make_set(rect)
         center = Point(50, 30)
-        assert obs.first_hit(center, Direction.NORTH).reach == Point(50, 40)
-        assert obs.first_hit(center, Direction.SOUTH).reach == Point(50, 0)
-        assert obs.first_hit(center, Direction.EAST).reach == Point(100, 30)
-        assert obs.first_hit(center, Direction.WEST).reach == Point(0, 30)
+        east, west, north, south = obs.rays(center)
+        assert (east.reach, west.reach) == (Point(100, 30), Point(0, 30))
+        assert (north.reach, south.reach) == (Point(50, 40), Point(50, 0))
+        assert (east.obstacle, west.obstacle, north.obstacle, south.obstacle) == (
+            None, None, rect, None
+        )
+        assert all(hit.origin == center for hit in (east, west, north, south))
+
+    def test_one_pass_serves_the_row_and_the_column(self):
+        obs = make_set(Rect(60, 40, 80, 60), Rect(10, 0, 30, 45), Rect(40, 70, 50, 100))
+        east, west, north, south = obs.rays(Point(45, 50))
+        assert (east.reach.x, west.reach.x, north.reach.y, south.reach.y) == (60, 0, 70, 0)
+        assert (east.obstacle, north.obstacle) == obs.rects[::2]
 
     def test_ray_slides_along_edge(self):
         # travelling exactly on the rect's edge coordinate is not blocked
         obs = make_set(Rect(40, 40, 60, 60))
-        hit = obs.first_hit(Point(0, 40), Direction.EAST)
+        hit = ray(obs, Point(0, 40), Direction.EAST)
         assert hit.reach == Point(100, 40)
 
     def test_ray_from_obstacle_edge_heading_in_is_blocked_immediately(self):
         rect = Rect(40, 40, 60, 60)
         obs = make_set(rect)
-        hit = obs.first_hit(Point(40, 50), Direction.EAST)
+        hit = ray(obs, Point(40, 50), Direction.EAST)
         assert hit.reach == Point(40, 50)
         assert hit.obstacle == rect
         assert hit.distance == 0
 
     def test_ray_from_obstacle_edge_heading_away(self):
         obs = make_set(Rect(40, 40, 60, 60))
-        hit = obs.first_hit(Point(40, 50), Direction.WEST)
+        hit = ray(obs, Point(40, 50), Direction.WEST)
         assert hit.reach == Point(0, 50)
 
     def test_nearest_of_several_blocks(self):
         obs = make_set(Rect(60, 0, 70, 100), Rect(30, 40, 40, 60))
-        hit = obs.first_hit(Point(0, 50), Direction.EAST)
+        hit = ray(obs, Point(0, 50), Direction.EAST)
         assert hit.reach == Point(30, 50)
 
+    def test_degenerate_rect_on_the_track_blocks_neither_side(self):
+        obs = make_set(Rect(50, 40, 50, 60), Rect(40, 50, 60, 50))
+        east, west, north, south = obs.rays(Point(50, 50))
+        assert (east.reach, west.reach) == (Point(100, 50), Point(0, 50))
+        assert (north.reach, south.reach) == (Point(50, 100), Point(50, 0))
+
+    def test_hits_come_in_all_directions_order(self):
+        obs = make_set(Rect(60, 40, 80, 60), Rect(40, 0, 60, 20))
+        origin = Point(50, 50)
+        for direction, hit in zip(ALL_DIRECTIONS, obs.rays(origin)):
+            dx, dy = hit.reach.x - origin.x, hit.reach.y - origin.y
+            assert (dx * direction.dy, dy * direction.dx) == (0, 0)
+            assert dx * direction.dx + dy * direction.dy == hit.distance > 0
+
+    def test_origin_on_a_cell_corner_slides_along_both_edges(self):
+        obs = make_set(Rect(40, 40, 60, 60))
+        east, west, north, south = obs.rays(Point(40, 40))
+        assert (east.reach, north.reach) == (Point(100, 40), Point(40, 100))
+        assert (west.reach, south.reach) == (Point(0, 40), Point(40, 0))
+        assert {east.obstacle, west.obstacle, north.obstacle, south.obstacle} == {None}
+
+    def test_origin_on_the_bound_corner_has_two_empty_rays(self):
+        east, west, north, south = make_set(Rect(40, 40, 60, 60)).rays(Point(0, 0))
+        assert (west.distance, south.distance) == (0, 0)
+        assert (west.obstacle, south.obstacle) == (None, None)
+        assert (east.reach, north.reach) == (Point(100, 0), Point(0, 100))
+
     def test_origin_outside_bound_raises(self):
-        with pytest.raises(GeometryError):
-            make_set().first_hit(Point(200, 50), Direction.EAST)
+        with pytest.raises(GeometryError, match="outside routing bound"):
+            make_set().rays(Point(200, 50))
 
     def test_origin_inside_obstacle_raises(self):
-        obs = make_set(Rect(40, 40, 60, 60))
-        with pytest.raises(GeometryError):
-            obs.first_hit(Point(50, 50), Direction.EAST)
-
-    def test_clear_run(self):
-        obs = make_set(Rect(60, 40, 80, 60))
-        run = obs.clear_run(Point(10, 50), Direction.EAST)
-        assert run == Segment.horizontal(50, 10, 60)
+        obs = make_set(Rect(10, 10, 20, 20), Rect(40, 40, 60, 60))
+        with pytest.raises(GeometryError, match="inside an obstacle"):
+            obs.rays(Point(50, 50))
 
 
-class TestTrackIndex:
+class TestTies:
     def test_tie_goes_to_earliest_inserted_rect(self):
         first = Rect(60, 30, 70, 60)
         second = Rect(60, 40, 90, 80)
         origin = Point(10, 50)
-        obs = make_set(first, second)
-        for ray_set in (obs, scan_of(obs)):
-            hit = ray_set.first_hit(origin, Direction.EAST)
-            assert (hit.reach, hit.obstacle) == (Point(60, 50), first)
-        assert make_set(second, first).first_hit(origin, Direction.EAST).obstacle == second
-        grown = make_set(second).extended([first])
-        for ray_set in (grown, scan_of(grown)):
-            hit = ray_set.first_hit(origin, Direction.EAST)
-            assert (hit.reach, hit.obstacle) == (Point(60, 50), second)
+        hit = ray(make_set(first, second), origin, Direction.EAST)
+        assert (hit.reach, hit.obstacle) == (Point(60, 50), first)
+        assert ray(make_set(second, first), origin, Direction.EAST).obstacle == second
+        hit = ray(make_set(second).extended([first]), origin, Direction.EAST)
+        assert (hit.reach, hit.obstacle) == (Point(60, 50), second)
 
     def test_tie_on_the_far_side_goes_to_earliest_inserted_rect(self):
         first = Rect(20, 30, 40, 60)
         second = Rect(10, 40, 40, 80)
-        obs = make_set(first, second)
-        for ray_set in (obs, scan_of(obs)):
-            hit = ray_set.first_hit(Point(90, 50), Direction.WEST)
-            assert (hit.reach, hit.obstacle) == (Point(40, 50), first)
+        hit = ray(make_set(first, second), Point(90, 50), Direction.WEST)
+        assert (hit.reach, hit.obstacle) == (Point(40, 50), first)
 
     def test_near_edge_on_the_bound_is_reported(self):
         beyond = Rect(110, 40, 130, 60)
         flush = Rect(100, 40, 120, 60)
-        hit = make_set(beyond, flush).first_hit(Point(10, 50), Direction.EAST)
+        hit = ray(make_set(beyond, flush), Point(10, 50), Direction.EAST)
         assert (hit.reach, hit.obstacle) == (Point(100, 50), flush)
-        hit = make_set(beyond).first_hit(Point(10, 50), Direction.EAST)
+        hit = ray(make_set(beyond), Point(10, 50), Direction.EAST)
         assert (hit.reach, hit.obstacle) == (Point(100, 50), None)
 
-    def test_reaches_matches_first_hit(self):
-        obs = make_set(Rect(60, 40, 80, 60), Rect(10, 0, 30, 45), Rect(40, 70, 50, 100))
-        origin = Point(45, 50)
-        expected = (
-            obs.first_hit(origin, Direction.EAST).reach.x,
-            obs.first_hit(origin, Direction.WEST).reach.x,
-            obs.first_hit(origin, Direction.NORTH).reach.y,
-            obs.first_hit(origin, Direction.SOUTH).reach.y,
-        )
-        assert expected == (60, 0, 70, 0)
-        assert obs.reaches(45, 50) == expected
 
-    def test_reaches_rejects_illegal_origins(self):
-        obs = make_set(Rect(40, 40, 60, 60))
-        with pytest.raises(GeometryError, match="inside an obstacle"):
-            obs.reaches(50, 50)
-        with pytest.raises(GeometryError, match="outside routing bound"):
-            obs.reaches(101, 50)
+    def test_near_edge_on_the_low_bound_is_reported(self):
+        beyond = Rect(-30, 40, -10, 60)
+        flush = Rect(40, -20, 60, 0)
+        west = ray(make_set(beyond, flush), Point(50, 50), Direction.WEST)
+        assert (west.reach, west.obstacle) == (Point(0, 50), None)
+        south = ray(make_set(beyond, flush), Point(50, 50), Direction.SOUTH)
+        assert (south.reach, south.obstacle) == (Point(50, 0), flush)
+
+    def test_vertical_ties_go_to_earliest_inserted_rect(self):
+        first = Rect(30, 70, 60, 80)
+        second = Rect(40, 70, 80, 90)
+        north = ray(make_set(first, second), Point(50, 10), Direction.NORTH)
+        assert (north.reach, north.obstacle) == (Point(50, 70), first)
+        below = [Rect(30, 10, 60, 20), Rect(40, 0, 80, 20)]
+        for rects in (below, below[::-1]):
+            south = ray(make_set(*rects), Point(50, 90), Direction.SOUTH)
+            assert (south.reach, south.obstacle) == (Point(50, 20), rects[0])
 
 
 class TestExtended:
     def test_extended_leaves_the_original_alone(self):
         obs = make_set()
-        assert obs.first_hit(Point(10, 50), Direction.EAST).reach == Point(100, 50)
+        assert ray(obs, Point(10, 50), Direction.EAST).reach == Point(100, 50)
         blocker = Rect(40, 40, 60, 60)
         grown = obs.extended([blocker])
-        hit = grown.first_hit(Point(10, 50), Direction.EAST)
+        hit = ray(grown, Point(10, 50), Direction.EAST)
         assert (hit.reach, hit.obstacle) == (Point(40, 50), blocker)
         assert not grown.segment_free(Segment.horizontal(50, 0, 100))
-        # The original's indexed track still answers for the original set.
-        assert obs.first_hit(Point(10, 50), Direction.EAST).reach == Point(100, 50)
+        assert ray(obs, Point(10, 50), Direction.EAST).reach == Point(100, 50)
         assert obs.segment_free(Segment.horizontal(50, 0, 100))
         assert obs.rects == ()
 
@@ -234,35 +255,24 @@ class TestExtended:
 
     def test_extended_starts_its_own_probe_count(self):
         obs = make_set(Rect(40, 40, 60, 60))
-        obs.first_hit(Point(10, 50), Direction.EAST)
+        obs.rays(Point(10, 50))
         grown = obs.extended([Rect(10, 70, 20, 80)])
         assert grown.ray_probes == 0
-        grown.reaches(10, 50)
-        assert (obs.ray_probes, grown.ray_probes) == (1, 4)
+        grown.rays(Point(10, 50))
+        grown.rays(Point(10, 50))
+        assert (obs.ray_probes, grown.ray_probes) == (4, 8)
 
-    def test_extended_after_indexed_rays_matches_scan(self):
-        # The original's tracks are indexed before it is extended; the
-        # grown set must index its own tracks over every rect, and the
-        # tie must still go to `first`, which precedes `second`.
+    def test_extended_keeps_the_tie_break_rank(self):
+        # `first` precedes `second` in the grown set, so it wins the tie
+        # east of (10, 50); west of (95, 50) only `second` straddles.
         first = Rect(60, 30, 70, 60)
         second = Rect(60, 40, 90, 80)
         fillers = [Rect(i, 0, i + 1, 10) for i in range(0, 40, 4)]
         obs = make_set(*fillers[:4], first)
-        origins = (Point(10, 50), Point(0, 5), Point(80, 5), Point(95, 50))
-        for origin in origins:
-            obs.reaches(origin.x, origin.y)
         grown = obs.extended([*fillers[4:], second])
-        reference = scan_of(grown)
-        for origin in origins:
-            reaches = []
-            for direction in Direction:
-                hit = grown.first_hit(origin, direction)
-                assert hit == reference.first_hit(origin, direction)
-                reaches.append(hit.reach.x if direction.is_horizontal else hit.reach.y)
-            assert grown.reaches(origin.x, origin.y) == tuple(reaches)
-        assert grown.first_hit(Point(10, 50), Direction.EAST).obstacle == first
-        assert grown.first_hit(Point(95, 50), Direction.WEST).obstacle == second
-        assert obs.first_hit(Point(95, 50), Direction.WEST).obstacle == first
+        assert ray(grown, Point(10, 50), Direction.EAST).obstacle == first
+        assert ray(grown, Point(95, 50), Direction.WEST).obstacle == second
+        assert ray(obs, Point(95, 50), Direction.WEST).obstacle == first
 
     def test_extended_chain_matches_fresh_build(self):
         rects = [Rect(5 + 9 * i, 7 * (i % 5), 10 + 9 * i, 20 + 7 * (i % 5)) for i in range(10)]
@@ -274,36 +284,33 @@ class TestExtended:
         assert list(grown.edge_xs) == list(fresh.edge_xs)
         assert list(grown.edge_ys) == list(fresh.edge_ys)
         for origin in (Point(0, 30), Point(50, 99), Point(97, 3), Point(3, 97)):
-            for direction in Direction:
-                assert grown.first_hit(origin, direction) == fresh.first_hit(origin, direction)
-            assert grown.reaches(origin.x, origin.y) == fresh.reaches(origin.x, origin.y)
+            assert grown.rays(origin) == fresh.rays(origin)
 
 
 class TestRayProbes:
-    def test_every_ray_is_one_probe(self):
+    def test_every_call_is_four_probes(self):
         obs = make_set(Rect(40, 40, 60, 60))
         origin = Point(10, 50)
-        first = obs.first_hit(origin, Direction.EAST)
-        assert obs.ray_probes == 1
-        second = obs.first_hit(origin, Direction.EAST)
-        assert obs.ray_probes == 2  # a repeat is traced again, not remembered
+        first = obs.rays(origin)
+        assert obs.ray_probes == 4
+        second = obs.rays(origin)
+        assert obs.ray_probes == 8  # a repeat is traced again, not remembered
         assert first == second
-        obs.reaches(origin.x, origin.y)
-        assert obs.ray_probes == 6  # all four directions at once
 
     def test_illegal_origin_raises_every_time(self):
         obs = make_set(Rect(40, 40, 60, 60))
         with pytest.raises(GeometryError):
-            obs.first_hit(Point(50, 50), Direction.EAST)
+            obs.rays(Point(50, 50))
         with pytest.raises(GeometryError):  # and again (errors are not remembered)
-            obs.first_hit(Point(50, 50), Direction.EAST)
+            obs.rays(Point(50, 50))
+        assert obs.ray_probes == 8
 
     def test_duplicate_rects_both_kept(self):
         rect = Rect(40, 40, 60, 60)
         obs = make_set(rect, rect)
         assert obs.rects == (rect, rect)
         assert not obs.segment_free(Segment.horizontal(50, 0, 100))
-        hit = obs.first_hit(Point(10, 50), Direction.EAST)
+        hit = ray(obs, Point(10, 50), Direction.EAST)
         assert (hit.reach, hit.obstacle) == (Point(40, 50), rect)
         assert obs.rects_touching(Point(40, 50)) == [rect, rect]
 

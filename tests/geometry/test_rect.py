@@ -68,12 +68,6 @@ class TestPointRelations:
         assert not r.on_boundary(Point(5, 5))
         assert not r.on_boundary(Point(11, 4))
 
-    def test_distance_and_nearest(self):
-        r = Rect(0, 0, 10, 10)
-        assert r.distance_to_point(Point(13, 14)) == 7
-        assert r.nearest_point_to(Point(13, 14)) == Point(10, 10)
-        assert r.distance_to_point(Point(5, 5)) == 0
-
 
 class TestRectRelations:
     def test_contains_rect(self):

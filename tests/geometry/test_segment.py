@@ -73,16 +73,6 @@ class TestPointRelations:
         assert seg.contains_point_strictly(Point(4, 5))
         assert not seg.contains_point_strictly(Point(0, 5))
 
-    def test_nearest_point_horizontal(self):
-        seg = Segment.horizontal(5, 0, 10)
-        assert seg.nearest_point_to(Point(-3, 9)) == Point(0, 5)
-        assert seg.nearest_point_to(Point(4, 0)) == Point(4, 5)
-
-    def test_distance_to_point(self):
-        seg = Segment.vertical(5, 0, 10)
-        assert seg.distance_to_point(Point(5, 5)) == 0
-        assert seg.distance_to_point(Point(8, 12)) == 5
-
 
 class TestSegmentRelations:
     def test_collinear(self):

@@ -46,6 +46,13 @@ points = st.builds(Point, coordinates, coordinates)
 # ----------------------------------------------------------------------
 # The oracle: the Segment-walk set the flat boxes replaced.
 # ----------------------------------------------------------------------
+def segment_distance(seg: Segment, p: Point) -> int:
+    """L1 distance from *p* to the closed axis-parallel segment *seg*."""
+    x0, x1 = sorted((seg.a.x, seg.b.x))
+    y0, y1 = sorted((seg.a.y, seg.b.y))
+    return max(x0 - p.x, 0, p.x - x1) + max(y0 - p.y, 0, p.y - y1)
+
+
 class OracleTargetSet:
     def __init__(self, points: Iterable[Point] = (), segments: Iterable[Segment] = ()):
         self.points: list[Point] = list(points)
@@ -68,7 +75,7 @@ class OracleTargetSet:
             if best is None or d < best:
                 best = d
         for seg in self.segments:
-            d = seg.distance_to_point(p)
+            d = segment_distance(seg, p)
             if best is None or d < best:
                 best = d
         assert best is not None

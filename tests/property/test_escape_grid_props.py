@@ -46,8 +46,8 @@ class TestOffGridReach:
     def test_an_off_grid_reach_raises(self, case):
         obs, source, target = case
         grid_xs, grid_ys = {source.x, target.x}, {source.y, target.y}
-        east, west, north, south = obs.reaches(source.x, source.y)
-        assume(not ({east, west} <= grid_xs and {north, south} <= grid_ys))
+        east, west, north, south = (hit.reach for hit in obs.rays(source))
+        assume(not ({east.x, west.x} <= grid_xs and {north.y, south.y} <= grid_ys))
         obs._edge_xs = obs._edge_ys = CoordIndex()  # a grid of the pins alone
         request = PathRequest(
             obstacles=obs, sources=[(source, 0.0)], targets=TargetSet(points=[target])

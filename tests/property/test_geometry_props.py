@@ -68,10 +68,6 @@ class TestIntervalProperties:
     def test_clamp_is_inside(self, iv, v):
         assert iv.contains(iv.clamp(v))
 
-    @given(intervals(), coords)
-    def test_distance_zero_iff_contained(self, iv, v):
-        assert (iv.distance_to(v) == 0) == iv.contains(v)
-
     @given(st.lists(intervals(), max_size=20))
     def test_merge_produces_disjoint_sorted(self, ivs):
         merged = merge_intervals(ivs)
@@ -92,12 +88,6 @@ class TestRectProperties:
     def test_intersects_iff_intersection(self, a, b):
         assert a.intersects(b) == (a.intersection(b) is not None)
 
-    @given(rects(), points)
-    def test_nearest_point_is_inside_and_cheapest_corner(self, r, p):
-        nearest = r.nearest_point_to(p)
-        assert r.contains_point(nearest)
-        assert nearest.manhattan(p) == r.distance_to_point(p)
-
     @given(rects(), rects())
     def test_separation_zero_iff_touching(self, a, b):
         assert (a.separation(b) == 0) == a.intersects(b)
@@ -108,18 +98,6 @@ class TestRectProperties:
 
 
 class TestSegmentProperties:
-    @given(segments(), points)
-    def test_nearest_point_on_segment(self, seg, p):
-        nearest = seg.nearest_point_to(p)
-        assert seg.contains_point(nearest)
-        assert seg.distance_to_point(p) == nearest.manhattan(p)
-
-    @given(segments(), points)
-    def test_distance_lower_bounds_endpoint_distance(self, seg, p):
-        d = seg.distance_to_point(p)
-        assert d <= p.manhattan(seg.a)
-        assert d <= p.manhattan(seg.b)
-
     @given(segments())
     def test_span_length_equals_segment_length(self, seg):
         assert seg.span.length == seg.length

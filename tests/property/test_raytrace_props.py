@@ -1,14 +1,12 @@
 """Property tests for the obstacle set's ray layer.
 
-The ``ObstacleSet`` is built once (numpy columns plus a per-track
-blocker index filled lazily) and grown only by ``extended``, which
-returns a new set with the extra rects appended.  These tests compare
-every ray answer between:
+The ``ObstacleSet`` is built once (int64 numpy columns of its rects)
+and grown only by ``extended``, which returns a new set with the extra
+rects appended.  These tests compare every answer of ``rays`` (all four
+rays from a point, in one pass) with:
 
-* the indexed set (the shipping configuration),
-* a set whose rays run the plain numpy scan (the reference that
-  ``reference_search()`` selects),
-* a pure-Python loop over ``obs.rects`` (no numpy, no index), and
+* a pure-Python loop over ``obs.rects`` per direction (no numpy), on
+  coarse tricky sets and on sets out at ``±2**62``, and
 * for sets grown by ``extended`` chains, a set built fresh over the
   same rects.
 """
@@ -87,28 +85,8 @@ def probe_points(rng: random.Random, count: int = 12) -> list[Point]:
     return [Point(rng.randint(0, 60), rng.randint(0, 60)) for _ in range(count)]
 
 
-def ray_answers(obs: ObstacleSet, probes) -> list:
-    """All ray answers over the probe points (errors recorded as markers)."""
-    out = []
-    for p in probes:
-        for direction in ALL_DIRECTIONS:
-            try:
-                hit = obs.first_hit(p, direction)
-                out.append((p, direction, hit.reach, hit.obstacle))
-            except Exception:
-                out.append((p, direction, "illegal-origin"))
-    return out
-
-
-def scan_set(bound: Rect, rects=()) -> ObstacleSet:
-    """A set whose rays run the reference numpy scan."""
-    obs = ObstacleSet(bound, rects)
-    obs._scan_rays = True  # what find_path sets under reference_search()
-    return obs
-
-
 def brute_ray(obs: ObstacleSet, p: Point, direction: Direction):
-    """``first_hit`` as a pure-Python loop over ``obs.rects``.
+    """One ray of ``rays`` as a pure-Python loop over ``obs.rects``.
 
     Returns ``(reach, obstacle)``, or ``"outside"``/``"inside"`` for an
     illegal origin.  A rect blocks when the ray's track is strictly
@@ -151,54 +129,57 @@ def brute_ray(obs: ObstacleSet, p: Point, direction: Direction):
     return (p.with_x(stop) if horizontal else p.with_y(stop)), obstacle
 
 
-def ray_answer(obs: ObstacleSet, p: Point, direction: Direction):
-    """``first_hit`` in :func:`brute_ray`'s vocabulary."""
+def ray_answer(obs: ObstacleSet, p: Point):
+    """``rays`` in :func:`brute_ray`'s vocabulary: four answers or one error."""
     try:
-        hit = obs.first_hit(p, direction)
+        hits = obs.rays(p)
     except GeometryError as exc:
         return "outside" if "outside" in str(exc) else "inside"
-    return hit.reach, hit.obstacle
+    assert all(hit.origin == p for hit in hits)
+    return [(hit.reach, hit.obstacle) for hit in hits]
 
 
-def reach_answer(obs: ObstacleSet, p: Point):
-    try:
-        return obs.reaches(p.x, p.y)
-    except GeometryError as exc:
-        return "outside" if "outside" in str(exc) else "inside"
-
-
-def brute_reaches(obs: ObstacleSet, p: Point):
+def brute_rays(obs: ObstacleSet, p: Point):
     answers = [brute_ray(obs, p, d) for d in ALL_DIRECTIONS]
-    if isinstance(answers[0], str):
-        return answers[0]
-    east, west, north, south = (reach for reach, _ in answers)
-    return east.x, west.x, north.y, south.y
+    return answers[0] if isinstance(answers[0], str) else answers
 
 
-def assert_index_matches_references(obs: ObstacleSet, probes) -> None:
-    """Index vs reference scan vs pure-Python loop, on every surface."""
-    scan = scan_set(obs.bound, obs.rects)
+def ray_answers(obs: ObstacleSet, probes) -> list:
+    """:func:`ray_answer` at every probe point."""
+    return [ray_answer(obs, p) for p in probes]
+
+
+def assert_rays_match_brute_force(obs: ObstacleSet, probes) -> None:
     for p in probes:
-        for direction in ALL_DIRECTIONS:
-            expected = brute_ray(obs, p, direction)
-            assert ray_answer(obs, p, direction) == expected
-            assert ray_answer(scan, p, direction) == expected
-        assert reach_answer(obs, p) == brute_reaches(obs, p)
+        assert ray_answer(obs, p) == brute_rays(obs, p), p
 
 
-class TestIndexVsScanVsBruteForce:
+class TestRaysVsBruteForce:
     @settings(max_examples=150, deadline=None)
     @given(tricky_sets(), probe_lists)
     def test_static_sets_agree(self, rects, probes):
-        assert_index_matches_references(ObstacleSet(BOUND, rects), probes)
+        assert_rays_match_brute_force(ObstacleSet(BOUND, rects), probes)
 
     @settings(max_examples=60, deadline=None)
     @given(tricky_sets(), probe_lists)
-    def test_indexed_tracks_answer_again(self, rects, probes):
+    def test_repeat_queries_answer_again(self, rects, probes):
         obs = ObstacleSet(BOUND, rects)
-        # Twice: the second pass is answered from the built track index.
-        assert_index_matches_references(obs, probes)
-        assert_index_matches_references(obs, probes)
+        first = ray_answers(obs, probes)
+        # Nothing is memoized: the repeat is traced again, four rays a point.
+        assert ray_answers(obs, probes) == first
+        assert obs.ray_probes == 8 * len(probes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tricky_sets(), probe_lists)
+    def test_every_ray_is_a_free_run(self, rects, probes):
+        obs = ObstacleSet(BOUND, rects)
+        for p in probes:
+            try:
+                hits = obs.rays(p)
+            except GeometryError:
+                continue
+            for hit in hits:
+                assert obs.segment_free(Segment(p, hit.reach)), (p, hit)
 
     @settings(max_examples=60, deadline=None)
     @given(extension_chains(tricky_rects()), probe_lists)
@@ -206,11 +187,59 @@ class TestIndexVsScanVsBruteForce:
         base, batches = chain
         sets = grow(BOUND, base, batches)
         for obs in sets:
-            assert_index_matches_references(obs, probes)
+            assert_rays_match_brute_force(obs, probes)
         # Every set keeps answering for its own rects after its
         # successors were built and queried.
         for obs in sets:
-            assert_index_matches_references(obs, probes)
+            assert_rays_match_brute_force(obs, probes)
+
+
+#: ``MAX_COORDINATE``, the largest coordinate a layout admits.
+HUGE = 2**62
+
+#: Coordinates out at ``±2**62``: neighbours there round to the same
+#: float64, so a float compare or a wrapped sentinel would show.
+HUGE_TRICKY = (-HUGE, -HUGE + 1, -HUGE + 2, -1, 0, 1, HUGE - 2, HUGE - 1, HUGE)
+
+#: Bounds flush with ``±2**62`` and one inside, so rects reach past them.
+HUGE_BOUNDS = (Rect(-HUGE, -HUGE, HUGE, HUGE), Rect(-HUGE + 1, -HUGE + 1, HUGE - 1, HUGE - 1))
+
+
+@st.composite
+def huge_rects(draw):
+    x0, x1 = sorted(draw(st.lists(st.sampled_from(HUGE_TRICKY), min_size=2, max_size=2)))
+    y0, y1 = sorted(draw(st.lists(st.sampled_from(HUGE_TRICKY), min_size=2, max_size=2)))
+    return Rect(x0, y0, x1, y1)
+
+
+huge_probes = st.lists(
+    st.builds(Point, st.sampled_from(HUGE_TRICKY), st.sampled_from(HUGE_TRICKY)),
+    min_size=1, max_size=12,
+)
+
+
+class TestRaysAtMaxCoordinate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(HUGE_BOUNDS), st.lists(huge_rects(), max_size=8), huge_probes)
+    def test_static_sets_agree(self, bound, rects, probes):
+        assert_rays_match_brute_force(ObstacleSet(bound, rects), probes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(HUGE_BOUNDS), extension_chains(huge_rects()), huge_probes)
+    def test_agree_along_an_extended_chain(self, bound, chain, probes):
+        base, batches = chain
+        for obs in grow(bound, base, batches):
+            assert_rays_match_brute_force(obs, probes)
+
+    def test_neighbouring_edges_stay_apart(self):
+        # 2**62 - 1 and 2**62 are one float64: the nearer edge must win.
+        near = Rect(HUGE - 1, -1, HUGE, 1)
+        obs = ObstacleSet(HUGE_BOUNDS[0], [Rect(HUGE, -1, HUGE, 1), near])
+        east, west, north, south = obs.rays(Point(HUGE - 2, 0))
+        assert (east.reach, east.obstacle) == (Point(HUGE - 1, 0), near)
+        assert (west.reach, north.reach, south.reach) == (
+            Point(-HUGE, 0), Point(HUGE - 2, HUGE), Point(HUGE - 2, -HUGE)
+        )
 
 
 class TestExtendedVsFresh:
@@ -223,7 +252,7 @@ class TestExtendedVsFresh:
         grown = ObstacleSet(BOUND, base)
         expected = list(base)
         for batch in batches:
-            # Query before growing so the old set has indexed tracks.
+            # Query before growing: the old set must not leak into the new.
             ray_answers(grown, probes)
             grown = grown.extended(batch)
             expected.extend(batch)
@@ -235,7 +264,6 @@ class TestExtendedVsFresh:
         assert ray_answers(grown, probes) == ray_answers(fresh, probes)
         assert grown.points_free(probes) == [fresh.point_free(p) for p in probes]
         for p in probes:
-            assert reach_answer(grown, p) == reach_answer(fresh, p)
             assert grown.point_free(p) == fresh.point_free(p)
             assert grown.on_any_boundary(p) == fresh.on_any_boundary(p)
             assert grown.rects_touching(p) == fresh.rects_touching(p)
@@ -257,12 +285,12 @@ def assert_reaches_on_edges(obs: ObstacleSet, probes) -> None:
     ys = set(obs.edge_ys)
     for p in probes:
         try:
-            east, west, north, south = obs.reaches(p.x, p.y)
+            east, west, north, south = obs.rays(p)
         except GeometryError:
             continue
-        for reach in (east, west):
+        for reach in (east.reach.x, west.reach.x):
             assert reach in xs or reach == p.x, (p, reach, sorted(xs))
-        for reach in (north, south):
+        for reach in (north.reach.y, south.reach.y):
             assert reach in ys or reach == p.y, (p, reach, sorted(ys))
 
 

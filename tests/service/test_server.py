@@ -111,6 +111,15 @@ class TestPlumbing:
         assert excinfo.value.status == 400
         assert "max_gap must be >= 1" in str(excinfo.value)
 
+    def test_zero_corner_epsilon_with_inverted_corner_400(self, served):
+        _, client = served()
+        body = RouteRequest(layout=small_layout()).to_dict()
+        body["config"].update(inverted_corner=True, corner_epsilon=0.0)
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(body)
+        assert excinfo.value.status == 400
+        assert "corner_epsilon must be > 0 with inverted_corner" in str(excinfo.value)
+
     def test_out_of_range_coordinates_400(self, served):
         _, client = served()
         body = RouteRequest(layout=small_layout()).to_dict()
