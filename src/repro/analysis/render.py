@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 from repro.core.route import GlobalRoute, RouteTree
 from repro.geometry.point import Point
-from repro.geometry.segment import Segment
+from repro.geometry.segment import Segment, path_segments
 from repro.layout.layout import Layout
 from repro.search.stats import ExpansionTrace
 from repro.analysis.expansion import trace_points, trace_segments
@@ -133,13 +133,7 @@ def render_expansion(
     for point in trace_points(trace):
         canvas.put(point.x, point.y, EXPAND_CHAR, overwrite=False)
     if path is not None:
-        segments: list[Segment]
-        if isinstance(path, RouteTree):
-            segments = path.segments
-        else:
-            segments = [
-                Segment(a, b) for a, b in zip(path, path[1:]) if a != b
-            ]
+        segments = path.segments if isinstance(path, RouteTree) else path_segments(path)
         for seg in segments:
             canvas.draw_segment(seg, h_char=WIRE_H, v_char=WIRE_V)
     if start is not None:

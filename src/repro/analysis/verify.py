@@ -2,8 +2,11 @@
 
 These checkers share no code with the routers' own legality logic
 beyond the geometry primitives, so a router bug cannot hide behind its
-own definition of legality.  All checkers return a list of violation
-strings (empty = valid); `strict=True` raises instead.
+own definition of legality.  A route is read through each path's
+:attr:`~repro.core.route.RoutePath.hops`, its one integer form; a
+``Segment`` is built only to word a violation.  All checkers return a
+list of violation strings (empty = valid); `strict=True` raises
+instead.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ import numpy as np
 from repro.errors import RoutingError
 from repro.core.route import GlobalRoute, RoutePath, RouteTree
 from repro.detail.detailed import DetailedResult
+from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.geometry.segment import Segment
+from repro.geometry.segment import segment_rows
 from repro.layout.layout import Layout
 from repro.layout.net import Net
 
@@ -42,28 +46,30 @@ class _Blockers:
                 rows.append((rect.x0, rect.y0, rect.x1, rect.y1))
         self.x0, self.y0, self.x1, self.y1 = np.array(rows, dtype=np.int64).reshape(-1, 4).T
 
-    def crossed(self, segments: Sequence[Segment]) -> list[list[str]]:
-        """Per segment, the owner of each rect whose open interior it enters.
+    def crossed(self, rows: np.ndarray) -> list[list[str]]:
+        """Per hop row, the owner of each rect whose open interior it enters.
 
-        The broadcast form of ``rect.segment_crosses_interior(seg)``
-        over every rect, in table order.  A horizontal segment (a
-        degenerate one counts as horizontal, which makes the test
-        strict point containment) must run strictly between the rect's
-        bottom and top and overlap its x span with positive length; a
-        vertical one, the transpose.
+        *rows* are ``(4, n)`` int64 ``horizontal, track, lo, hi`` rows
+        (:attr:`RoutePath.hops`, or ``segment_rows`` of segments).  The
+        broadcast form of ``rect.segment_crosses_interior(seg)`` over
+        every rect, in table order: a horizontal row (a degenerate one
+        counts as horizontal, which makes the test strict point
+        containment) must run strictly between the rect's bottom and
+        top and overlap its x span with positive length; a vertical
+        one, the transpose.
         """
-        crossed: list[list[str]] = [[] for _ in segments]
-        if not segments or not self.owners:
+        count = rows.shape[1]
+        crossed: list[list[str]] = [[] for _ in range(count)]
+        if not count or not self.owners:
             return crossed
-        # Segments are normalized a <= b, so a holds the low end.
-        ends = np.array([(s.a.x, s.a.y, s.b.x, s.b.y) for s in segments], dtype=np.int64)
         step = max(1, _CHUNK // len(self.owners))
-        for start in range(0, len(segments), step):
-            ax, ay, bx, by = (column[:, None] for column in ends[start : start + step].T)
+        for start in range(0, count, step):
+            chunk = rows[:, start : start + step]
+            horizontal, track, lo, hi = (column[:, None] for column in chunk)
             hit = np.where(
-                ay == by,
-                (self.y0 < ay) & (ay < self.y1) & (ax < self.x1) & (self.x0 < bx),
-                (self.x0 < ax) & (ax < self.x1) & (ay < self.y1) & (self.y0 < by),
+                horizontal == 1,
+                (self.y0 < track) & (track < self.y1) & (lo < self.x1) & (self.x0 < hi),
+                (self.x0 < track) & (track < self.x1) & (lo < self.y1) & (self.y0 < hi),
             )
             for row, col in zip(*(index.tolist() for index in np.nonzero(hit))):
                 crossed[start + row].append(self.owners[col])
@@ -71,32 +77,49 @@ class _Blockers:
 
 
 def verify_path(path: RoutePath, layout: Layout) -> list[str]:
-    """Check one connection path: inside the surface, outside cells."""
-    return _path_violations([path], [path.segments], layout.outline, _Blockers(layout))
+    """Check one connection path: inside the surface, outside cells.
+
+    A path with hops must not cross a cell's interior; a path without
+    any (a single point, perhaps repeated) must not sit inside one.
+    """
+    return _path_violations([path], layout.outline, _Blockers(layout))
 
 
 def _path_violations(
-    paths: Sequence[RoutePath],
-    segments: Sequence[Sequence[Segment]],
-    outline: Rect,
-    blockers: _Blockers,
+    paths: Sequence[RoutePath], outline: Rect, blockers: _Blockers
 ) -> list[str]:
-    """:func:`verify_path` over *paths* (whose ``segments`` are given),
-    in order, with one containment and one crossing broadcast."""
-    xy = np.array([(p.x, p.y) for path in paths for p in path.points], dtype=np.int64)
-    x, y = xy.reshape(-1, 2).T
+    """:func:`verify_path` over *paths*, in order, with one containment
+    and one crossing broadcast.
+
+    The crossing table holds each path's :attr:`~RoutePath.hops`, or,
+    for a path without hops, its point as one degenerate row.
+    """
+    if not paths:
+        return []
+    x, y = np.array([(p.x, p.y) for path in paths for p in path.points], dtype=np.int64).T
     inside = iter(
         ((outline.x0 <= x) & (x <= outline.x1) & (outline.y0 <= y) & (y <= outline.y1)).tolist()
     )
-    crossed = iter(blockers.crossed([seg for segs in segments for seg in segs]))
+    tables = [path.hops if path.hops.size else _point_rows([path.start]) for path in paths]
+    crossed = iter(blockers.crossed(np.concatenate(tables, axis=1)))
     violations: list[str] = []
-    for path, segs in zip(paths, segments):
+    for path in paths:
         for point in path.points:
             if not next(inside):
                 violations.append(f"point {point} outside routing surface")
-        for seg in segs:
-            violations.extend(f"segment {seg} crosses cell {name!r}" for name in next(crossed))
+        if not path.hops.size:
+            violations.extend(f"point {path.start} inside cell {name!r}" for name in next(crossed))
+        for index in range(path.hops.shape[1]):
+            violations.extend(
+                f"segment {path.segments[index]} crosses cell {name!r}" for name in next(crossed)
+            )
     return violations
+
+
+def _point_rows(points: Sequence[Point]) -> np.ndarray:
+    """*points* as degenerate (horizontal) hop rows, which
+    :meth:`_Blockers.crossed` tests as strict containment."""
+    return np.array([(1, p.y, p.x, p.x) for p in points], dtype=np.int64).reshape(-1, 4).T
 
 
 def verify_route_tree(tree: RouteTree, net: Net, layout: Layout) -> list[str]:
@@ -113,37 +136,29 @@ def _tree_violations(
     tree: RouteTree, net: Net, outline: Rect, blockers: _Blockers
 ) -> list[str]:
     """:func:`verify_route_tree` against a prebuilt blocker table."""
-    segments = [path.segments for path in tree.paths]
-    violations = _path_violations(tree.paths, segments, outline, blockers)
+    violations = _path_violations(tree.paths, outline, blockers)
 
     if set(tree.connected_terminals) != {t.name for t in net.terminals}:
         missing = {t.name for t in net.terminals} - set(tree.connected_terminals)
         violations.append(f"net {net.name!r}: terminals never connected: {sorted(missing)}")
         return violations
 
-    violations.extend(_connectivity_violations(tree, net, segments))
+    violations.extend(_connectivity_violations(tree, net))
     return violations
 
 
-def _connectivity_violations(
-    tree: RouteTree, net: Net, segments: Sequence[Sequence[Segment]]
-) -> list[str]:
+def _connectivity_violations(tree: RouteTree, net: Net) -> list[str]:
     """Union-find over tree geometry; every terminal must reach the root."""
-    # Elements, each a closed box [x0, y0, x1, y1]: the tree's
-    # segments (*segments*, per path), the bare point of every
-    # zero-length connection, then every terminal pin.
-    rows = [(s.a.x, s.a.y, s.b.x, s.b.y) for segs in segments for s in segs]
+    # Elements, each a closed box [x0, y0, x1, y1]: the tree's hops,
+    # path by path, the bare point of every zero-length connection,
+    # then every terminal pin, points as degenerate hops.  A horizontal
+    # hop (horizontal, track, lo, hi) spans [lo, hi] at y = track; a
+    # vertical one, the transpose.
     stubs = [path.points[0] for path in tree.paths if len(path.points) == 1]
-    rows += [(p.x, p.y, p.x, p.y) for p in stubs]
-    pin_elements: dict[str, list[int]] = {}
-    for terminal in net.terminals:
-        indices: list[int] = []
-        for pin in terminal.pins:
-            rows.append((pin.location.x, pin.location.y, pin.location.x, pin.location.y))
-            indices.append(len(rows) - 1)
-        pin_elements[terminal.name] = indices
-
-    parent = list(range(len(rows)))
+    pins = [pin.location for terminal in net.terminals for pin in terminal.pins]
+    hops = np.concatenate([path.hops for path in tree.paths] + [_point_rows(stubs + pins)], axis=1)
+    boxes = np.where(hops[0] == 1, hops[[2, 1, 3, 1]], hops[[1, 2, 1, 3]])
+    parent = list(range(boxes.shape[1]))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -157,43 +172,32 @@ def _connectivity_violations(
             parent[rj] = ri
 
     # Two closed axis-parallel segments share a point exactly when
-    # their (degenerate) boxes overlap, touching included.  Pairs join
-    # in row-major (i < j) order, which fixes each component's root.
-    boxes = np.array(rows, dtype=np.int64).reshape(-1, 4)
-    x0, y0, x1, y1 = (column[:, None] for column in boxes.T)
+    # their (degenerate) boxes overlap, touching included.
+    x0, y0, x1, y1 = (column[:, None] for column in boxes)
     touch = (x0 <= x1.T) & (x0.T <= x1) & (y0 <= y1.T) & (y0.T <= y1)
     for i, j in zip(*(index.tolist() for index in np.nonzero(np.triu(touch, 1)))):
         union(i, j)
 
     # Pins of one terminal are electrically equivalent through their
     # cell ("logically grouped"), so they join even without wire
-    # geometry between them.
-    for indices in pin_elements.values():
-        for first, second in zip(indices, indices[1:]):
-            union(first, second)
-
-    violations: list[str] = []
-    # The component that contains any connected pin of the first
-    # terminal is the tree; every terminal needs a pin in it.
-    roots_by_terminal = {
-        name: {find(i) for i in indices} for name, indices in pin_elements.items()
-    }
-    anchor_candidates = roots_by_terminal[net.terminals[0].name]
-    # Choose the anchor root shared by the most terminals (a terminal
-    # may have extra pins dangling off-tree, which is legal).
-    best_anchor = None
-    best_cover = -1
-    for root in anchor_candidates:
-        cover = sum(1 for roots in roots_by_terminal.values() if root in roots)
-        if cover > best_cover:
-            best_anchor, best_cover = root, cover
+    # geometry between them, and each terminal lies in one component.
+    # (A terminal may have extra pins dangling off-tree, which is legal.)
+    firsts: list[int] = []
+    first = len(parent) - len(pins)
     for terminal in net.terminals:
-        if best_anchor not in roots_by_terminal[terminal.name]:
-            violations.append(
-                f"net {net.name!r}: terminal {terminal.name!r} not electrically "
-                f"connected to the tree"
-            )
-    return violations
+        for pin in range(first + 1, first + len(terminal.pins)):
+            union(first, pin)
+        firsts.append(first)
+        first += len(terminal.pins)
+
+    # The first terminal's component is the tree; every terminal must
+    # be in it.
+    anchor = find(firsts[0])
+    return [
+        f"net {net.name!r}: terminal {terminal.name!r} not electrically connected to the tree"
+        for terminal, first in zip(net.terminals, firsts)
+        if find(first) != anchor
+    ]
 
 
 def verify_global_route(
@@ -224,7 +228,7 @@ def detailed_violations(result: DetailedResult, layout: Layout) -> list[tuple[st
     cell interiors) that the channel corridor logic must guarantee.
     """
     wires = result.layers.wires
-    crossed = _Blockers(layout).crossed([wire.seg for wire in wires])
+    crossed = _Blockers(layout).crossed(segment_rows([wire.seg for wire in wires]))
     violations: list[tuple[str, str]] = []
     for wire, owners in zip(wires, crossed):
         for endpoint in (wire.seg.a, wire.seg.b):

@@ -16,16 +16,19 @@ fit across the gap — ``gap + 1``, counting the two hugging positions
 on the cell boundaries themselves.  Usage counts distinct nets running
 *through* the passage parallel to its flow direction.
 
-:func:`measure_congestion` counts a whole route from scratch.  The wave
-loop keeps a :class:`CongestionLedger` instead, which recounts only the
-nets whose trees change and hands out :class:`CongestionMap` snapshots
-equal to the from-scratch count; :class:`CongestionHistory` accumulates
-PathFinder's history term over the same passage indices.
+A :class:`CongestionLedger` counts usage from each path's
+:attr:`~repro.core.route.RoutePath.hops`, the path's one integer form.
+The wave loop keeps one ledger per run, which recounts only the nets
+whose trees change and hands out immutable :class:`CongestionMap`
+snapshots; :func:`measure_congestion` is a fresh ledger loaded with a
+whole route.  :class:`CongestionHistory` accumulates PathFinder's
+history term over the same passage indices.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -115,10 +118,14 @@ def check_max_gap(max_gap: Optional[int]) -> None:
 
 
 #: Booleans in one chunk of a pairwise broadcast.  ``find_passages``
-#: takes its source cells and ``measure_congestion`` its passages in
-#: chunks of about this many elements, so no intermediate grows as the
-#: cube of the cell count or as passages x segments.
+#: takes its source cells and the ledger its passages in chunks of
+#: about this many elements, so no intermediate grows as the cube of
+#: the cell count or as passages x hops.
 _CHUNK = 1 << 18
+
+#: The hop row and the sign of each of the ledger's six carry tests.
+_TEST_ROWS = np.array([0, 0, 1, 1, 2, 3])
+_TEST_SIGNS = np.array([[-1], [1], [1], [-1], [-1], [1]], dtype=np.int64)
 
 
 def find_passages(layout: Layout, *, max_gap: Optional[int] = None) -> list[Passage]:
@@ -524,64 +531,27 @@ class CongestionHistory:
 def measure_congestion(passages: Iterable[Passage], route: GlobalRoute) -> CongestionMap:
     """Count, per passage, the distinct nets flowing through it.
 
-    Column-batched form of the naive ``passage.carries(seg)`` double
-    loop: passage regions and segment endpoints go into int64 columns
-    once, and one passages x segments broadcast (in chunks of passages)
-    makes every carry test.  The membership math is integer-exact and
-    ``nets`` is a set, so the result is identical to the scalar loop
-    for any input.
+    A fresh :class:`CongestionLedger` over *passages*, loaded with
+    *route*: the same map the wave loop's ledger reports for that
+    route.
     """
-    entries = [PassageUsage(p) for p in passages]
-    tagged = route.all_segments()
-    if not entries or not tagged:
-        return CongestionMap(entries)
-
-    names = [name for name, _ in tagged]
-    ax, ay, bx, by = np.array(
-        [(seg.a.x, seg.a.y, seg.b.x, seg.b.y) for _, seg in tagged], dtype=np.int64
-    ).T
-    # Degenerate segments are in neither class (carries() ignores
-    # them); non-rectilinear ones would be in neither either.
-    vertical = (ax == bx) & (ay != by)
-    horizontal = (ay == by) & (ax != bx)
-    v_lo = np.minimum(ay, by)
-    v_hi = np.maximum(ay, by)
-    h_lo = np.minimum(ax, bx)
-    h_hi = np.maximum(ax, bx)
-    regions = np.array(
-        [(r.x0, r.y0, r.x1, r.y1) for r in (e.passage.region for e in entries)], dtype=np.int64
-    )
-    flow_y = np.array([e.passage.flow is Axis.Y for e in entries])
-
-    step = max(1, _CHUNK // len(tagged))
-    for start in range(0, len(entries), step):
-        x0, y0, x1, y1 = (column[:, None] for column in regions[start : start + step].T)
-        # A corridor flowing along y carries vertical segments on a
-        # track inside its closed x span that overlap its y span with
-        # positive length; one flowing along x, the transpose.
-        carried = np.where(
-            flow_y[start : start + step, None],
-            vertical & (x0 <= ax) & (ax <= x1) & (v_lo < y1) & (y0 < v_hi),
-            horizontal & (y0 <= ay) & (ay <= y1) & (h_lo < x1) & (x0 < h_hi),
-        )
-        for row, col in zip(*(index.tolist() for index in np.nonzero(carried))):
-            entries[start + row].nets.add(names[col])
-    return CongestionMap(entries)
+    ledger = CongestionLedger(passages)
+    ledger.load(route)
+    return ledger.snapshot()
 
 
 class CongestionLedger:
     """A route's passage usage, kept up to date as its trees change.
 
-    The incremental counterpart of :func:`measure_congestion` over one
-    fixed passage list (the one the wave loop finds once per run).  It
-    keeps each passage's ``gap`` and ``usage`` as int64 columns and
-    each net's passages as one sorted index array, computed when the
-    net's tree is merged by one carry broadcast over the tree's
-    :attr:`RoutePath.points` (no :class:`~repro.geometry.segment.Segment`
-    objects).  :meth:`add` and :meth:`remove` move one net's row;
-    :meth:`snapshot` hands out an immutable :class:`CongestionMap`
-    equal to ``measure_congestion(passages, route)`` for the route the
-    ledger has been told about.
+    One fixed passage list (the one the wave loop finds once per run),
+    each passage's ``gap`` and ``usage`` as int64 columns, and each
+    net's passages as one sorted index array, computed when the net's
+    tree is merged by one carry broadcast over the tree's
+    :attr:`RoutePath.hops <repro.core.route.RoutePath.hops>`.
+    :meth:`load` counts a whole route, :meth:`add` and :meth:`remove`
+    move one net's row, and :meth:`snapshot` hands out an immutable
+    :class:`CongestionMap` of the route the ledger has been told about
+    (what :func:`measure_congestion` returns for it).
     """
 
     def __init__(self, passages: Iterable[Passage]):
@@ -589,12 +559,13 @@ class CongestionLedger:
         self.gap = _gaps(self.passages)
         self.usage = np.zeros(len(self.passages), dtype=np.int64)
         self._rows: dict[str, np.ndarray] = {}
-        # Passage.carries as six "passage value <= hop value" tests, one
-        # row each, against a hop's (d, -d, track, -track, -lo, hi - 1):
-        # the hop runs the way the passage flows (d is 1 for vertical,
-        # 0 for horizontal), on a track inside the closed span across the
-        # flow, and overlaps the span along it with positive length
-        # (lo < flow_hi, flow_lo < hi).  Coordinates are bounded by
+        # Passage.carries as six "passage bound <= signed hop value"
+        # tests (_TEST_ROWS, _TEST_SIGNS), one row each, against a hop's
+        # (-horizontal, horizontal, track, -track, -lo, hi): the hop runs
+        # the way the passage flows (horizontal is 1 - d, where d is 1 for
+        # a passage flowing along y), on a track inside the closed span
+        # across the flow, and overlaps the span along it with positive
+        # length (lo < flow_hi, flow_lo < hi).  Coordinates are bounded by
         # MAX_COORDINATE, so the negations and unit shifts cannot wrap.
         bounds = []
         for passage in self.passages:
@@ -603,7 +574,7 @@ class CongestionLedger:
                 d, cross_lo, cross_hi, flow_lo, flow_hi = 1, r.x0, r.x1, r.y0, r.y1
             else:
                 d, cross_lo, cross_hi, flow_lo, flow_hi = 0, r.y0, r.y1, r.x0, r.x1
-            bounds.append((d, -d, cross_lo, -cross_hi, 1 - flow_hi, flow_lo))
+            bounds.append((d - 1, 1 - d, cross_lo, -cross_hi, 1 - flow_hi, flow_lo + 1))
         self._bounds = np.ascontiguousarray(np.array(bounds, dtype=np.int64).reshape(-1, 6).T)
 
     def load(self, route: GlobalRoute) -> None:
@@ -639,34 +610,22 @@ class CongestionLedger:
     def _hits(self, trees: Sequence[RouteTree]) -> np.ndarray:
         """Whether each tree flows through each passage: (trees, passages) bools.
 
-        Every hop between consecutive path points becomes one row of
-        hop values for the six tests set up in ``__init__``; one hops x
-        passages broadcast (in chunks of passages) makes them all, and
-        an OR over each tree's hops folds them per tree.
+        The trees' :attr:`RoutePath.hops` stack into one table, whose
+        columns give every hop's values for the six tests set up in
+        ``__init__``; one hops x passages broadcast (in chunks of
+        passages) makes them all, and an OR over each tree's hops folds
+        them per tree.
         """
-        hops: list[tuple[int, ...]] = []
-        starts: list[int] = []
-        owners: list[int] = []
-        for index, tree in enumerate(trees):
-            begin = len(hops)
-            for path in tree.paths:
-                points = path.points
-                for a, b in zip(points, points[1:]):
-                    if a.x == b.x:
-                        if a.y != b.y:
-                            lo, hi = (a.y, b.y) if a.y < b.y else (b.y, a.y)
-                            hops.append((1, -1, a.x, -a.x, -lo, hi - 1))
-                    elif a.y == b.y:
-                        lo, hi = (a.x, b.x) if a.x < b.x else (b.x, a.x)
-                        hops.append((0, 0, a.y, -a.y, -lo, hi - 1))
-            if len(hops) > begin:
-                starts.append(begin)
-                owners.append(index)
         hit = np.zeros((len(trees), len(self.passages)), dtype=bool)
-        if not hops:
+        counts = [sum(path.hops.shape[1] for path in tree.paths) for tree in trees]
+        owners = [index for index, count in enumerate(counts) if count]
+        if not owners:
             return hit
-        values = np.array(hops, dtype=np.int64)[:, :, None]
-        step = max(1, _CHUNK // (6 * len(hops)))
+        offsets = list(itertools.accumulate(counts, initial=0))
+        starts = [offsets[index] for index in owners]
+        hops = np.concatenate([path.hops for tree in trees for path in tree.paths], axis=1)
+        values = (_TEST_SIGNS * hops[_TEST_ROWS]).T[:, :, None]
+        step = max(1, _CHUNK // (6 * hops.shape[1]))
         for first in range(0, len(self.passages), step):
             columns = slice(first, first + step)
             carried = (self._bounds[:, columns] <= values).all(axis=1)

@@ -76,10 +76,12 @@ def escape_moves(
     in deterministic order.
     """
     moves: list[tuple[Point, Direction]] = []
+    # The cells hugged at the origin, looked up once for all four rays.
+    touching = obstacles.rects_touching(origin) if mode is EscapeMode.AGGRESSIVE else None
     for direction, hit in zip(ALL_DIRECTIONS, obstacles.rays(origin)):
         if hit.reach == origin:
             continue
-        stops = _stops_for_ray(origin, direction, hit.reach, hit.obstacle, obstacles, mode,
+        stops = _stops_for_ray(origin, direction, hit.reach, hit.obstacle, obstacles, touching,
                                extra_xs, extra_ys)
         # No cross-direction dedup is needed: east/west stops keep the
         # origin's y and differ from it in x, north/south keep x and
@@ -99,11 +101,15 @@ def _stops_for_ray(
     reach: Point,
     blocker: Rect | None,
     obstacles: ObstacleSet,
-    mode: EscapeMode,
+    touching: list[Rect] | None,
     extra_xs: Sequence[int],
     extra_ys: Sequence[int],
 ) -> list[int]:
-    """Stop coordinates along one clear ray, always including the reach."""
+    """Stop coordinates along one clear ray, always including the reach.
+
+    *touching* is ``None`` in FULL mode; in AGGRESSIVE mode it holds
+    the rects hugged at the origin, whose corners stop the ray.
+    """
     horizontal = direction.is_horizontal
     start = origin.x if horizontal else origin.y
     end = reach.x if horizontal else reach.y
@@ -111,13 +117,11 @@ def _stops_for_ray(
     extras = extra_xs if horizontal else extra_ys
 
     stops: set[int] = {end}
-    if mode is EscapeMode.FULL:
+    if touching is None:
         index = obstacles.edge_xs if horizontal else obstacles.edge_ys
         stops.update(index.between(lo, hi))
     else:
-        hug_cells = obstacles.rects_touching(origin)
-        if blocker is not None:
-            hug_cells.append(blocker)
+        hug_cells = touching if blocker is None else touching + [blocker]
         for cell in hug_cells:
             for coord in (cell.x0, cell.x1) if horizontal else (cell.y0, cell.y1):
                 if lo < coord < hi:

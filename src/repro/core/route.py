@@ -14,10 +14,12 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import RoutingError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect, bounding_rect
-from repro.geometry.segment import Segment, path_bends, path_length, path_segments
+from repro.geometry.segment import Segment, path_bends, path_hops, path_length, path_segments
 from repro.search.stats import ExpansionTrace, SearchStats
 
 
@@ -43,7 +45,7 @@ class RoutePath:
         if not self.points:
             raise RoutingError("a route path needs at least one point")
         # Validates rectilinearity; kept, as the path never changes.
-        object.__setattr__(self, "_length", path_length(list(self.points)))
+        object.__setattr__(self, "_length", path_length(self.points))
 
     @property
     def start(self) -> Point:
@@ -63,12 +65,19 @@ class RoutePath:
     @functools.cached_property
     def bends(self) -> int:
         """Number of corners along the path."""
-        return path_bends(list(self.points))
+        return path_bends(self.points)
 
-    @property
+    @functools.cached_property
     def segments(self) -> tuple[Segment, ...]:
-        """Non-degenerate segments of the path."""
-        return tuple(path_segments(list(self.points)))
+        """Non-degenerate segments of the path, built once."""
+        return tuple(path_segments(self.points))
+
+    @functools.cached_property
+    def hops(self) -> np.ndarray:
+        """The path's one integer form: the read-only ``(4, k)`` int64
+        rows ``horizontal, track, lo, hi`` of its :attr:`segments`
+        (:func:`path_hops`), built once."""
+        return path_hops(self.points)
 
 
 @dataclass

@@ -14,14 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.detail.interference import (
-    InterferenceGroup,
-    TaggedSegment,
-    group_indices,
-    segment_rows,
-)
+from repro.detail.interference import InterferenceGroup, TaggedSegment, group_indices
 from repro.geometry.interval import Interval
 from repro.geometry.raytrace import ObstacleSet
+from repro.geometry.segment import segment_rows
 
 #: Wire x rect cells per broadcast chunk.
 _CHUNK = 1 << 18
@@ -194,7 +190,7 @@ def free_gaps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each wire's free gap (in track coordinates) as ``lo, hi`` columns.
 
-    *rows* are :func:`~repro.detail.interference.segment_rows`.  The
+    *rows* are :func:`~repro.geometry.segment.segment_rows`.  The
     gap runs between the nearest cell edges below and above the wire
     (left and right of it when *horizontal* is false), among cells
     whose span overlaps the wire's with positive length, clipped to

@@ -146,7 +146,10 @@ def _assign_channel(channel: DynamicChannel) -> tuple[ChannelPlan, list[tuple[st
     wires: list[tuple[str, Segment]] = []
     for member in channel.group.members:
         new_track = plan.track_of_net[member.net]
-        wires.extend(_moved_with_stubs(member, new_track, channel.horizontal))
+        if new_track == member.seg.track:
+            wires.append((member.net, member.seg))
+        else:
+            wires.extend((member.net, seg) for seg in moved_with_stubs(member.seg, new_track))
     return plan, wires
 
 
@@ -185,20 +188,16 @@ def _order_and_place_tracks(channel: DynamicChannel, assignment) -> dict[str, in
     }
 
 
-def _moved_with_stubs(
-    member: TaggedSegment, new_track: int, horizontal: bool
-) -> list[tuple[str, Segment]]:
-    """Move a wire to its track; stitch its old endpoints with stubs.
+def moved_with_stubs(seg: Segment, new_track: int) -> tuple[Segment, Segment, Segment]:
+    """*seg* moved to *new_track*, then the stubs stitching its old ends.
 
     The stubs are perpendicular wires from each original endpoint to
     the moved wire, preserving connectivity to pins and to the net's
-    perpendicular wires without rewriting them.
+    perpendicular wires without rewriting them.  Track assignment and
+    conflict legalization both move wires this way.
     """
-    seg = member.seg
     old_track = seg.track
-    if new_track == old_track:
-        return [(member.net, seg)]
-    if horizontal:
+    if seg.is_horizontal:
         moved = Segment(Point(seg.a.x, new_track), Point(seg.b.x, new_track))
         stub_a = Segment(Point(seg.a.x, old_track), Point(seg.a.x, new_track))
         stub_b = Segment(Point(seg.b.x, old_track), Point(seg.b.x, new_track))
@@ -206,4 +205,4 @@ def _moved_with_stubs(
         moved = Segment(Point(new_track, seg.a.y), Point(new_track, seg.b.y))
         stub_a = Segment(Point(old_track, seg.a.y), Point(new_track, seg.a.y))
         stub_b = Segment(Point(old_track, seg.b.y), Point(new_track, seg.b.y))
-    return [(member.net, moved), (member.net, stub_a), (member.net, stub_b)]
+    return moved, stub_a, stub_b

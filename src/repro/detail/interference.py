@@ -11,12 +11,11 @@ than cell placement".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.geometry.interval import Interval
-from repro.geometry.segment import Segment
+from repro.geometry.segment import Segment, segment_rows
 
 _I64_MAX = np.iinfo(np.int64).max
 
@@ -46,12 +45,6 @@ class InterferenceGroup:
         spans = [m.seg.span for m in self.members]
         return Interval(min(s.lo for s in spans), max(s.hi for s in spans))
 
-    @property
-    def track_hull(self) -> Interval:
-        """Hull of all member tracks (the channel's width seed)."""
-        tracks = [m.seg.track for m in self.members]
-        return Interval(min(tracks), max(tracks))
-
 
 def interfere(a: Segment, b: Segment, *, window: int) -> bool:
     """Whether two same-orientation segments compete for tracks.
@@ -64,33 +57,6 @@ def interfere(a: Segment, b: Segment, *, window: int) -> bool:
     if abs(a.track - b.track) > window:
         return False
     return a.span.overlaps(b.span, strict=True)
-
-
-def segment_rows(segments: Sequence[Segment]) -> np.ndarray:
-    """The ``(4, n)`` int64 rows ``horizontal, track, lo, hi`` of *segments*.
-
-    Column ``i`` is segment ``i``: ``horizontal`` is 1 or 0, ``track``
-    and ``lo, hi`` are :attr:`Segment.track` and the ends of
-    :attr:`Segment.span`.  A degenerate segment counts as horizontal,
-    as it does for :attr:`Segment.is_horizontal`.  The detailed router
-    reads these rows instead of the properties, which build a fresh
-    :class:`Interval` on every access.
-    """
-    # Segments are normalized a <= b, so a holds the low end.
-    ax, ay, bx, by = (
-        np.array([(s.a.x, s.a.y, s.b.x, s.b.y) for s in segments], dtype=np.int64)
-        .reshape(-1, 4)
-        .T
-    )
-    horizontal = ay == by
-    return np.stack(
-        (
-            horizontal.astype(np.int64),
-            np.where(horizontal, ay, ax),
-            np.where(horizontal, ax, ay),
-            np.where(horizontal, bx, by),
-        )
-    )
 
 
 def window_pairs(tracks: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:

@@ -14,9 +14,9 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.detail.interference import range_pairs, segment_rows, window_pairs
+from repro.detail.interference import range_pairs, window_pairs
 from repro.geometry.point import Point
-from repro.geometry.segment import Segment
+from repro.geometry.segment import Segment, segment_rows
 
 LAYER_HORIZONTAL = 1
 LAYER_VERTICAL = 2

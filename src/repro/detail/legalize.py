@@ -14,12 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.detail.channels import free_gaps
-from repro.detail.detailed import DetailedResult
-from repro.detail.interference import segment_rows
+from repro.detail.detailed import DetailedResult, moved_with_stubs
 from repro.detail.layers import DetailedWire, assign_layers
-from repro.geometry.point import Point
 from repro.geometry.raytrace import ObstacleSet
-from repro.geometry.segment import Segment
+from repro.geometry.segment import Segment, segment_rows
 
 #: Maximum displacement attempted per wire, in tracks.
 MAX_SLIDE = 4
@@ -57,7 +55,7 @@ def legalize(result: DetailedResult, obstacles: ObstacleSet) -> LegalizeResult:
         new_track = _free_track_for(victim, wires, obstacles)
         if new_track is None:
             continue
-        moved, stub_a, stub_b = _slide(victim, new_track)
+        moved, stub_a, stub_b = moved_with_stubs(victim.seg, new_track)
         try:
             index = wires.index((victim.net, victim.seg))
         except ValueError:
@@ -113,18 +111,3 @@ def _free_at_track(wire: DetailedWire, track: int, wires: list[tuple[str, Segmen
         if seg.track == track and seg.span.overlaps(wire.seg.span, strict=True):
             return False
     return True
-
-
-def _slide(wire: DetailedWire, new_track: int) -> tuple[Segment, Segment, Segment]:
-    """The moved segment plus the two stitch stubs."""
-    seg = wire.seg
-    old = seg.track
-    if seg.is_horizontal:
-        moved = Segment(Point(seg.a.x, new_track), Point(seg.b.x, new_track))
-        stub_a = Segment(Point(seg.a.x, old), Point(seg.a.x, new_track))
-        stub_b = Segment(Point(seg.b.x, old), Point(seg.b.x, new_track))
-    else:
-        moved = Segment(Point(new_track, seg.a.y), Point(new_track, seg.b.y))
-        stub_a = Segment(Point(old, seg.a.y), Point(new_track, seg.a.y))
-        stub_b = Segment(Point(old, seg.b.y), Point(new_track, seg.b.y))
-    return moved, stub_a, stub_b

@@ -10,11 +10,13 @@ baseline, and detailed-router track wires are all segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.interval import Interval
-from repro.geometry.point import Axis, Point
+from repro.geometry.point import Point
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,11 +69,6 @@ class Segment:
         return self.a == self.b
 
     @property
-    def axis(self) -> Axis:
-        """Axis of extent (degenerate segments report ``Axis.X``)."""
-        return Axis.Y if self.is_vertical and not self.is_horizontal else Axis.X
-
-    @property
     def track(self) -> int:
         """The fixed coordinate: y for horizontal segments, x for vertical."""
         return self.a.y if self.is_horizontal else self.a.x
@@ -98,10 +95,6 @@ class Segment:
         if self.is_vertical and p.x == self.a.x:
             return self.a.y <= p.y <= self.b.y
         return False
-
-    def contains_point_strictly(self, p: Point) -> bool:
-        """Whether *p* lies on the segment excluding the endpoints."""
-        return self.contains_point(p) and p != self.a and p != self.b
 
     # ------------------------------------------------------------------
     # Segment relationships
@@ -167,23 +160,6 @@ class Segment:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def split_at(self, p: Point) -> tuple["Segment", "Segment"]:
-        """Split the segment at an interior-or-endpoint point *p*.
-
-        Returns two segments whose union is this segment.  Splitting at
-        an endpoint yields one degenerate piece, which keeps callers
-        (the Steiner tree builder taps tree segments at arbitrary
-        points) free of special cases.
-        """
-        if not self.contains_point(p):
-            raise GeometryError(f"cannot split {self} at {p}: point not on segment")
-        return (Segment(self.a, p), Segment(p, self.b))
-
-    @staticmethod
-    def between(a: Point, b: Point) -> "Segment":
-        """Explicit-name constructor, mirrors ``Segment(a, b)``."""
-        return Segment(a, b)
-
     @staticmethod
     def horizontal(y: int, x0: int, x1: int) -> "Segment":
         """Horizontal segment at height *y* spanning ``[x0, x1]``."""
@@ -198,7 +174,7 @@ class Segment:
         return f"{self.a}--{self.b}"
 
 
-def path_length(points: list[Point]) -> int:
+def path_length(points: Sequence[Point]) -> int:
     """Total rectilinear length of a polyline given as bend points.
 
     Raises :class:`GeometryError` if consecutive points are not
@@ -212,7 +188,7 @@ def path_length(points: list[Point]) -> int:
     return total
 
 
-def path_segments(points: list[Point]) -> list[Segment]:
+def path_segments(points: Sequence[Point]) -> list[Segment]:
     """Convert polyline bend points into the list of non-degenerate segments."""
     segs: list[Segment] = []
     for a, b in zip(points, points[1:]):
@@ -221,7 +197,46 @@ def path_segments(points: list[Point]) -> list[Segment]:
     return segs
 
 
-def path_bends(points: list[Point]) -> int:
+def segment_rows(segments: Sequence[Segment]) -> np.ndarray:
+    """The read-only ``(4, n)`` int64 rows ``horizontal, track, lo, hi``
+    of *segments*, the one integer form of routed wires.
+
+    Column ``i`` is segment ``i``: ``horizontal`` is 1 or 0, ``track``
+    and ``lo, hi`` are :attr:`Segment.track` and the ends of
+    :attr:`Segment.span`.  A degenerate segment counts as horizontal,
+    as it does for :attr:`Segment.is_horizontal`.  The congestion
+    ledger, the verifier and the detailed router read these rows
+    instead of the properties, which build a fresh :class:`Interval`
+    on every access.
+    """
+    flat: list[int] = []
+    for s in segments:
+        # Segments are normalized a <= b, so a holds the low end.
+        flat += (1, s.a.y, s.a.x, s.b.x) if s.a.y == s.b.y else (0, s.a.x, s.a.y, s.b.y)
+    return _frozen_rows(flat)
+
+
+def path_hops(points: Sequence[Point]) -> np.ndarray:
+    """:func:`segment_rows` of a rectilinear polyline's
+    :func:`path_segments`, built without them."""
+    flat: list[int] = []
+    for a, b in zip(points, points[1:]):
+        if a.y == b.y:
+            if a.x != b.x:
+                flat += (1, a.y, a.x, b.x) if a.x < b.x else (1, a.y, b.x, a.x)
+        else:
+            flat += (0, a.x, a.y, b.y) if a.y < b.y else (0, a.x, b.y, a.y)
+    return _frozen_rows(flat)
+
+
+def _frozen_rows(flat: list[int]) -> np.ndarray:
+    # A copy, so the table owns its data and no (n, 4) base stays alive.
+    rows = np.array(flat, dtype=np.int64).reshape(-1, 4).T.copy()
+    rows.flags.writeable = False
+    return rows
+
+
+def path_bends(points: Sequence[Point]) -> int:
     """Number of direction changes in a rectilinear polyline.
 
     Collinear intermediate points are ignored; degenerate hops are

@@ -9,8 +9,11 @@ from repro.detail.detailed import DetailedRouter
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
+from repro.layout.generators import grid_layout
 from repro.layout.layout import Layout
 from repro.layout.net import Net
+from repro.layout.pin import Pin
+from repro.layout.terminal import Terminal
 from repro.analysis.verify import (
     assert_optimal_length,
     verify_detailed,
@@ -48,6 +51,82 @@ class TestVerifyPath:
         path = RoutePath((Point(0, 0), Point(120, 0)))
         violations = verify_path(path, layout)
         assert any("outside" in v for v in violations)
+
+
+class TestHoplessPaths:
+    """A path without hops is its one point, which must not sit in a cell.
+
+    On ``grid_layout(2, 2)`` cell ``g0_0`` spans ``[6, 6 .. 22, 22]``.
+    """
+
+    INSIDE = "point (14, 14) inside cell 'g0_0'"
+
+    def test_single_point_inside_a_cell_flagged(self):
+        path = RoutePath((Point(14, 14),))
+        assert verify_path(path, grid_layout(2, 2)) == [self.INSIDE]
+
+    def test_repeated_point_inside_a_cell_flagged(self):
+        path = RoutePath((Point(14, 14), Point(14, 14)))
+        assert verify_path(path, grid_layout(2, 2)) == [self.INSIDE]
+
+    def test_point_on_a_cell_boundary_is_legal(self):
+        layout = grid_layout(2, 2)
+        for point in (Point(6, 14), Point(22, 22), Point(2, 2)):
+            assert verify_path(RoutePath((point,)), layout) == []
+
+    def test_message_follows_the_surface_check(self):
+        layout = grid_layout(2, 2)
+        paths = [RoutePath((Point(-1, 14),)), RoutePath((Point(14, 14),))]
+        tree = RouteTree("n", paths, ["n.s", "n.d"])
+        net = Net.two_point("n", Point(-1, 14), Point(14, 14))
+        assert verify_route_tree(tree, net, layout) == [
+            "point (-1, 14) outside routing surface",
+            self.INSIDE,
+            "net 'n': terminal 'n.d' not electrically connected to the tree",
+        ]
+
+    def test_tree_and_route_report_it(self):
+        layout = grid_layout(2, 2)
+        net = Net.two_point("n", Point(14, 14), Point(14, 14))
+        tree = RouteTree("n", [RoutePath((Point(14, 14),))], ["n.s", "n.d"])
+        assert verify_route_tree(tree, net, layout) == [self.INSIDE]
+        layout.add_net(net)
+        assert verify_global_route(GlobalRoute({"n": tree}), layout) == {"n": [self.INSIDE]}
+
+
+class TestAnchorTie:
+    """The first terminal's two pins sit in different wire components,
+    each also reaching one more terminal: a tie on cover.  A terminal's
+    pins are electrically one, so the two components join through it
+    and the tree is whole, whichever path comes first."""
+
+    @staticmethod
+    def net() -> Net:
+        return Net(
+            "n",
+            [
+                Terminal("n.t0", [Pin("a", Point(0, 0)), Pin("b", Point(100, 100))]),
+                Terminal.single("n.t1", Point(50, 0)),
+                Terminal.single("n.t2", Point(100, 50)),
+            ],
+        )
+
+    def violations(self, paths) -> list[str]:
+        tree = RouteTree("n", paths, ["n.t0", "n.t1", "n.t2"])
+        return verify_route_tree(tree, self.net(), Layout(Rect(0, 0, 100, 100)))
+
+    def test_tied_components_join_through_the_first_terminal(self):
+        west = RoutePath((Point(0, 0), Point(50, 0)))
+        east = RoutePath((Point(100, 100), Point(100, 50)))
+        assert self.violations([west, east]) == []
+        assert self.violations([east, west]) == []
+
+    def test_a_zero_length_point_joins_its_pin_only(self):
+        west = RoutePath((Point(0, 0), Point(50, 0)))
+        stub = RoutePath((Point(100, 100),))
+        missing = ["net 'n': terminal 'n.t2' not electrically connected to the tree"]
+        assert self.violations([stub, west]) == missing
+        assert self.violations([west, stub]) == missing
 
 
 class TestVerifyTree:

@@ -4,15 +4,22 @@ The key testing asset is :func:`oracle_shortest_length`: a networkx
 Dijkstra over an explicitly constructed track graph.  It shares no
 search or successor code with the library, so agreement between the
 router and the oracle is real evidence of optimality (the paper's
-admissibility claim).
+admissibility claim).  :func:`broadcast_congestion` recounts passage
+usage from route segments, sharing no code with the congestion
+ledger it checks.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import networkx as nx
+import numpy as np
 import pytest
 
-from repro.geometry.point import Point
+from repro.core.congestion import _CHUNK, CongestionMap, Passage, PassageUsage
+from repro.core.route import GlobalRoute
+from repro.geometry.point import Axis, Point
 from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
@@ -57,6 +64,54 @@ def oracle_shortest_length(
         )
     except (nx.NetworkXNoPath, nx.NodeNotFound):
         return None
+
+
+def broadcast_congestion(passages: Iterable[Passage], route: GlobalRoute) -> CongestionMap:
+    """Count, per passage, the distinct nets flowing through it.
+
+    Column-batched form of the naive ``passage.carries(seg)`` double
+    loop: passage regions and segment endpoints go into int64 columns
+    once, and one passages x segments broadcast (in chunks of passages)
+    makes every carry test.  The membership math is integer-exact and
+    ``nets`` is a set, so the result is identical to the scalar loop
+    for any input.
+    """
+    entries = [PassageUsage(p) for p in passages]
+    tagged = route.all_segments()
+    if not entries or not tagged:
+        return CongestionMap(entries)
+
+    names = [name for name, _ in tagged]
+    ax, ay, bx, by = np.array(
+        [(seg.a.x, seg.a.y, seg.b.x, seg.b.y) for _, seg in tagged], dtype=np.int64
+    ).T
+    # Degenerate segments are in neither class (carries() ignores
+    # them); non-rectilinear ones would be in neither either.
+    vertical = (ax == bx) & (ay != by)
+    horizontal = (ay == by) & (ax != bx)
+    v_lo = np.minimum(ay, by)
+    v_hi = np.maximum(ay, by)
+    h_lo = np.minimum(ax, bx)
+    h_hi = np.maximum(ax, bx)
+    regions = np.array(
+        [(r.x0, r.y0, r.x1, r.y1) for r in (e.passage.region for e in entries)], dtype=np.int64
+    )
+    flow_y = np.array([e.passage.flow is Axis.Y for e in entries])
+
+    step = max(1, _CHUNK // len(tagged))
+    for start in range(0, len(entries), step):
+        x0, y0, x1, y1 = (column[:, None] for column in regions[start : start + step].T)
+        # A corridor flowing along y carries vertical segments on a
+        # track inside its closed x span that overlap its y span with
+        # positive length; one flowing along x, the transpose.
+        carried = np.where(
+            flow_y[start : start + step, None],
+            vertical & (x0 <= ax) & (ax <= x1) & (v_lo < y1) & (y0 < v_hi),
+            horizontal & (y0 <= ay) & (ay <= y1) & (h_lo < x1) & (x0 < h_hi),
+        )
+        for row, col in zip(*(index.tolist() for index in np.nonzero(carried))):
+            entries[start + row].nets.add(names[col])
+    return CongestionMap(entries)
 
 
 @pytest.fixture

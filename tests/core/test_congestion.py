@@ -20,6 +20,8 @@ from repro.geometry.segment import Segment
 from repro.layout.cell import Cell
 from repro.layout.layout import MAX_COORDINATE, Layout
 
+from tests.conftest import broadcast_congestion
+
 
 def two_cell_layout() -> Layout:
     """Two cells side by side with a 4-wide passage between them."""
@@ -202,12 +204,12 @@ class TestLedger:
         for net, tree in steps:
             ledger.add(net, tree)
             route.trees[net] = tree
-            assert ledger.snapshot() == measure_congestion(passages, route)
+            assert ledger.snapshot() == broadcast_congestion(passages, route)
         assert ledger.usage.tolist() == [1, 2]
         ledger.remove("n2")
         ledger.remove("never-added")
         del route.trees["n2"]
-        assert ledger.snapshot() == measure_congestion(passages, route)
+        assert ledger.snapshot() == broadcast_congestion(passages, route)
         assert ledger.usage.tolist() == [0, 1]
 
     def test_load_resets_to_the_route(self):
@@ -219,7 +221,7 @@ class TestLedger:
         )
         ledger.load(route)
         snapshot = ledger.snapshot()
-        assert snapshot == measure_congestion(passages, route)
+        assert snapshot == broadcast_congestion(passages, route)
         assert (snapshot.total_overflow, snapshot.affected_nets()) == (1, set(route.trees))
 
     def test_snapshots_are_immutable(self):
@@ -245,7 +247,7 @@ class TestLedger:
         ledger = CongestionLedger([])
         ledger.add("n1", self.tree("n1", (27, 0), (27, 40)))
         snapshot = ledger.snapshot()
-        assert snapshot == measure_congestion([], GlobalRoute())
+        assert snapshot == broadcast_congestion([], GlobalRoute())
         assert (snapshot.total_overflow, snapshot.max_utilization) == (0, 0.0)
 
 
@@ -273,7 +275,7 @@ class TestCoordinateLimit:
         route = self.route(n_nets)
         ledger = CongestionLedger(passages)
         ledger.load(route)
-        oracle = measure_congestion(passages, route)
+        oracle = broadcast_congestion(passages, route)
         snapshot = ledger.snapshot()
         assert snapshot == oracle
         for cmap in (snapshot, oracle):

@@ -104,3 +104,32 @@ class TestAggressiveMode:
         origin = Point(40, 30)  # on first cell's right edge
         for succ, _d in escape_moves(origin, obs, mode=EscapeMode.AGGRESSIVE):
             assert obs.segment_free(Segment(origin, succ))
+
+    def test_one_touching_lookup_per_origin(self, monkeypatch):
+        calls = []
+        original = ObstacleSet.rects_touching
+
+        def spy(self, p):
+            calls.append(p)
+            return original(self, p)
+
+        monkeypatch.setattr(ObstacleSet, "rects_touching", spy)
+        obs = ObstacleSet(BOUND, [Rect(20, 20, 40, 40), Rect(60, 20, 80, 40)])
+        for origin in (Point(40, 30), Point(50, 50), Point(20, 20)):
+            calls.clear()
+            escape_moves(origin, obs, mode=EscapeMode.AGGRESSIVE, extra_xs=[99])
+            assert calls == [origin]
+            calls.clear()
+            escape_moves(origin, obs, mode=EscapeMode.FULL, extra_xs=[99])
+            assert calls == []
+
+    def test_a_ray_blocker_stays_on_its_own_ray(self):
+        east = Rect(50, 5, 60, 15)
+        north = Rect(5, 70, 15, 80)
+        obs = ObstacleSet(BOUND, [east, north])
+        moves = escape_moves(Point(10, 10), obs, mode=EscapeMode.AGGRESSIVE)
+        # The east ray's blocker spans y 5..15; its corners stop only
+        # the east ray, never the north ray that runs past y = 15.
+        north_stops = {p.y for p, d in moves if d is Direction.NORTH}
+        assert north_stops == {70}
+        assert {p.x for p, d in moves if d is Direction.EAST} == {50}

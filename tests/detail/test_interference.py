@@ -72,7 +72,6 @@ class TestGroups:
         ]
         group = interference_groups(segs, window=2)[0]
         assert (group.span_hull.lo, group.span_hull.hi) == (0, 30)
-        assert (group.track_hull.lo, group.track_hull.hi) == (10, 12)
 
     def test_deterministic_order(self):
         segs = [

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry.point import Axis, Point
+from repro.geometry.point import Point
 from repro.geometry.segment import Segment, path_bends, path_length, path_segments
 
 
@@ -34,7 +34,6 @@ class TestConstruction:
     def test_named_constructors(self):
         assert Segment.horizontal(2, 0, 5) == Segment(Point(0, 2), Point(5, 2))
         assert Segment.vertical(2, 0, 5) == Segment(Point(2, 0), Point(2, 5))
-        assert Segment.between(Point(0, 0), Point(0, 3)).length == 3
 
 
 class TestProperties:
@@ -42,10 +41,6 @@ class TestProperties:
         assert Segment.horizontal(0, 0, 5).is_horizontal
         assert Segment.vertical(0, 0, 5).is_vertical
         assert not Segment.vertical(0, 0, 5).is_horizontal
-
-    def test_axis(self):
-        assert Segment.horizontal(0, 0, 5).axis is Axis.X
-        assert Segment.vertical(0, 0, 5).axis is Axis.Y
 
     def test_track_and_span(self):
         seg = Segment.horizontal(7, 2, 9)
@@ -67,11 +62,6 @@ class TestPointRelations:
         assert seg.contains_point(Point(4, 5))
         assert not seg.contains_point(Point(4, 6))
         assert not seg.contains_point(Point(11, 5))
-
-    def test_contains_point_strictly(self):
-        seg = Segment.horizontal(5, 0, 10)
-        assert seg.contains_point_strictly(Point(4, 5))
-        assert not seg.contains_point_strictly(Point(0, 5))
 
 
 class TestSegmentRelations:
@@ -124,24 +114,6 @@ class TestSegmentRelations:
         assert h.intersects(Segment.vertical(4, 0, 10))
         assert h.intersects(Segment.horizontal(5, 8, 20))
         assert not h.intersects(Segment.horizontal(6, 0, 10))
-
-
-class TestSplit:
-    def test_split_interior(self):
-        seg = Segment.horizontal(0, 0, 10)
-        left, right = seg.split_at(Point(4, 0))
-        assert left == Segment.horizontal(0, 0, 4)
-        assert right == Segment.horizontal(0, 4, 10)
-
-    def test_split_at_endpoint_gives_degenerate(self):
-        seg = Segment.horizontal(0, 0, 10)
-        left, right = seg.split_at(Point(0, 0))
-        assert left.is_degenerate
-        assert right == seg
-
-    def test_split_off_segment_raises(self):
-        with pytest.raises(GeometryError):
-            Segment.horizontal(0, 0, 10).split_at(Point(4, 1))
 
 
 class TestPolylineHelpers:

@@ -138,6 +138,14 @@ def scalar_verify_path(path: RoutePath, layout: Layout) -> list[str]:
     for point in path.points:
         if not layout.outline.contains_point(point):
             violations.append(f"point {point} outside routing surface")
+    if not path.segments:
+        # A path without hops sits at its one point; strictly inside a
+        # cell is as illegal as a wire through one.
+        point = path.points[0]
+        for cell in layout.cells:
+            for rect in cell.blocking_rects:
+                if rect.segment_crosses_interior(Segment(point, point)):
+                    violations.append(f"point {point} inside cell {cell.name!r}")
     for seg in path.segments:
         for cell in layout.cells:
             for rect in cell.blocking_rects:

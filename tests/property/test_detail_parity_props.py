@@ -29,12 +29,7 @@ from repro.core.route import GlobalRoute, RoutePath, RouteTree
 from repro.detail import channels
 from repro.detail.channels import DynamicChannel, build_channels, free_gaps
 from repro.detail.detailed import ChannelPlan, DetailedResult, DetailedRouter, _assign_channel
-from repro.detail.interference import (
-    InterferenceGroup,
-    TaggedSegment,
-    interference_groups,
-    segment_rows,
-)
+from repro.detail.interference import InterferenceGroup, TaggedSegment, interference_groups
 from repro.detail.layers import (
     LAYER_HORIZONTAL,
     LAYER_VERTICAL,
@@ -48,7 +43,7 @@ from repro.geometry.orthpoly import OrthoPolygon
 from repro.geometry.point import Point
 from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.rect import Rect
-from repro.geometry.segment import Segment
+from repro.geometry.segment import Segment, segment_rows
 from repro.layout.cell import Cell
 from repro.scenarios import load_corpus
 
@@ -183,7 +178,7 @@ def scalar_interference_groups(
     for i in range(n):
         components.setdefault(find(i), []).append(tagged[i])
     groups = [InterferenceGroup(members) for members in components.values()]
-    groups.sort(key=lambda g: (g.track_hull.lo, g.span_hull.lo))
+    groups.sort(key=lambda g: (min(m.seg.track for m in g.members), g.span_hull.lo))
     return groups
 
 

@@ -1,15 +1,20 @@
-"""Parity of the congestion ledger with the from-scratch measurement.
+"""Parity of the congestion ledger with a from-scratch measurement.
 
 :class:`~repro.core.congestion.CongestionLedger` keeps passage usage
-up to date as trees are merged; :func:`measure_congestion` recounts the
-whole route.  Whatever sequence of loads, adds, removes and
-replacements hypothesis draws over trees routed on the corpus layouts,
-every snapshot must equal the oracle's map on the same route: the
-same passages in the same order, the same net set per passage, and
-the same totals, which are checked here against the
-:class:`PassageUsage` definitions.  A corpus sweep then checks every
-map and every :class:`IterationStats` the wave loop reports, for each
-congestion strategy and for the incremental warm start.
+up to date as trees are merged, reading each path's integer hops.  The
+oracle, :func:`~tests.conftest.broadcast_congestion`, recounts the
+whole route from its segments with one passages x segments carry
+broadcast, sharing no code with the ledger.  Whatever sequence of
+loads, adds, removes and replacements hypothesis draws, over trees
+routed on the corpus layouts and over wires and cells at the
+``±2**62`` coordinate limit, every snapshot must equal the oracle's
+map on the same route: the same passages in the same order, the same
+net set per passage, and the same totals, which are checked here
+against the :class:`PassageUsage` definitions.  A corpus sweep then
+checks every map and every :class:`IterationStats`
+the wave loop reports, for each congestion strategy and for the
+incremental warm start, and that ``measure_congestion`` agrees with
+the oracle on each of those routes.
 """
 
 import functools
@@ -27,13 +32,23 @@ from repro.core.congestion import (
     measure_congestion,
 )
 from repro.core.negotiate import NegotiatedRouter, NegotiationConfig, negotiate
-from repro.core.route import GlobalRoute
+from repro.core.route import GlobalRoute, RoutePath, RouteTree
 from repro.core.router import GlobalRouter
+from repro.geometry.point import Point
+from repro.geometry.rect import Rect
 from repro.incremental.engine import plan_reroute
 from repro.incremental.scripts import replace_nets_delta
+from repro.layout.cell import Cell
+from repro.layout.layout import MAX_COORDINATE, Layout
 from repro.scenarios import load_corpus
 
+from tests.conftest import broadcast_congestion
+
 _CORPUS = load_corpus()
+
+#: Coordinates at and next to the layout limit, and around the origin.
+_LIMIT = (-MAX_COORDINATE, -MAX_COORDINATE + 1, -MAX_COORDINATE + 2, -1, 0, 1)
+_LIMIT += tuple(-c for c in _LIMIT)
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,6 +114,33 @@ def ledger_scripts(draw):
     return layout, first, pool, start, ops, max_gap
 
 
+@st.composite
+def limit_scripts(draw):
+    """Cells and wires on :data:`_LIMIT`, a starting route and edit ops."""
+    M = MAX_COORDINATE
+    layout = Layout(Rect(-M, -M, M, M))
+    for index in range(draw(st.integers(min_value=0, max_value=3))):
+        xs, ys = (
+            sorted(draw(st.lists(st.sampled_from(_LIMIT), min_size=2, max_size=2, unique=True)))
+            for _ in range(2)
+        )
+        layout.add_cell(Cell(f"c{index}", Rect(xs[0], ys[0], xs[1], ys[1])))
+    pool = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        tree = RouteTree(net_name="pool")
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            points = [Point(draw(st.sampled_from(_LIMIT)), draw(st.sampled_from(_LIMIT)))]
+            for step in range(draw(st.integers(min_value=0, max_value=4))):
+                last, coord = points[-1], draw(st.sampled_from(_LIMIT))
+                points.append(Point(coord, last.y) if step % 2 else Point(last.x, coord))
+            tree.paths.append(RoutePath(tuple(points)))
+        pool.append(tree)
+    names = ["n0", "n1", "n2"]
+    start = draw(st.dictionaries(st.sampled_from(names), st.sampled_from(pool)))
+    ops = draw(st.lists(st.tuples(st.sampled_from(names), st.none() | st.sampled_from(pool))))
+    return layout, start, ops
+
+
 class TestLedgerParity:
     @given(ledger_scripts())
     @settings(max_examples=60, deadline=None)
@@ -119,7 +161,27 @@ class TestLedgerParity:
             snapshots.append((ledger.snapshot(), dict(route.trees)))
         # Earlier snapshots stay as they were when taken.
         for snapshot, trees in snapshots:
-            assert_matches_oracle(snapshot, measure_congestion(passages, GlobalRoute(trees=trees)))
+            oracle = broadcast_congestion(passages, GlobalRoute(trees=trees))
+            assert_matches_oracle(snapshot, oracle)
+
+    @given(limit_scripts())
+    @settings(max_examples=80, deadline=None)
+    def test_the_coordinate_limit(self, script):
+        layout, start, ops = script
+        passages = find_passages(layout)
+        route = GlobalRoute(trees=dict(start))
+        ledger = CongestionLedger(passages)
+        ledger.load(route)
+        assert_matches_oracle(ledger.snapshot(), broadcast_congestion(passages, route))
+        assert_matches_oracle(measure_congestion(passages, route), ledger.snapshot())
+        for name, tree in ops:
+            if tree is None:
+                ledger.remove(name)
+                route.trees.pop(name, None)
+            else:
+                ledger.add(name, tree)
+                route.trees[name] = tree
+            assert_matches_oracle(ledger.snapshot(), broadcast_congestion(passages, route))
 
     @given(ledger_scripts())
     @settings(max_examples=30, deadline=None)
@@ -149,13 +211,20 @@ def _spy_waves(monkeypatch) -> list:
     return waves
 
 
+def _oracle(passages, route) -> CongestionMap:
+    """The broadcast oracle's map, after checking ``measure_congestion`` against it."""
+    oracle = broadcast_congestion(passages, route)
+    assert_matches_oracle(measure_congestion(passages, route), oracle)
+    return oracle
+
+
 def _assert_outcome_matches_oracle(outcome, waves, passages) -> None:
-    before = measure_congestion(passages, outcome.first)
+    before = _oracle(passages, outcome.first)
     assert_matches_oracle(outcome.congestion_before, before)
-    assert_matches_oracle(outcome.congestion_after, measure_congestion(passages, outcome.route))
+    assert_matches_oracle(outcome.congestion_after, _oracle(passages, outcome.route))
     assert len(outcome.iterations) == len(waves) + 1
     routes = [(outcome.first, before)] + [
-        (candidate, measure_congestion(passages, candidate)) for candidate, _ in waves
+        (candidate, _oracle(passages, candidate)) for candidate, _ in waves
     ]
     for (_, reported), (_, oracle) in zip(waves, routes[1:]):
         assert_matches_oracle(reported, oracle)
@@ -214,4 +283,4 @@ class TestWaveLoopParity:
         _assert_outcome_matches_oracle(outcome, waves, passages)
         assert len(seeded) == (1 if warm.dirty else 0)
         for kept_map in seeded:
-            assert_matches_oracle(kept_map, measure_congestion(passages, warm.kept))
+            assert_matches_oracle(kept_map, _oracle(passages, warm.kept))
