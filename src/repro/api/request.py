@@ -26,15 +26,12 @@ from typing import Any, Mapping, Optional
 from repro.errors import RoutingError
 from repro.api.params import _coerce_value, param_specs
 from repro.core.escape import EscapeMode
-from repro.core.router import RouterConfig
+from repro.core.router import UNROUTABLE_POLICIES, RouterConfig
 from repro.layout.io import layout_from_dict, layout_from_json, layout_to_dict
 from repro.layout.layout import Layout
 from repro.search.engine import Order
 
 FORMAT_VERSION = 1
-
-#: The raise-vs-skip policies a request may ask for.
-UNROUTABLE_POLICIES = ("raise", "skip")
 
 #: Deserialization runs with lenient params validation (unknown keys
 #: warn and drop instead of raising) so old request/corpus JSON keeps

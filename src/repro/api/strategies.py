@@ -6,7 +6,9 @@ Importing this module installs the four built-ins on
 ``"single"``
     The paper's base algorithm — every net routed independently, one
     frozen cost model.  Congestion is still measured once so callers
-    can see where a congestion strategy would have helped.
+    can see where a congestion strategy would have helped.  A reroute
+    routes only the dirty nets into the kept routes
+    (:meth:`~repro.core.router.GlobalRouter.route_into`).
 ``"two-pass"``
     The Conclusions' sketch — route, measure, penalize the overflowed
     passages, reroute the affected nets (``passes`` generalizes to
@@ -28,14 +30,15 @@ the two negotiation strategies reuse their loop configs directly.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.congestion import check_max_gap, find_passages, measure_congestion
 from repro.core.negotiate import NegotiatedRouter, NegotiationConfig, negotiate, two_pass
+from repro.core.route import GlobalRoute
 from repro.core.timing import TimingConfig, TimingDrivenRouter
 from repro.errors import RoutingError
-from repro.incremental.engine import incremental_single
 from repro.api.registry import StrategyOutcome, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -92,31 +95,29 @@ class SingleStrategy:
 
     def run(self, router: "GlobalRouter", request: "RouteRequest") -> StrategyOutcome:
         """One independent pass, plus a diagnostic congestion measurement."""
-        route = router.route_all(on_unroutable=request.on_unroutable)
-        if not self.params.measure_congestion:
-            return StrategyOutcome(route=route, first=route)
-        congestion = measure_congestion(
-            find_passages(router.layout, max_gap=self.params.max_gap), route
-        )
-        return StrategyOutcome(
-            route=route,
-            first=route,
-            congestion_before=congestion,
-            congestion_after=congestion,
-            converged=congestion.total_overflow == 0,
-        )
+        return self._measured(router, router.route_all(on_unroutable=request.on_unroutable))
 
     def run_incremental(
         self, router: "GlobalRouter", request: "RouteRequest", warm: "WarmStart"
     ) -> StrategyOutcome:
         """Route only the dirty nets; kept trees survive verbatim."""
-        return incremental_single(
-            router,
-            warm,
-            on_unroutable=request.on_unroutable,
-            max_gap=self.params.max_gap,
-            measure=self.params.measure_congestion,
-        )
+        started = time.perf_counter()
+        route = warm.kept.copy()
+        rerouted = router.route_into(route, warm.dirty, on_unroutable=request.on_unroutable)
+        route.stats.elapsed_seconds = time.perf_counter() - started
+        return self._measured(router, route, rerouted_nets=tuple(sorted(rerouted)))
+
+    def _measured(
+        self, router: "GlobalRouter", route: GlobalRoute, rerouted_nets: tuple[str, ...] = ()
+    ) -> StrategyOutcome:
+        """*route* as the outcome, with its congestion unless measuring is off."""
+        outcome = StrategyOutcome(route=route, first=route, rerouted_nets=rerouted_nets)
+        if self.params.measure_congestion:
+            passages = find_passages(router.layout, max_gap=self.params.max_gap)
+            congestion = measure_congestion(passages, route)
+            outcome.congestion_before = outcome.congestion_after = congestion
+            outcome.converged = congestion.total_overflow == 0
+        return outcome
 
 
 @register_strategy("two-pass", params=TwoPassParams)

@@ -24,6 +24,7 @@ from repro.errors import RoutingError, UnroutableError
 from repro.core.costs import CostModel, WirelengthCost
 from repro.core.escape import EscapeMode
 from repro.core.route import GlobalRoute
+from repro.core.router import check_on_unroutable
 from repro.core.steiner import route_net
 from repro.geometry.rect import Rect
 from repro.layout.layout import Layout
@@ -77,8 +78,7 @@ class SequentialRouter:
         failures under unlucky orders are the phenomenon this baseline
         exists to exhibit — or re-raised with ``on_unroutable="raise"``.
         """
-        if on_unroutable not in ("raise", "skip"):
-            raise RoutingError(f"on_unroutable must be 'raise' or 'skip', not {on_unroutable!r}")
+        check_on_unroutable(on_unroutable)
         names = list(net_order) if net_order is not None else [n.name for n in self.layout.nets]
         obstacles = self.layout.obstacles()  # cells; each routed net extends it
         route = GlobalRoute()

@@ -22,9 +22,10 @@ are legalized this way (see ``benchmarks/bench_x3_negotiation.py``).
 
 One loop, four strategies.  :func:`negotiate` owns everything the
 strategies share: the first pass (or a warm start in its place),
-per-wave :class:`IterationStats`, the stop rule (no
-overflow left, or the wave budget spent), the prune-aware choice of
-affected nets, the call to :meth:`GlobalRouter.reroute_pass`, and
+per-wave :class:`IterationStats`, the stop rule (no overflow left, or
+the wave budget spent), the prune-aware choice of affected nets, the
+passes themselves (:meth:`GlobalRouter.route_into` for a warm start's
+wave 0, :meth:`GlobalRouter.reroute_pass` for every later wave), and
 best-route tracking.  A *policy* — :class:`NegotiatedRouter` or a
 subclass — supplies the rest: each wave's cost model, the net order and
 any per-net model, the key that picks the best route, and an optional
@@ -416,24 +417,24 @@ def negotiate(
     waves = knobs.max_iterations
     first = router.route_all(on_unroutable=on_unroutable) if seed is None else seed.kept.copy()
     ledger.load(first)
-    moved = 0
+    moved: list[str] = []
     if seed is not None and not seed.dirty:
         # Nothing to route: the kept trees are the answer, overflow and all.
         waves = 0
     elif seed is not None:
         kept_map = ledger.snapshot()
         history.seed(kept_map)
-        outcomes = router.route_each(
-            list(seed.dirty),
-            cost_model=policy.wave_cost(history, kept_map),
-            fail_fast=on_unroutable == "raise",
+        moved = router.route_into(
+            first,
+            seed.dirty,
+            policy.wave_cost(history, kept_map),
+            on_unroutable=on_unroutable,
+            ledger=ledger,
         )
-        moved = router.merge_outcomes(
-            first, outcomes, on_unroutable=on_unroutable, rerouted=rerouted, ledger=ledger
-        )
+        rerouted.update(moved)
     before = ledger.snapshot()
     current = best = (first, before, policy.analyze(first))
-    iterations = [IterationStats.measure(0, first, before, started=started, rerouted=moved)]
+    iterations = [IterationStats.measure(0, first, before, started=started, rerouted=len(moved))]
 
     for iteration in range(1, waves + 1):
         route, congestion, analysis = current
@@ -444,13 +445,9 @@ def negotiate(
         nets = sorted(congestion.affected_nets() if policy.prune else route.trees)
         order, cost = policy.wave_plan(nets, cost, analysis)
         candidate, candidate_map, moved = router.reroute_pass(
-            route,
-            order,
-            cost,
-            ledger=ledger,
-            on_unroutable=on_unroutable,
-            rerouted=rerouted,
+            route, order, cost, ledger=ledger, on_unroutable=on_unroutable
         )
+        rerouted.update(moved)
         current = (candidate, candidate_map, policy.analyze(candidate))
         iterations.append(
             IterationStats.measure(
@@ -458,7 +455,7 @@ def negotiate(
                 candidate,
                 candidate_map,
                 started=wave_started,
-                rerouted=moved,
+                rerouted=len(moved),
                 previous_length=iterations[-1].wirelength,
             )
         )

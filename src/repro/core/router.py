@@ -14,9 +14,11 @@ usage-dependent penalty regions on top of the cells, so route costs
 there depend on where other nets went in *earlier* passes.  Within any
 single pass the cost model is frozen, so E7 order-invariance still
 holds pass by pass; it is only across passes that ordering (which
-iteration a net is ripped up in) matters.  Every pass routes its nets
-serially, in one process; work spreads across cores one level up,
-over whole requests (:mod:`repro.api.batch` and the service tiers).
+iteration a net is ripped up in) matters.  Every pass, first or
+reroute, runs :meth:`GlobalRouter.route_into`: it routes the nets
+serially, in one process, merging each as it lands; work spreads across
+cores one level up, over whole requests (:mod:`repro.api.batch` and
+the service tiers).
 """
 
 from __future__ import annotations
@@ -116,9 +118,13 @@ class RouterConfig:
             raise RoutingError(f"node_limit must be >= 1, got {self.node_limit}")
 
 
+#: The failure policies every routing entry point accepts.
+UNROUTABLE_POLICIES = ("raise", "skip")
+
+
 def check_on_unroutable(on_unroutable: str) -> None:
     """Reject anything but the ``"raise"``/``"skip"`` failure policies."""
-    if on_unroutable not in ("raise", "skip"):
+    if on_unroutable not in UNROUTABLE_POLICIES:
         raise RoutingError(f"on_unroutable must be 'raise' or 'skip', not {on_unroutable!r}")
 
 
@@ -192,80 +198,47 @@ class GlobalRouter:
             )
         return tree
 
-    def route_each(
+    def route_into(
         self,
+        route: GlobalRoute,
         nets: Iterable[Union[str, Net]],
-        *,
         cost_model: Union[Optional[CostModel], Mapping[str, CostModel]] = None,
-        fail_fast: bool = False,
-    ) -> list[tuple[str, Optional[RouteTree], Optional[UnroutableError]]]:
-        """Route *nets* one after another; outcomes come back in input order.
+        *,
+        on_unroutable: str,
+        ledger: Optional[CongestionLedger] = None,
+    ) -> list[str]:
+        """Route *nets* in order, merging each into *route* as it lands.
 
-        The pass primitive shared by :meth:`route_all` and the wave
-        loop.  *nets* are layout net names or :class:`Net` objects
-        (ad-hoc nets the layout does not hold route too).  *cost_model*
-        is one frozen model for every net (``None`` for the router's
-        own), or a mapping giving each net, by name, its own model.
-        Returns ``(name, tree_or_None, error_or_None)`` outcomes, the
-        error slot carrying the original :class:`UnroutableError`
-        (``partial`` diagnostic intact); unroutability comes back as
-        data so the caller picks raise-vs-skip semantics — except with
-        ``fail_fast=True``, which re-raises the first
-        :class:`UnroutableError` at once.
+        *nets* are layout net names or :class:`Net` objects (ad-hoc nets
+        route too).  *cost_model* is one frozen model (``None`` for the
+        router's own) or a mapping giving each net, by name, its own.
+        A routed net's tree replaces any earlier one, its stats fold
+        into ``route.stats`` and its *ledger* row, if given, moves.  In
+        raise mode the first :class:`UnroutableError` propagates as
+        raised (``partial`` intact); in skip mode a failed net keeps the
+        tree *route* holds for it, or joins ``failed_nets`` if none.
+        Returns the merged names in input order.
         """
+        check_on_unroutable(on_unroutable)
         per_net = isinstance(cost_model, Mapping)
-        outcomes: list[tuple[str, Optional[RouteTree], Optional[UnroutableError]]] = []
+        merged: list[str] = []
         for net in nets:
             if isinstance(net, str):
                 net = self.layout.net(net)
-            model = cost_model[net.name] if per_net else cost_model
+            name = net.name
             try:
-                outcomes.append((net.name, self.route_one(net, cost_model=model), None))
-            except UnroutableError as exc:
-                if fail_fast:
-                    raise
-                outcomes.append((net.name, None, exc))
-        return outcomes
-
-    def merge_outcomes(
-        self,
-        route: GlobalRoute,
-        outcomes: Iterable[tuple[str, Optional[RouteTree], Optional[UnroutableError]]],
-        *,
-        on_unroutable: str,
-        keep_previous: bool = False,
-        rerouted: Optional[set] = None,
-        ledger: Optional[CongestionLedger] = None,
-    ) -> int:
-        """Fold :meth:`route_each` outcomes into *route*; returns nets merged.
-
-        The one place raise-vs-skip semantics live.  In raise mode the
-        first failed outcome's original error is re-raised (its
-        ``partial`` diagnostic intact).  In skip mode a failed net is
-        recorded in ``failed_nets`` — unless ``keep_previous`` is set,
-        the reroute-loop behaviour where the net's earlier tree is
-        still in *route* and should simply survive.  *rerouted*, when
-        given, collects the names of successfully merged nets; a
-        *ledger* counting *route* is updated as each net merges (a
-        failed net keeps whatever row it had).
-        """
-        merged = 0
-        for name, tree, error in outcomes:
-            if tree is None:
+                tree = self.route_one(net, cost_model=cost_model[name] if per_net else cost_model)
+            except UnroutableError:
                 if on_unroutable == "raise":
-                    if error is not None:
-                        raise error
-                    raise UnroutableError(f"net {name!r} is unroutable")
-                if not keep_previous:
+                    raise
+                if name not in route.trees:
                     route.failed_nets.append(name)
                 continue
             route.trees[name] = tree
             route.stats = route.stats.merged_with(tree.stats)
             if ledger is not None:
                 ledger.add(name, tree)
-            if rerouted is not None:
-                rerouted.add(name)
-            merged += 1
+            merged.append(name)
         return merged
 
     def reroute_pass(
@@ -275,31 +248,16 @@ class GlobalRouter:
         cost_model: Union[Optional[CostModel], Mapping[str, CostModel]],
         *,
         ledger: CongestionLedger,
-        on_unroutable: str = "raise",
-        rerouted: Optional[set] = None,
-    ) -> tuple[GlobalRoute, CongestionMap, int]:
-        """One penalized repass: the pass primitive of the wave loop.
+        on_unroutable: str,
+    ) -> tuple[GlobalRoute, CongestionMap, list[str]]:
+        """One reroute wave: :meth:`route_into` over a copy of *current*.
 
-        Copies *current* (trees, stats, failed nets), reroutes the
-        *affected* nets in order (a net whose reroute fails keeps its
-        previous tree), and moves each merged net's row in the *ledger*,
-        which must count *current* on entry and counts the candidate on
-        return.  *cost_model* is one frozen model for the whole pass or
-        a mapping giving every affected net its own (see
-        :meth:`route_each`).  Returns ``(candidate, congestion_map,
-        nets_moved)``, the map a :meth:`CongestionLedger.snapshot`.
+        The *ledger* counts *current* on entry and the candidate on
+        return.  Returns ``(candidate, ledger snapshot, moved names)``.
         """
         candidate = current.copy()
-        outcomes = self.route_each(
-            affected, cost_model=cost_model, fail_fast=on_unroutable == "raise"
-        )
-        moved = self.merge_outcomes(
-            candidate,
-            outcomes,
-            on_unroutable=on_unroutable,
-            keep_previous=True,
-            rerouted=rerouted,
-            ledger=ledger,
+        moved = self.route_into(
+            candidate, affected, cost_model, on_unroutable=on_unroutable, ledger=ledger
         )
         return candidate, ledger.snapshot(), moved
 
@@ -321,13 +279,10 @@ class GlobalRouter:
         Ad-hoc :class:`Net` objects not registered in the layout are
         routed too.
         """
-        check_on_unroutable(on_unroutable)
         route = GlobalRoute()
         started = time.perf_counter()
-        outcomes = self.route_each(
-            self.layout.nets if nets is None else nets,
-            fail_fast=on_unroutable == "raise",
+        self.route_into(
+            route, self.layout.nets if nets is None else nets, on_unroutable=on_unroutable
         )
-        self.merge_outcomes(route, outcomes, on_unroutable=on_unroutable)
         route.stats.elapsed_seconds = time.perf_counter() - started
         return route

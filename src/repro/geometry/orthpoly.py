@@ -138,8 +138,8 @@ class OrthoPolygon:
 
         Returns maximal-width rectangles whose union is exactly the
         polygon (their summed area equals :attr:`area`).  Slab seams are
-        shared boundaries, which is fine for blocking queries because
-        blocking uses open interiors.
+        shared boundaries; :attr:`~repro.layout.cell.Cell.blocking_rects`
+        bridges them so no wire runs along one.
         """
         ys = sorted({v.y for v in self.vertices})
         rects: list[Rect] = []

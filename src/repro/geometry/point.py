@@ -55,14 +55,6 @@ class Point:
         """Coordinate along *axis* (``Axis.X`` -> x, ``Axis.Y`` -> y)."""
         return self.x if axis is Axis.X else self.y
 
-    def with_coord(self, axis: "Axis", value: int) -> "Point":
-        """Return a copy with the coordinate along *axis* replaced."""
-        return self.with_x(value) if axis is Axis.X else self.with_y(value)
-
-    def as_tuple(self) -> tuple[int, int]:
-        """Return ``(x, y)``."""
-        return (self.x, self.y)
-
     def __iter__(self) -> Iterator[int]:
         yield self.x
         yield self.y
@@ -130,17 +122,6 @@ class Direction(enum.Enum):
     def opposite(self) -> "Direction":
         """The reverse direction."""
         return _OPPOSITE[self]
-
-    @property
-    def perpendiculars(self) -> tuple["Direction", "Direction"]:
-        """The two directions at right angles to this one."""
-        if self.is_horizontal:
-            return (Direction.NORTH, Direction.SOUTH)
-        return (Direction.EAST, Direction.WEST)
-
-    def advance(self, point: Point, distance: int) -> Point:
-        """The point *distance* units from *point* along this direction."""
-        return point.translated(self.dx * distance, self.dy * distance)
 
     @staticmethod
     def toward(origin: Point, target: Point) -> list["Direction"]:

@@ -213,11 +213,6 @@ class Rect:
         return Rect(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
 
     @staticmethod
-    def from_segment(seg: Segment) -> "Rect":
-        """Degenerate rect covering a segment."""
-        return Rect.from_points(seg.a, seg.b)
-
-    @staticmethod
     def from_origin_size(x: int, y: int, width: int, height: int) -> "Rect":
         """Rect with lower-left corner ``(x, y)`` and the given extents."""
         if width < 0 or height < 0:

@@ -3,8 +3,7 @@
 The subsystem behind ``reroute(prev_result, delta)``: a JSON-round-
 trippable :class:`LayoutDelta` (:mod:`repro.incremental.delta`), the
 kept/ripped/new classifier (:mod:`repro.incremental.dirty`), the
-warm-start planner and independent-pass engine
-(:mod:`repro.incremental.engine`), and scripted
+warm-start planner (:mod:`repro.incremental.engine`), and scripted
 per-layout deltas for tests and benchmarks
 (:mod:`repro.incremental.scripts`).  This package depends only on the
 core/layout/geometry layers; the API surface
@@ -22,7 +21,7 @@ from repro.incremental.delta import (
     compose_deltas,
 )
 from repro.incremental.dirty import DirtySet, classify_nets
-from repro.incremental.engine import WarmStart, incremental_single, plan_reroute
+from repro.incremental.engine import WarmStart, plan_reroute
 from repro.incremental.scripts import (
     disjoint_delta,
     empty_delta,
@@ -39,7 +38,6 @@ __all__ = [
     "DirtySet",
     "classify_nets",
     "WarmStart",
-    "incremental_single",
     "plan_reroute",
     "disjoint_delta",
     "empty_delta",

@@ -3,14 +3,16 @@
 :func:`plan_reroute` turns (previous route, base layout, delta) into
 the mutated layout plus a :class:`WarmStart`: the kept routes carried
 over verbatim and the dirty set that actually needs routing.  Two
-engines then finish the job:
+modes then finish the job, both through the one pass primitive
+:meth:`~repro.core.router.GlobalRouter.route_into`:
 
-* :func:`incremental_single` — the paper's independent-net mode: route
-  the dirty nets under the frozen base cost model and merge them into
-  the kept routes.  Because every net is routed independently against
-  the cells alone, the result is *identical* to a from-scratch run
-  whenever the delta leaves the cell geometry untouched (net-only
-  deltas) — the differential equivalence suite pins this.
+* the ``single`` strategy's ``run_incremental`` — the paper's
+  independent-net mode: route the dirty nets under the frozen base cost
+  model into a copy of the kept routes.  Because every net is routed
+  independently against the cells alone, the result is *identical* to
+  a from-scratch run whenever the delta leaves the cell geometry
+  untouched (net-only deltas) — the differential equivalence suite
+  pins this.
 * the PathFinder-style mode is the shared wave loop itself,
   ``negotiate(policy, seed=warm)`` (:func:`repro.core.negotiate.negotiate`):
   it pre-charges the congestion history from the kept routes' measured
@@ -32,14 +34,9 @@ the from-scratch totals.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.core.congestion import find_passages, measure_congestion
-from repro.core.negotiate import StrategyOutcome
 from repro.core.route import GlobalRoute
-from repro.core.router import GlobalRouter, check_on_unroutable
 from repro.layout.layout import Layout
 from repro.search.stats import SearchStats
 from repro.incremental.delta import LayoutDelta, apply_delta
@@ -74,48 +71,4 @@ def plan_reroute(
     )
     return mutated, WarmStart(
         kept=kept, dirty=classification.dirty, classification=classification
-    )
-
-
-def incremental_single(
-    router: GlobalRouter,
-    warm: WarmStart,
-    *,
-    on_unroutable: str = "raise",
-    max_gap: Optional[int] = None,
-    measure: bool = True,
-) -> StrategyOutcome:
-    """Independent-pass reroute: dirty nets only, one frozen cost model.
-
-    *router* must be built over the mutated layout.  Kept trees are
-    returned untouched; with unchanged cell geometry each dirty net's
-    tree equals what a from-scratch run would produce (independent
-    routing sees only the cells).
-    """
-    check_on_unroutable(on_unroutable)
-    started = time.perf_counter()
-    route = warm.kept.copy()
-    rerouted: set[str] = set()
-    if warm.dirty:
-        outcomes = router.route_each(
-            list(warm.dirty), fail_fast=on_unroutable == "raise"
-        )
-        router.merge_outcomes(
-            route, outcomes, on_unroutable=on_unroutable, rerouted=rerouted
-        )
-    route.stats.elapsed_seconds = time.perf_counter() - started
-    if not measure:
-        return StrategyOutcome(
-            route=route, first=route, rerouted_nets=tuple(sorted(rerouted))
-        )
-    congestion = measure_congestion(
-        find_passages(router.layout, max_gap=max_gap), route
-    )
-    return StrategyOutcome(
-        route=route,
-        first=route,
-        congestion_before=congestion,
-        congestion_after=congestion,
-        rerouted_nets=tuple(sorted(rerouted)),
-        converged=congestion.total_overflow == 0,
     )

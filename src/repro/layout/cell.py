@@ -59,15 +59,27 @@ class Cell:
 
     @property
     def blocking_rects(self) -> tuple[Rect, ...]:
-        """Disjoint rects whose open interiors block routing.
+        """Rects whose open interiors block routing.
 
-        A rectangular cell blocks with itself; a polygonal cell blocks
-        with its slab decomposition (wires may still hug every boundary
-        edge because blocking uses open interiors).
+        Their open interiors together cover the cell's open interior,
+        and wires may still hug every boundary edge.  A rectangular
+        cell blocks with itself.  A polygonal cell blocks with its
+        disjoint slab decomposition, followed by one bridge per pair of
+        vertically adjacent slabs over their shared x span, so no wire
+        runs along the seam between two slabs.  The bridges come after
+        the slabs, so ray ties still go to a slab, and use only slab
+        coordinates, so the escape grid is the slabs' own.
         """
         if isinstance(self.shape, Rect):
             return (self.shape,)
-        return tuple(self.shape.to_rects())
+        slabs = self.shape.to_rects()
+        bridges = [
+            Rect(max(lower.x0, upper.x0), lower.y0, min(lower.x1, upper.x1), upper.y1)
+            for lower in slabs
+            for upper in slabs
+            if lower.y1 == upper.y0 and max(lower.x0, upper.x0) < min(lower.x1, upper.x1)
+        ]
+        return tuple(slabs + bridges)
 
     @property
     def area(self) -> int:

@@ -59,11 +59,5 @@ class SearchNode(Generic[S]):
         states.reverse()
         return states
 
-    def redirect(self, parent: Optional["SearchNode[S]"], g: float) -> None:
-        """Point this node at a cheaper parent and update its cost."""
-        self.parent = parent
-        self.g = g
-        self.depth = 0 if parent is None else parent.depth + 1
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"Node({self.state}, g={self.g}, h={self.h})"

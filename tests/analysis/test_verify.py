@@ -53,6 +53,28 @@ class TestVerifyPath:
         assert any("outside" in v for v in violations)
 
 
+class TestPolygonSeam:
+    """The seam between an L cell's two slabs is inside the cell."""
+
+    def test_path_along_the_seam_flagged(self, l_cell_layout):
+        path = RoutePath((Point(0, 20), Point(40, 20)))
+        assert verify_path(path, l_cell_layout) == [
+            "segment (0, 20)--(40, 20) crosses cell 'L'"
+        ]
+        tree = RouteTree("n", [path], ["n.s", "n.d"])
+        assert verify_global_route(GlobalRoute({"n": tree}), l_cell_layout) == {
+            "n": ["segment (0, 20)--(40, 20) crosses cell 'L'"]
+        }
+
+    def test_hopless_path_on_the_seam_flagged(self, l_cell_layout):
+        path = RoutePath((Point(15, 20),))
+        assert verify_path(path, l_cell_layout) == ["point (15, 20) inside cell 'L'"]
+
+    def test_boundary_path_is_legal(self, l_cell_layout):
+        path = RoutePath((Point(20, 20), Point(30, 20)))
+        assert verify_path(path, l_cell_layout) == []
+
+
 class TestHoplessPaths:
     """A path without hops is its one point, which must not sit in a cell.
 

@@ -19,12 +19,15 @@ import pytest
 
 from repro.core.congestion import _CHUNK, CongestionMap, Passage, PassageUsage
 from repro.core.route import GlobalRoute
+from repro.geometry.orthpoly import OrthoPolygon
 from repro.geometry.point import Axis, Point
 from repro.geometry.raytrace import ObstacleSet
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
+from repro.layout.cell import Cell
 from repro.layout.generators import LayoutSpec, figure1_layout, random_layout
 from repro.layout.layout import Layout
+from repro.layout.net import Net
 
 
 def oracle_shortest_length(
@@ -148,3 +151,14 @@ def medium_layout() -> Layout:
         LayoutSpec(n_cells=14, n_nets=12, terminals_per_net=(2, 4), pins_per_terminal=(1, 2)),
         seed=321,
     )
+
+
+@pytest.fixture
+def l_cell_layout() -> Layout:
+    """One L-shaped cell whose two slabs meet along y = 20 for x in
+    [10, 20], and net ``n`` from (0, 20) to (40, 20) along that seam."""
+    layout = Layout(Rect(0, 0, 40, 40))
+    corners = [(10, 10), (30, 10), (30, 20), (20, 20), (20, 30), (10, 30)]
+    layout.add_cell(Cell("L", OrthoPolygon([Point(x, y) for x, y in corners])))
+    layout.add_net(Net.two_point("n", Point(0, 20), Point(40, 20)))
+    return layout

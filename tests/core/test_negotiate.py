@@ -2,7 +2,7 @@
 
 Covers the acceptance behaviours of the negotiation engine:
 convergence on an over-subscribed workload that the two-pass scheme
-cannot legalize, the raise/skip semantics and outcome order of a pass,
+cannot legalize, the raise/skip semantics and merge order of a pass,
 and monotonicity of the accumulated history cost.
 """
 
@@ -11,9 +11,10 @@ import random
 
 import pytest
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, UnroutableError
 from repro.core.congestion import (
     CongestionHistory,
+    CongestionLedger,
     CongestionMap,
     Passage,
     PassageUsage,
@@ -23,12 +24,31 @@ from repro.core.congestion import (
 from repro.core.costs import NegotiatedCongestionCost, WirelengthCost
 from repro.core.negotiate import NegotiatedRouter, NegotiationConfig, two_pass
 from repro.core.parallel import make_executor
+from repro.core.route import GlobalRoute
 from repro.core.router import GlobalRouter, RouterConfig
-from repro.geometry.point import Axis
+from repro.geometry.point import Axis, Point
 from repro.geometry.rect import Rect
+from repro.layout.cell import Cell
 from repro.layout.generators import LayoutSpec, grid_layout, random_netlist
 from repro.layout.layout import Layout
+from repro.layout.net import Net
 from repro.analysis.verify import verify_global_route
+
+
+def trapped_layout() -> Layout:
+    """Net ``trapped`` starts outside a closed ring of cells and ends
+    inside it; net ``fine`` routes freely."""
+    layout = Layout(Rect(0, 0, 100, 100))
+    for cell in (
+        Cell.rect("w", 40, 40, 2, 20),
+        Cell.rect("e", 58, 40, 2, 20),
+        Cell.rect("s", 40, 40, 20, 2),
+        Cell.rect("n", 40, 58, 20, 2),
+    ):
+        layout.add_cell(cell)
+    layout.add_net(Net.two_point("trapped", Point(10, 10), Point(50, 50)))
+    layout.add_net(Net.two_point("fine", Point(5, 5), Point(90, 5)))
+    return layout
 
 
 def oversubscribed_layout(n_nets: int = 16, seed: int = 5, gap: int = 3) -> Layout:
@@ -127,65 +147,101 @@ class TestConvergence:
 
 
 class TestParallelParity:
-    """The pass primitives (outcome order, raise/skip semantics) and the
+    """The pass primitive (merge order, raise/skip semantics) and the
     pool validation shared by the request-level fan-out."""
 
-    def test_route_each_outcomes_in_input_order(self, small_layout):
+    def test_route_into_merges_in_input_order(self, small_layout):
         router = GlobalRouter(small_layout)
-        names = [n.name for n in small_layout.nets]
-        reordered = list(reversed(names))
-        outcomes = router.route_each(reordered)
-        assert [name for name, _tree, _err in outcomes] == reordered
-        assert all(tree is not None for _n, tree, _e in outcomes)
+        reordered = [n.name for n in reversed(small_layout.nets)]
+        route = GlobalRoute()
+        assert router.route_into(route, reordered, on_unroutable="raise") == reordered
+        assert list(route.trees) == reordered
+        assert route.failed_nets == []
 
-    def test_route_each_takes_net_objects_and_per_net_models(self, small_layout):
+    def test_route_into_takes_net_objects_and_per_net_models(self, small_layout):
         router = GlobalRouter(small_layout)
         nets = list(small_layout.nets)
-        by_name = router.route_each([net.name for net in nets])
-        by_net = router.route_each(
-            nets, cost_model={net.name: WirelengthCost() for net in nets}
-        )
-        assert [(name, [p.points for p in tree.paths]) for name, tree, _e in by_name] == [
-            (name, [p.points for p in tree.paths]) for name, tree, _e in by_net
+        by_name, by_net = GlobalRoute(), GlobalRoute()
+        merged = router.route_into(by_name, [net.name for net in nets], on_unroutable="raise")
+        assert router.route_into(
+            by_net,
+            nets,
+            {net.name: WirelengthCost() for net in nets},
+            on_unroutable="raise",
+        ) == merged
+        assert [(name, [p.points for p in tree.paths]) for name, tree in by_name.trees.items()] == [
+            (name, [p.points for p in tree.paths]) for name, tree in by_net.trees.items()
         ]
 
-    def test_parallel_skip_mode_records_failures(self):
-        layout = Layout(Rect(0, 0, 100, 100))
-        from repro.layout.cell import Cell
-        from repro.layout.net import Net
-        from repro.geometry.point import Point
+    def test_route_into_skip_keeps_existing_tree_and_ledger_row(self, small_layout):
+        route = GlobalRouter(small_layout).route_all()
+        ledger = CongestionLedger(find_passages(small_layout))
+        ledger.load(route)
+        before = ledger.snapshot()
+        names = [net.name for net in small_layout.nets]
+        stuck, other = names[0], names[1]
+        kept = route.trees[stuck]
 
-        for cell in (
-            Cell.rect("w", 40, 40, 2, 20),
-            Cell.rect("e", 58, 40, 2, 20),
-            Cell.rect("s", 40, 40, 20, 2),
-            Cell.rect("n", 40, 58, 20, 2),
-        ):
-            layout.add_cell(cell)
-        layout.add_net(Net.two_point("trapped", Point(10, 10), Point(50, 50)))
-        layout.add_net(Net.two_point("fine", Point(5, 5), Point(90, 5)))
-        route = GlobalRouter(layout).route_all(on_unroutable="skip")
+        class Stuck(GlobalRouter):
+            def route_one(self, net, *, cost_model=None):
+                if net.name == stuck:
+                    raise UnroutableError(f"nope: {net.name}")
+                return super().route_one(net, cost_model=cost_model)
+
+        merged = Stuck(small_layout).route_into(
+            route, [stuck, other], on_unroutable="skip", ledger=ledger
+        )
+        assert merged == [other]
+        assert route.trees[stuck] is kept
+        assert route.failed_nets == []
+        assert ledger.snapshot() == before
+
+    def test_route_into_skip_records_net_without_tree(self):
+        layout = trapped_layout()
+        route = GlobalRoute()
+        merged = GlobalRouter(layout).route_into(
+            route, ["trapped", "fine"], on_unroutable="skip"
+        )
+        assert merged == ["fine"]
+        assert route.failed_nets == ["trapped"]
+        assert list(route.trees) == ["fine"]
+
+    def test_route_into_raise_reraises_original_error(self, small_layout):
+        error = UnroutableError("nope", partial="partial tree")
+
+        class Failing(GlobalRouter):
+            def route_one(self, net, *, cost_model=None):
+                raise error
+
+        with pytest.raises(UnroutableError) as excinfo:
+            Failing(small_layout).route_into(
+                GlobalRoute(), [net.name for net in small_layout.nets], on_unroutable="raise"
+            )
+        assert excinfo.value is error
+        assert excinfo.value.partial == "partial tree"
+
+    def test_route_into_raise_keeps_earlier_nets_in_the_pass_route(self):
+        route = GlobalRoute()
+        with pytest.raises(UnroutableError) as excinfo:
+            GlobalRouter(trapped_layout()).route_into(
+                route, ["fine", "trapped"], on_unroutable="raise"
+            )
+        assert excinfo.value.partial is not None
+        assert list(route.trees) == ["fine"]
+        assert route.failed_nets == []
+
+    def test_route_into_rejects_unknown_policy(self, small_layout):
+        with pytest.raises(RoutingError, match="on_unroutable"):
+            GlobalRouter(small_layout).route_into(GlobalRoute(), [], on_unroutable="ignore")
+
+    def test_parallel_skip_mode_records_failures(self):
+        route = GlobalRouter(trapped_layout()).route_all(on_unroutable="skip")
         assert route.failed_nets == ["trapped"]
         assert route.routed_count == 1
 
     def test_parallel_raise_preserves_partial(self):
-        from repro.errors import UnroutableError
-        from repro.layout.cell import Cell
-        from repro.layout.net import Net
-        from repro.geometry.point import Point
-
-        layout = Layout(Rect(0, 0, 100, 100))
-        for cell in (
-            Cell.rect("w", 40, 40, 2, 20),
-            Cell.rect("e", 58, 40, 2, 20),
-            Cell.rect("s", 40, 40, 20, 2),
-            Cell.rect("n", 40, 58, 20, 2),
-        ):
-            layout.add_cell(cell)
-        layout.add_net(Net.two_point("trapped", Point(10, 10), Point(50, 50)))
-        layout.add_net(Net.two_point("fine", Point(5, 5), Point(90, 5)))
         with pytest.raises(UnroutableError) as excinfo:
-            GlobalRouter(layout).route_all()
+            GlobalRouter(trapped_layout()).route_all()
         # raise mode re-raises the original error, partial tree intact
         assert excinfo.value.partial is not None
         # process batches pickle the error back from their workers; the
@@ -202,10 +258,6 @@ class TestParallelParity:
         assert not (set(result.route.failed_nets) & set(result.route.trees))
 
     def test_two_pass_skip_keeps_first_pass_failures(self):
-        from repro.layout.cell import Cell
-        from repro.layout.net import Net
-        from repro.geometry.point import Point
-
         # congestion around the macros plus one net walled off in a ring
         layout = oversubscribed_layout()
         for cell in (

@@ -81,6 +81,23 @@ class TestRouteAll:
             GlobalRouter(layout).route_all()
 
 
+class TestPolygonSeam:
+    """A wire must not run along the seam between a polygon cell's slabs."""
+
+    def test_route_goes_around_the_l_cell(self, l_cell_layout):
+        route = GlobalRouter(l_cell_layout).route_all()
+        cell = l_cell_layout.cell("L")
+        points = [
+            Point(x, y)
+            for segment in route.trees["n"].segments
+            for x in range(min(segment.a.x, segment.b.x), max(segment.a.x, segment.b.x) + 1)
+            for y in range(min(segment.a.y, segment.b.y), max(segment.a.y, segment.b.y) + 1)
+        ]
+        assert points and not any(cell.contains_point(p, strict=True) for p in points)
+        assert route.total_length == 60
+        assert verify_global_route(route, l_cell_layout) == {}
+
+
 class TestIndependence:
     """Independent net routing is order-invariant (Conclusions)."""
 

@@ -61,7 +61,7 @@ def test_two_pass_golden(monkeypatch):
 
     def spy(self, *args, **kwargs):
         candidate, congestion, moved = original(self, *args, **kwargs)
-        spied.append((congestion.total_overflow, candidate.total_length, moved))
+        spied.append((congestion.total_overflow, candidate.total_length, len(moved)))
         return candidate, congestion, moved
 
     monkeypatch.setattr(GlobalRouter, "reroute_pass", spy)

@@ -32,11 +32,6 @@ class TestPoint:
         assert p.coord(Axis.X) == 3
         assert p.coord(Axis.Y) == 8
 
-    def test_with_coord_by_axis(self):
-        p = Point(3, 8)
-        assert p.with_coord(Axis.X, 0) == Point(0, 8)
-        assert p.with_coord(Axis.Y, 0) == Point(3, 0)
-
     def test_lexicographic_ordering(self):
         assert Point(1, 5) < Point(2, 0)
         assert Point(1, 2) < Point(1, 3)
@@ -47,9 +42,6 @@ class TestPoint:
     def test_unpacking(self):
         x, y = Point(4, 7)
         assert (x, y) == (4, 7)
-
-    def test_as_tuple(self):
-        assert Point(4, 7).as_tuple() == (4, 7)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -84,14 +76,6 @@ class TestDirection:
     def test_opposites(self):
         for d in ALL_DIRECTIONS:
             assert d.opposite.opposite is d
-
-    def test_perpendiculars(self):
-        assert set(Direction.EAST.perpendiculars) == {Direction.NORTH, Direction.SOUTH}
-        assert set(Direction.NORTH.perpendiculars) == {Direction.EAST, Direction.WEST}
-
-    def test_advance(self):
-        assert Direction.NORTH.advance(Point(2, 3), 5) == Point(2, 8)
-        assert Direction.WEST.advance(Point(2, 3), 2) == Point(0, 3)
 
     def test_toward_gives_goal_reducing_moves(self):
         moves = Direction.toward(Point(0, 0), Point(5, -3))

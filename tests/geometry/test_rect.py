@@ -20,9 +20,6 @@ class TestConstruction:
     def test_from_points_any_order(self):
         assert Rect.from_points(Point(5, 1), Point(2, 7)) == Rect(2, 1, 5, 7)
 
-    def test_from_segment(self):
-        assert Rect.from_segment(Segment.horizontal(4, 1, 9)) == Rect(1, 4, 9, 4)
-
     def test_from_origin_size(self):
         assert Rect.from_origin_size(2, 3, 10, 5) == Rect(2, 3, 12, 8)
 

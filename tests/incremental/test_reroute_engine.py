@@ -1,12 +1,15 @@
 """Warm-start engines: plan, route only the dirty set, converge."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.api.strategies import SingleStrategy
 from repro.core.congestion import CongestionHistory, find_passages, measure_congestion
 from repro.core.negotiate import NegotiatedRouter, NegotiationConfig, negotiate
 from repro.core.router import GlobalRouter, RouterConfig
 from repro.errors import RoutingError, UnroutableError
-from repro.incremental.engine import incremental_single, plan_reroute
+from repro.incremental.engine import plan_reroute
 from repro.incremental.scripts import (
     disjoint_delta,
     empty_delta,
@@ -22,6 +25,12 @@ def routed(small_layout):
         on_unroutable="skip"
     )
     return small_layout, route
+
+
+def single_seeded(router, warm, *, on_unroutable="raise"):
+    # The strategy reads only the request's failure policy.
+    request = SimpleNamespace(on_unroutable=on_unroutable)
+    return SingleStrategy().run_incremental(router, request, warm)
 
 
 def negotiate_seeded(router, warm, *, on_unroutable="raise"):
@@ -46,7 +55,7 @@ def test_empty_delta_single_returns_kept_untouched(routed):
     layout, route = routed
     mutated, warm = plan_reroute(route, layout, empty_delta())
     router = GlobalRouter(mutated, RouterConfig())
-    outcome = incremental_single(router, warm, on_unroutable="skip")
+    outcome = single_seeded(router, warm, on_unroutable="skip")
     assert route_fingerprint(outcome.route) == route_fingerprint(route)
     assert outcome.rerouted_nets == ()
 
@@ -66,7 +75,7 @@ def test_disjoint_delta_single_matches_scratch(routed):
     delta = disjoint_delta(layout)
     mutated, warm = plan_reroute(route, layout, delta)
     router = GlobalRouter(mutated, RouterConfig())
-    outcome = incremental_single(router, warm, on_unroutable="skip")
+    outcome = single_seeded(router, warm, on_unroutable="skip")
     scratch = GlobalRouter(mutated, RouterConfig()).route_all(on_unroutable="skip")
     assert route_fingerprint(outcome.route) == route_fingerprint(scratch)
     # Only the dirty nets were routed.
@@ -78,7 +87,7 @@ def test_geometry_delta_routes_all_dirty_nets(routed):
     delta = geometry_delta(layout)
     mutated, warm = plan_reroute(route, layout, delta)
     router = GlobalRouter(mutated, RouterConfig())
-    outcome = incremental_single(router, warm, on_unroutable="skip")
+    outcome = single_seeded(router, warm, on_unroutable="skip")
     assert set(outcome.route.trees) | set(outcome.route.failed_nets) == {
         net.name for net in mutated.nets
     }
@@ -98,7 +107,7 @@ def test_negotiated_incremental_work_is_incremental_only(routed):
     assert outcome.search_stats.nodes_expanded < scratch.stats.nodes_expanded
 
 
-@pytest.mark.parametrize("engine", [incremental_single, negotiate_seeded])
+@pytest.mark.parametrize("engine", [single_seeded, negotiate_seeded])
 @pytest.mark.parametrize("dirty", [False, True])
 def test_bad_on_unroutable_rejected(routed, engine, dirty):
     layout, route = routed
@@ -114,15 +123,13 @@ def test_single_raises_on_unroutable_dirty_net(routed):
     mutated, warm = plan_reroute(route, layout, delta)
 
     class Unroutable(GlobalRouter):
-        def route_each(self, names, **kwargs):
-            return [
-                (name, None, UnroutableError(f"nope: {name}")) for name in names
-            ]
+        def route_one(self, net, *, cost_model=None):
+            raise UnroutableError(f"nope: {net.name}")
 
     router = Unroutable(mutated, RouterConfig())
     with pytest.raises(UnroutableError):
-        incremental_single(router, warm, on_unroutable="raise")
-    skipped = incremental_single(router, warm, on_unroutable="skip")
+        single_seeded(router, warm, on_unroutable="raise")
+    skipped = single_seeded(router, warm, on_unroutable="skip")
     assert list(warm.dirty) == sorted(skipped.route.failed_nets)
 
 

@@ -45,8 +45,11 @@ class TestBlocking:
 
     def test_polygon_blocks_with_decomposition(self):
         rects = l_cell().blocking_rects
-        assert sum(r.area for r in rects) == 12
-        assert len(rects) >= 2
+        # The two disjoint slabs (area 12), then the bridge over their seam.
+        assert rects[:2] == tuple(l_cell().shape.to_rects())
+        assert sum(r.area for r in rects[:2]) == 12
+        assert rects[2:] == (Rect(0, 0, 2, 4),)
+        assert sum(r.area for r in rects) == 20
 
     def test_area(self):
         assert Cell.rect("m", 0, 0, 5, 4).area == 20

@@ -9,7 +9,9 @@ violation strings in the same order, and raise the same
 ``ValidationError`` message.  The drawn layouts use a coarse
 coordinate grid so that edges coincide; cells may touch, overlap, be
 L-shaped polygons (the ``l_macro`` shape of the polygon-cell bench) or
-carry the boundary's pseudo name.
+carry the boundary's pseudo name.  One more property checks that a
+polygon cell's blocking rects cover its open interior and nothing
+outside it, on T, U, plus and staircase shapes.
 """
 
 from typing import Optional
@@ -345,6 +347,47 @@ def cells(draw, name: str) -> Cell:
     return Cell(name, Rect(x0, y0, x1, y1))
 
 
+#: Vertex lists of orthogonal polygon families beyond the L, in units
+#: of drawn widths; each takes the draw's positive dimensions a..f.
+POLYGON_FAMILIES = {
+    # A bar of width c + a + e on a stem of width a.
+    "T": lambda a, b, c, d, e, f: [
+        (c, 0), (c + a, 0), (c + a, b), (c + a + e, b), (c + a + e, b + d),
+        (0, b + d), (0, b), (c, b),
+    ],
+    # Two prongs of widths a and c over a base of height b.
+    "U": lambda a, b, c, d, e, f: [
+        (0, 0), (a + e + c, 0), (a + e + c, b + d), (a + e, b + d), (a + e, b),
+        (a, b), (a, b + d), (0, b + d),
+    ],
+    # A centre square a x b with arms c, e (x) and d, f (y).
+    "plus": lambda a, b, c, d, e, f: [
+        (c, 0), (c + a, 0), (c + a, d), (c + a + e, d), (c + a + e, d + b),
+        (c + a, d + b), (c + a, d + b + f), (c, d + b + f), (c, d + b), (0, d + b),
+        (0, d), (c, d),
+    ],
+    # Three steps, each narrower than the one below.
+    "staircase": lambda a, b, c, d, e, f: [
+        (0, 0), (a + c + e, 0), (a + c + e, b), (a + c, b), (a + c, b + d), (a, b + d),
+        (a, b + d + f), (0, b + d + f),
+    ],
+}
+
+
+@st.composite
+def polygons(draw) -> OrthoPolygon:
+    """A T, U, plus or staircase polygon, reflected or transposed at
+    random, with even coordinates so every slab has interior points."""
+    family = POLYGON_FAMILIES[draw(st.sampled_from(sorted(POLYGON_FAMILIES)))]
+    corners = family(*draw(st.lists(st.integers(1, 4), min_size=6, max_size=6)))
+    flip_x, flip_y, transpose = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    points = []
+    for x, y in corners:
+        x, y = (-x if flip_x else x), (-y if flip_y else y)
+        points.append(Point(2 * y, 2 * x) if transpose else Point(2 * x, 2 * y))
+    return OrthoPolygon(points)
+
+
 @st.composite
 def layouts(draw, spaced: bool = False) -> Layout:
     """Up to seven cells; one may carry the boundary's pseudo name.
@@ -436,6 +479,29 @@ def routed(draw):
 # ----------------------------------------------------------------------
 # Properties
 # ----------------------------------------------------------------------
+class TestPolygonBlocking:
+    """A polygon cell's blocking rects cover its open interior exactly."""
+
+    @given(polygons())
+    @settings(max_examples=200, deadline=None)
+    def test_blocking_rects_cover_the_open_interior(self, polygon):
+        rects = Cell("p", polygon).blocking_rects
+        box = polygon.bounding_box
+        for x in range(box.x0, box.x1 + 1):
+            for y in range(box.y0, box.y1 + 1):
+                point = Point(x, y)
+                blocked = any(r.x0 < x < r.x1 and r.y0 < y < r.y1 for r in rects)
+                assert blocked == polygon.contains_point(point, strict=True), point
+        slabs = polygon.to_rects()
+        assert rects[: len(slabs)] == tuple(slabs)
+        assert {r.x0 for r in rects} | {r.x1 for r in rects} <= (
+            {r.x0 for r in slabs} | {r.x1 for r in slabs}
+        )
+        assert {r.y0 for r in rects} | {r.y1 for r in rects} <= (
+            {r.y0 for r in slabs} | {r.y1 for r in slabs}
+        )
+
+
 class TestPassageParity:
     @given(layouts(), st.sampled_from([None, 1, 2, 3, 4, 5, 6]))
     @settings(max_examples=150, deadline=None)

@@ -15,20 +15,6 @@ class TestSearchNode:
         leaf = SearchNode("c", g=2, parent=mid, depth=2)
         assert leaf.path() == ["a", "b", "c"]
 
-    def test_redirect_updates_cost_parent_depth(self):
-        root = SearchNode("a", g=0)
-        other = SearchNode("x", g=1, parent=root, depth=1)
-        node = SearchNode("b", g=9, parent=root, depth=1)
-        node.redirect(other, 2.0)
-        assert node.g == 2.0
-        assert node.parent is other
-        assert node.depth == 2
-
-    def test_redirect_to_none_resets_depth(self):
-        node = SearchNode("b", g=9, parent=SearchNode("a", g=0), depth=1)
-        node.redirect(None, 0.0)
-        assert node.depth == 0 and node.parent is None
-
     def test_nodes_compare_by_identity(self):
         assert SearchNode("s", g=0) != SearchNode("s", g=0)
 
