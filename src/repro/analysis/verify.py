@@ -2,23 +2,26 @@
 
 These checkers share no code with the routers' own legality logic
 beyond the geometry primitives, so a router bug cannot hide behind its
-own definition of legality.  A route is read through each path's
-:attr:`~repro.core.route.RoutePath.hops`, its one integer form; a
-``Segment`` is built only to word a violation.  All checkers return a
-list of violation strings (empty = valid); `strict=True` raises
-instead.
+own definition of legality.  A route is checked in one pass over one
+int64 table of every path's :attr:`~repro.core.route.RoutePath.hops`
+(a hop-less path as its point) with a tree-id column: containment in
+the surface is one broadcast, crossing a cell another.  Connectivity
+adds every terminal pin, finds the touching pairs by one sort-and-sweep
+keyed by (tree, x), and labels components by one union-find over them.
+Messages are worded only for the trees that hold a flagged element.
+All checkers return a list of violation strings (empty = valid);
+`strict=True` raises instead.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import RoutingError
 from repro.core.route import GlobalRoute, RoutePath, RouteTree
 from repro.detail.detailed import DetailedResult
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.segment import segment_rows
 from repro.layout.layout import Layout
@@ -29,41 +32,31 @@ _CHUNK = 1 << 18
 
 
 class _Blockers:
-    """Every cell's blocking rects as int64 columns, read off the layout.
-
-    Rows run in cell order, then in each cell's ``blocking_rects``
-    order; ``owners`` names each row's cell.  One table serves a whole
-    check, and it is built from the cells alone, never from a router's
-    obstacle view.
-    """
+    """Every cell's blocking rects as int64 columns, in cell order, then
+    ``blocking_rects`` order; ``cell`` is each row's cell index.  Built
+    from the cells alone, never from a router's obstacle view."""
 
     def __init__(self, layout: Layout):
-        self.owners: list[str] = []
-        rows: list[tuple[int, int, int, int]] = []
-        for cell in layout.cells:
-            for rect in cell.blocking_rects:
-                self.owners.append(cell.name)
-                rows.append((rect.x0, rect.y0, rect.x1, rect.y1))
-        self.x0, self.y0, self.x1, self.y1 = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        self.names = [cell.name for cell in layout.cells]
+        rects = [
+            (index, rect.x0, rect.y0, rect.x1, rect.y1)
+            for index, cell in enumerate(layout.cells)
+            for rect in cell.blocking_rects
+        ]
+        self.cell, self.x0, self.y0, self.x1, self.y1 = (
+            np.array(rects, dtype=np.int64).reshape(-1, 5).T
+        )
 
-    def crossed(self, rows: np.ndarray) -> list[list[str]]:
-        """Per hop row, the owner of each rect whose open interior it enters.
-
-        *rows* are ``(4, n)`` int64 ``horizontal, track, lo, hi`` rows
-        (:attr:`RoutePath.hops`, or ``segment_rows`` of segments).  The
-        broadcast form of ``rect.segment_crosses_interior(seg)`` over
-        every rect, in table order: a horizontal row (a degenerate one
-        counts as horizontal, which makes the test strict point
-        containment) must run strictly between the rect's bottom and
-        top and overlap its x span with positive length; a vertical
-        one, the transpose.
-        """
-        count = rows.shape[1]
-        crossed: list[list[str]] = [[] for _ in range(count)]
-        if not count or not self.owners:
-            return crossed
-        step = max(1, _CHUNK // len(self.owners))
-        for start in range(0, count, step):
+    def crossed(self, rows: np.ndarray) -> dict[int, list[str]]:
+        """Per ``(4, n)`` int64 ``horizontal, track, lo, hi`` row that
+        enters a cell's open interior, the cells it enters, each once, in
+        table order: ``rect.segment_crosses_interior`` broadcast.  A
+        horizontal row (a degenerate one too: strict point containment)
+        runs strictly between a rect's bottom and top and overlaps its x
+        span with positive length; a vertical one, the transpose."""
+        crossed: dict[int, list[str]] = {}
+        step = max(1, _CHUNK // max(1, self.cell.size))
+        for start in range(0, rows.shape[1], step):
             chunk = rows[:, start : start + step]
             horizontal, track, lo, hi = (column[:, None] for column in chunk)
             hit = np.where(
@@ -71,149 +64,161 @@ class _Blockers:
                 (self.y0 < track) & (track < self.y1) & (lo < self.x1) & (self.x0 < hi),
                 (self.x0 < track) & (track < self.x1) & (lo < self.y1) & (self.y0 < hi),
             )
-            for row, col in zip(*(index.tolist() for index in np.nonzero(hit))):
-                crossed[start + row].append(self.owners[col])
+            # Hits come row by row in table order, so a row's hits on
+            # one cell's rects (a polygon's slabs and seams) are adjacent.
+            row, cell = np.nonzero(hit)
+            cell = self.cell[cell]
+            first = np.ones(row.size, dtype=bool)
+            first[1:] = (row[1:] != row[:-1]) | (cell[1:] != cell[:-1])
+            for r, c in zip((row[first] + start).tolist(), cell[first].tolist()):
+                crossed.setdefault(r, []).append(self.names[c])
         return crossed
 
 
+def _boxes(rows: np.ndarray) -> np.ndarray:
+    """Hop rows as closed boxes ``x0, y0, x1, y1``: a horizontal row
+    spans ``[lo, hi]`` at ``y = track``; a vertical one, the transpose."""
+    return np.where(rows[0] == 1, rows[[2, 1, 3, 1]], rows[[1, 2, 1, 3]])
+
+
+def _outside(boxes: np.ndarray, outline: Rect) -> np.ndarray:
+    """Per box, whether one of its corners leaves the closed *outline*."""
+    x0, y0, x1, y1 = boxes
+    return (x0 < outline.x0) | (y0 < outline.y0) | (outline.x1 < x1) | (outline.y1 < y1)
+
+
+def _touching(boxes: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair ``(i, j)`` of closed boxes of one group that share a
+    point, by one sort-and-sweep over boxes keyed by (group, x0): a
+    box's candidates follow it in key order up to its x1, and are kept
+    on y overlap.  x is rank-compressed first, so the keys fit int64."""
+    x0, y0, x1, y1 = boxes
+    count = x0.size
+    values, ranks = np.unique(np.concatenate([x0, x1]), return_inverse=True)
+    start = group * values.size + ranks[:count]
+    order = np.argsort(start, kind="stable")
+    stop = (group * values.size + ranks[count:])[order]
+    window = np.searchsorted(start[order], stop, side="right") - np.arange(1, count + 1)
+    first = np.repeat(np.arange(count), window)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(window) - window, window)
+    i, j = order[first], order[first + 1 + offset]
+    keep = (y0[i] <= y1[j]) & (y0[j] <= y1[i])
+    return i[keep], j[keep]
+
+
+def _components(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Union-find over the pairs ``(i, j)`` from the parents *label*, a
+    forest of stars with each parent at most its child: each round hooks
+    the larger root of every pair across two components under the
+    smaller, then jumps pointers until each element points at its root."""
+    while (apart := label[i] != label[j]).any():
+        li, lj = label[i][apart], label[j][apart]
+        np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    return label
+
+
+def _violations(
+    trees: Sequence[tuple[RouteTree, Optional[Net]]], layout: Layout
+) -> list[list[str]]:
+    """Per ``(tree, net)``: path by path, the points off the surface and
+    the cells its hops cross or its hop-less point sits in; then, with a
+    *net*, the terminals not claimed or, if all are, not joined."""
+    tables, ends = [np.empty((4, 0), dtype=np.int64)], [0]
+    dangling: list[int] = []  # rows of a repeated point: no element
+    tail: dict[int, list[str]] = {}  # per tree, its net's messages
+    pins: list[int] = []  # per pin of a fully claimed net: x, y, tree, terminal
+    terminals: list[tuple[int, str, int]] = []  # tree, name, first terminal
+    for t, (tree, net) in enumerate(trees):
+        ends.append(ends[-1])
+        for path in tree.paths:
+            hops = path.hops
+            if not hops.size:
+                point = path.start
+                hops = np.array([[1], [point.y], [point.x], [point.x]], dtype=np.int64)
+                if len(path.points) > 1:
+                    dangling.append(ends[-1])
+            tables.append(hops)
+            ends[-1] += hops.shape[1]
+        if net is None:
+            continue
+        names = {terminal.name for terminal in net.terminals}
+        claimed = set(tree.connected_terminals)
+        if claimed != names:
+            tail[t] = [f"net {net.name!r}: terminals never connected: {sorted(names - claimed)}"]
+            continue
+        anchor = len(terminals)
+        for terminal in net.terminals:
+            for pin in terminal.pins:
+                pins += (pin.location.x, pin.location.y, t, len(terminals))
+            terminals.append((t, terminal.name, anchor))
+    rows = np.concatenate(tables, axis=1)
+    tree_of = np.repeat(np.arange(len(trees)), np.diff(ends))
+    boxes = _boxes(rows)
+    crossed = _Blockers(layout).crossed(rows)
+
+    # A fully claimed tree's elements (its rows, its net's pins) join
+    # when they share a point.  Pins of one terminal are one through
+    # their cell ("logically grouped"), so extra pins may dangle off the
+    # tree.  Every terminal must lie in the first terminal's component.
+    if terminals:
+        keep = np.isin(tree_of, [t for t, _, _ in terminals])
+        keep[dangling] = False
+        base = np.count_nonzero(keep)
+        x, y, pin_tree, pin_terminal = np.array(pins, dtype=np.int64).reshape(-1, 4).T
+        heads = base + np.searchsorted(pin_terminal, np.arange(len(terminals)))
+        touching = _touching(
+            np.concatenate([boxes[:, keep], [x, y, x, y]], axis=1),
+            np.concatenate([tree_of[keep], pin_tree]),
+        )
+        # Each pin starts under its terminal's first pin.
+        label = _components(np.concatenate([np.arange(base), heads[pin_terminal]]), *touching)
+        anchors = heads[[anchor for _, _, anchor in terminals]]
+        for k in np.flatnonzero(label[heads] != label[anchors]).tolist():
+            t, name, _ = terminals[k]
+            message = f"terminal {name!r} not electrically connected to the tree"
+            tail.setdefault(t, []).append(f"net {trees[t][1].name!r}: {message}")
+
+    report: list[list[str]] = [[] for _ in trees]
+    outside = tree_of[_outside(boxes, layout.outline)].tolist()
+    for t in sorted(set(tail).union(outside, tree_of[list(crossed)].tolist())):
+        row = ends[t]
+        for path in trees[t][0].paths:
+            report[t] += [
+                f"point {point} outside routing surface"
+                for point in path.points
+                if not layout.outline.contains_point(point)
+            ]
+            segments = [f"segment {segment} crosses cell" for segment in path.segments]
+            for place in segments or [f"point {path.start} inside cell"]:
+                report[t] += [f"{place} {name!r}" for name in crossed.get(row, ())]
+                row += 1
+        report[t] += tail.get(t, [])
+    return report
+
+
 def verify_path(path: RoutePath, layout: Layout) -> list[str]:
-    """Check one connection path: inside the surface, outside cells.
-
-    A path with hops must not cross a cell's interior; a path without
-    any (a single point, perhaps repeated) must not sit inside one.
-    """
-    return _path_violations([path], layout.outline, _Blockers(layout))
-
-
-def _path_violations(
-    paths: Sequence[RoutePath], outline: Rect, blockers: _Blockers
-) -> list[str]:
-    """:func:`verify_path` over *paths*, in order, with one containment
-    and one crossing broadcast.
-
-    The crossing table holds each path's :attr:`~RoutePath.hops`, or,
-    for a path without hops, its point as one degenerate row.
-    """
-    if not paths:
-        return []
-    x, y = np.array([(p.x, p.y) for path in paths for p in path.points], dtype=np.int64).T
-    inside = iter(
-        ((outline.x0 <= x) & (x <= outline.x1) & (outline.y0 <= y) & (y <= outline.y1)).tolist()
-    )
-    tables = [path.hops if path.hops.size else _point_rows([path.start]) for path in paths]
-    crossed = iter(blockers.crossed(np.concatenate(tables, axis=1)))
-    violations: list[str] = []
-    for path in paths:
-        for point in path.points:
-            if not next(inside):
-                violations.append(f"point {point} outside routing surface")
-        if not path.hops.size:
-            violations.extend(f"point {path.start} inside cell {name!r}" for name in next(crossed))
-        for index in range(path.hops.shape[1]):
-            violations.extend(
-                f"segment {path.segments[index]} crosses cell {name!r}" for name in next(crossed)
-            )
-    return violations
-
-
-def _point_rows(points: Sequence[Point]) -> np.ndarray:
-    """*points* as degenerate (horizontal) hop rows, which
-    :meth:`_Blockers.crossed` tests as strict containment."""
-    return np.array([(1, p.y, p.x, p.x) for p in points], dtype=np.int64).reshape(-1, 4).T
+    """Check one connection path: inside the surface, outside cells; a
+    hop-less path (one point, perhaps repeated) must not sit in a cell."""
+    return _violations([(RouteTree("", [path]), None)], layout)[0]
 
 
 def verify_route_tree(tree: RouteTree, net: Net, layout: Layout) -> list[str]:
-    """Check a routed net: geometry legality plus full connectivity.
-
-    Connectivity is established independently: every terminal must have
-    at least one pin in the single connected component formed by the
-    tree's segments and points.
-    """
-    return _tree_violations(tree, net, layout.outline, _Blockers(layout))
-
-
-def _tree_violations(
-    tree: RouteTree, net: Net, outline: Rect, blockers: _Blockers
-) -> list[str]:
-    """:func:`verify_route_tree` against a prebuilt blocker table."""
-    violations = _path_violations(tree.paths, outline, blockers)
-
-    if set(tree.connected_terminals) != {t.name for t in net.terminals}:
-        missing = {t.name for t in net.terminals} - set(tree.connected_terminals)
-        violations.append(f"net {net.name!r}: terminals never connected: {sorted(missing)}")
-        return violations
-
-    violations.extend(_connectivity_violations(tree, net))
-    return violations
-
-
-def _connectivity_violations(tree: RouteTree, net: Net) -> list[str]:
-    """Union-find over tree geometry; every terminal must reach the root."""
-    # Elements, each a closed box [x0, y0, x1, y1]: the tree's hops,
-    # path by path, the bare point of every zero-length connection,
-    # then every terminal pin, points as degenerate hops.  A horizontal
-    # hop (horizontal, track, lo, hi) spans [lo, hi] at y = track; a
-    # vertical one, the transpose.
-    stubs = [path.points[0] for path in tree.paths if len(path.points) == 1]
-    pins = [pin.location for terminal in net.terminals for pin in terminal.pins]
-    hops = np.concatenate([path.hops for path in tree.paths] + [_point_rows(stubs + pins)], axis=1)
-    boxes = np.where(hops[0] == 1, hops[[2, 1, 3, 1]], hops[[1, 2, 1, 3]])
-    parent = list(range(boxes.shape[1]))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    # Two closed axis-parallel segments share a point exactly when
-    # their (degenerate) boxes overlap, touching included.
-    x0, y0, x1, y1 = (column[:, None] for column in boxes)
-    touch = (x0 <= x1.T) & (x0.T <= x1) & (y0 <= y1.T) & (y0.T <= y1)
-    for i, j in zip(*(index.tolist() for index in np.nonzero(np.triu(touch, 1)))):
-        union(i, j)
-
-    # Pins of one terminal are electrically equivalent through their
-    # cell ("logically grouped"), so they join even without wire
-    # geometry between them, and each terminal lies in one component.
-    # (A terminal may have extra pins dangling off-tree, which is legal.)
-    firsts: list[int] = []
-    first = len(parent) - len(pins)
-    for terminal in net.terminals:
-        for pin in range(first + 1, first + len(terminal.pins)):
-            union(first, pin)
-        firsts.append(first)
-        first += len(terminal.pins)
-
-    # The first terminal's component is the tree; every terminal must
-    # be in it.
-    anchor = find(firsts[0])
-    return [
-        f"net {net.name!r}: terminal {terminal.name!r} not electrically connected to the tree"
-        for terminal, first in zip(net.terminals, firsts)
-        if find(first) != anchor
-    ]
+    """Check a routed net: geometry legality plus full connectivity,
+    established independently: every terminal must have a pin in the
+    one connected component of the tree's segments and points."""
+    return _violations([(tree, net)], layout)[0]
 
 
 def verify_global_route(
     route: GlobalRoute, layout: Layout, *, strict: bool = False
 ) -> dict[str, list[str]]:
-    """Check every routed net; returns violations per net name.
-
-    With ``strict=True`` raises :class:`RoutingError` on the first
-    violating net.
-    """
-    blockers = _Blockers(layout)
-    report: dict[str, list[str]] = {}
-    for name, tree in route.trees.items():
-        violations = _tree_violations(tree, layout.net(name), layout.outline, blockers)
-        if violations:
-            report[name] = violations
+    """Check every routed net; returns violations per net name.  With
+    ``strict=True`` raises :class:`RoutingError` on the first violating net."""
+    trees = [(tree, layout.net(name)) for name, tree in route.trees.items()]
+    found = zip(route.trees, _violations(trees, layout))
+    report = {name: violations for name, violations in found if violations}
     if strict and report:
         name, violations = next(iter(report.items()))
         raise RoutingError(f"invalid route for net {name!r}: {violations[0]}")
@@ -223,24 +228,19 @@ def verify_global_route(
 def detailed_violations(result: DetailedResult, layout: Layout) -> list[tuple[str, str]]:
     """``(net name, message)`` for every illegal detailed wire, in wire order.
 
-    Same-layer overlap conflicts are already recorded on the result;
-    this adds the geometric checks (wires inside the surface, outside
-    cell interiors) that the channel corridor logic must guarantee.
-    """
+    Overlap conflicts are already on the result; this adds what the
+    corridor logic must guarantee, each one broadcast over every wire:
+    inside the surface, outside cell interiors."""
     wires = result.layers.wires
-    crossed = _Blockers(layout).crossed(segment_rows([wire.seg for wire in wires]))
+    rows = segment_rows([wire.seg for wire in wires])
+    outside = _outside(_boxes(rows), layout.outline)
+    crossed = _Blockers(layout).crossed(rows)
     violations: list[tuple[str, str]] = []
-    for wire, owners in zip(wires, crossed):
-        for endpoint in (wire.seg.a, wire.seg.b):
-            if not layout.outline.contains_point(endpoint):
-                violations.append(
-                    (wire.net, f"wire {wire.seg} of {wire.net!r} leaves the surface")
-                )
-                break
-        violations.extend(
-            (wire.net, f"wire {wire.seg} of {wire.net!r} crosses cell {name!r}")
-            for name in owners
-        )
+    for index in sorted(set(np.flatnonzero(outside).tolist()) | set(crossed)):
+        wire = wires[index]
+        findings = ["leaves the surface"] if outside[index] else []
+        findings += [f"crosses cell {name!r}" for name in crossed.get(index, ())]
+        violations += [(wire.net, f"wire {wire.seg} of {wire.net!r} {f}") for f in findings]
     return violations
 
 

@@ -66,6 +66,13 @@ class TestPolygonSeam:
             "n": ["segment (0, 20)--(40, 20) crosses cell 'L'"]
         }
 
+    def test_path_across_the_slabs_and_seam_flagged_once(self, l_cell_layout):
+        """The path enters both slabs and the seam bridge: one cell, one message."""
+        path = RoutePath((Point(15, 0), Point(15, 40)))
+        assert verify_path(path, l_cell_layout) == [
+            "segment (15, 0)--(15, 40) crosses cell 'L'"
+        ]
+
     def test_hopless_path_on_the_seam_flagged(self, l_cell_layout):
         path = RoutePath((Point(15, 20),))
         assert verify_path(path, l_cell_layout) == ["point (15, 20) inside cell 'L'"]

@@ -9,13 +9,19 @@ violation strings in the same order, and raise the same
 ``ValidationError`` message.  The drawn layouts use a coarse
 coordinate grid so that edges coincide; cells may touch, overlap, be
 L-shaped polygons (the ``l_macro`` shape of the polygon-cell bench) or
-carry the boundary's pseudo name.  One more property checks that a
-polygon cell's blocking rects cover its open interior and nothing
-outside it, on T, U, plus and staircase shapes.
+carry the boundary's pseudo name.  The verifier, which checks a whole
+route in one pass, is also drawn on nets whose wires overlap (each net
+must be judged on its own wires and pins), at the ``±2**62`` limit, on
+hand-built broken and empty trees, and run on the 60 seed-1 perfbench
+``first-pass`` routes.  One more property checks that a polygon cell's
+blocking rects cover its open interior and nothing outside it, on T,
+U, plus and staircase shapes.
 """
 
+import random
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.verify import (
@@ -33,20 +39,20 @@ from repro.core.congestion import (
 from repro.core.route import GlobalRoute, RoutePath, RouteTree
 from repro.core.router import GlobalRouter
 from repro.detail.detailed import DetailedRouter
-from repro.errors import ValidationError
+from repro.errors import LayoutError, ValidationError
 from repro.geometry.orthpoly import OrthoPolygon
 from repro.geometry.point import Axis, Point
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Segment
 from repro.layout.cell import Cell
-from repro.layout.generators import LayoutSpec
+from repro.layout.generators import LayoutSpec, random_layout
 from repro.layout.layout import Layout
 from repro.layout.net import Net
 from repro.layout.pin import Pin
 from repro.layout.terminal import Terminal
 from repro.layout.validate import validate_layout
 
-from tests.property.conftest import generate
+from tests.property.conftest import LIMIT, generate, limit_layouts
 
 SIZE = 60
 
@@ -145,15 +151,19 @@ def scalar_verify_path(path: RoutePath, layout: Layout) -> list[str]:
         # cell is as illegal as a wire through one.
         point = path.points[0]
         for cell in layout.cells:
-            for rect in cell.blocking_rects:
-                if rect.segment_crosses_interior(Segment(point, point)):
-                    violations.append(f"point {point} inside cell {cell.name!r}")
+            if crosses_cell(cell, Segment(point, point)):
+                violations.append(f"point {point} inside cell {cell.name!r}")
     for seg in path.segments:
         for cell in layout.cells:
-            for rect in cell.blocking_rects:
-                if rect.segment_crosses_interior(seg):
-                    violations.append(f"segment {seg} crosses cell {cell.name!r}")
+            if crosses_cell(cell, seg):
+                violations.append(f"segment {seg} crosses cell {cell.name!r}")
     return violations
+
+
+def crosses_cell(cell: Cell, seg: Segment) -> bool:
+    """Whether *seg* enters the open interior of any of *cell*'s
+    blocking rects: one finding per cell, however many rects."""
+    return any(rect.segment_crosses_interior(seg) for rect in cell.blocking_rects)
 
 
 def scalar_verify_route_tree(tree: RouteTree, net: Net, layout: Layout) -> list[str]:
@@ -243,11 +253,8 @@ def scalar_verify_detailed(result, layout: Layout) -> list[str]:
                 violations.append(f"wire {wire.seg} of {wire.net!r} leaves the surface")
                 break
         for cell in layout.cells:
-            for rect in cell.blocking_rects:
-                if rect.segment_crosses_interior(wire.seg):
-                    violations.append(
-                        f"wire {wire.seg} of {wire.net!r} crosses cell {cell.name!r}"
-                    )
+            if crosses_cell(cell, wire.seg):
+                violations.append(f"wire {wire.seg} of {wire.net!r} crosses cell {cell.name!r}")
     return violations
 
 
@@ -414,20 +421,21 @@ def points(coords=WIRE):
 
 
 @st.composite
-def polylines(draw) -> RoutePath:
+def polylines(draw, coords=WIRE) -> RoutePath:
     """A rectilinear path: one point, or alternating x and y moves."""
-    start = draw(points())
+    start = draw(points(coords))
     pts = [start]
     for k in range(draw(st.integers(min_value=0, max_value=4))):
         last = pts[-1]
-        coord = draw(st.sampled_from(WIRE))
+        coord = draw(st.sampled_from(coords))
         pts.append(Point(coord, last.y) if k % 2 == 0 else Point(last.x, coord))
     return RoutePath(tuple(pts))
 
 
 @st.composite
-def pins(draw, layout: Layout, name: str) -> Pin:
-    """A pad pin anywhere on or off the grid, or a pin on a cell's outline.
+def pins(draw, layout: Layout, name: str, coords=None) -> Pin:
+    """A pad pin anywhere on or off the grid (or on *coords*), or a pin
+    on a cell's outline.
 
     A pin on an outline claims that cell or, sometimes, another one.  A
     pad may fall strictly inside a cell, or in a polygon's notch, which
@@ -441,37 +449,46 @@ def pins(draw, layout: Layout, name: str) -> Pin:
         location = draw(st.sampled_from((edge.a, edge.b, middle)))
         owner = cell.name if draw(st.booleans()) else draw(st.sampled_from(names))
         return Pin(name, location, owner)
-    return Pin(name, draw(points(WIRE if draw(st.booleans()) else GRID)))
+    return Pin(name, draw(points(coords or (WIRE if draw(st.booleans()) else GRID))))
 
 
 @st.composite
-def netlists(draw, layout: Layout, max_nets: int = 3) -> list[Net]:
+def netlists(draw, layout: Layout, max_nets: int = 3, coords=None) -> list[Net]:
     """One to *max_nets* nets of two or three terminals of one or two pins."""
     nets = []
     for n in range(draw(st.integers(min_value=1, max_value=max_nets))):
         terminals = []
         for t in range(draw(st.integers(min_value=2, max_value=3))):
             count = draw(st.integers(min_value=1, max_value=2))
-            members = [draw(pins(layout, f"n{n}.t{t}.p{p}")) for p in range(count)]
+            members = [draw(pins(layout, f"n{n}.t{t}.p{p}", coords)) for p in range(count)]
             terminals.append(Terminal(f"n{n}.t{t}", members))
         nets.append(Net(f"n{n}", terminals))
     return nets
 
 
 @st.composite
-def routed(draw):
+def routed(draw, coords=None, shared=False):
     """A layout with nets and hand-drawn trees: wires cross cells, leave
-    the surface, dangle, or skip terminals (truncated trees)."""
-    layout = draw(layouts())
-    for net in draw(netlists(layout)):
+    the surface, dangle, or skip terminals (truncated trees).
+
+    With *coords* (:data:`LIMIT`), cells, pins and wires sit at the
+    ``±2**62`` limit.  With *shared*, every tree claims all its
+    terminals and draws its paths from one pool, so the nets' wires
+    overlap and touch each other's pins.
+    """
+    layout = draw(limit_layouts() if coords else layouts())
+    for net in draw(netlists(layout, coords=coords)):
         layout.add_net(net)
+    wires = polylines(coords or WIRE)
+    if shared:
+        wires = st.sampled_from(draw(st.lists(wires, min_size=1, max_size=5)))
     route = GlobalRoute()
     for net in layout.nets:
         names = [t.name for t in net.terminals]
         claimed = draw(st.lists(st.sampled_from(names), max_size=len(names), unique=True))
-        if draw(st.booleans()):
+        if shared or draw(st.booleans()):
             claimed = names
-        paths = draw(st.lists(polylines(), max_size=4))
+        paths = draw(st.lists(wires, max_size=4))
         route.trees[net.name] = RouteTree(net.name, paths, claimed)
     return layout, route
 
@@ -555,6 +572,137 @@ class TestVerifyParity:
         assert verify_global_route(route, layout) == scalar_verify_global_route(route, layout)
         detailed = DetailedRouter(layout).run(route)
         assert verify_detailed(detailed, layout) == scalar_verify_detailed(detailed, layout)
+
+    @given(routed(shared=True))
+    @settings(max_examples=100, deadline=None)
+    def test_nets_are_judged_apart(self, case):
+        """Wires drawn from one pool overlap across nets; each net is
+        still judged on its own wires and pins alone."""
+        layout, route = case
+        report = verify_global_route(route, layout)
+        assert report == scalar_verify_global_route(route, layout)
+        for name, tree in route.trees.items():
+            assert report.get(name, []) == verify_route_tree(tree, layout.net(name), layout)
+
+    def test_touching_nets_do_not_join(self):
+        """Net b's two wires end on net a's wire and net c's pins sit on
+        it, yet a's wire joins neither net."""
+        layout = Layout(Rect(0, 0, 40, 40))
+        for net in (
+            Net.two_point("a", Point(0, 0), Point(20, 0)),
+            Net.two_point("b", Point(0, 10), Point(20, 10)),
+            Net.two_point("c", Point(5, 0), Point(15, 0)),
+        ):
+            layout.add_net(net)
+        route = GlobalRoute()
+        route.trees["a"] = RouteTree("a", [RoutePath((Point(0, 0), Point(20, 0)))], ["a.s", "a.d"])
+        route.trees["b"] = RouteTree(
+            "b",
+            [RoutePath((Point(0, 10), Point(0, 0))), RoutePath((Point(20, 0), Point(20, 10)))],
+            ["b.s", "b.d"],
+        )
+        route.trees["c"] = RouteTree("c", [], ["c.s", "c.d"])
+        expected = {
+            name: [f"net {name!r}: terminal '{name}.d' not electrically connected to the tree"]
+            for name in ("b", "c")
+        }
+        assert verify_global_route(route, layout) == expected
+        assert scalar_verify_global_route(route, layout) == expected
+
+    @given(routed(coords=LIMIT))
+    @settings(max_examples=100, deadline=None)
+    def test_the_coordinate_limit(self, case):
+        """Cells, pins and wires at ``±2**62``: no key of the sweep overflows."""
+        layout, route = case
+        assert verify_global_route(route, layout) == scalar_verify_global_route(route, layout)
+        for tree in route.trees.values():
+            for path in tree.paths:
+                assert verify_path(path, layout) == scalar_verify_path(path, layout)
+
+    BROKEN = {
+        # A three-terminal net whose wire reaches only two terminals.
+        "disconnected terminal": (
+            [RoutePath((Point(0, 0), Point(20, 0)))],
+            ["net 'n': terminal 'n.t2' not electrically connected to the tree"],
+        ),
+        # The wires reach every terminal; t0's second pin dangles off-tree.
+        "dangling extra pin": (
+            [RoutePath((Point(0, 0), Point(20, 0))), RoutePath((Point(20, 0), Point(20, 20)))],
+            [],
+        ),
+        # A zero-length connection at a point inside the cell.
+        "hop-less point in a cell": (
+            [
+                RoutePath((Point(0, 0), Point(20, 0), Point(20, 20))),
+                RoutePath((Point(30, 30),)),
+            ],
+            ["point (30, 30) inside cell 'c'"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_broken_trees(self, case):
+        paths, expected = self.BROKEN[case]
+        layout = Layout(Rect(0, 0, 60, 60))
+        layout.add_cell(Cell("c", Rect(25, 25, 35, 35)))
+        layout.add_net(
+            Net(
+                "n",
+                [
+                    Terminal("n.t0", [Pin("p0", Point(0, 0)), Pin("p1", Point(50, 50))]),
+                    Terminal.single("n.t1", Point(20, 0)),
+                    Terminal.single("n.t2", Point(20, 20)),
+                ],
+            )
+        )
+        route = GlobalRoute({"n": RouteTree("n", paths, ["n.t0", "n.t1", "n.t2"])})
+        report = {"n": expected} if expected else {}
+        assert verify_global_route(route, layout) == report
+        assert scalar_verify_global_route(route, layout) == report
+
+    def test_empty_routes(self):
+        """No trees, and trees without paths: only their pins can join."""
+        layout = Layout(Rect(0, 0, 40, 40))
+        assert verify_global_route(GlobalRoute(), layout) == {}
+        layout.add_net(Net.two_point("apart", Point(0, 0), Point(10, 0)))
+        layout.add_net(Net.two_point("stacked", Point(5, 5), Point(5, 5)))
+        layout.add_net(Net.two_point("unclaimed", Point(0, 0), Point(10, 0)))
+        route = GlobalRoute(
+            {
+                "apart": RouteTree("apart", [], ["apart.s", "apart.d"]),
+                "stacked": RouteTree("stacked", [], ["stacked.s", "stacked.d"]),
+                "unclaimed": RouteTree("unclaimed"),
+            }
+        )
+        expected = {
+            "apart": ["net 'apart': terminal 'apart.d' not electrically connected to the tree"],
+            "unclaimed": [
+                "net 'unclaimed': terminals never connected: ['unclaimed.d', 'unclaimed.s']"
+            ],
+        }
+        assert verify_global_route(route, layout) == expected
+        assert scalar_verify_global_route(route, layout) == expected
+
+    def test_perfbench_first_pass_routes(self):
+        """The 60 seed-1 layouts of perfbench's ``first-pass`` workload
+        (its ``first_pass_requests``: the same spec, seeds and skips),
+        routed by the ``single`` strategy, global and detailed."""
+        spec = LayoutSpec(
+            n_cells=12, n_nets=40, cell_min=14, cell_max=18,
+            terminals_per_net=(2, 4), density=0.4,
+        )
+        rng = random.Random("first-pass:1")
+        routed_layouts = 0
+        while routed_layouts < 60:
+            try:
+                layout = random_layout(spec, seed=rng.randrange(2**31))
+            except LayoutError:
+                continue
+            routed_layouts += 1
+            route = GlobalRouter(layout).route_all()
+            assert verify_global_route(route, layout) == scalar_verify_global_route(route, layout)
+            detailed = DetailedRouter(layout).run(route)
+            assert verify_detailed(detailed, layout) == scalar_verify_detailed(detailed, layout)
 
 
 class TestValidateParity:

@@ -35,20 +35,14 @@ from repro.core.negotiate import NegotiatedRouter, NegotiationConfig, negotiate
 from repro.core.route import GlobalRoute, RoutePath, RouteTree
 from repro.core.router import GlobalRouter
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
 from repro.incremental.engine import plan_reroute
 from repro.incremental.scripts import replace_nets_delta
-from repro.layout.cell import Cell
-from repro.layout.layout import MAX_COORDINATE, Layout
 from repro.scenarios import load_corpus
 
 from tests.conftest import broadcast_congestion
+from tests.property.conftest import LIMIT, limit_layouts
 
 _CORPUS = load_corpus()
-
-#: Coordinates at and next to the layout limit, and around the origin.
-_LIMIT = (-MAX_COORDINATE, -MAX_COORDINATE + 1, -MAX_COORDINATE + 2, -1, 0, 1)
-_LIMIT += tuple(-c for c in _LIMIT)
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,22 +110,15 @@ def ledger_scripts(draw):
 
 @st.composite
 def limit_scripts(draw):
-    """Cells and wires on :data:`_LIMIT`, a starting route and edit ops."""
-    M = MAX_COORDINATE
-    layout = Layout(Rect(-M, -M, M, M))
-    for index in range(draw(st.integers(min_value=0, max_value=3))):
-        xs, ys = (
-            sorted(draw(st.lists(st.sampled_from(_LIMIT), min_size=2, max_size=2, unique=True)))
-            for _ in range(2)
-        )
-        layout.add_cell(Cell(f"c{index}", Rect(xs[0], ys[0], xs[1], ys[1])))
+    """Cells and wires on :data:`LIMIT`, a starting route and edit ops."""
+    layout = draw(limit_layouts())
     pool = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         tree = RouteTree(net_name="pool")
         for _ in range(draw(st.integers(min_value=1, max_value=2))):
-            points = [Point(draw(st.sampled_from(_LIMIT)), draw(st.sampled_from(_LIMIT)))]
+            points = [Point(draw(st.sampled_from(LIMIT)), draw(st.sampled_from(LIMIT)))]
             for step in range(draw(st.integers(min_value=0, max_value=4))):
-                last, coord = points[-1], draw(st.sampled_from(_LIMIT))
+                last, coord = points[-1], draw(st.sampled_from(LIMIT))
                 points.append(Point(coord, last.y) if step % 2 else Point(last.x, coord))
             tree.paths.append(RoutePath(tuple(points)))
         pool.append(tree)
