@@ -184,7 +184,8 @@ class CongestionPenaltyCost(CostModel):
         self.regions = list(regions)
         self.base = base or CostModel()
         self.direction_sensitive = self.base.direction_sensitive
-        self._bounds = [(r.x0, r.y0, r.x1, r.y1, w) for r, w in self.regions]
+        # Float weights, as track_terms hands them to the compiled search.
+        self._bounds = [(r.x0, r.y0, r.x1, r.y1, float(w)) for r, w in self.regions]
 
     def segment_cost(self, seg: Segment) -> float:
         cost = self.base.segment_cost(seg)

@@ -16,10 +16,10 @@ from __future__ import annotations
 import functools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.errors import UnroutableError
-from repro.core.costs import CostModel, WirelengthCost
+from repro.core.costs import BendPenaltyCost, CostModel, InvertedCornerCost, WirelengthCost
 from repro.core.escape import EscapeMode, escape_moves
 from repro.core.route import RoutePath, TargetSet
 from repro.geometry.point import Direction, Point
@@ -28,7 +28,7 @@ from repro.geometry.segment import Segment
 from repro.search.engine import Order, SearchResult, search
 from repro.search.problem import SearchProblem
 from repro.search.stats import ExpansionTrace, SearchStats
-from repro.search.vector import EndpointError, EscapeGrid, kernel, search_vectorized
+from repro.search.vector import EndpointError, KernelSearch, kernel, search_vectorized
 
 #: Largest escape grid (in states) the compiled search runs on.  The
 #: kernel holds 13 bytes per grid state for one search (a float64 g, an
@@ -63,6 +63,14 @@ class PathRequest:
         Optional expansion budget.
     trace:
         Record expansion order for rendering.
+
+    One request serves many connections: ``route_net`` builds one per
+    net and swaps in each connection's ``sources`` (its ``targets``, the
+    tree, grow in place).  Whether the compiled search can serve the
+    request at all is decided on its first search, from the fields
+    other than those two, and kept with the kernel's problem block
+    (:class:`~repro.search.vector.KernelSearch`); so change nothing
+    else between searches.  A request belongs to one thread at a time.
     """
 
     obstacles: ObstacleSet
@@ -74,6 +82,17 @@ class PathRequest:
     node_limit: Optional[int] = None
     trace: bool = False
 
+    @functools.cached_property
+    def _kernel_search(self) -> Optional[KernelSearch]:
+        """The compiled search of this request's connections, or ``None``
+        where the scalar problem serves every one of them."""
+        if not _kernel_serves(self) or kernel() is None:
+            return None
+        return KernelSearch(
+            self.obstacles, self.cost_model, self.order,
+            node_limit=self.node_limit, trace=self.trace,
+        )
+
 
 @dataclass
 class PathSearchResult:
@@ -84,13 +103,19 @@ class PathSearchResult:
     trace: Optional[ExpansionTrace] = None
 
 
+_Pricer = Callable[[Point, Point], float]
+
+
 class _PointProblem(SearchProblem):
     """Escape search over bare points (direction-insensitive costs)."""
 
-    def __init__(self, request: PathRequest, extra_xs: list[int], extra_ys: list[int]):
+    def __init__(
+        self, request: PathRequest, extra_xs: list[int], extra_ys: list[int], price: _Pricer
+    ):
         self._req = request
         self._extra_xs = extra_xs
         self._extra_ys = extra_ys
+        self._price = price
 
     def start_states(self) -> Iterable[tuple[Point, float]]:
         return self._req.sources
@@ -106,7 +131,7 @@ class _PointProblem(SearchProblem):
             extra_xs=self._extra_xs,
             extra_ys=self._extra_ys,
         ):
-            yield succ, self._req.cost_model.segment_cost(Segment(state, succ))
+            yield succ, self._price(state, succ)
 
     def heuristic(self, state: Point) -> float:
         return float(self._req.targets.distance_to(state))
@@ -118,10 +143,13 @@ DirectedState = tuple[Point, Optional[Direction]]
 class _DirectedProblem(SearchProblem):
     """Escape search over (point, heading) states (bend-priced costs)."""
 
-    def __init__(self, request: PathRequest, extra_xs: list[int], extra_ys: list[int]):
+    def __init__(
+        self, request: PathRequest, extra_xs: list[int], extra_ys: list[int], price: _Pricer
+    ):
         self._req = request
         self._extra_xs = extra_xs
         self._extra_ys = extra_ys
+        self._price = price
 
     def start_states(self) -> Iterable[tuple[DirectedState, float]]:
         return [((point, None), g0) for point, g0 in self._req.sources]
@@ -139,7 +167,7 @@ class _DirectedProblem(SearchProblem):
             extra_xs=self._extra_xs,
             extra_ys=self._extra_ys,
         ):
-            cost = model.segment_cost(Segment(point, succ))
+            cost = self._price(point, succ)
             if heading is not None and heading is not direction:
                 cost += model.bend_cost(point, heading, direction)
             yield (succ, direction), cost
@@ -211,9 +239,10 @@ def _plain_starts(sources: list[tuple[Point, float]]) -> bool:
     problem here (which also reports empty and negative starts).
     """
     first: dict[Point, float] = {}
-    return bool(sources) and all(
-        g0 >= 0 and not g0 < first.setdefault(point, g0) for point, g0 in sources
-    )
+    for point, g0 in sources:
+        if not g0 >= 0 or g0 < first.setdefault(point, g0):
+            return False
+    return bool(sources)
 
 
 def _use_batched_engine(request: PathRequest) -> bool:
@@ -221,7 +250,8 @@ def _use_batched_engine(request: PathRequest) -> bool:
 
     The kernel covers the paper's primary configuration: FULL escape
     mode, a cost-ordered OPEN list, and a direction-insensitive cost
-    model it prices bit-identically (:func:`_prices_in_kernel`).
+    model it prices bit-identically (:func:`_prices_in_kernel`), from
+    plain start lists (:func:`_plain_starts`).
     Everything else (AGGRESSIVE mode, blind orders, bend-priced or
     inverted-corner models, subclasses that override only
     ``segment_cost``, unusual start lists) runs the scalar
@@ -229,14 +259,19 @@ def _use_batched_engine(request: PathRequest) -> bool:
     clock differs.  So do escape grids above :data:`_DENSE_KEY_LIMIT`
     states, and every search of a process whose kernel cannot be built
     (:func:`repro.search.vector.kernel`), which :func:`find_path`
-    checks next.
+    checks too.
     """
+    return _kernel_serves(request) and _plain_starts(request.sources)
+
+
+def _kernel_serves(request: PathRequest) -> bool:
+    """The part of :func:`_use_batched_engine` that holds for every
+    connection of a request: made once per request (once per net)."""
     return (
         request.mode is EscapeMode.FULL
         and request.order.is_cost_ordered
         and not request.cost_model.direction_sensitive
         and _prices_in_kernel(request.cost_model)
-        and _plain_starts(request.sources)
     )
 
 
@@ -269,76 +304,135 @@ def find_path(request: PathRequest) -> PathSearchResult:
     :class:`~repro.search.stats.SearchStats` as ``partial``) when the
     search exhausts or hits its node limit without reaching a target.
     """
-    compiled = (
-        not _REFERENCE
-        and _use_batched_engine(request)
-        and kernel() is not None
-        and _fits_kernel(request)
-    )
-    if not compiled:
+    sources, targets = request.sources, request.targets
+    engine = None
+    if not _REFERENCE and _plain_starts(sources):
+        engine = request._kernel_search
+        if engine is not None and not _fits_kernel(request):
+            engine = None
+    if engine is None:
         _check_endpoints(request)  # the kernel checks its endpoints itself
 
     # Source already touching a target: zero-length connection.
-    for point, g0 in request.sources:
-        if request.targets.contains(point):
-            if compiled:
+    for point, g0 in sources:
+        if targets.contains(point):
+            if engine is not None:
                 _check_endpoints(request)
             return PathSearchResult(RoutePath((point,), cost=g0), SearchStats(termination="goal"))
 
-    # Rays traced by this search: the delta of the obstacle set's probe
-    # counter (the set is shared across connections, so its absolute
-    # value spans many searches), to which the kernel's own rays are
-    # added.  SearchStats keeps its hit/miss fields; with no memo every
-    # probe is a miss.
     obstacles = request.obstacles
-    probes_before = obstacles.ray_probes
-    if compiled:
-        grid = EscapeGrid(
-            obstacles, request.sources, request.targets.flat,
-            len(request.targets.points), request.cost_model,
-        )
+    if engine is not None:
         try:
-            result = search_vectorized(
-                grid, request.order, node_limit=request.node_limit, trace=request.trace
-            )
+            result = search_vectorized(engine, sources, targets.flat, len(targets.points))
         except EndpointError:
             _check_endpoints(request)  # raises the precise error
             raise
+        # The kernel's rays, on the obstacle set's running count.
         obstacles.ray_probes += result.stats.cache_misses
+        flat = result.states
+        trace = result.trace
     else:
+        # The rays this search traced: the delta of the obstacle set's
+        # count, which spans every search on the set.  SearchStats keeps
+        # its hit/miss fields; with no memo every probe is a miss.
+        probes_before = obstacles.ray_probes
         result = _scalar_search(request)
-    result.stats.cache_hits = 0
-    result.stats.cache_misses = obstacles.ray_probes - probes_before
-    if not result.found:
+        result.stats.cache_misses = obstacles.ray_probes - probes_before
+        directed = request.cost_model.direction_sensitive
+        flat = None
+        if result.found:
+            points = [state[0] for state in result.states] if directed else result.states
+            flat = [c for point in points for c in (point.x, point.y)]
+        trace = _strip_trace(result.trace, directed)
+    if flat is None:
         raise UnroutableError(
-            f"no route from {[str(p) for p, _ in request.sources]} to "
-            f"{len(request.targets)} target(s) "
+            f"no route from {[str(p) for p, _ in sources]} to "
+            f"{len(targets)} target(s) "
             f"(termination: {result.stats.termination})",
             partial=result.stats,
         )
-
-    directed = request.cost_model.direction_sensitive
-    raw_states = result.path
-    points = [state[0] for state in raw_states] if directed else list(raw_states)
-    path = RoutePath(tuple(_compress_collinear(points)), cost=result.cost)
-    return PathSearchResult(path, result.stats, _strip_trace(result.trace, directed))
+    return PathSearchResult(RoutePath.from_flat(flat, result.goal_cost), result.stats, trace)
 
 
 def _scalar_search(request: PathRequest) -> SearchResult:
-    """Run the scalar problem of *request* through the generic engine."""
+    """Run the scalar problem of *request* through the generic engine.
+
+    Moves are priced by :func:`_hop_pricer`, except under
+    :func:`reference_search`, whose oracle prices every move with the
+    model's ``segment_cost`` of a :class:`Segment`.
+    """
     extra_xs = sorted(request.targets.escape_xs() | {p.x for p, _ in request.sources})
     extra_ys = sorted(request.targets.escape_ys() | {p.y for p, _ in request.sources})
+    model = request.cost_model
+    price = _segment_pricer(model) if _REFERENCE else _hop_pricer(model)
     problem: SearchProblem
-    if request.cost_model.direction_sensitive:
-        problem = _DirectedProblem(request, extra_xs, extra_ys)
+    if model.direction_sensitive:
+        problem = _DirectedProblem(request, extra_xs, extra_ys, price)
     else:
-        problem = _PointProblem(request, extra_xs, extra_ys)
+        problem = _PointProblem(request, extra_xs, extra_ys, price)
     return search(
         problem,
         request.order,
         node_limit=request.node_limit,
         trace=request.trace,
     )
+
+
+def _segment_pricer(model: CostModel) -> _Pricer:
+    """Price a move by ``model.segment_cost`` of its :class:`Segment`."""
+    return lambda a, b: model.segment_cost(Segment(a, b))
+
+
+def _hop_pricer(model: CostModel) -> _Pricer:
+    """``model.segment_cost`` of the move from one point to another,
+    bit for bit, without building a :class:`Segment` where it can.
+
+    A model whose ``track_terms`` describe its ``segment_cost``
+    (:func:`_prices_in_kernel`, the rule the kernel's pricing follows)
+    is priced from those terms, the way the kernel prices it; the bend
+    and inverted-corner models, whose own ``segment_cost`` is their
+    base's, are priced as their base.  Any other model (a subclass that
+    overrides ``segment_cost`` alone, say) is priced by its
+    ``segment_cost``.
+    """
+    if _supplier(type(model), "segment_cost") in (BendPenaltyCost, InvertedCornerCost):
+        return _hop_pricer(model.base)
+    if not _prices_in_kernel(model):
+        return _segment_pricer(model)
+    regions, weights, length_weight = model.track_terms()
+    terms = list(zip(regions.tolist(), weights.tolist()))
+    if not terms and not length_weight:
+        return _hop_length
+    return functools.partial(_price_by_terms, terms, length_weight)
+
+
+def _hop_length(a: Point, b: Point) -> float:
+    """The plain wirelength price of the move from *a* to *b*."""
+    return float(abs(a.x - b.x) + abs(a.y - b.y))
+
+
+def _price_by_terms(
+    terms: list[tuple[list[int], float]], length_weight: float, a: Point, b: Point
+) -> float:
+    """The price of the move from *a* to *b* by ``track_terms``: its
+    length, each region's surcharge on the move's track in declaration
+    order, then the length term (:meth:`CostModel.track_terms`)."""
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    if ay == by:  # horizontal: regions whose y span holds the track
+        track, lo, hi, axis = ay, min(ax, bx), max(ax, bx), 0
+    else:
+        track, lo, hi, axis = ax, min(ay, by), max(ay, by), 1
+    length = hi - lo
+    cost = float(length)
+    for region, weight in terms:
+        if region[1 - axis] <= track <= region[3 - axis]:
+            start = region[axis] if region[axis] > lo else lo
+            end = region[axis + 2] if region[axis + 2] < hi else hi
+            if start < end:
+                cost += weight * (end - start)
+    if length_weight:
+        cost += length_weight * length
+    return cost
 
 
 def _check_endpoints(request: PathRequest) -> None:
@@ -355,20 +449,6 @@ def _check_endpoints(request: PathRequest) -> None:
     for point, ok in zip(targets, free[len(request.sources):]):
         if not ok:
             raise UnroutableError(f"target {point} is not routable (inside a cell or outside)")
-
-
-def _compress_collinear(points: list[Point]) -> list[Point]:
-    """Drop interior points that do not change direction."""
-    if len(points) <= 2:
-        return points
-    compressed = [points[0]]
-    for prev, here, nxt in zip(points, points[1:], points[2:]):
-        straight_x = prev.x == here.x == nxt.x
-        straight_y = prev.y == here.y == nxt.y
-        if not (straight_x or straight_y):
-            compressed.append(here)
-    compressed.append(points[-1])
-    return compressed
 
 
 def _strip_trace(

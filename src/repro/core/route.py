@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import RoutingError
+from repro.errors import GeometryError, RoutingError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect, bounding_rect
 from repro.geometry.segment import Segment, path_bends, path_hops, path_length, path_segments
@@ -45,7 +45,43 @@ class RoutePath:
         if not self.points:
             raise RoutingError("a route path needs at least one point")
         # Validates rectilinearity; kept, as the path never changes.
-        object.__setattr__(self, "_length", path_length(self.points))
+        try:
+            length = path_length(self.points)
+        except GeometryError as exc:
+            raise RoutingError(str(exc)) from None
+        object.__setattr__(self, "_length", length)
+
+    @classmethod
+    def from_flat(cls, flat: Sequence[int], cost: float = 0.0) -> "RoutePath":
+        """The path through the points ``x0, y0, x1, y1, ...`` of *flat*.
+
+        Equals ``RoutePath`` of those points with every interior point
+        whose neighbours share its x or its y dropped: the collinear
+        points are dropped, the length summed and each kept hop checked
+        for rectilinearity in one walk over the ints.  Raises
+        :class:`RoutingError` like the constructor.
+        """
+        if len(flat) < 2:
+            raise RoutingError("a route path needs at least one point")
+        xs, ys = flat[0::2], flat[1::2]
+        x0, y0 = xs[0], ys[0]
+        points = [Point(x0, y0)]
+        length = 0
+        last = len(xs) - 1
+        for k in range(1, last + 1):
+            x, y = xs[k], ys[k]
+            if k < last and (xs[k - 1] == x == xs[k + 1] or ys[k - 1] == y == ys[k + 1]):
+                continue  # an interior point in line with both neighbours
+            if x != x0 and y != y0:
+                raise RoutingError(f"polyline hop ({x0}, {y0})->({x}, {y}) is not rectilinear")
+            length += abs(x - x0) + abs(y - y0)
+            points.append(Point(x, y))
+            x0, y0 = x, y
+        path = object.__new__(cls)
+        object.__setattr__(path, "points", tuple(points))
+        object.__setattr__(path, "cost", cost)
+        object.__setattr__(path, "_length", length)
+        return path
 
     @property
     def start(self) -> Point:
@@ -244,7 +280,9 @@ class TargetSet:
         for a, b in zip(path, path[1:]):
             ax, ay, bx, by = a.x, a.y, b.x, b.y
             if ax != bx or ay != by:
-                boxes += (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
+                x0, x1 = (ax, bx) if ax < bx else (bx, ax)
+                y0, y1 = (ay, by) if ay < by else (by, ay)
+                boxes += (x0, x1, y0, y1)
         return self._add(points, boxes)
 
     @property
@@ -261,10 +299,10 @@ class TargetSet:
         if p in self._point_set:
             return True
         x, y, flat = p.x, p.y, self.flat
-        return any(
-            flat[k] <= x <= flat[k + 1] and flat[k + 2] <= y <= flat[k + 3]
-            for k in range(4 * len(self.points), len(flat), 4)
-        )
+        for k in range(4 * len(self.points), len(flat), 4):
+            if flat[k] <= x <= flat[k + 1] and flat[k + 2] <= y <= flat[k + 3]:
+                return True
+        return False
 
     def distance_to(self, p: Point) -> int:
         """Minimum rectilinear distance from *p* to any target.

@@ -11,7 +11,8 @@ tree all the line segments which make up the connecting path as well
 as all the pins which are associated with the newly connected terminal
 are brought into the connected set."
 
-The implementation grows the connected set one terminal at a time; the
+The implementation grows the connected set one terminal at a time from
+the net's seed terminal (:attr:`~repro.layout.net.Net.seed_terminal`); the
 next terminal is the one with the smallest rectilinear lower-bound
 distance to the set (or, with ``exact_order=True``, the smallest true
 A* cost — the A2 ablation compares both).  Each connection is a
@@ -27,7 +28,6 @@ from repro.core.costs import CostModel, WirelengthCost
 from repro.core.escape import EscapeMode
 from repro.core.pathfinder import PathRequest, PathSearchResult, find_path
 from repro.core.route import RouteTree, TargetSet, box_distance
-from repro.geometry.point import Point
 from repro.geometry.raytrace import ObstacleSet
 from repro.layout.net import Net
 from repro.layout.terminal import Terminal
@@ -50,7 +50,10 @@ def route_net(
 
     Parameters mirror :class:`~repro.core.pathfinder.PathRequest`;
     ``exact_order`` selects true-cost Prim ordering over the
-    lower-bound greedy (slower, occasionally shorter trees).
+    lower-bound greedy (slower, occasionally shorter trees).  Every
+    connection is one :func:`find_path` on the net's one request, its
+    sources swapped in: the engine is chosen, and the kernel's problem
+    block filled, once per net.
 
     Raises
     ------
@@ -61,27 +64,34 @@ def route_net(
     model = cost_model if cost_model is not None else WirelengthCost()
     tree = RouteTree(net_name=net.name)
 
-    seed = _seed_terminal(net)
+    seed = net.seed_terminal
     connected = TargetSet(points=seed.locations)
     tree.connected_terminals.append(seed.name)
+    request = PathRequest(obstacles, [], connected, model, mode, order, node_limit, trace)
 
-    remaining = [t for t in net.terminals if t.name != seed.name]
-    # Each remaining terminal's lower-bound distance to the connected
-    # set.  The set only grows, so each step folds in its new boxes alone.
-    gaps = {t.name: box_distance(connected.flat, t.locations) for t in remaining}
+    # The remaining terminals by name, each with its lower-bound distance
+    # to the connected set.  The set only grows, so each step folds in
+    # its new boxes alone, and the first least gap is the (gap, name) least.
+    remaining = sorted((t for t in net.terminals if t is not seed), key=lambda t: t.name)
+    gaps = [box_distance(connected.flat, t.locations) for t in remaining]
     stats: list[SearchStats] = []
     try:
         while remaining:
             if exact_order:
-                terminal, outcome = _cheapest_connection(
-                    remaining, connected, obstacles, model, mode, order, node_limit, trace
-                )
+                k, outcome = _cheapest_connection(remaining, request)
             else:
-                terminal = min(remaining, key=lambda t: (gaps[t.name], t.name))
-                outcome = _connect(
-                    terminal, connected, obstacles, model, mode, order, node_limit, trace, tree
-                )
-            remaining.remove(terminal)
+                k = gaps.index(min(gaps))
+                request.sources = [(loc, 0.0) for loc in remaining[k].locations]
+                try:
+                    outcome = find_path(request)
+                except UnroutableError as exc:
+                    raise UnroutableError(
+                        f"net {tree.net_name!r}: cannot connect terminal "
+                        f"{remaining[k].name!r}: {exc}",
+                        partial=tree,
+                    ) from exc
+            terminal = remaining.pop(k)
+            del gaps[k]
 
             tree.paths.append(outcome.path)
             tree.connected_terminals.append(terminal.name)
@@ -89,93 +99,32 @@ def route_net(
             if outcome.trace is not None:
                 tree.traces.append(outcome.trace)
             new = connected.connect(terminal.locations, outcome.path.points)
-            for t in remaining:
-                gaps[t.name] = min(gaps[t.name], box_distance(new, t.locations))
+            gaps = [min(gap, box_distance(new, t.locations)) for gap, t in zip(gaps, remaining)]
     finally:
         tree.stats = SearchStats.merged(stats)
     return tree
 
 
-def _seed_terminal(net: Net) -> Terminal:
-    """Deterministic seed: the terminal nearest the net's pin centroid.
-
-    The paper does not specify a seed; any choice yields a valid tree.
-    Nearest-to-centroid keeps early connections central, which slightly
-    shortens trees versus an arbitrary first terminal.
-    """
-    pins = net.all_pin_locations
-    cx = sum(p.x for p in pins) // len(pins)
-    cy = sum(p.y for p in pins) // len(pins)
-    centroid = Point(cx, cy)
-    return min(net.terminals, key=lambda t: (t.distance_to(centroid), t.name))
-
-
-def _connect(
-    terminal: Terminal,
-    connected: TargetSet,
-    obstacles: ObstacleSet,
-    model: CostModel,
-    mode: EscapeMode,
-    order: Order,
-    node_limit: Optional[int],
-    trace: bool,
-    tree: RouteTree,
-) -> PathSearchResult:
-    """One multi-source connection from *terminal* to the tree."""
-    request = PathRequest(
-        obstacles=obstacles,
-        sources=[(loc, 0.0) for loc in terminal.locations],
-        targets=connected,
-        cost_model=model,
-        mode=mode,
-        order=order,
-        node_limit=node_limit,
-        trace=trace,
-    )
-    try:
-        return find_path(request)
-    except UnroutableError as exc:
-        raise UnroutableError(
-            f"net {tree.net_name!r}: cannot connect terminal {terminal.name!r}: {exc}",
-            partial=tree,
-        ) from exc
-
-
 def _cheapest_connection(
-    remaining: list[Terminal],
-    connected: TargetSet,
-    obstacles: ObstacleSet,
-    model: CostModel,
-    mode: EscapeMode,
-    order: Order,
-    node_limit: Optional[int],
-    trace: bool,
-) -> tuple[Terminal, PathSearchResult]:
+    remaining: list[Terminal], request: PathRequest
+) -> tuple[int, PathSearchResult]:
     """Exact Prim step: search every remaining terminal, keep the cheapest.
 
+    *remaining* is in name order; returns the winner's index there.
     Cost is one full A* per candidate per step — quadratic in terminal
     count — which is why the lower-bound greedy is the default.
     """
-    best: Optional[tuple[Terminal, PathSearchResult]] = None
+    best: Optional[tuple[int, PathSearchResult]] = None
     failures: list[str] = []
-    for terminal in sorted(remaining, key=lambda t: t.name):
-        request = PathRequest(
-            obstacles=obstacles,
-            sources=[(loc, 0.0) for loc in terminal.locations],
-            targets=connected,
-            cost_model=model,
-            mode=mode,
-            order=order,
-            node_limit=node_limit,
-            trace=trace,
-        )
+    for k, terminal in enumerate(remaining):
+        request.sources = [(loc, 0.0) for loc in terminal.locations]
         try:
             outcome = find_path(request)
         except UnroutableError:
             failures.append(terminal.name)
             continue
         if best is None or outcome.path.cost < best[1].path.cost:
-            best = (terminal, outcome)
+            best = (k, outcome)
     if best is None:
         raise UnroutableError(
             f"no remaining terminal is connectable (tried: {', '.join(failures)})"

@@ -66,6 +66,20 @@ class Net:
         """
         return self.bounding_box.half_perimeter
 
+    @functools.cached_property
+    def seed_terminal(self) -> Terminal:
+        """The terminal a Steiner tree of the net grows from: the one
+        nearest the pins' centroid (ties by name).
+
+        The paper does not specify a seed; any choice yields a valid
+        tree.  Nearest-to-centroid keeps early connections central,
+        which slightly shortens trees versus an arbitrary first
+        terminal.  Computed once: a net never changes.
+        """
+        pins = self.all_pin_locations
+        centroid = Point(sum(p.x for p in pins) // len(pins), sum(p.y for p in pins) // len(pins))
+        return min(self.terminals, key=lambda t: (t.distance_to(centroid), t.name))
+
     def terminal(self, name: str) -> Terminal:
         """Look up a terminal by name.
 

@@ -52,14 +52,16 @@ typedef struct {
     int32_t trace;
 } rk_problem;
 
+/* The path and trace buffers outlive a search: each search reuses them,
+   grows them as needed, and rk_release frees them. */
 typedef struct {
     int64_t expanded, generated, reopened, max_open, probes;
     int32_t termination;
     int32_t error;
     double cost;
-    int64_t path_len;
+    int64_t path_len, path_cap;
     int64_t *path;      /* (x, y) per state, start .. goal */
-    int64_t trace_len;
+    int64_t trace_len, trace_cap;
     int64_t *trace;     /* (x, y, has parent, parent x, parent y) per expansion */
     int64_t error_x, error_y;
     int64_t error_reach[4];
@@ -84,7 +86,6 @@ typedef struct {
     entry *heap;
     int64_t heap_len, heap_cap;
     int64_t *on_track; /* regions on the current row, then on the current column */
-    int64_t trace_cap;
 } search;
 
 /* Python's tuple order on (f, -g, counter): the first unequal key decides. */
@@ -250,12 +251,12 @@ static int reaches(const rk_problem *p, int64_t x, int64_t y, int64_t out[4])
 
 static int record(search *s, rk_result *out, int64_t state)
 {
-    if (out->trace_len == s->trace_cap) {
-        int64_t cap = s->trace_cap ? 2 * s->trace_cap : 256;
+    if (out->trace_len == out->trace_cap) {
+        int64_t cap = out->trace_cap ? 2 * out->trace_cap : 256;
         int64_t *grown = realloc(out->trace, (size_t)cap * 5 * sizeof(int64_t));
         if (!grown) return RK_NOMEM;
         out->trace = grown;
-        s->trace_cap = cap;
+        out->trace_cap = cap;
     }
     int64_t *row = out->trace + 5 * out->trace_len++;
     int64_t parent = s->parent[state];
@@ -271,8 +272,12 @@ static int finish_path(search *s, rk_result *out, int64_t goal)
 {
     int64_t n = 0;
     for (int64_t at = goal; at >= 0; at = s->parent[at]) n++;
-    out->path = malloc((size_t)n * 2 * sizeof(int64_t));
-    if (!out->path) return RK_NOMEM;
+    if (n > out->path_cap) {
+        int64_t *grown = realloc(out->path, (size_t)n * 2 * sizeof(int64_t));
+        if (!grown) return RK_NOMEM;
+        out->path = grown;
+        out->path_cap = n;
+    }
     out->path_len = n;
     for (int64_t at = goal; at >= 0; at = s->parent[at]) {
         n--;
@@ -439,12 +444,17 @@ static int prepare_and_run(const rk_problem *p, rk_result *out, search *s)
     return run(s, out);
 }
 
-/* Search one connection; returns the error code (RK_OK on success). */
+/* Search one connection; returns the error code (RK_OK on success).
+   Every field of *out but its buffers starts from zero. */
 int rk_search(const rk_problem *p, rk_result *out)
 {
-    rk_result blank = {0};
     search s = {0};
-    *out = blank;
+    out->expanded = out->generated = out->reopened = out->max_open = out->probes = 0;
+    out->termination = RK_GOAL;
+    out->cost = 0.0;
+    out->path_len = out->trace_len = 0;
+    out->error_x = out->error_y = 0;
+    for (int k = 0; k < 4; k++) out->error_reach[k] = 0;
     s.p = p;
     int err = prepare_and_run(p, out, &s);
     free(s.own_x);
@@ -460,11 +470,13 @@ int rk_search(const rk_problem *p, rk_result *out)
     return err;
 }
 
-/* Release what rk_search allocated in *out. */
+/* Free the buffers of *out, once no search will reuse it. */
 void rk_release(rk_result *out)
 {
     free(out->path);
     free(out->trace);
     out->path = 0;
     out->trace = 0;
+    out->path_cap = out->trace_cap = 0;
+    out->path_len = out->trace_len = 0;
 }

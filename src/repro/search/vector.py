@@ -18,6 +18,26 @@ like Python tuples and sifts it like :mod:`heapq`, so routes, costs,
 node counters and traces equal the scalar oracle's.  The parity suites
 pin this.
 
+A thin shell around each call: the kernel's C work on a connection
+takes a few microseconds, so the Python around it is kept to what
+changes per connection.  A :class:`KernelSearch` holds the problem
+block (obstacle arrays, pricing terms, heuristic switch, node limit,
+trace switch) and the result for a run of connections, one net's in
+``route_net``; :func:`search_vectorized` packs the connection's boxes
+and sources into one int64 buffer, sets the five connection fields in
+place and makes the call.  The result's path and trace buffers are the
+kernel's, grown as needed and reused by every search of the block until
+it is collected.  The path comes back as ints, from which
+:meth:`~repro.core.route.RoutePath.from_flat` builds the route path.
+
+Threads: a :class:`KernelSearch` is mutable and belongs to one thread
+at a time, since the kernel runs with the GIL released and reads the
+block throughout.  Each :class:`~repro.core.pathfinder.PathRequest`
+builds its own, and each net routes on one thread, so the service's
+worker threads, each routing its own requests, never share one.  The
+memo of per-obstacle-set and per-cost-model terms (:func:`_block`)
+holds tuples that no search writes.
+
 The library is compiled on the first search of a process, never at
 import: ``-O2 -std=c99 -fPIC -shared -ffp-contract=off`` with the
 interpreter's configured C compiler, else ``cc``, into
@@ -38,7 +58,6 @@ import threading
 import time
 import warnings
 import weakref
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -90,8 +109,8 @@ class _Result(ctypes.Structure):
         ("probes", ctypes.c_int64),
         ("termination", ctypes.c_int32), ("error", ctypes.c_int32),
         ("cost", ctypes.c_double),
-        ("path_len", ctypes.c_int64), ("path", _I64),
-        ("trace_len", ctypes.c_int64), ("trace", _I64),
+        ("path_len", ctypes.c_int64), ("path_cap", ctypes.c_int64), ("path", _I64),
+        ("trace_len", ctypes.c_int64), ("trace_cap", ctypes.c_int64), ("trace", _I64),
         ("error_x", ctypes.c_int64), ("error_y", ctypes.c_int64),
         ("error_reach", ctypes.c_int64 * 4),
     ]
@@ -103,28 +122,6 @@ _NO_MEMORY, _BAD_ENDPOINT, _OFF_GRID, _TOO_BIG = 1, 2, 3, 4
 
 class EndpointError(SearchError):
     """A source or target point lies outside the bound or inside a cell."""
-
-
-@dataclass
-class EscapeGrid:
-    """One connection's search, as the kernel reads it.
-
-    ``boxes`` holds the targets as closed boxes, flat: ``x0, x1, y0,
-    y1`` per target (:attr:`~repro.core.route.TargetSet.flat`), the
-    first ``points`` of them target points, which must be routable
-    like the sources.  The grid's columns are ``obstacles.edge_xs``
-    merged with the boxes' and the sources' x coordinates, its rows
-    likewise; the kernel sorts and merges them itself, and every stop
-    of the line search lies on that grid.  The kernel prices moves by
-    ``cost_model.track_terms()``
-    (:meth:`~repro.core.costs.CostModel.track_terms`).
-    """
-
-    obstacles: ObstacleSet
-    sources: list[tuple[Point, float]]
-    boxes: list[int]
-    points: int
-    cost_model: CostModel
 
 
 def _compilers() -> list[list[str]]:
@@ -246,75 +243,120 @@ def _pricing_block(model: CostModel) -> tuple:
     return regions.shape[0], regions.ctypes.data, weights.ctypes.data, length_weight, regions, weights
 
 
+class KernelSearch:
+    """The kernel's problem block and result, filled once for many connections.
+
+    Everything but the connection is set here, once: the obstacle set's
+    arrays, the cost model's pricing terms, the heuristic switch of the
+    order, the node limit and the trace switch.  Each
+    :func:`search_vectorized` sets only the connection's fields in
+    place, and reuses the one result, whose path and trace buffers the
+    kernel grows as needed; they are freed with this object.
+
+    An instance is mutable state and belongs to one thread at a time.
+    :class:`~repro.core.pathfinder.PathRequest` builds its own on its
+    first compiled search, and ``route_net`` builds one request per net,
+    so threads routing their own nets never share one.
+    """
+
+    __slots__ = ("problem", "out", "args", "call", "_terms", "__weakref__")
+
+    def __init__(
+        self,
+        obstacles: ObstacleSet,
+        cost_model: CostModel,
+        order: Order = Order.A_STAR,
+        *,
+        node_limit: Optional[int] = None,
+        trace: bool = False,
+    ):
+        if not order.is_cost_ordered:
+            raise SearchError(
+                f"vectorized search supports cost-ordered orders only, got {order.value}"
+            )
+        library = kernel()
+        if library is None:
+            raise SearchError("the compiled search kernel is unavailable")
+        # Kept here too: an unhashable model's terms are not memoized.
+        self._terms = _block(cost_model, _pricing_block)
+        self.problem = _Problem(
+            *_block(obstacles, _obstacle_block),
+            0, 0, 0, None, None,
+            *self._terms[:4],
+            -1 if node_limit is None else max(node_limit, 0),
+            order is Order.A_STAR, trace,
+        )
+        self.out = _Result()
+        self.args = (ctypes.byref(self.problem), ctypes.byref(self.out))
+        self.call = library.rk_search
+        weakref.finalize(self, library.rk_release, self.args[1])
+
+
 def search_vectorized(
-    grid: EscapeGrid,
-    order: Order = Order.A_STAR,
-    *,
-    node_limit: Optional[int] = None,
-    trace: bool = False,
-) -> SearchResult[Point]:
-    """Run the cost-ordered OPEN/CLOSED search over *grid* in the kernel.
+    search: KernelSearch,
+    sources: list[tuple[Point, float]],
+    boxes: list[int],
+    points: int,
+) -> SearchResult[int]:
+    """Run one connection's cost-ordered OPEN/CLOSED search in the kernel.
+
+    The connection runs from *sources* to the targets *boxes*, flat:
+    ``x0, x1, y0, y1`` per target
+    (:attr:`~repro.core.route.TargetSet.flat`), the first *points* of
+    them target points, which must be routable like the sources.  The
+    escape grid's columns are ``obstacles.edge_xs`` merged with the
+    boxes' and the sources' x coordinates, its rows likewise; the
+    kernel sorts and merges them itself, and every stop of the line
+    search lies on that grid.  Moves are priced by
+    ``cost_model.track_terms()``
+    (:meth:`~repro.core.costs.CostModel.track_terms`).
 
     Semantics — goal test at pop, reopening of CLOSED nodes, node-limit
-    termination, stats, traces — are the scalar loop's, node for node,
-    and states are points as in the scalar point problem.  Best-first
-    search is the same loop with ``h = 0``: its keys
+    termination, stats, traces — are the scalar loop's, node for node.
+    Best-first search is the same loop with ``h = 0``: its keys
     ``(g + 0.0, -g, counter)`` order exactly like the scalar engine's
     ``(g, 0.0, counter)``, since equal first keys mean equal g.
 
+    The path comes back as ints: the result's ``states`` are
+    ``x0, y0, x1, y1, ...`` from a start to the goal, or ``None``.  The
+    trace, when *search* records one, holds points.
     ``stats.cache_misses`` holds the rays the search traced (four per
-    expansion).  Callers check :func:`kernel` first, and keep grids
-    within the kernel's int32 state numbering.
+    expansion).  Callers keep grids within the kernel's int32 state
+    numbering.
     """
-    if not order.is_cost_ordered:
-        raise SearchError(
-            f"vectorized search supports cost-ordered orders only, got {order.value}"
-        )
-    library = kernel()
-    if library is None:
-        raise SearchError("the compiled search kernel is unavailable")
     started = time.perf_counter()
-    sources = grid.sources
-    connection = array.array("q", grid.boxes)
-    connection.extend([p.x for p, _ in sources])
-    connection.extend([p.y for p, _ in sources])
+    problem = search.problem
+    connection = array.array("q", boxes)
+    for point, _ in sources:
+        connection.append(point.x)
+    for point, _ in sources:
+        connection.append(point.y)
     costs = array.array("d", [g0 for _, g0 in sources])
-    problem = _Problem(
-        *_block(grid.obstacles, _obstacle_block),
-        len(grid.boxes) // 4, grid.points, len(sources),
-        connection.buffer_info()[0], costs.buffer_info()[0],
-        *_block(grid.cost_model, _pricing_block)[:4],
-        -1 if node_limit is None else max(node_limit, 0),
-        order is Order.A_STAR, trace,
+    problem.ntargets = len(boxes) >> 2
+    problem.npoints = points
+    problem.nsources = len(sources)
+    problem.connection = connection.buffer_info()[0]
+    problem.source_costs = costs.buffer_info()[0]
+    out = search.out
+    error = search.call(*search.args)
+    if error:
+        _raise(out, error)
+    path_len = out.path_len
+    stats = SearchStats(
+        out.expanded, out.generated, out.reopened, out.max_open, 0.0,
+        _TERMINATIONS[out.termination], 0, out.probes,
     )
-    out = _Result()
-    error = library.rk_search(ctypes.byref(problem), ctypes.byref(out))
-    try:
-        if error:
-            _raise(out, error)
-        stats = SearchStats(
-            nodes_expanded=out.expanded,
-            nodes_generated=out.generated,
-            nodes_reopened=out.reopened,
-            max_open_size=out.max_open,
-            termination=_TERMINATIONS[out.termination],
-            cache_misses=out.probes,
-        )
-        path = None
-        if out.path_len:
-            flat = out.path[: 2 * out.path_len]
-            path = [Point(x, y) for x, y in zip(flat[::2], flat[1::2])]
-        expansion = None
-        if trace:
-            expansion = ExpansionTrace()
-            flat = out.trace[: 5 * out.trace_len]
-            for k in range(0, len(flat), 5):
-                x, y, has_parent, px, py = flat[k : k + 5]
-                expansion.record(Point(x, y), Point(px, py) if has_parent else None)
-    finally:
-        library.rk_release(ctypes.byref(out))
+    expansion = None
+    if problem.trace:
+        expansion = ExpansionTrace()
+        flat = out.trace[: 5 * out.trace_len]
+        for k in range(0, len(flat), 5):
+            x, y, has_parent, px, py = flat[k : k + 5]
+            expansion.record(Point(x, y), Point(px, py) if has_parent else None)
     stats.elapsed_seconds = time.perf_counter() - started
-    return SearchResult(path, out.cost if path else math.inf, stats, expansion)
+    if path_len:
+        return SearchResult(out.path[: 2 * path_len], out.cost, stats, expansion)
+    return SearchResult(None, math.inf, stats, expansion)
 
 
 def _raise(out: _Result, error: int) -> None:

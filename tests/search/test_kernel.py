@@ -120,12 +120,8 @@ class TestBuild:
 class TestSearch:
     def test_blind_orders_rejected(self):
         request = _one_block_request()
-        grid = vector.EscapeGrid(
-            request.obstacles, request.sources, request.targets.flat,
-            len(request.targets.points), request.cost_model,
-        )
         with pytest.raises(SearchError, match="cost-ordered"):
-            vector.search_vectorized(grid, Order.BREADTH_FIRST)
+            vector.KernelSearch(request.obstacles, request.cost_model, Order.BREADTH_FIRST)
 
     @pytest.mark.parametrize("limit", [0, 1, 2, 3])
     def test_node_limit_matches_the_scalar_problem(self, limit):
